@@ -16,7 +16,7 @@
 //!
 //! Since the operator/solver surface became scalar-generic, the baseline
 //! owns **no iteration loop of its own**: the sweep matrix
-//! `M = P× ∘ E× · V×` is a [`LinearOperator<f64>`] ([`WalkSweepOperator`])
+//! `M = P× ∘ E× · V×` is a [`LinearOperator<f64>`] (`WalkSweepOperator`)
 //! over the shared `f32` operands, and the recurrence is driven by the
 //! workspace-wide [`mgk_linalg::fixed_point_counted`] driver — the same
 //! operator surface the PCG solvers apply through, instantiated at the

@@ -2,7 +2,7 @@
 //!
 //! Section II-C of the paper notes that spectral decomposition "delivers
 //! the best performance if the edges are unlabeled or labeled with a small
-//! set of distinct elements" (Vishwanathan et al., reference [5]). For the
+//! set of distinct elements" (Vishwanathan et al., reference \[5\]). For the
 //! unlabeled kernel of Eq. (2),
 //!
 //! ```text

@@ -55,10 +55,8 @@ where
             edge_kernel.clone(),
             level.solver_config(&base),
         );
-        let engine = GramEngine::new(
-            solver,
-            GramConfig { scheduling: level.scheduling(), normalize: true, reorder_once: true },
-        );
+        let engine =
+            GramEngine::new(solver, GramConfig { scheduling: level.scheduling(), normalize: true });
         let start = Instant::now();
         let result = engine.compute(graphs);
         let cpu = start.elapsed().as_secs_f64();

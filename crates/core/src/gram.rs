@@ -15,10 +15,10 @@ use rayon::prelude::*;
 use mgk_gpusim::TrafficCounters;
 use mgk_graph::Graph;
 use mgk_kernels::BaseKernel;
-use mgk_linalg::Scalar;
-use mgk_reorder::ReorderMethod;
+use mgk_linalg::{Precision, Scalar};
 
-use crate::solver::{KernelResult, MarginalizedKernelSolver, SolverConfig, SolverError};
+use crate::prepared::PreparedGraph;
+use crate::solver::{KernelResult, MarginalizedKernelSolver, SolverError};
 
 /// How graph pairs are assigned to worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -41,14 +41,11 @@ pub struct GramConfig {
     pub normalize: bool,
     /// Work-distribution policy.
     pub scheduling: Scheduling,
-    /// Reorder every graph once before the pairwise sweep instead of once
-    /// per pair (the amortization argument of Section IV-A).
-    pub reorder_once: bool,
 }
 
 impl Default for GramConfig {
     fn default() -> Self {
-        GramConfig { normalize: true, scheduling: Scheduling::Dynamic, reorder_once: true }
+        GramConfig { normalize: true, scheduling: Scheduling::Dynamic }
     }
 }
 
@@ -84,17 +81,6 @@ impl<T: Scalar> GramResult<T> {
         self.matrix[i * self.num_graphs + j]
     }
 }
-
-/// How one pair is evaluated inside the pairwise sweep: the runtime
-/// [`Precision`](mgk_linalg::Precision)-dispatched `kernel` for
-/// [`GramEngine::compute`], a pinned `kernel_at::<T>` for
-/// [`GramEngine::compute_at`].
-type PairEval<'a, KV, KE, V, E, T> = &'a (dyn Fn(
-    &MarginalizedKernelSolver<KV, KE>,
-    &Graph<V, E>,
-    &Graph<V, E>,
-) -> Result<KernelResult<T>, SolverError>
-         + Sync);
 
 /// The parallel pairwise Gram-matrix engine.
 ///
@@ -132,7 +118,9 @@ impl<KV, KE> GramEngine<KV, KE> {
         &self.config
     }
 
-    /// Compute the symmetric pairwise kernel matrix of a dataset.
+    /// Compute the symmetric pairwise kernel matrix of a dataset. Per-pair
+    /// solves go through the runtime [`Precision`] policy (F32, F64 or
+    /// Refined), narrowed to the f32 serving matrix.
     pub fn compute<V, E>(&self, graphs: &[Graph<V, E>]) -> GramResult
     where
         V: Clone + Send + Sync,
@@ -140,16 +128,13 @@ impl<KV, KE> GramEngine<KV, KE> {
         KV: BaseKernel<V> + Clone + Send + Sync,
         KE: BaseKernel<E> + Clone + Send + Sync,
     {
-        // per-pair solves go through the runtime Precision policy (F32,
-        // F64 or Refined), narrowed to the f32 serving matrix
-        self.compute_with(graphs, &|solver, a, b| solver.kernel(a, b))
+        self.compute_with(graphs, self.solver.config().precision)
     }
 
     /// [`compute`](Self::compute) at a specific [`Scalar`] instantiation of
-    /// the solver surface: every pair solve runs
-    /// [`kernel_at::<T>`](MarginalizedKernelSolver::kernel_at) and the
-    /// matrix entries stay at `T` end-to-end — `compute_at::<f64>` yields a
-    /// Gram matrix with no `f32` rounding at any boundary.
+    /// the solver surface: every pair solve runs at `T` and the matrix
+    /// entries stay at `T` end-to-end — `compute_at::<f64>` yields a Gram
+    /// matrix with no `f32` rounding at any boundary.
     pub fn compute_at<T, V, E>(&self, graphs: &[Graph<V, E>]) -> GramResult<T>
     where
         T: Scalar,
@@ -158,17 +143,12 @@ impl<KV, KE> GramEngine<KV, KE> {
         KV: BaseKernel<V> + Clone + Send + Sync,
         KE: BaseKernel<E> + Clone + Send + Sync,
     {
-        self.compute_with(graphs, &|solver, a, b| solver.kernel_at::<T, V, E>(a, b))
+        self.compute_with(graphs, T::PRECISION)
     }
 
-    /// Shared pairwise sweep behind [`compute`](Self::compute) and
-    /// [`compute_at`](Self::compute_at), generic over how one pair is
-    /// evaluated.
-    fn compute_with<T, V, E>(
-        &self,
-        graphs: &[Graph<V, E>],
-        solve_one: PairEval<'_, KV, KE, V, E, T>,
-    ) -> GramResult<T>
+    /// The symmetric sweep behind [`compute`](Self::compute) and
+    /// [`compute_at`](Self::compute_at), plus the normalization.
+    fn compute_with<T, V, E>(&self, graphs: &[Graph<V, E>], precision: Precision) -> GramResult<T>
     where
         T: Scalar,
         V: Clone + Send + Sync,
@@ -176,35 +156,82 @@ impl<KV, KE> GramEngine<KV, KE> {
         KV: BaseKernel<V> + Clone + Send + Sync,
         KE: BaseKernel<E> + Clone + Send + Sync,
     {
-        let n = graphs.len();
-        let nan = T::from_f32(f32::NAN);
-        let mut matrix = vec![nan; n * n];
-
-        // one-off preprocessing: reorder (and re-weight) each graph once
         let prep_start = Instant::now();
-        let (prepared, pair_solver) = if self.config.reorder_once {
-            let prepared: Vec<Graph<V, E>> = graphs
-                .par_iter()
-                .map(|g| self.solver.prepare(g).unwrap_or_else(|| g.clone()))
-                .collect();
-            let cfg = SolverConfig {
-                reorder: ReorderMethod::Natural,
-                stopping_probability: None,
-                ..*self.solver.config()
-            };
-            (prepared, self.solver.with_config(cfg))
-        } else {
-            (graphs.to_vec(), self.solver.clone())
-        };
-        let preprocessing = prep_start.elapsed();
+        let prepared = self.prepare_all(graphs);
+        let mut result: GramResult<T> =
+            self.sweep(&prepared, &prepared, true, precision, prep_start.elapsed());
 
-        // upper-triangular pair list
-        let pairs: Vec<(usize, usize)> = (0..n).flat_map(|i| (i..n).map(move |j| (i, j))).collect();
+        if self.config.normalize {
+            // the normalization factors are computed in f64 at every entry
+            // precision (exact for both instantiations' diagonals)
+            let n = graphs.len();
+            let matrix = &mut result.matrix;
+            let diag: Vec<f64> = (0..n).map(|i| matrix[i * n + i].to_f64()).collect();
+            for i in 0..n {
+                for j in 0..n {
+                    let d = (diag[i] * diag[j]).sqrt();
+                    if d > 0.0 {
+                        matrix[i * n + j] = T::from_f64(matrix[i * n + j].to_f64() / d);
+                    }
+                }
+            }
+        }
+        result
+    }
+
+    /// Compute the rectangular kernel matrix between two datasets (rows
+    /// indexed by `rows`, columns by `cols`) without normalization.
+    pub fn compute_cross<V, E>(&self, rows: &[Graph<V, E>], cols: &[Graph<V, E>]) -> GramResult
+    where
+        V: Clone + Send + Sync,
+        E: Copy + Default + Send + Sync,
+        KV: BaseKernel<V> + Clone + Send + Sync,
+        KE: BaseKernel<E> + Clone + Send + Sync,
+    {
+        let prep_start = Instant::now();
+        let (rows, cols) = (self.prepare_all(rows), self.prepare_all(cols));
+        self.sweep(&rows, &cols, false, self.solver.config().precision, prep_start.elapsed())
+    }
+
+    /// The one-off preprocessing: reorder, re-weight and tile each graph
+    /// once, whatever number of pairs it is in (the amortization argument
+    /// of Section IV-A).
+    fn prepare_all<V, E>(&self, graphs: &[Graph<V, E>]) -> Vec<PreparedGraph<V, E>>
+    where
+        V: Clone + Send + Sync,
+        E: Copy + Default + Send + Sync,
+        KV: Sync,
+        KE: Sync,
+    {
+        graphs.par_iter().map(|g| self.solver.prepare_graph(g)).collect()
+    }
+
+    /// Solve every `(rows[i], cols[j])` pair — the upper triangle only, and
+    /// mirrored, when `symmetric` — into a row-major `rows × cols` matrix.
+    fn sweep<T, V, E>(
+        &self,
+        rows: &[PreparedGraph<V, E>],
+        cols: &[PreparedGraph<V, E>],
+        symmetric: bool,
+        precision: Precision,
+        preprocessing: Duration,
+    ) -> GramResult<T>
+    where
+        T: Scalar,
+        V: Send + Sync,
+        E: Copy + Default + Send + Sync,
+        KV: BaseKernel<V> + Send + Sync,
+        KE: BaseKernel<E> + Clone + Send + Sync,
+    {
+        let (nr, nc) = (rows.len(), cols.len());
+        let mut matrix = vec![T::from_f32(f32::NAN); nr * nc];
+        let pairs: Vec<(usize, usize)> = (0..nr)
+            .flat_map(|i| (if symmetric { i } else { 0 }..nc).map(move |j| (i, j)))
+            .collect();
 
         let start = Instant::now();
         let solve_pair = |&(i, j): &(usize, usize)| {
-            let result = solve_one(&pair_solver, &prepared[i], &prepared[j]);
-            (i, j, result)
+            (i, j, self.solver.kernel_prepared::<T, V, E>(&rows[i], &cols[j], &[], precision))
         };
         let results: Vec<(usize, usize, Result<KernelResult<T>, SolverError>)> =
             match self.config.scheduling {
@@ -227,67 +254,10 @@ impl<KV, KE> GramEngine<KV, KE> {
         for (i, j, result) in results {
             match result {
                 Ok(r) => {
-                    matrix[i * n + j] = r.value;
-                    matrix[j * n + i] = r.value;
-                    traffic.accumulate(&r.traffic);
-                    total_iterations += r.iterations;
-                }
-                Err(_) => {
-                    failures += 1;
-                }
-            }
-        }
-
-        if self.config.normalize {
-            // the normalization factors are computed in f64 at every entry
-            // precision (exact for both instantiations' diagonals)
-            let diag: Vec<f64> = (0..n).map(|i| matrix[i * n + i].to_f64()).collect();
-            for i in 0..n {
-                for j in 0..n {
-                    let d = (diag[i] * diag[j]).sqrt();
-                    if d > 0.0 {
-                        matrix[i * n + j] = T::from_f64(matrix[i * n + j].to_f64() / d);
-                    }
-                }
-            }
-        }
-
-        GramResult {
-            matrix,
-            num_graphs: n,
-            total_iterations,
-            traffic,
-            failures,
-            elapsed,
-            preprocessing,
-        }
-    }
-
-    /// Compute the rectangular kernel matrix between two datasets (rows
-    /// indexed by `rows`, columns by `cols`) without normalization.
-    pub fn compute_cross<V, E>(&self, rows: &[Graph<V, E>], cols: &[Graph<V, E>]) -> GramResult
-    where
-        V: Clone + Send + Sync,
-        E: Copy + Default + Send + Sync,
-        KV: BaseKernel<V> + Clone + Send + Sync,
-        KE: BaseKernel<E> + Clone + Send + Sync,
-    {
-        let (nr, nc) = (rows.len(), cols.len());
-        let mut matrix = vec![f32::NAN; nr * nc];
-        let start = Instant::now();
-        let pairs: Vec<(usize, usize)> =
-            (0..nr).flat_map(|i| (0..nc).map(move |j| (i, j))).collect();
-        let results: Vec<(usize, usize, Result<crate::solver::KernelResult, SolverError>)> = pairs
-            .par_iter()
-            .map(|&(i, j)| (i, j, self.solver.kernel(&rows[i], &cols[j])))
-            .collect();
-        let mut traffic = TrafficCounters::new();
-        let mut total_iterations = 0;
-        let mut failures = 0;
-        for (i, j, result) in results {
-            match result {
-                Ok(r) => {
                     matrix[i * nc + j] = r.value;
+                    if symmetric {
+                        matrix[j * nc + i] = r.value;
+                    }
                     traffic.accumulate(&r.traffic);
                     total_iterations += r.iterations;
                 }
@@ -300,8 +270,8 @@ impl<KV, KE> GramEngine<KV, KE> {
             total_iterations,
             traffic,
             failures,
-            elapsed: start.elapsed(),
-            preprocessing: Duration::ZERO,
+            elapsed,
+            preprocessing,
         }
     }
 }
@@ -378,18 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn reorder_once_matches_per_pair_reordering() {
-        let graphs = small_dataset(4);
-        let once =
-            engine(GramConfig { reorder_once: true, ..GramConfig::default() }).compute(&graphs);
-        let per_pair =
-            engine(GramConfig { reorder_once: false, ..GramConfig::default() }).compute(&graphs);
-        for (a, b) in once.matrix.iter().zip(&per_pair.matrix) {
-            assert!((a - b).abs() < 1e-4);
-        }
-    }
-
-    #[test]
     fn gram_matrix_is_positive_semidefinite() {
         // check via the determinant of leading principal minors of a small
         // normalized Gram matrix (all must be non-negative)
@@ -453,6 +411,28 @@ mod tests {
         let result = engine(GramConfig::default()).compute_cross(&graphs[..2], &graphs[2..]);
         assert_eq!(result.matrix.len(), 2 * 3);
         assert!(result.matrix.iter().all(|v| v.is_finite() && *v > 0.0));
+    }
+
+    #[test]
+    fn cross_block_equals_the_unnormalized_gram_entries_bit_for_bit() {
+        // rows and columns are prepared once each and solved through the
+        // same prepared-pair routine as the symmetric sweep: same tiles,
+        // same order, same arithmetic
+        let graphs = small_dataset(5);
+        let engine = engine(GramConfig { normalize: false, ..GramConfig::default() });
+        let full = engine.compute(&graphs);
+        let cross = engine.compute_cross(&graphs[..2], &graphs[2..]);
+        assert_eq!(cross.failures, 0);
+        for i in 0..2 {
+            for j in 0..3 {
+                assert_eq!(
+                    cross.matrix[i * 3 + j].to_bits(),
+                    full.get(i, 2 + j).to_bits(),
+                    "cross entry ({i},{j})"
+                );
+            }
+        }
+        assert!(cross.preprocessing > Duration::ZERO, "rows and columns are prepared up front");
     }
 
     #[test]

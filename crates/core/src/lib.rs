@@ -22,6 +22,8 @@
 //! * [`octile_ops`] — the sparse tile-pair product primitives of
 //!   Section IV-B (`dense×dense`, `dense×sparse`, `sparse×sparse`) and the
 //!   adaptive selection rule of Fig. 8.
+//! * [`prepared`] — [`PreparedGraph`], everything about one structure that
+//!   is built once and shared by every pair it is in (octile storage).
 //! * [`product`] — assembly of the tensor-product system (degree/vertex
 //!   kernel diagonals, right-hand side, octile operator).
 //! * [`solver`] — [`MarginalizedKernelSolver`], the per-pair PCG solver.
@@ -32,6 +34,7 @@
 pub mod ablation;
 pub mod gram;
 pub mod octile_ops;
+pub mod prepared;
 pub mod product;
 pub mod solver;
 pub mod xmv;
@@ -39,6 +42,7 @@ pub mod xmv;
 pub use ablation::OptimizationLevel;
 pub use gram::{GramConfig, GramEngine, GramResult, Scheduling};
 pub use mgk_telemetry::StageBreakdown;
+pub use prepared::PreparedGraph;
 pub use product::{OffDiagonalOperator, ProductSystem, SystemOperator};
 pub use solver::{KernelResult, MarginalizedKernelSolver, SolverConfig, SolverError, XmvMode};
 pub use xmv::{DensePairData, XmvPrimitive};

@@ -1,0 +1,68 @@
+//! One structure, prepared once.
+//!
+//! The paper converts a graph to octile storage once (after reordering) and
+//! reuses it for every pair of the Gram matrix (Section IV). A
+//! [`PreparedGraph`] is that unit: everything about one structure that no
+//! partner changes, built by
+//! [`MarginalizedKernelSolver::prepare_graph`](crate::MarginalizedKernelSolver::prepare_graph)
+//! and shared by every system the structure takes part in.
+
+use std::sync::Arc;
+
+use mgk_graph::Graph;
+use mgk_tile::OctileMatrix;
+
+use crate::octile_ops::TilePanels;
+use crate::solver::XmvMode;
+
+/// An immutable structure ready to be paired with any other: the prepared
+/// (stopping-probability-overridden, reordered) graph, its Laplacian
+/// degrees and — under [`XmvMode::Octile`] only — its octile matrix.
+#[derive(Debug)]
+pub struct PreparedGraph<V, E> {
+    graph: Graph<V, E>,
+    degrees: Vec<f32>,
+    /// `Arc`-shared with the product systems of the pairs this structure is
+    /// in, which therefore own their operands without copying a tile.
+    matrix: Option<Arc<OctileMatrix<E>>>,
+}
+
+/// One operand of the octile operator: a structure's shared octile matrix
+/// and its tiles' expanded panels, parallel to `matrix.tiles()`.
+pub(crate) struct Octiles<E> {
+    pub(crate) matrix: Arc<OctileMatrix<E>>,
+    pub(crate) panels: Vec<TilePanels<E>>,
+}
+
+impl<V, E: Copy + Default> PreparedGraph<V, E> {
+    /// Tile an already prepared (ordered) graph for `mode`.
+    pub(crate) fn new(graph: Graph<V, E>, mode: XmvMode) -> Self {
+        let matrix = (mode == XmvMode::Octile).then(|| Arc::new(OctileMatrix::from_graph(&graph)));
+        PreparedGraph { degrees: graph.laplacian_degrees(), graph, matrix }
+    }
+
+    /// The prepared graph, in the vertex order every solve over this
+    /// structure uses (nodal vectors and warm-start guesses are laid out in
+    /// it).
+    pub fn graph(&self) -> &Graph<V, E> {
+        &self.graph
+    }
+
+    pub(crate) fn degrees(&self) -> &[f32] {
+        &self.degrees
+    }
+
+    /// This structure as an operand of one system's octile operator. The
+    /// panels are expanded here, per system, and live as long as it does: at
+    /// ~0.9 KiB a tile they are several times the rest of the structure —
+    /// too much to hold for as long as a serving cache holds the structure
+    /// — and expanding them is the cheapest step of an assembly. Panics
+    /// when the structure was prepared by a solver in another [`XmvMode`]
+    /// than the one now pairing it.
+    pub(crate) fn octiles(&self) -> Octiles<E> {
+        let matrix =
+            Arc::clone(self.matrix.as_ref().expect("prepared by a solver in XmvMode::Octile"));
+        let panels = matrix.tiles().iter().map(TilePanels::new).collect();
+        Octiles { matrix, panels }
+    }
+}

@@ -8,9 +8,10 @@
 //!   XMV primitives.
 //!
 //! [`ProductSystem`] owns the diagonal data, the right-hand side
-//! `D× q×` and an off-diagonal operator in one of three forms
-//! ([`OffDiagonal`]): the materialized naive product, a dense on-the-fly
-//! primitive, or the two-level sparse octile operator.
+//! `D× q×` and an off-diagonal operator in one of three forms: the
+//! materialized naive product, a dense on-the-fly primitive, or the
+//! two-level sparse octile operator over the octile matrices its two
+//! [`PreparedGraph`]s were built with once.
 //!
 //! Both views of the system — [`OffDiagonalOperator`] for `A× ∘ E×` alone
 //! and [`SystemOperator`] for the full `D× V×⁻¹ − A× ∘ E×` — implement
@@ -20,22 +21,23 @@
 //! mutability on the system itself.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
 use mgk_gpusim::TrafficCounters;
 use mgk_graph::Graph;
 use mgk_kernels::BaseKernel;
 use mgk_linalg::{kron_vec, kronecker::generalized_kron_vec, LinearOperator, Scalar};
-use mgk_tile::{OctileMatrix, TILE_SIZE};
+use mgk_tile::TILE_SIZE;
 
 use crate::octile_ops::{
-    tile_pair_product_with_panels, KindTable, PairContext, PaneledTile, TileCosts, TilePanels,
-    TileProductKind,
+    tile_pair_product_with_panels, KindTable, PairContext, PaneledTile, TileCosts, TileProductKind,
 };
-use crate::solver::{SolverConfig, XmvMode};
+use crate::prepared::{Octiles, PreparedGraph};
+use crate::solver::{MarginalizedKernelSolver, SolverConfig, XmvMode};
 use crate::xmv::{DensePairData, NaiveProduct, XmvPrimitive};
 
 /// The off-diagonal operator `A× ∘ E×` in one of its three realizations.
-pub enum OffDiagonal<E> {
+enum OffDiagonal<E> {
     /// Materialized product matrix (the naive kernel of Section II-D).
     Naive(NaiveProduct),
     /// Dense on-the-fly primitive of Section III.
@@ -45,25 +47,17 @@ pub enum OffDiagonal<E> {
         /// Which streaming strategy to use.
         primitive: XmvPrimitive,
     },
-    /// Two-level sparse octile operator of Section IV.
+    /// Two-level sparse octile operator of Section IV, over the octile
+    /// matrices the two [`PreparedGraph`]s were built with once; their
+    /// panels are expanded per system, so every CG iteration's tile-pair
+    /// sweep reuses them.
     Octile {
-        /// Octiles of the first graph.
-        tiles1: OctileMatrix<E>,
-        /// Octiles of the second graph.
-        tiles2: OctileMatrix<E>,
-        /// Expanded panels of `tiles1`, parallel to `tiles1.tiles()` —
-        /// built once at assembly so every CG iteration's tile-pair sweep
-        /// reuses them.
-        panels1: Vec<TilePanels<E>>,
-        /// Expanded panels of `tiles2`, parallel to `tiles2.tiles()`.
-        panels2: Vec<TilePanels<E>>,
-        /// Precomputed adaptive-selection table for the edge kernel's FLOP
-        /// cost; the per-pair decision is a lookup, not three cycle
-        /// estimates. Boxed so the 65×65 table does not dominate the enum's
-        /// inline size.
-        kinds: Box<KindTable>,
-        /// Force a specific tile primitive, or `None` for the adaptive rule.
-        forced_kind: Option<TileProductKind>,
+        left: Octiles<E>,
+        right: Octiles<E>,
+        /// The solver's adaptive-selection table (the per-pair decision is
+        /// a lookup, not three cycle estimates), or `None` to force the
+        /// dense×dense primitive.
+        kinds: Option<Arc<KindTable>>,
         /// Use the compact (bitmap + packed payload) storage accounting.
         compact: bool,
         /// Number of warps sharing octiles within a block (Section V-A);
@@ -95,9 +89,9 @@ where
     KE: BaseKernel<E>,
 {
     /// Assemble the system for a pair of graphs under a solver
-    /// configuration. The graphs are expected to have already been
-    /// reordered if the configuration asks for it (the solver handles
-    /// that).
+    /// configuration. The graphs are taken as already ordered: they are
+    /// tiled as they stand, whatever reordering the configuration names
+    /// (the solver's own entry points apply that first).
     pub fn assemble<V, KV>(
         g1: &Graph<V, E>,
         g2: &Graph<V, E>,
@@ -106,14 +100,34 @@ where
         config: &SolverConfig,
     ) -> Self
     where
+        V: Clone,
+        KV: BaseKernel<V>,
+        KE: Clone,
+    {
+        let tile = |g: &Graph<V, E>| PreparedGraph::new(g.clone(), config.xmv_mode);
+        MarginalizedKernelSolver::new(vertex_kernel, edge_kernel, *config)
+            .assemble_prepared(&tile(g1), &tile(g2))
+    }
+
+    /// Assemble the system of two prepared structures — the one assembly
+    /// path. `kinds` is the adaptive tile-primitive table, `None` when the
+    /// configuration forces the dense×dense primitive.
+    pub(crate) fn from_prepared<V, KV>(
+        a: &PreparedGraph<V, E>,
+        b: &PreparedGraph<V, E>,
+        vertex_kernel: &KV,
+        edge_kernel: KE,
+        kinds: Option<Arc<KindTable>>,
+        config: &SolverConfig,
+    ) -> Self
+    where
         KV: BaseKernel<V>,
     {
-        let n = g1.num_vertices();
-        let m = g2.num_vertices();
-        let degree_product = kron_vec(&g1.laplacian_degrees(), &g2.laplacian_degrees());
+        let (g1, g2) = (a.graph(), b.graph());
+        let degree_product = kron_vec(a.degrees(), b.degrees());
         let vertex_product =
-            generalized_kron_vec(g1.vertex_labels(), g2.vertex_labels(), |a, b| {
-                vertex_kernel.eval(a, b)
+            generalized_kron_vec(g1.vertex_labels(), g2.vertex_labels(), |u, v| {
+                vertex_kernel.eval(u, v)
             });
         let start_product = kron_vec(g1.start_probabilities(), g2.start_probabilities());
         let stop_product = kron_vec(g1.stop_probabilities(), g2.stop_probabilities());
@@ -130,31 +144,18 @@ where
             XmvMode::DenseOnTheFly(primitive) => {
                 OffDiagonal::Dense { data: DensePairData::new(g1, g2, &edge_kernel), primitive }
             }
-            XmvMode::Octile => {
-                let tiles1 = OctileMatrix::from_graph(g1);
-                let tiles2 = OctileMatrix::from_graph(g2);
-                let panels1 = tiles1.tiles().iter().map(TilePanels::new).collect();
-                let panels2 = tiles2.tiles().iter().map(TilePanels::new).collect();
-                OffDiagonal::Octile {
-                    tiles1,
-                    tiles2,
-                    panels1,
-                    panels2,
-                    kinds: Box::new(KindTable::new(cost.flops)),
-                    forced_kind: if config.adaptive_tiles {
-                        None
-                    } else {
-                        Some(TileProductKind::DenseDense)
-                    },
-                    compact: config.compact_storage,
-                    block_sharing: config.block_sharing.max(1),
-                }
-            }
+            XmvMode::Octile => OffDiagonal::Octile {
+                left: a.octiles(),
+                right: b.octiles(),
+                kinds,
+                compact: config.compact_storage,
+                block_sharing: config.block_sharing.max(1),
+            },
         };
 
         ProductSystem {
-            n,
-            m,
+            n: g1.num_vertices(),
+            m: g2.num_vertices(),
             degree_product,
             vertex_product,
             start_product,
@@ -228,16 +229,7 @@ where
             OffDiagonal::Dense { data, primitive } => {
                 primitive.apply(data, &self.edge_kernel, x, y, local)
             }
-            OffDiagonal::Octile {
-                tiles1,
-                tiles2,
-                panels1,
-                panels2,
-                kinds,
-                forced_kind,
-                compact,
-                block_sharing,
-            } => {
+            OffDiagonal::Octile { left, right, kinds, compact, block_sharing } => {
                 // tile payloads and labels keep their stored (f32) sizes at
                 // every vector precision; only right-hand-side and output
                 // traffic follow the vector scalar T
@@ -251,19 +243,21 @@ where
                         (TILE_SIZE * TILE_SIZE) as u64 * (fb + eb)
                     }
                 };
-                for (t1, p1) in tiles1.tiles().iter().zip(panels1) {
+                for (t1, p1) in left.matrix.tiles().iter().zip(&left.panels) {
                     // the outer tile is loaded once and kept for the whole
                     // sweep over the inner graph
                     local.global_load_bytes += tile_bytes(t1);
                     let nnz1 = t1.nnz();
-                    for (t2, p2) in tiles2.tiles().iter().zip(panels2) {
+                    for (t2, p2) in right.matrix.tiles().iter().zip(&right.panels) {
                         // inner tiles are re-streamed for every outer tile;
                         // block-level sharing amortizes the load across the
                         // warps of a block (Section V-A)
                         local.global_load_bytes += tile_bytes(t2).div_ceil(*block_sharing as u64);
                         // the right-hand-side block for this tile pair
                         local.global_load_bytes += (TILE_SIZE * TILE_SIZE) as u64 * fb;
-                        let kind = forced_kind.unwrap_or_else(|| kinds.get(nnz1, t2.nnz()));
+                        let kind = kinds
+                            .as_ref()
+                            .map_or(TileProductKind::DenseDense, |k| k.get(nnz1, t2.nnz()));
                         tile_pair_product_with_panels(
                             kind,
                             PaneledTile { tile: t1, panels: p1 },
@@ -288,7 +282,7 @@ where
 }
 
 /// Adapter viewing just the off-diagonal product `A× ∘ E×` of a
-/// [`ProductSystem`] as a [`LinearOperator`]. All three [`OffDiagonal`]
+/// [`ProductSystem`] as a [`LinearOperator`]. All three off-diagonal
 /// realizations (naive, dense on-the-fly, octile) apply through this one
 /// surface, with traffic threaded via
 /// [`apply_counted`](LinearOperator::apply_counted).

@@ -1,14 +1,19 @@
 //! The per-pair marginalized graph kernel solver (Algorithm 1).
 
+use std::sync::{Arc, OnceLock};
+
 use mgk_gpusim::TrafficCounters;
 use mgk_graph::Graph;
 use mgk_kernels::{BaseKernel, UnitKernel};
 use mgk_linalg::{
-    pcg_counted_warm_multi, pcg_refined_counted, DiagonalOperator, Precision, Scalar, SolveOptions,
+    pcg_counted_warm_multi, pcg_refined_counted, ConvergenceInfo, DiagonalOperator, Precision,
+    Scalar, SolveOptions,
 };
 use mgk_reorder::ReorderMethod;
 use mgk_telemetry::StageBreakdown;
 
+use crate::octile_ops::KindTable;
+use crate::prepared::PreparedGraph;
 use crate::product::{ProductSystem, SystemOperator};
 use crate::xmv::XmvPrimitive;
 
@@ -130,22 +135,6 @@ impl<T: Scalar> KernelResult<T> {
     pub fn value_f32(&self) -> f32 {
         self.value.to_f32()
     }
-
-    /// Narrow this result to the `f32` serving representation (value and
-    /// nodal vector element-wise; `value_f64` keeps the full-precision
-    /// scalar).
-    pub fn narrow(self) -> KernelResult<f32> {
-        KernelResult {
-            value: self.value.to_f32(),
-            value_f64: self.value_f64,
-            iterations: self.iterations,
-            converged: self.converged,
-            relative_residual: self.relative_residual,
-            traffic: self.traffic,
-            nodal: self.nodal.map(|v| v.iter().map(|&x| x.to_f32()).collect()),
-            stages: self.stages,
-        }
-    }
 }
 
 /// Errors reported by the solver.
@@ -183,19 +172,23 @@ pub struct MarginalizedKernelSolver<KV, KE> {
     vertex_kernel: KV,
     edge_kernel: KE,
     config: SolverConfig,
+    /// The adaptive tile-primitive table and the base-kernel FLOP cost it
+    /// was built for — the only thing it depends on, so it is built by the
+    /// first octile assembly and shared by every system after it.
+    kinds: OnceLock<(usize, Arc<KindTable>)>,
 }
 
 impl MarginalizedKernelSolver<UnitKernel, UnitKernel> {
     /// A solver for unlabeled graphs — the random-walk kernel of Eq. (2).
     pub fn unlabeled(config: SolverConfig) -> Self {
-        MarginalizedKernelSolver { vertex_kernel: UnitKernel, edge_kernel: UnitKernel, config }
+        MarginalizedKernelSolver::new(UnitKernel, UnitKernel, config)
     }
 }
 
 impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
     /// Create a solver from vertex and edge base kernels.
     pub fn new(vertex_kernel: KV, edge_kernel: KE, config: SolverConfig) -> Self {
-        MarginalizedKernelSolver { vertex_kernel, edge_kernel, config }
+        MarginalizedKernelSolver { vertex_kernel, edge_kernel, config, kinds: OnceLock::new() }
     }
 
     /// The active configuration.
@@ -210,11 +203,7 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
         KV: Clone,
         KE: Clone,
     {
-        MarginalizedKernelSolver {
-            vertex_kernel: self.vertex_kernel.clone(),
-            edge_kernel: self.edge_kernel.clone(),
-            config,
-        }
+        MarginalizedKernelSolver::new(self.vertex_kernel.clone(), self.edge_kernel.clone(), config)
     }
 
     /// Evaluate the kernel between two graphs.
@@ -252,18 +241,16 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
         KV: BaseKernel<V>,
         KE: BaseKernel<E> + Clone,
     {
-        match guess {
-            Some(g) => self.kernel_with_candidates(g1, g2, &[g]),
-            None => self.kernel_with_candidates(g1, g2, &[]),
-        }
+        self.kernel_with_candidates(g1, g2, guess.as_slice())
     }
 
     /// [`kernel_with_guess`](Self::kernel_with_guess) with *several*
     /// candidate warm starts: the solve begins from whichever candidate has
     /// the best measured initial residual (each costs one operator
     /// application to rank), falling back to the cold start when none beats
-    /// it. Candidates of the wrong length are ignored. This is the entry
-    /// point the streaming Gram service's k-nearest donor pool drives.
+    /// it. Candidates of the wrong length are ignored. Runs at the
+    /// configured [`Precision`] policy, narrowed to the `f32` serving
+    /// result.
     pub fn kernel_with_candidates<V, E>(
         &self,
         g1: &Graph<V, E>,
@@ -276,19 +263,8 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
         KV: BaseKernel<V>,
         KE: BaseKernel<E> + Clone,
     {
-        let system = match self.assemble_pair(g1, g2) {
-            Some(system) => system,
-            None => return Err(SolverError::EmptyGraph),
-        };
-        // dispatch the Precision policy to the matching Scalar
-        // instantiation of the generic solve
-        match self.config.precision {
-            Precision::F32 => self.solve_system::<f32, E, KE>(&system, candidates),
-            Precision::F64 => {
-                self.solve_system::<f64, E, KE>(&system, candidates).map(KernelResult::narrow)
-            }
-            Precision::Refined => self.solve_refined(&system, candidates).map(KernelResult::narrow),
-        }
+        let (a, b) = (self.prepare_graph(g1), self.prepare_graph(g2));
+        self.kernel_prepared(&a, &b, candidates, self.config.precision)
     }
 
     /// Evaluate the kernel at a *specific* [`Scalar`] instantiation of the
@@ -329,10 +305,8 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
         KV: BaseKernel<V>,
         KE: BaseKernel<E> + Clone,
     {
-        match self.assemble_pair(g1, g2) {
-            Some(system) => self.solve_system::<T, E, KE>(&system, candidates),
-            None => Err(SolverError::EmptyGraph),
-        }
+        let (a, b) = (self.prepare_graph(g1), self.prepare_graph(g2));
+        self.kernel_prepared(&a, &b, candidates, T::PRECISION)
     }
 
     /// Evaluate the kernel on the mixed-precision refinement path —
@@ -355,83 +329,151 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
         KV: BaseKernel<V>,
         KE: BaseKernel<E> + Clone,
     {
-        match self.assemble_pair(g1, g2) {
-            Some(system) => self.solve_refined(&system, candidates),
-            None => Err(SolverError::EmptyGraph),
-        }
+        let (a, b) = (self.prepare_graph(g1), self.prepare_graph(g2));
+        self.kernel_prepared(&a, &b, candidates, Precision::Refined)
     }
 
-    /// Prepare both graphs (stopping-probability override, reordering) and
-    /// assemble the tensor-product system, or `None` for an empty pair.
-    fn assemble_pair<V, E>(
+    /// Evaluate the kernel of two prepared structures — the routine every
+    /// `kernel*` entry point above ends in, and the one to call directly
+    /// when a structure meets more than one partner (a Gram matrix, a
+    /// serving cache): neither structure is reordered or tiled again here.
+    ///
+    /// The solve runs at `precision` (PCG at the `f32` or `f64`
+    /// instantiation, or `f32` sweeps with `f64` residual corrections for
+    /// [`Precision::Refined`]) and the result is carried at `T`:
+    /// `kernel_prepared::<f64>(.., Precision::Refined)` is the un-narrowed
+    /// refined answer, `kernel_prepared::<f32>(.., Precision::F64)` the
+    /// oracle's value at the serving type. Warm-start candidates arrive as
+    /// `f32` (the Gram layers store `f32` donors), are widened to the
+    /// iteration's scalar and ranked by initial residual; wrong-length ones
+    /// are ignored. Both structures must come from
+    /// [`prepare_graph`](Self::prepare_graph) of a solver in this one's
+    /// [`XmvMode`].
+    pub fn kernel_prepared<T, V, E>(
         &self,
-        g1: &Graph<V, E>,
-        g2: &Graph<V, E>,
-    ) -> Option<ProductSystem<E, KE>>
-    where
-        V: Clone,
-        E: Copy + Default,
-        KV: BaseKernel<V>,
-        KE: BaseKernel<E> + Clone,
-    {
-        if g1.num_vertices() == 0 || g2.num_vertices() == 0 {
-            return None;
-        }
-        let prepared1 = self.prepare(g1);
-        let prepared2 = self.prepare(g2);
-        let (g1, g2) = (prepared1.as_ref().unwrap_or(g1), prepared2.as_ref().unwrap_or(g2));
-        Some(ProductSystem::assemble(
-            g1,
-            g2,
-            &self.vertex_kernel,
-            self.edge_kernel.clone(),
-            &self.config,
-        ))
-    }
-
-    /// Run the PCG solve of an assembled system at one [`Scalar`]
-    /// instantiation of the generic operator surface. Warm-start candidates
-    /// arrive as `f32` (the Gram layers store `f32` donors) and are widened
-    /// to `T`; the result — value and nodal vector — stays at `T`.
-    fn solve_system<T, E, KE2>(
-        &self,
-        system: &ProductSystem<E, KE2>,
+        a: &PreparedGraph<V, E>,
+        b: &PreparedGraph<V, E>,
         candidates: &[&[f32]],
+        precision: Precision,
     ) -> Result<KernelResult<T>, SolverError>
     where
         T: Scalar,
         E: Copy + Default,
-        KE2: BaseKernel<E>,
+        KV: BaseKernel<V>,
+        KE: BaseKernel<E> + Clone,
     {
-        let rhs = system.rhs::<T>();
-        let operator = SystemOperator::<E, KE2, T>::new(system);
-        let preconditioner = DiagonalOperator::new(system.preconditioner_diagonal::<T>());
-        let opts = self.config.solve;
-        let widened: Vec<Vec<T>> = candidates
-            .iter()
-            .filter(|g| g.len() == rhs.len())
-            .map(|g| g.iter().map(|&v| T::from_f32(v)).collect())
-            .collect();
-        let candidate_refs: Vec<&[T]> = widened.iter().map(|v| v.as_slice()).collect();
+        if a.graph().num_vertices() == 0 || b.graph().num_vertices() == 0 {
+            return Err(SolverError::EmptyGraph);
+        }
+        let system = self.assemble_prepared(a, b);
         // traffic flows through the instrumented LinearOperator surface:
         // every operator and preconditioner application adds to `traffic`
         let mut traffic = TrafficCounters::new();
-        let (x, info) = pcg_counted_warm_multi(
-            &operator,
-            &preconditioner,
-            &rhs,
-            &candidate_refs,
-            &opts,
-            &mut traffic,
-        );
+        match precision {
+            Precision::F32 => {
+                let run = self.iterate::<f32, E, KE>(&system, candidates, &mut traffic);
+                self.finish(&system, run, traffic)
+            }
+            Precision::F64 => {
+                let run = self.iterate::<f64, E, KE>(&system, candidates, &mut traffic);
+                self.finish(&system, run, traffic)
+            }
+            Precision::Refined => {
+                // f32 inner sweeps, f64 residual corrections against the
+                // f64 instantiation of the *same* operator
+                let rhs = system.rhs::<f64>();
+                let op32 = SystemOperator::<E, KE, f32>::new(&system);
+                let op64 = SystemOperator::<E, KE, f64>::new(&system);
+                let prec32 = DiagonalOperator::new(system.preconditioner_diagonal::<f32>());
+                let widened = widen::<f64>(candidates, rhs.len());
+                let refs: Vec<&[f64]> = widened.iter().map(Vec::as_slice).collect();
+                let run = pcg_refined_counted(
+                    &op32,
+                    &op64,
+                    &prec32,
+                    &rhs,
+                    &refs,
+                    &self.config.solve,
+                    &mut traffic,
+                );
+                self.finish(&system, run, traffic)
+            }
+        }
+    }
+
+    /// Assemble the tensor-product system of two prepared structures.
+    pub(crate) fn assemble_prepared<V, E>(
+        &self,
+        a: &PreparedGraph<V, E>,
+        b: &PreparedGraph<V, E>,
+    ) -> ProductSystem<E, KE>
+    where
+        E: Copy + Default,
+        KV: BaseKernel<V>,
+        KE: BaseKernel<E> + Clone,
+    {
+        let adaptive = self.config.xmv_mode == XmvMode::Octile && self.config.adaptive_tiles;
+        let kinds = adaptive.then(|| {
+            let flops = BaseKernel::<E>::cost(&self.edge_kernel).flops;
+            let build = || Arc::new(KindTable::new(flops));
+            let (built_for, table) = self.kinds.get_or_init(|| (flops, build()));
+            // one edge kernel costs the same at every label type it is a
+            // kernel of in this workspace; one that does not gets its table
+            // per pair
+            if *built_for == flops {
+                Arc::clone(table)
+            } else {
+                build()
+            }
+        });
+        ProductSystem::from_prepared(
+            a,
+            b,
+            &self.vertex_kernel,
+            self.edge_kernel.clone(),
+            kinds,
+            &self.config,
+        )
+    }
+
+    /// Run PCG on an assembled system at the [`Scalar`] instantiation `U`.
+    fn iterate<U, E, KE2>(
+        &self,
+        system: &ProductSystem<E, KE2>,
+        candidates: &[&[f32]],
+        traffic: &mut TrafficCounters,
+    ) -> (Vec<U>, ConvergenceInfo)
+    where
+        U: Scalar,
+        E: Copy + Default,
+        KE2: BaseKernel<E>,
+    {
+        let rhs = system.rhs::<U>();
+        let operator = SystemOperator::<E, KE2, U>::new(system);
+        let preconditioner = DiagonalOperator::new(system.preconditioner_diagonal::<U>());
+        let widened = widen::<U>(candidates, rhs.len());
+        let refs: Vec<&[U]> = widened.iter().map(Vec::as_slice).collect();
+        pcg_counted_warm_multi(&operator, &preconditioner, &rhs, &refs, &self.config.solve, traffic)
+    }
+
+    /// Turn a finished iteration (solution at `U`) into the result carried
+    /// at `T`: `K = p×ᵀ x` is contracted in `f64` whatever `U` and `T` are.
+    fn finish<U: Scalar, T: Scalar, E, KE2>(
+        &self,
+        system: &ProductSystem<E, KE2>,
+        (x, info): (Vec<U>, ConvergenceInfo),
+        traffic: TrafficCounters,
+    ) -> Result<KernelResult<T>, SolverError>
+    where
+        E: Copy + Default,
+        KE2: BaseKernel<E>,
+    {
         if !info.converged {
             return Err(SolverError::DidNotConverge {
                 iterations: info.iterations,
                 relative_residual: info.relative_residual,
             });
         }
-
-        // K = p×ᵀ x, contracted in f64 at either precision
         let value_f64: f64 =
             system.start_product().iter().zip(&x).map(|(&p, &xi)| p as f64 * xi.to_f64()).sum();
         Ok(KernelResult {
@@ -441,65 +483,25 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
             converged: info.converged,
             relative_residual: info.relative_residual,
             traffic,
-            nodal: if self.config.compute_nodal { Some(x) } else { None },
+            nodal: self
+                .config
+                .compute_nodal
+                .then(|| x.iter().map(|&xi| T::from_f64(xi.to_f64())).collect()),
             stages: StageBreakdown::default(),
         })
     }
 
-    /// Solve an assembled system with mixed-precision iterative refinement
-    /// ([`Precision::Refined`]): inner PCG sweeps at the `f32`
-    /// instantiation, `f64` residual corrections against the `f64`
-    /// instantiation of the *same* operator. Warm-start candidates (f32
-    /// donors) are widened and ranked by initial residual like every other
-    /// path. The result carries `f64` value and nodal vectors —
-    /// `f64`-quality answers at near-`f32` stored-matrix traffic.
-    fn solve_refined<E, KE2>(
-        &self,
-        system: &ProductSystem<E, KE2>,
-        candidates: &[&[f32]],
-    ) -> Result<KernelResult<f64>, SolverError>
+    /// Build everything about one structure that no partner changes: the
+    /// [`prepare`](Self::prepare)d graph, its Laplacian degrees and, under
+    /// [`XmvMode::Octile`], its octile matrix. Do it once
+    /// per structure and hand the result to
+    /// [`kernel_prepared`](Self::kernel_prepared) for every pair.
+    pub fn prepare_graph<V, E>(&self, g: &Graph<V, E>) -> PreparedGraph<V, E>
     where
+        V: Clone,
         E: Copy + Default,
-        KE2: BaseKernel<E>,
     {
-        let rhs = system.rhs::<f64>();
-        let op32 = SystemOperator::<E, KE2, f32>::new(system);
-        let op64 = SystemOperator::<E, KE2, f64>::new(system);
-        let prec32 = DiagonalOperator::new(system.preconditioner_diagonal::<f32>());
-        let widened: Vec<Vec<f64>> = candidates
-            .iter()
-            .filter(|g| g.len() == rhs.len())
-            .map(|g| g.iter().map(|&v| v as f64).collect())
-            .collect();
-        let candidate_refs: Vec<&[f64]> = widened.iter().map(|v| v.as_slice()).collect();
-        let mut traffic = TrafficCounters::new();
-        let (x, info) = pcg_refined_counted(
-            &op32,
-            &op64,
-            &prec32,
-            &rhs,
-            &candidate_refs,
-            &self.config.solve,
-            &mut traffic,
-        );
-        if !info.converged {
-            return Err(SolverError::DidNotConverge {
-                iterations: info.iterations,
-                relative_residual: info.relative_residual,
-            });
-        }
-        let value_f64: f64 =
-            system.start_product().iter().zip(&x).map(|(&p, &xi)| p as f64 * xi).sum();
-        Ok(KernelResult {
-            value: value_f64,
-            value_f64,
-            iterations: info.iterations,
-            converged: info.converged,
-            relative_residual: info.relative_residual,
-            traffic,
-            nodal: if self.config.compute_nodal { Some(x) } else { None },
-            stages: StageBreakdown::default(),
-        })
+        PreparedGraph::new(self.prepare(g).unwrap_or_else(|| g.clone()), self.config.xmv_mode)
     }
 
     /// Apply the configured per-graph preprocessing (stopping-probability
@@ -521,14 +523,15 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
         }
         out
     }
+}
 
-    /// Whether [`prepare`](Self::prepare) is the identity under this
-    /// configuration (no stopping-probability override, natural vertex
-    /// order). Serving layers use this to skip caching prepared structures
-    /// that would be plain clones of their inputs.
-    pub fn preparation_is_identity(&self) -> bool {
-        self.config.stopping_probability.is_none() && self.config.reorder == ReorderMethod::Natural
-    }
+/// Widen the `f32` warm-start candidates of the right length to `U`.
+fn widen<U: Scalar>(candidates: &[&[f32]], len: usize) -> Vec<Vec<U>> {
+    candidates
+        .iter()
+        .filter(|g| g.len() == len)
+        .map(|g| g.iter().map(|&v| U::from_f32(v)).collect())
+        .collect()
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ impl DeviceSpec {
     /// The Tesla V100 (Volta) configuration used by the paper's benchmarks
     /// on Summit. Microarchitectural constants follow Jia et al.,
     /// "Dissecting the NVIDIA Volta GPU Architecture via Microbenchmarking"
-    /// (reference [7]).
+    /// (reference \[7\]).
     pub fn volta_v100() -> Self {
         DeviceSpec {
             name: "Tesla V100 (Volta)".to_string(),

@@ -10,7 +10,7 @@
 //! this crate reproduces the *model*: device specifications
 //! ([`DeviceSpec`]), traffic counters ([`TrafficCounters`]), the analytic
 //! per-primitive cost formulas of Table I ([`cost`]), a Roofline model
-//! ([`roofline`]), an occupancy model ([`occupancy`]) and a projected-time
+//! ([`roofline`]), an occupancy model ([`mod@occupancy`]) and a projected-time
 //! estimator ([`project`]). The on-the-fly primitives in `mgk-core`
 //! increment the same [`TrafficCounters`] while they execute on the CPU, so
 //! sparse-dependent traffic (which the closed forms cannot capture) is

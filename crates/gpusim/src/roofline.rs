@@ -1,4 +1,4 @@
-//! The Roofline model (Williams et al., reference [8]) used in Figs. 3 and
+//! The Roofline model (Williams et al., reference \[8\]) used in Figs. 3 and
 //! 5 of the paper.
 
 use crate::device::DeviceSpec;

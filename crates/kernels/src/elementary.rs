@@ -55,7 +55,7 @@ impl<L: ?Sized + Sync> BaseKernel<L> for ConstantKernel {
 ///
 /// With `baseline ∈ (0, 1)` this is positive definite and is the standard
 /// choice for element/bond-order labels in molecular applications
-/// (reference [2] of the paper).
+/// (reference \[2\] of the paper).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KroneckerDelta {
     baseline: f32,
@@ -137,7 +137,7 @@ impl BaseKernel<f32> for SquareExponential {
 ///
 /// The default coefficients reproduce the C² Wendland function
 /// `(1 − s)⁴ (4 s + 1)` used for smooth, compactly supported edge kernels on
-/// interatomic distances (Appendix B, reference [26]).
+/// interatomic distances (Appendix B, reference \[26\]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompactPolynomial {
     cutoff: f32,

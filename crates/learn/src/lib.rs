@@ -1,10 +1,10 @@
 //! Kernel-based learning on top of marginalized-graph-kernel Gram matrices.
 //!
-//! The paper's motivating applications (Section I, reference [2]) feed the
+//! The paper's motivating applications (Section I, reference \[2\]) feed the
 //! pairwise kernel matrix into kernel methods — Gaussian process regression
 //! of molecular energies, SVM-style protein function prediction. This crate
 //! provides the small amount of numerics needed to close that loop on top
-//! of [`mgk-core`]'s `GramEngine` output:
+//! of `mgk-core`'s `GramEngine` output:
 //!
 //! * [`KernelRidgeRegression`] — fit `α = (K + λI)⁻¹ y`, predict with
 //!   cross-kernel rows;

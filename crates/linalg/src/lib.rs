@@ -19,7 +19,7 @@
 //! * [`LinearOperator`] — abstraction of `y ← A·x` used by the iterative
 //!   solvers so that the on-the-fly product operators of `mgk-core` never
 //!   materialize the tensor-product system; generic over [`Scalar`].
-//! * [`cg`] / [`pcg`] — (preconditioned) conjugate gradient, Algorithm 1 of
+//! * [`cg()`] / [`pcg`] — (preconditioned) conjugate gradient, Algorithm 1 of
 //!   the paper, at either precision.
 //! * [`fixed_point`] / [`fixed_point_counted`] — the Richardson /
 //!   truncated-path-sum iteration driver sharing the same operator surface.

@@ -3,7 +3,7 @@
 //! The marginalized-graph-kernel system matrix `D× V×⁻¹ − A× ∘ E×` is never
 //! materialized by the high-throughput solver; instead it is applied
 //! on-the-fly (Algorithm 2 of the paper). The CG/PCG implementations in
-//! [`crate::cg`] therefore only require the ability to apply the operator
+//! [`mod@crate::cg`] therefore only require the ability to apply the operator
 //! to a vector.
 //!
 //! The trait is generic over the [`Scalar`] precision of the vectors it
@@ -26,7 +26,7 @@ const F32_BYTES: u64 = 4;
 /// A square linear operator that can be applied to a vector of scalars `T`.
 ///
 /// This is the single operator surface of the workspace: the iterative
-/// solvers in [`crate::cg`], the on-the-fly tensor-product operators of
+/// solvers in [`mod@crate::cg`], the on-the-fly tensor-product operators of
 /// `mgk-core` and the explicit baselines all apply matrices through it, at
 /// either precision of the [`Scalar`] axis. Memory-traffic instrumentation
 /// is part of the surface —

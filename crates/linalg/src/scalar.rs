@@ -75,6 +75,9 @@ pub trait Scalar:
     const BYTES: u64;
     /// Display name of the precision (`"f32"` / `"f64"`).
     const NAME: &'static str;
+    /// The [`Precision`] policy value that dispatches to this
+    /// instantiation.
+    const PRECISION: Precision;
 
     /// Widen (or keep) an `f32` operand at this precision. Operators whose
     /// data is stored in `f32` convert each factor through this *before*
@@ -100,6 +103,7 @@ impl Scalar for f32 {
     const ONE: Self = 1.0;
     const BYTES: u64 = 4;
     const NAME: &'static str = "f32";
+    const PRECISION: Precision = Precision::F32;
 
     #[inline]
     fn from_f32(v: f32) -> Self {
@@ -137,6 +141,7 @@ impl Scalar for f64 {
     const ONE: Self = 1.0;
     const BYTES: u64 = 8;
     const NAME: &'static str = "f64";
+    const PRECISION: Precision = Precision::F64;
 
     #[inline]
     fn from_f32(v: f32) -> Self {

@@ -1,4 +1,4 @@
-//! Reverse Cuthill–McKee ordering (reference [10] of the paper).
+//! Reverse Cuthill–McKee ordering (reference \[10\] of the paper).
 
 use mgk_graph::Graph;
 

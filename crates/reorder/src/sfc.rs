@@ -1,5 +1,5 @@
 //! Space-filling-curve orders for graphs embedded in 3D Euclidean space
-//! (the Morton/Hilbert option of Section IV-A, reference [12]).
+//! (the Morton/Hilbert option of Section IV-A, reference \[12\]).
 //!
 //! When vertices carry coordinates (e.g. atoms of a 3D molecular
 //! structure), ordering them along a space-filling curve places spatially

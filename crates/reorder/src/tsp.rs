@@ -1,4 +1,4 @@
-//! Travelling-salesman-based reordering (reference [11] of the paper,
+//! Travelling-salesman-based reordering (reference \[11\] of the paper,
 //! Pinar & Heath).
 //!
 //! Vertices are arranged along a path that keeps consecutive vertices'

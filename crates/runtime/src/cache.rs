@@ -18,7 +18,7 @@
 //!   counts — and the service counts observed hash collisions in
 //!   `ServiceStats::hash_collisions` so the residual risk is monitorable.
 //! * **Eviction is O(1) amortized.** Recency is tracked by a tick-ordered
-//!   queue with lazy deletion ([`Recency`]) instead of a full-map minimum
+//!   queue with lazy deletion (`Recency`) instead of a full-map minimum
 //!   scan, so inserting at capacity does not degrade linearly with the
 //!   cache size.
 
@@ -72,11 +72,12 @@ impl PairKey {
 
 /// One cached pair solve.
 ///
-/// The entry keeps enough of the original [`KernelResult`] to answer a
-/// request without re-solving: the serving (`f32`) value, the
-/// full-precision contraction, the precision the solve ran at — a typed
-/// `f64` request is only answered from entries whose solve actually
-/// carried `f64` accuracy — and the convergence metadata.
+/// The entry keeps enough of the original
+/// [`KernelResult`](mgk_core::KernelResult) to answer a request without
+/// re-solving: the serving (`f32`) value, the full-precision contraction,
+/// the precision the solve ran at — a typed `f64` request is only answered
+/// from entries whose solve actually carried `f64` accuracy — and the
+/// convergence metadata.
 #[derive(Debug, Clone)]
 pub struct CachedEntry {
     /// The (unnormalized) kernel value `K(G_i, G_j)`.
@@ -155,7 +156,7 @@ impl<K: Copy + Eq + Hash> Recency<K> {
 /// LRU-bounded map from [`PairKey`] to [`CachedEntry`].
 ///
 /// Recency is tracked with a tick-ordered queue with lazy deletion
-/// ([`Recency`]); both lookup refresh and eviction at capacity are O(1)
+/// (`Recency`); both lookup refresh and eviction at capacity are O(1)
 /// amortized, so a serving-scale cache does not degrade with its size.
 #[derive(Debug, Clone)]
 pub struct PairCache {
@@ -242,24 +243,26 @@ impl PairCache {
     }
 }
 
-/// LRU-bounded map from one structure's content identity ([`PairSide`]) to
-/// its prepared (reordered) form.
+/// LRU-bounded map from one raw structure's content identity
+/// ([`PairSide`]) to its prepared form.
 ///
-/// The per-structure preprocessing of the serving path — pseudo-BFS
-/// reordering, stopping-probability overrides — is a pure function of the
-/// structure's content, so its output can be shared across every lane that
+/// The per-structure work of the serving path — stopping-probability
+/// override, pseudo-BFS reordering, octile tiling, the content hash of the
+/// prepared graph — is a pure function of the
+/// structure's content, so its output is shared across every lane that
 /// re-encounters the structure: batch admission, the request lane, and
-/// (because reordering permutes indices identically regardless of the
-/// scalar type of the eventual solve) both solve precisions. Keys are the
-/// same collision-hardened `(content hash, vertices, edges)` triple the
-/// [`PairCache`] builds its [`PairKey`]s from; a content-hash collision
-/// between structurally different graphs cannot alias their prepared forms
-/// unless the graphs also agree on both counts.
+/// (because none of it depends on the scalar type of the eventual solve)
+/// every solve precision. Keys are the same collision-hardened
+/// `(content hash, vertices, edges)` triple the [`PairCache`] builds its
+/// [`PairKey`]s from; a content-hash collision between structurally
+/// different graphs cannot alias their prepared forms unless the graphs also
+/// agree on both counts.
 ///
 /// The value type is generic so the cache stays free of graph types; the
-/// service stores `Arc<Graph<V, E>>` and hands out clones of the pointer.
-/// Hit/miss counters live with the owner
-/// (`ServiceStats::reorder_hits`/`reorder_misses`), not here.
+/// service stores an `Arc` of its prepared-structure entry and hands out
+/// clones of the pointer, so an evicted entry lives on exactly as long as a
+/// member or an in-flight request still holds it. Hit/miss counters live
+/// with the owner (`ServiceStats::reorder_hits`/`reorder_misses`), not here.
 #[derive(Debug, Clone)]
 pub struct ReorderCache<T> {
     capacity: usize,

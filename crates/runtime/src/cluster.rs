@@ -151,8 +151,8 @@ where
     /// shard finds exactly the pairs it owned in its previous life.
     /// Cloning a service always detaches any store (a live WAL handle must
     /// never be shared), so attaching per shard after the clone is safe.
-    /// Returns the cluster plus one [`RecoveryReport`] per shard, by shard
-    /// index.
+    /// Returns the cluster plus one
+    /// [`RecoveryReport`](crate::RecoveryReport) per shard, by shard index.
     pub fn spawn_durable(
         prototype: GramService<KV, KE, V, E>,
         config: ClusterConfig,

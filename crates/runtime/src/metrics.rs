@@ -4,10 +4,10 @@
 //!
 //! One hub is created per [`GramService`](crate::GramService); the
 //! scheduler and its clients share it (handles are `Arc`-backed, cloning
-//! is cheap and clones observe the same cells). [`ServiceStats`]
-//! (and every legacy getter such as `SnapshotWatch::snapshot_builds`) is
-//! now a thin view assembled from these cells — one capture path, no
-//! parallel bookkeeping.
+//! is cheap and clones observe the same cells).
+//! [`ServiceStats`](crate::ServiceStats) (and every legacy getter such as
+//! `SnapshotWatch::snapshot_builds`) is now a thin view assembled from these
+//! cells — one capture path, no parallel bookkeeping.
 
 use std::sync::Arc;
 

@@ -28,7 +28,7 @@ pub struct DurabilityConfig {
     /// When appended records are forced onto stable storage. The default,
     /// [`FsyncPolicy::EveryFlush`], syncs once per flush/request boundary —
     /// one `fsync` amortized over the whole drained batch, issued on a
-    /// dedicated group-commit thread ([`WalSyncer`]) so the sync's I/O
+    /// dedicated group-commit thread (`WalSyncer`) so the sync's I/O
     /// wait never serializes with the next drain's solves.
     pub fsync: FsyncPolicy,
     /// Admitting flushes between epoch snapshots; after each snapshot the

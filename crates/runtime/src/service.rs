@@ -41,14 +41,15 @@ use std::sync::Arc;
 
 use rayon::prelude::*;
 
-use mgk_core::{KernelResult, MarginalizedKernelSolver, SolverConfig, SolverError};
+use mgk_core::{KernelResult, MarginalizedKernelSolver, PreparedGraph, SolverConfig, SolverError};
 use mgk_graph::Graph;
 use mgk_kernels::BaseKernel;
 use mgk_linalg::{Precision, Scalar};
-use mgk_reorder::ReorderMethod;
 use mgk_telemetry::{MetricsRegistry, Stopwatch};
 
-use crate::cache::{CachedEntry, NodalCache, PairCache, PairKey, PairSide, Recency, ReorderCache};
+use crate::cache::{
+    CachedEntry, NodalCache, PairCache, PairKey, PairSide, Recency, ReorderCache, SharedNodal,
+};
 use crate::hash::{graph_content_hash, ContentHash};
 use crate::metrics::RuntimeMetrics;
 use crate::persist::{
@@ -70,13 +71,13 @@ pub struct GramServiceConfig {
     pub batch_size: usize,
     /// Capacity of the pair-entry cache (entries, not bytes).
     pub cache_capacity: usize,
-    /// Capacity of the reorder cache: prepared (reordered) structures
-    /// retained per content identity so re-encountered structures skip the
-    /// per-structure preprocessing entirely — on batch admission and on
-    /// the request lane alike. 0 disables the cache; it is also bypassed
-    /// when the configured preprocessing is the identity
-    /// (natural ordering, no stopping-probability override), where there
-    /// is nothing to reuse.
+    /// Capacity of the reorder cache: prepared structures — the reordered
+    /// graph, its Laplacian degrees and octile matrix, its content identity —
+    /// retained per raw content identity, so a re-encountered structure
+    /// skips reordering, tiling and hashing entirely, on batch admission
+    /// and on the request lane alike. An entry lives as long as the cache
+    /// (or a member, or an in-flight request) holds it; 0 disables the
+    /// cache, and every encounter then prepares afresh.
     pub reorder_cache_capacity: usize,
     /// Donate converged solutions as warm starts for equally-sized systems.
     pub warm_start: bool,
@@ -208,13 +209,11 @@ pub struct ServiceStats {
     /// Tickets skipped because the consumer dropped them before the solve
     /// started.
     pub requests_cancelled: usize,
-    /// Structures whose prepared (reordered) form was served from the
-    /// reorder cache instead of recomputed — on batch admission or on the
-    /// request lane.
+    /// Structures whose prepared form was served from the reorder cache
+    /// instead of rebuilt — on batch admission or on the request lane.
     pub reorder_hits: usize,
-    /// Structures whose preprocessing actually ran because no cached
-    /// prepared form existed. Bypassed lookups (identity preprocessing,
-    /// cache disabled) count in neither bucket.
+    /// Structures whose preparation actually ran because no cached
+    /// prepared form existed. A disabled cache counts in neither bucket.
     pub reorder_misses: usize,
     /// `f32` cache answers whose nodal vector was served from the nodal
     /// side-cache.
@@ -322,22 +321,22 @@ impl SnapshotSource {
     }
 }
 
-/// One admitted structure: the prepared graph plus its content identity.
-/// The graph is `Arc`-shared with the reorder cache, so admitting a
-/// structure whose prepared form is already cached copies a pointer, not a
-/// graph.
-#[derive(Debug, Clone)]
-struct Member<V, E> {
-    graph: Arc<Graph<V, E>>,
-    hash: u64,
-    vertices: usize,
-    edges: usize,
+/// One structure as every lane of the service holds it: the prepared
+/// graph (reordered, tiled) plus the collision-hardened content identity of
+/// that prepared form, hashed once when the entry is built. `Arc`-shared
+/// between the reorder cache, the admitted members and in-flight request
+/// pairs, so meeting a structure again copies a pointer.
+#[derive(Debug)]
+struct PreparedStructure<V, E> {
+    graph: PreparedGraph<V, E>,
+    side: PairSide,
 }
 
-impl<V, E> Member<V, E> {
-    /// The member's collision-hardened cache-key side.
-    fn side(&self) -> PairSide {
-        PairSide::new(self.hash, self.vertices as u32, self.edges as u32)
+impl<V, E> PreparedStructure<V, E> {
+    /// The warm-start donor key of a pair with `self` on the left:
+    /// `(left structure hash, right vertex count)`.
+    fn donor_key(&self, right: &Self) -> (u64, usize) {
+        (self.side.hash, right.side.vertices as usize)
     }
 }
 
@@ -349,7 +348,7 @@ impl<V, E> Member<V, E> {
 #[derive(Debug, Clone)]
 struct DonorEntry {
     right_hash: u64,
-    nodal: Vec<f32>,
+    nodal: SharedNodal,
     iterations: usize,
 }
 
@@ -400,7 +399,14 @@ impl DonorPool {
             .flat_map(|(_, bucket)| bucket.iter().rev().map(|e| e.nodal.as_slice()))
     }
 
-    fn donate(&mut self, key: (u64, usize), right_hash: u64, nodal: Vec<f32>, iterations: usize) {
+    fn donate(
+        &mut self,
+        key: (u64, usize),
+        right_hash: u64,
+        nodal: impl Into<SharedNodal>,
+        iterations: usize,
+    ) {
+        let nodal = nodal.into();
         if let Some((stamp, bucket)) = self.map.get_mut(&key) {
             match bucket.iter_mut().find(|e| e.right_hash == right_hash) {
                 Some(existing) => {
@@ -443,15 +449,12 @@ impl DonorPool {
 /// clone never double-counts into the original's registry.
 #[derive(Debug)]
 pub struct GramService<KV, KE, V, E> {
-    /// Applies the user's preprocessing (reordering, stopping-probability
-    /// override) once per admitted structure, mirroring the Gram engine's
-    /// reorder-once amortization.
-    prep_solver: MarginalizedKernelSolver<KV, KE>,
-    /// Solves prepared pairs; reordering disabled, nodal vectors retained
-    /// for the warm-start donor pool.
-    pair_solver: MarginalizedKernelSolver<KV, KE>,
+    /// The user's solver with nodal vectors switched on (they feed the
+    /// warm-start donor pool and the nodal side-cache): prepares each
+    /// structure once, solves every prepared pair.
+    solver: MarginalizedKernelSolver<KV, KE>,
     config: GramServiceConfig,
-    members: Vec<Member<V, E>>,
+    members: Vec<Arc<PreparedStructure<V, E>>>,
     /// Lower-triangular raw kernel values: entry `(i, j)` with `j <= i`
     /// lives at `i (i + 1) / 2 + j`. Appending structures appends rows —
     /// existing entries never move. `Arc`-shared with captured
@@ -461,12 +464,12 @@ pub struct GramService<KV, KE, V, E> {
     values: Arc<Vec<f32>>,
     pending: VecDeque<Graph<V, E>>,
     cache: PairCache,
-    /// Prepared (reordered) structures keyed by the *raw* structure's
-    /// content identity, shared across batch admission and the request
-    /// lane. The stored `Arc` makes reuse allocation-free, and — because
-    /// reordering is precision-independent — one entry serves f32 and f64
-    /// solves alike.
-    reorder: ReorderCache<Arc<Graph<V, E>>>,
+    /// Prepared structures keyed by the *raw* structure's content
+    /// identity, shared across batch admission and the request lane. The
+    /// stored `Arc` makes reuse allocation-free — no reordering, no tiling,
+    /// no second hash — and, because none of that depends on the solve
+    /// precision, one entry serves f32, f64 and refined solves alike.
+    reorder: ReorderCache<Arc<PreparedStructure<V, E>>>,
     /// Best converged nodal solution per `(left structure hash, right
     /// vertex count)`. Keying on the *left* structure means a donor shares
     /// the `A_i ⊗ ·` half of the Kronecker system with the pair it seeds,
@@ -478,7 +481,7 @@ pub struct GramService<KV, KE, V, E> {
     hasher: fn(&Graph<V, E>) -> u64,
     /// Discriminators `(vertices, edges)` of the first admitted structure
     /// per content hash, used to observe hash collisions.
-    seen_hashes: HashMap<u64, (usize, usize)>,
+    seen_hashes: HashMap<u64, (u32, u32)>,
     /// Monotone snapshot version: bumped by every flush that admits at
     /// least one structure.
     version: u64,
@@ -508,8 +511,7 @@ where
 {
     fn clone(&self) -> Self {
         GramService {
-            prep_solver: self.prep_solver.clone(),
-            pair_solver: self.pair_solver.clone(),
+            solver: self.solver.clone(),
             config: self.config,
             members: self.members.clone(),
             values: Arc::clone(&self.values),
@@ -543,24 +545,17 @@ where
 {
     /// Create a service around a per-pair solver.
     ///
-    /// The solver's reordering and stopping-probability settings are
-    /// applied once per structure at admission (the reorder-once
-    /// amortization of the batch engine); its solve options govern every
-    /// pair solve. A `max_pending` of 0 is treated as 1 — a queue that can
+    /// The solver's reordering, stopping-probability and tiling settings
+    /// are applied once per structure, when the service first meets it (the
+    /// batch engine's amortization); its solve options govern every pair
+    /// solve. A `max_pending` of 0 is treated as 1 — a queue that can
     /// never accept anything would make every submission path a silent
     /// no-op.
     pub fn new(solver: MarginalizedKernelSolver<KV, KE>, mut config: GramServiceConfig) -> Self {
         config.max_pending = config.max_pending.max(1);
-        let pair_config = SolverConfig {
-            reorder: ReorderMethod::Natural,
-            stopping_probability: None,
-            compute_nodal: true,
-            ..*solver.config()
-        };
-        let pair_solver = solver.with_config(pair_config);
+        let solver = solver.with_config(SolverConfig { compute_nodal: true, ..*solver.config() });
         GramService {
-            prep_solver: solver,
-            pair_solver,
+            solver,
             cache: PairCache::new(config.cache_capacity),
             reorder: ReorderCache::new(config.reorder_cache_capacity),
             donors: DonorPool::new(config.donor_capacity, config.donors_per_key),
@@ -673,7 +668,7 @@ where
         self.donors.len()
     }
 
-    /// Number of retained prepared (reordered) structures (bounded by
+    /// Number of retained prepared structures (bounded by
     /// [`GramServiceConfig::reorder_cache_capacity`]).
     pub fn reorder_cache_len(&self) -> usize {
         self.reorder.len()
@@ -732,53 +727,32 @@ where
             return 0;
         }
 
-        // admit: apply the per-structure preprocessing once, hash content.
-        // The reorder cache (keyed by *raw* content identity) is prescanned
-        // first, so only structures the service has never prepared pay the
-        // reordering cost; the parallel preparation below runs over the
-        // misses alone.
+        // admit: prepare each structure once. The reorder cache (keyed by
+        // *raw* content identity) is scanned first, so only structures the
+        // service has never prepared pay for reordering, tiling and the
+        // prepared-form hash; the parallel preparation runs over the misses
+        // alone.
         let incoming: Vec<Graph<V, E>> = self.pending.drain(..).collect();
         let prepare_watch = Stopwatch::start();
-        let cache_reorders = self.reorder_cache_active();
-        let mut slots: Vec<Option<Arc<Graph<V, E>>>> = vec![None; incoming.len()];
-        let mut missed: Vec<usize> = Vec::new();
-        let keys: Vec<PairSide> = if cache_reorders {
-            incoming.iter().map(|g| self.raw_side(g)).collect()
-        } else {
-            missed.extend(0..incoming.len());
-            Vec::new()
-        };
-        for (idx, &key) in keys.iter().enumerate() {
-            if let Some(prepared) = self.reorder.get(key) {
-                self.metrics.reorder_hits.inc();
-                slots[idx] = Some(Arc::clone(prepared));
-            } else {
-                self.metrics.reorder_misses.inc();
-                missed.push(idx);
-            }
-        }
-        let prep_solver = &self.prep_solver;
-        let freshly: Vec<(usize, Arc<Graph<V, E>>)> = missed
+        let keys: Vec<PairSide> = incoming.iter().map(|g| self.raw_side(g)).collect();
+        let mut slots: Vec<Option<Arc<PreparedStructure<V, E>>>> =
+            keys.iter().map(|&key| self.cached_structure(key)).collect();
+        let missed: Vec<usize> = (0..slots.len()).filter(|&idx| slots[idx].is_none()).collect();
+        let (solver, hasher) = (&self.solver, self.hasher);
+        let freshly: Vec<(usize, Arc<PreparedStructure<V, E>>)> = missed
             .par_iter()
-            .map(|&idx| {
-                let g = &incoming[idx];
-                (idx, Arc::new(prep_solver.prepare(g).unwrap_or_else(|| g.clone())))
-            })
+            .map(|&idx| (idx, Arc::new(prepare_structure(solver, hasher, &incoming[idx]))))
             .collect();
         for (idx, prepared) in freshly {
-            if cache_reorders {
-                self.reorder.insert(keys[idx], Arc::clone(&prepared));
-            }
+            self.reorder.insert(keys[idx], Arc::clone(&prepared));
             slots[idx] = Some(prepared);
         }
-        // one preparation span per flush batch: prescan + parallel reorder
+        // one preparation span per flush batch: scan + parallel preparation
         self.metrics.stage_prepare.record(prepare_watch.elapsed_ns());
-        for g in slots.into_iter().flatten() {
-            let hash = (self.hasher)(&g);
-            let vertices = g.num_vertices();
-            let edges = g.num_edges();
+        for member in slots.into_iter().flatten() {
+            let PairSide { hash, vertices, edges } = member.side;
             match self.seen_hashes.get(&hash) {
-                Some(&(v, e)) if (v, e) != (vertices, edges) => {
+                Some(&seen) if seen != (vertices, edges) => {
                     // same 64-bit content hash, structurally different
                     // graph: the widened PairKey keeps the entries apart,
                     // but the event is worth counting
@@ -789,7 +763,7 @@ where
                     self.seen_hashes.insert(hash, (vertices, edges));
                 }
             }
-            self.members.push(Member { graph: g, hash, vertices, edges });
+            self.members.push(member);
         }
         self.metrics.admitted.add((self.members.len() - first_new) as u64);
         self.version += 1;
@@ -811,7 +785,7 @@ where
         let mut deferred: Vec<(usize, usize)> = Vec::new();
         for i in first_new..new_len {
             for j in 0..=i {
-                let key = PairKey::new(self.members[i].side(), self.members[j].side());
+                let key = PairKey::new(self.members[i].side, self.members[j].side);
                 if let Some(entry) = self.cache.get(key) {
                     Arc::make_mut(&mut self.values)[tri_index(i, j)] = entry.value;
                     self.metrics.cache_hits.inc();
@@ -834,7 +808,7 @@ where
         // (a representative that failed to converge leaves its duplicates
         // NaN too — consistent with the entry it mirrors)
         for (i, j) in deferred {
-            let key = PairKey::new(self.members[i].side(), self.members[j].side());
+            let key = PairKey::new(self.members[i].side, self.members[j].side);
             if let Some(entry) = self.cache.get(key) {
                 Arc::make_mut(&mut self.values)[tri_index(i, j)] = entry.value;
                 self.metrics.cache_hits.inc();
@@ -851,78 +825,93 @@ where
     /// into the triangle, the cache and the donor pool.
     fn run_batch(&mut self, batch: &[(usize, usize)]) {
         self.metrics.batches.inc();
-        // snapshot donors so every job in the batch sees a consistent pool
-        let donors = &self.donors;
-        let members = &self.members;
-        let pair_solver = &self.pair_solver;
-        let warm = self.config.warm_start;
-        type JobOutcome = (usize, usize, bool, Result<KernelResult, SolverError>);
         // one solve span per batch (the paper's unit of scheduling), one
-        // fold span for the sequential cache/donor/triangle writeback
+        // fold span for the sequential cache/donor/triangle writeback; the
+        // donor pool is only written by the fold, so every job of the batch
+        // sees the same candidates
         let solve_span = self.metrics.stage_solve.span();
-        let results: Vec<JobOutcome> = batch
+        let precision = self.solver.config().precision;
+        let results: Vec<(usize, usize, RequestSolve<f32>)> = batch
             .par_iter()
-            .map(|&(i, j)| {
-                let candidates: Vec<&[f32]> = if warm {
-                    donors.candidates(&(members[i].hash, members[j].vertices)).collect()
-                } else {
-                    Vec::new()
-                };
-                let result = pair_solver.kernel_with_candidates(
-                    &members[i].graph,
-                    &members[j].graph,
-                    &candidates,
-                );
-                (i, j, !candidates.is_empty(), result)
-            })
+            .map(|&(i, j)| (i, j, self.solve_pair(&self.members[i], &self.members[j], precision)))
             .collect();
         drop(solve_span);
 
         let _fold_span = self.metrics.stage_fold.span();
-        let precision = self.pair_solver.config().precision;
-        for (i, j, warmed, result) in results {
+        for (i, j, solved) in results {
             self.metrics.jobs_executed.inc();
-            let key = PairKey::new(self.members[i].side(), self.members[j].side());
-            match result {
+            match solved.result {
                 Ok(r) => {
                     Arc::make_mut(&mut self.values)[tri_index(i, j)] = r.value;
-                    self.metrics.total_iterations.add(r.iterations as u64);
-                    if warmed {
-                        self.metrics.warm_started.inc();
-                    }
-                    r.traffic.export_to(&self.metrics.traffic);
-                    let entry = CachedEntry {
-                        value: r.value,
-                        value_f64: r.value_f64,
-                        precision,
-                        relative_residual: r.relative_residual,
-                        iterations: r.iterations,
-                    };
-                    self.persist_pair(key, &entry);
-                    self.cache.insert(key, entry);
-                    if let Some(nodal) = r.nodal {
-                        if self.config.nodal_cache_capacity > 0 {
-                            self.nodal.insert(
-                                (self.members[i].side(), self.members[j].side()),
-                                Arc::new(nodal.clone()),
-                            );
-                        }
-                        if self.config.warm_start {
-                            let donor_key = (self.members[i].hash, self.members[j].vertices);
-                            self.donors.donate(
-                                donor_key,
-                                self.members[j].hash,
-                                nodal,
-                                r.iterations,
-                            );
-                        }
-                    }
+                    let (left, right) =
+                        (Arc::clone(&self.members[i]), Arc::clone(&self.members[j]));
+                    self.write_back(&left, &right, &r, precision, solved.warmed);
                 }
                 Err(_) => {
                     // leave the entry NaN and do not cache: a retry after
                     // resubmission gets a fresh chance to converge
                     self.metrics.failures.inc();
                 }
+            }
+        }
+    }
+
+    /// Warm-started solve of one prepared pair: the pure half both lanes
+    /// share. Reads the donor pool, writes nothing.
+    fn solve_pair<T: Scalar>(
+        &self,
+        left: &PreparedStructure<V, E>,
+        right: &PreparedStructure<V, E>,
+        precision: Precision,
+    ) -> RequestSolve<T> {
+        let candidates: Vec<&[f32]> = if self.config.warm_start {
+            self.donors.candidates(&left.donor_key(right)).collect()
+        } else {
+            Vec::new()
+        };
+        let solve_watch = Stopwatch::start();
+        let result = self.solver.kernel_prepared(&left.graph, &right.graph, &candidates, precision);
+        RequestSolve { result, warmed: !candidates.is_empty(), solve_ns: solve_watch.elapsed_ns() }
+    }
+
+    /// Everything a converged solve leaves behind, on either lane: the
+    /// iteration, warm-start and traffic counters, the pair-cache entry
+    /// (persisted first), the nodal side-cache vector (in solve
+    /// orientation) and the warm-start donation. `precision` is the tag the
+    /// cache entry is stored under.
+    fn write_back<T: Scalar>(
+        &mut self,
+        left: &PreparedStructure<V, E>,
+        right: &PreparedStructure<V, E>,
+        r: &KernelResult<T>,
+        precision: Precision,
+        warmed: bool,
+    ) {
+        self.metrics.total_iterations.add(r.iterations as u64);
+        if warmed {
+            self.metrics.warm_started.inc();
+        }
+        r.traffic.export_to(&self.metrics.traffic);
+        let key = PairKey::new(left.side, right.side);
+        let entry = CachedEntry {
+            value: r.value.to_f32(),
+            value_f64: r.value_f64,
+            precision,
+            relative_residual: r.relative_residual,
+            iterations: r.iterations,
+        };
+        self.persist_pair(key, &entry);
+        self.cache.insert(key, entry);
+        let (keep_nodal, donate) = (self.config.nodal_cache_capacity > 0, self.config.warm_start);
+        if let Some(nodal) = r.nodal.as_ref().filter(|_| keep_nodal || donate) {
+            // one narrowed vector, Arc-shared between the side-cache and
+            // the donor pool
+            let narrowed: SharedNodal = Arc::new(nodal.iter().map(|&v| v.to_f32()).collect());
+            if keep_nodal {
+                self.nodal.insert((left.side, right.side), Arc::clone(&narrowed));
+            }
+            if donate {
+                self.donors.donate(left.donor_key(right), right.side.hash, narrowed, r.iterations);
             }
         }
     }
@@ -970,54 +959,40 @@ where
         PairSide::new((self.hasher)(g), g.num_vertices() as u32, g.num_edges() as u32)
     }
 
-    /// Whether prepared structures are worth caching: the cache has
-    /// capacity and the configured preprocessing actually does something
-    /// (identity preparation has no output to reuse — a lookup would cost
-    /// a content hash to save a clone).
-    fn reorder_cache_active(&self) -> bool {
-        self.config.reorder_cache_capacity > 0 && !self.prep_solver.preparation_is_identity()
+    /// Look a raw structure identity up in the reorder cache, counting the
+    /// hit or miss (a disabled cache counts neither).
+    fn cached_structure(&mut self, key: PairSide) -> Option<Arc<PreparedStructure<V, E>>> {
+        let found = self.reorder.get(key).cloned();
+        match found {
+            Some(_) => self.metrics.reorder_hits.inc(),
+            None if self.reorder.capacity() > 0 => self.metrics.reorder_misses.inc(),
+            None => {}
+        }
+        found
     }
 
-    /// Apply the per-structure preprocessing through the reorder cache:
-    /// a structure the service has already prepared (on either lane) comes
-    /// back as a shared pointer without touching the reordering pass.
-    fn prepare_structure(&mut self, g: &Graph<V, E>) -> Arc<Graph<V, E>> {
-        if !self.reorder_cache_active() {
-            return Arc::new(self.prep_solver.prepare(g).unwrap_or_else(|| g.clone()));
-        }
-        let key = self.raw_side(g);
-        if let Some(prepared) = self.reorder.get(key) {
-            self.metrics.reorder_hits.inc();
-            return Arc::clone(prepared);
-        }
-        self.metrics.reorder_misses.inc();
-        let prepared = Arc::new(self.prep_solver.prepare(g).unwrap_or_else(|| g.clone()));
-        self.reorder.insert(key, Arc::clone(&prepared));
-        prepared
-    }
-
-    /// Prepare a request pair for the request lane: apply the per-structure
-    /// preprocessing and compute the pair's content identity, *without*
-    /// solving anything. The returned key is what the [`PairCache`] answers
-    /// by (duplicate in-flight requests coalesce earlier, on
-    /// [`raw_pair_key`](Self::raw_pair_key)). Structures the service has
-    /// already prepared — on a previous request or at batch admission —
+    /// Prepare a request pair for the request lane: fetch or build each
+    /// side's prepared structure, *without* solving anything. The pair's
+    /// key is what the [`PairCache`] answers by (duplicate in-flight
+    /// requests coalesce earlier, on
+    /// [`raw_pair_sides`](Self::raw_pair_sides)). Structures the service
+    /// has already prepared — on a previous request or at batch admission —
     /// come back from the reorder cache as shared pointers
-    /// ([`ServiceStats::reorder_hits`]) instead of re-running the
-    /// preprocessing.
+    /// ([`ServiceStats::reorder_hits`]): no reordering, no tiling, no
+    /// second hash.
     pub fn prepare_pair(&mut self, left: &Graph<V, E>, right: &Graph<V, E>) -> PreparedPair<V, E> {
         let watch = Stopwatch::start();
-        let left = self.prepare_structure(left);
-        let right = self.prepare_structure(right);
-        let left_hash = (self.hasher)(&left);
-        let right_hash = (self.hasher)(&right);
-        let key = PairKey::new(
-            PairSide::new(left_hash, left.num_vertices() as u32, left.num_edges() as u32),
-            PairSide::new(right_hash, right.num_vertices() as u32, right.num_edges() as u32),
-        );
+        let [left, right] = [left, right].map(|g| {
+            let key = self.raw_side(g);
+            self.cached_structure(key).unwrap_or_else(|| {
+                let prepared = Arc::new(prepare_structure(&self.solver, self.hasher, g));
+                self.reorder.insert(key, Arc::clone(&prepared));
+                prepared
+            })
+        });
         let prepare_ns = watch.elapsed_ns();
         self.metrics.stage_prepare.record(prepare_ns);
-        PreparedPair { left, right, key, left_hash, right_hash, prepare_ns }
+        PreparedPair { left, right, prepare_ns }
     }
 
     /// Answer a request straight from the [`PairCache`], if an entry of
@@ -1042,33 +1017,18 @@ where
         pair: &PreparedPair<V, E>,
     ) -> Result<KernelResult<T>, SolverError> {
         let solved = self.solve_prepared::<T>(pair);
-        self.fold_request_solve(pair, solved, precision_of::<T>())
+        self.fold_request_solve(pair, solved, T::PRECISION)
     }
 
     /// The *pure* half of a request solve: read warm-start candidates from
-    /// the donor pool, run the pair solver at `T`, and report the raw
-    /// outcome without touching the pair cache or the donors. Takes
-    /// `&self`, so the scheduler's drain loop can fan distinct groups out
-    /// across the worker pool concurrently (the stage histogram it records
-    /// into is atomic); the single-writer fold stays on the owning thread
-    /// in [`fold_request_solve`](Self::fold_request_solve).
+    /// the donor pool, run the solver at `T`, and report the raw outcome
+    /// without touching the pair cache or the donors. Takes `&self`, so the
+    /// scheduler's drain loop can fan distinct groups out across the worker
+    /// pool concurrently (the stage histogram it records into is atomic);
+    /// the single-writer fold stays on the owning thread in
+    /// [`fold_request_solve`](Self::fold_request_solve).
     pub fn solve_prepared<T: Scalar>(&self, pair: &PreparedPair<V, E>) -> RequestSolve<T> {
-        let donor_key = (pair.left_hash, pair.right.num_vertices());
-        let candidates: Vec<&[f32]> = if self.config.warm_start {
-            self.donors.candidates(&donor_key).collect()
-        } else {
-            Vec::new()
-        };
-        let warmed = !candidates.is_empty();
-        let solve_watch = Stopwatch::start();
-        let result = self.pair_solver.kernel_with_candidates_at::<T, V, E>(
-            &pair.left,
-            &pair.right,
-            &candidates,
-        );
-        let solve_ns = solve_watch.elapsed_ns();
-        self.metrics.stage_solve.record(solve_ns);
-        RequestSolve { result, warmed, solve_ns }
+        self.solve_request_lane(pair, T::PRECISION)
     }
 
     /// [`solve_prepared`](Self::solve_prepared) on the mixed-precision
@@ -1078,19 +1038,17 @@ where
     /// `Precision::Refined` so the cache entry answers later f64 (and
     /// refined) requests.
     pub fn solve_prepared_refined(&self, pair: &PreparedPair<V, E>) -> RequestSolve<f64> {
-        let donor_key = (pair.left_hash, pair.right.num_vertices());
-        let candidates: Vec<&[f32]> = if self.config.warm_start {
-            self.donors.candidates(&donor_key).collect()
-        } else {
-            Vec::new()
-        };
-        let warmed = !candidates.is_empty();
-        let solve_watch = Stopwatch::start();
-        let result =
-            self.pair_solver.kernel_refined_with_candidates(&pair.left, &pair.right, &candidates);
-        let solve_ns = solve_watch.elapsed_ns();
-        self.metrics.stage_solve.record(solve_ns);
-        RequestSolve { result, warmed, solve_ns }
+        self.solve_request_lane(pair, Precision::Refined)
+    }
+
+    fn solve_request_lane<T: Scalar>(
+        &self,
+        pair: &PreparedPair<V, E>,
+        precision: Precision,
+    ) -> RequestSolve<T> {
+        let solved = self.solve_pair(&pair.left, &pair.right, precision);
+        self.metrics.stage_solve.record(solved.solve_ns);
+        solved
     }
 
     /// The *stateful* half of a request solve: account the outcome and
@@ -1109,40 +1067,8 @@ where
         match solved.result {
             Ok(mut r) => {
                 self.metrics.request_solves.inc();
-                self.metrics.total_iterations.add(r.iterations as u64);
-                if solved.warmed {
-                    self.metrics.warm_started.inc();
-                }
-                r.traffic.export_to(&self.metrics.traffic);
                 let fold_watch = Stopwatch::start();
-                let entry = CachedEntry {
-                    value: r.value.to_f32(),
-                    value_f64: r.value_f64,
-                    precision,
-                    relative_residual: r.relative_residual,
-                    iterations: r.iterations,
-                };
-                self.persist_pair(pair.key, &entry);
-                self.cache.insert(pair.key, entry);
-                if self.config.warm_start || self.config.nodal_cache_capacity > 0 {
-                    if let Some(nodal) = &r.nodal {
-                        // one narrowed vector, Arc-shared between the nodal
-                        // side-cache (request orientation) and the donor pool
-                        let narrowed =
-                            Arc::new(nodal.iter().map(|&v| v.to_f32()).collect::<Vec<f32>>());
-                        if self.config.nodal_cache_capacity > 0 {
-                            self.nodal.insert(pair.ordered_sides(), Arc::clone(&narrowed));
-                        }
-                        if self.config.warm_start {
-                            self.donors.donate(
-                                (pair.left_hash, pair.right.num_vertices()),
-                                pair.right_hash,
-                                narrowed.as_ref().clone(),
-                                r.iterations,
-                            );
-                        }
-                    }
-                }
+                self.write_back(&pair.left, &pair.right, &r, precision, solved.warmed);
                 let fold_ns = fold_watch.elapsed_ns();
                 self.metrics.stage_fold.record(fold_ns);
                 r.stages.prepare_ns = pair.prepare_ns;
@@ -1287,7 +1213,7 @@ where
         if self.config.nodal_cache_capacity == 0 {
             return None;
         }
-        match self.nodal.get(pair.ordered_sides()) {
+        match self.nodal.get((pair.left.side, pair.right.side)) {
             Some(nodal) => {
                 self.metrics.nodal_hits.inc();
                 Some(nodal.as_ref().clone())
@@ -1423,15 +1349,16 @@ where
     fn capture_store_snapshot(&self) -> mgk_store::StoreSnapshot {
         mgk_store::StoreSnapshot {
             epoch: self.version,
-            sides: self.members.iter().map(|m| side_to_stored(&m.side())).collect(),
+            sides: self.members.iter().map(|m| side_to_stored(&m.side)).collect(),
             triangle: self.values.as_ref().clone(),
             entries: self.cache.iter().map(|(k, e)| entry_to_stored(k, e)).collect(),
         }
     }
 }
 
-/// The raw outcome of the pure half of a request solve
-/// ([`GramService::solve_prepared`]), before its stateful fold
+/// The raw outcome of the pure half of a solve
+/// ([`GramService::solve_prepared`] on the request lane; the flush lane's
+/// batch jobs produce the same), before its stateful fold
 /// ([`GramService::fold_request_solve`]). Opaque by design: worker threads
 /// produce it, the owning scheduler thread consumes it.
 #[derive(Debug)]
@@ -1441,59 +1368,61 @@ pub struct RequestSolve<T: Scalar> {
     solve_ns: u64,
 }
 
-/// A request pair after per-structure preprocessing, carrying its content
-/// identity: the coalescing/caching unit of the request lane.
-#[derive(Debug, Clone)]
+/// Build the prepared structure of one raw graph: everything the solver
+/// prepares once per structure, plus the content identity of the prepared
+/// form (what [`PairKey`]s are made of).
+fn prepare_structure<KV, KE, V, E>(
+    solver: &MarginalizedKernelSolver<KV, KE>,
+    hasher: fn(&Graph<V, E>) -> u64,
+    g: &Graph<V, E>,
+) -> PreparedStructure<V, E>
+where
+    V: Clone,
+    E: Copy + Default,
+{
+    let graph = solver.prepare_graph(g);
+    let prepared = graph.graph();
+    let side = PairSide::new(
+        hasher(prepared),
+        prepared.num_vertices() as u32,
+        prepared.num_edges() as u32,
+    );
+    PreparedStructure { graph, side }
+}
+
+/// A request pair after per-structure preparation: the coalescing/caching
+/// unit of the request lane, two shared pointers into the reorder cache's
+/// entries.
+#[derive(Debug)]
 pub struct PreparedPair<V, E> {
-    left: Arc<Graph<V, E>>,
-    right: Arc<Graph<V, E>>,
-    key: PairKey,
-    left_hash: u64,
-    right_hash: u64,
+    left: Arc<PreparedStructure<V, E>>,
+    right: Arc<PreparedStructure<V, E>>,
     /// Wall-clock of the preparation that produced this pair, stamped onto
     /// the `StageBreakdown` of every result answered for it.
     prepare_ns: u64,
 }
 
-impl<V, E> PreparedPair<V, E> {
-    /// The order-normalized, collision-hardened identity of the pair.
-    pub fn key(&self) -> PairKey {
-        self.key
-    }
-
-    /// Nanoseconds the per-structure preprocessing of this pair took
-    /// (zero when both sides came straight from the reorder cache — the
-    /// cached pointers cost only a hash lookup).
-    pub fn prepare_ns(&self) -> u64 {
-        self.prepare_ns
-    }
-
-    /// The pair's content identity in *request order* (not normalized) —
-    /// the orientation-sensitive key of the nodal side-cache.
-    pub(crate) fn ordered_sides(&self) -> (PairSide, PairSide) {
-        (
-            PairSide::new(
-                self.left_hash,
-                self.left.num_vertices() as u32,
-                self.left.num_edges() as u32,
-            ),
-            PairSide::new(
-                self.right_hash,
-                self.right.num_vertices() as u32,
-                self.right.num_edges() as u32,
-            ),
-        )
+impl<V, E> Clone for PreparedPair<V, E> {
+    fn clone(&self) -> Self {
+        PreparedPair {
+            left: Arc::clone(&self.left),
+            right: Arc::clone(&self.right),
+            prepare_ns: self.prepare_ns,
+        }
     }
 }
 
-/// The [`Precision`] tag of a [`Scalar`] instantiation — the single source
-/// of truth for both the request lane's cache gating and the entries it
-/// writes.
-pub(crate) fn precision_of<T: Scalar>() -> Precision {
-    if T::BYTES == 8 {
-        Precision::F64
-    } else {
-        Precision::F32
+impl<V, E> PreparedPair<V, E> {
+    /// The order-normalized, collision-hardened identity of the pair.
+    pub fn key(&self) -> PairKey {
+        PairKey::new(self.left.side, self.right.side)
+    }
+
+    /// Nanoseconds the per-structure preparation of this pair took (next to
+    /// nothing when both sides came straight from the reorder cache — the
+    /// cached pointers cost a raw content hash and a lookup each).
+    pub fn prepare_ns(&self) -> u64 {
+        self.prepare_ns
     }
 }
 
@@ -1508,6 +1437,7 @@ mod tests {
     use super::*;
     use mgk_core::{GramConfig, GramEngine};
     use mgk_graph::generators;
+    use mgk_reorder::ReorderMethod;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -2172,9 +2102,10 @@ mod tests {
     }
 
     #[test]
-    fn identity_preparation_bypasses_the_reorder_cache() {
-        // natural order, no stopping override: preparing is a no-op clone,
-        // so caching it would pay a content hash to save nothing
+    fn natural_order_services_share_prepared_structures_too() {
+        // natural order, no stopping override: nothing is reordered, but
+        // the structure is still tiled and hashed once — so it is cached
+        // like any other and resubmission hits
         let graphs = dataset(2, 149);
         let solver = MarginalizedKernelSolver::unlabeled(SolverConfig {
             reorder: ReorderMethod::Natural,
@@ -2185,10 +2116,37 @@ mod tests {
             svc.submit(g.clone()).unwrap();
         }
         svc.flush();
+        assert_eq!(svc.stats().reorder_misses, 4, "one flush scans before it prepares");
+        assert_eq!(svc.reorder_cache_len(), 2);
+        for g in &graphs {
+            svc.submit(g.clone()).unwrap();
+        }
+        svc.flush();
+        assert_eq!(svc.stats().reorder_hits, 2, "resubmission reuses the prepared structures");
         let pair = svc.prepare_pair(&graphs[0], &graphs[1]);
+        assert_eq!(svc.stats().reorder_hits, 4);
+        assert_eq!(svc.stats().reorder_misses, 4);
         svc.solve_request::<f32>(&pair).unwrap();
-        assert_eq!(svc.stats().reorder_hits, 0);
-        assert_eq!(svc.stats().reorder_misses, 0);
-        assert_eq!(svc.reorder_cache_len(), 0);
+    }
+
+    #[test]
+    fn a_structure_is_one_allocation_across_both_lanes() {
+        let graphs = dataset(2, 151);
+        let mut svc = reordering_service(GramServiceConfig::default());
+        svc.submit(graphs[0].clone()).unwrap();
+        svc.flush();
+        assert_eq!(svc.stats().reorder_misses, 1);
+
+        // the request lane names the admitted structure: same entry, not
+        // an equal one — its tiles exist once in the process
+        let pair = svc.prepare_pair(&graphs[0], &graphs[1]);
+        assert!(Arc::ptr_eq(&pair.left, &svc.members[0]));
+        assert_eq!(svc.stats().reorder_hits, 1);
+        assert_eq!(svc.stats().reorder_misses, 2, "only the never-seen right side prepared");
+        // and admitting the request's other side reuses the request's entry
+        svc.submit(graphs[1].clone()).unwrap();
+        svc.flush();
+        assert!(Arc::ptr_eq(&pair.right, &svc.members[1]));
+        assert_eq!(svc.stats().reorder_misses, 2);
     }
 }

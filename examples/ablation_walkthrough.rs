@@ -42,10 +42,8 @@ fn main() {
     let mut previous_time = None;
     for level in OptimizationLevel::ALL {
         let solver = MarginalizedKernelSolver::unlabeled(level.solver_config(&base));
-        let engine = GramEngine::new(
-            solver,
-            GramConfig { scheduling: level.scheduling(), normalize: true, reorder_once: true },
-        );
+        let engine =
+            GramEngine::new(solver, GramConfig { scheduling: level.scheduling(), normalize: true });
         let start = Instant::now();
         let result = engine.compute(&graphs);
         let elapsed = start.elapsed();

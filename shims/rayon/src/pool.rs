@@ -8,7 +8,7 @@
 //!
 //! * Workers are spawned once (lazily, on first use) and then parked on a
 //!   condvar while no work is queued — an idle pool costs nothing.
-//! * A parallel region submits one [`Job`]: a lifetime-erased reference to
+//! * A parallel region submits one `Job`: a lifetime-erased reference to
 //!   an indexed closure plus an atomic index cursor. Every participating
 //!   thread — pool workers *and* the submitting thread — claims indices
 //!   through `fetch_add`, the CPU analogue of work stealing: a skewed

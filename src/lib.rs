@@ -25,7 +25,7 @@
 //! * [`datasets`] — synthetic stand-ins for the paper's PDB-3k and DrugBank
 //!   datasets, a SMILES parser, plus the small-world / scale-free ensembles.
 //! * [`learn`] — kernel ridge / Gaussian process regression on top of the
-//!   Gram matrices (the paper's motivating application, reference [2]).
+//!   Gram matrices (the paper's motivating application, reference \[2\]).
 //! * [`runtime`] — the serving layer: the persistent worker pool every
 //!   parallel region executes on, the streaming Gram service with
 //!   incremental extension, content-hash entry caching and warm-started
