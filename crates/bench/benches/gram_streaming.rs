@@ -1,19 +1,11 @@
 //! Criterion benchmark for the serving layer: incremental Gram extension
-//! versus full recompute, and the persistent pool versus per-call scoped
-//! threads.
+//! versus full recompute.
 //!
-//! Two claims are measured:
-//!
-//! 1. On an appended workload (`N` structures already served, `+M` arrive),
-//!    the streaming service solves only the new row/column blocks, so it
-//!    must beat a from-scratch batch recompute of all `N + M` structures.
-//! 2. Routing `par_iter` through the persistent pool must at least match
-//!    the old per-call scoped-thread strategy at coarse (Gram-engine)
-//!    granularity — the pool's win is at fine granularity, its break-even
-//!    is here.
+//! On an appended workload (`N` structures already served, `+M` arrive),
+//! the streaming service solves only the new row/column blocks, so it must
+//! beat a from-scratch batch recompute of all `N + M` structures.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rayon::prelude::*;
 
 use mgk_bench::{bench_rng, scaled};
 use mgk_core::{GramConfig, GramEngine, MarginalizedKernelSolver, SolverConfig};
@@ -60,35 +52,5 @@ fn bench_incremental_extension(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_pool_vs_scoped(c: &mut Criterion) {
-    // coarse granularity: each item is one pair solve (~the Gram engine's
-    // unit of work)
-    let pairs = scaled(32, 8);
-    let graphs: Vec<Graph<Unlabeled, Unlabeled>> =
-        EnsembleStream::scale_free(32, 3, bench_rng()).take(pairs + 1).collect();
-    let work: Vec<(usize, usize)> = (0..pairs).map(|i| (i, i + 1)).collect();
-    let s = solver();
-    let solve = |&(i, j): &(usize, usize)| s.kernel(&graphs[i], &graphs[j]).unwrap().iterations;
-
-    let mut group = c.benchmark_group("par_iter");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.bench_function("pool", |b| {
-        b.iter(|| {
-            let iters: Vec<usize> = work.par_iter().map(solve).collect();
-            iters.into_iter().sum::<usize>()
-        })
-    });
-    group.bench_function("scoped", |b| {
-        b.iter(|| {
-            rayon::scoped::map_scoped(&work, rayon::current_num_threads(), solve)
-                .into_iter()
-                .sum::<usize>()
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_incremental_extension, bench_pool_vs_scoped);
+criterion_group!(benches, bench_incremental_extension);
 criterion_main!(benches);

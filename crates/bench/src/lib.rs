@@ -131,54 +131,6 @@ pub fn benchmark_datasets(graphs_per_set: usize) -> BenchmarkDatasets {
     }
 }
 
-/// Minimal JSON escaping for benchmark ids (alphanumerics, `/`, `_`, `+`).
-pub fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|ch| match ch {
-            '"' | '\\' => vec!['\\', ch],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// The short git revision of the working tree (suffixed `-dirty` when
-/// uncommitted changes were present), or `"unknown"` outside a repository.
-/// Stamped into every machine-readable benchmark record so a baseline is
-/// never confused with a re-record from a different revision.
-pub fn git_revision() -> String {
-    let run = |args: &[&str]| {
-        std::process::Command::new("git")
-            .args(args)
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-    };
-    let Some(rev) = run(&["rev-parse", "--short", "HEAD"]).map(|s| s.trim().to_string()) else {
-        return "unknown".to_string();
-    };
-    if rev.is_empty() {
-        return "unknown".to_string();
-    }
-    match run(&["status", "--porcelain"]) {
-        Some(status) if status.trim().is_empty() => rev,
-        _ => format!("{rev}-dirty"),
-    }
-}
-
-/// Whether the workspace is clean under `mgk-analyze --strict`, evaluated
-/// in-process at record time. Stamped into every machine-readable baseline
-/// record next to [`git_revision`]: a baseline captured on a tree with
-/// open lint findings (or a recorded-then-fixed tree) is visibly marked.
-/// `false` also covers the defensive cases (no workspace root found, an
-/// unreadable source file) — a baseline that cannot prove the tree clean
-/// does not get to claim it.
-pub fn analyze_clean() -> bool {
-    let cwd = std::env::current_dir().unwrap_or_else(|_| std::path::PathBuf::from("."));
-    mgk_analyze::workspace_clean_from(&cwd) == Some(true)
-}
-
 /// Format a duration in an engineering-friendly way.
 pub fn fmt_duration(seconds: f64) -> String {
     if seconds >= 3600.0 {

@@ -129,14 +129,6 @@ pub struct KernelResult<T: Scalar = f32> {
     pub stages: StageBreakdown,
 }
 
-impl<T: Scalar> KernelResult<T> {
-    /// The kernel value narrowed to `f32` (identity for the serving
-    /// precision).
-    pub fn value_f32(&self) -> f32 {
-        self.value.to_f32()
-    }
-}
-
 /// Errors reported by the solver.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolverError {
@@ -218,53 +210,8 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
         KV: BaseKernel<V>,
         KE: BaseKernel<E> + Clone,
     {
-        self.kernel_with_candidates(g1, g2, &[])
-    }
-
-    /// Evaluate the kernel with an optional warm-start guess for the nodal
-    /// solution vector (row-major `n × m`, in the *prepared* vertex order).
-    ///
-    /// A guess near the true solution — typically the converged nodal
-    /// vector of a similar, equally-sized pair, as arises when a Gram
-    /// matrix is extended incrementally — cuts the PCG iteration count
-    /// without changing the converged value. A guess whose length does not
-    /// match `n × m` is ignored.
-    pub fn kernel_with_guess<V, E>(
-        &self,
-        g1: &Graph<V, E>,
-        g2: &Graph<V, E>,
-        guess: Option<&[f32]>,
-    ) -> Result<KernelResult, SolverError>
-    where
-        V: Clone,
-        E: Copy + Default,
-        KV: BaseKernel<V>,
-        KE: BaseKernel<E> + Clone,
-    {
-        self.kernel_with_candidates(g1, g2, guess.as_slice())
-    }
-
-    /// [`kernel_with_guess`](Self::kernel_with_guess) with *several*
-    /// candidate warm starts: the solve begins from whichever candidate has
-    /// the best measured initial residual (each costs one operator
-    /// application to rank), falling back to the cold start when none beats
-    /// it. Candidates of the wrong length are ignored. Runs at the
-    /// configured [`Precision`] policy, narrowed to the `f32` serving
-    /// result.
-    pub fn kernel_with_candidates<V, E>(
-        &self,
-        g1: &Graph<V, E>,
-        g2: &Graph<V, E>,
-        candidates: &[&[f32]],
-    ) -> Result<KernelResult, SolverError>
-    where
-        V: Clone,
-        E: Copy + Default,
-        KV: BaseKernel<V>,
-        KE: BaseKernel<E> + Clone,
-    {
         let (a, b) = (self.prepare_graph(g1), self.prepare_graph(g2));
-        self.kernel_prepared(&a, &b, candidates, self.config.precision)
+        self.kernel_prepared(&a, &b, &[], self.config.precision)
     }
 
     /// Evaluate the kernel at a *specific* [`Scalar`] instantiation of the
@@ -286,51 +233,8 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
         KV: BaseKernel<V>,
         KE: BaseKernel<E> + Clone,
     {
-        self.kernel_with_candidates_at::<T, V, E>(g1, g2, &[])
-    }
-
-    /// [`kernel_at`](Self::kernel_at) with candidate warm starts (donated
-    /// as `f32` nodal vectors, widened to `T` before ranking by initial
-    /// residual).
-    pub fn kernel_with_candidates_at<T, V, E>(
-        &self,
-        g1: &Graph<V, E>,
-        g2: &Graph<V, E>,
-        candidates: &[&[f32]],
-    ) -> Result<KernelResult<T>, SolverError>
-    where
-        T: Scalar,
-        V: Clone,
-        E: Copy + Default,
-        KV: BaseKernel<V>,
-        KE: BaseKernel<E> + Clone,
-    {
         let (a, b) = (self.prepare_graph(g1), self.prepare_graph(g2));
-        self.kernel_prepared(&a, &b, candidates, T::PRECISION)
-    }
-
-    /// Evaluate the kernel on the mixed-precision refinement path —
-    /// f32 inner PCG sweeps with f64 residual corrections — regardless of
-    /// the configured [`Precision`] policy, and return the f64-quality
-    /// result *un-narrowed*: value and nodal vector at f64. This is the
-    /// entry point for [`Precision::Refined`] typed request clients, which
-    /// want f64 answers at (mostly) f32 arithmetic cost; the policy-driven
-    /// [`kernel_with_candidates`](Self::kernel_with_candidates) narrows
-    /// the same solve to f32 instead.
-    pub fn kernel_refined_with_candidates<V, E>(
-        &self,
-        g1: &Graph<V, E>,
-        g2: &Graph<V, E>,
-        candidates: &[&[f32]],
-    ) -> Result<KernelResult<f64>, SolverError>
-    where
-        V: Clone,
-        E: Copy + Default,
-        KV: BaseKernel<V>,
-        KE: BaseKernel<E> + Clone,
-    {
-        let (a, b) = (self.prepare_graph(g1), self.prepare_graph(g2));
-        self.kernel_prepared(&a, &b, candidates, Precision::Refined)
+        self.kernel_prepared(&a, &b, &[], T::PRECISION)
     }
 
     /// Evaluate the kernel of two prepared structures — the routine every

@@ -17,9 +17,10 @@
 //! * [`ClusterClient`] routes `submit` / `submit_all` / `flush`; a cluster
 //!   [`flush`](ClusterClient::flush) barriers *every* shard and reports the
 //!   merged [`ClusterBarrierReply`].
-//! * [`ClusterKernelClient`] routes typed requests (including the
-//!   [`Precision::Refined`] lane via
-//!   [`GramCluster::kernel_client_refined`]) to the pair's owning shard.
+//! * Typed requests need no cluster front of their own: a
+//!   [`KernelClient`] built by [`GramCluster::kernel_client`] holds every
+//!   shard's command lane and sends each pair to its owning shard
+//!   ([`ClusterKernelClient`] is that type's cluster-side name).
 //! * [`ClusterWatch`] merges the per-shard [`SnapshotWatch`]es into one
 //!   **cluster epoch** — the sum of the shard epochs. A
 //!   [`ClusterSnapshot`] is consistent iff every shard's epoch was
@@ -40,7 +41,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mgk_core::KernelResult;
 use mgk_graph::Graph;
 use mgk_kernels::BaseKernel;
 use mgk_telemetry::{MetricsRegistry, TelemetrySnapshot};
@@ -51,11 +51,7 @@ use crate::scheduler::{
     GramClient, GramScheduler, KernelClient, RequestScalar, SchedulerConfig, SchedulerError,
 };
 use crate::service::GramService;
-use crate::ticket::Ticket;
 use crate::watch::{SnapshotWatch, VersionedSnapshot, WatchClosed};
-
-#[allow(unused_imports)] // rustdoc links
-use mgk_linalg::Precision;
 
 /// Configuration of a [`GramCluster`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,24 +181,12 @@ where
         }
     }
 
-    /// A routing typed request client at the [`Scalar`](mgk_linalg::Scalar)
-    /// instantiation `T`, mirroring [`GramScheduler::kernel_client`].
-    pub fn kernel_client<T: RequestScalar>(&self) -> ClusterKernelClient<V, E, T> {
-        ClusterKernelClient {
-            clients: self.shards.iter().map(|s| s.kernel_client::<T>()).collect(),
-            hasher: self.hasher,
-        }
-    }
-
-    /// A routing request client on the mixed-precision refinement path,
-    /// mirroring [`GramScheduler::kernel_client_refined`]: tickets resolve
-    /// to f64-quality [`KernelResult<f64>`]s computed by f32 PCG sweeps
-    /// with f64 residual corrections, on the pair's owning shard.
-    pub fn kernel_client_refined(&self) -> ClusterKernelClient<V, E, f64> {
-        ClusterKernelClient {
-            clients: self.shards.iter().map(|s| s.kernel_client_refined()).collect(),
-            hasher: self.hasher,
-        }
+    /// A typed request client carrying its answers at `T`, over every
+    /// shard's command lane: each pair goes to the shard its normalized
+    /// [`PairKey`] hashes to. Otherwise exactly
+    /// [`GramScheduler::kernel_client`] — `.refined()` included.
+    pub fn kernel_client<T: RequestScalar>(&self) -> KernelClient<V, E, T> {
+        KernelClient::new(self.shards.iter().map(|s| s.lane().clone()).collect(), self.hasher)
     }
 
     /// The merged cluster watch over every shard's snapshot watch.
@@ -329,81 +313,9 @@ impl<V, E> ClusterClient<V, E> {
     }
 }
 
-/// Cheap, cloneable typed request handle routing each pair to its owning
-/// shard by normalized content key.
-#[derive(Debug)]
-pub struct ClusterKernelClient<V, E, T: RequestScalar = f32> {
-    clients: Vec<KernelClient<V, E, T>>,
-    hasher: fn(&Graph<V, E>) -> u64,
-}
-
-impl<V, E, T: RequestScalar> Clone for ClusterKernelClient<V, E, T> {
-    fn clone(&self) -> Self {
-        ClusterKernelClient { clients: self.clients.clone(), hasher: self.hasher }
-    }
-}
-
-impl<V, E, T: RequestScalar> ClusterKernelClient<V, E, T> {
-    fn side(&self, g: &Graph<V, E>) -> PairSide {
-        PairSide::new((self.hasher)(g), g.num_vertices() as u32, g.num_edges() as u32)
-    }
-
-    /// The shard index a pair routes to — by normalized [`PairKey`], so
-    /// both orientations of a pair agree.
-    pub fn shard_of(&self, left: &Graph<V, E>, right: &Graph<V, E>) -> usize {
-        let key = PairKey::new(self.side(left), self.side(right));
-        shard_of_key(&key, self.clients.len())
-    }
-
-    /// Request one pair's kernel value from its owning shard, blocking
-    /// while that shard's command channel is full.
-    pub fn request(
-        &self,
-        left: Graph<V, E>,
-        right: Graph<V, E>,
-    ) -> Result<Ticket<KernelResult<T>>, SchedulerError> {
-        if left.num_vertices() == 0 || right.num_vertices() == 0 {
-            return Err(SchedulerError::EmptyStructure);
-        }
-        self.clients[self.shard_of(&left, &right)].request(left, right)
-    }
-
-    /// [`request`](Self::request) with a deadline, mirroring
-    /// [`KernelClient::request_within`].
-    pub fn request_within(
-        &self,
-        left: Graph<V, E>,
-        right: Graph<V, E>,
-        budget: Duration,
-    ) -> Result<Ticket<KernelResult<T>>, SchedulerError> {
-        if left.num_vertices() == 0 || right.num_vertices() == 0 {
-            return Err(SchedulerError::EmptyStructure);
-        }
-        self.clients[self.shard_of(&left, &right)].request_within(left, right, budget)
-    }
-
-    /// [`request`](Self::request) without blocking; a full owning-shard
-    /// channel reports [`SchedulerError::Backpressure`].
-    pub fn try_request(
-        &self,
-        left: Graph<V, E>,
-        right: Graph<V, E>,
-    ) -> Result<Ticket<KernelResult<T>>, SchedulerError> {
-        if left.num_vertices() == 0 || right.num_vertices() == 0 {
-            return Err(SchedulerError::EmptyStructure);
-        }
-        self.clients[self.shard_of(&left, &right)].try_request(left, right)
-    }
-
-    /// Request a whole batch of pairs in submission order, each routed to
-    /// its owning shard. Duplicate pairs coalesce there as usual.
-    pub fn request_all(
-        &self,
-        pairs: impl IntoIterator<Item = (Graph<V, E>, Graph<V, E>)>,
-    ) -> Result<Vec<Ticket<KernelResult<T>>>, SchedulerError> {
-        pairs.into_iter().map(|(l, r)| self.request(l, r)).collect()
-    }
-}
+/// The cluster-side name of [`KernelClient`]: the one request client,
+/// built over K lanes by [`GramCluster::kernel_client`].
+pub type ClusterKernelClient<V, E, T = f32> = KernelClient<V, E, T>;
 
 /// A consistent observation of the whole cluster: every shard's epoch
 /// captured in one pass, the cluster epoch their sum.

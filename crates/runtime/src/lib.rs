@@ -32,19 +32,23 @@
 //!   solve panics.
 //! * **[`KernelClient`]** — the request lane on the same scheduler thread:
 //!   `request(pair)` returns a [`Ticket`] immediately and resolves it to a
-//!   typed `KernelResult<T>` (f32 serving or f64 end-to-end). Duplicate
-//!   in-flight requests coalesce onto one solve, already-solved pairs are
-//!   answered from the [`PairCache`] without touching the solve lane, and
-//!   expired or dropped tickets are skipped before their solve starts —
-//!   tickets can never hang ([`RequestError::Closed`] on shutdown).
+//!   typed `KernelResult<T>` (f32 serving or f64 end-to-end;
+//!   `kernel_client::<f64>().refined()` solves on the mixed-precision
+//!   path). The precision is a value on the request, so one pipeline
+//!   serves all three. Duplicate in-flight requests coalesce onto one
+//!   solve, already-solved pairs are answered from the [`PairCache`]
+//!   without touching the solve lane, and expired or dropped tickets are
+//!   skipped before their solve starts — tickets can never hang
+//!   ([`RequestError::Closed`] on shutdown).
 //! * **[`GramCluster`]** — the sharded serving plane: K schedulers behind
 //!   a content-hash router. Structures route by their own content
 //!   identity, request pairs by normalized [`PairKey`] (both orientations
 //!   land on one shard, so coalescing and symmetric cache answers survive
-//!   sharding), per-shard watches merge into a summed cluster epoch, and
-//!   per-shard telemetry registries aggregate into one scrape surface with
-//!   a `shard="k"` label on every metric. `K = 1` behaves exactly like the
-//!   plain scheduler.
+//!   sharding) — through the same [`KernelClient`], holding K command
+//!   lanes instead of one — per-shard watches merge into a summed cluster
+//!   epoch, and per-shard telemetry registries aggregate into one scrape
+//!   surface with a `shard="k"` label on every metric. `K = 1` behaves
+//!   exactly like the plain scheduler.
 //! * **Durability plane** — attach a per-service
 //!   [`PairStore`](mgk_store::PairStore) via
 //!   [`GramScheduler::spawn_durable`] (or
@@ -63,7 +67,7 @@
 //!   solve → cache/donor fold → publish, a queue-depth gauge, live
 //!   bytes/flops traffic with a running arithmetic-intensity gauge, and
 //!   every [`ServiceStats`] counter. Scrape it via
-//!   [`GramScheduler::telemetry`]/[`KernelClient::telemetry`] and render
+//!   [`GramScheduler::telemetry`]/[`GramCluster::telemetry`] and render
 //!   with `TelemetrySnapshot::render_prometheus`/`render_json`; every
 //!   answered `KernelResult` also carries a per-ticket `StageBreakdown`.
 //!

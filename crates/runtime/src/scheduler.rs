@@ -28,11 +28,23 @@
 //!   service for inspection. A panic on the scheduler thread (a poisoned
 //!   solve) closes the watch, unblocks every waiting consumer, and is
 //!   re-raised from `join`.
+//! * A [`KernelClient`] asks for **one pair** over the same channel and
+//!   gets a [`Ticket`] back. The precision to solve at is a value on the
+//!   request; the only thing the request lane is generic over is the
+//!   *carrier* `T`, what a `Ticket<KernelResult<T>>` promises. Each drain
+//!   groups its requests by (ordered pair identity, precision, carrier),
+//!   answers a group from the pair cache when an entry of adequate
+//!   precision exists, and otherwise solves it once: groups with distinct
+//!   pair keys solve together as a *wave* across the pool, their folds and
+//!   ticket wake-ups follow in arrival order on the scheduler thread, and a
+//!   group whose key the wave already holds waits for that wave — so it
+//!   sees the entry its sibling folded.
 //!
-//! Batches are fanned out over the existing persistent worker
+//! Batches and waves are fanned out over the existing persistent worker
 //! [`Pool`](crate::Pool) — the scheduler thread is a coordinator, not a
 //! compute thread.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::marker::PhantomData;
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
@@ -48,6 +60,7 @@ use mgk_telemetry::{Histogram, MetricsRegistry, Stopwatch};
 use rayon::prelude::*;
 
 use crate::cache::{CachedEntry, PairKey, PairSide};
+use crate::cluster::shard_of_key;
 use crate::hash::ContentHash;
 use crate::metrics::RuntimeMetrics;
 use crate::service::{GramService, GramServiceError, PreparedPair, RequestSolve};
@@ -120,72 +133,47 @@ enum Command<V, E> {
     Shutdown,
 }
 
-/// One request-lane command: a pair to evaluate, an optional deadline, and
-/// the typed resolver its answer goes to. The intake stopwatch starts in
-/// the client's enqueue call, so queue wait and end-to-end latency are
-/// measured from the producer's perspective, channel time included.
+impl<V, E> Command<V, E> {
+    /// What this command adds to the queue-depth gauge while it sits in
+    /// the channel: one unit per structure or request.
+    fn queue_units(&self) -> f64 {
+        match self {
+            Command::Submit(_) | Command::Request(_) => 1.0,
+            Command::SubmitAll(gs) => gs.len() as f64,
+            Command::Barrier(_) | Command::Shutdown => 0.0,
+        }
+    }
+}
+
+/// One request-lane command: a pair to evaluate, the precision to solve it
+/// at, an optional deadline, and the typed resolver its answer goes to. The
+/// intake stopwatch starts in the client's enqueue call, so queue wait and
+/// end-to-end latency are measured from the producer's perspective, channel
+/// time included.
 struct KernelRequest<V, E> {
     left: Graph<V, E>,
     right: Graph<V, E>,
+    precision: Precision,
     deadline: Option<Instant>,
     resolver: KernelResolver,
     intake: Stopwatch,
 }
 
 /// A typed ticket resolver routed through the scheduler's untyped command
-/// stream. Internal plumbing of the request lane — constructed by
-/// [`RequestScalar::wrap_resolver`], consumed by the scheduler thread.
+/// stream, one variant per carrier type. Internal plumbing of the request
+/// lane — constructed by [`RequestScalar::wrap_resolver`], consumed by the
+/// scheduler thread.
 #[doc(hidden)]
 #[derive(Debug)]
 pub enum KernelResolver {
     F32(TicketResolver<KernelResult<f32>>),
     F64(TicketResolver<KernelResult<f64>>),
-    /// An f64 ticket answered by the mixed-precision refinement path:
-    /// resolves [`KernelResult<f64>`] like [`KernelResolver::F64`], but
-    /// groups under [`Precision::Refined`] so the drain loop routes its
-    /// solve through `GramService::solve_prepared_refined`.
-    Refined(TicketResolver<KernelResult<f64>>),
 }
 
-impl KernelResolver {
-    fn precision(&self) -> Precision {
-        match self {
-            KernelResolver::F32(_) => Precision::F32,
-            KernelResolver::F64(_) => Precision::F64,
-            KernelResolver::Refined(_) => Precision::Refined,
-        }
-    }
-
-    fn is_cancelled(&self) -> bool {
-        match self {
-            KernelResolver::F32(r) => r.is_cancelled(),
-            KernelResolver::F64(r) => r.is_cancelled(),
-            KernelResolver::Refined(r) => r.is_cancelled(),
-        }
-    }
-
-    fn expire(self) {
-        match self {
-            KernelResolver::F32(r) => r.resolve(Err(RequestError::Expired)),
-            KernelResolver::F64(r) => r.resolve(Err(RequestError::Expired)),
-            KernelResolver::Refined(r) => r.resolve(Err(RequestError::Expired)),
-        }
-    }
-
-    /// Retag an f64 resolver onto the refinement path. Only
-    /// refined-constructed clients (which are `T = f64` by construction)
-    /// call this; an f32 resolver passes through untouched.
-    fn into_refined(self) -> Self {
-        match self {
-            KernelResolver::F64(r) => KernelResolver::Refined(r),
-            other => other,
-        }
-    }
-}
-
-/// The [`Scalar`] instantiations a typed [`KernelClient`] can request at.
-/// Sealed through `Scalar` itself (only `f32` and `f64` implement it); the
-/// trait routes a typed ticket into the scheduler's command stream.
+/// The [`Scalar`] instantiations a typed [`KernelClient`] can carry its
+/// answers at. Sealed through `Scalar` itself (only `f32` and `f64`
+/// implement it); the trait routes a typed ticket into the scheduler's
+/// command stream.
 pub trait RequestScalar: Scalar {
     #[doc(hidden)]
     fn wrap_resolver(resolver: TicketResolver<KernelResult<Self>>) -> KernelResolver;
@@ -203,24 +191,56 @@ impl RequestScalar for f64 {
     }
 }
 
-/// Cheap, cloneable producer/consumer handle to a running
-/// [`GramScheduler`].
+/// The sending half of one scheduler's bounded command channel, with the
+/// queue-depth gauge of the service behind it. Every client is one or more
+/// of these.
 #[derive(Debug)]
-pub struct GramClient<V, E> {
+pub(crate) struct Lane<V, E> {
     tx: SyncSender<Command<V, E>>,
-    watch: SnapshotWatch,
     capacity: usize,
     metrics: RuntimeMetrics,
 }
 
+impl<V, E> Clone for Lane<V, E> {
+    fn clone(&self) -> Self {
+        Lane { tx: self.tx.clone(), capacity: self.capacity, metrics: self.metrics.clone() }
+    }
+}
+
+impl<V, E> Lane<V, E> {
+    /// Enqueue `command`. A full channel blocks a `blocking` send (flow
+    /// control) and fails the other with [`SchedulerError::Backpressure`].
+    fn send(&self, command: Command<V, E>, blocking: bool) -> Result<(), SchedulerError> {
+        // raised before the send so a scraper never observes a queued
+        // command the gauge has not counted; unwound if the send fails
+        let units = command.queue_units();
+        self.metrics.queue_depth.add(units);
+        let sent = if blocking {
+            self.tx.send(command).map_err(|_| SchedulerError::Closed)
+        } else {
+            self.tx.try_send(command).map_err(|e| match e {
+                TrySendError::Full(_) => SchedulerError::Backpressure { capacity: self.capacity },
+                TrySendError::Disconnected(_) => SchedulerError::Closed,
+            })
+        };
+        if sent.is_err() {
+            self.metrics.queue_depth.add(-units);
+        }
+        sent
+    }
+}
+
+/// Cheap, cloneable producer/consumer handle to a running
+/// [`GramScheduler`].
+#[derive(Debug)]
+pub struct GramClient<V, E> {
+    lane: Lane<V, E>,
+    watch: SnapshotWatch,
+}
+
 impl<V, E> Clone for GramClient<V, E> {
     fn clone(&self) -> Self {
-        GramClient {
-            tx: self.tx.clone(),
-            watch: self.watch.clone(),
-            capacity: self.capacity,
-            metrics: self.metrics.clone(),
-        }
+        GramClient { lane: self.lane.clone(), watch: self.watch.clone() }
     }
 }
 
@@ -234,13 +254,7 @@ impl<V, E> GramClient<V, E> {
         if structure.num_vertices() == 0 {
             return Err(SchedulerError::EmptyStructure);
         }
-        // raised before the send so a scraper never observes a queued
-        // command the gauge has not counted; unwound if the send fails
-        self.metrics.queue_depth.inc();
-        self.tx.send(Command::Submit(structure)).map_err(|_| {
-            self.metrics.queue_depth.dec();
-            SchedulerError::Closed
-        })
+        self.lane.send(Command::Submit(structure), true)
     }
 
     /// Enqueue a structure without blocking; a full channel reports
@@ -249,14 +263,7 @@ impl<V, E> GramClient<V, E> {
         if structure.num_vertices() == 0 {
             return Err(SchedulerError::EmptyStructure);
         }
-        self.metrics.queue_depth.inc();
-        self.tx.try_send(Command::Submit(structure)).map_err(|e| {
-            self.metrics.queue_depth.dec();
-            match e {
-                TrySendError::Full(_) => SchedulerError::Backpressure { capacity: self.capacity },
-                TrySendError::Disconnected(_) => SchedulerError::Closed,
-            }
-        })
+        self.lane.send(Command::Submit(structure), false)
     }
 
     /// Enqueue a whole collection as one command (empty structures are
@@ -268,14 +275,9 @@ impl<V, E> GramClient<V, E> {
         let batch: Vec<Graph<V, E>> =
             structures.into_iter().filter(|g| g.num_vertices() > 0).collect();
         let n = batch.len();
-        if n == 0 {
-            return Ok(0);
+        if n > 0 {
+            self.lane.send(Command::SubmitAll(batch), true)?;
         }
-        self.metrics.queue_depth.add(n as f64);
-        self.tx.send(Command::SubmitAll(batch)).map_err(|_| {
-            self.metrics.queue_depth.add(-(n as f64));
-            SchedulerError::Closed
-        })?;
         Ok(n)
     }
 
@@ -283,7 +285,7 @@ impl<V, E> GramClient<V, E> {
     /// been admitted and solved, and report the resulting epoch.
     pub fn flush(&self) -> Result<BarrierReply, SchedulerError> {
         let (reply_tx, reply_rx) = mpsc::channel();
-        self.tx.send(Command::Barrier(reply_tx)).map_err(|_| SchedulerError::Closed)?;
+        self.lane.send(Command::Barrier(reply_tx), true)?;
         reply_rx.recv().map_err(|_| SchedulerError::Closed)
     }
 
@@ -295,25 +297,32 @@ impl<V, E> GramClient<V, E> {
     /// The metrics registry of the scheduler's service — the scrape/pull
     /// surface (`registry.snapshot().render_prometheus()`).
     pub fn telemetry(&self) -> Arc<MetricsRegistry> {
-        self.metrics.registry()
+        self.lane.metrics.registry()
     }
 }
 
-/// The request-scoped serving handle: ask the scheduler for *one pair's*
-/// kernel value and get a [`Ticket`] back immediately, instead of watching
-/// whole-Gram snapshots.
+/// The request-scoped serving handle: ask for *one pair's* kernel value and
+/// get a [`Ticket`] back immediately, instead of watching whole-Gram
+/// snapshots.
 ///
-/// A `KernelClient` shares the scheduler thread (and command channel) with
-/// the flush lane of its sibling [`GramClient`]; requests ride the same
-/// bounded channel, so producer backpressure applies uniformly. The type
-/// parameter `T` picks the [`Scalar`] instantiation every request of this
-/// client resolves at: `KernelClient<_, _, f64>` tickets carry
+/// Built over one [`GramScheduler`] it holds that scheduler's command
+/// channel; built over a [`GramCluster`](crate::GramCluster) it holds every
+/// shard's and sends each pair to the shard its order-normalized content
+/// key hashes to ([`shard_of_key`]), so both orientations of a pair, and
+/// every duplicate of it, meet on one scheduler. Requests ride the same
+/// bounded channel as the flush lane of the sibling [`GramClient`], so
+/// producer backpressure applies uniformly.
+///
+/// `T` is the *carrier*: `KernelClient<_, _, f64>` tickets carry
 /// [`KernelResult<f64>`] — f64 values *and* nodal vectors — end-to-end.
+/// Requests are solved at the carrier's own [`Precision`] unless an f64
+/// client was switched to [`refined`](KernelClient::refined).
 ///
 /// Request-lane guarantees (see the module docs for the mechanism):
 ///
-/// * duplicate in-flight requests for one pair **coalesce** onto a single
-///   solve, every ticket woken with the shared answer;
+/// * duplicate in-flight requests for one pair at one precision
+///   **coalesce** onto a single solve, every ticket woken with the shared
+///   answer;
 /// * pairs the service has already solved are **answered from the pair
 ///   cache** without touching the solve lane;
 /// * a ticket whose **deadline** passes before its solve starts resolves
@@ -322,51 +331,81 @@ impl<V, E> GramClient<V, E> {
 ///   tickets can never hang, and stale requests never occupy the solver.
 #[derive(Debug)]
 pub struct KernelClient<V, E, T: RequestScalar = f32> {
-    tx: SyncSender<Command<V, E>>,
-    capacity: usize,
-    metrics: RuntimeMetrics,
-    /// Route this client's requests through the mixed-precision refinement
-    /// path ([`Precision::Refined`]) instead of the plain `T`
-    /// instantiation. Only set by refined constructors, which fix
-    /// `T = f64` (refinement produces f64-quality answers).
-    refined: bool,
-    _precision: PhantomData<T>,
+    /// One lane per scheduler this client fronts.
+    lanes: Vec<Lane<V, E>>,
+    /// The schedulers' content hasher: what routing keys are made of.
+    hasher: fn(&Graph<V, E>) -> u64,
+    precision: Precision,
+    _carrier: PhantomData<T>,
 }
 
 impl<V, E, T: RequestScalar> Clone for KernelClient<V, E, T> {
     fn clone(&self) -> Self {
         KernelClient {
-            tx: self.tx.clone(),
-            capacity: self.capacity,
-            metrics: self.metrics.clone(),
-            refined: self.refined,
-            _precision: PhantomData,
+            lanes: self.lanes.clone(),
+            hasher: self.hasher,
+            precision: self.precision,
+            _carrier: PhantomData,
         }
     }
 }
 
+impl<V, E> KernelClient<V, E, f64> {
+    /// Solve this client's requests on the **mixed-precision refinement**
+    /// path ([`Precision::Refined`]): f64-quality values and nodal vectors
+    /// from f32 inner PCG sweeps with f64 residual corrections, at a
+    /// fraction of a plain f64 solve's bandwidth cost. Refined requests
+    /// group apart from plain f64 ones, but the cache entry either solve
+    /// folds in answers later requests of both kinds.
+    pub fn refined(mut self) -> Self {
+        self.precision = Precision::Refined;
+        self
+    }
+}
+
 impl<V, E, T: RequestScalar> KernelClient<V, E, T> {
-    /// Request the kernel value of one pair, blocking while the command
-    /// channel is full. The returned [`Ticket`] resolves to the pair's
-    /// typed [`KernelResult<T>`].
+    /// A client over `lanes` (at least one), solving at the carrier's own
+    /// precision.
+    pub(crate) fn new(lanes: Vec<Lane<V, E>>, hasher: fn(&Graph<V, E>) -> u64) -> Self {
+        debug_assert!(!lanes.is_empty(), "a kernel client fronts at least one scheduler");
+        KernelClient { lanes, hasher, precision: T::PRECISION, _carrier: PhantomData }
+    }
+
+    /// The index of the scheduler a pair routes to — by normalized
+    /// [`PairKey`], so both orientations of a pair agree. A client over one
+    /// scheduler answers 0 without hashing anything.
+    pub fn shard_of(&self, left: &Graph<V, E>, right: &Graph<V, E>) -> usize {
+        if self.lanes.len() == 1 {
+            return 0;
+        }
+        let side = |g: &Graph<V, E>| {
+            PairSide::new((self.hasher)(g), g.num_vertices() as u32, g.num_edges() as u32)
+        };
+        shard_of_key(&PairKey::new(side(left), side(right)), self.lanes.len())
+    }
+
+    /// Request the kernel value of one pair, blocking while the owning
+    /// scheduler's command channel is full. The returned [`Ticket`]
+    /// resolves to the pair's typed [`KernelResult<T>`].
     pub fn request(
         &self,
         left: Graph<V, E>,
         right: Graph<V, E>,
     ) -> Result<Ticket<KernelResult<T>>, SchedulerError> {
-        self.enqueue(left, right, None)
+        self.enqueue(left, right, None, true)
     }
 
     /// [`request`](Self::request) with a deadline: if the solve has not
     /// *started* within `budget`, the ticket resolves
-    /// [`RequestError::Expired`] instead of occupying the solve lane.
+    /// [`RequestError::Expired`] instead of occupying the solve lane. A
+    /// budget too large for the clock to represent is no deadline.
     pub fn request_within(
         &self,
         left: Graph<V, E>,
         right: Graph<V, E>,
         budget: Duration,
     ) -> Result<Ticket<KernelResult<T>>, SchedulerError> {
-        self.enqueue(left, right, Some(Instant::now() + budget))
+        self.enqueue(left, right, Instant::now().checked_add(budget), true)
     }
 
     /// [`request`](Self::request) without blocking: a full command channel
@@ -377,25 +416,7 @@ impl<V, E, T: RequestScalar> KernelClient<V, E, T> {
         left: Graph<V, E>,
         right: Graph<V, E>,
     ) -> Result<Ticket<KernelResult<T>>, SchedulerError> {
-        if left.num_vertices() == 0 || right.num_vertices() == 0 {
-            return Err(SchedulerError::EmptyStructure);
-        }
-        let (ticket, resolver) = ticket::<KernelResult<T>>();
-        let mut resolver = T::wrap_resolver(resolver);
-        if self.refined {
-            resolver = resolver.into_refined();
-        }
-        let request =
-            KernelRequest { left, right, deadline: None, resolver, intake: Stopwatch::start() };
-        self.metrics.queue_depth.inc();
-        self.tx.try_send(Command::Request(Box::new(request))).map_err(|e| {
-            self.metrics.queue_depth.dec();
-            match e {
-                TrySendError::Full(_) => SchedulerError::Backpressure { capacity: self.capacity },
-                TrySendError::Disconnected(_) => SchedulerError::Closed,
-            }
-        })?;
-        Ok(ticket)
+        self.enqueue(left, right, None, false)
     }
 
     /// Request a whole batch of pairs in submission order. Duplicate pairs
@@ -408,32 +429,27 @@ impl<V, E, T: RequestScalar> KernelClient<V, E, T> {
         pairs.into_iter().map(|(l, r)| self.request(l, r)).collect()
     }
 
-    /// The metrics registry of the scheduler's service — the scrape/pull
-    /// surface (`registry.snapshot().render_prometheus()`).
-    pub fn telemetry(&self) -> Arc<MetricsRegistry> {
-        self.metrics.registry()
-    }
-
     fn enqueue(
         &self,
         left: Graph<V, E>,
         right: Graph<V, E>,
         deadline: Option<Instant>,
+        blocking: bool,
     ) -> Result<Ticket<KernelResult<T>>, SchedulerError> {
         if left.num_vertices() == 0 || right.num_vertices() == 0 {
             return Err(SchedulerError::EmptyStructure);
         }
+        let lane = &self.lanes[self.shard_of(&left, &right)];
         let (ticket, resolver) = ticket::<KernelResult<T>>();
-        let mut resolver = T::wrap_resolver(resolver);
-        if self.refined {
-            resolver = resolver.into_refined();
-        }
-        let request = KernelRequest { left, right, deadline, resolver, intake: Stopwatch::start() };
-        self.metrics.queue_depth.inc();
-        self.tx.send(Command::Request(Box::new(request))).map_err(|_| {
-            self.metrics.queue_depth.dec();
-            SchedulerError::Closed
-        })?;
+        let request = KernelRequest {
+            left,
+            right,
+            precision: self.precision,
+            deadline,
+            resolver: T::wrap_resolver(resolver),
+            intake: Stopwatch::start(),
+        };
+        lane.send(Command::Request(Box::new(request)), blocking)?;
         Ok(ticket)
     }
 }
@@ -443,6 +459,9 @@ impl<V, E, T: RequestScalar> KernelClient<V, E, T> {
 #[derive(Debug)]
 pub struct GramScheduler<KV, KE, V, E> {
     client: GramClient<V, E>,
+    /// The service's content hasher, kept for the routing clients a
+    /// cluster builds over this scheduler's lane.
+    hasher: fn(&Graph<V, E>) -> u64,
     handle: JoinHandle<GramService<KV, KE, V, E>>,
 }
 
@@ -466,6 +485,7 @@ where
         // depth (and hold the scrape surface) through the same cells the
         // scheduler thread records stages into
         let metrics = service.metrics().clone();
+        let hasher = service.content_hasher();
         let (publisher, watch) = snapshot_channel_counted(metrics.snapshot_builds.clone());
         let handle = std::thread::Builder::new()
             .name("mgk-gram-scheduler".to_string())
@@ -473,10 +493,12 @@ where
                 // `publisher` lives on this frame: whether `run` returns or
                 // unwinds on a solve panic, dropping it closes the watch and
                 // unblocks every waiting consumer
-                run(rx, capacity, service, &publisher)
+                let (wave, wave_keys) = (Vec::new(), HashSet::new());
+                Worker { service, publisher: &publisher, wave, wave_keys }.run(rx, capacity)
             })
             .expect("spawning the scheduler thread");
-        GramScheduler { client: GramClient { tx, watch, capacity, metrics }, handle }
+        let client = GramClient { lane: Lane { tx, capacity, metrics }, watch };
+        GramScheduler { client, hasher, handle }
     }
 
     /// [`spawn`](Self::spawn) with a durability plane: attach the store at
@@ -504,36 +526,20 @@ where
         self.client.clone()
     }
 
-    /// A typed request client at the [`Scalar`] instantiation `T` (cheap;
-    /// clone freely across threads). `kernel_client::<f32>()` serves the
-    /// paper's f32 arithmetic; `kernel_client::<f64>()` resolves tickets to
-    /// [`KernelResult<f64>`] with f64 nodal vectors end-to-end.
+    /// A typed request client carrying its answers at `T` (cheap; clone
+    /// freely across threads). `kernel_client::<f32>()` serves the paper's
+    /// f32 arithmetic; `kernel_client::<f64>()` resolves tickets to
+    /// [`KernelResult<f64>`] with f64 nodal vectors end-to-end, and
+    /// `kernel_client::<f64>().refined()` computes them on the
+    /// mixed-precision path.
     pub fn kernel_client<T: RequestScalar>(&self) -> KernelClient<V, E, T> {
-        KernelClient {
-            tx: self.client.tx.clone(),
-            capacity: self.client.capacity,
-            metrics: self.client.metrics.clone(),
-            refined: false,
-            _precision: PhantomData,
-        }
+        KernelClient::new(vec![self.lane().clone()], self.hasher)
     }
 
-    /// A typed request client on the **mixed-precision refinement** path:
-    /// tickets resolve to [`KernelResult<f64>`] — f64-quality values and
-    /// nodal vectors — computed by f32 inner PCG sweeps with f64 residual
-    /// corrections ([`Precision::Refined`]), at a fraction of a plain f64
-    /// solve's bandwidth cost. Refined requests group separately from
-    /// `kernel_client::<f64>()` requests, but the cache entry a refined
-    /// solve folds in answers later f64 *and* refined requests for the
-    /// same pair.
-    pub fn kernel_client_refined(&self) -> KernelClient<V, E, f64> {
-        KernelClient {
-            tx: self.client.tx.clone(),
-            capacity: self.client.capacity,
-            metrics: self.client.metrics.clone(),
-            refined: true,
-            _precision: PhantomData,
-        }
+    /// This scheduler's command lane (what a cluster's routing client is
+    /// built from).
+    pub(crate) fn lane(&self) -> &Lane<V, E> {
+        &self.client.lane
     }
 
     /// The versioned snapshot watch fed by this scheduler.
@@ -558,7 +564,7 @@ where
     pub fn join(self) -> GramService<KV, KE, V, E> {
         // best-effort: the thread may already be gone (e.g. after a panic),
         // in which case the join below reports it
-        let _ = self.client.tx.send(Command::Shutdown);
+        let _ = self.client.lane.send(Command::Shutdown, true);
         drop(self.client);
         match self.handle.join() {
             Ok(service) => service,
@@ -567,412 +573,419 @@ where
     }
 }
 
-/// The scheduler thread body: receive, coalesce, flush, publish, repeat.
-fn run<KV, KE, V, E>(
-    rx: Receiver<Command<V, E>>,
-    capacity: usize,
-    mut service: GramService<KV, KE, V, E>,
-    publisher: &SnapshotPublisher,
-) -> GramService<KV, KE, V, E>
-where
-    V: Clone + Send + Sync + ContentHash,
-    E: Copy + Default + Send + Sync + ContentHash,
-    KV: BaseKernel<V> + Clone + Send + Sync,
-    KE: BaseKernel<E> + Clone + Send + Sync,
-{
-    let metrics = service.metrics().clone();
-
-    // hand-off state: flush anything already pending, publish warm state —
-    // or, on a durable cold start, the triangle recovered from the store's
-    // newest snapshot (at the snapshot's own epoch, strictly below every
-    // epoch a future admitting flush will publish)
-    if service.num_pending() > 0 {
-        flush_and_publish(&mut service, publisher);
-    } else if service.num_structures() > 0 {
-        publish(&mut service, publisher);
-    } else if let Some((epoch, source)) = service.take_recovered_source() {
-        let _span = metrics.stage_publish.span();
-        publisher.publish(epoch, source);
-    }
-
-    loop {
-        let first = match rx.recv() {
-            Ok(cmd) => cmd,
-            // every client is gone: nothing more can arrive
-            Err(_) => break,
-        };
-        // coalesce whatever has queued up behind the first command into one
-        // batch — under load, many submissions amortize into one flush. The
-        // drain is capped at one channel's worth per batch: producers
-        // refilling the channel as fast as we drain it must not postpone
-        // the flush (and any barrier) indefinitely
-        let mut commands = vec![first];
-        while commands.len() <= capacity {
-            match rx.try_recv() {
-                Ok(cmd) => commands.push(cmd),
-                Err(_) => break,
-            }
-        }
-        // the drained commands leave the queue now; clients raised the
-        // gauge one unit per structure/request when they enqueued
-        for command in &commands {
-            match command {
-                Command::Submit(_) | Command::Request(_) => metrics.queue_depth.dec(),
-                Command::SubmitAll(gs) => metrics.queue_depth.add(-(gs.len() as f64)),
-                Command::Barrier(_) | Command::Shutdown => {}
-            }
-        }
-        // raised for the whole processing cycle; RAII so a solve panic
-        // unwinding through `run` cannot leave the gauge stuck at 1
-        let _busy = metrics.scheduler_busy.track();
-
-        let mut shutdown = false;
-        let mut barriers: Vec<mpsc::Sender<BarrierReply>> = Vec::new();
-        let mut requests: Vec<KernelRequest<V, E>> = Vec::new();
-        for command in commands {
-            match command {
-                Command::Submit(g) => admit(&mut service, publisher, g),
-                Command::SubmitAll(gs) => {
-                    for g in gs {
-                        admit(&mut service, publisher, g);
-                    }
-                }
-                Command::Barrier(reply) => barriers.push(reply),
-                Command::Request(req) => requests.push(*req),
-                Command::Shutdown => shutdown = true,
-            }
-        }
-
-        if service.num_pending() > 0 {
-            flush_and_publish(&mut service, publisher);
-        }
-        // the request lane runs after the flush lane so requests in the
-        // same drain see the freshest cache (and before the barrier
-        // replies, so a barrier-then-wait consumer cannot outrun them)
-        serve_requests(&mut service, requests);
-        // request-lane folds appended to the WAL without a flush boundary
-        // of their own: sync them before the drain cycle ends
-        service.persist_request_boundary();
-        for barrier in barriers {
-            // a client that gave up waiting is not an error
-            let _ = barrier.send(BarrierReply {
-                epoch: service.version(),
-                num_structures: service.num_structures(),
-            });
-        }
-        if shutdown {
-            // commands a racing producer enqueued *after* the shutdown are
-            // dropped with the receiver; everything before it was drained
-            // (requests among them resolve Closed as their resolvers drop)
-            break;
-        }
-    }
-    // graceful exit: capture a final snapshot so the next life replays a
-    // compact snapshot instead of the whole log tail
-    service.persist_final_snapshot();
-    service
+/// A value per carrier type: where the request lane, generic over what a
+/// group's tickets promise, meets the one ordered list a drain works down.
+enum Carried<S, D> {
+    F32(S),
+    F64(D),
 }
 
-/// The request lane: group the drained requests by pair identity and
-/// precision, skip what cannot or need not run (cancelled, expired,
-/// cache-answerable), and solve once per surviving group — every ticket of
-/// a group is woken with the shared answer.
-fn serve_requests<KV, KE, V, E>(
-    service: &mut GramService<KV, KE, V, E>,
-    requests: Vec<KernelRequest<V, E>>,
-) where
-    V: Clone + Send + Sync + ContentHash,
-    E: Copy + Default + Send + Sync + ContentHash,
-    KV: BaseKernel<V> + Clone + Send + Sync,
-    KE: BaseKernel<E> + Clone + Send + Sync,
-{
-    if requests.is_empty() {
-        return;
-    }
-    let metrics = service.metrics().clone();
-    // coalesce: one group per (pair identity, precision), keyed by the
-    // *raw* content identity so duplicates share the per-pair
-    // preprocessing (reordering) as well as the solve — preparation runs
-    // once per group, below, not once per ticket. The key is the ORDERED
-    // side pair, not the normalized PairKey: a solved request's nodal
-    // vector is laid out in the request's orientation (row-major n_left ×
-    // n_right), so (A, B) and (B, A) must not share one solve result —
-    // the second orientation resolves from the symmetric cache entry the
-    // first one inserts (value only, no transposed vector)
-    type Group<V, E> = (Graph<V, E>, Graph<V, E>, Vec<LiveTicket>);
-    type Slot = ((PairSide, PairSide), Precision);
-    let mut groups: HashMap<Slot, Group<V, E>> = HashMap::new();
-    let mut order: Vec<Slot> = Vec::new();
-    // a span, not a stopwatch: the content hashers grouping calls into can
-    // panic (tests rely on it), and the drain stage must stay balanced
-    // through that unwind
-    let drain_span = metrics.stage_drain.span();
-    for req in requests {
-        if req.resolver.is_cancelled() {
-            // the ticket is gone; dropping the resolver is the whole skip
-            service.note_request_cancelled();
-            continue;
-        }
-        if req.deadline.is_some_and(|d| Instant::now() >= d) {
-            service.note_request_expired_in_queue();
-            req.resolver.expire();
-            continue;
-        }
-        // the queue-wait stage ends here, where grouping admits the ticket
-        let queue_wait_ns = req.intake.elapsed_ns();
-        metrics.stage_queue_wait.record(queue_wait_ns);
-        let live = LiveTicket {
-            resolver: req.resolver,
-            deadline: req.deadline,
-            intake: req.intake,
-            queue_wait_ns,
-        };
-        let precision = live.resolver.precision();
-        let slot = (service.raw_pair_sides(&req.left, &req.right), precision);
-        match groups.get_mut(&slot) {
-            Some((_, _, tickets)) => {
-                service.note_requests_coalesced(1);
-                tickets.push(live);
-            }
-            None => {
-                order.push(slot);
-                groups.insert(slot, (req.left, req.right, vec![live]));
-            }
-        }
-    }
-    drop(drain_span);
+/// What duplicate in-flight requests coalesce on: the *raw* content
+/// identity of the ordered pair, and the precision asked for.
+type Slot = ((PairSide, PairSide), Precision);
 
-    // waves: consecutive groups with *distinct* normalized pair identities
-    // fan their solves out across the worker pool together; a group whose
-    // identity is already claimed by the current wave closes it first, so
-    // same-key groups keep their sequential cache dependency (e.g. the
-    // mirrored orientation of a pair answers, value-only, from the cache
-    // entry its sibling's fold inserts)
-    let mut wave: Vec<ReadyGroup<V, E>> = Vec::new();
-    let mut wave_keys: HashSet<PairKey> = HashSet::new();
-    for slot in order {
-        let (left, right, tickets) = groups.remove(&slot).expect("group inserted above");
-        let (_, precision) = slot;
-        // cancellations and deadlines may have landed while earlier groups
-        // solved; re-check so no solve starts for a fully stale group
-        let mut live: Vec<LiveTicket> = Vec::new();
-        for ticket in tickets {
-            if ticket.resolver.is_cancelled() {
-                service.note_request_cancelled();
-            } else if ticket.deadline.is_some_and(|d| Instant::now() >= d) {
-                service.note_request_expired_pre_solve();
-                ticket.resolver.expire();
-            } else {
-                live.push(ticket);
-            }
-        }
-        if live.is_empty() {
-            continue;
-        }
-        // one preparation per group, shared by every coalesced ticket;
-        // runs on the owning thread — it may mutate the reorder cache
-        let prepared = service.prepare_pair(&left, &right);
-        if !wave_keys.insert(prepared.key()) {
-            solve_wave(service, std::mem::take(&mut wave));
-            wave_keys.clear();
-            wave_keys.insert(prepared.key());
-        }
-        // the cache probe also stays on the owning thread (it touches
-        // recency), before this group enters the parallel fan-out
-        let cached = service.cached_answer(prepared.key(), precision);
-        wave.push(ReadyGroup { prepared, precision, cached, tickets: live });
-    }
-    solve_wave(service, wave);
-}
-
-/// A coalesced request group admitted to the current wave: prepared,
-/// cache-probed, and carrying its surviving tickets.
-struct ReadyGroup<V, E> {
-    prepared: PreparedPair<V, E>,
-    precision: Precision,
-    cached: Option<CachedEntry>,
-    tickets: Vec<LiveTicket>,
-}
-
-/// The typed outcome of one wave group's pure solve, produced on a worker
-/// thread and folded on the owning thread.
-enum WaveSolve {
-    F32(RequestSolve<f32>),
-    F64(RequestSolve<f64>),
-    Refined(RequestSolve<f64>),
-}
-
-/// Solve one wave: the pure solves of all cache-missed groups fan out
-/// across the worker pool in parallel (the service is borrowed shared, so
-/// cache, donors and reorder state are untouchable there), then the folds
-/// and ticket fan-outs run sequentially in wave order on the owning
-/// thread — the single-writer half.
-fn solve_wave<KV, KE, V, E>(service: &mut GramService<KV, KE, V, E>, wave: Vec<ReadyGroup<V, E>>)
-where
-    V: Clone + Send + Sync + ContentHash,
-    E: Copy + Default + Send + Sync + ContentHash,
-    KV: BaseKernel<V> + Clone + Send + Sync,
-    KE: BaseKernel<E> + Clone + Send + Sync,
-{
-    if wave.is_empty() {
-        return;
-    }
-    let outcomes: Vec<(usize, Option<WaveSolve>)> = {
-        let svc: &GramService<KV, KE, V, E> = service;
-        wave.par_iter()
-            .enumerate()
-            .map(|(idx, group)| {
-                if group.cached.is_some() {
-                    return (idx, None);
-                }
-                let solve = match group.precision {
-                    Precision::F32 => WaveSolve::F32(svc.solve_prepared::<f32>(&group.prepared)),
-                    Precision::F64 => WaveSolve::F64(svc.solve_prepared::<f64>(&group.prepared)),
-                    Precision::Refined => {
-                        WaveSolve::Refined(svc.solve_prepared_refined(&group.prepared))
-                    }
-                };
-                (idx, Some(solve))
-            })
-            .collect()
-    };
-    // route every outcome back to its wave slot by index, then fold in
-    // wave order so cache/donor state evolves exactly as a sequential
-    // drain would have left it
-    let mut solves: Vec<Option<WaveSolve>> = wave.iter().map(|_| None).collect();
-    for (idx, solve) in outcomes {
-        solves[idx] = solve;
-    }
-    for (group, solve) in wave.into_iter().zip(solves) {
-        finish_group(service, group, solve);
-    }
-}
-
-/// A request that survived the in-queue expiry checkpoint: its resolver,
-/// deadline, the intake stopwatch (still running — it times the ticket
-/// end-to-end) and the queue wait already credited to the ticket.
-struct LiveTicket {
-    resolver: KernelResolver,
+/// One request's ticket on the scheduler side: its resolver, deadline, the
+/// intake stopwatch (still running — it times the ticket end-to-end) and,
+/// once grouping admitted it, the queue wait credited to it.
+struct LiveTicket<T: Scalar> {
+    resolver: TicketResolver<KernelResult<T>>,
     deadline: Option<Instant>,
     intake: Stopwatch,
     queue_wait_ns: u64,
 }
 
-/// Finish one wave group on the owning thread: fold its solve (or replay
-/// its cache entry), then wake every coalesced ticket with the shared
-/// answer. Groups are precision-homogeneous — each arm resolves exactly
-/// its own resolver variant.
-fn finish_group<KV, KE, V, E>(
-    service: &mut GramService<KV, KE, V, E>,
-    group: ReadyGroup<V, E>,
-    solve: Option<WaveSolve>,
-) where
+/// The tickets of one drain that share a [`Slot`] and a carrier, in
+/// arrival order, with the pair as the first of them spelled it.
+struct RequestGroup<V, E, T: Scalar> {
+    /// Position of the group's first request in the drain.
+    arrival: usize,
+    left: Graph<V, E>,
+    right: Graph<V, E>,
+    tickets: Vec<LiveTicket<T>>,
+}
+
+/// A coalesced request group in a wave: prepared, carrying its surviving
+/// tickets, and what is known of its answer — the cache probe
+/// (`Option<CachedEntry>`) going into the wave's parallel region, the
+/// [`Answer`] coming out of it.
+struct ReadyGroup<V, E, T: Scalar, A> {
+    prepared: PreparedPair<V, E>,
+    precision: Precision,
+    tickets: Vec<LiveTicket<T>>,
+    answer: A,
+}
+
+/// Where a group's answer comes from: the pair cache, or its own solve
+/// (still to be folded).
+enum Answer<T: Scalar> {
+    Cached(CachedEntry),
+    Solved(RequestSolve<T>),
+}
+
+/// A cache-probed group waiting for its wave to solve, and one of either
+/// carrier.
+type Probed<V, E, T> = ReadyGroup<V, E, T, Option<CachedEntry>>;
+type Staged<V, E> = Carried<Probed<V, E, f32>, Probed<V, E, f64>>;
+
+/// The scheduler thread's state: the service it owns, the watch it
+/// publishes to, and the request wave it is assembling — the groups
+/// solving together next, and the normalized pair identities they claim.
+struct Worker<'p, KV, KE, V, E> {
+    service: GramService<KV, KE, V, E>,
+    publisher: &'p SnapshotPublisher,
+    wave: Vec<Staged<V, E>>,
+    wave_keys: HashSet<PairKey>,
+}
+
+impl<KV, KE, V, E> Worker<'_, KV, KE, V, E>
+where
     V: Clone + Send + Sync + ContentHash,
     E: Copy + Default + Send + Sync + ContentHash,
     KV: BaseKernel<V> + Clone + Send + Sync,
     KE: BaseKernel<E> + Clone + Send + Sync,
 {
-    let ReadyGroup { prepared, precision, cached, tickets } = group;
-    let latency = service.metrics().request_latency.clone();
-    match precision {
-        Precision::F32 => {
-            let result: Result<KernelResult<f32>, RequestError> = match cached {
-                // a value-only replay, upgraded with the pair's nodal
-                // vector when the side-cache still holds this orientation
-                // (f32 only: a narrowed vector must not answer a request
-                // that was promised f64 accuracy)
-                Some(entry) => {
-                    let mut replayed = replay_entry::<f32>(&entry, prepared.prepare_ns());
-                    replayed.nodal = service.cached_nodal(&prepared);
-                    Ok(replayed)
+    /// The thread body: receive, coalesce, flush, publish, repeat.
+    fn run(mut self, rx: Receiver<Command<V, E>>, capacity: usize) -> GramService<KV, KE, V, E> {
+        let metrics = self.service.metrics().clone();
+
+        // hand-off state: flush anything already pending, publish warm state —
+        // or, on a durable cold start, the triangle recovered from the store's
+        // newest snapshot (at the snapshot's own epoch, strictly below every
+        // epoch a future admitting flush will publish)
+        if self.service.num_pending() > 0 {
+            self.flush_and_publish();
+        } else if self.service.num_structures() > 0 {
+            self.publish();
+        } else if let Some((epoch, source)) = self.service.take_recovered_source() {
+            let _span = metrics.stage_publish.span();
+            self.publisher.publish(epoch, source);
+        }
+
+        loop {
+            let first = match rx.recv() {
+                Ok(cmd) => cmd,
+                // every client is gone: nothing more can arrive
+                Err(_) => break,
+            };
+            // coalesce whatever has queued up behind the first command into one
+            // batch — under load, many submissions amortize into one flush. The
+            // drain is capped at one channel's worth per batch: producers
+            // refilling the channel as fast as we drain it must not postpone
+            // the flush (and any barrier) indefinitely
+            let mut commands = vec![first];
+            while commands.len() <= capacity {
+                match rx.try_recv() {
+                    Ok(cmd) => commands.push(cmd),
+                    Err(_) => break,
                 }
-                None => match solve {
-                    Some(WaveSolve::F32(s)) => service
-                        .fold_request_solve(&prepared, s, Precision::F32)
-                        .map_err(RequestError::Solver),
-                    _ => unreachable!("wave solves are precision-matched to their group"),
-                },
-            };
-            fan_out(tickets, result, &latency, |resolver, answer| match resolver {
-                KernelResolver::F32(r) => r.resolve(answer),
-                _ => unreachable!("precision-homogeneous group"),
-            });
+            }
+            // the drained commands leave the queue now, taking the units their
+            // senders raised the gauge by with them
+            for command in &commands {
+                metrics.queue_depth.add(-command.queue_units());
+            }
+            // raised for the whole processing cycle; RAII so a solve panic
+            // unwinding through `run` cannot leave the gauge stuck at 1
+            let _busy = metrics.scheduler_busy.track();
+
+            let mut shutdown = false;
+            let mut barriers: Vec<mpsc::Sender<BarrierReply>> = Vec::new();
+            let mut requests: Vec<KernelRequest<V, E>> = Vec::new();
+            for command in commands {
+                match command {
+                    Command::Submit(g) => self.admit(g),
+                    Command::SubmitAll(gs) => {
+                        for g in gs {
+                            self.admit(g);
+                        }
+                    }
+                    Command::Barrier(reply) => barriers.push(reply),
+                    Command::Request(req) => requests.push(*req),
+                    Command::Shutdown => shutdown = true,
+                }
+            }
+
+            if self.service.num_pending() > 0 {
+                self.flush_and_publish();
+            }
+            // the request lane runs after the flush lane so requests in the
+            // same drain see the freshest cache (and before the barrier
+            // replies, so a barrier-then-wait consumer cannot outrun them)
+            self.serve_requests(requests);
+            // request-lane folds appended to the WAL without a flush boundary
+            // of their own: sync them before the drain cycle ends
+            self.service.persist_request_boundary();
+            for barrier in barriers {
+                // a client that gave up waiting is not an error
+                let _ = barrier.send(BarrierReply {
+                    epoch: self.service.version(),
+                    num_structures: self.service.num_structures(),
+                });
+            }
+            if shutdown {
+                // commands a racing producer enqueued *after* the shutdown are
+                // dropped with the receiver; everything before it was drained
+                // (requests among them resolve Closed as their resolvers drop)
+                break;
+            }
         }
-        Precision::F64 => {
-            let result: Result<KernelResult<f64>, RequestError> = match cached {
-                Some(entry) => Ok(replay_entry::<f64>(&entry, prepared.prepare_ns())),
-                None => match solve {
-                    Some(WaveSolve::F64(s)) => service
-                        .fold_request_solve(&prepared, s, Precision::F64)
-                        .map_err(RequestError::Solver),
-                    _ => unreachable!("wave solves are precision-matched to their group"),
-                },
-            };
-            fan_out(tickets, result, &latency, |resolver, answer| match resolver {
-                KernelResolver::F64(r) => r.resolve(answer),
-                _ => unreachable!("precision-homogeneous group"),
-            });
+        // graceful exit: capture a final snapshot so the next life replays a
+        // compact snapshot instead of the whole log tail
+        self.service.persist_final_snapshot();
+        self.service
+    }
+
+    /// The request lane: group the drained requests by pair identity,
+    /// precision and carrier, skip what cannot or need not run (cancelled,
+    /// expired, cache-answerable), and solve once per surviving group —
+    /// every ticket of a group is woken with the shared answer.
+    fn serve_requests(&mut self, requests: Vec<KernelRequest<V, E>>) {
+        if requests.is_empty() {
+            return;
         }
-        Precision::Refined => {
-            let result: Result<KernelResult<f64>, RequestError> = match cached {
-                Some(entry) => Ok(replay_entry::<f64>(&entry, prepared.prepare_ns())),
-                None => match solve {
-                    // the entry is tagged Refined, so it answers later f64
-                    // and refined requests for this pair
-                    Some(WaveSolve::Refined(s)) => service
-                        .fold_request_solve(&prepared, s, Precision::Refined)
-                        .map_err(RequestError::Solver),
-                    _ => unreachable!("wave solves are precision-matched to their group"),
-                },
-            };
-            fan_out(tickets, result, &latency, |resolver, answer| match resolver {
-                KernelResolver::Refined(r) => r.resolve(answer),
-                _ => unreachable!("precision-homogeneous group"),
-            });
+        // coalesce: one group per (pair identity, precision), keyed by the
+        // *raw* content identity so duplicates share the per-pair
+        // preprocessing (reordering) as well as the solve — preparation
+        // runs once per group, below, not once per ticket. The key is the
+        // ORDERED side pair, not the normalized PairKey: a solved request's
+        // nodal vector is laid out in the request's orientation (row-major
+        // n_left × n_right), so (A, B) and (B, A) must not share one solve
+        // result — the second orientation resolves from the symmetric
+        // cache entry the first one inserts (value only, no transposed
+        // vector)
+        let mut singles: HashMap<Slot, RequestGroup<V, E, f32>> = HashMap::new();
+        let mut doubles: HashMap<Slot, RequestGroup<V, E, f64>> = HashMap::new();
+        // a span, not a stopwatch: the content hashers grouping calls into
+        // can panic (tests rely on it), and the drain stage must stay
+        // balanced through that unwind
+        let drain_span = self.service.metrics().stage_drain.span();
+        for (arrival, req) in requests.into_iter().enumerate() {
+            let KernelRequest { left, right, precision, deadline, resolver, intake } = req;
+            let pair = (left, right);
+            match resolver {
+                KernelResolver::F32(resolver) => {
+                    let ticket = LiveTicket { resolver, deadline, intake, queue_wait_ns: 0 };
+                    self.coalesce(&mut singles, arrival, precision, pair, ticket);
+                }
+                KernelResolver::F64(resolver) => {
+                    let ticket = LiveTicket { resolver, deadline, intake, queue_wait_ns: 0 };
+                    self.coalesce(&mut doubles, arrival, precision, pair, ticket);
+                }
+            }
         }
+        drop(drain_span);
+        // both carriers' groups, back in the order their first requests
+        // arrived
+        let singles = singles.into_iter().map(|(slot, g)| (g.arrival, slot.1, Carried::F32(g)));
+        let doubles = doubles.into_iter().map(|(slot, g)| (g.arrival, slot.1, Carried::F64(g)));
+        let mut groups: Vec<_> = singles.chain(doubles).collect();
+        groups.sort_unstable_by_key(|&(arrival, ..)| arrival);
+
+        // waves: consecutive groups with *distinct* normalized pair
+        // identities fan their solves out across the worker pool together;
+        // a group whose identity is already claimed by the current wave
+        // closes it first, so same-key groups keep their sequential cache
+        // dependency (e.g. the mirrored orientation of a pair answers,
+        // value-only, from the cache entry its sibling's fold inserts)
+        for (_, precision, group) in groups {
+            match group {
+                Carried::F32(group) => self.stage(group, precision, Carried::F32),
+                Carried::F64(group) => self.stage(group, precision, Carried::F64),
+            }
+        }
+        self.solve_wave();
+    }
+
+    /// The in-queue checkpoint of one request: skip it if its ticket was
+    /// dropped or its deadline has passed, else attach it to its slot's
+    /// group, opening the group if it is the slot's first.
+    fn coalesce<T: Scalar>(
+        &mut self,
+        groups: &mut HashMap<Slot, RequestGroup<V, E, T>>,
+        arrival: usize,
+        precision: Precision,
+        (left, right): (Graph<V, E>, Graph<V, E>),
+        mut ticket: LiveTicket<T>,
+    ) {
+        if ticket.resolver.is_cancelled() {
+            // the ticket is gone; dropping the resolver is the whole skip
+            self.service.metrics().requests_cancelled.inc();
+            return;
+        }
+        if ticket.deadline.is_some_and(|d| Instant::now() >= d) {
+            self.service.metrics().requests_expired_in_queue.inc();
+            ticket.resolver.resolve(Err(RequestError::Expired));
+            return;
+        }
+        // the queue-wait stage ends here, where grouping admits the ticket
+        ticket.queue_wait_ns = ticket.intake.elapsed_ns();
+        self.service.metrics().stage_queue_wait.record(ticket.queue_wait_ns);
+        match groups.entry((self.service.raw_pair_sides(&left, &right), precision)) {
+            Entry::Occupied(mut group) => {
+                self.service.metrics().requests_coalesced.inc();
+                group.get_mut().tickets.push(ticket);
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(RequestGroup { arrival, left, right, tickets: vec![ticket] });
+            }
+        }
+    }
+
+    /// Admit one group to the current wave: drop its stale tickets, prepare
+    /// its pair, close the wave first if it already holds the pair's
+    /// identity, probe the cache. `carried` wraps the typed group into its
+    /// wave slot.
+    fn stage<T: Scalar>(
+        &mut self,
+        group: RequestGroup<V, E, T>,
+        precision: Precision,
+        carried: fn(Probed<V, E, T>) -> Staged<V, E>,
+    ) {
+        // cancellations and deadlines may have landed while earlier groups
+        // solved; re-check so no solve starts for a fully stale group
+        let mut live: Vec<LiveTicket<T>> = Vec::new();
+        for ticket in group.tickets {
+            if ticket.resolver.is_cancelled() {
+                self.service.metrics().requests_cancelled.inc();
+            } else if ticket.deadline.is_some_and(|d| Instant::now() >= d) {
+                self.service.metrics().requests_expired_pre_solve.inc();
+                ticket.resolver.resolve(Err(RequestError::Expired));
+            } else {
+                live.push(ticket);
+            }
+        }
+        if live.is_empty() {
+            return;
+        }
+        // one preparation per group, shared by every coalesced ticket;
+        // runs on the owning thread — it may mutate the reorder cache
+        let prepared = self.service.prepare_pair(&group.left, &group.right);
+        if !self.wave_keys.insert(prepared.key()) {
+            self.solve_wave();
+            self.wave_keys.insert(prepared.key());
+        }
+        // the cache probe also stays on the owning thread (it touches
+        // recency), before this group enters the parallel fan-out
+        let answer = self.service.cached_answer(prepared.key(), precision);
+        self.wave.push(carried(ReadyGroup { prepared, precision, tickets: live, answer }));
+    }
+
+    /// Solve the current wave and start the next: the pure solves of all
+    /// cache-missed groups fan out across the worker pool in parallel (the
+    /// service is borrowed shared, so cache, donors and reorder state are
+    /// untouchable there), each solve travelling with its group; then the
+    /// folds and ticket fan-outs run sequentially in wave order on the
+    /// owning thread — the single-writer half — so cache/donor state
+    /// evolves exactly as a sequential drain would have left it.
+    fn solve_wave(&mut self) {
+        self.wave_keys.clear();
+        let service = &self.service;
+        let solved: Vec<Carried<_, _>> = std::mem::take(&mut self.wave)
+            .into_par_iter()
+            .map(|group| match group {
+                Carried::F32(group) => Carried::F32(Self::solve(service, group)),
+                Carried::F64(group) => Carried::F64(Self::solve(service, group)),
+            })
+            .collect();
+        for group in solved {
+            match group {
+                Carried::F32(group) => self.finish(group),
+                Carried::F64(group) => self.finish(group),
+            }
+        }
+    }
+
+    /// The parallel half of one wave group: solve it at its precision,
+    /// unless the cache already answered.
+    fn solve<T: Scalar>(
+        service: &GramService<KV, KE, V, E>,
+        group: Probed<V, E, T>,
+    ) -> ReadyGroup<V, E, T, Answer<T>> {
+        let ReadyGroup { prepared, precision, tickets, answer } = group;
+        let answer = match answer {
+            Some(entry) => Answer::Cached(entry),
+            None => Answer::Solved(service.solve_pair(&prepared, precision)),
+        };
+        ReadyGroup { prepared, precision, tickets, answer }
+    }
+
+    /// The single-writer half of one wave group: replay its cache entry or
+    /// fold its solve, then wake every coalesced ticket with the shared
+    /// answer.
+    fn finish<T: Scalar>(&mut self, group: ReadyGroup<V, E, T, Answer<T>>) {
+        let ReadyGroup { prepared, precision, tickets, answer } = group;
+        let result = match answer {
+            Answer::Cached(entry) => {
+                let mut replayed = replay_entry::<T>(&entry, prepared.prepare_ns());
+                // a value-only replay, upgraded with the pair's nodal
+                // vector when the side-cache still holds this orientation —
+                // for f32 requests only: a narrowed vector must not answer
+                // a request that was promised f64 accuracy
+                if precision == Precision::F32 {
+                    replayed.nodal = self
+                        .service
+                        .cached_nodal(&prepared)
+                        .map(|nodal| nodal.into_iter().map(T::from_f32).collect());
+                }
+                Ok(replayed)
+            }
+            // the entry is tagged with the precision the solve ran at, so a
+            // refined one answers later f64 and refined requests too
+            Answer::Solved(solved) => self
+                .service
+                .fold_request_solve(&prepared, solved, precision)
+                .map_err(RequestError::Solver),
+        };
+        fan_out(tickets, result, &self.service.metrics().request_latency);
+    }
+
+    /// Queue one structure into the service, flushing mid-batch if the
+    /// service's own pending bound fills up first.
+    fn admit(&mut self, g: Graph<V, E>) {
+        if self.service.num_pending() >= self.service.config().max_pending {
+            // the service queue is smaller than the coalesced batch: flush what
+            // is pending (publishing the intermediate epoch) so the submission
+            // below cannot hit backpressure
+            self.flush_and_publish();
+        }
+        match self.service.submit(g) {
+            Ok(_) => {}
+            Err(GramServiceError::Backpressure { .. }) => {
+                debug_assert!(false, "queue was flushed; backpressure is impossible here");
+            }
+            // the client already rejects empty structures; dropping a stray one
+            // mirrors GramService::submit_all
+            Err(GramServiceError::EmptyStructure) => {}
+        }
+    }
+
+    /// Flush the service and publish the fresh snapshot under its new version.
+    fn flush_and_publish(&mut self) {
+        // an epoch nobody observed still shares the service's triangle: drop
+        // that share first so the flush below appends in place instead of
+        // paying a copy-on-write clone for a snapshot nobody will ever build
+        self.publisher.retire_unobserved();
+        self.service.flush();
+        self.publish();
+    }
+
+    /// Publish the service's current snapshot *source* at its current version.
+    ///
+    /// Publication is lazy: only the raw triangle is captured here. The dense
+    /// O(n²) snapshot is materialized by the watch on the first
+    /// `wait_newer`/`latest` that observes the epoch, so flushes nobody
+    /// watches never build a matrix (see `SnapshotWatch::snapshot_builds`).
+    fn publish(&mut self) {
+        let _span = self.service.metrics().stage_publish.span();
+        self.publisher.publish(self.service.version(), self.service.snapshot_source());
     }
 }
 
 /// A cache entry replayed as a typed answer: the stored full-precision
-/// value with the group's preparation cost stamped on (preparation ran
-/// even though the solve was skipped).
+/// value, no nodal vector (the cache keeps values, not megabyte vectors),
+/// no fresh traffic, and the group's preparation cost stamped on
+/// (preparation ran even though the solve was skipped).
 fn replay_entry<T: Scalar>(entry: &CachedEntry, prepare_ns: u64) -> KernelResult<T> {
-    let mut replayed = result_from_entry::<T>(entry);
-    replayed.stages.prepare_ns = prepare_ns;
-    replayed
-}
-
-/// Wake every ticket of a group with one shared answer: clones for all
-/// but the last, which takes the answer by move. Each ticket's copy is
-/// stamped with that ticket's own queue wait (coalesced tickets share the
-/// solve, not the wait), and its end-to-end latency is recorded at the
-/// moment of resolution.
-fn fan_out<T: Scalar>(
-    tickets: Vec<LiveTicket>,
-    answer: Result<KernelResult<T>, RequestError>,
-    latency: &Histogram,
-    resolve: impl Fn(KernelResolver, Result<KernelResult<T>, RequestError>),
-) {
-    let total = tickets.len();
-    let mut answer = Some(answer);
-    for (k, ticket) in tickets.into_iter().enumerate() {
-        let mut shared = if k + 1 == total {
-            answer.take().expect("the answer is moved exactly once, into the last ticket")
-        } else {
-            answer.clone().expect("the answer is only taken by the last ticket")
-        };
-        if let Ok(result) = &mut shared {
-            result.stages.queue_wait_ns = ticket.queue_wait_ns;
-        }
-        latency.record(ticket.intake.elapsed_ns());
-        resolve(ticket.resolver, shared);
-    }
-}
-
-/// A cache entry replayed as a typed result: the stored full-precision
-/// value, no nodal vector (the cache keeps values, not megabyte vectors)
-/// and no fresh traffic.
-fn result_from_entry<T: Scalar>(entry: &CachedEntry) -> KernelResult<T> {
     KernelResult {
         value: T::from_f64(entry.value_f64),
         value_f64: entry.value_f64,
@@ -981,72 +994,32 @@ fn result_from_entry<T: Scalar>(entry: &CachedEntry) -> KernelResult<T> {
         relative_residual: entry.relative_residual,
         traffic: TrafficCounters::new(),
         nodal: None,
-        stages: StageBreakdown::default(),
+        stages: StageBreakdown { prepare_ns, ..StageBreakdown::default() },
     }
 }
 
-/// Queue one structure into the service, flushing mid-batch if the
-/// service's own pending bound fills up first.
-fn admit<KV, KE, V, E>(
-    service: &mut GramService<KV, KE, V, E>,
-    publisher: &SnapshotPublisher,
-    g: Graph<V, E>,
-) where
-    V: Clone + Send + Sync + ContentHash,
-    E: Copy + Default + Send + Sync + ContentHash,
-    KV: BaseKernel<V> + Clone + Send + Sync,
-    KE: BaseKernel<E> + Clone + Send + Sync,
-{
-    if service.num_pending() >= service.config().max_pending {
-        // the service queue is smaller than the coalesced batch: flush what
-        // is pending (publishing the intermediate epoch) so the submission
-        // below cannot hit backpressure
-        flush_and_publish(service, publisher);
-    }
-    match service.submit(g) {
-        Ok(_) => {}
-        Err(GramServiceError::Backpressure { .. }) => {
-            debug_assert!(false, "queue was flushed; backpressure is impossible here");
+/// Wake every ticket of a group with one shared answer: clones for all
+/// but the last, which takes the answer by move. Each ticket's copy is
+/// stamped with that ticket's own queue wait (coalesced tickets share the
+/// solve, not the wait), and its end-to-end latency is recorded at the
+/// moment of resolution.
+fn fan_out<T: Scalar>(
+    mut tickets: Vec<LiveTicket<T>>,
+    answer: Result<KernelResult<T>, RequestError>,
+    latency: &Histogram,
+) {
+    let wake = |ticket: LiveTicket<T>, mut shared: Result<KernelResult<T>, RequestError>| {
+        if let Ok(result) = &mut shared {
+            result.stages.queue_wait_ns = ticket.queue_wait_ns;
         }
-        // the client already rejects empty structures; dropping a stray one
-        // mirrors GramService::submit_all
-        Err(GramServiceError::EmptyStructure) => {}
+        latency.record(ticket.intake.elapsed_ns());
+        ticket.resolver.resolve(shared);
+    };
+    let Some(last) = tickets.pop() else { return };
+    for ticket in tickets {
+        wake(ticket, answer.clone());
     }
-}
-
-/// Flush the service and publish the fresh snapshot under its new version.
-fn flush_and_publish<KV, KE, V, E>(
-    service: &mut GramService<KV, KE, V, E>,
-    publisher: &SnapshotPublisher,
-) where
-    V: Clone + Send + Sync + ContentHash,
-    E: Copy + Default + Send + Sync + ContentHash,
-    KV: BaseKernel<V> + Clone + Send + Sync,
-    KE: BaseKernel<E> + Clone + Send + Sync,
-{
-    // an epoch nobody observed still shares the service's triangle: drop
-    // that share first so the flush below appends in place instead of
-    // paying a copy-on-write clone for a snapshot nobody will ever build
-    publisher.retire_unobserved();
-    service.flush();
-    publish(service, publisher);
-}
-
-/// Publish the service's current snapshot *source* at its current version.
-///
-/// Publication is lazy: only the raw triangle is captured here. The dense
-/// O(n²) snapshot is materialized by the watch on the first
-/// `wait_newer`/`latest` that observes the epoch, so flushes nobody
-/// watches never build a matrix (see `SnapshotWatch::snapshot_builds`).
-fn publish<KV, KE, V, E>(service: &mut GramService<KV, KE, V, E>, publisher: &SnapshotPublisher)
-where
-    V: Clone + Send + Sync + ContentHash,
-    E: Copy + Default + Send + Sync + ContentHash,
-    KV: BaseKernel<V> + Clone + Send + Sync,
-    KE: BaseKernel<E> + Clone + Send + Sync,
-{
-    let _span = service.metrics().stage_publish.span();
-    publisher.publish(service.version(), service.snapshot_source());
+    wake(last, answer);
 }
 
 #[cfg(test)]
@@ -1356,6 +1329,58 @@ mod tests {
     }
 
     #[test]
+    fn mixed_precisions_for_one_pair_group_apart_and_share_the_cache() {
+        let gate = REQUEST_GATE.lock().unwrap();
+        let svc = service(GramServiceConfig::default()).with_content_hasher(request_gated_hash);
+        let scheduler = GramScheduler::spawn(svc, SchedulerConfig::default());
+        let producers = scheduler.client();
+        let single = scheduler.kernel_client::<f32>();
+        let double = scheduler.kernel_client::<f64>();
+        let refined = scheduler.kernel_client::<f64>().refined();
+        let graphs = dataset(4, 173);
+        let (a, b, c) = (&graphs[0], &graphs[1], &graphs[2]);
+        let solver = MarginalizedKernelSolver::unlabeled(SolverConfig::default());
+        let direct_ab = solver.kernel_at::<f64, _, _>(a, b).unwrap().value;
+        let direct_ac = solver.kernel_at::<f64, _, _>(a, c).unwrap().value;
+        let close = |got: f64, want: f64| (got - want).abs() <= 1e-5 * want.abs();
+
+        // park the scheduler inside a gated flush, so all five requests
+        // land in one drain: four groups, in this order
+        producers.submit(graphs[3].clone()).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        let ab_f32: Vec<_> =
+            (0..2).map(|_| single.request(a.clone(), b.clone()).unwrap()).collect();
+        let ab_f64 = double.request(a.clone(), b.clone()).unwrap();
+        let ab_refined = refined.request(a.clone(), b.clone()).unwrap();
+        let ac_f64 = double.request(a.clone(), c.clone()).unwrap();
+        drop(gate);
+
+        // every ticket resolves at its own carrier type
+        let served: Vec<KernelResult<f32>> = ab_f32.iter().map(|t| t.wait().unwrap()).collect();
+        assert_eq!(served[0].value, served[1].value, "the two f32 tickets share one solve");
+        assert!(close(served[0].value as f64, direct_ab));
+        let exact: KernelResult<f64> = ab_f64.wait().unwrap();
+        assert!(close(exact.value, direct_ab), "f64 {} vs direct {direct_ab}", exact.value);
+        assert!(exact.nodal.is_some(), "the f64 group ran its own solve");
+        // the refined group closed the f64 group's wave and found its
+        // upgraded entry: the f64 group's value, replayed without a vector
+        let replayed: KernelResult<f64> = ab_refined.wait().unwrap();
+        assert_eq!(replayed.value, exact.value);
+        assert!(replayed.nodal.is_none());
+        let other: KernelResult<f64> = ac_f64.wait().unwrap();
+        assert!(close(other.value, direct_ac), "f64 {} vs direct {direct_ac}", other.value);
+
+        // a late f32 request accepts the f64 entry too
+        let late = single.request(a.clone(), b.clone()).unwrap().wait().unwrap();
+        assert_eq!(late.value, exact.value as f32);
+
+        let svc = scheduler.join();
+        assert_eq!(svc.stats().requests_coalesced, 1, "precisions never coalesce with each other");
+        assert_eq!(svc.stats().request_solves, 3, "(A,B) f32, (A,B) f64, (A,C) f64");
+        assert_eq!(svc.stats().request_cache_answers, 2, "the refined group and the late f32");
+    }
+
+    #[test]
     fn opposite_orientations_never_share_a_transposed_nodal_vector() {
         let gate = REQUEST_GATE.lock().unwrap();
         let svc = service(GramServiceConfig::default()).with_content_hasher(request_gated_hash);
@@ -1396,6 +1421,33 @@ mod tests {
         // replay probed it and missed
         assert_eq!(svc.stats().nodal_hits, 0);
         assert_eq!(svc.stats().nodal_misses, 1);
+    }
+
+    #[test]
+    fn an_unrepresentable_deadline_is_no_deadline() {
+        let scheduler = spawn_default();
+        let kernels = scheduler.kernel_client::<f32>();
+        let graphs = dataset(2, 179);
+        // `Instant::now() + Duration::MAX` overflows; the request must be
+        // accepted and served, not panic the producer
+        let ticket = kernels
+            .request_within(graphs[0].clone(), graphs[1].clone(), std::time::Duration::MAX)
+            .unwrap();
+        assert!(ticket.wait().is_ok());
+        let svc = scheduler.join();
+        assert_eq!(svc.stats().requests_expired, 0);
+    }
+
+    #[test]
+    fn a_one_lane_client_routes_to_zero_without_hashing() {
+        let panicking: fn(&Graph) -> u64 = |_| panic!("a one-lane client must not hash");
+        let svc = service(GramServiceConfig::default()).with_content_hasher(panicking);
+        let scheduler = GramScheduler::spawn(svc, SchedulerConfig::default());
+        let kernels = scheduler.kernel_client::<f32>();
+        let graphs = dataset(2, 181);
+        assert_eq!(kernels.shard_of(&graphs[0], &graphs[1]), 0);
+        assert_eq!(kernels.shard_of(&graphs[1], &graphs[0]), 0);
+        scheduler.join();
     }
 
     #[test]

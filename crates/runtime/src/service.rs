@@ -831,21 +831,25 @@ where
         // sees the same candidates
         let solve_span = self.metrics.stage_solve.span();
         let precision = self.solver.config().precision;
-        let results: Vec<(usize, usize, RequestSolve<f32>)> = batch
-            .par_iter()
-            .map(|&(i, j)| (i, j, self.solve_pair(&self.members[i], &self.members[j], precision)))
+        let pairs: Vec<PreparedPair<V, E>> = batch
+            .iter()
+            .map(|&(i, j)| PreparedPair {
+                left: Arc::clone(&self.members[i]),
+                right: Arc::clone(&self.members[j]),
+                prepare_ns: 0,
+            })
             .collect();
+        let results: Vec<RequestSolve<f32>> =
+            pairs.par_iter().map(|pair| self.solve_pair(pair, precision)).collect();
         drop(solve_span);
 
         let _fold_span = self.metrics.stage_fold.span();
-        for (i, j, solved) in results {
+        for ((&(i, j), pair), solved) in batch.iter().zip(&pairs).zip(results) {
             self.metrics.jobs_executed.inc();
             match solved.result {
                 Ok(r) => {
                     Arc::make_mut(&mut self.values)[tri_index(i, j)] = r.value;
-                    let (left, right) =
-                        (Arc::clone(&self.members[i]), Arc::clone(&self.members[j]));
-                    self.write_back(&left, &right, &r, precision, solved.warmed);
+                    self.write_back(pair, &r, precision, solved.warmed);
                 }
                 Err(_) => {
                     // leave the entry NaN and do not cache: a retry after
@@ -856,14 +860,19 @@ where
         }
     }
 
-    /// Warm-started solve of one prepared pair: the pure half both lanes
-    /// share. Reads the donor pool, writes nothing.
-    fn solve_pair<T: Scalar>(
+    /// Warm-started solve of one prepared pair at `precision`, carried at
+    /// `T`: the *pure* half of every solve, on both lanes and at every
+    /// precision — the one place the service calls its solver. Reads the
+    /// donor pool, writes nothing (`&self`), so the flush lane's batches and
+    /// the scheduler's request waves fan it out across the worker pool; the
+    /// single-writer half is [`fold_request_solve`](Self::fold_request_solve)
+    /// (the flush lane folds in `run_batch`).
+    pub fn solve_pair<T: Scalar>(
         &self,
-        left: &PreparedStructure<V, E>,
-        right: &PreparedStructure<V, E>,
+        pair: &PreparedPair<V, E>,
         precision: Precision,
     ) -> RequestSolve<T> {
+        let (left, right) = (&pair.left, &pair.right);
         let candidates: Vec<&[f32]> = if self.config.warm_start {
             self.donors.candidates(&left.donor_key(right)).collect()
         } else {
@@ -881,12 +890,12 @@ where
     /// cache entry is stored under.
     fn write_back<T: Scalar>(
         &mut self,
-        left: &PreparedStructure<V, E>,
-        right: &PreparedStructure<V, E>,
+        pair: &PreparedPair<V, E>,
         r: &KernelResult<T>,
         precision: Precision,
         warmed: bool,
     ) {
+        let (left, right) = (&pair.left, &pair.right);
         self.metrics.total_iterations.add(r.iterations as u64);
         if warmed {
             self.metrics.warm_started.inc();
@@ -1020,55 +1029,32 @@ where
         self.fold_request_solve(pair, solved, T::PRECISION)
     }
 
-    /// The *pure* half of a request solve: read warm-start candidates from
-    /// the donor pool, run the solver at `T`, and report the raw outcome
-    /// without touching the pair cache or the donors. Takes `&self`, so the
-    /// scheduler's drain loop can fan distinct groups out across the worker
-    /// pool concurrently (the stage histogram it records into is atomic);
-    /// the single-writer fold stays on the owning thread in
-    /// [`fold_request_solve`](Self::fold_request_solve).
+    /// [`solve_pair`](Self::solve_pair) at the precision of the carrier:
+    /// `solve_prepared::<f32>` is the serving solve, `solve_prepared::<f64>`
+    /// the oracle's.
     pub fn solve_prepared<T: Scalar>(&self, pair: &PreparedPair<V, E>) -> RequestSolve<T> {
-        self.solve_request_lane(pair, T::PRECISION)
+        self.solve_pair(pair, T::PRECISION)
     }
 
-    /// [`solve_prepared`](Self::solve_prepared) on the mixed-precision
-    /// refinement path: f32 inner PCG sweeps with f64 residual
-    /// corrections, the f64-quality result un-narrowed. Serves
-    /// [`Precision::Refined`] request groups; fold the outcome with
-    /// `Precision::Refined` so the cache entry answers later f64 (and
-    /// refined) requests.
-    pub fn solve_prepared_refined(&self, pair: &PreparedPair<V, E>) -> RequestSolve<f64> {
-        self.solve_request_lane(pair, Precision::Refined)
-    }
-
-    fn solve_request_lane<T: Scalar>(
-        &self,
-        pair: &PreparedPair<V, E>,
-        precision: Precision,
-    ) -> RequestSolve<T> {
-        let solved = self.solve_pair(&pair.left, &pair.right, precision);
-        self.metrics.stage_solve.record(solved.solve_ns);
-        solved
-    }
-
-    /// The *stateful* half of a request solve: account the outcome and
-    /// fold a success into the pair cache and the donor pool. Must run on
-    /// the thread that owns the service (the scheduler thread) — cache,
-    /// donors and their recency bookkeeping are single-writer. `precision`
-    /// is the tag the cache entry is stored under; pass
-    /// [`Precision::Refined`] for refined solves so the entry's f64-quality
-    /// value is recorded as such.
+    /// The *stateful* half of a request solve: account the outcome (its
+    /// solve-stage duration included) and fold a success into the pair
+    /// cache and the donor pool. Must run on the thread that owns the
+    /// service (the scheduler thread) — cache, donors and their recency
+    /// bookkeeping are single-writer. `precision` is the one the solve ran
+    /// at, the tag the cache entry is stored under: a
+    /// [`Precision::Refined`] entry answers later f64 and refined requests.
     pub fn fold_request_solve<T: Scalar>(
         &mut self,
         pair: &PreparedPair<V, E>,
         solved: RequestSolve<T>,
         precision: Precision,
     ) -> Result<KernelResult<T>, SolverError> {
+        self.metrics.stage_solve.record(solved.solve_ns);
         match solved.result {
             Ok(mut r) => {
                 self.metrics.request_solves.inc();
                 let fold_watch = Stopwatch::start();
-                self.write_back(&pair.left, &pair.right, &r, precision, solved.warmed);
+                self.write_back(pair, &r, precision, solved.warmed);
                 let fold_ns = fold_watch.elapsed_ns();
                 self.metrics.stage_fold.record(fold_ns);
                 r.stages.prepare_ns = pair.prepare_ns;
@@ -1089,29 +1075,6 @@ where
     /// across restarts).
     pub fn content_hasher(&self) -> fn(&Graph<V, E>) -> u64 {
         self.hasher
-    }
-
-    /// Record request-lane outcomes decided by the scheduler (coalesced,
-    /// expired and cancelled tickets never reach a service solve, but they
-    /// belong in the same stats block).
-    pub(crate) fn note_requests_coalesced(&mut self, n: usize) {
-        self.metrics.requests_coalesced.add(n as u64);
-    }
-
-    /// A ticket whose deadline had already passed at drain: it died
-    /// waiting in the command queue.
-    pub(crate) fn note_request_expired_in_queue(&mut self) {
-        self.metrics.requests_expired_in_queue.inc();
-    }
-
-    /// A ticket alive at drain that expired before its group's solve
-    /// started (earlier groups of the same drain were solving).
-    pub(crate) fn note_request_expired_pre_solve(&mut self) {
-        self.metrics.requests_expired_pre_solve.inc();
-    }
-
-    pub(crate) fn note_request_cancelled(&mut self) {
-        self.metrics.requests_cancelled.inc();
     }
 
     /// Attach a durability plane: open (or create) the store at
@@ -1357,10 +1320,9 @@ where
 }
 
 /// The raw outcome of the pure half of a solve
-/// ([`GramService::solve_prepared`] on the request lane; the flush lane's
-/// batch jobs produce the same), before its stateful fold
-/// ([`GramService::fold_request_solve`]). Opaque by design: worker threads
-/// produce it, the owning scheduler thread consumes it.
+/// ([`GramService::solve_pair`]), before its stateful fold
+/// ([`GramService::fold_request_solve`] on the request lane). Opaque by
+/// design: worker threads produce it, the owning thread consumes it.
 #[derive(Debug)]
 pub struct RequestSolve<T: Scalar> {
     result: Result<KernelResult<T>, SolverError>,

@@ -12,31 +12,8 @@
 //! but the harness honors `sample_size` / `measurement_time` and reports
 //! throughput, which is enough to compare the workspace's implementations
 //! against each other on one machine.
-//!
-//! Unlike upstream criterion (which persists history under `target/`),
-//! every completed measurement is also pushed to an in-process registry;
-//! [`take_records`] drains it, so a runner can execute a suite and write a
-//! machine-readable baseline (see `mgk-bench`'s `bench_baseline` binary).
 
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// One completed benchmark measurement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchRecord {
-    /// Fully qualified id, `group/benchmark`.
-    pub id: String,
-    /// Median wall-clock time per iteration, in nanoseconds.
-    pub median_ns: u128,
-}
-
-/// Registry of every measurement completed in this process.
-static RECORDS: Mutex<Vec<BenchRecord>> = Mutex::new(Vec::new());
-
-/// Drain and return every measurement recorded so far, in completion order.
-pub fn take_records() -> Vec<BenchRecord> {
-    std::mem::take(&mut *RECORDS.lock().unwrap())
-}
 
 /// Opaque value barrier preventing the optimizer from deleting a benchmark
 /// body.
@@ -202,10 +179,6 @@ impl BenchmarkGroup<'_> {
             _ => String::new(),
         };
         println!("{}/{id}: median {median:?}{rate}", self.name);
-        RECORDS
-            .lock()
-            .unwrap()
-            .push(BenchRecord { id: format!("{}/{id}", self.name), median_ns: median.as_nanos() });
         let _ = &self.parent;
         self
     }
@@ -295,23 +268,5 @@ mod tests {
     fn benchmark_id_formats() {
         assert_eq!(BenchmarkId::new("a", 3).to_string(), "a/3");
         assert_eq!(BenchmarkId::from_parameter("x").to_string(), "x");
-    }
-
-    #[test]
-    fn measurements_land_in_the_registry() {
-        let mut c = Criterion::default();
-        {
-            let mut g = c.benchmark_group("registry");
-            g.sample_size(2)
-                .measurement_time(Duration::from_millis(5))
-                .warm_up_time(Duration::from_millis(1));
-            g.bench_function("noop", |b| b.iter(|| black_box(1u32 + 1)));
-            g.finish();
-        }
-        let records = take_records();
-        assert!(records.iter().any(|r| r.id == "registry/noop"));
-        // drained: a second take starts empty (barring races with other
-        // tests in this process, which use distinct group names)
-        assert!(take_records().iter().all(|r| r.id != "registry/noop"));
     }
 }

@@ -4,6 +4,7 @@
 //! crate implements the subset of the rayon API the `mgk` workspace uses:
 //!
 //! * `slice.par_iter().map(f).collect::<Vec<_>>()`
+//! * `vec.into_par_iter().map(f).collect::<Vec<_>>()`
 //! * `slice.par_chunks(n).flat_map_iter(f).collect::<Vec<_>>()`
 //! * [`current_num_threads`], [`ThreadPoolBuilder`] / [`ThreadPool::install`]
 //!
@@ -15,20 +16,16 @@
 //! rayon's work stealing), so a skewed workload does not straggle on one
 //! thread. Results are returned in input order regardless of completion
 //! order.
-//!
-//! The previous scoped-thread execution strategy is kept as
-//! [`scoped::map_scoped`] so benchmarks can measure what the persistent
-//! pool saves.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 pub mod pool;
-pub mod scoped;
 
 pub mod prelude {
     //! Glob-import surface mirroring `rayon::prelude`.
-    pub use crate::{IntoParallelRefIterator, ParallelSlice};
+    pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParallelSlice};
 }
 
 /// Thread-count override installed by [`ThreadPool::install`]; 0 = default.
@@ -57,24 +54,14 @@ unsafe impl<R: Send> Sync for Slot<R> {}
 /// Run `f(item)` for every item of `items` on the global persistent pool,
 /// handing out items dynamically, and return the results in input order.
 fn dynamic_map<'a, T: Sync, R: Send>(items: &'a [T], f: impl Fn(&'a T) -> R + Sync) -> Vec<R> {
-    dynamic_map_indexed(items, |_, item| f(item))
-}
-
-/// [`dynamic_map`] with the item's index handed to `f` — the engine behind
-/// [`ParEnumerate`], where callers key per-item work (or route results
-/// back) by position.
-fn dynamic_map_indexed<'a, T: Sync, R: Send>(
-    items: &'a [T],
-    f: impl Fn(usize, &'a T) -> R + Sync,
-) -> Vec<R> {
     let n = items.len();
     let threads = current_num_threads().min(n.max(1));
     if threads <= 1 || n <= 1 {
-        return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
+        return items.iter().map(f).collect();
     }
     let slots: Vec<Slot<R>> = (0..n).map(|_| Slot(UnsafeCell::new(None))).collect();
     pool::Pool::global().run_indexed(n, threads, &|i| {
-        let value = f(i, &items[i]);
+        let value = f(&items[i]);
         // SAFETY: index i is claimed exactly once, so this is the only
         // writer of slots[i], and no reader exists until the region ends.
         unsafe { *slots[i].0.get() = Some(value) };
@@ -122,52 +109,6 @@ impl<'a, T: Sync> ParIter<'a, T> {
     {
         ParMap { items: self.items, f }
     }
-
-    /// Pair every element with its index, mirroring
-    /// `IndexedParallelIterator::enumerate`: the subsequent
-    /// [`map`](ParEnumerate::map) closure receives `(usize, &T)`, so
-    /// fan-outs can key per-item work (or route results back to their
-    /// originating slot) by position.
-    pub fn enumerate(self) -> ParEnumerate<'a, T> {
-        ParEnumerate { items: self.items }
-    }
-}
-
-/// Result of [`ParIter::enumerate`]: a parallel iterator over
-/// `(index, &item)` pairs.
-pub struct ParEnumerate<'a, T> {
-    items: &'a [T],
-}
-
-impl<'a, T: Sync> ParEnumerate<'a, T> {
-    /// Map every `(index, &item)` pair through `f` in parallel.
-    pub fn map<R, F>(self, f: F) -> ParEnumerateMap<'a, T, F>
-    where
-        F: Fn((usize, &'a T)) -> R + Sync,
-        R: Send,
-    {
-        ParEnumerateMap { items: self.items, f }
-    }
-}
-
-/// Result of [`ParEnumerate::map`]; evaluated by
-/// [`ParEnumerateMap::collect`].
-pub struct ParEnumerateMap<'a, T, F> {
-    items: &'a [T],
-    f: F,
-}
-
-impl<'a, T: Sync, F> ParEnumerateMap<'a, T, F> {
-    /// Execute the parallel indexed map and collect the results in input
-    /// order.
-    pub fn collect<C, R>(self) -> C
-    where
-        F: Fn((usize, &'a T)) -> R + Sync,
-        R: Send,
-        C: From<Vec<R>>,
-    {
-        C::from(dynamic_map_indexed(self.items, |i, item| (self.f)((i, item))))
-    }
 }
 
 /// Result of [`ParIter::map`]; evaluated by [`ParMap::collect`].
@@ -185,6 +126,66 @@ impl<'a, T: Sync, F> ParMap<'a, T, F> {
         C: From<Vec<R>>,
     {
         C::from(dynamic_map(self.items, &self.f))
+    }
+}
+
+/// `.into_par_iter()` on `Vec`s: the items move into the parallel region.
+pub trait IntoParallelIterator {
+    /// Item yielded by the parallel iterator.
+    type Item: Send;
+
+    /// A parallel iterator over the owned items.
+    fn into_par_iter(self) -> IntoParIter<Self::Item>;
+}
+
+impl<T: Send> IntoParallelIterator for Vec<T> {
+    type Item = T;
+    fn into_par_iter(self) -> IntoParIter<T> {
+        IntoParIter { items: self }
+    }
+}
+
+/// Owning parallel iterator over a `Vec`.
+pub struct IntoParIter<T> {
+    items: Vec<T>,
+}
+
+impl<T: Send> IntoParIter<T> {
+    /// Map every element through `f` in parallel; `f` receives it by value.
+    pub fn map<R, F>(self, f: F) -> IntoParMap<T, F>
+    where
+        F: Fn(T) -> R + Sync,
+        R: Send,
+    {
+        IntoParMap { items: self.items, f }
+    }
+}
+
+/// Result of [`IntoParIter::map`]; evaluated by [`IntoParMap::collect`].
+pub struct IntoParMap<T, F> {
+    items: Vec<T>,
+    f: F,
+}
+
+impl<T: Send, F> IntoParMap<T, F> {
+    /// Execute the parallel map and collect the results in input order.
+    pub fn collect<C, R>(self) -> C
+    where
+        F: Fn(T) -> R + Sync,
+        R: Send,
+        C: From<Vec<R>>,
+    {
+        if self.items.len() <= 1 || current_num_threads() <= 1 {
+            return C::from(self.items.into_iter().map(self.f).collect());
+        }
+        // each item waits in its own cell for whichever thread claims its
+        // index; the locks are never contended
+        let cells: Vec<Mutex<Option<T>>> =
+            self.items.into_iter().map(|item| Mutex::new(Some(item))).collect();
+        C::from(dynamic_map(&cells, |cell| {
+            let item = cell.lock().ok().and_then(|mut held| held.take());
+            (self.f)(item.expect("every index is claimed exactly once"))
+        }))
     }
 }
 
@@ -318,21 +319,22 @@ mod tests {
     }
 
     #[test]
-    fn par_enumerate_pairs_every_item_with_its_index() {
-        let v: Vec<u64> = (100..612).collect();
-        let out: Vec<(usize, u64)> = v.par_iter().enumerate().map(|(i, &x)| (i, x + 1)).collect();
-        assert_eq!(out.len(), v.len());
-        for (i, (idx, value)) in out.iter().enumerate() {
-            assert_eq!(*idx, i, "indices arrive in input order");
-            assert_eq!(*value, v[i] + 1);
-        }
-        // the degenerate sizes take the serial fast path; same contract
-        let one: Vec<u8> = vec![7];
-        let out: Vec<(usize, u8)> = one.par_iter().enumerate().map(|(i, &x)| (i, x)).collect();
-        assert_eq!(out, vec![(0, 7)]);
-        let empty: Vec<u8> = Vec::new();
-        let out: Vec<usize> = empty.par_iter().enumerate().map(|(i, _)| i).collect();
-        assert!(out.is_empty());
+    fn into_par_iter_moves_every_item_through_in_order() {
+        // not `Clone`, not `Sync`-shared: each item is handed over by value
+        let v: Vec<Box<u64>> = (0..257).map(Box::new).collect();
+        let out: Vec<Box<u64>> = v
+            .into_par_iter()
+            .map(|mut x| {
+                *x += 1;
+                x
+            })
+            .collect();
+        assert_eq!(out, (1..258).map(Box::new).collect::<Vec<_>>());
+        // the degenerate sizes take the serial path; same contract
+        let one: Vec<String> = vec!["a".to_string()].into_par_iter().map(|s| s + "b").collect();
+        assert_eq!(one, vec!["ab".to_string()]);
+        let none: Vec<u8> = Vec::<u8>::new().into_par_iter().map(|x| x).collect();
+        assert!(none.is_empty());
     }
 
     #[test]

@@ -32,7 +32,8 @@
 //!   solves, the background Gram scheduler (microsecond submissions over a
 //!   bounded command channel, versioned snapshot watch), the
 //!   request-scoped `KernelClient` (per-pair tickets with coalescing,
-//!   deadlines, cancellation and typed `KernelResult<T>` answers), and the
+//!   deadlines, cancellation and typed `KernelResult<T>` answers; the same
+//!   client over one scheduler or over every shard of a cluster), and the
 //!   sharded `GramCluster` serving plane (K schedulers behind a
 //!   content-hash router, merged cluster epochs, shard-labeled telemetry).
 //! * [`store`] — the dependency-free durability plane: an append-only,
@@ -87,9 +88,9 @@ pub mod prelude {
     pub use mgk_linalg::{LinearOperator, Precision, Scalar, SolveOptions, TrafficCounters};
     pub use mgk_reorder::ReorderMethod;
     pub use mgk_runtime::{
-        ClusterClient, ClusterConfig, ClusterKernelClient, ClusterWatch, DurabilityConfig,
-        GramClient, GramCluster, GramScheduler, GramService, GramServiceConfig, KernelClient, Pool,
-        RecoveryReport, RequestError, RuntimeMetrics, SchedulerConfig, SnapshotWatch, Ticket,
+        ClusterClient, ClusterConfig, ClusterWatch, DurabilityConfig, GramClient, GramCluster,
+        GramScheduler, GramService, GramServiceConfig, KernelClient, Pool, RecoveryReport,
+        RequestError, RuntimeMetrics, SchedulerConfig, SnapshotWatch, Ticket,
     };
     pub use mgk_store::{FsyncPolicy, StoreError};
     pub use mgk_telemetry::{

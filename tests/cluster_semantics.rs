@@ -268,7 +268,7 @@ fn refined_cluster_requests_land_between_serving_and_validation_quality() {
     // must run the mixed-precision solve itself
     let cluster = spawn_cluster(2);
     let reference = spawn_cluster(2);
-    let refined = cluster.kernel_client_refined();
+    let refined = cluster.kernel_client::<f64>().refined();
     let validation = reference.kernel_client::<f64>();
 
     let mut pairs = 0u64;

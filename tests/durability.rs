@@ -123,7 +123,7 @@ fn refined_entries_survive_restart_at_f64_quality() {
     };
 
     let (scheduler, _) = spawn();
-    let refined = scheduler.kernel_client_refined();
+    let refined = scheduler.kernel_client::<f64>().refined();
     let first = refined.request(g1.clone(), g2.clone()).unwrap().wait().unwrap();
     scheduler.join();
 
@@ -131,7 +131,7 @@ fn refined_entries_survive_restart_at_f64_quality() {
     // entry — the stored f64 value arrives unrounded
     let (scheduler, report) = spawn();
     assert!(report.is_warm());
-    let refined = scheduler.kernel_client_refined();
+    let refined = scheduler.kernel_client::<f64>().refined();
     let again = refined.request(g1, g2).unwrap().wait().unwrap();
     assert_eq!(again.value.to_bits(), first.value.to_bits());
     let rel = (again.value - first.value).abs() / first.value.abs();

@@ -77,8 +77,9 @@ fn assert_prepared_matches_front_door<V, E, KV, KE>(
             solver.kernel_at::<f64, V, E>(a, partners[0]),
             solver.kernel_prepared::<f64, V, E>(&prepared_a, &prepared_b, &[], Precision::F64),
         );
+        let (fresh_a, fresh_b) = (solver.prepare_graph(a), solver.prepare_graph(partners[0]));
         same_bits(
-            solver.kernel_refined_with_candidates(a, partners[0], &[]),
+            solver.kernel_prepared::<f64, V, E>(&fresh_a, &fresh_b, &[], Precision::Refined),
             solver.kernel_prepared::<f64, V, E>(&prepared_a, &prepared_b, &[], Precision::Refined),
         );
     }

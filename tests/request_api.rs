@@ -132,7 +132,7 @@ fn f64_requests_agree_with_the_dense_direct_solver_to_1e10() {
 
 #[test]
 fn refined_requests_deliver_f64_quality_through_the_typed_client() {
-    // the mixed-precision lane end-to-end: `kernel_client_refined()`
+    // the mixed-precision lane end-to-end: `kernel_client::<f64>().refined()`
     // tickets must reach the dense direct solver's f64 answer (f32 inner
     // PCG sweeps + f64 residual corrections), not merely f32 quality
     let g1 = Graph::from_edge_list(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)]);
@@ -146,7 +146,7 @@ fn refined_requests_deliver_f64_quality_through_the_typed_client() {
         GramService::new(solver, GramServiceConfig::default()),
         SchedulerConfig::default(),
     );
-    let kernels = scheduler.kernel_client_refined();
+    let kernels = scheduler.kernel_client::<f64>().refined();
     let result = kernels.request(g1.clone(), g2.clone()).unwrap().wait().expect("must resolve");
 
     // a refined entry answers later f64-quality requests from the cache

@@ -7,8 +7,7 @@
 //! `analyze.allow` file can waive a finding with a mandatory justification,
 //! and `--strict` additionally fails on stale allowlist entries (MGK001).
 //!
-//! The same engine is callable in-process (see [`workspace_clean_from`]) so
-//! the bench binaries can stamp `analyze_clean` into their baseline JSON.
+//! The same engine is callable in-process (see [`workspace_clean_from`]).
 
 pub mod diag;
 pub mod lexer;
@@ -54,7 +53,7 @@ impl Config {
         Config {
             root: root.to_path_buf(),
             scan_dirs: ["crates", "shims", "src", "tests"].iter().map(|s| s.to_string()).collect(),
-            hot_path_files: ["/octile_ops.rs", "/xmv.rs", "/service.rs"]
+            hot_path_files: ["/octile_ops.rs", "/xmv.rs", "/service.rs", "/scheduler.rs"]
                 .iter()
                 .map(|s| s.to_string())
                 .collect(),
@@ -234,8 +233,7 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 }
 
 /// Run the strict analysis for the workspace containing `start`; `None`
-/// when no workspace root is found or a source file is unreadable. This is
-/// the entry point the bench binaries use to stamp `analyze_clean`.
+/// when no workspace root is found or a source file is unreadable.
 pub fn workspace_clean_from(start: &Path) -> Option<bool> {
     let root = find_workspace_root(start)?;
     let mut cfg = Config::for_root(&root);
