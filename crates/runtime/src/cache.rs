@@ -25,6 +25,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 
+use mgk_graph::Graph;
 use mgk_linalg::Precision;
 
 /// One side of a pair key: the structure's content hash plus cheap
@@ -45,6 +46,12 @@ impl PairSide {
     /// Bundle a content hash with its discriminators.
     pub fn new(hash: u64, vertices: u32, edges: u32) -> Self {
         PairSide { hash, vertices, edges }
+    }
+
+    /// The identity of `g` under `hasher` — what cache, reorder and routing
+    /// keys are all made of.
+    pub fn of<V, E>(hasher: fn(&Graph<V, E>) -> u64, g: &Graph<V, E>) -> Self {
+        PairSide::new(hasher(g), g.num_vertices() as u32, g.num_edges() as u32)
     }
 }
 
@@ -153,25 +160,25 @@ impl<K: Copy + Eq + Hash> Recency<K> {
     }
 }
 
-/// LRU-bounded map from [`PairKey`] to [`CachedEntry`].
+/// An LRU-bounded map: the one get/insert/evict behind every bounded cache
+/// of the service ([`PairCache`], [`ReorderCache`], [`NodalCache`]).
 ///
 /// Recency is tracked with a tick-ordered queue with lazy deletion
 /// (`Recency`); both lookup refresh and eviction at capacity are O(1)
 /// amortized, so a serving-scale cache does not degrade with its size.
+/// Hit/miss counters live with the owner (`ServiceStats`), not here.
 #[derive(Debug, Clone)]
-pub struct PairCache {
+pub struct LruMap<K, V> {
     capacity: usize,
-    map: HashMap<PairKey, (u64, CachedEntry)>,
-    recency: Recency<PairKey>,
-    hits: u64,
-    misses: u64,
+    map: HashMap<K, (u64, V)>,
+    recency: Recency<K>,
 }
 
-impl PairCache {
-    /// An empty cache holding at most `capacity` entries (0 disables
-    /// caching entirely).
+impl<K: Copy + Eq + Hash, V> LruMap<K, V> {
+    /// An empty map holding at most `capacity` entries (0 disables it
+    /// entirely: nothing is ever stored).
     pub fn new(capacity: usize) -> Self {
-        PairCache { capacity, map: HashMap::new(), recency: Recency::new(), hits: 0, misses: 0 }
+        LruMap { capacity, map: HashMap::new(), recency: Recency::new() }
     }
 
     /// Number of live entries.
@@ -179,7 +186,7 @@ impl PairCache {
         self.map.len()
     }
 
-    /// Whether the cache holds no entries.
+    /// Whether the map holds no entries.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
@@ -189,37 +196,29 @@ impl PairCache {
         self.capacity
     }
 
-    /// Lookups that found an entry.
-    pub fn hits(&self) -> u64 {
-        self.hits
+    /// Look up a key, refreshing its recency on a hit.
+    pub fn get(&mut self, key: K) -> Option<&V> {
+        self.get_mut(key).map(|value| &*value)
     }
 
-    /// Lookups that found nothing.
-    pub fn misses(&self) -> u64 {
-        self.misses
+    /// [`get`](Self::get), handing the entry out mutably.
+    pub fn get_mut(&mut self, key: K) -> Option<&mut V> {
+        let stamp_entry = self.map.get_mut(&key)?;
+        stamp_entry.0 = self.recency.touch(key);
+        self.compact();
+        // reborrow: compaction only touched the recency queue
+        self.map.get_mut(&key).map(|(_, value)| value)
     }
 
-    /// Look up a pair, refreshing its recency on a hit.
-    pub fn get(&mut self, key: PairKey) -> Option<&CachedEntry> {
-        match self.map.get_mut(&key) {
-            Some((stamp, _)) => {
-                *stamp = self.recency.touch(key);
-                self.hits += 1;
-                let map = &self.map;
-                self.recency.compact_if_bloated(map.len(), |k| map.get(k).map(|(t, _)| *t));
-                // reborrow: compaction only touched the recency queue
-                self.map.get(&key).map(|(_, entry)| entry)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+    /// Look up a key *without* refreshing its recency — for readers that
+    /// share the map immutably.
+    pub fn peek(&self, key: &K) -> Option<&V> {
+        self.map.get(key).map(|(_, value)| value)
     }
 
-    /// Insert (or refresh) a pair entry, evicting the least-recently-used
-    /// entry when at capacity.
-    pub fn insert(&mut self, key: PairKey, entry: CachedEntry) {
+    /// Insert (or refresh) an entry, evicting the least-recently-used one
+    /// when at capacity.
+    pub fn insert(&mut self, key: K, value: V) {
         if self.capacity == 0 {
             return;
         }
@@ -230,7 +229,11 @@ impl PairCache {
             }
         }
         let stamp = self.recency.touch(key);
-        self.map.insert(key, (stamp, entry));
+        self.map.insert(key, (stamp, value));
+        self.compact();
+    }
+
+    fn compact(&mut self) {
         let map = &self.map;
         self.recency.compact_if_bloated(map.len(), |k| map.get(k).map(|(t, _)| *t));
     }
@@ -238,111 +241,29 @@ impl PairCache {
     /// Every live entry, in no particular order — the snapshot capture
     /// path. Does not refresh recency: capturing a snapshot must not
     /// perturb eviction order.
-    pub fn iter(&self) -> impl Iterator<Item = (&PairKey, &CachedEntry)> {
-        self.map.iter().map(|(key, (_, entry))| (key, entry))
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.map.iter().map(|(key, (_, value))| (key, value))
     }
 }
 
-/// LRU-bounded map from one raw structure's content identity
-/// ([`PairSide`]) to its prepared form.
-///
-/// The per-structure work of the serving path — stopping-probability
-/// override, pseudo-BFS reordering, octile tiling, the content hash of the
-/// prepared graph — is a pure function of the
-/// structure's content, so its output is shared across every lane that
-/// re-encounters the structure: batch admission, the request lane, and
-/// (because none of it depends on the scalar type of the eventual solve)
-/// every solve precision. Keys are the same collision-hardened
-/// `(content hash, vertices, edges)` triple the [`PairCache`] builds its
-/// [`PairKey`]s from; a content-hash collision between structurally
-/// different graphs cannot alias their prepared forms unless the graphs also
-/// agree on both counts.
-///
-/// The value type is generic so the cache stays free of graph types; the
-/// service stores an `Arc` of its prepared-structure entry and hands out
-/// clones of the pointer, so an evicted entry lives on exactly as long as a
-/// member or an in-flight request still holds it. Hit/miss counters live
-/// with the owner (`ServiceStats::reorder_hits`/`reorder_misses`), not here.
-#[derive(Debug, Clone)]
-pub struct ReorderCache<T> {
-    capacity: usize,
-    map: HashMap<PairSide, (u64, T)>,
-    recency: Recency<PairSide>,
-}
+/// The pair-entry cache: normalized [`PairKey`] to [`CachedEntry`].
+pub type PairCache = LruMap<PairKey, CachedEntry>;
 
-impl<T> ReorderCache<T> {
-    /// An empty cache holding at most `capacity` prepared structures
-    /// (0 disables caching entirely).
-    pub fn new(capacity: usize) -> Self {
-        ReorderCache { capacity, map: HashMap::new(), recency: Recency::new() }
-    }
+/// Prepared structures by the *raw* structure's content identity — the same
+/// collision-hardened `(content hash, vertices, edges)` triple [`PairKey`]s
+/// are built from. Preparation is a pure function of a structure's content
+/// and independent of the solve precision, so one entry serves every lane.
+/// The service stores an `Arc` and hands out clones of the pointer: an
+/// evicted entry lives on as long as a member or an in-flight request holds
+/// it.
+pub type ReorderCache<T> = LruMap<PairSide, T>;
 
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Look up a structure's prepared form, refreshing its recency on a
-    /// hit.
-    pub fn get(&mut self, key: PairSide) -> Option<&T> {
-        let stamp_entry = self.map.get_mut(&key)?;
-        stamp_entry.0 = self.recency.touch(key);
-        let map = &self.map;
-        self.recency.compact_if_bloated(map.len(), |k| map.get(k).map(|(t, _)| *t));
-        // reborrow: compaction only touched the recency queue
-        self.map.get(&key).map(|(_, prepared)| prepared)
-    }
-
-    /// Insert (or refresh) a prepared structure, evicting the
-    /// least-recently-used entry when at capacity.
-    pub fn insert(&mut self, key: PairSide, prepared: T) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
-            let map = &self.map;
-            if let Some(victim) = self.recency.pop_lru(|k| map.get(k).map(|(t, _)| *t)) {
-                self.map.remove(&victim);
-            }
-        }
-        let stamp = self.recency.touch(key);
-        self.map.insert(key, (stamp, prepared));
-        let map = &self.map;
-        self.recency.compact_if_bloated(map.len(), |k| map.get(k).map(|(t, _)| *t));
-    }
-}
-
-/// LRU-bounded side-cache of converged nodal solution vectors, keyed by the
-/// *ordered* (orientation-sensitive) pair of structure identities.
-///
-/// The [`PairCache`] answers a repeated request with the kernel value alone;
-/// callers that asked for the per-vertex-pair solution vector still paid a
-/// full re-solve. This cache keeps the most recent nodal vectors so an `f32`
-/// cache answer can carry its vector too. Orientation matters: the nodal
-/// vector of `(a, b)` is the transpose-permutation of `(b, a)`'s, and
-/// transposing on the fly would cost more than a miss — so `(a, b)` and
-/// `(b, a)` are distinct keys and the mirrored orientation simply misses.
-///
-/// Values are `Arc`-shared with the donor pool, so a cached vector costs one
-/// pointer, not a copy, until a request actually claims it. Hit/miss
-/// counters live with the owner (`ServiceStats::nodal_hits`/`nodal_misses`),
-/// not here.
-#[derive(Debug, Clone)]
-pub struct NodalCache {
-    capacity: usize,
-    map: HashMap<OrderedSides, (u64, SharedNodal)>,
-    recency: Recency<OrderedSides>,
-}
+/// Converged nodal solution vectors by [`OrderedSides`], so an `f32` cache
+/// answer can carry its vector. Orientation matters: the nodal vector of
+/// `(a, b)` is the transpose-permutation of `(b, a)`'s, and transposing on
+/// the fly would cost more than a miss — the mirrored orientation simply
+/// misses.
+pub type NodalCache = LruMap<OrderedSides, SharedNodal>;
 
 /// An *ordered* (orientation-sensitive) pair of structure identities — the
 /// key space of the [`NodalCache`].
@@ -351,58 +272,6 @@ pub type OrderedSides = (PairSide, PairSide);
 /// A nodal solution vector `Arc`-shared between the [`NodalCache`] and the
 /// donor pool.
 pub type SharedNodal = std::sync::Arc<Vec<f32>>;
-
-impl NodalCache {
-    /// An empty cache holding at most `capacity` nodal vectors (0 disables
-    /// the side-cache entirely).
-    pub fn new(capacity: usize) -> Self {
-        NodalCache { capacity, map: HashMap::new(), recency: Recency::new() }
-    }
-
-    /// Number of live vectors.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache holds no vectors.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Maximum number of vectors.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Look up the nodal vector of an *ordered* pair, refreshing its
-    /// recency on a hit.
-    pub fn get(&mut self, key: OrderedSides) -> Option<&SharedNodal> {
-        let stamp_entry = self.map.get_mut(&key)?;
-        stamp_entry.0 = self.recency.touch(key);
-        let map = &self.map;
-        self.recency.compact_if_bloated(map.len(), |k| map.get(k).map(|(t, _)| *t));
-        // reborrow: compaction only touched the recency queue
-        self.map.get(&key).map(|(_, nodal)| nodal)
-    }
-
-    /// Insert (or refresh) an ordered pair's nodal vector, evicting the
-    /// least-recently-used vector when at capacity.
-    pub fn insert(&mut self, key: OrderedSides, nodal: SharedNodal) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
-            let map = &self.map;
-            if let Some(victim) = self.recency.pop_lru(|k| map.get(k).map(|(t, _)| *t)) {
-                self.map.remove(&victim);
-            }
-        }
-        let stamp = self.recency.touch(key);
-        self.map.insert(key, (stamp, nodal));
-        let map = &self.map;
-        self.recency.compact_if_bloated(map.len(), |k| map.get(k).map(|(t, _)| *t));
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -464,13 +333,11 @@ mod tests {
     }
 
     #[test]
-    fn get_returns_inserted_entries_and_counts_hits() {
+    fn get_returns_inserted_entries() {
         let mut c = PairCache::new(4);
         c.insert(key(1, 2), entry(0.5));
         assert_eq!(c.get(key(2, 1)).unwrap().value, 0.5);
         assert!(c.get(key(9, 9)).is_none());
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
     }
 
     #[test]

@@ -14,9 +14,11 @@
 //!
 //! The cluster fronts are thin and cloneable:
 //!
-//! * [`ClusterClient`] routes `submit` / `submit_all` / `flush`; a cluster
-//!   [`flush`](ClusterClient::flush) barriers *every* shard and reports the
-//!   merged [`ClusterBarrierReply`].
+//! * [`ClusterClient`] is a [`GramClient`] over every shard's command lane
+//!   (`submit` / `submit_all` route per structure) plus what is genuinely
+//!   merged: a cluster [`flush`](ClusterClient::flush) barriers *every*
+//!   shard and reports the merged [`ClusterBarrierReply`], and
+//!   [`watch`](ClusterClient::watch) merges the shard watches.
 //! * Typed requests need no cluster front of their own: a
 //!   [`KernelClient`] built by [`GramCluster::kernel_client`] holds every
 //!   shard's command lane and sends each pair to its owning shard
@@ -175,10 +177,8 @@ where
     /// A routing producer/consumer handle (cheap; clone freely across
     /// threads).
     pub fn client(&self) -> ClusterClient<V, E> {
-        ClusterClient {
-            clients: self.shards.iter().map(|s| s.client()).collect(),
-            hasher: self.hasher,
-        }
+        let lanes = self.shards.iter().map(|s| s.lane().clone()).collect();
+        ClusterClient { producer: GramClient::new(lanes, self.hasher) }
     }
 
     /// A typed request client carrying its answers at `T`, over every
@@ -186,7 +186,7 @@ where
     /// [`PairKey`] hashes to. Otherwise exactly
     /// [`GramScheduler::kernel_client`] — `.refined()` included.
     pub fn kernel_client<T: RequestScalar>(&self) -> KernelClient<V, E, T> {
-        KernelClient::new(self.shards.iter().map(|s| s.lane().clone()).collect(), self.hasher)
+        KernelClient::over(self.client().producer)
     }
 
     /// The merged cluster watch over every shard's snapshot watch.
@@ -226,90 +226,59 @@ where
 }
 
 /// Cheap, cloneable producer handle routing submissions to their owning
-/// shard by content hash.
+/// shard by content hash: a [`GramClient`] over every shard's lane, with
+/// the barrier and the watch merged cluster-wide.
 #[derive(Debug)]
 pub struct ClusterClient<V, E> {
-    clients: Vec<GramClient<V, E>>,
-    hasher: fn(&Graph<V, E>) -> u64,
+    producer: GramClient<V, E>,
 }
 
 impl<V, E> Clone for ClusterClient<V, E> {
     fn clone(&self) -> Self {
-        ClusterClient { clients: self.clients.clone(), hasher: self.hasher }
+        ClusterClient { producer: self.producer.clone() }
     }
 }
 
 impl<V, E> ClusterClient<V, E> {
-    fn side(&self, g: &Graph<V, E>) -> PairSide {
-        PairSide::new((self.hasher)(g), g.num_vertices() as u32, g.num_edges() as u32)
-    }
-
     /// The shard index a structure routes to.
     pub fn shard_of(&self, structure: &Graph<V, E>) -> usize {
-        shard_of_side(&self.side(structure), self.clients.len())
+        self.producer.shard_of(structure)
     }
 
-    /// Enqueue a structure on its owning shard, blocking while that
-    /// shard's command channel is full.
+    /// [`GramClient::submit`] on the owning shard.
     pub fn submit(&self, structure: Graph<V, E>) -> Result<(), SchedulerError> {
-        if structure.num_vertices() == 0 {
-            return Err(SchedulerError::EmptyStructure);
-        }
-        self.clients[self.shard_of(&structure)].submit(structure)
+        self.producer.submit(structure)
     }
 
-    /// [`submit`](Self::submit) without blocking; a full owning-shard
-    /// channel reports [`SchedulerError::Backpressure`].
+    /// [`GramClient::try_submit`] on the owning shard.
     pub fn try_submit(&self, structure: Graph<V, E>) -> Result<(), SchedulerError> {
-        if structure.num_vertices() == 0 {
-            return Err(SchedulerError::EmptyStructure);
-        }
-        self.clients[self.shard_of(&structure)].try_submit(structure)
+        self.producer.try_submit(structure)
     }
 
-    /// Enqueue a collection, routed per structure and batched per shard
-    /// (one command per shard that receives anything). Returns the number
-    /// of structures enqueued; empty structures are skipped.
+    /// [`GramClient::submit_all`]: routed per structure, one command per
+    /// shard that receives anything.
     pub fn submit_all(
         &self,
         structures: impl IntoIterator<Item = Graph<V, E>>,
     ) -> Result<usize, SchedulerError> {
-        let mut per_shard: Vec<Vec<Graph<V, E>>> =
-            (0..self.clients.len()).map(|_| Vec::new()).collect();
-        for g in structures {
-            if g.num_vertices() == 0 {
-                continue;
-            }
-            per_shard[self.shard_of(&g)].push(g);
-        }
-        let mut enqueued = 0;
-        for (shard, batch) in per_shard.into_iter().enumerate() {
-            if !batch.is_empty() {
-                enqueued += self.clients[shard].submit_all(batch)?;
-            }
-        }
-        Ok(enqueued)
+        self.producer.submit_all(structures)
     }
 
     /// Cluster barrier: block until every submission enqueued before this
-    /// call — on any shard — has been admitted and solved. Shards are
-    /// barriered in index order; each shard only ever receives its own
-    /// routed submissions, so the sequential sweep observes a consistent
-    /// "everything enqueued before the call" state.
+    /// call — on any shard — has been admitted and solved.
     pub fn flush(&self) -> Result<ClusterBarrierReply, SchedulerError> {
-        let mut shard_epochs = Vec::with_capacity(self.clients.len());
-        let mut num_structures = 0;
-        for client in &self.clients {
-            let reply = client.flush()?;
-            shard_epochs.push(reply.epoch);
-            num_structures += reply.num_structures;
-        }
-        Ok(ClusterBarrierReply { epoch: shard_epochs.iter().sum(), shard_epochs, num_structures })
+        let replies = self.producer.barriers()?;
+        let shard_epochs: Vec<u64> = replies.iter().map(|r| r.epoch).collect();
+        Ok(ClusterBarrierReply {
+            epoch: shard_epochs.iter().sum(),
+            shard_epochs,
+            num_structures: replies.iter().map(|r| r.num_structures).sum(),
+        })
     }
 
     /// The merged cluster watch over every shard this client routes to.
     pub fn watch(&self) -> ClusterWatch {
-        ClusterWatch { watches: self.clients.iter().map(|c| c.watch()).collect() }
+        ClusterWatch { watches: self.producer.watches() }
     }
 }
 

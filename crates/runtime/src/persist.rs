@@ -10,7 +10,7 @@
 //! here (and nowhere else) means in-memory refactors cannot silently
 //! change the on-disk format.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::thread::JoinHandle;
 
@@ -94,30 +94,39 @@ impl RecoveryReport {
     }
 }
 
-/// The attached store plus its snapshot-cadence bookkeeping, owned by the
-/// service. Intentionally *not* `Clone`: a cloned service must never share
-/// (or duplicate) a live file handle — `GramService::clone` detaches.
+/// The attached store plus its sync and snapshot-cadence bookkeeping, owned
+/// by the service. Intentionally *not* `Clone`: a cloned service must never
+/// share (or duplicate) a live file handle — `GramService::clone` detaches.
 #[derive(Debug)]
 pub(crate) struct ServiceStore {
     pub(crate) store: mgk_store::PairStore,
     /// The group-commit thread boundary syncs run on under
     /// [`FsyncPolicy::EveryFlush`]; `None` for the synchronous policies.
     pub(crate) syncer: Option<WalSyncer>,
+    /// Whether a record was appended to the log since the last boundary
+    /// sync; whoever appends sets it.
+    pub(crate) unsynced: bool,
     /// Admitting flushes per snapshot (0 = final snapshot only).
     pub(crate) snapshot_every: u64,
     /// Admitting flushes since the last snapshot.
     pub(crate) flushes_since_snapshot: u64,
 }
 
-/// Outcome of scheduling a boundary sync on the group-commit thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SyncScheduled {
-    /// A sync was newly scheduled (counts toward `store_fsyncs`).
-    Scheduled,
-    /// A sync was already pending; this boundary coalesced into it.
-    Coalesced,
-    /// The sync thread died on an I/O error — detach the store.
-    Failed,
+impl ServiceStore {
+    /// A durability boundary: sync what was appended since the last one —
+    /// scheduled on the group-commit thread under `EveryFlush` — and report
+    /// whether an `fsync` was issued for it (for the caller's counter). A
+    /// boundary with nothing unsynced, or one that coalesces into a sync
+    /// already pending, issues none.
+    pub(crate) fn sync_boundary(&mut self) -> Result<bool, mgk_store::StoreError> {
+        if !std::mem::take(&mut self.unsynced) {
+            return Ok(false);
+        }
+        match &self.syncer {
+            Some(syncer) => syncer.schedule(),
+            None => self.store.flush_boundary(),
+        }
+    }
 }
 
 /// The group-commit thread of [`FsyncPolicy::EveryFlush`]: boundary
@@ -155,14 +164,19 @@ impl WalSyncer {
         WalSyncer { tx: Some(tx), thread: Some(thread) }
     }
 
-    /// Request a sync of everything appended so far. Never blocks: the
-    /// channel holds one pending token, so at most one sync is queued
-    /// behind the running one and later boundaries coalesce.
-    pub(crate) fn schedule(&self) -> SyncScheduled {
+    /// Request a sync of everything appended so far; `Ok(true)` if one was
+    /// newly scheduled. Never blocks: the channel holds one pending token,
+    /// so at most one sync is queued behind the running one and later
+    /// boundaries coalesce into it (`Ok(false)`). An error means the sync
+    /// thread died on an I/O error — detach the store.
+    fn schedule(&self) -> Result<bool, mgk_store::StoreError> {
         match self.tx.as_ref().expect("sender lives until drop").try_send(()) {
-            Ok(()) => SyncScheduled::Scheduled,
-            Err(TrySendError::Full(())) => SyncScheduled::Coalesced,
-            Err(TrySendError::Disconnected(())) => SyncScheduled::Failed,
+            Ok(()) => Ok(true),
+            Err(TrySendError::Full(())) => Ok(false),
+            Err(TrySendError::Disconnected(())) => {
+                Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "WAL sync thread died")
+                    .into())
+            }
         }
     }
 }
@@ -174,11 +188,6 @@ impl Drop for WalSyncer {
             let _ = thread.join();
         }
     }
-}
-
-/// The store directory of an attached store.
-pub(crate) fn store_dir(store: &ServiceStore) -> &Path {
-    store.store.dir()
 }
 
 /// Stable one-byte encoding of the [`Precision`] tag. Part of the on-disk
@@ -241,6 +250,7 @@ pub(crate) fn entry_from_stored(stored: &StoredEntry) -> (PairKey, CachedEntry) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     #[test]
     fn entries_roundtrip_through_the_stored_form() {

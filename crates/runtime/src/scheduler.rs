@@ -32,20 +32,23 @@
 //!   gets a [`Ticket`] back. The precision to solve at is a value on the
 //!   request; the only thing the request lane is generic over is the
 //!   *carrier* `T`, what a `Ticket<KernelResult<T>>` promises. Each drain
-//!   groups its requests by (ordered pair identity, precision, carrier),
-//!   answers a group from the pair cache when an entry of adequate
-//!   precision exists, and otherwise solves it once: groups with distinct
-//!   pair keys solve together as a *wave* across the pool, their folds and
-//!   ticket wake-ups follow in arrival order on the scheduler thread, and a
-//!   group whose key the wave already holds waits for that wave — so it
-//!   sees the entry its sibling folded.
+//!   groups its requests by (ordered pair identity, precision, carrier)
+//!   and feeds the groups, in arrival order, to the service's *wave* — the
+//!   same claim → probe → solve → fold loop [`GramService::flush`] pushes
+//!   its triangle block through (see the [`service`](crate::service) module
+//!   docs), here with the group's tickets as payload. A group is answered
+//!   from the pair cache when an entry of adequate precision exists and
+//!   otherwise solved once, together with the rest of its wave; a group
+//!   whose key the wave already holds waits for that wave — so it sees the
+//!   entry its sibling folded. Every ticket of a group wakes with the
+//!   shared answer.
 //!
-//! Batches and waves are fanned out over the existing persistent worker
+//! Waves are fanned out over the existing persistent worker
 //! [`Pool`](crate::Pool) — the scheduler thread is a coordinator, not a
 //! compute thread.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -57,13 +60,14 @@ use mgk_graph::Graph;
 use mgk_kernels::BaseKernel;
 use mgk_linalg::{Precision, Scalar, TrafficCounters};
 use mgk_telemetry::{Histogram, MetricsRegistry, Stopwatch};
-use rayon::prelude::*;
 
 use crate::cache::{CachedEntry, PairKey, PairSide};
-use crate::cluster::shard_of_key;
+use crate::cluster::{shard_of_key, shard_of_side};
 use crate::hash::ContentHash;
 use crate::metrics::RuntimeMetrics;
-use crate::service::{GramService, GramServiceError, PreparedPair, RequestSolve};
+use crate::service::{
+    Answer, Carried, Carry, Claim, GramService, GramServiceError, Landed, Outcome, Wave,
+};
 use crate::ticket::{ticket, RequestError, Ticket, TicketResolver};
 use crate::watch::{snapshot_channel_counted, SnapshotPublisher, SnapshotWatch};
 
@@ -191,19 +195,25 @@ impl RequestScalar for f64 {
     }
 }
 
-/// The sending half of one scheduler's bounded command channel, with the
-/// queue-depth gauge of the service behind it. Every client is one or more
-/// of these.
+/// What a client holds of one scheduler: the sending half of its bounded
+/// command channel, the queue-depth gauge of the service behind it, and the
+/// watch it publishes to. Every client is one or more of these.
 #[derive(Debug)]
 pub(crate) struct Lane<V, E> {
     tx: SyncSender<Command<V, E>>,
     capacity: usize,
     metrics: RuntimeMetrics,
+    watch: SnapshotWatch,
 }
 
 impl<V, E> Clone for Lane<V, E> {
     fn clone(&self) -> Self {
-        Lane { tx: self.tx.clone(), capacity: self.capacity, metrics: self.metrics.clone() }
+        Lane {
+            tx: self.tx.clone(),
+            capacity: self.capacity,
+            metrics: self.metrics.clone(),
+            watch: self.watch.clone(),
+        }
     }
 }
 
@@ -232,72 +242,124 @@ impl<V, E> Lane<V, E> {
 
 /// Cheap, cloneable producer/consumer handle to a running
 /// [`GramScheduler`].
+///
+/// Built by a [`GramCluster`](crate::GramCluster) (inside its
+/// [`ClusterClient`](crate::ClusterClient)) it holds every shard's command
+/// lane and sends each structure to the shard its content identity hashes
+/// to ([`shard_of_side`]) — the rule [`KernelClient`] follows for pairs.
 #[derive(Debug)]
 pub struct GramClient<V, E> {
-    lane: Lane<V, E>,
-    watch: SnapshotWatch,
+    /// One lane per scheduler this client fronts.
+    lanes: Vec<Lane<V, E>>,
+    /// The schedulers' content hasher: what routing keys are made of.
+    hasher: fn(&Graph<V, E>) -> u64,
 }
 
 impl<V, E> Clone for GramClient<V, E> {
     fn clone(&self) -> Self {
-        GramClient { lane: self.lane.clone(), watch: self.watch.clone() }
+        GramClient { lanes: self.lanes.clone(), hasher: self.hasher }
     }
 }
 
 impl<V, E> GramClient<V, E> {
-    /// Enqueue a structure, blocking while the command channel is full.
+    /// A client over `lanes` (at least one).
+    pub(crate) fn new(lanes: Vec<Lane<V, E>>, hasher: fn(&Graph<V, E>) -> u64) -> Self {
+        debug_assert!(!lanes.is_empty(), "a client fronts at least one scheduler");
+        GramClient { lanes, hasher }
+    }
+
+    /// The index of the scheduler a structure routes to. A client over one
+    /// scheduler answers 0 without hashing anything.
+    pub fn shard_of(&self, structure: &Graph<V, E>) -> usize {
+        if self.lanes.len() == 1 {
+            return 0;
+        }
+        shard_of_side(&PairSide::of(self.hasher, structure), self.lanes.len())
+    }
+
+    /// Enqueue a structure on its owning scheduler, blocking while that
+    /// command channel is full.
     ///
     /// Returns in microseconds under normal load — the solve happens on the
     /// scheduler thread. Blocking on a full channel is the flow-control
     /// path: a producer outrunning the solver is throttled to its pace.
     pub fn submit(&self, structure: Graph<V, E>) -> Result<(), SchedulerError> {
-        if structure.num_vertices() == 0 {
-            return Err(SchedulerError::EmptyStructure);
-        }
-        self.lane.send(Command::Submit(structure), true)
+        self.enqueue(structure, true)
     }
 
     /// Enqueue a structure without blocking; a full channel reports
     /// [`SchedulerError::Backpressure`] so the producer can shed load.
     pub fn try_submit(&self, structure: Graph<V, E>) -> Result<(), SchedulerError> {
+        self.enqueue(structure, false)
+    }
+
+    fn enqueue(&self, structure: Graph<V, E>, blocking: bool) -> Result<(), SchedulerError> {
         if structure.num_vertices() == 0 {
             return Err(SchedulerError::EmptyStructure);
         }
-        self.lane.send(Command::Submit(structure), false)
+        self.lanes[self.shard_of(&structure)].send(Command::Submit(structure), blocking)
     }
 
-    /// Enqueue a whole collection as one command (empty structures are
-    /// skipped). Returns the number of structures enqueued.
+    /// Enqueue a whole collection, routed per structure and batched per
+    /// scheduler: one command per scheduler that receives anything (empty
+    /// structures are skipped). Returns the number of structures enqueued.
     pub fn submit_all(
         &self,
         structures: impl IntoIterator<Item = Graph<V, E>>,
     ) -> Result<usize, SchedulerError> {
-        let batch: Vec<Graph<V, E>> =
-            structures.into_iter().filter(|g| g.num_vertices() > 0).collect();
-        let n = batch.len();
-        if n > 0 {
-            self.lane.send(Command::SubmitAll(batch), true)?;
+        let mut per_lane: Vec<Vec<Graph<V, E>>> = self.lanes.iter().map(|_| Vec::new()).collect();
+        for g in structures.into_iter().filter(|g| g.num_vertices() > 0) {
+            per_lane[self.shard_of(&g)].push(g);
         }
-        Ok(n)
+        let mut enqueued = 0;
+        for (lane, batch) in self.lanes.iter().zip(per_lane) {
+            if !batch.is_empty() {
+                enqueued += batch.len();
+                lane.send(Command::SubmitAll(batch), true)?;
+            }
+        }
+        Ok(enqueued)
     }
 
     /// Barrier: block until every submission enqueued before this call has
     /// been admitted and solved, and report the resulting epoch.
     pub fn flush(&self) -> Result<BarrierReply, SchedulerError> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.lane.send(Command::Barrier(reply_tx), true)?;
-        reply_rx.recv().map_err(|_| SchedulerError::Closed)
+        let replies = self.barriers()?;
+        Ok(BarrierReply {
+            epoch: replies.iter().map(|r| r.epoch).sum(),
+            num_structures: replies.iter().map(|r| r.num_structures).sum(),
+        })
+    }
+
+    /// Barrier every scheduler in index order and collect the replies. Each
+    /// scheduler only ever receives its own routed submissions, so the
+    /// sequential sweep observes a consistent "everything enqueued before
+    /// the call" state.
+    pub(crate) fn barriers(&self) -> Result<Vec<BarrierReply>, SchedulerError> {
+        self.lanes
+            .iter()
+            .map(|lane| {
+                let (reply_tx, reply_rx) = mpsc::channel();
+                lane.send(Command::Barrier(reply_tx), true)?;
+                reply_rx.recv().map_err(|_| SchedulerError::Closed)
+            })
+            .collect()
     }
 
     /// The versioned snapshot watch fed by this scheduler.
     pub fn watch(&self) -> SnapshotWatch {
-        self.watch.clone()
+        self.lanes[0].watch.clone()
+    }
+
+    /// Every scheduler's watch, by index.
+    pub(crate) fn watches(&self) -> Vec<SnapshotWatch> {
+        self.lanes.iter().map(|lane| lane.watch.clone()).collect()
     }
 
     /// The metrics registry of the scheduler's service — the scrape/pull
     /// surface (`registry.snapshot().render_prometheus()`).
     pub fn telemetry(&self) -> Arc<MetricsRegistry> {
-        self.lane.metrics.registry()
+        self.lanes[0].metrics.registry()
     }
 }
 
@@ -331,10 +393,8 @@ impl<V, E> GramClient<V, E> {
 ///   tickets can never hang, and stale requests never occupy the solver.
 #[derive(Debug)]
 pub struct KernelClient<V, E, T: RequestScalar = f32> {
-    /// One lane per scheduler this client fronts.
-    lanes: Vec<Lane<V, E>>,
-    /// The schedulers' content hasher: what routing keys are made of.
-    hasher: fn(&Graph<V, E>) -> u64,
+    /// The lanes and routing hasher of the sibling producer handle.
+    producer: GramClient<V, E>,
     precision: Precision,
     _carrier: PhantomData<T>,
 }
@@ -342,8 +402,7 @@ pub struct KernelClient<V, E, T: RequestScalar = f32> {
 impl<V, E, T: RequestScalar> Clone for KernelClient<V, E, T> {
     fn clone(&self) -> Self {
         KernelClient {
-            lanes: self.lanes.clone(),
-            hasher: self.hasher,
+            producer: self.producer.clone(),
             precision: self.precision,
             _carrier: PhantomData,
         }
@@ -364,24 +423,22 @@ impl<V, E> KernelClient<V, E, f64> {
 }
 
 impl<V, E, T: RequestScalar> KernelClient<V, E, T> {
-    /// A client over `lanes` (at least one), solving at the carrier's own
+    /// A client over `producer`'s lanes, solving at the carrier's own
     /// precision.
-    pub(crate) fn new(lanes: Vec<Lane<V, E>>, hasher: fn(&Graph<V, E>) -> u64) -> Self {
-        debug_assert!(!lanes.is_empty(), "a kernel client fronts at least one scheduler");
-        KernelClient { lanes, hasher, precision: T::PRECISION, _carrier: PhantomData }
+    pub(crate) fn over(producer: GramClient<V, E>) -> Self {
+        KernelClient { producer, precision: T::PRECISION, _carrier: PhantomData }
     }
 
     /// The index of the scheduler a pair routes to — by normalized
     /// [`PairKey`], so both orientations of a pair agree. A client over one
     /// scheduler answers 0 without hashing anything.
     pub fn shard_of(&self, left: &Graph<V, E>, right: &Graph<V, E>) -> usize {
-        if self.lanes.len() == 1 {
+        let GramClient { lanes, hasher } = &self.producer;
+        if lanes.len() == 1 {
             return 0;
         }
-        let side = |g: &Graph<V, E>| {
-            PairSide::new((self.hasher)(g), g.num_vertices() as u32, g.num_edges() as u32)
-        };
-        shard_of_key(&PairKey::new(side(left), side(right)), self.lanes.len())
+        let key = PairKey::new(PairSide::of(*hasher, left), PairSide::of(*hasher, right));
+        shard_of_key(&key, lanes.len())
     }
 
     /// Request the kernel value of one pair, blocking while the owning
@@ -439,7 +496,7 @@ impl<V, E, T: RequestScalar> KernelClient<V, E, T> {
         if left.num_vertices() == 0 || right.num_vertices() == 0 {
             return Err(SchedulerError::EmptyStructure);
         }
-        let lane = &self.lanes[self.shard_of(&left, &right)];
+        let lane = &self.producer.lanes[self.shard_of(&left, &right)];
         let (ticket, resolver) = ticket::<KernelResult<T>>();
         let request = KernelRequest {
             left,
@@ -459,9 +516,6 @@ impl<V, E, T: RequestScalar> KernelClient<V, E, T> {
 #[derive(Debug)]
 pub struct GramScheduler<KV, KE, V, E> {
     client: GramClient<V, E>,
-    /// The service's content hasher, kept for the routing clients a
-    /// cluster builds over this scheduler's lane.
-    hasher: fn(&Graph<V, E>) -> u64,
     handle: JoinHandle<GramService<KV, KE, V, E>>,
 }
 
@@ -493,12 +547,11 @@ where
                 // `publisher` lives on this frame: whether `run` returns or
                 // unwinds on a solve panic, dropping it closes the watch and
                 // unblocks every waiting consumer
-                let (wave, wave_keys) = (Vec::new(), HashSet::new());
-                Worker { service, publisher: &publisher, wave, wave_keys }.run(rx, capacity)
+                Worker { service, publisher: &publisher }.run(rx, capacity)
             })
             .expect("spawning the scheduler thread");
-        let client = GramClient { lane: Lane { tx, capacity, metrics }, watch };
-        GramScheduler { client, hasher, handle }
+        let client = GramClient::new(vec![Lane { tx, capacity, metrics, watch }], hasher);
+        GramScheduler { client, handle }
     }
 
     /// [`spawn`](Self::spawn) with a durability plane: attach the store at
@@ -533,18 +586,18 @@ where
     /// `kernel_client::<f64>().refined()` computes them on the
     /// mixed-precision path.
     pub fn kernel_client<T: RequestScalar>(&self) -> KernelClient<V, E, T> {
-        KernelClient::new(vec![self.lane().clone()], self.hasher)
+        KernelClient::over(self.client())
     }
 
     /// This scheduler's command lane (what a cluster's routing client is
     /// built from).
     pub(crate) fn lane(&self) -> &Lane<V, E> {
-        &self.client.lane
+        &self.client.lanes[0]
     }
 
     /// The versioned snapshot watch fed by this scheduler.
     pub fn watch(&self) -> SnapshotWatch {
-        self.client.watch.clone()
+        self.client.watch()
     }
 
     /// The metrics registry of the scheduler's service — the scrape/pull
@@ -564,20 +617,13 @@ where
     pub fn join(self) -> GramService<KV, KE, V, E> {
         // best-effort: the thread may already be gone (e.g. after a panic),
         // in which case the join below reports it
-        let _ = self.client.lane.send(Command::Shutdown, true);
+        let _ = self.lane().send(Command::Shutdown, true);
         drop(self.client);
         match self.handle.join() {
             Ok(service) => service,
             Err(payload) => std::panic::resume_unwind(payload),
         }
     }
-}
-
-/// A value per carrier type: where the request lane, generic over what a
-/// group's tickets promise, meets the one ordered list a drain works down.
-enum Carried<S, D> {
-    F32(S),
-    F64(D),
 }
 
 /// What duplicate in-flight requests coalesce on: the *raw* content
@@ -604,37 +650,16 @@ struct RequestGroup<V, E, T: Scalar> {
     tickets: Vec<LiveTicket<T>>,
 }
 
-/// A coalesced request group in a wave: prepared, carrying its surviving
-/// tickets, and what is known of its answer — the cache probe
-/// (`Option<CachedEntry>`) going into the wave's parallel region, the
-/// [`Answer`] coming out of it.
-struct ReadyGroup<V, E, T: Scalar, A> {
-    prepared: PreparedPair<V, E>,
-    precision: Precision,
-    tickets: Vec<LiveTicket<T>>,
-    answer: A,
-}
+/// The request lane's wave: each claim carries its group's surviving
+/// tickets.
+type TicketWave<V, E> = Wave<V, E, Tickets<f32>, Tickets<f64>>;
+type Tickets<T> = Vec<LiveTicket<T>>;
 
-/// Where a group's answer comes from: the pair cache, or its own solve
-/// (still to be folded).
-enum Answer<T: Scalar> {
-    Cached(CachedEntry),
-    Solved(RequestSolve<T>),
-}
-
-/// A cache-probed group waiting for its wave to solve, and one of either
-/// carrier.
-type Probed<V, E, T> = ReadyGroup<V, E, T, Option<CachedEntry>>;
-type Staged<V, E> = Carried<Probed<V, E, f32>, Probed<V, E, f64>>;
-
-/// The scheduler thread's state: the service it owns, the watch it
-/// publishes to, and the request wave it is assembling — the groups
-/// solving together next, and the normalized pair identities they claim.
+/// The scheduler thread's state: the service it owns and the watch it
+/// publishes to.
 struct Worker<'p, KV, KE, V, E> {
     service: GramService<KV, KE, V, E>,
     publisher: &'p SnapshotPublisher,
-    wave: Vec<Staged<V, E>>,
-    wave_keys: HashSet<PairKey>,
 }
 
 impl<KV, KE, V, E> Worker<'_, KV, KE, V, E>
@@ -712,8 +737,8 @@ where
             // same drain see the freshest cache (and before the barrier
             // replies, so a barrier-then-wait consumer cannot outrun them)
             self.serve_requests(requests);
-            // request-lane folds appended to the WAL without a flush boundary
-            // of their own: sync them before the drain cycle ends
+            // request-lane folds append to the WAL without a flush boundary of
+            // their own: sync what they appended before the drain cycle ends
             self.service.persist_request_boundary();
             for barrier in barriers {
                 // a client that gave up waiting is not an error
@@ -781,19 +806,20 @@ where
         let mut groups: Vec<_> = singles.chain(doubles).collect();
         groups.sort_unstable_by_key(|&(arrival, ..)| arrival);
 
-        // waves: consecutive groups with *distinct* normalized pair
-        // identities fan their solves out across the worker pool together;
-        // a group whose identity is already claimed by the current wave
-        // closes it first, so same-key groups keep their sequential cache
-        // dependency (e.g. the mirrored orientation of a pair answers,
-        // value-only, from the cache entry its sibling's fold inserts)
+        // consecutive groups with *distinct* normalized pair identities
+        // solve together in one wave; a group whose identity the open wave
+        // holds closes it first, so same-key groups keep their sequential
+        // cache dependency (e.g. the mirrored orientation of a pair
+        // answers, value-only, from the entry its sibling's fold inserts)
+        let mut wave = Wave::new();
         for (_, precision, group) in groups {
             match group {
-                Carried::F32(group) => self.stage(group, precision, Carried::F32),
-                Carried::F64(group) => self.stage(group, precision, Carried::F64),
+                Carried::F32(group) => self.stage(&mut wave, group, precision, Carried::F32),
+                Carried::F64(group) => self.stage(&mut wave, group, precision, Carried::F64),
             }
         }
-        self.solve_wave();
+        let landed = self.service.close(&mut wave);
+        self.answer(landed);
     }
 
     /// The in-queue checkpoint of one request: skip it if its ticket was
@@ -820,7 +846,9 @@ where
         // the queue-wait stage ends here, where grouping admits the ticket
         ticket.queue_wait_ns = ticket.intake.elapsed_ns();
         self.service.metrics().stage_queue_wait.record(ticket.queue_wait_ns);
-        match groups.entry((self.service.raw_pair_sides(&left, &right), precision)) {
+        let hasher = self.service.content_hasher();
+        let sides = (PairSide::of(hasher, &left), PairSide::of(hasher, &right));
+        match groups.entry((sides, precision)) {
             Entry::Occupied(mut group) => {
                 self.service.metrics().requests_coalesced.inc();
                 group.get_mut().tickets.push(ticket);
@@ -831,15 +859,15 @@ where
         }
     }
 
-    /// Admit one group to the current wave: drop its stale tickets, prepare
-    /// its pair, close the wave first if it already holds the pair's
-    /// identity, probe the cache. `carried` wraps the typed group into its
-    /// wave slot.
+    /// Feed one group to the wave: drop its stale tickets, prepare its
+    /// pair, claim it with the surviving tickets as payload, and answer
+    /// whatever wave that closed. `carried` fixes the group's carrier.
     fn stage<T: Scalar>(
         &mut self,
+        wave: &mut TicketWave<V, E>,
         group: RequestGroup<V, E, T>,
         precision: Precision,
-        carried: fn(Probed<V, E, T>) -> Staged<V, E>,
+        carried: Carry<V, E, Tickets<T>, Tickets<f32>, Tickets<f64>>,
     ) {
         // cancellations and deadlines may have landed while earlier groups
         // solved; re-check so no solve starts for a fully stale group
@@ -860,63 +888,29 @@ where
         // one preparation per group, shared by every coalesced ticket;
         // runs on the owning thread — it may mutate the reorder cache
         let prepared = self.service.prepare_pair(&group.left, &group.right);
-        if !self.wave_keys.insert(prepared.key()) {
-            self.solve_wave();
-            self.wave_keys.insert(prepared.key());
-        }
-        // the cache probe also stays on the owning thread (it touches
-        // recency), before this group enters the parallel fan-out
-        let answer = self.service.cached_answer(prepared.key(), precision);
-        self.wave.push(carried(ReadyGroup { prepared, precision, tickets: live, answer }));
+        let landed = self.service.feed(wave, prepared, precision, precision, live, carried);
+        self.answer(landed);
     }
 
-    /// Solve the current wave and start the next: the pure solves of all
-    /// cache-missed groups fan out across the worker pool in parallel (the
-    /// service is borrowed shared, so cache, donors and reorder state are
-    /// untouchable there), each solve travelling with its group; then the
-    /// folds and ticket fan-outs run sequentially in wave order on the
-    /// owning thread — the single-writer half — so cache/donor state
-    /// evolves exactly as a sequential drain would have left it.
-    fn solve_wave(&mut self) {
-        self.wave_keys.clear();
-        let service = &self.service;
-        let solved: Vec<Carried<_, _>> = std::mem::take(&mut self.wave)
-            .into_par_iter()
-            .map(|group| match group {
-                Carried::F32(group) => Carried::F32(Self::solve(service, group)),
-                Carried::F64(group) => Carried::F64(Self::solve(service, group)),
-            })
-            .collect();
-        for group in solved {
-            match group {
-                Carried::F32(group) => self.finish(group),
-                Carried::F64(group) => self.finish(group),
+    /// The request lane's sink: answer every group of one closed wave, in
+    /// arrival order.
+    fn answer(&mut self, landed: Landed<V, E, Tickets<f32>, Tickets<f64>>) {
+        for claim in landed {
+            match claim {
+                Carried::F32(claim) => self.finish(claim),
+                Carried::F64(claim) => self.finish(claim),
             }
         }
     }
 
-    /// The parallel half of one wave group: solve it at its precision,
-    /// unless the cache already answered.
-    fn solve<T: Scalar>(
-        service: &GramService<KV, KE, V, E>,
-        group: Probed<V, E, T>,
-    ) -> ReadyGroup<V, E, T, Answer<T>> {
-        let ReadyGroup { prepared, precision, tickets, answer } = group;
-        let answer = match answer {
-            Some(entry) => Answer::Cached(entry),
-            None => Answer::Solved(service.solve_pair(&prepared, precision)),
-        };
-        ReadyGroup { prepared, precision, tickets, answer }
-    }
-
-    /// The single-writer half of one wave group: replay its cache entry or
-    /// fold its solve, then wake every coalesced ticket with the shared
-    /// answer.
-    fn finish<T: Scalar>(&mut self, group: ReadyGroup<V, E, T, Answer<T>>) {
-        let ReadyGroup { prepared, precision, tickets, answer } = group;
+    /// Replay a group's cache entry or pass its folded solve on, and wake
+    /// every coalesced ticket with the shared answer.
+    fn finish<T: Scalar>(&mut self, claim: Claim<V, E, Tickets<T>, Outcome<T>>) {
+        let Claim { pair, precision, payload: tickets, answer } = claim;
         let result = match answer {
             Answer::Cached(entry) => {
-                let mut replayed = replay_entry::<T>(&entry, prepared.prepare_ns());
+                self.service.metrics().request_cache_answers.inc();
+                let mut replayed = replay_entry::<T>(&entry, pair.prepare_ns());
                 // a value-only replay, upgraded with the pair's nodal
                 // vector when the side-cache still holds this orientation —
                 // for f32 requests only: a narrowed vector must not answer
@@ -924,17 +918,19 @@ where
                 if precision == Precision::F32 {
                     replayed.nodal = self
                         .service
-                        .cached_nodal(&prepared)
+                        .cached_nodal(&pair)
                         .map(|nodal| nodal.into_iter().map(T::from_f32).collect());
                 }
                 Ok(replayed)
             }
-            // the entry is tagged with the precision the solve ran at, so a
-            // refined one answers later f64 and refined requests too
-            Answer::Solved(solved) => self
-                .service
-                .fold_request_solve(&prepared, solved, precision)
-                .map_err(RequestError::Solver),
+            // the entry was tagged with the precision the solve ran at, so
+            // a refined one answers later f64 and refined requests too
+            Answer::Fresh(result) => {
+                if result.is_ok() {
+                    self.service.metrics().request_solves.inc();
+                }
+                result.map_err(RequestError::Solver)
+            }
         };
         fan_out(tickets, result, &self.service.metrics().request_latency);
     }
@@ -1421,6 +1417,45 @@ mod tests {
         // replay probed it and missed
         assert_eq!(svc.stats().nodal_hits, 0);
         assert_eq!(svc.stats().nodal_misses, 1);
+    }
+
+    #[test]
+    fn a_group_whose_key_the_wave_holds_is_answered_or_solved_after_it() {
+        // (cache capacity, solves, cache answers): the mirrored group waits
+        // for its sibling's wave, then probes — a value-only cache answer
+        // when the cache kept the sibling's entry, a solve of its own
+        // (in its own orientation) when it could not
+        for (cache_capacity, solves, cache_answers) in [(4096, 1, 1), (0, 2, 0)] {
+            let gate = REQUEST_GATE.lock().unwrap();
+            let svc = service(GramServiceConfig { cache_capacity, ..Default::default() })
+                .with_content_hasher(request_gated_hash);
+            let scheduler = GramScheduler::spawn(svc, SchedulerConfig::default());
+            let producers = scheduler.client();
+            let kernels = scheduler.kernel_client::<f32>();
+            let graphs = dataset(3, 191);
+            let (a, b) = (graphs[0].clone(), graphs[1].clone());
+            assert_ne!(a.num_vertices(), b.num_vertices());
+
+            // park the scheduler so both orientations land in one drain
+            producers.submit(graphs[2].clone()).unwrap();
+            std::thread::sleep(std::time::Duration::from_millis(10));
+            let ab = kernels.request(a.clone(), b.clone()).unwrap();
+            let ba = kernels.request(b.clone(), a.clone()).unwrap();
+            drop(gate);
+
+            let first = ab.wait().unwrap();
+            let second = ba.wait().unwrap();
+            assert!((first.value - second.value).abs() <= 1e-4 * first.value.abs());
+            assert_eq!(
+                second.nodal.map(|nodal| nodal.len()),
+                (solves == 2).then_some(b.num_vertices() * a.num_vertices()),
+                "cache_capacity {cache_capacity}"
+            );
+            let svc = scheduler.join();
+            assert_eq!(svc.stats().request_solves, solves, "cache_capacity {cache_capacity}");
+            assert_eq!(svc.stats().request_cache_answers, cache_answers);
+            assert_eq!(svc.stats().failures, 0);
+        }
     }
 
     #[test]

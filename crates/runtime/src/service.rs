@@ -26,9 +26,21 @@
 //! * **Batched scheduling with backpressure.** Submissions queue up to
 //!   [`GramServiceConfig::max_pending`]; past that, [`GramService::submit`]
 //!   reports [`GramServiceError::Backpressure`] so producers can throttle.
-//!   [`flush`](GramService::flush) drains the queue in batches of
-//!   [`GramServiceConfig::batch_size`] jobs, each batch fanned out over the
-//!   persistent worker pool.
+//!   [`flush`](GramService::flush) pushes the new triangle block through
+//!   the service's *wave* — the paper's queue of independent pair jobs
+//!   launched together against shared state, and the runtime's one
+//!   solve-and-fold loop: each pair **claims** its normalized [`PairKey`]
+//!   (a key the wave already holds, or
+//!   [`GramServiceConfig::batch_size`] cache-missed pairs, closes the wave
+//!   first) and is **probed** in the pair cache; a closing wave **solves**
+//!   its misses in one parallel region over the persistent worker pool,
+//!   then **folds** them in arrival order and hands each outcome back to
+//!   the lane that fed it. The scheduler's request drain feeds the same
+//!   wave with ticket groups instead of triangle slots, so batching,
+//!   warm-start visibility (donors change only between waves) and
+//!   duplicate handling (a duplicate of a held key waits for that wave,
+//!   then is a cache answer if the cache kept the entry and a solve of its
+//!   own if not) are defined once.
 //!
 //! `flush` runs on the caller's thread; to decouple producers from solve
 //! latency, hand the service to a
@@ -36,7 +48,8 @@
 //! queue on a background thread and publishes versioned snapshots to a
 //! [`SnapshotWatch`](crate::watch::SnapshotWatch).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use rayon::prelude::*;
@@ -48,13 +61,13 @@ use mgk_linalg::{Precision, Scalar};
 use mgk_telemetry::{MetricsRegistry, Stopwatch};
 
 use crate::cache::{
-    CachedEntry, NodalCache, PairCache, PairKey, PairSide, Recency, ReorderCache, SharedNodal,
+    CachedEntry, LruMap, NodalCache, PairCache, PairKey, PairSide, ReorderCache, SharedNodal,
 };
 use crate::hash::{graph_content_hash, ContentHash};
 use crate::metrics::RuntimeMetrics;
 use crate::persist::{
     entry_from_stored, entry_to_stored, side_to_stored, DurabilityConfig, RecoveryReport,
-    ServiceStore, SyncScheduled,
+    ServiceStore,
 };
 
 /// Configuration of a [`GramService`].
@@ -369,34 +382,27 @@ struct DonorEntry {
 /// actively being donated to).
 #[derive(Debug, Clone)]
 struct DonorPool {
-    capacity: usize,
     per_key: usize,
-    map: HashMap<(u64, usize), (u64, Vec<DonorEntry>)>,
-    recency: Recency<(u64, usize)>,
+    buckets: LruMap<(u64, usize), Vec<DonorEntry>>,
 }
 
 impl DonorPool {
     fn new(capacity: usize, per_key: usize) -> Self {
-        DonorPool {
-            capacity: capacity.max(1),
-            per_key: per_key.max(1),
-            map: HashMap::new(),
-            recency: Recency::new(),
-        }
+        DonorPool { per_key: per_key.max(1), buckets: LruMap::new(capacity.max(1)) }
     }
 
     fn len(&self) -> usize {
-        self.map.len()
+        self.buckets.len()
     }
 
     /// Every retained candidate for `key`, newest donation first
-    /// (read-only: batch workers share the pool immutably, so recency is
+    /// (read-only: wave workers share the pool immutably, so recency is
     /// donation-time only).
     fn candidates(&self, key: &(u64, usize)) -> impl Iterator<Item = &[f32]> {
-        self.map
-            .get(key)
+        self.buckets
+            .peek(key)
             .into_iter()
-            .flat_map(|(_, bucket)| bucket.iter().rev().map(|e| e.nodal.as_slice()))
+            .flat_map(|bucket| bucket.iter().rev().map(|e| e.nodal.as_slice()))
     }
 
     fn donate(
@@ -406,37 +412,26 @@ impl DonorPool {
         nodal: impl Into<SharedNodal>,
         iterations: usize,
     ) {
-        let nodal = nodal.into();
-        if let Some((stamp, bucket)) = self.map.get_mut(&key) {
-            match bucket.iter_mut().find(|e| e.right_hash == right_hash) {
-                Some(existing) => {
-                    if iterations <= existing.iterations {
-                        existing.nodal = nodal;
-                        existing.iterations = iterations;
-                    }
-                }
-                None => {
-                    if bucket.len() >= self.per_key {
-                        // the bucket's oldest donor is the least likely to
-                        // still resemble the stream
-                        bucket.remove(0);
-                    }
-                    bucket.push(DonorEntry { right_hash, nodal, iterations });
+        let donor = DonorEntry { right_hash, nodal: nodal.into(), iterations };
+        let Some(bucket) = self.buckets.get_mut(key) else {
+            self.buckets.insert(key, vec![donor]);
+            return;
+        };
+        match bucket.iter_mut().find(|e| e.right_hash == right_hash) {
+            Some(existing) => {
+                if iterations <= existing.iterations {
+                    *existing = donor;
                 }
             }
-            *stamp = self.recency.touch(key);
-        } else {
-            if self.map.len() >= self.capacity {
-                let map = &self.map;
-                if let Some(victim) = self.recency.pop_lru(|k| map.get(k).map(|(t, _)| *t)) {
-                    self.map.remove(&victim);
+            None => {
+                if bucket.len() >= self.per_key {
+                    // the bucket's oldest donor is the least likely to
+                    // still resemble the stream
+                    bucket.remove(0);
                 }
+                bucket.push(donor);
             }
-            let stamp = self.recency.touch(key);
-            self.map.insert(key, (stamp, vec![DonorEntry { right_hash, nodal, iterations }]));
         }
-        let map = &self.map;
-        self.recency.compact_if_bloated(map.len(), |k| map.get(k).map(|(t, _)| *t));
     }
 }
 
@@ -734,7 +729,7 @@ where
         // alone.
         let incoming: Vec<Graph<V, E>> = self.pending.drain(..).collect();
         let prepare_watch = Stopwatch::start();
-        let keys: Vec<PairSide> = incoming.iter().map(|g| self.raw_side(g)).collect();
+        let keys: Vec<PairSide> = incoming.iter().map(|g| PairSide::of(self.hasher, g)).collect();
         let mut slots: Vec<Option<Arc<PreparedStructure<V, E>>>> =
             keys.iter().map(|&key| self.cached_structure(key)).collect();
         let missed: Vec<usize> = (0..slots.len()).filter(|&idx| slots[idx].is_none()).collect();
@@ -768,11 +763,10 @@ where
         self.metrics.admitted.add((self.members.len() - first_new) as u64);
         self.version += 1;
 
-        // the new lower-triangle block: rows [first_new, len), all j <= i.
-        // Content-identical pairs *within* this flush (duplicate
-        // submissions landing in one batch) are deduplicated up front:
-        // one representative is solved, the rest resolve from the cache
-        // afterwards.
+        // the new lower-triangle block: rows [first_new, len), all j <= i,
+        // fed through the wave with the triangle slot as payload. The flush
+        // lane carries at f32, solves at the solver's precision and accepts
+        // any cached entry (it stores f32 values).
         let new_len = self.members.len();
         // copy-on-write: captured snapshot sources share the triangle; a
         // flush that lands while one is alive clones it once, up front
@@ -780,93 +774,128 @@ where
             self.metrics.triangle_copies.inc();
         }
         Arc::make_mut(&mut self.values).resize(new_len * (new_len + 1) / 2, f32::NAN);
-        let mut jobs: Vec<(usize, usize)> = Vec::new();
-        let mut scheduled: std::collections::HashSet<PairKey> = std::collections::HashSet::new();
-        let mut deferred: Vec<(usize, usize)> = Vec::new();
+        let solve_at = self.solver.config().precision;
+        let mut wave = Wave::new();
+        let mut executed = 0;
         for i in first_new..new_len {
             for j in 0..=i {
-                let key = PairKey::new(self.members[i].side, self.members[j].side);
-                if let Some(entry) = self.cache.get(key) {
-                    Arc::make_mut(&mut self.values)[tri_index(i, j)] = entry.value;
-                    self.metrics.cache_hits.inc();
-                } else if scheduled.insert(key) {
-                    jobs.push((i, j));
-                } else {
-                    deferred.push((i, j));
-                }
+                let pair = PreparedPair {
+                    left: Arc::clone(&self.members[i]),
+                    right: Arc::clone(&self.members[j]),
+                    prepare_ns: 0,
+                };
+                let slot = tri_index(i, j);
+                let landed =
+                    self.feed(&mut wave, pair, Precision::F32, solve_at, slot, Carried::F32);
+                executed += self.land(landed);
             }
         }
-
-        // schedule the misses in bounded batches over the worker pool
-        let mut executed = 0;
-        for batch in jobs.chunks(self.config.batch_size.max(1)) {
-            executed += batch.len();
-            self.run_batch(batch);
-        }
-
-        // duplicates of a just-solved representative are cache lookups now
-        // (a representative that failed to converge leaves its duplicates
-        // NaN too — consistent with the entry it mirrors)
-        for (i, j) in deferred {
-            let key = PairKey::new(self.members[i].side, self.members[j].side);
-            if let Some(entry) = self.cache.get(key) {
-                Arc::make_mut(&mut self.values)[tri_index(i, j)] = entry.value;
-                self.metrics.cache_hits.inc();
-            }
-        }
+        let landed = self.close(&mut wave);
+        executed += self.land(landed);
 
         // durability boundary of the admitting flush: epoch mark, fsync of
-        // everything the batches appended, cadence snapshot when due
+        // everything the waves appended, cadence snapshot when due
         self.persist_flush_boundary();
         executed
     }
 
-    /// Solve one batch of `(i, j)` pairs in parallel and fold the results
-    /// into the triangle, the cache and the donor pool.
-    fn run_batch(&mut self, batch: &[(usize, usize)]) {
-        self.metrics.batches.inc();
-        // one solve span per batch (the paper's unit of scheduling), one
-        // fold span for the sequential cache/donor/triangle writeback; the
-        // donor pool is only written by the fold, so every job of the batch
-        // sees the same candidates
-        let solve_span = self.metrics.stage_solve.span();
-        let precision = self.solver.config().precision;
-        let pairs: Vec<PreparedPair<V, E>> = batch
-            .iter()
-            .map(|&(i, j)| PreparedPair {
-                left: Arc::clone(&self.members[i]),
-                right: Arc::clone(&self.members[j]),
-                prepare_ns: 0,
-            })
-            .collect();
-        let results: Vec<RequestSolve<f32>> =
-            pairs.par_iter().map(|pair| self.solve_pair(pair, precision)).collect();
-        drop(solve_span);
-
-        let _fold_span = self.metrics.stage_fold.span();
-        for ((&(i, j), pair), solved) in batch.iter().zip(&pairs).zip(results) {
-            self.metrics.jobs_executed.inc();
-            match solved.result {
-                Ok(r) => {
-                    Arc::make_mut(&mut self.values)[tri_index(i, j)] = r.value;
-                    self.write_back(pair, &r, precision, solved.warmed);
+    /// The flush lane's sink: write one closed wave's outcomes into their
+    /// triangle slots and count them. A failed solve leaves its slot NaN
+    /// (and uncached: a retry after resubmission gets a fresh chance to
+    /// converge). Returns the solves the wave executed.
+    fn land(&mut self, landed: Landed<V, E, usize, Infallible>) -> usize {
+        let mut executed = 0;
+        for claim in landed {
+            let Carried::F32(Claim { payload: slot, answer, .. }) = claim;
+            let value = match answer {
+                Answer::Cached(entry) => {
+                    self.metrics.cache_hits.inc();
+                    Some(entry.value)
                 }
-                Err(_) => {
-                    // leave the entry NaN and do not cache: a retry after
-                    // resubmission gets a fresh chance to converge
-                    self.metrics.failures.inc();
+                Answer::Fresh(result) => {
+                    executed += 1;
+                    self.metrics.jobs_executed.inc();
+                    result.ok().map(|r| r.value)
                 }
+            };
+            if let Some(value) = value {
+                Arc::make_mut(&mut self.values)[slot] = value;
             }
         }
+        if executed > 0 {
+            self.metrics.batches.inc();
+        }
+        executed
+    }
+
+    /// Claim `pair` for `wave` and probe the pair cache for it. A key the
+    /// wave already holds, or [`GramServiceConfig::batch_size`] cache-missed
+    /// claims, closes the wave first — its outcomes are returned — so the
+    /// probe sees what that wave folded. A cached entry must answer
+    /// `wanted`; a miss is solved (and its entry tagged) at `solve_at`.
+    /// `carried` fixes the claim's carrier.
+    pub(crate) fn feed<S: Send, D: Send, P>(
+        &mut self,
+        wave: &mut Wave<V, E, S, D>,
+        pair: PreparedPair<V, E>,
+        wanted: Precision,
+        solve_at: Precision,
+        payload: P,
+        carried: Carry<V, E, P, S, D>,
+    ) -> Landed<V, E, S, D> {
+        let key = pair.key();
+        let landed = if wave.keys.contains(&key) || wave.misses >= self.config.batch_size.max(1) {
+            self.close(wave)
+        } else {
+            Vec::new()
+        };
+        wave.keys.insert(key);
+        let answer = self.probe(key, wanted).map_or(Answer::Fresh(()), Answer::Cached);
+        wave.misses += usize::from(matches!(answer, Answer::Fresh(())));
+        wave.claims.push(carried(Claim { pair, precision: solve_at, payload, answer }));
+        landed
+    }
+
+    /// Close `wave` and start the next: the pure solves of its cache-missed
+    /// claims fan out across the worker pool in one parallel region (the
+    /// service is borrowed shared there, so every solve sees the same
+    /// donors); then the folds run in arrival order on the owning thread —
+    /// the single-writer half — so cache and donor state evolve exactly as
+    /// a sequential loop would have left them. Returns every claim with its
+    /// outcome, in arrival order, for the lane to deliver.
+    pub(crate) fn close<S: Send, D: Send>(
+        &mut self,
+        wave: &mut Wave<V, E, S, D>,
+    ) -> Landed<V, E, S, D> {
+        wave.keys.clear();
+        wave.misses = 0;
+        let service = &*self;
+        let solved: Vec<Carried<_, _>> = std::mem::take(&mut wave.claims)
+            .into_par_iter()
+            .map(|claim| match claim {
+                Carried::F32(c) => {
+                    Carried::F32(c.then(|pair, at, ()| service.solve_pair(pair, at)))
+                }
+                Carried::F64(c) => {
+                    Carried::F64(c.then(|pair, at, ()| service.solve_pair(pair, at)))
+                }
+            })
+            .collect();
+        solved
+            .into_iter()
+            .map(|claim| match claim {
+                Carried::F32(c) => Carried::F32(c.then(|pair, at, s| self.fold(pair, s, at))),
+                Carried::F64(c) => Carried::F64(c.then(|pair, at, s| self.fold(pair, s, at))),
+            })
+            .collect()
     }
 
     /// Warm-started solve of one prepared pair at `precision`, carried at
     /// `T`: the *pure* half of every solve, on both lanes and at every
     /// precision — the one place the service calls its solver. Reads the
-    /// donor pool, writes nothing (`&self`), so the flush lane's batches and
-    /// the scheduler's request waves fan it out across the worker pool; the
-    /// single-writer half is [`fold_request_solve`](Self::fold_request_solve)
-    /// (the flush lane folds in `run_batch`).
+    /// donor pool, writes nothing (`&self`), so a closing wave fans it out
+    /// across the worker pool; the single-writer half is the fold
+    /// ([`fold_request_solve`](Self::fold_request_solve) outside a wave).
     pub fn solve_pair<T: Scalar>(
         &self,
         pair: &PreparedPair<V, E>,
@@ -947,27 +976,6 @@ where
         }
     }
 
-    /// The pair's content identity over the *raw* (unprepared) structures,
-    /// in request order — the cheap key duplicate in-flight requests
-    /// coalesce on before the per-structure preprocessing runs.
-    /// Content-identical raw pairs prepare identically, so raw-key groups
-    /// are exactly the prepared-key groups. The sides are deliberately NOT
-    /// order-normalized: a solved request's nodal vector is laid out in
-    /// the request's orientation, so `(A, B)` and `(B, A)` must form
-    /// separate groups (the second resolves from the symmetric cache entry
-    /// the first inserts). The normalized prepared key
-    /// ([`prepare_pair`](Self::prepare_pair)) is still what the
-    /// [`PairCache`] answers by.
-    pub fn raw_pair_sides(&self, left: &Graph<V, E>, right: &Graph<V, E>) -> (PairSide, PairSide) {
-        (self.raw_side(left), self.raw_side(right))
-    }
-
-    /// The collision-hardened content identity of one raw structure — the
-    /// reorder cache's key.
-    fn raw_side(&self, g: &Graph<V, E>) -> PairSide {
-        PairSide::new((self.hasher)(g), g.num_vertices() as u32, g.num_edges() as u32)
-    }
-
     /// Look a raw structure identity up in the reorder cache, counting the
     /// hit or miss (a disabled cache counts neither).
     fn cached_structure(&mut self, key: PairSide) -> Option<Arc<PreparedStructure<V, E>>> {
@@ -983,8 +991,8 @@ where
     /// Prepare a request pair for the request lane: fetch or build each
     /// side's prepared structure, *without* solving anything. The pair's
     /// key is what the [`PairCache`] answers by (duplicate in-flight
-    /// requests coalesce earlier, on
-    /// [`raw_pair_sides`](Self::raw_pair_sides)). Structures the service
+    /// requests coalesce earlier, on the raw structures' identities).
+    /// Structures the service
     /// has already prepared — on a previous request or at batch admission —
     /// come back from the reorder cache as shared pointers
     /// ([`ServiceStats::reorder_hits`]): no reordering, no tiling, no
@@ -992,7 +1000,7 @@ where
     pub fn prepare_pair(&mut self, left: &Graph<V, E>, right: &Graph<V, E>) -> PreparedPair<V, E> {
         let watch = Stopwatch::start();
         let [left, right] = [left, right].map(|g| {
-            let key = self.raw_side(g);
+            let key = PairSide::of(self.hasher, g);
             self.cached_structure(key).unwrap_or_else(|| {
                 let prepared = Arc::new(prepare_structure(&self.solver, self.hasher, g));
                 self.reorder.insert(key, Arc::clone(&prepared));
@@ -1008,12 +1016,15 @@ where
     /// adequate precision exists — the request never touches the solve
     /// lane. Counted in [`ServiceStats::request_cache_answers`].
     pub fn cached_answer(&mut self, key: PairKey, wanted: Precision) -> Option<CachedEntry> {
-        let entry = self.cache.get(key)?.clone();
-        if !entry.answers(wanted) {
-            return None;
-        }
+        let entry = self.probe(key, wanted)?;
         self.metrics.request_cache_answers.inc();
         Some(entry)
+    }
+
+    /// The pair cache's entry for `key`, if it answers a request at
+    /// `wanted`. Touches recency, so it runs on the owning thread.
+    fn probe(&mut self, key: PairKey, wanted: Precision) -> Option<CachedEntry> {
+        self.cache.get(key).filter(|entry| entry.answers(wanted)).cloned()
     }
 
     /// Solve one prepared request at the [`Scalar`] instantiation `T`,
@@ -1036,10 +1047,10 @@ where
         self.solve_pair(pair, T::PRECISION)
     }
 
-    /// The *stateful* half of a request solve: account the outcome (its
-    /// solve-stage duration included) and fold a success into the pair
-    /// cache and the donor pool. Must run on the thread that owns the
-    /// service (the scheduler thread) — cache, donors and their recency
+    /// The *stateful* half of a request solve outside a wave:
+    /// the fold every solve gets, counted in
+    /// [`ServiceStats::request_solves`]. Must run on the thread that owns
+    /// the service (the scheduler thread) — cache, donors and their recency
     /// bookkeeping are single-writer. `precision` is the one the solve ran
     /// at, the tag the cache entry is stored under: a
     /// [`Precision::Refined`] entry answers later f64 and refined requests.
@@ -1049,24 +1060,33 @@ where
         solved: RequestSolve<T>,
         precision: Precision,
     ) -> Result<KernelResult<T>, SolverError> {
-        self.metrics.stage_solve.record(solved.solve_ns);
-        match solved.result {
-            Ok(mut r) => {
-                self.metrics.request_solves.inc();
-                let fold_watch = Stopwatch::start();
-                self.write_back(pair, &r, precision, solved.warmed);
-                let fold_ns = fold_watch.elapsed_ns();
-                self.metrics.stage_fold.record(fold_ns);
-                r.stages.prepare_ns = pair.prepare_ns;
-                r.stages.solve_ns = solved.solve_ns;
-                r.stages.fold_ns = fold_ns;
-                Ok(r)
-            }
-            Err(e) => {
-                self.metrics.failures.inc();
-                Err(e)
-            }
+        let folded = self.fold(pair, solved, precision);
+        if folded.is_ok() {
+            self.metrics.request_solves.inc();
         }
+        folded
+    }
+
+    /// The stateful half of every solve, on either lane: record the pair's
+    /// `solve` stage, write a success back ([`write_back`](Self::write_back),
+    /// timed as the pair's `cache_fold` stage, both stamped onto the
+    /// result's `StageBreakdown`) or count the failure.
+    fn fold<T: Scalar>(
+        &mut self,
+        pair: &PreparedPair<V, E>,
+        solved: RequestSolve<T>,
+        precision: Precision,
+    ) -> Result<KernelResult<T>, SolverError> {
+        self.metrics.stage_solve.record(solved.solve_ns);
+        let mut r = solved.result.inspect_err(|_| self.metrics.failures.inc())?;
+        let fold_watch = Stopwatch::start();
+        self.write_back(pair, &r, precision, solved.warmed);
+        let fold_ns = fold_watch.elapsed_ns();
+        self.metrics.stage_fold.record(fold_ns);
+        r.stages.prepare_ns = pair.prepare_ns;
+        r.stages.solve_ns = solved.solve_ns;
+        r.stages.fold_ns = fold_ns;
+        Ok(r)
     }
 
     /// The content hasher this service keys caches and donors by — the
@@ -1134,6 +1154,7 @@ where
         self.store = Some(ServiceStore {
             store,
             syncer,
+            unsynced: false,
             snapshot_every: config.snapshot_every,
             flushes_since_snapshot: 0,
         });
@@ -1153,7 +1174,7 @@ where
 
     /// The attached store's directory, if any.
     pub fn store_dir(&self) -> Option<&std::path::Path> {
-        self.store.as_ref().map(crate::persist::store_dir)
+        self.store.as_ref().map(|s| s.store.dir())
     }
 
     /// Number of retained nodal vectors (bounded by
@@ -1193,6 +1214,7 @@ where
     /// rather than poisoning the solve path.
     fn persist_pair(&mut self, key: PairKey, entry: &CachedEntry) {
         let Some(service_store) = self.store.as_mut() else { return };
+        service_store.unsynced = true;
         let stored = entry_to_stored(&key, entry);
         match service_store.store.append_pair(&stored) {
             Ok(appended) => {
@@ -1209,8 +1231,8 @@ where
     }
 
     /// The durability boundary of an admitting flush: append the epoch
-    /// mark, fsync everything the batches appended (under the
-    /// `EveryFlush` policy), and capture a cadence snapshot when due —
+    /// mark, sync everything the waves appended (under the `EveryFlush`
+    /// policy), and capture a cadence snapshot when due —
     /// all off the solve path, timed into the `persist` stage histogram.
     fn persist_flush_boundary(&mut self) {
         let Some(mut s) = self.store.take() else { return };
@@ -1219,26 +1241,9 @@ where
         let snapshot_due = s.snapshot_every > 0 && s.flushes_since_snapshot >= s.snapshot_every;
         let epoch = self.version;
         let result = (|| -> Result<(u64, u64), mgk_store::StoreError> {
+            s.unsynced = true;
             let appended = s.store.mark_epoch(epoch)?;
-            let mut fsyncs = u64::from(appended.synced);
-            match &s.syncer {
-                Some(syncer) => match syncer.schedule() {
-                    SyncScheduled::Scheduled => fsyncs += 1,
-                    SyncScheduled::Coalesced => {}
-                    SyncScheduled::Failed => {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::BrokenPipe,
-                            "WAL sync thread died",
-                        )
-                        .into());
-                    }
-                },
-                None => {
-                    if s.store.flush_boundary()? {
-                        fsyncs += 1;
-                    }
-                }
-            }
+            let fsyncs = u64::from(appended.synced) + u64::from(s.sync_boundary()?);
             if snapshot_due {
                 s.store.write_snapshot(&self.capture_store_snapshot())?;
                 s.flushes_since_snapshot = 0;
@@ -1260,34 +1265,20 @@ where
     }
 
     /// The durability boundary of a request drain: sync whatever the
-    /// request-lane folds appended since the last boundary — scheduled on
-    /// the group-commit thread under `EveryFlush`, so the ticket already
-    /// resolved and the next drain's solves overlap the sync's I/O wait.
+    /// request-lane folds appended since the last boundary, if anything —
+    /// scheduled on the group-commit thread under `EveryFlush`, so the
+    /// ticket already resolved and the next drain's solves overlap the
+    /// sync's I/O wait.
     pub(crate) fn persist_request_boundary(&mut self) {
         let Some(s) = self.store.as_mut() else { return };
         let watch = Stopwatch::start();
-        match &s.syncer {
-            Some(syncer) => match syncer.schedule() {
-                SyncScheduled::Scheduled => {
-                    self.metrics.store_fsyncs.inc();
-                    self.metrics.stage_persist.record(watch.elapsed_ns());
-                }
-                SyncScheduled::Coalesced => {}
-                SyncScheduled::Failed => {
-                    self.store = None;
-                }
-            },
-            None => match s.store.flush_boundary() {
-                Ok(synced) => {
-                    if synced {
-                        self.metrics.store_fsyncs.inc();
-                        self.metrics.stage_persist.record(watch.elapsed_ns());
-                    }
-                }
-                Err(_) => {
-                    self.store = None;
-                }
-            },
+        match s.sync_boundary() {
+            Ok(true) => {
+                self.metrics.store_fsyncs.inc();
+                self.metrics.stage_persist.record(watch.elapsed_ns());
+            }
+            Ok(false) => {}
+            Err(_) => self.store = None,
         }
     }
 
@@ -1320,14 +1311,81 @@ where
 }
 
 /// The raw outcome of the pure half of a solve
-/// ([`GramService::solve_pair`]), before its stateful fold
-/// ([`GramService::fold_request_solve`] on the request lane). Opaque by
+/// ([`GramService::solve_pair`]), before its stateful fold. Opaque by
 /// design: worker threads produce it, the owning thread consumes it.
 #[derive(Debug)]
 pub struct RequestSolve<T: Scalar> {
     result: Result<KernelResult<T>, SolverError>,
     warmed: bool,
     solve_ns: u64,
+}
+
+/// A value per carrier type: where code generic over what a solve is
+/// carried at meets the one ordered list a wave works down.
+pub(crate) enum Carried<S, D> {
+    F32(S),
+    F64(D),
+}
+
+/// Where a claim's answer comes from: the pair cache, or a fresh solve —
+/// `()` while it is pending, the [`RequestSolve`] once it ran, its result
+/// (an [`Outcome`]) once it is folded.
+pub(crate) enum Answer<R> {
+    Cached(CachedEntry),
+    Fresh(R),
+}
+
+/// What a closed wave hands back for one claim carried at `T`.
+pub(crate) type Outcome<T> = Answer<Result<KernelResult<T>, SolverError>>;
+
+/// One pair claimed by a wave: prepared, with the precision a miss is
+/// solved at, the feeding lane's payload, and its answer so far.
+pub(crate) struct Claim<V, E, P, A> {
+    pub(crate) pair: PreparedPair<V, E>,
+    pub(crate) precision: Precision,
+    pub(crate) payload: P,
+    pub(crate) answer: A,
+}
+
+impl<V, E, P, R> Claim<V, E, P, Answer<R>> {
+    /// The claim with a fresh answer advanced by `step`.
+    fn then<B>(
+        self,
+        step: impl FnOnce(&PreparedPair<V, E>, Precision, R) -> B,
+    ) -> Claim<V, E, P, Answer<B>> {
+        let answer = match self.answer {
+            Answer::Cached(entry) => Answer::Cached(entry),
+            Answer::Fresh(fresh) => Answer::Fresh(step(&self.pair, self.precision, fresh)),
+        };
+        Claim { pair: self.pair, precision: self.precision, payload: self.payload, answer }
+    }
+}
+
+/// A probed claim of either carrier, with payload `S` at f32 and `D` at f64.
+type Probed<V, E, S, D> = Carried<Claim<V, E, S, Answer<()>>, Claim<V, E, D, Answer<()>>>;
+
+/// What fixes a fed claim's carrier: the [`Carried`] variant wrapping it
+/// into its wave slot.
+pub(crate) type Carry<V, E, P, S, D> = fn(Claim<V, E, P, Answer<()>>) -> Probed<V, E, S, D>;
+
+/// A closed wave's claims with their outcomes, in arrival order.
+pub(crate) type Landed<V, E, S, D> =
+    Vec<Carried<Claim<V, E, S, Outcome<f32>>, Claim<V, E, D, Outcome<f64>>>>;
+
+/// The pairs solving together next: the claims of the open wave in arrival
+/// order, the normalized identities they hold, and how many of them missed
+/// the cache. Lives for one flush or one request drain; see
+/// [`GramService::feed`] and [`GramService::close`].
+pub(crate) struct Wave<V, E, S, D> {
+    claims: Vec<Probed<V, E, S, D>>,
+    keys: HashSet<PairKey>,
+    misses: usize,
+}
+
+impl<V, E, S, D> Wave<V, E, S, D> {
+    pub(crate) fn new() -> Self {
+        Wave { claims: Vec::new(), keys: HashSet::new(), misses: 0 }
+    }
 }
 
 /// Build the prepared structure of one raw graph: everything the solver
@@ -1343,12 +1401,7 @@ where
     E: Copy + Default,
 {
     let graph = solver.prepare_graph(g);
-    let prepared = graph.graph();
-    let side = PairSide::new(
-        hasher(prepared),
-        prepared.num_vertices() as u32,
-        prepared.num_edges() as u32,
-    );
+    let side = PairSide::of(hasher, graph.graph());
     PreparedStructure { graph, side }
 }
 
@@ -1619,6 +1672,40 @@ mod tests {
         for j in 0..6 {
             assert!((snap.get(1, j) - snap.get(4, j)).abs() < 1e-6, "column {j}");
         }
+    }
+
+    #[test]
+    fn duplicates_within_one_flush_survive_a_small_cache() {
+        let graphs = dataset(3, 53);
+        let flush_twice_submitted = |cache_capacity: usize| {
+            let mut svc = service(GramServiceConfig { cache_capacity, ..Default::default() });
+            for g in graphs.iter().chain(graphs.iter()) {
+                svc.submit(g.clone()).unwrap();
+            }
+            let executed = svc.flush();
+            (svc.snapshot_source(), svc.stats(), executed)
+        };
+        let (reference, _, executed) =
+            flush_twice_submitted(GramServiceConfig::default().cache_capacity);
+        assert_eq!(executed, 3 * 4 / 2);
+        // a cache too small to hold the flush's unique pairs cannot serve
+        // every duplicate: the ones whose probe misses are solved — in
+        // their own orientation, warm-started, so they agree with the
+        // cached representative to solver accuracy — never left NaN
+        for cache_capacity in [0, 2, 4] {
+            let (source, stats, executed) = flush_twice_submitted(cache_capacity);
+            assert_eq!(stats.failures, 0);
+            assert!(executed > 3 * 4 / 2, "capacity {cache_capacity} must re-solve duplicates");
+            for (slot, (got, want)) in source.triangle.iter().zip(&*reference.triangle).enumerate()
+            {
+                assert!(
+                    (got - want).abs() <= 1e-4 * want.abs(),
+                    "cache_capacity {cache_capacity}, triangle slot {slot}: {got} vs {want}"
+                );
+            }
+        }
+        let (.., executed) = flush_twice_submitted(0);
+        assert_eq!(executed, 6 * 7 / 2, "without a cache every slot is solved");
     }
 
     #[test]

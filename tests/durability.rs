@@ -354,6 +354,39 @@ fn fsync_policies_are_observable_in_the_stats() {
 }
 
 #[test]
+fn a_read_only_restart_appends_and_syncs_nothing() {
+    let dir = TempDir::new("durable-read-only").unwrap();
+    let graphs = corpus(4, 47);
+    let pairs = all_pairs(&graphs);
+    let spawn = || {
+        GramScheduler::spawn_durable(
+            service(),
+            SchedulerConfig::default(),
+            DurabilityConfig::new(dir.path()),
+        )
+        .unwrap()
+        .0
+    };
+
+    // first life: solve all ten pairs into the store
+    let scheduler = spawn();
+    request_values(&scheduler, &pairs);
+    assert_eq!(scheduler.join().stats().store_appends, pairs.len());
+
+    // second life: 200 cache answers, one drain cycle each — boundaries
+    // with nothing appended since the last one must not schedule syncs
+    let scheduler = spawn();
+    let kernels = scheduler.kernel_client::<f32>();
+    for (a, b) in pairs.iter().cycle().take(200) {
+        kernels.request(a.clone(), b.clone()).unwrap().wait().unwrap();
+    }
+    let stats = scheduler.join().stats();
+    assert_eq!(stats.request_cache_answers, 200);
+    assert_eq!(stats.store_appends, 0);
+    assert_eq!(stats.store_fsyncs, 0, "a boundary with nothing unsynced syncs nothing");
+}
+
+#[test]
 fn snapshot_cadence_truncates_the_log() {
     let dir = TempDir::new("durable-cadence").unwrap();
     let graphs = corpus(4, 43);
