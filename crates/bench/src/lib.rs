@@ -1,9 +1,9 @@
-//! Shared helpers for the benchmark harness.
+//! Shared helpers for the paper's report binaries.
 //!
 //! Every table and figure of the paper's evaluation has a dedicated report
 //! binary under `src/bin/` (run with
-//! `cargo run -p mgk-bench --release --bin <name>`) and, where wall-clock
-//! measurement matters, a criterion benchmark under `benches/`.
+//! `cargo run -p mgk-bench --release --bin <name>`). Wall-clock measurement
+//! of the stack, layer by layer, is the `benchmark/` package's job.
 //!
 //! | paper artifact | binary |
 //! |---|---|

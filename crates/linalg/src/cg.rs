@@ -162,10 +162,39 @@ pub fn pcg_counted_warm<T: Scalar, A: LinearOperator<T>, M: LinearOperator<T>>(
     opts: &SolveOptions,
     counters: &mut TrafficCounters,
 ) -> (Vec<T>, ConvergenceInfo) {
-    match x0 {
-        Some(guess) => pcg_counted_warm_multi(a, m_inv, b, &[guess], opts, counters),
-        None => pcg_counted_warm_multi(a, m_inv, b, &[], opts, counters),
+    pcg_counted_warm_multi(a, m_inv, b, x0.as_slice(), opts, counters)
+}
+
+/// Where an iteration on `A x = b` starts: `(x, r, ‖r‖²)` of the candidate
+/// with the smallest measured initial residual `r = b − A·c`, or of the cold
+/// start (`x = 0`, `r = b`) when no candidate meets its `‖b‖²` — the bar a
+/// guess must clear to be used at all. Ranking a candidate costs one counted
+/// operator application (into `scratch`) and two counted vector sweeps.
+fn best_start<T: Scalar, A: LinearOperator<T>>(
+    a: &A,
+    b: &[T],
+    candidates: &[&[T]],
+    b_norm_sq: f64,
+    scratch: &mut [T],
+    counters: &mut TrafficCounters,
+) -> (Vec<T>, Vec<T>, f64) {
+    let nn = b.len() as u64;
+    let mut best: Option<(Vec<T>, Vec<T>)> = None;
+    let mut best_sq = b_norm_sq;
+    for guess in candidates {
+        assert_eq!(guess.len(), b.len(), "warm-start guess dimension must match right-hand side");
+        a.apply_counted(guess, scratch, counters);
+        let r: Vec<T> = b.iter().zip(&*scratch).map(|(&bi, &axi)| bi - axi).collect();
+        counters.count_vector_op_t::<T>(2 * nn, nn, nn);
+        counters.count_vector_op_t::<T>(nn, 0, 2 * nn);
+        let r_sq = T::accum_to_f64(norm_sq(&r));
+        if r_sq <= best_sq {
+            best_sq = r_sq;
+            best = Some((guess.to_vec(), r));
+        }
     }
+    let (x, r) = best.unwrap_or_else(|| (vec![T::ZERO; b.len()], b.to_vec()));
+    (x, r, best_sq)
 }
 
 /// [`pcg_counted_warm`] with several candidate warm starts: the iteration
@@ -201,32 +230,14 @@ pub fn pcg_counted_warm_multi<T: Scalar, A: LinearOperator<T>, M: LinearOperator
         );
     }
 
-    // rank the candidates by initial residual; the cold start's ‖b‖² is the
-    // bar a candidate must meet to be used at all
-    let mut best: Option<(Vec<T>, Vec<T>)> = None;
-    let mut best_sq = b_norm * b_norm;
-    let mut ax = vec![T::ZERO; n];
-    for guess in candidates {
-        assert_eq!(guess.len(), n, "warm-start guess dimension must match right-hand side");
-        // r = b - A·guess
-        a.apply_counted(guess, &mut ax, counters);
-        let r: Vec<T> = b.iter().zip(&ax).map(|(&bi, &axi)| bi - axi).collect();
-        counters.count_vector_op_t::<T>(2 * nn, nn, nn);
-        counters.count_vector_op_t::<T>(nn, 0, 2 * nn);
-        let r_sq = T::accum_to_f64(norm_sq(&r));
-        if r_sq <= best_sq {
-            best_sq = r_sq;
-            best = Some((guess.to_vec(), r));
-        }
-    }
-    // r = b - A·0 = b for the cold start
-    let (mut x, mut r) = best.unwrap_or_else(|| (vec![T::ZERO; n], b.to_vec()));
+    // `a_p` doubles as the ranking's scratch: every application overwrites it
+    let mut a_p = vec![T::ZERO; n];
+    let (mut x, mut r, _) = best_start(a, b, candidates, b_norm * b_norm, &mut a_p, counters);
     let mut z = vec![T::ZERO; n];
     m_inv.apply_counted(&r, &mut z, counters);
     let mut p = z.clone();
     let mut rho = T::accum_to_f64(dot(&r, &z));
     counters.count_vector_op_t::<T>(2 * nn, 0, 2 * nn);
-    let mut a_p = vec![T::ZERO; n];
 
     let mut iterations = 0;
     let mut rel_res = T::accum_to_f64(norm_sq(&r)).sqrt() / b_norm;
@@ -405,21 +416,8 @@ where
     let mut ax = vec![0.0f64; n];
 
     // best-initial-residual warm start, measured against the f64 operator
-    let mut start: Option<(Vec<f64>, Vec<f64>)> = None;
-    let mut best_sq = b_norm * b_norm;
-    for guess in candidates {
-        assert_eq!(guess.len(), n, "warm-start guess dimension must match right-hand side");
-        a64.apply_counted(guess, &mut ax, counters);
-        let r: Vec<f64> = b.iter().zip(&ax).map(|(&bi, &axi)| bi - axi).collect();
-        counters.count_vector_op_t::<f64>(2 * nn, nn, nn);
-        counters.count_vector_op_t::<f64>(nn, 0, 2 * nn);
-        let r_sq = f64::accum_to_f64(norm_sq(&r));
-        if r_sq <= best_sq {
-            best_sq = r_sq;
-            start = Some((guess.to_vec(), r));
-        }
-    }
-    let (mut x, mut r) = start.unwrap_or_else(|| (vec![0.0f64; n], b.to_vec()));
+    let (mut x, mut r, best_sq) =
+        best_start(a64, b, candidates, b_norm * b_norm, &mut ax, counters);
     let mut iterations = 0;
     let mut rel_res = best_sq.sqrt() / b_norm;
     let mut converged = rel_res <= opts.tolerance;

@@ -384,12 +384,6 @@ pub struct ClusterTelemetry {
 }
 
 impl ClusterTelemetry {
-    /// The per-shard registries, by shard index (each shard's service
-    /// forked its own on spawn).
-    pub fn shard_registries(&self) -> &[Arc<MetricsRegistry>] {
-        &self.registries
-    }
-
     /// One consistent-format capture of the whole cluster: each shard's
     /// snapshot stamped `shard="k"`, merged and re-sorted. Render with
     /// `render_prometheus()` / `render_json()` as usual;

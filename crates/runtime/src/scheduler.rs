@@ -30,18 +30,19 @@
 //!   re-raised from `join`.
 //! * A [`KernelClient`] asks for **one pair** over the same channel and
 //!   gets a [`Ticket`] back. The precision to solve at is a value on the
-//!   request; the only thing the request lane is generic over is the
-//!   *carrier* `T`, what a `Ticket<KernelResult<T>>` promises. Each drain
-//!   groups its requests by (ordered pair identity, precision, carrier)
-//!   and feeds the groups, in arrival order, to the service's *wave* — the
+//!   request, and the *carrier* `T` — what a `Ticket<KernelResult<T>>`
+//!   promises — stays with the ticket's resolver: nothing between intake
+//!   and wake is generic over it. Each drain groups its requests by
+//!   (ordered pair identity, precision) and feeds the groups, in arrival
+//!   order, to the service's *wave* — the
 //!   same claim → probe → solve → fold loop [`GramService::flush`] pushes
 //!   its triangle block through (see the [`service`](crate::service) module
 //!   docs), here with the group's tickets as payload. A group is answered
 //!   from the pair cache when an entry of adequate precision exists and
 //!   otherwise solved once, together with the rest of its wave; a group
 //!   whose key the wave already holds waits for that wave — so it sees the
-//!   entry its sibling folded. Every ticket of a group wakes with the
-//!   shared answer.
+//!   entry its sibling folded. Every ticket of a group wakes from the
+//!   shared answer, which takes the ticket's type there and only there.
 //!
 //! Waves are fanned out over the existing persistent worker
 //! [`Pool`](crate::Pool) — the scheduler thread is a coordinator, not a
@@ -59,15 +60,13 @@ use mgk_core::{KernelResult, StageBreakdown};
 use mgk_graph::Graph;
 use mgk_kernels::BaseKernel;
 use mgk_linalg::{Precision, Scalar, TrafficCounters};
-use mgk_telemetry::{Histogram, MetricsRegistry, Stopwatch};
+use mgk_telemetry::{Counter, Gauge, MetricsRegistry, Stopwatch};
 
-use crate::cache::{CachedEntry, PairKey, PairSide};
+use crate::cache::{CachedEntry, PairKey, PairSide, SharedNodal};
 use crate::cluster::{shard_of_key, shard_of_side};
 use crate::hash::ContentHash;
 use crate::metrics::RuntimeMetrics;
-use crate::service::{
-    Answer, Carried, Carry, Claim, GramService, GramServiceError, Landed, Outcome, Wave,
-};
+use crate::service::{Answer, Claim, GramService, GramServiceError, Landed, Wave};
 use crate::ticket::{ticket, RequestError, Ticket, TicketResolver};
 use crate::watch::{snapshot_channel_counted, SnapshotPublisher, SnapshotWatch};
 
@@ -541,13 +540,15 @@ where
         let metrics = service.metrics().clone();
         let hasher = service.content_hasher();
         let (publisher, watch) = snapshot_channel_counted(metrics.snapshot_builds.clone());
+        let inbox = Inbox { rx, queue_depth: metrics.queue_depth.clone() };
         let handle = std::thread::Builder::new()
             .name("mgk-gram-scheduler".to_string())
             .spawn(move || {
-                // `publisher` lives on this frame: whether `run` returns or
-                // unwinds on a solve panic, dropping it closes the watch and
-                // unblocks every waiting consumer
-                Worker { service, publisher: &publisher }.run(rx, capacity)
+                // `publisher` and `inbox` live on this frame: whether `run`
+                // returns or unwinds on a solve panic, dropping them closes
+                // the watch, unblocking every waiting consumer, and takes
+                // what is still queued off the queue-depth gauge
+                Worker { service, publisher: &publisher }.run(&inbox.rx, capacity)
             })
             .expect("spawning the scheduler thread");
         let client = GramClient::new(vec![Lane { tx, capacity, metrics, watch }], hasher);
@@ -630,30 +631,72 @@ where
 /// identity of the ordered pair, and the precision asked for.
 type Slot = ((PairSide, PairSide), Precision);
 
-/// One request's ticket on the scheduler side: its resolver, deadline, the
-/// intake stopwatch (still running — it times the ticket end-to-end) and,
-/// once grouping admitted it, the queue wait credited to it.
-struct LiveTicket<T: Scalar> {
-    resolver: TicketResolver<KernelResult<T>>,
+/// One request's ticket on the scheduler side: the typed resolver it
+/// arrived with, its deadline, the intake stopwatch (still running — it
+/// times the ticket end-to-end) and, once grouping admitted it, the queue
+/// wait credited to it.
+struct LiveTicket {
+    resolver: KernelResolver,
     deadline: Option<Instant>,
     intake: Stopwatch,
     queue_wait_ns: u64,
 }
 
-/// The tickets of one drain that share a [`Slot`] and a carrier, in
-/// arrival order, with the pair as the first of them spelled it.
-struct RequestGroup<V, E, T: Scalar> {
+impl LiveTicket {
+    fn is_cancelled(&self) -> bool {
+        match &self.resolver {
+            KernelResolver::F32(resolver) => resolver.is_cancelled(),
+            KernelResolver::F64(resolver) => resolver.is_cancelled(),
+        }
+    }
+
+    /// Wake the ticket: the one place an answer takes the ticket's type.
+    fn resolve(self, answer: &Result<Shared, RequestError>) {
+        match self.resolver {
+            KernelResolver::F32(r) => r.resolve(make::<f32>(answer, self.queue_wait_ns)),
+            KernelResolver::F64(r) => r.resolve(make::<f64>(answer, self.queue_wait_ns)),
+        }
+    }
+}
+
+/// The tickets of one drain that share a [`Slot`], in arrival order, with
+/// the pair as the first of them spelled it.
+struct RequestGroup<V, E> {
     /// Position of the group's first request in the drain.
     arrival: usize,
     left: Graph<V, E>,
     right: Graph<V, E>,
-    tickets: Vec<LiveTicket<T>>,
+    tickets: Vec<LiveTicket>,
 }
 
-/// The request lane's wave: each claim carries its group's surviving
-/// tickets.
-type TicketWave<V, E> = Wave<V, E, Tickets<f32>, Tickets<f64>>;
-type Tickets<T> = Vec<LiveTicket<T>>;
+/// What every ticket of a group is woken from: the group's answer as a
+/// wave carries one, and — for a cache replay the side-cache could upgrade —
+/// the retained `f32` nodal vector a ticket copies out in its place.
+struct Shared {
+    result: KernelResult<f64>,
+    replayed_nodal: Option<SharedNodal>,
+}
+
+/// The receiving half of the command channel, with the gauge its senders
+/// raise. Commands still queued when the scheduler thread leaves — a
+/// producer racing the shutdown, or a solve panic mid-batch — are dropped
+/// with the receiver; their units leave the gauge here, because the hub
+/// outlives the thread and is where the next life's gauge starts.
+struct Inbox<V, E> {
+    rx: Receiver<Command<V, E>>,
+    queue_depth: Gauge,
+}
+
+impl<V, E> Drop for Inbox<V, E> {
+    fn drop(&mut self) {
+        // a send landing between this sweep and the receiver's own drop,
+        // just below, is the one window left; after it, sends fail and
+        // `Lane::send` unwinds its own units
+        for command in self.rx.try_iter() {
+            self.queue_depth.add(-command.queue_units());
+        }
+    }
+}
 
 /// The scheduler thread's state: the service it owns and the watch it
 /// publishes to.
@@ -670,7 +713,7 @@ where
     KE: BaseKernel<E> + Clone + Send + Sync,
 {
     /// The thread body: receive, coalesce, flush, publish, repeat.
-    fn run(mut self, rx: Receiver<Command<V, E>>, capacity: usize) -> GramService<KV, KE, V, E> {
+    fn run(mut self, rx: &Receiver<Command<V, E>>, capacity: usize) -> GramService<KV, KE, V, E> {
         let metrics = self.service.metrics().clone();
 
         // hand-off state: flush anything already pending, publish warm state —
@@ -749,7 +792,7 @@ where
             }
             if shutdown {
                 // commands a racing producer enqueued *after* the shutdown are
-                // dropped with the receiver; everything before it was drained
+                // dropped with the inbox; everything before it was drained
                 // (requests among them resolve Closed as their resolvers drop)
                 break;
             }
@@ -760,10 +803,10 @@ where
         self.service
     }
 
-    /// The request lane: group the drained requests by pair identity,
-    /// precision and carrier, skip what cannot or need not run (cancelled,
-    /// expired, cache-answerable), and solve once per surviving group —
-    /// every ticket of a group is woken with the shared answer.
+    /// The request lane: group the drained requests by pair identity and
+    /// precision, skip what cannot or need not run (cancelled, expired,
+    /// cache-answerable), and solve once per surviving group — every ticket
+    /// of a group is woken from the shared answer.
     fn serve_requests(&mut self, requests: Vec<KernelRequest<V, E>>) {
         if requests.is_empty() {
             return;
@@ -778,33 +821,18 @@ where
         // result — the second orientation resolves from the symmetric
         // cache entry the first one inserts (value only, no transposed
         // vector)
-        let mut singles: HashMap<Slot, RequestGroup<V, E, f32>> = HashMap::new();
-        let mut doubles: HashMap<Slot, RequestGroup<V, E, f64>> = HashMap::new();
+        let mut groups: HashMap<Slot, RequestGroup<V, E>> = HashMap::new();
         // a span, not a stopwatch: the content hashers grouping calls into
         // can panic (tests rely on it), and the drain stage must stay
         // balanced through that unwind
         let drain_span = self.service.metrics().stage_drain.span();
-        for (arrival, req) in requests.into_iter().enumerate() {
-            let KernelRequest { left, right, precision, deadline, resolver, intake } = req;
-            let pair = (left, right);
-            match resolver {
-                KernelResolver::F32(resolver) => {
-                    let ticket = LiveTicket { resolver, deadline, intake, queue_wait_ns: 0 };
-                    self.coalesce(&mut singles, arrival, precision, pair, ticket);
-                }
-                KernelResolver::F64(resolver) => {
-                    let ticket = LiveTicket { resolver, deadline, intake, queue_wait_ns: 0 };
-                    self.coalesce(&mut doubles, arrival, precision, pair, ticket);
-                }
-            }
+        for (arrival, request) in requests.into_iter().enumerate() {
+            self.coalesce(&mut groups, arrival, request);
         }
         drop(drain_span);
-        // both carriers' groups, back in the order their first requests
-        // arrived
-        let singles = singles.into_iter().map(|(slot, g)| (g.arrival, slot.1, Carried::F32(g)));
-        let doubles = doubles.into_iter().map(|(slot, g)| (g.arrival, slot.1, Carried::F64(g)));
-        let mut groups: Vec<_> = singles.chain(doubles).collect();
-        groups.sort_unstable_by_key(|&(arrival, ..)| arrival);
+        // back in the order the groups' first requests arrived
+        let mut groups: Vec<_> = groups.into_iter().map(|(slot, group)| (slot.1, group)).collect();
+        groups.sort_unstable_by_key(|(_, group)| group.arrival);
 
         // consecutive groups with *distinct* normalized pair identities
         // solve together in one wave; a group whose identity the open wave
@@ -812,37 +840,43 @@ where
         // cache dependency (e.g. the mirrored orientation of a pair
         // answers, value-only, from the entry its sibling's fold inserts)
         let mut wave = Wave::new();
-        for (_, precision, group) in groups {
-            match group {
-                Carried::F32(group) => self.stage(&mut wave, group, precision, Carried::F32),
-                Carried::F64(group) => self.stage(&mut wave, group, precision, Carried::F64),
-            }
+        for (precision, group) in groups {
+            self.stage(&mut wave, group, precision);
         }
         let landed = self.service.close(&mut wave);
-        self.answer(landed);
+        self.finish(landed);
     }
 
-    /// The in-queue checkpoint of one request: skip it if its ticket was
-    /// dropped or its deadline has passed, else attach it to its slot's
-    /// group, opening the group if it is the slot's first.
-    fn coalesce<T: Scalar>(
-        &mut self,
-        groups: &mut HashMap<Slot, RequestGroup<V, E, T>>,
-        arrival: usize,
-        precision: Precision,
-        (left, right): (Graph<V, E>, Graph<V, E>),
-        mut ticket: LiveTicket<T>,
-    ) {
-        if ticket.resolver.is_cancelled() {
-            // the ticket is gone; dropping the resolver is the whole skip
+    /// The checkpoint a ticket passes before work is done for it: a dropped
+    /// ticket is skipped (dropping its resolver is the whole skip), one past
+    /// its deadline resolves [`RequestError::Expired`], counted in
+    /// `expired`; any other comes back.
+    fn still_wanted(&self, ticket: LiveTicket, expired: &Counter) -> Option<LiveTicket> {
+        if ticket.is_cancelled() {
             self.service.metrics().requests_cancelled.inc();
-            return;
+            return None;
         }
         if ticket.deadline.is_some_and(|d| Instant::now() >= d) {
-            self.service.metrics().requests_expired_in_queue.inc();
-            ticket.resolver.resolve(Err(RequestError::Expired));
-            return;
+            expired.inc();
+            ticket.resolve(&Err(RequestError::Expired));
+            return None;
         }
+        Some(ticket)
+    }
+
+    /// The in-queue checkpoint of one request: attach its ticket, if still
+    /// wanted, to its slot's group, opening the group if it is the slot's
+    /// first.
+    fn coalesce(
+        &mut self,
+        groups: &mut HashMap<Slot, RequestGroup<V, E>>,
+        arrival: usize,
+        request: KernelRequest<V, E>,
+    ) {
+        let KernelRequest { left, right, precision, deadline, resolver, intake } = request;
+        let ticket = LiveTicket { resolver, deadline, intake, queue_wait_ns: 0 };
+        let expired = &self.service.metrics().requests_expired_in_queue;
+        let Some(mut ticket) = self.still_wanted(ticket, expired) else { return };
         // the queue-wait stage ends here, where grouping admits the ticket
         ticket.queue_wait_ns = ticket.intake.elapsed_ns();
         self.service.metrics().stage_queue_wait.record(ticket.queue_wait_ns);
@@ -861,78 +895,64 @@ where
 
     /// Feed one group to the wave: drop its stale tickets, prepare its
     /// pair, claim it with the surviving tickets as payload, and answer
-    /// whatever wave that closed. `carried` fixes the group's carrier.
-    fn stage<T: Scalar>(
+    /// whatever wave that closed.
+    fn stage(
         &mut self,
-        wave: &mut TicketWave<V, E>,
-        group: RequestGroup<V, E, T>,
+        wave: &mut Wave<V, E, Vec<LiveTicket>>,
+        group: RequestGroup<V, E>,
         precision: Precision,
-        carried: Carry<V, E, Tickets<T>, Tickets<f32>, Tickets<f64>>,
     ) {
         // cancellations and deadlines may have landed while earlier groups
         // solved; re-check so no solve starts for a fully stale group
-        let mut live: Vec<LiveTicket<T>> = Vec::new();
-        for ticket in group.tickets {
-            if ticket.resolver.is_cancelled() {
-                self.service.metrics().requests_cancelled.inc();
-            } else if ticket.deadline.is_some_and(|d| Instant::now() >= d) {
-                self.service.metrics().requests_expired_pre_solve.inc();
-                ticket.resolver.resolve(Err(RequestError::Expired));
-            } else {
-                live.push(ticket);
-            }
-        }
+        let expired = &self.service.metrics().requests_expired_pre_solve;
+        let live: Vec<LiveTicket> =
+            group.tickets.into_iter().filter_map(|t| self.still_wanted(t, expired)).collect();
         if live.is_empty() {
             return;
         }
         // one preparation per group, shared by every coalesced ticket;
         // runs on the owning thread — it may mutate the reorder cache
         let prepared = self.service.prepare_pair(&group.left, &group.right);
-        let landed = self.service.feed(wave, prepared, precision, precision, live, carried);
-        self.answer(landed);
+        let landed = self.service.feed(wave, prepared, precision, precision, live);
+        self.finish(landed);
     }
 
-    /// The request lane's sink: answer every group of one closed wave, in
-    /// arrival order.
-    fn answer(&mut self, landed: Landed<V, E, Tickets<f32>, Tickets<f64>>) {
-        for claim in landed {
-            match claim {
-                Carried::F32(claim) => self.finish(claim),
-                Carried::F64(claim) => self.finish(claim),
+    /// The request lane's sink: for every group of one closed wave, in
+    /// arrival order, replay its cache entry or pass its folded solve on,
+    /// and wake every coalesced ticket from it.
+    fn finish(&mut self, landed: Landed<V, E, Vec<LiveTicket>>) {
+        for Claim { pair, precision, payload: tickets, answer } in landed {
+            let shared = match answer {
+                Answer::Cached(entry) => {
+                    self.service.metrics().request_cache_answers.inc();
+                    // a value-only replay, upgraded with the pair's nodal
+                    // vector when the side-cache still holds this
+                    // orientation — for f32 requests only: a narrowed vector
+                    // must not answer a request that was promised f64
+                    // accuracy
+                    let replayed_nodal = (precision == Precision::F32)
+                        .then(|| self.service.cached_nodal(&pair))
+                        .flatten();
+                    Ok(Shared { result: replay_entry(&entry, pair.prepare_ns()), replayed_nodal })
+                }
+                // the entry was tagged with the precision the solve ran at,
+                // so a refined one answers later f64 and refined requests too
+                Answer::Fresh(result) => {
+                    if result.is_ok() {
+                        self.service.metrics().request_solves.inc();
+                    }
+                    result
+                        .map(|result| Shared { result, replayed_nodal: None })
+                        .map_err(RequestError::Solver)
+                }
+            };
+            // each ticket's end-to-end latency is recorded at the moment of
+            // its resolution
+            for ticket in tickets {
+                self.service.metrics().request_latency.record(ticket.intake.elapsed_ns());
+                ticket.resolve(&shared);
             }
         }
-    }
-
-    /// Replay a group's cache entry or pass its folded solve on, and wake
-    /// every coalesced ticket with the shared answer.
-    fn finish<T: Scalar>(&mut self, claim: Claim<V, E, Tickets<T>, Outcome<T>>) {
-        let Claim { pair, precision, payload: tickets, answer } = claim;
-        let result = match answer {
-            Answer::Cached(entry) => {
-                self.service.metrics().request_cache_answers.inc();
-                let mut replayed = replay_entry::<T>(&entry, pair.prepare_ns());
-                // a value-only replay, upgraded with the pair's nodal
-                // vector when the side-cache still holds this orientation —
-                // for f32 requests only: a narrowed vector must not answer
-                // a request that was promised f64 accuracy
-                if precision == Precision::F32 {
-                    replayed.nodal = self
-                        .service
-                        .cached_nodal(&pair)
-                        .map(|nodal| nodal.into_iter().map(T::from_f32).collect());
-                }
-                Ok(replayed)
-            }
-            // the entry was tagged with the precision the solve ran at, so
-            // a refined one answers later f64 and refined requests too
-            Answer::Fresh(result) => {
-                if result.is_ok() {
-                    self.service.metrics().request_solves.inc();
-                }
-                result.map_err(RequestError::Solver)
-            }
-        };
-        fan_out(tickets, result, &self.service.metrics().request_latency);
     }
 
     /// Queue one structure into the service, flushing mid-batch if the
@@ -977,13 +997,13 @@ where
     }
 }
 
-/// A cache entry replayed as a typed answer: the stored full-precision
-/// value, no nodal vector (the cache keeps values, not megabyte vectors),
-/// no fresh traffic, and the group's preparation cost stamped on
-/// (preparation ran even though the solve was skipped).
-fn replay_entry<T: Scalar>(entry: &CachedEntry, prepare_ns: u64) -> KernelResult<T> {
+/// A cache entry replayed as an answer: the stored full-precision value,
+/// no nodal vector (the cache keeps values, not megabyte vectors), no fresh
+/// traffic, and the group's preparation cost stamped on (preparation ran
+/// even though the solve was skipped).
+fn replay_entry(entry: &CachedEntry, prepare_ns: u64) -> KernelResult<f64> {
     KernelResult {
-        value: T::from_f64(entry.value_f64),
+        value: entry.value_f64,
         value_f64: entry.value_f64,
         iterations: entry.iterations,
         converged: true,
@@ -994,28 +1014,30 @@ fn replay_entry<T: Scalar>(entry: &CachedEntry, prepare_ns: u64) -> KernelResult
     }
 }
 
-/// Wake every ticket of a group with one shared answer: clones for all
-/// but the last, which takes the answer by move. Each ticket's copy is
-/// stamped with that ticket's own queue wait (coalesced tickets share the
-/// solve, not the wait), and its end-to-end latency is recorded at the
-/// moment of resolution.
-fn fan_out<T: Scalar>(
-    mut tickets: Vec<LiveTicket<T>>,
-    answer: Result<KernelResult<T>, RequestError>,
-    latency: &Histogram,
-) {
-    let wake = |ticket: LiveTicket<T>, mut shared: Result<KernelResult<T>, RequestError>| {
-        if let Ok(result) = &mut shared {
-            result.stages.queue_wait_ns = ticket.queue_wait_ns;
-        }
-        latency.record(ticket.intake.elapsed_ns());
-        ticket.resolver.resolve(shared);
+/// The typed answer one ticket wakes with: its group's shared one narrowed
+/// with the `from_f64` the solver itself would have used to carry it at
+/// `T` (a replayed side-cache vector is copied out of its `f32`s directly),
+/// and stamped with the ticket's own queue wait — coalesced tickets share
+/// the solve, not the wait.
+fn make<T: Scalar>(
+    answer: &Result<Shared, RequestError>,
+    queue_wait_ns: u64,
+) -> Result<KernelResult<T>, RequestError> {
+    let Shared { result, replayed_nodal } = answer.as_ref().map_err(Clone::clone)?;
+    let nodal = match replayed_nodal {
+        Some(narrow) => Some(narrow.iter().map(|&v| T::from_f32(v)).collect()),
+        None => result.nodal.as_ref().map(|wide| wide.iter().map(|&v| T::from_f64(v)).collect()),
     };
-    let Some(last) = tickets.pop() else { return };
-    for ticket in tickets {
-        wake(ticket, answer.clone());
-    }
-    wake(last, answer);
+    Ok(KernelResult {
+        value: T::from_f64(result.value_f64),
+        value_f64: result.value_f64,
+        iterations: result.iterations,
+        converged: result.converged,
+        relative_residual: result.relative_residual,
+        traffic: result.traffic,
+        nodal,
+        stages: StageBreakdown { queue_wait_ns, ..result.stages },
+    })
 }
 
 #[cfg(test)]
@@ -1366,14 +1388,73 @@ mod tests {
         let other: KernelResult<f64> = ac_f64.wait().unwrap();
         assert!(close(other.value, direct_ac), "f64 {} vs direct {direct_ac}", other.value);
 
-        // a late f32 request accepts the f64 entry too
+        // a late f32 request accepts the f64 entry too, and so does the
+        // mirrored orientation
         let late = single.request(a.clone(), b.clone()).unwrap().wait().unwrap();
         assert_eq!(late.value, exact.value as f32);
+        let mirrored = single.request(b.clone(), a.clone()).unwrap().wait().unwrap();
+
+        // and each of them is, bit for bit, the front door's answer at its
+        // own carrier: the solver the service holds, the prepared pair, and
+        // the donors the wave had folded in by the time the group solved
+        let solver = solver.with_config(SolverConfig { compute_nodal: true, ..*solver.config() });
+        let [pa, pb, pc] = [a, b, c].map(|g| solver.prepare_graph(g));
+        let cold_f32 = solver.kernel_prepared::<f32, _, _>(&pa, &pb, &[], Precision::F32).unwrap();
+        for ticket in &served {
+            assert_same_solve(ticket, &cold_f32);
+        }
+        // the f64 group's wave opened after the f32 group's fold donated
+        let donor = cold_f32.nodal.as_deref().unwrap();
+        let warm_f64 =
+            solver.kernel_prepared::<f64, _, _>(&pa, &pb, &[donor], Precision::F64).unwrap();
+        assert_same_solve(&exact, &warm_f64);
+        let cold_ac = solver.kernel_prepared::<f64, _, _>(&pa, &pc, &[], Precision::F64).unwrap();
+        assert_same_solve(&other, &cold_ac);
+        // cache replays: the f64 solve's entry, a vector only for the f32
+        // request in the solved orientation (the side-cache's narrowed one)
+        let narrowed: Vec<f32> =
+            warm_f64.nodal.as_ref().unwrap().iter().map(|&v| v as f32).collect();
+        let replay =
+            KernelResult { nodal: None, traffic: TrafficCounters::new(), ..warm_f64.clone() };
+        assert_same_solve(&replayed, &replay);
+        let replay_f32 = |nodal: Option<Vec<f32>>| KernelResult {
+            value: replay.value_f64 as f32,
+            value_f64: replay.value_f64,
+            iterations: replay.iterations,
+            converged: true,
+            relative_residual: replay.relative_residual,
+            traffic: replay.traffic,
+            nodal,
+            stages: StageBreakdown::default(),
+        };
+        assert_same_solve(&late, &replay_f32(Some(narrowed)));
+        assert_same_solve(&mirrored, &replay_f32(None));
 
         let svc = scheduler.join();
         assert_eq!(svc.stats().requests_coalesced, 1, "precisions never coalesce with each other");
         assert_eq!(svc.stats().request_solves, 3, "(A,B) f32, (A,B) f64, (A,C) f64");
-        assert_eq!(svc.stats().request_cache_answers, 2, "the refined group and the late f32");
+        assert_eq!(
+            svc.stats().request_cache_answers,
+            3,
+            "the refined group, the late f32 and its mirror"
+        );
+        assert_eq!((svc.stats().nodal_hits, svc.stats().nodal_misses), (1, 1));
+    }
+
+    fn bits<T: Scalar>(values: &[T]) -> Vec<u64> {
+        values.iter().map(|v| v.to_f64().to_bits()).collect()
+    }
+
+    /// A woken ticket against the front door's result for the same solve:
+    /// value, full-precision value, iteration count, residual, traffic and
+    /// nodal vector, bit for bit (stages are the lane's to stamp).
+    fn assert_same_solve<T: Scalar>(ticket: &KernelResult<T>, front_door: &KernelResult<T>) {
+        assert_eq!(ticket.value.to_f64().to_bits(), front_door.value.to_f64().to_bits());
+        assert_eq!(ticket.value_f64.to_bits(), front_door.value_f64.to_bits());
+        assert_eq!(ticket.iterations, front_door.iterations);
+        assert_eq!(ticket.relative_residual.to_bits(), front_door.relative_residual.to_bits());
+        assert_eq!(ticket.traffic, front_door.traffic);
+        assert_eq!(ticket.nodal.as_deref().map(bits), front_door.nodal.as_deref().map(bits));
     }
 
     #[test]
@@ -1725,5 +1806,63 @@ mod tests {
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.gauge(names::SCHEDULER_BUSY), Some(0.0));
         assert_eq!(snapshot.gauge(names::QUEUE_DEPTH), Some(0.0));
+    }
+
+    // Gates for the queue-depth test below: hashing a 7-vertex graph waits
+    // on the first, an 8-vertex graph on the second, so the test parks the
+    // worker twice and releases each hold on its own.
+    static HANDOFF_GATE: Mutex<()> = Mutex::new(());
+    static SHUTDOWN_GATE: Mutex<()> = Mutex::new(());
+
+    fn two_gate_hash(g: &Graph) -> u64 {
+        let _held = match g.num_vertices() {
+            7 => Some(HANDOFF_GATE.lock().unwrap()),
+            8 => Some(SHUTDOWN_GATE.lock().unwrap()),
+            _ => None,
+        };
+        graph_content_hash(g)
+    }
+
+    #[test]
+    fn commands_left_in_the_channel_at_exit_leave_the_queue_depth_gauge() {
+        if !mgk_telemetry::COMPILED {
+            return;
+        }
+        let path = |n: u32| -> Graph {
+            let edges: Vec<(u32, u32)> = (1..n).map(|v| (v - 1, v)).collect();
+            Graph::from_edge_list(n as usize, &edges)
+        };
+        let (handoff, shutdown) = (HANDOFF_GATE.lock().unwrap(), SHUTDOWN_GATE.lock().unwrap());
+
+        // park the worker in its hand-off flush, before it receives anything
+        let mut svc = service(GramServiceConfig::default()).with_content_hasher(two_gate_hash);
+        svc.submit(path(7)).unwrap();
+        let scheduler = GramScheduler::spawn(svc, SchedulerConfig::default());
+        let client = scheduler.client();
+        let depth = scheduler.lane().metrics.queue_depth.clone();
+
+        // one batch: a submission whose flush waits on the second gate, and
+        // the shutdown
+        client.submit(path(8)).unwrap();
+        scheduler.lane().send(Command::Shutdown, true).unwrap();
+        drop(handoff);
+        // the worker lowers the gauge as it drains that batch; from then on
+        // it receives nothing more — it is on its way out, through the flush
+        while depth.value() != 0.0 {
+            std::thread::yield_now();
+        }
+        for g in dataset(3, 193) {
+            client.submit(g).unwrap();
+        }
+        assert_eq!(depth.value(), 3.0);
+        drop(shutdown);
+
+        let svc = scheduler.join();
+        assert_eq!(svc.num_structures(), 2, "the three late submissions were never received");
+        assert_eq!(depth.value(), 0.0, "commands dropped with the receiver left the queue");
+        // the hub outlives the worker: the next life starts from what it reads
+        let scheduler = GramScheduler::spawn(svc, SchedulerConfig::default());
+        assert_eq!(scheduler.lane().metrics.queue_depth.value(), 0.0);
+        scheduler.join();
     }
 }

@@ -35,12 +35,15 @@
 //!   first) and is **probed** in the pair cache; a closing wave **solves**
 //!   its misses in one parallel region over the persistent worker pool,
 //!   then **folds** them in arrival order and hands each outcome back to
-//!   the lane that fed it. The scheduler's request drain feeds the same
-//!   wave with ticket groups instead of triangle slots, so batching,
-//!   warm-start visibility (donors change only between waves) and
-//!   duplicate handling (a duplicate of a held key waits for that wave,
-//!   then is a cache answer if the cache kept the entry and a solve of its
-//!   own if not) are defined once.
+//!   the lane that fed it. A wave has one payload type — whatever its lane
+//!   wants back with the outcome — and carries every fresh solve at `f64`;
+//!   what the consumer reads is decided at the sink (`flush` narrows the
+//!   value into its `f32` triangle slot). The scheduler's request drain
+//!   feeds the same wave with ticket groups instead of triangle slots, so
+//!   batching, warm-start visibility (donors change only between waves)
+//!   and duplicate handling (a duplicate of a held key waits for that
+//!   wave, then is a cache answer if the cache kept the entry and a solve
+//!   of its own if not) are defined once.
 //!
 //! `flush` runs on the caller's thread; to decouple producers from solve
 //! latency, hand the service to a
@@ -49,7 +52,6 @@
 //! [`SnapshotWatch`](crate::watch::SnapshotWatch).
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::convert::Infallible;
 use std::sync::Arc;
 
 use rayon::prelude::*;
@@ -765,8 +767,8 @@ where
 
         // the new lower-triangle block: rows [first_new, len), all j <= i,
         // fed through the wave with the triangle slot as payload. The flush
-        // lane carries at f32, solves at the solver's precision and accepts
-        // any cached entry (it stores f32 values).
+        // lane solves at the solver's precision and accepts any cached entry
+        // (it stores f32 values).
         let new_len = self.members.len();
         // copy-on-write: captured snapshot sources share the triangle; a
         // flush that lands while one is alive clones it once, up front
@@ -785,8 +787,7 @@ where
                     prepare_ns: 0,
                 };
                 let slot = tri_index(i, j);
-                let landed =
-                    self.feed(&mut wave, pair, Precision::F32, solve_at, slot, Carried::F32);
+                let landed = self.feed(&mut wave, pair, Precision::F32, solve_at, slot);
                 executed += self.land(landed);
             }
         }
@@ -799,14 +800,13 @@ where
         executed
     }
 
-    /// The flush lane's sink: write one closed wave's outcomes into their
+    /// The flush lane's sink: narrow one closed wave's outcomes into their
     /// triangle slots and count them. A failed solve leaves its slot NaN
     /// (and uncached: a retry after resubmission gets a fresh chance to
     /// converge). Returns the solves the wave executed.
-    fn land(&mut self, landed: Landed<V, E, usize, Infallible>) -> usize {
+    fn land(&mut self, landed: Landed<V, E, usize>) -> usize {
         let mut executed = 0;
-        for claim in landed {
-            let Carried::F32(Claim { payload: slot, answer, .. }) = claim;
+        for Claim { payload: slot, answer, .. } in landed {
             let value = match answer {
                 Answer::Cached(entry) => {
                     self.metrics.cache_hits.inc();
@@ -815,7 +815,7 @@ where
                 Answer::Fresh(result) => {
                     executed += 1;
                     self.metrics.jobs_executed.inc();
-                    result.ok().map(|r| r.value)
+                    result.ok().map(|r| f32::from_f64(r.value))
                 }
             };
             if let Some(value) = value {
@@ -833,16 +833,14 @@ where
     /// claims, closes the wave first — its outcomes are returned — so the
     /// probe sees what that wave folded. A cached entry must answer
     /// `wanted`; a miss is solved (and its entry tagged) at `solve_at`.
-    /// `carried` fixes the claim's carrier.
-    pub(crate) fn feed<S: Send, D: Send, P>(
+    pub(crate) fn feed<P: Send>(
         &mut self,
-        wave: &mut Wave<V, E, S, D>,
+        wave: &mut Wave<V, E, P>,
         pair: PreparedPair<V, E>,
         wanted: Precision,
         solve_at: Precision,
         payload: P,
-        carried: Carry<V, E, P, S, D>,
-    ) -> Landed<V, E, S, D> {
+    ) -> Landed<V, E, P> {
         let key = pair.key();
         let landed = if wave.keys.contains(&key) || wave.misses >= self.config.batch_size.max(1) {
             self.close(wave)
@@ -852,7 +850,7 @@ where
         wave.keys.insert(key);
         let answer = self.probe(key, wanted).map_or(Answer::Fresh(()), Answer::Cached);
         wave.misses += usize::from(matches!(answer, Answer::Fresh(())));
-        wave.claims.push(carried(Claim { pair, precision: solve_at, payload, answer }));
+        wave.claims.push(Claim { pair, precision: solve_at, payload, answer });
         landed
     }
 
@@ -862,32 +860,18 @@ where
     /// donors); then the folds run in arrival order on the owning thread —
     /// the single-writer half — so cache and donor state evolve exactly as
     /// a sequential loop would have left them. Returns every claim with its
-    /// outcome, in arrival order, for the lane to deliver.
-    pub(crate) fn close<S: Send, D: Send>(
-        &mut self,
-        wave: &mut Wave<V, E, S, D>,
-    ) -> Landed<V, E, S, D> {
+    /// outcome, in arrival order, for the lane to deliver. Every fresh solve
+    /// is carried at `f64` — whatever it ran at, a narrower result is the
+    /// element-wise `from_f64` of this one, so the lane's sink narrows.
+    pub(crate) fn close<P: Send>(&mut self, wave: &mut Wave<V, E, P>) -> Landed<V, E, P> {
         wave.keys.clear();
         wave.misses = 0;
         let service = &*self;
-        let solved: Vec<Carried<_, _>> = std::mem::take(&mut wave.claims)
+        let solved: Vec<_> = std::mem::take(&mut wave.claims)
             .into_par_iter()
-            .map(|claim| match claim {
-                Carried::F32(c) => {
-                    Carried::F32(c.then(|pair, at, ()| service.solve_pair(pair, at)))
-                }
-                Carried::F64(c) => {
-                    Carried::F64(c.then(|pair, at, ()| service.solve_pair(pair, at)))
-                }
-            })
+            .map(|claim| claim.then(|pair, at, ()| service.solve_pair::<f64>(pair, at)))
             .collect();
-        solved
-            .into_iter()
-            .map(|claim| match claim {
-                Carried::F32(c) => Carried::F32(c.then(|pair, at, s| self.fold(pair, s, at))),
-                Carried::F64(c) => Carried::F64(c.then(|pair, at, s| self.fold(pair, s, at))),
-            })
-            .collect()
+        solved.into_iter().map(|claim| claim.then(|pair, at, s| self.fold(pair, s, at))).collect()
     }
 
     /// Warm-started solve of one prepared pair at `precision`, carried at
@@ -1027,19 +1011,6 @@ where
         self.cache.get(key).filter(|entry| entry.answers(wanted)).cloned()
     }
 
-    /// Solve one prepared request at the [`Scalar`] instantiation `T`,
-    /// warm-started from the donor pool, and fold the result into the pair
-    /// cache and the donors — so the *next* request for this pair is a
-    /// cache answer and neighboring requests inherit the nodal solution as
-    /// a starting guess.
-    pub fn solve_request<T: Scalar>(
-        &mut self,
-        pair: &PreparedPair<V, E>,
-    ) -> Result<KernelResult<T>, SolverError> {
-        let solved = self.solve_prepared::<T>(pair);
-        self.fold_request_solve(pair, solved, T::PRECISION)
-    }
-
     /// [`solve_pair`](Self::solve_pair) at the precision of the carrier:
     /// `solve_prepared::<f32>` is the serving solve, `solve_prepared::<f64>`
     /// the oracle's.
@@ -1177,12 +1148,6 @@ where
         self.store.as_ref().map(|s| s.store.dir())
     }
 
-    /// Number of retained nodal vectors (bounded by
-    /// [`GramServiceConfig::nodal_cache_capacity`]).
-    pub fn nodal_cache_len(&self) -> usize {
-        self.nodal.len()
-    }
-
     /// The triangle recovered from the newest store snapshot, handed to
     /// the scheduler exactly once for publication as the initial epoch.
     pub(crate) fn take_recovered_source(&mut self) -> Option<(u64, SnapshotSource)> {
@@ -1192,15 +1157,17 @@ where
     /// The nodal side-cache lookup behind `f32` cache answers: the vector
     /// the *ordered* pair solved with, if still retained. Counts hits and
     /// misses; the mirrored orientation misses by design (its vector would
-    /// need a transpose permutation — costlier than the miss).
-    pub(crate) fn cached_nodal(&mut self, pair: &PreparedPair<V, E>) -> Option<Vec<f32>> {
+    /// need a transpose permutation — costlier than the miss). The vector
+    /// comes back shared; whoever wakes a ticket with it copies it out once,
+    /// at that ticket's type.
+    pub(crate) fn cached_nodal(&mut self, pair: &PreparedPair<V, E>) -> Option<SharedNodal> {
         if self.config.nodal_cache_capacity == 0 {
             return None;
         }
         match self.nodal.get((pair.left.side, pair.right.side)) {
             Some(nodal) => {
                 self.metrics.nodal_hits.inc();
-                Some(nodal.as_ref().clone())
+                Some(Arc::clone(nodal))
             }
             None => {
                 self.metrics.nodal_misses.inc();
@@ -1320,13 +1287,6 @@ pub struct RequestSolve<T: Scalar> {
     solve_ns: u64,
 }
 
-/// A value per carrier type: where code generic over what a solve is
-/// carried at meets the one ordered list a wave works down.
-pub(crate) enum Carried<S, D> {
-    F32(S),
-    F64(D),
-}
-
 /// Where a claim's answer comes from: the pair cache, or a fresh solve —
 /// `()` while it is pending, the [`RequestSolve`] once it ran, its result
 /// (an [`Outcome`]) once it is folded.
@@ -1335,8 +1295,8 @@ pub(crate) enum Answer<R> {
     Fresh(R),
 }
 
-/// What a closed wave hands back for one claim carried at `T`.
-pub(crate) type Outcome<T> = Answer<Result<KernelResult<T>, SolverError>>;
+/// What a closed wave hands back for one claim.
+pub(crate) type Outcome = Answer<Result<KernelResult<f64>, SolverError>>;
 
 /// One pair claimed by a wave: prepared, with the precision a miss is
 /// solved at, the feeding lane's payload, and its answer so far.
@@ -1361,28 +1321,20 @@ impl<V, E, P, R> Claim<V, E, P, Answer<R>> {
     }
 }
 
-/// A probed claim of either carrier, with payload `S` at f32 and `D` at f64.
-type Probed<V, E, S, D> = Carried<Claim<V, E, S, Answer<()>>, Claim<V, E, D, Answer<()>>>;
-
-/// What fixes a fed claim's carrier: the [`Carried`] variant wrapping it
-/// into its wave slot.
-pub(crate) type Carry<V, E, P, S, D> = fn(Claim<V, E, P, Answer<()>>) -> Probed<V, E, S, D>;
-
 /// A closed wave's claims with their outcomes, in arrival order.
-pub(crate) type Landed<V, E, S, D> =
-    Vec<Carried<Claim<V, E, S, Outcome<f32>>, Claim<V, E, D, Outcome<f64>>>>;
+pub(crate) type Landed<V, E, P> = Vec<Claim<V, E, P, Outcome>>;
 
 /// The pairs solving together next: the claims of the open wave in arrival
 /// order, the normalized identities they hold, and how many of them missed
 /// the cache. Lives for one flush or one request drain; see
 /// [`GramService::feed`] and [`GramService::close`].
-pub(crate) struct Wave<V, E, S, D> {
-    claims: Vec<Probed<V, E, S, D>>,
+pub(crate) struct Wave<V, E, P> {
+    claims: Vec<Claim<V, E, P, Answer<()>>>,
     keys: HashSet<PairKey>,
     misses: usize,
 }
 
-impl<V, E, S, D> Wave<V, E, S, D> {
+impl<V, E, P> Wave<V, E, P> {
     pub(crate) fn new() -> Self {
         Wave { claims: Vec::new(), keys: HashSet::new(), misses: 0 }
     }
@@ -1415,16 +1367,6 @@ pub struct PreparedPair<V, E> {
     /// Wall-clock of the preparation that produced this pair, stamped onto
     /// the `StageBreakdown` of every result answered for it.
     prepare_ns: u64,
-}
-
-impl<V, E> Clone for PreparedPair<V, E> {
-    fn clone(&self) -> Self {
-        PreparedPair {
-            left: Arc::clone(&self.left),
-            right: Arc::clone(&self.right),
-            prepare_ns: self.prepare_ns,
-        }
-    }
 }
 
 impl<V, E> PreparedPair<V, E> {
@@ -1469,15 +1411,25 @@ mod tests {
             .collect()
     }
 
-    fn service(
-        config: GramServiceConfig,
-    ) -> GramService<
+    type UnlabeledService = GramService<
         mgk_kernels::UnitKernel,
         mgk_kernels::UnitKernel,
         mgk_graph::Unlabeled,
         mgk_graph::Unlabeled,
-    > {
+    >;
+
+    fn service(config: GramServiceConfig) -> UnlabeledService {
         GramService::new(MarginalizedKernelSolver::unlabeled(SolverConfig::default()), config)
+    }
+
+    /// One request solved outside a wave, as the benchmark's oracle does
+    /// it: the pure solve at `T`'s precision, then its fold.
+    fn solve_request<T: Scalar>(
+        svc: &mut UnlabeledService,
+        pair: &PreparedPair<mgk_graph::Unlabeled, mgk_graph::Unlabeled>,
+    ) -> Result<KernelResult<T>, SolverError> {
+        let solved = svc.solve_prepared::<T>(pair);
+        svc.fold_request_solve(pair, solved, T::PRECISION)
     }
 
     #[test]
@@ -1964,7 +1916,7 @@ mod tests {
         let pair = svc.prepare_pair(&graphs[0], &graphs[1]);
         assert!(svc.cached_answer(pair.key(), Precision::F32).is_none(), "cold cache");
 
-        let narrow: KernelResult<f32> = svc.solve_request::<f32>(&pair).unwrap();
+        let narrow: KernelResult<f32> = solve_request::<f32>(&mut svc, &pair).unwrap();
         assert!(narrow.converged);
         assert!(narrow.nodal.is_some(), "request solves retain nodal vectors for donors");
         assert_eq!(svc.stats().request_solves, 1);
@@ -1976,7 +1928,7 @@ mod tests {
         // … but an f32-solved entry must not answer an f64 request
         assert!(svc.cached_answer(pair.key(), Precision::F64).is_none());
 
-        let wide: KernelResult<f64> = svc.solve_request::<f64>(&pair).unwrap();
+        let wide: KernelResult<f64> = solve_request::<f64>(&mut svc, &pair).unwrap();
         assert!(wide.nodal.is_some());
         assert!((wide.value - narrow.value_f64).abs() <= 1e-4 * wide.value.abs());
         // the f64 solve upgraded the cache entry: both precisions answer now
@@ -1990,9 +1942,9 @@ mod tests {
         let mut svc = service(GramServiceConfig::default());
         // answer a request first …
         let pair = svc.prepare_pair(&graphs[0], &graphs[1]);
-        svc.solve_request::<f32>(&pair).unwrap();
+        solve_request::<f32>(&mut svc, &pair).unwrap();
         let self_left = svc.prepare_pair(&graphs[0], &graphs[0]);
-        svc.solve_request::<f32>(&self_left).unwrap();
+        solve_request::<f32>(&mut svc, &self_left).unwrap();
 
         // … then admit the same structures: the (0,1) and (0,0) entries
         // come from the request lane's cache entries, not fresh solves
@@ -2019,14 +1971,7 @@ mod tests {
 
     /// A service whose per-structure preprocessing actually reorders (the
     /// paper's PBR), so the reorder cache has output to share.
-    fn reordering_service(
-        config: GramServiceConfig,
-    ) -> GramService<
-        mgk_kernels::UnitKernel,
-        mgk_kernels::UnitKernel,
-        mgk_graph::Unlabeled,
-        mgk_graph::Unlabeled,
-    > {
+    fn reordering_service(config: GramServiceConfig) -> UnlabeledService {
         let solver = MarginalizedKernelSolver::unlabeled(SolverConfig {
             reorder: ReorderMethod::Pbr,
             ..SolverConfig::default()
@@ -2055,7 +2000,7 @@ mod tests {
         let pair = svc.prepare_pair(&graphs[1], &graphs[2]);
         assert_eq!(svc.stats().reorder_hits, 3, "both request sides were already prepared");
         assert_eq!(svc.stats().reorder_misses, 3);
-        svc.solve_request::<f32>(&pair).unwrap();
+        solve_request::<f32>(&mut svc, &pair).unwrap();
 
         // and a request lane miss seeds the cache for later admission
         let extra = dataset(4, 131)[3].clone();
@@ -2175,7 +2120,7 @@ mod tests {
         let pair = svc.prepare_pair(&graphs[0], &graphs[1]);
         assert_eq!(svc.stats().reorder_hits, 4);
         assert_eq!(svc.stats().reorder_misses, 4);
-        svc.solve_request::<f32>(&pair).unwrap();
+        solve_request::<f32>(&mut svc, &pair).unwrap();
     }
 
     #[test]

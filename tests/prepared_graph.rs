@@ -70,6 +70,14 @@ fn assert_prepared_matches_front_door<V, E, KV, KE>(
                 solver.kernel(b, a),
                 solver.kernel_prepared::<f32, V, E>(&prepared_b, &prepared_a, &[], precision),
             );
+            // the carrier is erased at the sink: whatever the solve ran at,
+            // the f32 result is the element-wise narrowing of the f64 one
+            same_bits(
+                solver.kernel_prepared::<f32, V, E>(&prepared_a, &prepared_b, &[], precision),
+                solver
+                    .kernel_prepared::<f64, V, E>(&prepared_a, &prepared_b, &[], precision)
+                    .map(narrowed),
+            );
         }
         // the pinned and the un-narrowed refined entries carry f64
         let prepared_b = solver.prepare_graph(partners[0]);
@@ -82,6 +90,20 @@ fn assert_prepared_matches_front_door<V, E, KV, KE>(
             solver.kernel_prepared::<f64, V, E>(&fresh_a, &fresh_b, &[], Precision::Refined),
             solver.kernel_prepared::<f64, V, E>(&prepared_a, &prepared_b, &[], Precision::Refined),
         );
+    }
+}
+
+/// An f64-carried result narrowed field by field with `f32::from_f64`.
+fn narrowed(wide: KernelResult<f64>) -> KernelResult<f32> {
+    KernelResult {
+        value: f32::from_f64(wide.value),
+        value_f64: wide.value_f64,
+        iterations: wide.iterations,
+        converged: wide.converged,
+        relative_residual: wide.relative_residual,
+        traffic: wide.traffic,
+        nodal: wide.nodal.map(|nodal| nodal.into_iter().map(f32::from_f64).collect()),
+        stages: wide.stages,
     }
 }
 

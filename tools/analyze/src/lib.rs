@@ -23,7 +23,7 @@ use lints::panic_surface::PanicConfig;
 use parser::FileModel;
 
 /// Crates vendored under `shims/` that the parity lint guards.
-pub const SHIM_CRATES: &[&str] = &["rand", "rayon", "criterion", "proptest"];
+pub const SHIM_CRATES: &[&str] = &["rand", "rayon", "proptest"];
 
 /// Analysis configuration. [`Config::for_root`] bakes in the repository's
 /// conventions; the CLI only overrides the root and the allowlist path.

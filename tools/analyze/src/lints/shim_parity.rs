@@ -1,7 +1,7 @@
 //! Shim-parity lint (MGK501).
 //!
-//! The container has no crates.io access, so `rand`/`rayon`/`criterion`/
-//! `proptest` resolve to workspace-local shims. The carried-over rule is
+//! The container has no crates.io access, so `rand`/`rayon`/`proptest`
+//! resolve to workspace-local shims. The carried-over rule is
 //! "any new API surface used from these crates must be added to the shim
 //! first" — this lint enforces it mechanically: every `rand::…` (etc.) path
 //! referenced anywhere in the workspace must resolve to a `pub` item the
@@ -365,7 +365,7 @@ mod tests {
     fn refs(src: &str) -> Vec<ShimRef> {
         let file = FileModel::parse("crates/x/src/lib.rs", src, false);
         let mut out = Vec::new();
-        collect_refs(&file, &["rand", "rayon", "criterion", "proptest"], &mut out);
+        collect_refs(&file, &["rand", "rayon", "proptest"], &mut out);
         out
     }
 
@@ -429,15 +429,15 @@ mod tests {
 
     #[test]
     fn macro_exports_bind_at_the_root() {
-        let src = "#[macro_export]\nmacro_rules! criterion_group { () => {} }";
-        let file = FileModel::parse("shims/criterion/src/lib.rs", src, false);
+        let src = "#[macro_export]\nmacro_rules! prop_assert { () => {} }";
+        let file = FileModel::parse("shims/proptest/src/lib.rs", src, false);
         let mut m = BTreeMap::new();
-        m.insert("criterion".to_string(), index_shim(&[(&file, String::new())]));
-        let r = refs("use criterion::criterion_group;");
+        m.insert("proptest".to_string(), index_shim(&[(&file, String::new())]));
+        let r = refs("use proptest::prop_assert;");
         let mut r2 = Vec::new();
         collect_refs(
-            &FileModel::parse("b.rs", "use criterion::criterion_group;", false),
-            &["criterion"],
+            &FileModel::parse("b.rs", "use proptest::prop_assert;", false),
+            &["proptest"],
             &mut r2,
         );
         assert!(resolve(&r2, &m).is_empty());
