@@ -31,8 +31,19 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Scale factor for dataset sizes, read from `MGK_BENCH_SCALE` (default 1).
+/// A value that is set but is not a finite float above zero panics: falling
+/// back to 1 would silently start the full-size, many-minute run.
 pub fn bench_scale() -> f64 {
-    std::env::var("MGK_BENCH_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0)
+    match std::env::var_os("MGK_BENCH_SCALE") {
+        None => 1.0,
+        Some(value) => value.to_str().and_then(parse_scale).unwrap_or_else(|| {
+            panic!("MGK_BENCH_SCALE={value:?} is not a finite float greater than 0")
+        }),
+    }
+}
+
+fn parse_scale(text: &str) -> Option<f64> {
+    text.parse().ok().filter(|scale: &f64| scale.is_finite() && *scale > 0.0)
 }
 
 /// Scale a default count by [`bench_scale`], with a floor of `min`.
@@ -153,6 +164,15 @@ mod tests {
     #[test]
     fn scaled_respects_floor() {
         assert!(scaled(10, 2) >= 2);
+    }
+
+    #[test]
+    fn scale_parsing_rejects_what_is_not_a_positive_finite_float() {
+        assert_eq!(parse_scale("0.15"), Some(0.15));
+        assert_eq!(parse_scale("2"), Some(2.0));
+        for garbage in ["", "0", "-1", "nan", "inf", "0.15 ", "1,5", "fast"] {
+            assert_eq!(parse_scale(garbage), None, "{garbage:?} must not fall back to 1.0");
+        }
     }
 
     #[test]

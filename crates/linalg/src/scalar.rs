@@ -214,7 +214,9 @@ impl Precision {
 
     /// The precision selected by the `MGK_TEST_PRECISION` environment
     /// variable (`"f32"` / `"f64"` / `"refined"`, case-insensitive), or
-    /// [`Precision::F32`] when unset or unrecognized.
+    /// [`Precision::F32`] when unset. A value that is set but names none of
+    /// the three panics: a typo must not leave a suite silently testing
+    /// `f32` while its job title says otherwise.
     ///
     /// This is the env-gated test-harness hook: `SolverConfig::default()`
     /// consults it, so running a solver test suite under
@@ -224,11 +226,19 @@ impl Precision {
     /// process.
     pub fn from_env() -> Precision {
         static CACHED: std::sync::OnceLock<Precision> = std::sync::OnceLock::new();
-        *CACHED.get_or_init(|| match std::env::var("MGK_TEST_PRECISION") {
-            Ok(v) if v.eq_ignore_ascii_case("f64") => Precision::F64,
-            Ok(v) if v.eq_ignore_ascii_case("refined") => Precision::Refined,
-            _ => Precision::F32,
+        *CACHED.get_or_init(|| match std::env::var_os("MGK_TEST_PRECISION") {
+            None => Precision::F32,
+            Some(value) => value.to_str().and_then(Precision::parse).unwrap_or_else(|| {
+                panic!("MGK_TEST_PRECISION={value:?} is not one of f32, f64, refined")
+            }),
         })
+    }
+
+    /// The precision [`name`](Self::name)d by `text`, case-insensitively.
+    fn parse(text: &str) -> Option<Precision> {
+        [Precision::F32, Precision::F64, Precision::Refined]
+            .into_iter()
+            .find(|precision| text.eq_ignore_ascii_case(precision.name()))
     }
 }
 
@@ -251,6 +261,16 @@ mod tests {
         assert_eq!(narrow, a * b);
         assert_eq!(wide, a as f64 * b as f64);
         assert!((narrow as f64 - wide).abs() > 0.0, "0.1·0.3 rounds differently in f32");
+    }
+
+    #[test]
+    fn harness_precision_names_parse_exactly() {
+        assert_eq!(Precision::parse("f32"), Some(Precision::F32));
+        assert_eq!(Precision::parse("F64"), Some(Precision::F64));
+        assert_eq!(Precision::parse("Refined"), Some(Precision::Refined));
+        for typo in ["", "fp64", "double", "f64 ", " refined"] {
+            assert_eq!(Precision::parse(typo), None, "{typo:?} must not fall back to a default");
+        }
     }
 
     #[test]

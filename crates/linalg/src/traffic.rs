@@ -64,23 +64,16 @@ impl TrafficCounters {
         self.flops as f64 / self.shared_bytes() as f64
     }
 
-    /// Attribute one CPU-side vector operation over `f32` data: `loads`
-    /// elements read, `stores` elements written, `flops` arithmetic
-    /// operations.
+    /// Attribute one CPU-side vector operation over vectors of scalar type
+    /// `T`: `loads` elements read, `stores` elements written, `flops`
+    /// arithmetic operations.
     ///
     /// The CG recurrences (`axpy`, `dot`, `xpby`, norms) stream their
     /// operand vectors through global memory exactly once per call, so the
     /// iterative solvers use this to attribute that traffic alongside the
     /// operator and preconditioner applications — without it the Roofline
     /// projections undercount the memory-bound tail of every iteration.
-    /// For vectors of another [`Scalar`](crate::Scalar) precision use
-    /// [`count_vector_op_t`](Self::count_vector_op_t).
-    pub fn count_vector_op(&mut self, loads: u64, stores: u64, flops: u64) {
-        self.count_vector_op_t::<f32>(loads, stores, flops);
-    }
-
-    /// [`count_vector_op`](Self::count_vector_op) for vectors of scalar
-    /// type `T`: the element counts are converted to bytes with
+    /// The element counts are converted to bytes with
     /// [`Scalar::BYTES`](crate::Scalar::BYTES), so the `f64` instantiation
     /// of the solvers attributes its doubled memory footprint faithfully.
     pub fn count_vector_op_t<T: crate::Scalar>(&mut self, loads: u64, stores: u64, flops: u64) {

@@ -12,17 +12,21 @@
 //! symmetric-cache-answer guarantee survive sharding unchanged (duplicates
 //! of one pair can never split across shards).
 //!
-//! The cluster fronts are thin and cloneable:
+//! The producer side has no cluster types of its own — the cluster hands
+//! out the scheduler's handles, holding K command lanes instead of one:
 //!
-//! * [`ClusterClient`] is a [`GramClient`] over every shard's command lane
-//!   (`submit` / `submit_all` route per structure) plus what is genuinely
-//!   merged: a cluster [`flush`](ClusterClient::flush) barriers *every*
-//!   shard and reports the merged [`ClusterBarrierReply`], and
-//!   [`watch`](ClusterClient::watch) merges the shard watches.
-//! * Typed requests need no cluster front of their own: a
-//!   [`KernelClient`] built by [`GramCluster::kernel_client`] holds every
-//!   shard's command lane and sends each pair to its owning shard
-//!   ([`ClusterKernelClient`] is that type's cluster-side name).
+//! * [`GramCluster::client`] is a [`GramClient`]: `submit` / `submit_all`
+//!   route per structure, and [`flush`](GramClient::flush) barriers *every*
+//!   shard and reports one [`BarrierReply`](crate::BarrierReply) — the
+//!   cluster epoch, plus each shard's own in `shard_epochs`.
+//! * [`GramCluster::kernel_client`] is a [`KernelClient`] sending each pair
+//!   to its owning shard ([`ClusterKernelClient`] is that type's
+//!   cluster-side name).
+//!
+//! The consumer side differs by K for a reason — one matrix against K
+//! blocks, an unlabeled scrape against `shard="k"` on every metric — so it
+//! is a primitive and its merge views, handed out by the owner:
+//!
 //! * [`ClusterWatch`] merges the per-shard [`SnapshotWatch`]es into one
 //!   **cluster epoch** — the sum of the shard epochs. A
 //!   [`ClusterSnapshot`] is consistent iff every shard's epoch was
@@ -36,6 +40,14 @@
 //!   re-raises the first shard panic, mirroring
 //!   [`GramScheduler::join`]'s propagation contract.
 //!
+//! **A shard is born from a recipe, not a copy.** Every shard beyond the
+//! one that receives the prototype itself is the prototype's
+//! `sibling()`: same solver, configuration and content hasher, no state.
+//! State a prototype holds (admitted members, cache entries, donors) is
+//! therefore *not* replicated into other shards — a structure lives on the
+//! shard its identity routes to, and a replica anywhere else could never
+//! be asked for.
+//!
 //! `K = 1` is the degenerate case: one shard, every route resolves to it,
 //! and the cluster behaves exactly like the underlying scheduler.
 
@@ -43,15 +55,12 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mgk_graph::Graph;
 use mgk_kernels::BaseKernel;
 use mgk_telemetry::{MetricsRegistry, TelemetrySnapshot};
 
 use crate::cache::{PairKey, PairSide};
 use crate::hash::{ContentHash, Fnv1a};
-use crate::scheduler::{
-    GramClient, GramScheduler, KernelClient, RequestScalar, SchedulerConfig, SchedulerError,
-};
+use crate::scheduler::{GramClient, GramScheduler, KernelClient, RequestScalar, SchedulerConfig};
 use crate::service::GramService;
 use crate::watch::{SnapshotWatch, VersionedSnapshot, WatchClosed};
 
@@ -100,23 +109,12 @@ pub fn shard_of_key(key: &PairKey, shards: usize) -> usize {
     (h.finish() % shards.max(1) as u64) as usize
 }
 
-/// Reply of a [`ClusterClient::flush`] barrier: every shard flushed, all
-/// replies merged.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterBarrierReply {
-    /// The cluster epoch after the barrier — the sum of the shard epochs.
-    pub epoch: u64,
-    /// Each shard's own epoch at its barrier, by shard index.
-    pub shard_epochs: Vec<u64>,
-    /// Structures admitted cluster-wide.
-    pub num_structures: usize,
-}
-
 /// K schedulers behind a content-hash router. See the module docs.
 #[derive(Debug)]
 pub struct GramCluster<KV, KE, V, E> {
     shards: Vec<GramScheduler<KV, KE, V, E>>,
-    hasher: fn(&Graph<V, E>) -> u64,
+    /// The producer handle over every shard's command lane.
+    client: GramClient<V, E>,
 }
 
 impl<KV, KE, V, E> GramCluster<KV, KE, V, E>
@@ -126,47 +124,50 @@ where
     KV: BaseKernel<V> + Clone + Send + Sync + 'static,
     KE: BaseKernel<E> + Clone + Send + Sync + 'static,
 {
-    /// Spawn `config.shards` scheduler shards, each owning a clone of
-    /// `prototype` (cloning forks the telemetry hub, so every shard gets
-    /// its own registry; a pre-warmed prototype warms every shard). The
+    /// Spawn `config.shards` scheduler shards: the last one owns
+    /// `prototype` itself (so a pre-warmed prototype publishes its snapshot
+    /// on spawn, as under [`GramScheduler::spawn`]), every other an empty
+    /// sibling of it — same solver, configuration and hasher, a registry of
+    /// its own (see the module docs for why no state is replicated). The
     /// prototype's content hasher doubles as the cluster's routing hash,
     /// so routing always agrees with the shards' own identity computation.
     pub fn spawn(prototype: GramService<KV, KE, V, E>, config: ClusterConfig) -> Self {
-        let k = config.shards.max(1);
-        let hasher = prototype.content_hasher();
-        let mut shards = Vec::with_capacity(k);
-        for _ in 0..k - 1 {
-            shards.push(GramScheduler::spawn(prototype.clone(), config.scheduler));
-        }
-        shards.push(GramScheduler::spawn(prototype, config.scheduler));
-        GramCluster { shards, hasher }
+        let mut services: Vec<_> = (1..config.shards).map(|_| prototype.sibling()).collect();
+        services.push(prototype);
+        Self::start(services, config.scheduler)
     }
 
-    /// [`spawn`](Self::spawn) with durability: each shard gets its own
-    /// [`PairStore`](mgk_store::PairStore) under
-    /// `durability.for_shard(k)` and recovers from it before serving.
-    /// Content-hash routing is restart-stable, so after a restart every
-    /// shard finds exactly the pairs it owned in its previous life.
-    /// Cloning a service always detaches any store (a live WAL handle must
-    /// never be shared), so attaching per shard after the clone is safe.
-    /// Returns the cluster plus one
-    /// [`RecoveryReport`](crate::RecoveryReport) per shard, by shard index.
+    /// [`spawn`](Self::spawn) with durability: every shard is an empty
+    /// sibling of `prototype` with its own
+    /// [`PairStore`](mgk_store::PairStore) under `durability.for_shard(k)`,
+    /// recovered before serving. Content-hash routing is restart-stable, so
+    /// after a restart every shard finds exactly the pairs it owned in its
+    /// previous life. A store that refuses recovery refuses the whole
+    /// cluster before any shard thread exists, so nothing is left running —
+    /// or writing under `durability.dir` — behind the error. Returns the
+    /// cluster plus one [`RecoveryReport`](crate::RecoveryReport) per
+    /// shard, by shard index.
     pub fn spawn_durable(
         prototype: GramService<KV, KE, V, E>,
         config: ClusterConfig,
         durability: crate::persist::DurabilityConfig,
     ) -> Result<(Self, Vec<crate::persist::RecoveryReport>), mgk_store::StoreError> {
-        let k = config.shards.max(1);
-        let hasher = prototype.content_hasher();
-        let mut shards = Vec::with_capacity(k);
-        let mut reports = Vec::with_capacity(k);
-        for shard in 0..k {
-            let mut service = prototype.clone();
-            let report = service.attach_store(durability.for_shard(shard))?;
-            reports.push(report);
-            shards.push(GramScheduler::spawn(service, config.scheduler));
-        }
-        Ok((GramCluster { shards, hasher }, reports))
+        let mut services: Vec<_> = (0..config.shards.max(1)).map(|_| prototype.sibling()).collect();
+        let reports = services
+            .iter_mut()
+            .enumerate()
+            .map(|(shard, service)| service.attach_store(durability.for_shard(shard)))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok((Self::start(services, config.scheduler), reports))
+    }
+
+    /// Start one scheduler thread per ready service (at least one).
+    fn start(services: Vec<GramService<KV, KE, V, E>>, config: SchedulerConfig) -> Self {
+        let hasher = services[0].content_hasher();
+        let shards: Vec<_> =
+            services.into_iter().map(|service| GramScheduler::spawn(service, config)).collect();
+        let lanes = shards.iter().map(|shard| shard.lane().clone()).collect();
+        GramCluster { shards, client: GramClient::new(lanes, hasher) }
     }
 
     /// Number of shards.
@@ -174,11 +175,11 @@ where
         self.shards.len()
     }
 
-    /// A routing producer/consumer handle (cheap; clone freely across
-    /// threads).
-    pub fn client(&self) -> ClusterClient<V, E> {
-        let lanes = self.shards.iter().map(|s| s.lane().clone()).collect();
-        ClusterClient { producer: GramClient::new(lanes, self.hasher) }
+    /// A producer handle over every shard's command lane (cheap; clone
+    /// freely across threads): submissions route per structure, and
+    /// [`flush`](GramClient::flush) barriers every shard.
+    pub fn client(&self) -> GramClient<V, E> {
+        self.client.clone()
     }
 
     /// A typed request client carrying its answers at `T`, over every
@@ -186,7 +187,7 @@ where
     /// [`PairKey`] hashes to. Otherwise exactly
     /// [`GramScheduler::kernel_client`] — `.refined()` included.
     pub fn kernel_client<T: RequestScalar>(&self) -> KernelClient<V, E, T> {
-        KernelClient::over(self.client().producer)
+        KernelClient::over(self.client())
     }
 
     /// The merged cluster watch over every shard's snapshot watch.
@@ -222,63 +223,6 @@ where
             resume_unwind(payload);
         }
         services
-    }
-}
-
-/// Cheap, cloneable producer handle routing submissions to their owning
-/// shard by content hash: a [`GramClient`] over every shard's lane, with
-/// the barrier and the watch merged cluster-wide.
-#[derive(Debug)]
-pub struct ClusterClient<V, E> {
-    producer: GramClient<V, E>,
-}
-
-impl<V, E> Clone for ClusterClient<V, E> {
-    fn clone(&self) -> Self {
-        ClusterClient { producer: self.producer.clone() }
-    }
-}
-
-impl<V, E> ClusterClient<V, E> {
-    /// The shard index a structure routes to.
-    pub fn shard_of(&self, structure: &Graph<V, E>) -> usize {
-        self.producer.shard_of(structure)
-    }
-
-    /// [`GramClient::submit`] on the owning shard.
-    pub fn submit(&self, structure: Graph<V, E>) -> Result<(), SchedulerError> {
-        self.producer.submit(structure)
-    }
-
-    /// [`GramClient::try_submit`] on the owning shard.
-    pub fn try_submit(&self, structure: Graph<V, E>) -> Result<(), SchedulerError> {
-        self.producer.try_submit(structure)
-    }
-
-    /// [`GramClient::submit_all`]: routed per structure, one command per
-    /// shard that receives anything.
-    pub fn submit_all(
-        &self,
-        structures: impl IntoIterator<Item = Graph<V, E>>,
-    ) -> Result<usize, SchedulerError> {
-        self.producer.submit_all(structures)
-    }
-
-    /// Cluster barrier: block until every submission enqueued before this
-    /// call — on any shard — has been admitted and solved.
-    pub fn flush(&self) -> Result<ClusterBarrierReply, SchedulerError> {
-        let replies = self.producer.barriers()?;
-        let shard_epochs: Vec<u64> = replies.iter().map(|r| r.epoch).collect();
-        Ok(ClusterBarrierReply {
-            epoch: shard_epochs.iter().sum(),
-            shard_epochs,
-            num_structures: replies.iter().map(|r| r.num_structures).sum(),
-        })
-    }
-
-    /// The merged cluster watch over every shard this client routes to.
-    pub fn watch(&self) -> ClusterWatch {
-        ClusterWatch { watches: self.producer.watches() }
     }
 }
 

@@ -44,10 +44,11 @@
 //!   a content-hash router. Structures route by their own content
 //!   identity, request pairs by normalized [`PairKey`] (both orientations
 //!   land on one shard, so coalescing and symmetric cache answers survive
-//!   sharding) — through the same [`KernelClient`], holding K command
-//!   lanes instead of one — per-shard watches merge into a summed cluster
-//!   epoch, and per-shard telemetry registries aggregate into one scrape
-//!   surface with a `shard="k"` label on every metric. `K = 1` behaves
+//!   sharding) — through the scheduler's own [`GramClient`] and
+//!   [`KernelClient`], holding K command lanes instead of one. Shards are
+//!   born from the prototype's recipe, not a copy of its state; per-shard
+//!   watches merge into a summed cluster epoch, per-shard registries into
+//!   one scrape surface with `shard="k"` on every metric. `K = 1` behaves
 //!   exactly like the plain scheduler.
 //! * **Durability plane** — attach a per-service
 //!   [`PairStore`](mgk_store::PairStore) via
@@ -108,8 +109,8 @@ pub mod watch;
 
 pub use cache::{CachedEntry, NodalCache, PairCache, PairKey, PairSide, ReorderCache};
 pub use cluster::{
-    shard_of_key, shard_of_side, ClusterBarrierReply, ClusterClient, ClusterConfig,
-    ClusterKernelClient, ClusterSnapshot, ClusterTelemetry, ClusterWatch, GramCluster,
+    shard_of_key, shard_of_side, ClusterConfig, ClusterKernelClient, ClusterSnapshot,
+    ClusterTelemetry, ClusterWatch, GramCluster,
 };
 pub use hash::{graph_content_hash, ContentHash, Fnv1a};
 pub use metrics::RuntimeMetrics;

@@ -218,69 +218,6 @@ impl RuntimeMetrics {
     pub fn registry(&self) -> Arc<MetricsRegistry> {
         Arc::clone(&self.registry)
     }
-
-    /// A *fresh* hub (new registry, new cells) seeded at this hub's
-    /// current values. Cloning a `GramService` snapshots its full state for
-    /// replay; its telemetry forks the same way, so the clone and the
-    /// original never double-count each other's future activity.
-    pub fn fork(&self) -> RuntimeMetrics {
-        let fresh = RuntimeMetrics::new();
-        for (new, old) in fresh.counter_cells().into_iter().zip(self.counter_cells()) {
-            new.add(old.value());
-        }
-        fresh.traffic.bytes.add(self.traffic.bytes.value());
-        fresh.traffic.flops.add(self.traffic.flops.value());
-        fresh.traffic.intensity.set(self.traffic.intensity.value());
-        fresh.queue_depth.set(self.queue_depth.value());
-        fresh.scheduler_busy.set(self.scheduler_busy.value());
-        for (new, old) in fresh.histogram_cells().into_iter().zip(self.histogram_cells()) {
-            new.absorb(&old.snapshot());
-        }
-        fresh
-    }
-
-    fn counter_cells(&self) -> [&Counter; 25] {
-        [
-            &self.admitted,
-            &self.jobs_executed,
-            &self.cache_hits,
-            &self.warm_started,
-            &self.total_iterations,
-            &self.failures,
-            &self.batches,
-            &self.hash_collisions,
-            &self.triangle_copies,
-            &self.request_solves,
-            &self.request_cache_answers,
-            &self.requests_coalesced,
-            &self.requests_expired_in_queue,
-            &self.requests_expired_pre_solve,
-            &self.requests_cancelled,
-            &self.reorder_hits,
-            &self.reorder_misses,
-            &self.snapshot_builds,
-            &self.nodal_hits,
-            &self.nodal_misses,
-            &self.store_appends,
-            &self.store_bytes,
-            &self.store_fsyncs,
-            &self.store_replayed,
-            &self.store_torn_tail,
-        ]
-    }
-
-    fn histogram_cells(&self) -> [&Histogram; 8] {
-        [
-            &self.stage_queue_wait,
-            &self.stage_drain,
-            &self.stage_prepare,
-            &self.stage_solve,
-            &self.stage_fold,
-            &self.stage_publish,
-            &self.stage_persist,
-            &self.request_latency,
-        ]
-    }
 }
 
 impl Default for RuntimeMetrics {
@@ -294,34 +231,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn forked_hubs_do_not_share_cells() {
-        let hub = RuntimeMetrics::new();
-        hub.jobs_executed.add(5);
-        hub.stage_solve.record(1_000);
-        hub.traffic.record(100, 300);
-        let fork = hub.fork();
-        if mgk_telemetry::COMPILED {
-            assert_eq!(fork.jobs_executed.value(), 5);
-            assert_eq!(fork.stage_solve.snapshot().count(), 1);
-            assert!((fork.traffic.intensity.value() - 3.0).abs() < 1e-12);
-        }
-        fork.jobs_executed.inc();
-        hub.jobs_executed.add(10);
-        if mgk_telemetry::COMPILED {
-            assert_eq!(fork.jobs_executed.value(), 6);
-            assert_eq!(hub.jobs_executed.value(), 15);
-        }
-    }
-
-    #[test]
     fn shared_clones_do_share_cells() {
         let hub = RuntimeMetrics::new();
         let shared = hub.clone();
         shared.cache_hits.add(3);
         hub.cache_hits.add(4);
-        if mgk_telemetry::COMPILED {
-            assert_eq!(hub.cache_hits.value(), 7);
-            assert_eq!(hub.registry().snapshot().counter(names::CACHE_HITS), Some(7));
-        }
+        assert_eq!(hub.cache_hits.value(), 7);
+        assert_eq!(hub.registry().snapshot().counter(names::CACHE_HITS), Some(7));
     }
 }

@@ -95,8 +95,8 @@ impl RecoveryReport {
 }
 
 /// The attached store plus its sync and snapshot-cadence bookkeeping, owned
-/// by the service. Intentionally *not* `Clone`: a cloned service must never
-/// share (or duplicate) a live file handle — `GramService::clone` detaches.
+/// by the service. Intentionally *not* `Clone`, like the service itself: two
+/// writers over one live file handle would interleave frames.
 #[derive(Debug)]
 pub(crate) struct ServiceStore {
     pub(crate) store: mgk_store::PairStore,

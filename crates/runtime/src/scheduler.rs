@@ -15,7 +15,12 @@
 //!   channel is full (backpressure as flow control) and
 //!   [`try_submit`](GramClient::try_submit) surfaces
 //!   [`SchedulerError::Backpressure`] instead — a blocking-or-try choice at
-//!   the channel, not an error the caller must retry around.
+//!   the channel, not an error the caller must retry around. It is the
+//!   **one producer handle**: a [`GramCluster`](crate::GramCluster) hands
+//!   out the same type over K channels, and a client only ever *sends* —
+//!   the watch and the metrics registry are handed out by the owner that
+//!   spawned the thread ([`GramScheduler::watch`] /
+//!   [`GramScheduler::telemetry`]).
 //! * Consumers hold a [`SnapshotWatch`]: every completed flush publishes
 //!   the new snapshot under a bumped epoch (the service's
 //!   [`version`](GramService::version)), `wait_newer` blocks until a
@@ -65,7 +70,6 @@ use mgk_telemetry::{Counter, Gauge, MetricsRegistry, Stopwatch};
 use crate::cache::{CachedEntry, PairKey, PairSide, SharedNodal};
 use crate::cluster::{shard_of_key, shard_of_side};
 use crate::hash::ContentHash;
-use crate::metrics::RuntimeMetrics;
 use crate::service::{Answer, Claim, GramService, GramServiceError, Landed, Wave};
 use crate::ticket::{ticket, RequestError, Ticket, TicketResolver};
 use crate::watch::{snapshot_channel_counted, SnapshotPublisher, SnapshotWatch};
@@ -116,20 +120,26 @@ impl std::fmt::Display for SchedulerError {
 
 impl std::error::Error for SchedulerError {}
 
-/// Reply of a [`GramClient::flush`] barrier: the scheduler's state after
-/// every previously enqueued submission was admitted and solved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Reply of a [`GramClient::flush`] barrier: the state of every scheduler
+/// the client fronts after each admitted and solved what was enqueued on it
+/// before the call.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BarrierReply {
-    /// The snapshot epoch after the barrier's flush.
+    /// The snapshot epoch after the barrier's flush — over K schedulers the
+    /// cluster epoch, the sum of `shard_epochs`.
     pub epoch: u64,
-    /// Structures admitted so far.
+    /// Structures admitted so far, on every scheduler together.
     pub num_structures: usize,
+    /// Each scheduler's own epoch at its barrier, by index: `[epoch]` for a
+    /// client over one scheduler.
+    pub shard_epochs: Vec<u64>,
 }
 
 enum Command<V, E> {
     Submit(Graph<V, E>),
     SubmitAll(Vec<Graph<V, E>>),
-    Barrier(mpsc::Sender<BarrierReply>),
+    /// Answered with the scheduler's `(epoch, structures admitted)`.
+    Barrier(mpsc::Sender<(u64, usize)>),
     // boxed: a request (two graphs + resolver + deadline) is several times
     // a Submit, and the channel moves Commands by value
     Request(Box<KernelRequest<V, E>>),
@@ -195,24 +205,18 @@ impl RequestScalar for f64 {
 }
 
 /// What a client holds of one scheduler: the sending half of its bounded
-/// command channel, the queue-depth gauge of the service behind it, and the
-/// watch it publishes to. Every client is one or more of these.
+/// command channel and the queue-depth gauge of the service behind it.
+/// Every client is one or more of these.
 #[derive(Debug)]
 pub(crate) struct Lane<V, E> {
     tx: SyncSender<Command<V, E>>,
     capacity: usize,
-    metrics: RuntimeMetrics,
-    watch: SnapshotWatch,
+    queue_depth: Gauge,
 }
 
 impl<V, E> Clone for Lane<V, E> {
     fn clone(&self) -> Self {
-        Lane {
-            tx: self.tx.clone(),
-            capacity: self.capacity,
-            metrics: self.metrics.clone(),
-            watch: self.watch.clone(),
-        }
+        Lane { tx: self.tx.clone(), capacity: self.capacity, queue_depth: self.queue_depth.clone() }
     }
 }
 
@@ -223,7 +227,7 @@ impl<V, E> Lane<V, E> {
         // raised before the send so a scraper never observes a queued
         // command the gauge has not counted; unwound if the send fails
         let units = command.queue_units();
-        self.metrics.queue_depth.add(units);
+        self.queue_depth.add(units);
         let sent = if blocking {
             self.tx.send(command).map_err(|_| SchedulerError::Closed)
         } else {
@@ -233,19 +237,17 @@ impl<V, E> Lane<V, E> {
             })
         };
         if sent.is_err() {
-            self.metrics.queue_depth.add(-units);
+            self.queue_depth.add(-units);
         }
         sent
     }
 }
 
-/// Cheap, cloneable producer/consumer handle to a running
-/// [`GramScheduler`].
-///
-/// Built by a [`GramCluster`](crate::GramCluster) (inside its
-/// [`ClusterClient`](crate::ClusterClient)) it holds every shard's command
-/// lane and sends each structure to the shard its content identity hashes
-/// to ([`shard_of_side`]) — the rule [`KernelClient`] follows for pairs.
+/// Cheap, cloneable producer handle to a running [`GramScheduler`] — or,
+/// built by [`GramCluster::client`](crate::GramCluster::client), to every
+/// shard of a cluster: it then holds K command lanes and sends each
+/// structure to the shard its content identity hashes to
+/// ([`shard_of_side`]) — the rule [`KernelClient`] follows for pairs.
 #[derive(Debug)]
 pub struct GramClient<V, E> {
     /// One lane per scheduler this client fronts.
@@ -320,45 +322,27 @@ impl<V, E> GramClient<V, E> {
         Ok(enqueued)
     }
 
-    /// Barrier: block until every submission enqueued before this call has
-    /// been admitted and solved, and report the resulting epoch.
+    /// Barrier: block until every submission enqueued before this call — on
+    /// any scheduler — has been admitted and solved, and report the
+    /// resulting epochs. The schedulers are barriered in index order; each
+    /// only ever receives its own routed submissions, so the sequential
+    /// sweep observes a consistent "everything enqueued before the call"
+    /// state.
     pub fn flush(&self) -> Result<BarrierReply, SchedulerError> {
-        let replies = self.barriers()?;
-        Ok(BarrierReply {
-            epoch: replies.iter().map(|r| r.epoch).sum(),
-            num_structures: replies.iter().map(|r| r.num_structures).sum(),
-        })
-    }
-
-    /// Barrier every scheduler in index order and collect the replies. Each
-    /// scheduler only ever receives its own routed submissions, so the
-    /// sequential sweep observes a consistent "everything enqueued before
-    /// the call" state.
-    pub(crate) fn barriers(&self) -> Result<Vec<BarrierReply>, SchedulerError> {
-        self.lanes
-            .iter()
-            .map(|lane| {
-                let (reply_tx, reply_rx) = mpsc::channel();
-                lane.send(Command::Barrier(reply_tx), true)?;
-                reply_rx.recv().map_err(|_| SchedulerError::Closed)
-            })
-            .collect()
-    }
-
-    /// The versioned snapshot watch fed by this scheduler.
-    pub fn watch(&self) -> SnapshotWatch {
-        self.lanes[0].watch.clone()
-    }
-
-    /// Every scheduler's watch, by index.
-    pub(crate) fn watches(&self) -> Vec<SnapshotWatch> {
-        self.lanes.iter().map(|lane| lane.watch.clone()).collect()
-    }
-
-    /// The metrics registry of the scheduler's service — the scrape/pull
-    /// surface (`registry.snapshot().render_prometheus()`).
-    pub fn telemetry(&self) -> Arc<MetricsRegistry> {
-        self.lanes[0].metrics.registry()
+        let mut merged = BarrierReply {
+            epoch: 0,
+            num_structures: 0,
+            shard_epochs: Vec::with_capacity(self.lanes.len()),
+        };
+        for lane in &self.lanes {
+            let (reply_tx, reply_rx) = mpsc::channel();
+            lane.send(Command::Barrier(reply_tx), true)?;
+            let (epoch, num_structures) = reply_rx.recv().map_err(|_| SchedulerError::Closed)?;
+            merged.epoch += epoch;
+            merged.num_structures += num_structures;
+            merged.shard_epochs.push(epoch);
+        }
+        Ok(merged)
     }
 }
 
@@ -515,6 +499,8 @@ impl<V, E, T: RequestScalar> KernelClient<V, E, T> {
 #[derive(Debug)]
 pub struct GramScheduler<KV, KE, V, E> {
     client: GramClient<V, E>,
+    watch: SnapshotWatch,
+    registry: Arc<MetricsRegistry>,
     handle: JoinHandle<GramService<KV, KE, V, E>>,
 }
 
@@ -525,7 +511,10 @@ where
     KV: BaseKernel<V> + Clone + Send + Sync + 'static,
     KE: BaseKernel<E> + Clone + Send + Sync + 'static,
 {
-    /// Move `service` onto a background scheduler thread.
+    /// Move `service` onto a background scheduler thread — the one place a
+    /// scheduler thread is started: [`spawn_durable`](Self::spawn_durable)
+    /// and both [`GramCluster`](crate::GramCluster) spawns hand it the
+    /// ready services they differ by.
     ///
     /// A pre-warmed service (structures admitted before the handoff) has
     /// its current snapshot published immediately, so watchers see the warm
@@ -534,13 +523,14 @@ where
     pub fn spawn(service: GramService<KV, KE, V, E>, config: SchedulerConfig) -> Self {
         let capacity = config.channel_capacity.max(1);
         let (tx, rx) = mpsc::sync_channel(capacity);
-        // shared handles into the service's registry: clients record queue
-        // depth (and hold the scrape surface) through the same cells the
-        // scheduler thread records stages into
-        let metrics = service.metrics().clone();
+        // clients raise the queue-depth gauge through the same cell the
+        // scheduler thread lowers it through
+        let queue_depth = service.metrics().queue_depth.clone();
+        let registry = service.telemetry();
         let hasher = service.content_hasher();
-        let (publisher, watch) = snapshot_channel_counted(metrics.snapshot_builds.clone());
-        let inbox = Inbox { rx, queue_depth: metrics.queue_depth.clone() };
+        let (publisher, watch) =
+            snapshot_channel_counted(service.metrics().snapshot_builds.clone());
+        let inbox = Inbox { rx, queue_depth: queue_depth.clone() };
         let handle = std::thread::Builder::new()
             .name("mgk-gram-scheduler".to_string())
             .spawn(move || {
@@ -551,8 +541,8 @@ where
                 Worker { service, publisher: &publisher }.run(&inbox.rx, capacity)
             })
             .expect("spawning the scheduler thread");
-        let client = GramClient::new(vec![Lane { tx, capacity, metrics, watch }], hasher);
-        GramScheduler { client, handle }
+        let client = GramClient::new(vec![Lane { tx, capacity, queue_depth }], hasher);
+        GramScheduler { client, watch, registry, handle }
     }
 
     /// [`spawn`](Self::spawn) with a durability plane: attach the store at
@@ -575,7 +565,7 @@ where
         Ok((Self::spawn(service, config), report))
     }
 
-    /// A new producer/consumer handle (cheap; clone freely across threads).
+    /// A new producer handle (cheap; clone freely across threads).
     pub fn client(&self) -> GramClient<V, E> {
         self.client.clone()
     }
@@ -598,7 +588,7 @@ where
 
     /// The versioned snapshot watch fed by this scheduler.
     pub fn watch(&self) -> SnapshotWatch {
-        self.client.watch()
+        self.watch.clone()
     }
 
     /// The metrics registry of the scheduler's service — the scrape/pull
@@ -608,7 +598,7 @@ where
     /// let text = scheduler.telemetry().snapshot().render_prometheus();
     /// ```
     pub fn telemetry(&self) -> Arc<MetricsRegistry> {
-        self.client.telemetry()
+        Arc::clone(&self.registry)
     }
 
     /// Gracefully shut down: every submission already enqueued is drained
@@ -757,7 +747,7 @@ where
             let _busy = metrics.scheduler_busy.track();
 
             let mut shutdown = false;
-            let mut barriers: Vec<mpsc::Sender<BarrierReply>> = Vec::new();
+            let mut barriers: Vec<mpsc::Sender<(u64, usize)>> = Vec::new();
             let mut requests: Vec<KernelRequest<V, E>> = Vec::new();
             for command in commands {
                 match command {
@@ -785,10 +775,7 @@ where
             self.service.persist_request_boundary();
             for barrier in barriers {
                 // a client that gave up waiting is not an error
-                let _ = barrier.send(BarrierReply {
-                    epoch: self.service.version(),
-                    num_structures: self.service.num_structures(),
-                });
+                let _ = barrier.send((self.service.version(), self.service.num_structures()));
             }
             if shutdown {
                 // commands a racing producer enqueued *after* the shutdown are
@@ -831,7 +818,7 @@ where
         }
         drop(drain_span);
         // back in the order the groups' first requests arrived
-        let mut groups: Vec<_> = groups.into_iter().map(|(slot, group)| (slot.1, group)).collect();
+        let mut groups: Vec<_> = groups.into_iter().collect();
         groups.sort_unstable_by_key(|(_, group)| group.arrival);
 
         // consecutive groups with *distinct* normalized pair identities
@@ -840,8 +827,8 @@ where
         // cache dependency (e.g. the mirrored orientation of a pair
         // answers, value-only, from the entry its sibling's fold inserts)
         let mut wave = Wave::new();
-        for (precision, group) in groups {
-            self.stage(&mut wave, group, precision);
+        for (slot, group) in groups {
+            self.stage(&mut wave, group, slot);
         }
         let landed = self.service.close(&mut wave);
         self.finish(landed);
@@ -900,7 +887,7 @@ where
         &mut self,
         wave: &mut Wave<V, E, Vec<LiveTicket>>,
         group: RequestGroup<V, E>,
-        precision: Precision,
+        (sides, precision): Slot,
     ) {
         // cancellations and deadlines may have landed while earlier groups
         // solved; re-check so no solve starts for a fully stale group
@@ -911,8 +898,10 @@ where
             return;
         }
         // one preparation per group, shared by every coalesced ticket;
-        // runs on the owning thread — it may mutate the reorder cache
-        let prepared = self.service.prepare_pair(&group.left, &group.right);
+        // runs on the owning thread — it may mutate the reorder cache. The
+        // slot's sides are the identity of these very graphs, hashed when
+        // the group opened: nothing is hashed a second time
+        let prepared = self.service.prepare_keyed(sides, &group.left, &group.right);
         let landed = self.service.feed(wave, prepared, precision, precision, live);
         self.finish(landed);
     }
@@ -1050,6 +1039,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
     type UnlabeledScheduler = GramScheduler<
@@ -1566,6 +1556,36 @@ mod tests {
         scheduler.join();
     }
 
+    // Counts every call: the identity test below is the only user, so the
+    // count is its own.
+    static HASH_CALLS: AtomicUsize = AtomicUsize::new(0);
+
+    fn counting_hash(g: &Graph) -> u64 {
+        HASH_CALLS.fetch_add(1, Ordering::SeqCst);
+        graph_content_hash(g)
+    }
+
+    #[test]
+    fn a_request_is_identified_once_on_the_scheduler_thread() {
+        let svc = service(GramServiceConfig::default()).with_content_hasher(counting_hash);
+        let scheduler = GramScheduler::spawn(svc, SchedulerConfig::default());
+        let kernels = scheduler.kernel_client::<f32>();
+        let graphs = dataset(2, 197);
+        let ask = || kernels.request(graphs[0].clone(), graphs[1].clone()).unwrap().wait().unwrap();
+
+        // the first request prepares both structures (hashing their prepared
+        // forms too); the repeat finds them prepared and the pair cached
+        ask();
+        let before = HASH_CALLS.load(Ordering::SeqCst);
+        ask();
+        // a one-lane client hashes nothing to route; grouping hashes each
+        // side once, and preparation reuses those identities
+        assert_eq!(HASH_CALLS.load(Ordering::SeqCst) - before, 2, "one hash per side");
+        let svc = scheduler.join();
+        assert_eq!(svc.stats().request_cache_answers, 1);
+        assert_eq!(svc.stats().reorder_hits, 2, "the repeat prepared nothing");
+    }
+
     #[test]
     fn a_deadline_expiring_mid_queue_skips_the_solve() {
         let gate = REQUEST_GATE.lock().unwrap();
@@ -1748,10 +1768,8 @@ mod tests {
         let graphs = dataset(2, 157);
         let ticket = kernels.request(graphs[0].clone(), graphs[1].clone()).unwrap();
         let result = ticket.wait().unwrap();
-        if mgk_telemetry::COMPILED {
-            assert!(result.stages.solve_ns > 0, "a solved request times its solve stage");
-            assert!(result.stages.total_ns() >= result.stages.solve_ns);
-        }
+        assert!(result.stages.solve_ns > 0, "a solved request times its solve stage");
+        assert!(result.stages.total_ns() >= result.stages.solve_ns);
         scheduler.join();
     }
 
@@ -1768,19 +1786,17 @@ mod tests {
         kernels.request(graphs[0].clone(), graphs[1].clone()).unwrap().wait().unwrap();
 
         let snapshot = scheduler.telemetry().snapshot();
-        if mgk_telemetry::COMPILED {
-            let queue_wait = snapshot
-                .histogram(names::STAGE_DURATION, Some(("stage", "queue_wait")))
-                .expect("queue-wait stage histogram registered");
-            assert_eq!(queue_wait.count(), 1, "one admitted request, one queue wait");
-            let solve = snapshot
-                .histogram(names::STAGE_DURATION, Some(("stage", "solve")))
-                .expect("solve stage histogram registered");
-            assert!(solve.count() >= 1);
-            assert!(snapshot.histogram(names::REQUEST_LATENCY, None).unwrap().count() >= 1);
-            // both answered: nothing left in the channel, scheduler idle
-            assert_eq!(snapshot.gauge(names::QUEUE_DEPTH), Some(0.0));
-        }
+        let queue_wait = snapshot
+            .histogram(names::STAGE_DURATION, Some(("stage", "queue_wait")))
+            .expect("queue-wait stage histogram registered");
+        assert_eq!(queue_wait.count(), 1, "one admitted request, one queue wait");
+        let solve = snapshot
+            .histogram(names::STAGE_DURATION, Some(("stage", "solve")))
+            .expect("solve stage histogram registered");
+        assert!(solve.count() >= 1);
+        assert!(snapshot.histogram(names::REQUEST_LATENCY, None).unwrap().count() >= 1);
+        // both answered: nothing left in the channel, scheduler idle
+        assert_eq!(snapshot.gauge(names::QUEUE_DEPTH), Some(0.0));
         let text = snapshot.render_prometheus();
         assert!(text.contains(names::STAGE_DURATION));
         assert!(text.contains(names::QUEUE_DEPTH));
@@ -1825,9 +1841,6 @@ mod tests {
 
     #[test]
     fn commands_left_in_the_channel_at_exit_leave_the_queue_depth_gauge() {
-        if !mgk_telemetry::COMPILED {
-            return;
-        }
         let path = |n: u32| -> Graph {
             let edges: Vec<(u32, u32)> = (1..n).map(|v| (v - 1, v)).collect();
             Graph::from_edge_list(n as usize, &edges)
@@ -1839,7 +1852,7 @@ mod tests {
         svc.submit(path(7)).unwrap();
         let scheduler = GramScheduler::spawn(svc, SchedulerConfig::default());
         let client = scheduler.client();
-        let depth = scheduler.lane().metrics.queue_depth.clone();
+        let depth = scheduler.lane().queue_depth.clone();
 
         // one batch: a submission whose flush waits on the second gate, and
         // the shutdown
@@ -1862,7 +1875,7 @@ mod tests {
         assert_eq!(depth.value(), 0.0, "commands dropped with the receiver left the queue");
         // the hub outlives the worker: the next life starts from what it reads
         let scheduler = GramScheduler::spawn(svc, SchedulerConfig::default());
-        assert_eq!(scheduler.lane().metrics.queue_depth.value(), 0.0);
+        assert_eq!(scheduler.lane().queue_depth.value(), 0.0);
         scheduler.join();
     }
 }

@@ -360,7 +360,7 @@ impl<V, E> PreparedStructure<V, E> {
 /// identity within its key bucket) and the iteration count of the solve
 /// that produced it (fewer iterations ⇒ the solve started closer to the
 /// fixed point ⇒ the better donor).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct DonorEntry {
     right_hash: u64,
     nodal: SharedNodal,
@@ -382,7 +382,7 @@ struct DonorEntry {
 /// donor for a new right structure displaces the bucket's oldest once the
 /// bucket is full. Either way the key's recency is refreshed (it is
 /// actively being donated to).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct DonorPool {
     per_key: usize,
     buckets: LruMap<(u64, usize), Vec<DonorEntry>>,
@@ -439,11 +439,10 @@ impl DonorPool {
 
 /// The streaming Gram service. See the module docs for the design.
 ///
-/// Cloning a service (all label and kernel types are `Clone`) snapshots its
-/// full state — members, triangle, cache and donors — which benchmarks use
-/// to replay an extension from the same warm starting point. The telemetry
-/// hub forks on clone (fresh cells seeded at current values), so a replayed
-/// clone never double-counts into the original's registry.
+/// Deliberately not `Clone`: its state (members, triangle, caches, donors,
+/// the live WAL handle, the registry its counters live in) belongs to one
+/// owner. A cluster's further shards are built from the prototype's *recipe*
+/// (solver, configuration, content hasher), not from a copy of its state.
 #[derive(Debug)]
 pub struct GramService<KV, KE, V, E> {
     /// The user's solver with nodal vectors switched on (they feed the
@@ -499,40 +498,6 @@ pub struct GramService<KV, KE, V, E> {
     metrics: RuntimeMetrics,
 }
 
-impl<KV, KE, V, E> Clone for GramService<KV, KE, V, E>
-where
-    KV: Clone,
-    KE: Clone,
-    V: Clone,
-    E: Clone,
-{
-    fn clone(&self) -> Self {
-        GramService {
-            solver: self.solver.clone(),
-            config: self.config,
-            members: self.members.clone(),
-            values: Arc::clone(&self.values),
-            pending: self.pending.clone(),
-            cache: self.cache.clone(),
-            reorder: self.reorder.clone(),
-            donors: self.donors.clone(),
-            hasher: self.hasher,
-            seen_hashes: self.seen_hashes.clone(),
-            version: self.version,
-            nodal: self.nodal.clone(),
-            // a clone must never share (or duplicate) the original's live
-            // WAL handle — two writers would interleave frames. The clone
-            // starts detached; attach_store gives it its own directory.
-            store: None,
-            recovered: None,
-            // fresh cells seeded at current values: the clone replays from
-            // the same observable counts without writing into the
-            // original's registry
-            metrics: self.metrics.fork(),
-        }
-    }
-}
-
 impl<KV, KE, V, E> GramService<KV, KE, V, E>
 where
     V: Clone + Send + Sync + ContentHash,
@@ -568,6 +533,15 @@ where
             recovered: None,
             metrics: RuntimeMetrics::new(),
         }
+    }
+
+    /// An empty service built from this one's recipe — the same solver,
+    /// (clamped) configuration and content hasher — and none of its state:
+    /// no members, empty caches and donor pool, no store, a registry of its
+    /// own reading zero. What a [`GramCluster`](crate::GramCluster) gives
+    /// its further shards (its module docs say why nothing is replicated).
+    pub(crate) fn sibling(&self) -> Self {
+        GramService::new(self.solver.clone(), self.config).with_content_hasher(self.hasher)
     }
 
     /// Replace the content hasher used for cache and donor keys.
@@ -982,9 +956,21 @@ where
     /// ([`ServiceStats::reorder_hits`]): no reordering, no tiling, no
     /// second hash.
     pub fn prepare_pair(&mut self, left: &Graph<V, E>, right: &Graph<V, E>) -> PreparedPair<V, E> {
+        let sides = (PairSide::of(self.hasher, left), PairSide::of(self.hasher, right));
+        self.prepare_keyed(sides, left, right)
+    }
+
+    /// [`prepare_pair`](Self::prepare_pair) for a caller that already holds
+    /// the raw content identity of each side — the scheduler's request
+    /// drain, which hashed both graphs to group the request.
+    pub(crate) fn prepare_keyed(
+        &mut self,
+        sides: (PairSide, PairSide),
+        left: &Graph<V, E>,
+        right: &Graph<V, E>,
+    ) -> PreparedPair<V, E> {
         let watch = Stopwatch::start();
-        let [left, right] = [left, right].map(|g| {
-            let key = PairSide::of(self.hasher, g);
+        let [left, right] = [(sides.0, left), (sides.1, right)].map(|(key, g)| {
             self.cached_structure(key).unwrap_or_else(|| {
                 let prepared = Arc::new(prepare_structure(&self.solver, self.hasher, g));
                 self.reorder.insert(key, Arc::clone(&prepared));
@@ -1377,7 +1363,7 @@ impl<V, E> PreparedPair<V, E> {
 
     /// Nanoseconds the per-structure preparation of this pair took (next to
     /// nothing when both sides came straight from the reorder cache — the
-    /// cached pointers cost a raw content hash and a lookup each).
+    /// cached pointers cost a lookup each).
     pub fn prepare_ns(&self) -> u64 {
         self.prepare_ns
     }
@@ -1953,6 +1939,36 @@ mod tests {
         svc.flush();
         assert!(svc.stats().cache_hits >= 2, "flush must reuse request-lane entries");
         assert_eq!(svc.stats().jobs_executed, 1, "only the (1,1) self-pair is new");
+    }
+
+    #[test]
+    fn a_sibling_shares_the_recipe_and_none_of_the_state() {
+        let marker: fn(&Graph) -> u64 = |g| graph_content_hash(g) ^ 1;
+        let dir = mgk_store::TempDir::new("service-sibling").unwrap();
+        let graphs = dataset(3, 331);
+        let config = GramServiceConfig { max_pending: 0, batch_size: 7, ..Default::default() };
+        let mut svc = service(config).with_content_hasher(marker);
+        svc.attach_store(DurabilityConfig::new(dir.path())).unwrap();
+        svc.submit_all(graphs[..2].iter().cloned());
+        svc.flush();
+        let pair = svc.prepare_pair(&graphs[0], &graphs[2]);
+        solve_request::<f32>(&mut svc, &pair).unwrap();
+        assert!(svc.num_structures() > 0 && svc.cache_len() > 0 && svc.donor_len() > 0);
+
+        let sibling = svc.sibling();
+        assert_eq!(sibling.config(), svc.config(), "the clamped configuration");
+        assert_eq!(sibling.solver.config(), svc.solver.config());
+        let hashed = sibling.content_hasher()(&graphs[0]);
+        assert_eq!(hashed, marker(&graphs[0]), "the prototype's hasher, not the default");
+        assert_ne!(hashed, graph_content_hash(&graphs[0]));
+        assert_eq!((sibling.num_structures(), sibling.num_pending(), sibling.version()), (0, 0, 0));
+        assert_eq!(
+            (sibling.cache_len(), sibling.donor_len(), sibling.reorder_cache_len()),
+            (0, 0, 0)
+        );
+        assert!(!sibling.store_attached());
+        assert!(!Arc::ptr_eq(&sibling.telemetry(), &svc.telemetry()));
+        assert_eq!(sibling.stats(), ServiceStats::default());
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! The three metric primitives: counters, gauges and log-scaled histograms.
 //!
 //! Every handle is a cheap `Arc` clone around lock-free atomics, so hot
-//! paths record without taking a lock and without allocating. Under the
-//! `noop` feature every mutation compiles to nothing (reads then report
-//! zero), which is what the overhead A/B benchmarks compare against.
+//! paths record without taking a lock and without allocating.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::span::{Span, Stopwatch};
+use crate::span::Span;
 
 /// Number of histogram buckets: one per power-of-two magnitude of a `u64`
 /// value, plus a dedicated zero bucket at index 0.
@@ -70,10 +68,7 @@ impl Counter {
     /// Increment by `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(not(feature = "noop"))]
         self.cell.fetch_add(n, Ordering::Relaxed);
-        #[cfg(feature = "noop")]
-        let _ = n;
     }
 
     /// Current total.
@@ -100,33 +95,25 @@ impl Gauge {
     /// Overwrite the current value.
     #[inline]
     pub fn set(&self, value: f64) {
-        #[cfg(not(feature = "noop"))]
         self.bits.store(value.to_bits(), Ordering::Relaxed);
-        #[cfg(feature = "noop")]
-        let _ = value;
     }
 
     /// Add `delta` (may be negative) with a compare-and-swap loop.
     #[inline]
     pub fn add(&self, delta: f64) {
-        #[cfg(not(feature = "noop"))]
-        {
-            let mut current = self.bits.load(Ordering::Relaxed);
-            loop {
-                let next = (f64::from_bits(current) + delta).to_bits();
-                match self.bits.compare_exchange_weak(
-                    current,
-                    next,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(seen) => current = seen,
-                }
+        let mut current = self.bits.load(Ordering::Relaxed);
+        loop {
+            let next = (f64::from_bits(current) + delta).to_bits();
+            match self.bits.compare_exchange_weak(
+                current,
+                next,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => break,
+                Err(seen) => current = seen,
             }
         }
-        #[cfg(feature = "noop")]
-        let _ = delta;
     }
 
     /// Increment by one.
@@ -203,14 +190,9 @@ impl Histogram {
     /// Record one observation.
     #[inline]
     pub fn record(&self, value: u64) {
-        #[cfg(not(feature = "noop"))]
-        {
-            let b = bucket_index(value);
-            self.cells.counts[b].fetch_add(1, Ordering::Relaxed);
-            self.cells.sums[b].fetch_add(value, Ordering::Relaxed);
-        }
-        #[cfg(feature = "noop")]
-        let _ = value;
+        let b = bucket_index(value);
+        self.cells.counts[b].fetch_add(1, Ordering::Relaxed);
+        self.cells.sums[b].fetch_add(value, Ordering::Relaxed);
     }
 
     /// Start a scoped span: the elapsed nanoseconds are recorded into this
@@ -218,11 +200,6 @@ impl Histogram {
     /// unwinding, so spans stay balanced on error paths.
     pub fn span(&self) -> Span {
         Span::new(self.clone())
-    }
-
-    /// Start a plain stopwatch (record manually with [`Histogram::record`]).
-    pub fn stopwatch(&self) -> Stopwatch {
-        Stopwatch::start()
     }
 
     /// Point-in-time copy of all buckets.
@@ -233,19 +210,6 @@ impl Histogram {
             snap.sums[b] = self.cells.sums[b].load(Ordering::Relaxed);
         }
         snap
-    }
-
-    /// Fold a snapshot's buckets into this histogram. Used when forking a
-    /// telemetry hub (cloned services seed fresh histograms at the donor's
-    /// current contents so neither copy double-counts the other's future).
-    pub fn absorb(&self, snap: &HistogramSnapshot) {
-        #[cfg(not(feature = "noop"))]
-        for b in 0..HISTOGRAM_BUCKETS {
-            self.cells.counts[b].fetch_add(snap.counts[b], Ordering::Relaxed);
-            self.cells.sums[b].fetch_add(snap.sums[b], Ordering::Relaxed);
-        }
-        #[cfg(feature = "noop")]
-        let _ = snap;
     }
 }
 
@@ -295,27 +259,6 @@ impl HistogramSnapshot {
             seen += c;
         }
         // Unreachable: rank < total and the loop covers every observation.
-        None
-    }
-
-    /// Bucket index of the rank-selected observation for quantile `p`
-    /// (`None` on an empty histogram). Benches use this to assert that a
-    /// histogram-derived quantile agrees with a directly measured one to
-    /// within one bucket width.
-    pub fn quantile_bucket(&self, p: f64) -> Option<usize> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((total - 1) as f64 * p.clamp(0.0, 1.0)).round() as u64;
-        let mut seen = 0u64;
-        for b in 0..HISTOGRAM_BUCKETS {
-            let c = self.counts[b];
-            if c > 0 && rank < seen + c {
-                return Some(b);
-            }
-            seen += c;
-        }
         None
     }
 

@@ -1,40 +1,28 @@
 //! Stopwatches, scoped spans and the per-result stage breakdown.
 
-use std::time::Duration;
-#[cfg(not(feature = "noop"))]
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::metrics::Histogram;
 
-/// A clock read that compiles out under the `noop` feature: `start()` is
-/// free and `elapsed_ns()` reports zero, so instrumented hot paths pay no
-/// `Instant::now()` syscall when telemetry is compiled out.
+/// One clock read, kept to time a stage by hand where a [`Span`]'s
+/// record-on-drop does not fit (the elapsed time is also stamped onto a
+/// result, or recorded on another thread).
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
-    #[cfg(not(feature = "noop"))]
     start: Instant,
 }
 
 impl Stopwatch {
-    /// Start timing now (a no-op under `noop`).
+    /// Start timing now.
     #[inline]
     pub fn start() -> Self {
-        Self {
-            #[cfg(not(feature = "noop"))]
-            start: Instant::now(),
-        }
+        Self { start: Instant::now() }
     }
 
-    /// Nanoseconds since `start()`, saturated into `u64` (zero under
-    /// `noop`).
+    /// Nanoseconds since `start()`, saturated into `u64`.
     #[inline]
     pub fn elapsed_ns(&self) -> u64 {
-        #[cfg(not(feature = "noop"))]
-        {
-            self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64
-        }
-        #[cfg(feature = "noop")]
-        0
+        self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64
     }
 }
 

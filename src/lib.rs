@@ -88,9 +88,9 @@ pub mod prelude {
     pub use mgk_linalg::{LinearOperator, Precision, Scalar, SolveOptions, TrafficCounters};
     pub use mgk_reorder::ReorderMethod;
     pub use mgk_runtime::{
-        ClusterClient, ClusterConfig, ClusterWatch, DurabilityConfig, GramClient, GramCluster,
-        GramScheduler, GramService, GramServiceConfig, KernelClient, Pool, RecoveryReport,
-        RequestError, RuntimeMetrics, SchedulerConfig, SnapshotWatch, Ticket,
+        ClusterConfig, ClusterWatch, DurabilityConfig, GramClient, GramCluster, GramScheduler,
+        GramService, GramServiceConfig, KernelClient, Pool, RecoveryReport, RequestError,
+        RuntimeMetrics, SchedulerConfig, SnapshotWatch, Ticket,
     };
     pub use mgk_store::{FsyncPolicy, StoreError};
     pub use mgk_telemetry::{

@@ -11,8 +11,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use mgk::prelude::*;
 use mgk::runtime::{
-    graph_content_hash, shard_of_key, ClusterBarrierReply, GramCluster, PairKey, PairSide,
-    WatchClosed,
+    graph_content_hash, shard_of_key, BarrierReply, GramCluster, PairKey, PairSide, WatchClosed,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -116,8 +115,7 @@ fn k1_cluster_matches_the_plain_scheduler_bit_for_bit() {
             k += 1;
         }
     }
-    let ClusterBarrierReply { epoch, shard_epochs, num_structures } =
-        cluster.client().flush().unwrap();
+    let BarrierReply { epoch, shard_epochs, num_structures } = cluster.client().flush().unwrap();
     assert_eq!(shard_epochs.len(), 1);
     assert_eq!(epoch, shard_epochs[0], "a K=1 cluster epoch IS its only shard's epoch");
     assert_eq!(num_structures, plain_flush.num_structures);

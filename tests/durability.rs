@@ -471,17 +471,69 @@ fn a_restarted_cluster_recovers_every_shard_from_its_own_store() {
     assert_eq!(warm, pairs.len());
 }
 
+/// Every file of a store directory with its bytes, sorted by name.
+fn directory_contents(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap())
+        .map(|entry| (entry.file_name(), std::fs::read(entry.path()).unwrap()))
+        .collect();
+    files.sort();
+    files
+}
+
 #[test]
-fn detached_and_cloned_services_never_persist() {
+fn a_refused_cluster_leaves_no_shard_running_over_its_store() {
+    let dir = TempDir::new("durable-cluster-refused").unwrap();
+    let durability = DurabilityConfig::new(dir.path());
+    let config = ClusterConfig { shards: 2, scheduler: SchedulerConfig::default() };
+    let (shard0, shard1) = (durability.for_shard(0).dir, durability.for_shard(1).dir);
+
+    // first life: admit a corpus on both shards and shut down gracefully,
+    // so each shard's store holds a snapshot with members and a triangle
+    let (cluster, _) = GramCluster::spawn_durable(service(), config, durability.clone()).unwrap();
+    let producers = cluster.client();
+    producers.submit_all(corpus(8, 53)).unwrap();
+    let barrier = producers.flush().unwrap();
+    assert!(barrier.shard_epochs.iter().all(|&epoch| epoch > 0), "both shards admitted");
+    cluster.join();
+
+    // give shard 1's log one record, then flip a byte inside its payload:
+    // corruption, as in `checksum_corruption_refuses_recovery_with_a_typed_error`
+    let (mut store, _) = mgk::store::PairStore::open(&shard1, FsyncPolicy::Off).unwrap();
+    store.mark_epoch(barrier.shard_epochs[1] + 1).unwrap();
+    drop(store);
+    let wal = shard1.join("wal.log");
+    let mut bytes = std::fs::read(&wal).unwrap();
+    bytes[12 + 12 + 2] ^= 0xFF; // header + frame header + mid-payload
+    std::fs::write(&wal, &bytes).unwrap();
+
+    // what shard 0's store is: its files, and what recovery reads from them
+    let observe = |dir: &std::path::Path| {
+        let (_, recovery) = mgk::store::PairStore::open(dir, FsyncPolicy::Off).unwrap();
+        let entries: Vec<_> = recovery.all_entries().copied().collect();
+        (directory_contents(dir), recovery.epoch, entries)
+    };
+    let before = observe(&shard0);
+    assert_eq!(before.1, barrier.shard_epochs[0]);
+
+    // second life: shard 0 recovers, shard 1 refuses — the cluster is
+    // refused as a whole, with no shard thread left behind to write its
+    // final snapshot over shard 0's store after the caller saw the error
+    match GramCluster::spawn_durable(service(), config, durability) {
+        Err(StoreError::Corrupt { detail, .. }) => assert_eq!(detail, "record checksum mismatch"),
+        other => panic!("a corrupt shard must refuse the cluster, got {:?}", other.map(|_| ())),
+    }
+    assert!(before == observe(&shard0), "a refused spawn rewrote shard 0's store");
+}
+
+#[test]
+fn a_service_reports_its_attached_store() {
     let dir = TempDir::new("durable-detach").unwrap();
     let mut svc = service();
     assert!(!svc.store_attached());
+    assert_eq!(svc.store_dir(), None);
     svc.attach_store(DurabilityConfig::new(dir.path())).unwrap();
     assert!(svc.store_attached());
     assert_eq!(svc.store_dir(), Some(dir.path()));
-
-    // a clone must never share (or duplicate) the live WAL handle
-    let clone = svc.clone();
-    assert!(!clone.store_attached(), "clones detach from the store");
-    assert_eq!(clone.store_dir(), None);
 }

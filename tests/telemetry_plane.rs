@@ -53,16 +53,14 @@ fn intensity_gauge_agrees_with_the_traffic_the_results_report() {
     assert!(expected_bytes > 0 && expected_flops > 0);
 
     let snapshot = scheduler.telemetry().snapshot();
-    if mgk::telemetry::COMPILED {
-        assert_eq!(snapshot.counter(names::TRAFFIC_BYTES), Some(expected_bytes));
-        assert_eq!(snapshot.counter(names::TRAFFIC_FLOPS), Some(expected_flops));
-        let intensity = snapshot.gauge(names::ARITHMETIC_INTENSITY).unwrap();
-        let expected = expected_flops as f64 / expected_bytes as f64;
-        assert!(
-            (intensity - expected).abs() <= 1e-12 * expected,
-            "gauge {intensity} vs traffic totals {expected}"
-        );
-    }
+    assert_eq!(snapshot.counter(names::TRAFFIC_BYTES), Some(expected_bytes));
+    assert_eq!(snapshot.counter(names::TRAFFIC_FLOPS), Some(expected_flops));
+    let intensity = snapshot.gauge(names::ARITHMETIC_INTENSITY).unwrap();
+    let expected = expected_flops as f64 / expected_bytes as f64;
+    assert!(
+        (intensity - expected).abs() <= 1e-12 * expected,
+        "gauge {intensity} vs traffic totals {expected}"
+    );
     scheduler.join();
 }
 
@@ -100,17 +98,15 @@ fn prometheus_exposition_covers_the_serving_pipeline() {
     ] {
         assert!(text.contains(name), "exposition is missing {name}:\n{text}");
     }
-    if mgk::telemetry::COMPILED {
-        // cumulative histogram form: bucket lines plus the mandatory +Inf
-        assert!(text.contains(&format!("{}_bucket", names::STAGE_DURATION)));
-        assert!(text.contains("le=\"+Inf\""));
-        // the queue drained and both lanes answered: depth is back to zero
-        assert_eq!(snapshot.gauge(names::QUEUE_DEPTH), Some(0.0));
-        let solve = snapshot
-            .histogram(names::STAGE_DURATION, Some(("stage", "solve")))
-            .expect("solve stage histogram");
-        assert!(solve.count() >= 1, "at least the request-lane solve was timed");
-    }
+    // cumulative histogram form: bucket lines plus the mandatory +Inf
+    assert!(text.contains(&format!("{}_bucket", names::STAGE_DURATION)));
+    assert!(text.contains("le=\"+Inf\""));
+    // the queue drained and both lanes answered: depth is back to zero
+    assert_eq!(snapshot.gauge(names::QUEUE_DEPTH), Some(0.0));
+    let solve = snapshot
+        .histogram(names::STAGE_DURATION, Some(("stage", "solve")))
+        .expect("solve stage histogram");
+    assert!(solve.count() >= 1, "at least the request-lane solve was timed");
     // JSON rendering carries the same vocabulary for log shippers
     let json = snapshot.render_json();
     assert!(json.contains(names::REQUEST_LATENCY));
@@ -118,31 +114,27 @@ fn prometheus_exposition_covers_the_serving_pipeline() {
     scheduler.join();
 }
 
-/// Every handle onto one scheduler scrapes the same registry, and the
+/// The scheduler hands out its service's own registry, and the
 /// `ServiceStats` view agrees with the registry's counters.
 #[test]
 fn clients_share_one_registry_and_stats_stay_a_view() {
     let graphs = corpus(2, 227);
     let scheduler = spawn_default();
     let kernels = scheduler.kernel_client::<f64>();
-    assert!(std::sync::Arc::ptr_eq(&scheduler.telemetry(), &scheduler.client().telemetry()));
 
     kernels.request(graphs[0].clone(), graphs[1].clone()).unwrap().wait().unwrap();
     let registry = scheduler.telemetry();
     let svc = scheduler.join();
+    assert!(std::sync::Arc::ptr_eq(&registry, &svc.telemetry()));
     let stats = svc.stats();
     let snapshot = registry.snapshot();
-    if mgk::telemetry::COMPILED {
-        assert_eq!(stats.request_solves as u64, snapshot.counter(names::REQUEST_SOLVES).unwrap());
-        assert_eq!(
-            stats.requests_expired_in_queue as u64,
-            snapshot.counter_labeled(names::REQUESTS_EXPIRED, Some(("phase", "queue"))).unwrap()
-        );
-        assert_eq!(
-            stats.requests_expired_pre_solve as u64,
-            snapshot
-                .counter_labeled(names::REQUESTS_EXPIRED, Some(("phase", "pre_solve")))
-                .unwrap()
-        );
-    }
+    assert_eq!(stats.request_solves as u64, snapshot.counter(names::REQUEST_SOLVES).unwrap());
+    assert_eq!(
+        stats.requests_expired_in_queue as u64,
+        snapshot.counter_labeled(names::REQUESTS_EXPIRED, Some(("phase", "queue"))).unwrap()
+    );
+    assert_eq!(
+        stats.requests_expired_pre_solve as u64,
+        snapshot.counter_labeled(names::REQUESTS_EXPIRED, Some(("phase", "pre_solve"))).unwrap()
+    );
 }
