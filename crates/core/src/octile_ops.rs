@@ -21,9 +21,42 @@
 //! [`select_kind`] implements the dynamic selection rule of Fig. 8 using a
 //! per-primitive cycle estimate that mirrors the GPU execution efficiency
 //! of each variant.
+//!
+//! # Vectorization
+//!
+//! The paper regenerates each product tile on the fly, so the base-kernel
+//! evaluation *is* the inner loop, and the fixed-8-lane loops below only
+//! become SIMD code if the compiler can see through [`BaseKernel::eval`]:
+//! a base kernel must stay `#[inline]` and free of opaque calls (libm's
+//! `expf`, `floor`, `round`, …) — one such call and every lane runs scalar.
+//! That is why `mgk_kernels::SquareExponential` evaluates its exponential as
+//! an inlined polynomial, and why the two sparse-operand primitives evaluate
+//! the kernel over the dense tile's *packed* labels before scattering the
+//! values into a panel.
+//!
+//! The dense×dense primitive additionally has an AVX2 instantiation, chosen
+//! at run time by `is_x86_feature_detected!("avx2")`. It is the *same source
+//! body* compiled under `#[target_feature(enable = "avx2")]`, without FMA —
+//! Rust never contracts `a * b + c` on its own — so each lane executes the
+//! same IEEE-754 multiplies and adds and the two instantiations are
+//! bit-identical to each other and to [`tile_pair_product_scalar`]
+//! (asserted by a unit test that calls each directly). There is nothing to
+//! configure; elsewhere the portable instantiation is the only one.
+//!
+//! Both the packed evaluation and the AVX2 instantiation are used only
+//! under a base kernel whose evaluation is arithmetic (its declared
+//! [`KernelCost`] says so); under a unit, constant or Kronecker-delta kernel
+//! there is nothing for them to vectorize and they measurably cost — see
+//! `evaluation_vectorizes`.
+//!
+//! Measured by the benchmark's traced `gram-dense` run (square-exponential
+//! edge kernel, one pinned 2.1 GHz Xeon core, seed 1), libm `expf` → this
+//! module as it stands, ns per tile pair: dense×dense 10004 → 2300,
+//! dense×sparse 7074 → 3806, sparse×sparse 6807 → 4166;
+//! `product.apply_roofline_fraction` 0.16 → 0.56.
 
 use mgk_gpusim::{octile_pair_traffic, OctilePairShape, TrafficCounters};
-use mgk_kernels::BaseKernel;
+use mgk_kernels::{BaseKernel, KernelCost};
 use mgk_linalg::Scalar;
 use mgk_tile::{Octile, TILE_AREA, TILE_SIZE};
 
@@ -347,9 +380,30 @@ pub fn tile_pair_product_with_panels<T: Scalar, E: Copy + Default, K: BaseKernel
         }
         TileProductKind::DenseDense => {
             counters.accumulate(&octile_pair_traffic(OctilePairShape::DenseDense, eb, fb, vb, xf));
-            dense_dense_blocked(s1, s2, (n, m), kernel, p, y);
+            if !(evaluation_vectorizes(kernel)
+                && dense_dense_blocked_avx2(s1, s2, (n, m), kernel, p, y))
+            {
+                dense_dense_blocked(s1, s2, (n, m), kernel, p, y);
+            }
         }
     }
+}
+
+/// Whether evaluating `kernel` is arithmetic worth vectorizing: more than
+/// the constant or the single select of the unit, constant and Kronecker
+/// delta kernels (`X` counts the product term's own three FLOPs too). The
+/// packed two-pass fill of [`fill_kernel_panel`] and the AVX2 instantiation
+/// of dense×dense exist to vectorize the kernel evaluation. Where there is
+/// none they buy nothing, and they are not free: under a Kronecker delta the
+/// second pass read −4 % on `serve-cold` in 9 of 10 alternated pairs, and
+/// merely *executing* the 256-bit instantiation on the 0.6 % of a molecule
+/// sweep's tile pairs that are dense×dense slowed the whole sweep 3–4 %
+/// (the identical binary with that call never taken read as the parent).
+/// For the elementary kernels `cost()` is a constant, so this folds at
+/// compile time and each instantiation keeps one path.
+#[inline(always)]
+fn evaluation_vectorizes<E, K: BaseKernel<E>>(kernel: &K) -> bool {
+    kernel.cost().flops > KernelCost::UNLABELED.flops + 1
 }
 
 /// Sparse-outer bitmap-expansion kernel: walk the sparse tile's nonzeros
@@ -360,8 +414,9 @@ pub fn tile_pair_product_with_panels<T: Scalar, E: Copy + Default, K: BaseKernel
 ///
 /// The base-kernel evaluations are hoisted out of the lane loop: per sparse
 /// nonzero the kernel is evaluated once against each of the dense tile's
-/// packed labels and scattered into a transposed panel, leaving the
-/// innermost loop a branchless multiply-accumulate.
+/// packed labels and scattered into a transposed panel
+/// ([`fill_kernel_panel`]), leaving the innermost loop a branchless
+/// multiply-accumulate.
 fn sparse_outer_lanes<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     sp: &Octile<E>,
     dense: PaneledTile<'_, E>,
@@ -383,10 +438,18 @@ fn sparse_outer_lanes<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     // rewritten for every sparse element, zero slots never contribute
     // because the paired transposed weight there is exactly zero
     let mut ket = [0.0f32; TILE_AREA];
+    let mut packed = [0.0f32; TILE_AREA];
+    let two_pass = evaluation_vectorizes(kernel);
     for (i, j, w1, l1) in sp.iter() {
-        for k in 0..nnzd {
-            ket[dn_panels.pos_t[k] as usize] = kernel.eval(&l1, &dn.labels[k]);
-        }
+        fill_kernel_panel(
+            kernel,
+            two_pass,
+            &l1,
+            &dn.labels[..nnzd],
+            &dn_panels.pos_t[..nnzd],
+            &mut packed,
+            &mut ket,
+        );
         let w1t = T::from_f32(w1);
         let yrow = (srow + i) * m + drow;
         let prow = (scol + j) * m + dcol;
@@ -402,6 +465,40 @@ fn sparse_outer_lanes<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
                     ((w1t * T::from_f32(wt[base + ip])) * T::from_f32(ket[base + ip])) * ps;
             }
         }
+    }
+}
+
+/// Evaluate the base kernel between one sparse-operand `label` and each of
+/// the dense tile's packed `labels`, and put the values in their panel slots
+/// `pos`. With `two_pass` ([`evaluation_vectorizes`]) the evaluation runs
+/// over the contiguous packed labels first, where it vectorizes — through
+/// the scatter it cannot — and the values are scattered after; same values
+/// into the same slots either way. `packed` is the caller's per-tile-pair
+/// scratch: written before it is read, so never re-zeroed (doing so per
+/// sparse nonzero read −11 % on `gram-sparse`).
+#[inline(always)]
+fn fill_kernel_panel<E, K: BaseKernel<E>>(
+    kernel: &K,
+    two_pass: bool,
+    label: &E,
+    labels: &[E],
+    pos: &[u8],
+    packed: &mut [f32; TILE_AREA],
+    panel: &mut [f32; TILE_AREA],
+) {
+    debug_assert!(labels.len() == pos.len() && labels.len() <= TILE_AREA);
+    if !two_pass {
+        for (&slot, other) in pos.iter().zip(labels) {
+            panel[slot as usize] = kernel.eval(label, other);
+        }
+        return;
+    }
+    let packed = &mut packed[..labels.len()];
+    for (value, other) in packed.iter_mut().zip(labels) {
+        *value = kernel.eval(label, other);
+    }
+    for (&slot, &value) in pos.iter().zip(packed.iter()) {
+        panel[slot as usize] = value;
     }
 }
 
@@ -429,10 +526,18 @@ fn dense_rows_direct<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     let dw = &dn_panels.weights;
     let nnzd = dn_panels.nnz;
     let mut kev = [0.0f32; TILE_AREA];
+    let mut packed = [0.0f32; TILE_AREA];
+    let two_pass = evaluation_vectorizes(kernel);
     for (si, sj, sw, sl) in sp.iter() {
-        for k in 0..nnzd {
-            kev[dn_panels.pos[k] as usize] = kernel.eval(&sl, &dn.labels[k]);
-        }
+        fill_kernel_panel(
+            kernel,
+            two_pass,
+            &sl,
+            &dn.labels[..nnzd],
+            &dn_panels.pos[..nnzd],
+            &mut packed,
+            &mut kev,
+        );
         let swt = T::from_f32(sw);
         let gip = srow + si;
         let gjp = scol + sj;
@@ -457,6 +562,10 @@ fn dense_rows_direct<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
 /// the first tile with zero weight are skipped (they contribute only zero
 /// terms); all other terms accumulate per output in the same `(j, jp)`
 /// order as the scalar reference.
+///
+/// `#[inline(always)]` so that `dense_dense_blocked_avx2` is a second
+/// instantiation of this one body rather than a call to the portable one.
+#[inline(always)]
 fn dense_dense_blocked<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     s1: PaneledTile<'_, E>,
     s2: PaneledTile<'_, E>,
@@ -504,11 +613,52 @@ fn dense_dense_blocked<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     }
 }
 
+/// [`dense_dense_blocked`] compiled with AVX2 enabled, run if this is an
+/// x86-64 CPU that has AVX2; returns whether it ran. The 8 lanes of the
+/// inner loop become one 256-bit operation at `f32` and two at `f64`. FMA
+/// is deliberately *not* enabled, so each lane executes the same IEEE-754
+/// multiplies and adds as the portable instantiation and the two are
+/// bit-identical. Explicit arguments rather than a closure: a closure does
+/// not inherit its caller's `target_feature`.
+fn dense_dense_blocked_avx2<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
+    s1: PaneledTile<'_, E>,
+    s2: PaneledTile<'_, E>,
+    dims: (usize, usize),
+    kernel: &K,
+    p: &[T],
+    y: &mut [T],
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[target_feature(enable = "avx2")]
+        fn instantiation<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
+            s1: PaneledTile<'_, E>,
+            s2: PaneledTile<'_, E>,
+            dims: (usize, usize),
+            kernel: &K,
+            p: &[T],
+            y: &mut [T],
+        ) {
+            dense_dense_blocked(s1, s2, dims, kernel, p, y);
+        }
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: the `avx2` target feature requires only that the CPU
+            // has it, which the detection on the line above established.
+            unsafe { instantiation(s1, s2, dims, kernel, p, y) };
+            return true;
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (s1, s2, dims, kernel, p, y);
+    false
+}
+
 /// The retained scalar reference implementation of the tile-pair product —
 /// per-element bitmap walking with `w == 0.0` branches, exactly as the
 /// kernels were first written. The bitmap kernels above are proven against
-/// it bit-for-bit (unit tests here, property tests in `tests/`), and the
-/// `octile_kernels` bench compares the two.
+/// it bit-for-bit (unit tests here, property tests in `tests/`); what the
+/// bitmap kernels cost per tile pair is the benchmark's
+/// `octile_ops.tile_pair_ns.*` rows.
 pub fn tile_pair_product_scalar<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     kind: TileProductKind,
     t1: &Octile<E>,
@@ -636,7 +786,7 @@ pub fn tile_pair_product_scalar<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
 mod tests {
     use super::*;
     use mgk_graph::{Graph, GraphBuilder, Unlabeled};
-    use mgk_kernels::SquareExponential;
+    use mgk_kernels::{KroneckerDelta, SquareExponential, UnitKernel};
     use mgk_tile::OctileMatrix;
 
     fn costs() -> TileCosts {
@@ -794,12 +944,12 @@ mod tests {
 
     /// Run the full tile-pair sweep through either the bitmap kernels or
     /// the scalar reference, returning the output and the traffic totals.
-    fn sweep<T: Scalar>(
+    fn sweep<T: Scalar, K: BaseKernel<f32> + Copy>(
         scalar_reference: bool,
         kind_for: impl Fn(usize, usize) -> TileProductKind,
         g1: &Graph<Unlabeled, f32>,
         g2: &Graph<Unlabeled, f32>,
-        kernel: &SquareExponential,
+        kernel: &K,
         p: &[T],
     ) -> (Vec<T>, TrafficCounters) {
         let (n, m) = (g1.num_vertices(), g2.num_vertices());
@@ -866,6 +1016,92 @@ mod tests {
             let (y_new, _) = sweep(false, |a, b| table.get(a, b), g1, g2, &kernel, &p32);
             let (y_ref, _) = sweep(true, |a, b| table.get(a, b), g1, g2, &kernel, &p32);
             assert!(bitwise_equal(&y_new, &y_ref));
+        }
+    }
+
+    /// Sweep every tile pair of `g1 × g2` through the portable dense×dense
+    /// body and — where the CPU has it — the AVX2 instantiation, each called
+    /// directly, then all three primitives through the dispatching entry
+    /// (which picks the instantiation and the panel fill by
+    /// [`evaluation_vectorizes`]), and compare each bit for bit with the
+    /// scalar reference. Returns whether the AVX2 instantiation ran.
+    fn instantiations_and_fills_agree<T: Scalar, K: BaseKernel<f32> + Copy>(
+        g1: &Graph<Unlabeled, f32>,
+        g2: &Graph<Unlabeled, f32>,
+        kernel: &K,
+        p: &[T],
+    ) -> bool {
+        let (n, m) = (g1.num_vertices(), g2.num_vertices());
+        let t1 = OctileMatrix::from_graph(g1);
+        let t2 = OctileMatrix::from_graph(g2);
+        let mut y_portable = vec![T::ZERO; n * m];
+        let mut y_avx2 = y_portable.clone();
+        let mut avx2_ran = false;
+        for a in t1.tiles() {
+            let pa = TilePanels::new(a);
+            for b in t2.tiles() {
+                let pb = TilePanels::new(b);
+                let s1 = PaneledTile { tile: a, panels: &pa };
+                let s2 = PaneledTile { tile: b, panels: &pb };
+                dense_dense_blocked(s1, s2, (n, m), kernel, p, &mut y_portable);
+                avx2_ran = dense_dense_blocked_avx2(s1, s2, (n, m), kernel, p, &mut y_avx2);
+            }
+        }
+        for kind in [
+            TileProductKind::DenseDense,
+            TileProductKind::DenseSparse,
+            TileProductKind::SparseSparse,
+        ] {
+            let (y_ref, _) = sweep(true, |_, _| kind, g1, g2, kernel, p);
+            let (y_new, _) = sweep(false, |_, _| kind, g1, g2, kernel, p);
+            assert!(bitwise_equal(&y_new, &y_ref), "{} differs from the reference", kind.name());
+            if kind == TileProductKind::DenseDense {
+                assert!(bitwise_equal(&y_portable, &y_ref), "portable body differs");
+                assert!(!avx2_ran || bitwise_equal(&y_avx2, &y_ref), "AVX2 body differs");
+            }
+        }
+        avx2_ran
+    }
+
+    #[test]
+    fn both_instantiations_and_both_fills_match_scalar_reference_bitwise() {
+        // vertex 3's only edge leaves the first tile: row 3 of tile (0, 0)
+        // is all zero, the row the blocked kernel skips
+        let empty_row = {
+            let mut b: GraphBuilder<Unlabeled, f32> = GraphBuilder::new();
+            for _ in 0..12 {
+                b.add_vertex(Unlabeled);
+            }
+            for i in (0..11).filter(|i| ![2, 3].contains(i)) {
+                b.add_edge(i, i + 1, 1.0 + i as f32 * 0.1, i as f32 * 0.2).unwrap();
+            }
+            b.add_edge(2, 4, 0.7, 0.9).unwrap();
+            b.add_edge(3, 10, 0.5, 1.5).unwrap();
+            b.build().unwrap()
+        };
+        assert_eq!(OctileMatrix::from_graph(&empty_row).tiles()[0].row_masks()[3], 0);
+        // edge tiles: neither 19, 13, 25, 9 nor 12 is a multiple of 8
+        let pairs = [
+            (small_graph(1, 19, &[(0, 10), (3, 15)]), small_graph(2, 13, &[(1, 9)])),
+            (small_graph(3, 25, &[(0, 20), (5, 17), (2, 11)]), small_graph(4, 9, &[])),
+            (empty_row, small_graph(5, 13, &[(2, 7)])),
+        ];
+        let mut avx2_ran = false;
+        for (g1, g2) in &pairs {
+            let nm = g1.num_vertices() * g2.num_vertices();
+            let p32: Vec<f32> = (0..nm).map(|k| ((k % 11) as f32) * 0.1 - 0.3).collect();
+            let p64: Vec<f64> = p32.iter().map(|&v| v as f64).collect();
+            let se = SquareExponential::new(0.8);
+            let kd = KroneckerDelta::new(0.25);
+            avx2_ran = instantiations_and_fills_agree(g1, g2, &se, &p32);
+            instantiations_and_fills_agree(g1, g2, &se, &p64);
+            instantiations_and_fills_agree(g1, g2, &kd, &p32);
+            instantiations_and_fills_agree(g1, g2, &kd, &p64);
+            instantiations_and_fills_agree(g1, g2, &UnitKernel, &p32);
+            instantiations_and_fills_agree(g1, g2, &UnitKernel, &p64);
+        }
+        if !avx2_ran {
+            println!("avx2 not detected, instantiation skipped");
         }
     }
 
