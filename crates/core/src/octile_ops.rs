@@ -32,7 +32,9 @@
 //! That is why `mgk_kernels::SquareExponential` evaluates its exponential as
 //! an inlined polynomial, and why the two sparse-operand primitives evaluate
 //! the kernel over the dense tile's *packed* labels before scattering the
-//! values into a panel.
+//! values into a panel. The lanes themselves must be slices, not indexed
+//! elements: a bounds check per lane keeps the loop scalar whatever the
+//! kernel is.
 //!
 //! The dense×dense primitive additionally has an AVX2 instantiation, chosen
 //! at run time by `is_x86_feature_detected!("avx2")`. It is the *same source
@@ -43,20 +45,14 @@
 //! (asserted by a unit test that calls each directly). There is nothing to
 //! configure; elsewhere the portable instantiation is the only one.
 //!
-//! Both the packed evaluation and the AVX2 instantiation are used only
-//! under a base kernel whose evaluation is arithmetic (its declared
-//! [`KernelCost`] says so); under a unit, constant or Kronecker-delta kernel
-//! there is nothing for them to vectorize and they measurably cost — see
-//! `evaluation_vectorizes`.
-//!
 //! Measured by the benchmark's traced `gram-dense` run (square-exponential
-//! edge kernel, one pinned 2.1 GHz Xeon core, seed 1), libm `expf` → this
-//! module as it stands, ns per tile pair: dense×dense 10004 → 2300,
-//! dense×sparse 7074 → 3806, sparse×sparse 6807 → 4166;
-//! `product.apply_roofline_fraction` 0.16 → 0.56.
+//! edge kernel, one pinned 2.1 GHz Xeon core, seed 1, medians of five
+//! alternated pairs), libm `expf` → this module as it stands, ns per tile
+//! pair: dense×dense 10022 → 2458, dense×sparse 5967 → 3292, sparse×sparse
+//! 5796 → 3178; `product.apply_gflops` 3.7 → 13.6.
 
 use mgk_gpusim::{octile_pair_traffic, OctilePairShape, TrafficCounters};
-use mgk_kernels::{BaseKernel, KernelCost};
+use mgk_kernels::BaseKernel;
 use mgk_linalg::Scalar;
 use mgk_tile::{Octile, TILE_AREA, TILE_SIZE};
 
@@ -380,30 +376,9 @@ pub fn tile_pair_product_with_panels<T: Scalar, E: Copy + Default, K: BaseKernel
         }
         TileProductKind::DenseDense => {
             counters.accumulate(&octile_pair_traffic(OctilePairShape::DenseDense, eb, fb, vb, xf));
-            if !(evaluation_vectorizes(kernel)
-                && dense_dense_blocked_avx2(s1, s2, (n, m), kernel, p, y))
-            {
-                dense_dense_blocked(s1, s2, (n, m), kernel, p, y);
-            }
+            dense_dense(s1, s2, (n, m), kernel, p, y);
         }
     }
-}
-
-/// Whether evaluating `kernel` is arithmetic worth vectorizing: more than
-/// the constant or the single select of the unit, constant and Kronecker
-/// delta kernels (`X` counts the product term's own three FLOPs too). The
-/// packed two-pass fill of [`fill_kernel_panel`] and the AVX2 instantiation
-/// of dense×dense exist to vectorize the kernel evaluation. Where there is
-/// none they buy nothing, and they are not free: under a Kronecker delta the
-/// second pass read −4 % on `serve-cold` in 9 of 10 alternated pairs, and
-/// merely *executing* the 256-bit instantiation on the 0.6 % of a molecule
-/// sweep's tile pairs that are dense×dense slowed the whole sweep 3–4 %
-/// (the identical binary with that call never taken read as the parent).
-/// For the elementary kernels `cost()` is a constant, so this folds at
-/// compile time and each instantiation keeps one path.
-#[inline(always)]
-fn evaluation_vectorizes<E, K: BaseKernel<E>>(kernel: &K) -> bool {
-    kernel.cost().flops > KernelCost::UNLABELED.flops + 1
 }
 
 /// Sparse-outer bitmap-expansion kernel: walk the sparse tile's nonzeros
@@ -439,11 +414,9 @@ fn sparse_outer_lanes<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     // because the paired transposed weight there is exactly zero
     let mut ket = [0.0f32; TILE_AREA];
     let mut packed = [0.0f32; TILE_AREA];
-    let two_pass = evaluation_vectorizes(kernel);
     for (i, j, w1, l1) in sp.iter() {
         fill_kernel_panel(
             kernel,
-            two_pass,
             &l1,
             &dn.labels[..nnzd],
             &dn_panels.pos_t[..nnzd],
@@ -453,6 +426,9 @@ fn sparse_outer_lanes<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
         let w1t = T::from_f32(w1);
         let yrow = (srow + i) * m + drow;
         let prow = (scol + j) * m + dcol;
+        // the lanes as slices, bounds-checked once here: indexed
+        // `y[yrow + ip]` carries a check per lane and the loop stays scalar
+        let y_lanes = &mut y[yrow..yrow + lanes];
         for jp in 0..TILE_SIZE {
             // a set column mask bit also proves `dcol + jp` is in range
             if col_masks[jp] == 0 {
@@ -460,9 +436,9 @@ fn sparse_outer_lanes<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
             }
             let ps = p[prow + jp];
             let base = jp * TILE_SIZE;
-            for ip in 0..lanes {
-                y[yrow + ip] +=
-                    ((w1t * T::from_f32(wt[base + ip])) * T::from_f32(ket[base + ip])) * ps;
+            let (w_lanes, k_lanes) = (&wt[base..base + lanes], &ket[base..base + lanes]);
+            for ((yv, &w2), &k) in y_lanes.iter_mut().zip(w_lanes).zip(k_lanes) {
+                *yv += ((w1t * T::from_f32(w2)) * T::from_f32(k)) * ps;
             }
         }
     }
@@ -470,16 +446,14 @@ fn sparse_outer_lanes<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
 
 /// Evaluate the base kernel between one sparse-operand `label` and each of
 /// the dense tile's packed `labels`, and put the values in their panel slots
-/// `pos`. With `two_pass` ([`evaluation_vectorizes`]) the evaluation runs
-/// over the contiguous packed labels first, where it vectorizes — through
-/// the scatter it cannot — and the values are scattered after; same values
-/// into the same slots either way. `packed` is the caller's per-tile-pair
-/// scratch: written before it is read, so never re-zeroed (doing so per
-/// sparse nonzero read −11 % on `gram-sparse`).
+/// `pos`. The evaluation runs over the contiguous packed labels first, where
+/// it vectorizes — through the scatter it cannot — and the values are
+/// scattered after. `packed` is the caller's per-tile-pair scratch: written
+/// before it is read, so never re-zeroed (doing so per sparse nonzero read
+/// −11 % on `gram-sparse`).
 #[inline(always)]
 fn fill_kernel_panel<E, K: BaseKernel<E>>(
     kernel: &K,
-    two_pass: bool,
     label: &E,
     labels: &[E],
     pos: &[u8],
@@ -487,12 +461,6 @@ fn fill_kernel_panel<E, K: BaseKernel<E>>(
     panel: &mut [f32; TILE_AREA],
 ) {
     debug_assert!(labels.len() == pos.len() && labels.len() <= TILE_AREA);
-    if !two_pass {
-        for (&slot, other) in pos.iter().zip(labels) {
-            panel[slot as usize] = kernel.eval(label, other);
-        }
-        return;
-    }
     let packed = &mut packed[..labels.len()];
     for (value, other) in packed.iter_mut().zip(labels) {
         *value = kernel.eval(label, other);
@@ -527,11 +495,9 @@ fn dense_rows_direct<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     let nnzd = dn_panels.nnz;
     let mut kev = [0.0f32; TILE_AREA];
     let mut packed = [0.0f32; TILE_AREA];
-    let two_pass = evaluation_vectorizes(kernel);
     for (si, sj, sw, sl) in sp.iter() {
         fill_kernel_panel(
             kernel,
-            two_pass,
             &sl,
             &dn.labels[..nnzd],
             &dn_panels.pos[..nnzd],
@@ -613,13 +579,35 @@ fn dense_dense_blocked<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     }
 }
 
-/// [`dense_dense_blocked`] compiled with AVX2 enabled, run if this is an
-/// x86-64 CPU that has AVX2; returns whether it ran. The 8 lanes of the
+/// The dense×dense primitive as the sweep calls it: the AVX2 instantiation
+/// on an x86-64 CPU that has AVX2, the portable one everywhere else.
+#[inline]
+fn dense_dense<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
+    s1: PaneledTile<'_, E>,
+    s2: PaneledTile<'_, E>,
+    dims: (usize, usize),
+    kernel: &K,
+    p: &[T],
+    y: &mut [T],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: the `avx2` target feature requires only that the CPU has
+        // it, which the detection on the line above established.
+        unsafe { dense_dense_blocked_avx2(s1, s2, dims, kernel, p, y) };
+        return;
+    }
+    dense_dense_blocked(s1, s2, dims, kernel, p, y);
+}
+
+/// [`dense_dense_blocked`] compiled with AVX2 enabled: the 8 lanes of the
 /// inner loop become one 256-bit operation at `f32` and two at `f64`. FMA
 /// is deliberately *not* enabled, so each lane executes the same IEEE-754
 /// multiplies and adds as the portable instantiation and the two are
 /// bit-identical. Explicit arguments rather than a closure: a closure does
 /// not inherit its caller's `target_feature`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
 fn dense_dense_blocked_avx2<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     s1: PaneledTile<'_, E>,
     s2: PaneledTile<'_, E>,
@@ -627,30 +615,8 @@ fn dense_dense_blocked_avx2<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     kernel: &K,
     p: &[T],
     y: &mut [T],
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        #[target_feature(enable = "avx2")]
-        fn instantiation<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
-            s1: PaneledTile<'_, E>,
-            s2: PaneledTile<'_, E>,
-            dims: (usize, usize),
-            kernel: &K,
-            p: &[T],
-            y: &mut [T],
-        ) {
-            dense_dense_blocked(s1, s2, dims, kernel, p, y);
-        }
-        if std::is_x86_feature_detected!("avx2") {
-            // SAFETY: the `avx2` target feature requires only that the CPU
-            // has it, which the detection on the line above established.
-            unsafe { instantiation(s1, s2, dims, kernel, p, y) };
-            return true;
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (s1, s2, dims, kernel, p, y);
-    false
+) {
+    dense_dense_blocked(s1, s2, dims, kernel, p, y);
 }
 
 /// The retained scalar reference implementation of the tile-pair product —
@@ -1020,23 +986,21 @@ mod tests {
     }
 
     /// Sweep every tile pair of `g1 × g2` through the portable dense×dense
-    /// body and — where the CPU has it — the AVX2 instantiation, each called
-    /// directly, then all three primitives through the dispatching entry
-    /// (which picks the instantiation and the panel fill by
-    /// [`evaluation_vectorizes`]), and compare each bit for bit with the
-    /// scalar reference. Returns whether the AVX2 instantiation ran.
+    /// body and through the dispatcher — the AVX2 instantiation where the CPU
+    /// has it — each called directly, then all three primitives (so both
+    /// panel fills, transposed and row-major) through the public entry, and
+    /// compare each bit for bit with the scalar reference.
     fn instantiations_and_fills_agree<T: Scalar, K: BaseKernel<f32> + Copy>(
         g1: &Graph<Unlabeled, f32>,
         g2: &Graph<Unlabeled, f32>,
         kernel: &K,
         p: &[T],
-    ) -> bool {
+    ) {
         let (n, m) = (g1.num_vertices(), g2.num_vertices());
         let t1 = OctileMatrix::from_graph(g1);
         let t2 = OctileMatrix::from_graph(g2);
         let mut y_portable = vec![T::ZERO; n * m];
-        let mut y_avx2 = y_portable.clone();
-        let mut avx2_ran = false;
+        let mut y_dispatched = y_portable.clone();
         for a in t1.tiles() {
             let pa = TilePanels::new(a);
             for b in t2.tiles() {
@@ -1044,7 +1008,7 @@ mod tests {
                 let s1 = PaneledTile { tile: a, panels: &pa };
                 let s2 = PaneledTile { tile: b, panels: &pb };
                 dense_dense_blocked(s1, s2, (n, m), kernel, p, &mut y_portable);
-                avx2_ran = dense_dense_blocked_avx2(s1, s2, (n, m), kernel, p, &mut y_avx2);
+                dense_dense(s1, s2, (n, m), kernel, p, &mut y_dispatched);
             }
         }
         for kind in [
@@ -1057,14 +1021,13 @@ mod tests {
             assert!(bitwise_equal(&y_new, &y_ref), "{} differs from the reference", kind.name());
             if kind == TileProductKind::DenseDense {
                 assert!(bitwise_equal(&y_portable, &y_ref), "portable body differs");
-                assert!(!avx2_ran || bitwise_equal(&y_avx2, &y_ref), "AVX2 body differs");
+                assert!(bitwise_equal(&y_dispatched, &y_ref), "dispatched body differs");
             }
         }
-        avx2_ran
     }
 
     #[test]
-    fn both_instantiations_and_both_fills_match_scalar_reference_bitwise() {
+    fn both_instantiations_and_the_packed_fill_match_scalar_reference_bitwise() {
         // vertex 3's only edge leaves the first tile: row 3 of tile (0, 0)
         // is all zero, the row the blocked kernel skips
         let empty_row = {
@@ -1086,21 +1049,24 @@ mod tests {
             (small_graph(3, 25, &[(0, 20), (5, 17), (2, 11)]), small_graph(4, 9, &[])),
             (empty_row, small_graph(5, 13, &[(2, 7)])),
         ];
-        let mut avx2_ran = false;
         for (g1, g2) in &pairs {
             let nm = g1.num_vertices() * g2.num_vertices();
             let p32: Vec<f32> = (0..nm).map(|k| ((k % 11) as f32) * 0.1 - 0.3).collect();
             let p64: Vec<f64> = p32.iter().map(|&v| v as f64).collect();
             let se = SquareExponential::new(0.8);
             let kd = KroneckerDelta::new(0.25);
-            avx2_ran = instantiations_and_fills_agree(g1, g2, &se, &p32);
+            instantiations_and_fills_agree(g1, g2, &se, &p32);
             instantiations_and_fills_agree(g1, g2, &se, &p64);
             instantiations_and_fills_agree(g1, g2, &kd, &p32);
             instantiations_and_fills_agree(g1, g2, &kd, &p64);
             instantiations_and_fills_agree(g1, g2, &UnitKernel, &p32);
             instantiations_and_fills_agree(g1, g2, &UnitKernel, &p64);
         }
-        if !avx2_ran {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        if !avx2 {
             println!("avx2 not detected, instantiation skipped");
         }
     }
