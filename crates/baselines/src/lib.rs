@@ -24,6 +24,8 @@
 //! the on-the-fly solvers, with memory traffic threaded through
 //! [`mgk_linalg::TrafficCounters`] rather than tracked ad hoc.
 
+#![forbid(unsafe_code)]
+
 pub mod explicit;
 pub mod fixed_point;
 pub mod spectral;

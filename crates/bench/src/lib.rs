@@ -25,6 +25,8 @@
 //! and can be scaled with the `MGK_BENCH_SCALE` environment variable
 //! (a float multiplier on dataset sizes; `1.0` is the default).
 
+#![forbid(unsafe_code)]
+
 use mgk_graph::{AtomLabel, BondLabel, Element, Graph, Unlabeled};
 use mgk_kernels::{BaseKernel, KernelCost, KroneckerDelta, SquareExponential};
 use rand::rngs::StdRng;

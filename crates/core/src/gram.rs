@@ -57,11 +57,15 @@ impl Default for GramConfig {
 /// for validation paths that must not round at the boundary.
 #[derive(Debug, Clone)]
 pub struct GramResult<T: Scalar = f32> {
-    /// Row-major `N × N` kernel matrix. Entries of pairs that failed to
-    /// converge are `NaN`.
+    /// Row-major kernel matrix, `N × N` or, from
+    /// [`GramEngine::compute_cross`], `rows × cols`. Entries of pairs that
+    /// failed to converge are `NaN`.
     pub matrix: Vec<T>,
-    /// Number of graphs.
+    /// Number of graphs (of a cross matrix: the larger of its two sides).
     pub num_graphs: usize,
+    /// Number of columns of `matrix`; `num_graphs` unless the matrix is a
+    /// cross matrix.
+    pub num_cols: usize,
     /// Total PCG iterations across all pairs.
     pub total_iterations: usize,
     /// Aggregate memory traffic of all solves (feeds the GPU cost model).
@@ -78,7 +82,7 @@ pub struct GramResult<T: Scalar = f32> {
 impl<T: Scalar> GramResult<T> {
     /// Access entry `(i, j)`.
     pub fn get(&self, i: usize, j: usize) -> T {
-        self.matrix[i * self.num_graphs + j]
+        self.matrix[i * self.num_cols + j]
     }
 }
 
@@ -267,6 +271,7 @@ impl<KV, KE> GramEngine<KV, KE> {
         GramResult {
             matrix,
             num_graphs: nr.max(nc),
+            num_cols: nc,
             total_iterations,
             traffic,
             failures,
@@ -433,6 +438,24 @@ mod tests {
             }
         }
         assert!(cross.preprocessing > Duration::ZERO, "rows and columns are prepared up front");
+    }
+
+    #[test]
+    fn tall_cross_matrix_is_the_transpose_of_the_wide_one() {
+        // `get` indexes by the column count, not by the larger side. The
+        // (a, b) and (b, a) solves sum in different orders, so the two
+        // agree to rounding, not bit for bit
+        let graphs = small_dataset(5);
+        let engine = engine(GramConfig::default());
+        let tall = engine.compute_cross(&graphs[..3], &graphs[3..]);
+        let wide = engine.compute_cross(&graphs[3..], &graphs[..3]);
+        assert_eq!((tall.num_cols, wide.num_cols), (2, 3));
+        for i in 0..3 {
+            for j in 0..2 {
+                let (t, w) = (tall.get(i, j), wide.get(j, i));
+                assert!((t - w).abs() <= 1e-5 * w.abs(), "entry ({i},{j}): {t} vs {w}");
+            }
+        }
     }
 
     #[test]

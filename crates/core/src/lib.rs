@@ -31,6 +31,8 @@
 //!   with static/dynamic scheduling (Section V).
 //! * [`ablation`] — the incremental optimization levels of Fig. 9.
 
+#![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
+
 pub mod ablation;
 pub mod gram;
 pub mod octile_ops;
@@ -43,6 +45,6 @@ pub use ablation::OptimizationLevel;
 pub use gram::{GramConfig, GramEngine, GramResult, Scheduling};
 pub use mgk_telemetry::StageBreakdown;
 pub use prepared::PreparedGraph;
-pub use product::{OffDiagonalOperator, ProductSystem, SystemOperator};
+pub use product::{ProductSystem, SystemOperator};
 pub use solver::{KernelResult, MarginalizedKernelSolver, SolverConfig, SolverError, XmvMode};
 pub use xmv::{DensePairData, XmvPrimitive};

@@ -51,6 +51,18 @@
 //! pair: dense×dense 10022 → 2458, dense×sparse 5967 → 3292, sparse×sparse
 //! 5796 → 3178; `product.apply_gflops` 3.7 → 13.6.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use mgk_gpusim::{octile_pair_traffic, OctilePairShape, TrafficCounters};
 use mgk_kernels::BaseKernel;
 use mgk_linalg::Scalar;
@@ -582,6 +594,7 @@ fn dense_dense_blocked<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
 /// The dense×dense primitive as the sweep calls it: the AVX2 instantiation
 /// on an x86-64 CPU that has AVX2, the portable one everywhere else.
 #[inline]
+#[allow(unsafe_code)]
 fn dense_dense<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     s1: PaneledTile<'_, E>,
     s2: PaneledTile<'_, E>,

@@ -13,8 +13,7 @@
 //! two-level sparse octile operator over the octile matrices its two
 //! [`PreparedGraph`]s were built with once.
 //!
-//! Both views of the system — [`OffDiagonalOperator`] for `A× ∘ E×` alone
-//! and [`SystemOperator`] for the full `D× V×⁻¹ − A× ∘ E×` — implement
+//! [`SystemOperator`] views the full `D× V×⁻¹ − A× ∘ E×` as a
 //! [`mgk_linalg::LinearOperator`], and memory traffic flows through the
 //! `apply_counted` side of that surface: callers pass a
 //! [`TrafficCounters`] down and receive exact counts back, with no interior
@@ -281,23 +280,46 @@ where
     }
 }
 
-/// Adapter viewing just the off-diagonal product `A× ∘ E×` of a
-/// [`ProductSystem`] as a [`LinearOperator`]. All three off-diagonal
-/// realizations (naive, dense on-the-fly, octile) apply through this one
-/// surface, with traffic threaded via
-/// [`apply_counted`](LinearOperator::apply_counted).
-pub struct OffDiagonalOperator<'a, E, KE> {
+/// Adapter making a `ProductSystem` usable as the full system operator
+/// `D× V×⁻¹ − A× ∘ E×` for the conjugate gradient solver, at the vector
+/// [`Scalar`] precision `T` (defaulting to the `f32` serving precision).
+///
+/// The off-diagonal part is [`ProductSystem::apply_off_diagonal`]; the
+/// diagonal is precomputed at precision `T` and fused into the same sweep.
+/// Traffic is threaded through
+/// [`apply_counted`](LinearOperator::apply_counted) — the operator holds a
+/// scratch buffer (behind a `RefCell`, since `apply` takes `&self`) but no
+/// counter state.
+///
+/// The scratch is deliberate. Accumulating the off-diagonal product
+/// straight into `y` and finishing in place (`*yi = di * xi - *yi`, the
+/// same two operations per element) was measured and is 9–17 % *slower*
+/// end to end: built that way, every instantiation of
+/// `octile_ops::sparse_outer_lanes` loses its 4-wide lane loop to eight
+/// unrolled scalar steps (see ROADMAP item 2(e)).
+pub struct SystemOperator<'a, E, KE, T: Scalar = f32> {
     system: &'a ProductSystem<E, KE>,
+    diagonal: Vec<T>,
+    scratch: RefCell<Vec<T>>,
 }
 
-impl<'a, E, KE> OffDiagonalOperator<'a, E, KE> {
-    /// View the off-diagonal part of `system` as an operator.
+impl<'a, E, KE, T> SystemOperator<'a, E, KE, T>
+where
+    T: Scalar,
+    E: Copy + Default,
+    KE: BaseKernel<E>,
+{
+    /// Wrap an assembled product system.
     pub fn new(system: &'a ProductSystem<E, KE>) -> Self {
-        OffDiagonalOperator { system }
+        SystemOperator {
+            system,
+            diagonal: system.system_diagonal::<T>(),
+            scratch: RefCell::new(vec![T::ZERO; system.dim()]),
+        }
     }
 }
 
-impl<T, E, KE> LinearOperator<T> for OffDiagonalOperator<'_, E, KE>
+impl<E, KE, T> LinearOperator<T> for SystemOperator<'_, E, KE, T>
 where
     T: Scalar,
     E: Copy + Default,
@@ -312,59 +334,8 @@ where
     }
 
     fn apply_counted(&self, x: &[T], y: &mut [T], counters: &mut TrafficCounters) {
-        self.system.apply_off_diagonal(x, y, counters);
-    }
-}
-
-/// Adapter making a `ProductSystem` usable as the full system operator
-/// `D× V×⁻¹ − A× ∘ E×` for the conjugate gradient solver, at the vector
-/// [`Scalar`] precision `T` (defaulting to the `f32` serving precision).
-///
-/// The off-diagonal part applies through [`OffDiagonalOperator`]; the
-/// diagonal is precomputed at precision `T` and fused into the same sweep.
-/// Traffic is threaded through
-/// [`apply_counted`](LinearOperator::apply_counted) — the operator holds a
-/// scratch buffer (behind a `RefCell`, since `apply` takes `&self`) but no
-/// counter state.
-pub struct SystemOperator<'a, E, KE, T: Scalar = f32> {
-    off_diagonal: OffDiagonalOperator<'a, E, KE>,
-    diagonal: Vec<T>,
-    scratch: RefCell<Vec<T>>,
-}
-
-impl<'a, E, KE, T> SystemOperator<'a, E, KE, T>
-where
-    T: Scalar,
-    E: Copy + Default,
-    KE: BaseKernel<E>,
-{
-    /// Wrap an assembled product system.
-    pub fn new(system: &'a ProductSystem<E, KE>) -> Self {
-        SystemOperator {
-            diagonal: system.system_diagonal::<T>(),
-            scratch: RefCell::new(vec![T::ZERO; system.dim()]),
-            off_diagonal: OffDiagonalOperator::new(system),
-        }
-    }
-}
-
-impl<E, KE, T> LinearOperator<T> for SystemOperator<'_, E, KE, T>
-where
-    T: Scalar,
-    E: Copy + Default,
-    KE: BaseKernel<E>,
-{
-    fn dim(&self) -> usize {
-        LinearOperator::<T>::dim(&self.off_diagonal)
-    }
-
-    fn apply(&self, x: &[T], y: &mut [T]) {
-        self.apply_counted(x, y, &mut TrafficCounters::new());
-    }
-
-    fn apply_counted(&self, x: &[T], y: &mut [T], counters: &mut TrafficCounters) {
         let mut scratch = self.scratch.borrow_mut();
-        self.off_diagonal.apply_counted(x, scratch.as_mut_slice(), counters);
+        self.system.apply_off_diagonal(x, scratch.as_mut_slice(), counters);
         for ((yi, &xi), (&di, &oi)) in
             y.iter_mut().zip(x).zip(self.diagonal.iter().zip(scratch.iter()))
         {
@@ -452,7 +423,8 @@ mod tests {
         let x = vec![1.0f32; 20];
         let y = op.apply_alloc(&x);
         let diag = sys.system_diagonal::<f32>();
-        let off: Vec<f32> = OffDiagonalOperator::new(&sys).apply_alloc(&x);
+        let mut off = vec![0.0f32; 20];
+        sys.apply_off_diagonal(&x, &mut off, &mut TrafficCounters::new());
         for i in 0..20 {
             assert!((y[i] - (diag[i] - off[i])).abs() < 1e-5);
         }

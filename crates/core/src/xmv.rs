@@ -20,6 +20,18 @@
 //! tile copies; the traffic categories retain the GPU meaning for the cost
 //! model.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use mgk_gpusim::TrafficCounters;
 use mgk_graph::Graph;
 use mgk_kernels::BaseKernel;

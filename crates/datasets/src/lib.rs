@@ -16,6 +16,8 @@
 //! set), which is what the performance behaviour in Figs. 6, 7, 9 and 10
 //! depends on.
 
+#![forbid(unsafe_code)]
+
 pub mod ensembles;
 pub mod molecules;
 pub mod protein;

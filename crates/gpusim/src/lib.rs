@@ -16,6 +16,8 @@
 //! sparse-dependent traffic (which the closed forms cannot capture) is
 //! counted exactly.
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod device;
 pub mod occupancy;

@@ -16,6 +16,8 @@
 //! The scalar type is `f32` throughout, matching the single-precision
 //! arithmetic of the GPU solver described in the paper.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod generators;
 pub mod graph;

@@ -15,6 +15,8 @@
 //! Roofline/arithmetic-intensity model of `mgk-gpusim` (these are the `E`
 //! and `X` symbols of Table I and Appendix B of the paper).
 
+#![forbid(unsafe_code)]
+
 pub mod composite;
 pub mod cost;
 pub mod elementary;

@@ -16,6 +16,8 @@
 //! All routines work on plain row-major `f32` kernel matrices (the type the
 //! Gram engine produces) and solve in `f64`.
 
+#![forbid(unsafe_code)]
+
 pub mod regression;
 
 pub use regression::{

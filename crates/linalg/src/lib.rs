@@ -25,6 +25,8 @@
 //!   truncated-path-sum iteration driver sharing the same operator surface.
 //! * [`direct`] — dense `f64` Cholesky/LU used as ground truth in tests.
 
+#![forbid(unsafe_code)]
+
 pub mod cg;
 pub mod dense;
 pub mod direct;

@@ -18,6 +18,8 @@
 //! [`mgk_graph::Graph::permute`]: `order[k]` is the original index of the
 //! vertex placed at position `k`.
 
+#![forbid(unsafe_code)]
+
 pub mod objective;
 pub mod pbr;
 pub mod rcm;

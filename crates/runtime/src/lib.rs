@@ -97,6 +97,8 @@
 //! assert_eq!(second.get(0, 1), first.get(0, 1));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod cluster;
 pub mod hash;

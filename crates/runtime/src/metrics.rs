@@ -239,4 +239,52 @@ mod tests {
         assert_eq!(hub.cache_hits.value(), 7);
         assert_eq!(hub.registry().snapshot().counter(names::CACHE_HITS), Some(7));
     }
+
+    /// Unit suffixes a metric name may end in (prometheus conventions plus
+    /// the dimensionless gauges).
+    const UNIT_SUFFIXES: &[&str] = &[
+        "_total",
+        "_seconds",
+        "_bytes",
+        "_ns",
+        "_ratio",
+        "_depth",
+        "_busy",
+        "_flops_per_byte",
+        "_count",
+    ];
+
+    /// `mgk_`-prefixed snake_case ending in a unit suffix — which also
+    /// keeps crate names (`mgk_core`) out of the README check.
+    fn metric_shaped(word: &str) -> bool {
+        word.starts_with("mgk_")
+            && word.split('_').all(|seg| {
+                !seg.is_empty() && seg.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit())
+            })
+            && UNIT_SUFFIXES.iter().any(|suffix| word.ends_with(suffix))
+    }
+
+    #[test]
+    fn exported_names_are_the_vocabulary_and_the_readme_cites_only_them() {
+        let snapshot = RuntimeMetrics::new().registry().snapshot();
+        let exported: Vec<&str> = snapshot.samples.iter().map(|s| s.key.name.as_str()).collect();
+        // the `names` module is this file's text above the handles
+        let (declared, _) = include_str!("metrics.rs")
+            .split_once("pub struct RuntimeMetrics")
+            .expect("the handles follow the names");
+        for name in &exported {
+            assert!(metric_shaped(name), "`{name}` is not mgk_-prefixed snake_case with a unit");
+            assert!(
+                declared.contains(&format!(": &str = \"{name}\";")),
+                "`{name}` is registered but is not a `names` constant"
+            );
+        }
+        let readme = include_str!("../../../README.md");
+        for word in readme.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
+            assert!(
+                !metric_shaped(word) || exported.contains(&word),
+                "README cites `{word}`, which no registry exports"
+            );
+        }
+    }
 }

@@ -53,6 +53,18 @@
 //! [`Pool`](crate::Pool) — the scheduler thread is a coordinator, not a
 //! compute thread.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -520,6 +532,10 @@ where
     /// its current snapshot published immediately, so watchers see the warm
     /// state without waiting for the first submission; submissions still
     /// pending inside the service are flushed first.
+    #[expect(
+        clippy::expect_used,
+        reason = "runs on the caller's thread before a scheduler thread exists, so it cannot poison one; `GramScheduler::spawn` is infallible by signature and an OS refusing a thread leaves nothing to serve with"
+    )]
     pub fn spawn(service: GramService<KV, KE, V, E>, config: SchedulerConfig) -> Self {
         let capacity = config.channel_capacity.max(1);
         let (tx, rx) = mpsc::sync_channel(capacity);

@@ -51,6 +51,18 @@
 //! queue on a background thread and publishes versioned snapshots to a
 //! [`SnapshotWatch`](crate::watch::SnapshotWatch).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 

@@ -63,6 +63,8 @@
 //! assert_eq!(recovery.tail[0].key, key);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod format;
 mod snapshot;
 mod store;

@@ -23,6 +23,8 @@
 //!   stamps.
 //! * [`TelemetryReporter`] — periodic scrape-and-callback thread.
 
+#![forbid(unsafe_code)]
+
 mod metrics;
 mod registry;
 mod report;

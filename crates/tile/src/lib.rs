@@ -14,6 +14,8 @@
 //! [`OctileMatrix`] is the storage type; [`TileDensityStats`] produces the
 //!   occupancy statistics plotted in Figs. 6 and 7 of the paper.
 
+#![forbid(unsafe_code)]
+
 pub mod octile;
 pub mod stats;
 

@@ -13,6 +13,8 @@
 //! from a deterministic RNG seeded from the test function's name, which
 //! keeps the tier-1 test suite reproducible run to run.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{Rng as _, SampleRange, SampleStandard, SeedableRng};
 

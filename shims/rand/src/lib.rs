@@ -10,6 +10,8 @@
 //! entropy-based constructor, so all callers must seed explicitly
 //! (`StdRng::seed_from_u64`), which keeps the workspace's tests reproducible.
 
+#![forbid(unsafe_code)]
+
 pub mod rngs;
 pub mod seq;
 

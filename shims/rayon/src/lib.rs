@@ -17,6 +17,8 @@
 //! thread. Results are returned in input order regardless of completion
 //! order.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -79,10 +79,14 @@ struct Job {
     complete_cv: Condvar,
 }
 
-// SAFETY: the raw closure pointer is only dereferenced while the submitting
-// stack frame is alive (see module docs), and the pointee is `Sync`, so
-// concurrent calls from several workers are allowed.
+// SAFETY: the only non-`Send` field is the raw closure pointer, and it is
+// only dereferenced while the submitting stack frame is alive (see module
+// docs), whichever thread holds the job.
 unsafe impl Send for Job {}
+// SAFETY: several workers share a `&Job`; the closure pointee is `Sync`, so
+// concurrent calls through it are allowed, each index is claimed by one
+// atomic `fetch_add`, and every other field is an atomic, a lock or
+// immutable.
 unsafe impl Sync for Job {}
 
 impl Job {

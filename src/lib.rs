@@ -64,6 +64,8 @@
 //! assert!(k12 * k12 <= k11 * k22 * 1.0001);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use mgk_baselines as baselines;
 pub use mgk_core as solver;
 pub use mgk_datasets as datasets;

@@ -10,6 +10,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use mgk::prelude::*;
+use mgk::runtime::metrics::names;
 use mgk::runtime::{
     graph_content_hash, shard_of_key, BarrierReply, GramCluster, PairKey, PairSide, WatchClosed,
 };
@@ -148,12 +149,11 @@ fn duplicate_tickets_coalesce_within_and_never_across_shards() {
     // and only the owning shard's registry recorded any request traffic
     let telemetry = cluster.telemetry();
     let snapshot = telemetry.snapshot();
-    assert_eq!(snapshot.counter_total("mgk_request_solves_total"), Some(1));
+    assert_eq!(snapshot.counter_total(names::REQUEST_SOLVES), Some(1));
     for shard in 0..cluster.num_shards() {
         let label = shard.to_string();
-        let solves = snapshot
-            .counter_labeled("mgk_request_solves_total", Some(("shard", &label)))
-            .unwrap_or(0);
+        let solves =
+            snapshot.counter_labeled(names::REQUEST_SOLVES, Some(("shard", &label))).unwrap_or(0);
         assert_eq!(solves, u64::from(shard == owner), "solve leaked to shard {shard}");
     }
 

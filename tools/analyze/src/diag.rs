@@ -1,74 +1,35 @@
-//! Diagnostics, the checked-in allowlist, and report rendering.
+//! Diagnostics and the report of one run.
 
 use std::fmt;
 
 /// Stable diagnostic codes. The numeric family encodes the lint; codes are
-/// part of the tool's public contract (CI greps them, the allowlist names
-/// them) and must never be renumbered.
+/// part of the tool's public contract (docs and review threads cite them)
+/// and must never be renumbered. The gaps are families that moved to rustc,
+/// clippy or a unit test (MGK001, 301, 401, 501, 601–603).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Code {
-    /// Allowlist entry matched nothing (strict runs only): stale entries
-    /// must not linger as silent blanket waivers.
-    Mgk001,
     /// Lock-order cycle across the workspace lock graph.
     Mgk101,
     /// `Condvar::wait`/`wait_timeout` outside a `while`/`loop` re-check.
     Mgk201,
     /// `Condvar::wait` while a second lock is held.
     Mgk202,
-    /// `unsafe` site without an adjacent `// SAFETY:` comment.
-    Mgk301,
-    /// Panicking call (`unwrap`/`expect`/`panic!`/...) in a hot-path module.
-    Mgk401,
     /// Panicking call inside a `Drop` impl (unwind-in-drop aborts).
     Mgk402,
     /// Slice indexing in a hot-path kernel whose function has no
     /// `assert!`/`debug_assert!` guard.
     Mgk403,
-    /// Path into a shimmed crate that the shim does not define.
-    Mgk501,
-    /// Metric name violates the vocabulary shape (prefix/snake_case/unit).
-    Mgk601,
-    /// Metric name declared twice in the canonical vocabulary.
-    Mgk602,
-    /// Metric name referenced (tests/README) but absent from the vocabulary.
-    Mgk603,
 }
 
 impl Code {
     /// The stable textual form, e.g. `MGK101`.
     pub fn as_str(self) -> &'static str {
         match self {
-            Code::Mgk001 => "MGK001",
             Code::Mgk101 => "MGK101",
             Code::Mgk201 => "MGK201",
             Code::Mgk202 => "MGK202",
-            Code::Mgk301 => "MGK301",
-            Code::Mgk401 => "MGK401",
             Code::Mgk402 => "MGK402",
             Code::Mgk403 => "MGK403",
-            Code::Mgk501 => "MGK501",
-            Code::Mgk601 => "MGK601",
-            Code::Mgk602 => "MGK602",
-            Code::Mgk603 => "MGK603",
-        }
-    }
-
-    /// One-line description of the lint family, for `--explain`-style output.
-    pub fn describe(self) -> &'static str {
-        match self {
-            Code::Mgk001 => "allowlist entry matched no finding",
-            Code::Mgk101 => "lock-order cycle (potential deadlock)",
-            Code::Mgk201 => "condvar wait without a while/loop predicate re-check",
-            Code::Mgk202 => "condvar wait while holding a second lock",
-            Code::Mgk301 => "unsafe site without an adjacent // SAFETY: comment",
-            Code::Mgk401 => "panicking call in a designated hot-path module",
-            Code::Mgk402 => "panicking call inside a Drop impl",
-            Code::Mgk403 => "unguarded indexing in a hot-path kernel",
-            Code::Mgk501 => "reference to an item the shim crate does not define",
-            Code::Mgk601 => "metric name violates the vocabulary shape",
-            Code::Mgk602 => "duplicate metric vocabulary entry",
-            Code::Mgk603 => "metric name not in the canonical vocabulary",
         }
     }
 }
@@ -88,263 +49,36 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-indexed line.
     pub line: u32,
-    /// Human-readable message (stable enough for allowlist substring
-    /// matching).
+    /// Human-readable message.
     pub message: String,
-    /// Set when an allowlist entry suppressed this finding; holds the
-    /// entry's justification.
-    pub allowlisted: Option<String>,
 }
 
 impl Diagnostic {
-    /// Build an active (non-allowlisted) diagnostic.
+    /// Build a diagnostic.
     pub fn new(code: Code, file: &str, line: u32, message: impl Into<String>) -> Diagnostic {
-        Diagnostic {
-            code,
-            file: file.to_string(),
-            line,
-            message: message.into(),
-            allowlisted: None,
-        }
+        Diagnostic { code, file: file.to_string(), line, message: message.into() }
     }
 
     /// Render as `CODE file:line message`.
     pub fn render(&self) -> String {
-        let suffix = match &self.allowlisted {
-            Some(why) => format!(" [allowlisted: {why}]"),
-            None => String::new(),
-        };
-        format!("{} {}:{} {}{}", self.code, self.file, self.line, self.message, suffix)
+        format!("{} {}:{} {}", self.code, self.file, self.line, self.message)
     }
-}
-
-/// One entry of the checked-in allowlist file.
-///
-/// Line format (pipe-separated, `#` comments):
-///
-/// ```text
-/// CODE | path-suffix | message-substring | justification
-/// ```
-///
-/// An entry suppresses a finding when the code matches, the finding's file
-/// ends with `path-suffix`, and the message contains `message-substring`
-/// (empty substring matches everything in that file). The justification is
-/// mandatory: a waiver without a reason is itself a finding.
-#[derive(Debug, Clone)]
-pub struct AllowEntry {
-    /// Code this entry waives.
-    pub code: String,
-    /// Path suffix the finding's file must end with.
-    pub path_suffix: String,
-    /// Substring the finding's message must contain.
-    pub message_contains: String,
-    /// Why this finding is acceptable.
-    pub justification: String,
-    /// Source line in the allowlist file (for MGK001 reporting).
-    pub line: u32,
-    /// Set during application when the entry suppressed at least one
-    /// finding.
-    pub used: bool,
-}
-
-/// Parse the allowlist format. Malformed lines become `Err` strings the
-/// caller reports (a broken allowlist must not silently waive anything).
-pub fn parse_allowlist(text: &str) -> (Vec<AllowEntry>, Vec<String>) {
-    let mut entries = Vec::new();
-    let mut errors = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let parts: Vec<&str> = line.splitn(4, '|').map(|p| p.trim()).collect();
-        if parts.len() != 4 || parts[3].is_empty() {
-            errors.push(format!(
-                "allowlist line {}: expected `CODE | path | substring | justification`, got `{line}`",
-                idx + 1
-            ));
-            continue;
-        }
-        entries.push(AllowEntry {
-            code: parts[0].to_string(),
-            path_suffix: parts[1].to_string(),
-            message_contains: parts[2].to_string(),
-            justification: parts[3].to_string(),
-            line: (idx + 1) as u32,
-            used: false,
-        });
-    }
-    (entries, errors)
-}
-
-/// Apply the allowlist: mark suppressed diagnostics and used entries.
-pub fn apply_allowlist(diags: &mut [Diagnostic], entries: &mut [AllowEntry]) {
-    for d in diags.iter_mut() {
-        for e in entries.iter_mut() {
-            if d.allowlisted.is_none()
-                && e.code == d.code.as_str()
-                && d.file.ends_with(&e.path_suffix)
-                && (e.message_contains.is_empty() || d.message.contains(&e.message_contains))
-            {
-                d.allowlisted = Some(e.justification.clone());
-                e.used = true;
-            }
-        }
-    }
-}
-
-/// One `unsafe` site in the inventory (emitted whether or not it is a
-/// finding, so review can diff the full surface across revisions).
-#[derive(Debug, Clone)]
-pub struct UnsafeSite {
-    /// Workspace-relative file.
-    pub file: String,
-    /// 1-indexed line.
-    pub line: u32,
-    /// `fn`, `impl`, `block`, or `trait`.
-    pub kind: &'static str,
-    /// True when an adjacent `// SAFETY:` comment documents the site.
-    pub documented: bool,
 }
 
 /// The complete result of one analysis run.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// All diagnostics, allowlisted ones included.
+    /// All findings, sorted by file, line and code.
     pub diagnostics: Vec<Diagnostic>,
-    /// Full `unsafe` inventory.
-    pub unsafe_inventory: Vec<UnsafeSite>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
     /// Directed lock-order edges observed (`from -> to`), for the report.
     pub lock_edges: Vec<(String, String)>,
-    /// Canonical metric vocabulary collected from the tree.
-    pub metric_vocabulary: Vec<String>,
 }
 
 impl Report {
-    /// Active (non-allowlisted) diagnostics.
-    pub fn active(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics.iter().filter(|d| d.allowlisted.is_none())
-    }
-
-    /// True when no active findings remain.
+    /// True when there are no findings.
     pub fn clean(&self) -> bool {
-        self.active().next().is_none()
-    }
-
-    /// Render the machine-readable JSON report.
-    pub fn render_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
-        let diags: Vec<String> = self
-            .diagnostics
-            .iter()
-            .map(|d| {
-                let allow = match &d.allowlisted {
-                    Some(j) => format!(", \"allowlisted\": true, \"justification\": \"{}\"", esc(j)),
-                    None => ", \"allowlisted\": false".to_string(),
-                };
-                format!(
-                    "    {{ \"code\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"{} }}",
-                    d.code,
-                    esc(&d.file),
-                    d.line,
-                    esc(&d.message),
-                    allow
-                )
-            })
-            .collect();
-        let unsafes: Vec<String> = self
-            .unsafe_inventory
-            .iter()
-            .map(|u| {
-                format!(
-                    "    {{ \"file\": \"{}\", \"line\": {}, \"kind\": \"{}\", \"documented\": {} }}",
-                    esc(&u.file),
-                    u.line,
-                    u.kind,
-                    u.documented
-                )
-            })
-            .collect();
-        let edges: Vec<String> = self
-            .lock_edges
-            .iter()
-            .map(|(a, b)| format!("    \"{} -> {}\"", esc(a), esc(b)))
-            .collect();
-        let vocab: Vec<String> =
-            self.metric_vocabulary.iter().map(|v| format!("    \"{}\"", esc(v))).collect();
-        format!(
-            "{{\n  \"clean\": {},\n  \"files_scanned\": {},\n  \"active_findings\": {},\n  \
-             \"allowlisted_findings\": {},\n  \"diagnostics\": [\n{}\n  ],\n  \
-             \"unsafe_inventory\": [\n{}\n  ],\n  \"lock_order_edges\": [\n{}\n  ],\n  \
-             \"metric_vocabulary\": [\n{}\n  ]\n}}\n",
-            self.clean(),
-            self.files_scanned,
-            self.active().count(),
-            self.diagnostics.iter().filter(|d| d.allowlisted.is_some()).count(),
-            diags.join(",\n"),
-            unsafes.join(",\n"),
-            edges.join(",\n"),
-            vocab.join(",\n"),
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn allowlist_parses_and_suppresses_by_code_path_and_substring() {
-        let (mut entries, errors) = parse_allowlist(
-            "# comment\n\
-             MGK401 | service.rs | unwrap | the scheduler restarts on panic\n\
-             bad line without pipes\n",
-        );
-        assert_eq!(entries.len(), 1);
-        assert_eq!(errors.len(), 1);
-        let mut diags = vec![
-            Diagnostic::new(
-                Code::Mgk401,
-                "crates/runtime/src/service.rs",
-                10,
-                "unwrap in hot path",
-            ),
-            Diagnostic::new(Code::Mgk401, "crates/core/src/xmv.rs", 5, "unwrap in hot path"),
-        ];
-        apply_allowlist(&mut diags, &mut entries);
-        assert!(diags[0].allowlisted.is_some());
-        assert!(diags[1].allowlisted.is_none());
-        assert!(entries[0].used);
-    }
-
-    #[test]
-    fn justification_is_mandatory() {
-        let (entries, errors) = parse_allowlist("MGK101 | a.rs | cycle |\n");
-        assert!(entries.is_empty());
-        assert_eq!(errors.len(), 1);
-    }
-
-    #[test]
-    fn json_report_escapes_and_counts() {
-        let mut r = Report::default();
-        r.diagnostics.push(Diagnostic::new(Code::Mgk301, "a\"b.rs", 3, "needs \\ escape"));
-        r.files_scanned = 1;
-        let json = r.render_json();
-        assert!(json.contains("\"clean\": false"));
-        assert!(json.contains("a\\\"b.rs"));
-        assert!(json.contains("needs \\\\ escape"));
+        self.diagnostics.is_empty()
     }
 }

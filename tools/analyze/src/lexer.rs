@@ -1,11 +1,10 @@
 //! A hand-rolled Rust lexer, sufficient for structural lints.
 //!
 //! The goal is not fidelity to rustc but *never misclassifying* the
-//! constructs the lints care about: string/char/byte literals (so `"unsafe"`
-//! inside a string is not an `unsafe` site), raw strings with arbitrary `#`
-//! fencing, nested block comments, and lifetimes vs char literals (`'a` vs
-//! `'a'`). Comments are kept in a side table with their line spans because
-//! the unsafe-audit lint reads them.
+//! constructs the lints care about: string/char/byte literals (so a
+//! `".lock()"` inside a string is not an acquisition), raw strings with
+//! arbitrary `#` fencing, nested block comments, and lifetimes vs char
+//! literals (`'a` vs `'a'`). Comments are skipped.
 
 /// Kind of one lexed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,42 +42,12 @@ impl Tok {
     pub fn is_punct(&self, s: &str) -> bool {
         self.kind == TokKind::Punct && self.text == s
     }
-
-    /// The contents of a plain string literal (quotes and raw fencing
-    /// stripped); `None` for char literals.
-    pub fn str_contents(&self) -> Option<&str> {
-        if self.kind != TokKind::Str {
-            return None;
-        }
-        let t = self.text.as_str();
-        let t = t.strip_prefix('b').unwrap_or(t);
-        if let Some(raw) = t.strip_prefix('r') {
-            let hashes = raw.bytes().take_while(|&b| b == b'#').count();
-            let inner = &raw[hashes..];
-            let inner = inner.strip_prefix('"')?;
-            return inner.get(..inner.len().checked_sub(1 + hashes)?);
-        }
-        let inner = t.strip_prefix('"')?;
-        inner.get(..inner.len().checked_sub(1)?)
-    }
 }
 
-/// One comment (line or block) with its line span and verbatim text.
-#[derive(Debug, Clone)]
-pub struct Comment {
-    /// 1-indexed first line.
-    pub line_start: u32,
-    /// 1-indexed last line.
-    pub line_end: u32,
-    /// Verbatim text including the `//` / `/* */` markers.
-    pub text: String,
-}
-
-/// Lex `src` into tokens plus a comment side table.
-pub fn lex(src: &str) -> (Vec<Tok>, Vec<Comment>) {
+/// Lex `src` into tokens.
+pub fn lex(src: &str) -> Vec<Tok> {
     let b = src.as_bytes();
     let mut toks = Vec::new();
-    let mut comments = Vec::new();
     let mut i = 0usize;
     let mut line: u32 = 1;
 
@@ -93,19 +62,11 @@ pub fn lex(src: &str) -> (Vec<Tok>, Vec<Comment>) {
             }
             c if c.is_ascii_whitespace() => i += 1,
             b'/' if i + 1 < b.len() && b[i + 1] == b'/' => {
-                let start = i;
                 while i < b.len() && b[i] != b'\n' {
                     i += 1;
                 }
-                comments.push(Comment {
-                    line_start: line,
-                    line_end: line,
-                    text: String::from_utf8_lossy(&b[start..i]).into_owned(),
-                });
             }
             b'/' if i + 1 < b.len() && b[i + 1] == b'*' => {
-                let start = i;
-                let start_line = line;
                 let mut depth = 1usize;
                 i += 2;
                 while i < b.len() && depth > 0 {
@@ -122,11 +83,6 @@ pub fn lex(src: &str) -> (Vec<Tok>, Vec<Comment>) {
                         i += 1;
                     }
                 }
-                comments.push(Comment {
-                    line_start: start_line,
-                    line_end: line,
-                    text: String::from_utf8_lossy(&b[start..i]).into_owned(),
-                });
             }
             b'"' => {
                 let (end, text) = scan_string(b, i);
@@ -224,7 +180,7 @@ pub fn lex(src: &str) -> (Vec<Tok>, Vec<Comment>) {
             }
         }
     }
-    (toks, comments)
+    toks
 }
 
 /// Scan a plain `"..."` string starting at `start`; returns (end index,
@@ -305,7 +261,7 @@ mod tests {
     use super::*;
 
     fn idents(src: &str) -> Vec<String> {
-        lex(src).0.into_iter().filter(|t| t.kind == TokKind::Ident).map(|t| t.text).collect()
+        lex(src).into_iter().filter(|t| t.kind == TokKind::Ident).map(|t| t.text).collect()
     }
 
     #[test]
@@ -325,27 +281,25 @@ mod tests {
     #[test]
     fn raw_strings_with_fencing_and_quotes() {
         let src = "let x = r##\"a \"# b\"##; let y = 1;";
-        let (toks, _) = lex(src);
+        let toks = lex(src);
         let strs: Vec<&Tok> = toks.iter().filter(|t| t.kind == TokKind::Str).collect();
         assert_eq!(strs.len(), 1);
-        assert_eq!(strs[0].str_contents(), Some("a \"# b"));
+        assert_eq!(strs[0].text, "r##\"a \"# b\"##");
         assert!(toks.iter().any(|t| t.is_ident("y")), "lexing continued past the raw string");
     }
 
     #[test]
     fn nested_block_comments() {
         let src = "/* outer /* inner */ still comment */ fn f() {}";
-        let (toks, comments) = lex(src);
-        assert_eq!(comments.len(), 1);
-        assert!(comments[0].text.contains("inner"));
+        let toks = lex(src);
         assert!(toks.iter().any(|t| t.is_ident("fn")));
-        assert!(!toks.iter().any(|t| t.is_ident("outer")));
+        assert!(!toks.iter().any(|t| t.is_ident("outer") || t.is_ident("still")));
     }
 
     #[test]
     fn lifetimes_are_not_char_literals() {
         let src = "fn f<'a>(x: &'a str) { let c = 'x'; let nl = '\\n'; }";
-        let (toks, _) = lex(src);
+        let toks = lex(src);
         let lifetimes: Vec<&Tok> = toks.iter().filter(|t| t.kind == TokKind::Lifetime).collect();
         assert_eq!(lifetimes.len(), 2, "{lifetimes:?}");
         assert!(lifetimes.iter().all(|t| t.text == "'a"));
@@ -356,19 +310,17 @@ mod tests {
     #[test]
     fn line_numbers_survive_multiline_constructs() {
         let src = "a\n/* c1\nc2 */\nb\n\"s1\ns2\"\nc";
-        let (toks, comments) = lex(src);
+        let toks = lex(src);
         let find = |name: &str| toks.iter().find(|t| t.is_ident(name)).unwrap().line;
         assert_eq!(find("a"), 1);
         assert_eq!(find("b"), 4);
         assert_eq!(find("c"), 7);
-        assert_eq!(comments[0].line_start, 2);
-        assert_eq!(comments[0].line_end, 3);
     }
 
     #[test]
     fn numeric_literals_do_not_swallow_ranges_or_methods() {
         let src = "for i in 0..10 { let x = 1.5e-3; let y = 2.max(3); }";
-        let (toks, _) = lex(src);
+        let toks = lex(src);
         assert!(toks.iter().any(|t| t.kind == TokKind::Num && t.text == "1.5e-3"));
         assert!(toks.iter().any(|t| t.is_ident("max")));
         assert_eq!(toks.iter().filter(|t| t.is_punct(".")).count(), 3); // `..` + `.max`

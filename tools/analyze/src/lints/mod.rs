@@ -1,13 +1,8 @@
 //! The lint passes. Each module owns one diagnostic family:
 //!
 //! * [`locks`] — MGK101 lock-order cycles, MGK201/202 condvar discipline
-//! * [`unsafe_audit`] — MGK301 `// SAFETY:` coverage + inventory
-//! * [`panic_surface`] — MGK401/402/403 hot-path and Drop panic edges
-//! * [`shim_parity`] — MGK501 shim-first rule for vendored crates
-//! * [`metric_vocab`] — MGK601/602/603 metric-name vocabulary
+//! * [`panic_surface`] — MGK402/403 panics in `Drop`, unguarded kernel
+//!   indexing
 
 pub mod locks;
-pub mod metric_vocab;
 pub mod panic_surface;
-pub mod shim_parity;
-pub mod unsafe_audit;

@@ -1,12 +1,12 @@
-//! Panic-surface lint (MGK401/402/403).
+//! Panic-surface lint (MGK402/403).
 //!
-//! Serving hot paths must not carry latent panics: a panicking solve
-//! poisons its scheduler thread, and a panic inside a `Drop` impl during
-//! unwind aborts the whole process. Three checks:
+//! A panic inside a `Drop` impl during unwind aborts the whole process, and
+//! an out-of-bounds index in a tile kernel panics its scheduler thread. Two
+//! checks (panicking calls in the hot-path modules themselves are clippy's:
+//! those modules deny `clippy::unwrap_used` and its siblings at their head):
 //!
-//! * **MGK401** — `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/
-//!   `unimplemented!` in designated hot-path modules (non-test code).
-//! * **MGK402** — the same calls inside any `Drop` impl body, anywhere.
+//! * **MGK402** — `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/
+//!   `unimplemented!` inside any `Drop` impl body, anywhere.
 //! * **MGK403** — slice indexing in hot-path *kernel* modules whose
 //!   enclosing function carries no `assert!`/`debug_assert!` bounds guard.
 //!   The guard convention matches the kernels: one length assertion at
@@ -25,31 +25,18 @@ const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"]
 const GUARD_MACROS: &[&str] =
     &["assert", "assert_eq", "assert_ne", "debug_assert", "debug_assert_eq", "debug_assert_ne"];
 
-/// Configuration: which files count as hot path, and which of those also
-/// get the indexing check.
-#[derive(Debug, Clone, Default)]
-pub struct PanicConfig {
-    /// Path suffixes of modules where MGK401 applies.
-    pub hot_path_files: Vec<String>,
-    /// Path suffixes (subset of hot paths) where MGK403 applies.
-    pub indexing_files: Vec<String>,
-}
-
-/// Run the lint over every file.
-pub fn analyze(files: &[FileModel], cfg: &PanicConfig) -> Vec<Diagnostic> {
+/// Run the lint over every file; `indexing_files` are the path suffixes of
+/// the modules where MGK403 applies.
+pub fn analyze(files: &[FileModel], indexing_files: &[String]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for file in files {
-        let hot = cfg.hot_path_files.iter().any(|s| file.rel_path.ends_with(s.as_str()));
-        let indexed = cfg.indexing_files.iter().any(|s| file.rel_path.ends_with(s.as_str()));
+        let indexed = indexing_files.iter().any(|s| file.rel_path.ends_with(s.as_str()));
         for f in &file.fns {
             if f.in_test {
                 continue;
             }
             if f.in_drop_impl {
-                scan_panic_calls(file, f, Code::Mgk402, &mut diags);
-            }
-            if hot {
-                scan_panic_calls(file, f, Code::Mgk401, &mut diags);
+                scan_panic_calls(file, f, &mut diags);
             }
             if indexed {
                 scan_indexing(file, f, &mut diags);
@@ -60,7 +47,7 @@ pub fn analyze(files: &[FileModel], cfg: &PanicConfig) -> Vec<Diagnostic> {
 }
 
 /// Flag panicking calls inside `f`'s body.
-fn scan_panic_calls(file: &FileModel, f: &FnInfo, code: Code, diags: &mut Vec<Diagnostic>) {
+fn scan_panic_calls(file: &FileModel, f: &FnInfo, diags: &mut Vec<Diagnostic>) {
     let toks = &file.toks;
     for i in f.body_open..=f.body_close {
         let t = &toks[i];
@@ -75,18 +62,16 @@ fn scan_panic_calls(file: &FileModel, f: &FnInfo, code: Code, diags: &mut Vec<Di
         let is_macro = PANIC_MACROS.contains(&name)
             && toks.get(i + 1).map(|n| n.is_punct("!")).unwrap_or(false);
         if is_method || is_macro {
-            let target = match code {
-                Code::Mgk402 => {
-                    "inside a Drop impl (a panic here during unwind aborts the process)"
-                }
-                _ => "in a hot-path module",
-            };
             let call = if is_macro { format!("{name}!") } else { format!(".{name}()") };
             diags.push(Diagnostic::new(
-                code,
+                Code::Mgk402,
                 &file.rel_path,
                 t.line,
-                format!("`{call}` {target}, fn `{}`", f.name),
+                format!(
+                    "`{call}` inside a Drop impl (a panic here during unwind aborts the \
+                     process), fn `{}`",
+                    f.name
+                ),
             ));
         }
     }
@@ -138,25 +123,13 @@ fn is_keyword(s: &str) -> bool {
 mod tests {
     use super::*;
 
-    fn cfg() -> PanicConfig {
-        PanicConfig {
-            hot_path_files: vec!["hot.rs".to_string()],
-            indexing_files: vec!["hot.rs".to_string()],
-        }
-    }
-
     fn run(path: &str, src: &str) -> Vec<Diagnostic> {
-        analyze(&[FileModel::parse(path, src, false)], &cfg())
-    }
-
-    #[test]
-    fn unwrap_in_hot_path_is_flagged() {
-        let diags = run("hot.rs", "fn f(x: Option<u8>) -> u8 { x.unwrap() }");
-        assert!(diags.iter().any(|d| d.code == Code::Mgk401), "{diags:?}");
+        analyze(&[FileModel::parse(path, src, false)], &["hot.rs".to_string()])
     }
 
     #[test]
     fn unwrap_outside_hot_path_is_fine() {
+        // outside a `Drop` impl a panicking call is clippy's to judge
         let diags = run("cold.rs", "fn f(x: Option<u8>) -> u8 { x.unwrap() }");
         assert!(diags.is_empty(), "{diags:?}");
     }
@@ -164,7 +137,7 @@ mod tests {
     #[test]
     fn test_code_in_hot_modules_is_exempt() {
         let diags =
-            run("hot.rs", "fn f() {}\n#[cfg(test)]\nmod tests { fn t() { None::<u8>.unwrap(); } }");
+            run("hot.rs", "fn f() {}\n#[cfg(test)]\nmod tests { fn t(y: &[u8]) -> u8 { y[0] } }");
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -214,9 +187,10 @@ mod tests {
     #[test]
     fn expect_and_unreachable_count_as_panic_calls() {
         let diags = run(
-            "hot.rs",
-            "fn f(x: Option<u8>) -> u8 { match x { Some(v) => v, None => unreachable!() } }",
+            "cold.rs",
+            "impl Drop for G { fn drop(&mut self) { \
+             match self.x.take() { Some(h) => h.join().expect(\"joined\"), None => unreachable!() } } }",
         );
-        assert!(diags.iter().any(|d| d.code == Code::Mgk401), "{diags:?}");
+        assert_eq!(diags.iter().filter(|d| d.code == Code::Mgk402).count(), 2, "{diags:?}");
     }
 }

@@ -1,50 +1,34 @@
 //! CLI for mgk-analyze.
 //!
 //! ```text
-//! cargo run -p mgk-analyze -- [--strict] [--json [PATH]] [--root DIR] [--allowlist FILE]
+//! cargo run -p mgk-analyze -- [--root DIR]
 //! ```
 //!
-//! Exit code 0 when the tree is clean (no active findings), 1 otherwise,
-//! 2 on I/O or usage errors. `--strict` additionally fails on stale or
-//! malformed allowlist entries (MGK001) — CI runs in this mode.
+//! Exit code 0 when the tree is clean (no findings), 1 otherwise, 2 on I/O
+//! or usage errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use mgk_analyze::{find_workspace_root, run, Config};
 
-fn main() -> ExitCode {
-    let mut strict = false;
-    let mut json: Option<Option<PathBuf>> = None;
-    let mut root_arg: Option<PathBuf> = None;
-    let mut allowlist_arg: Option<PathBuf> = None;
+const USAGE: &str = "USAGE: mgk-analyze [--root DIR]";
 
-    let mut args = std::env::args().skip(1).peekable();
+fn main() -> ExitCode {
+    let mut root_arg: Option<PathBuf> = None;
+
+    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--strict" => strict = true,
-            "--json" => {
-                let path = match args.peek() {
-                    Some(next) if !next.starts_with("--") => args.next().map(PathBuf::from),
-                    _ => None,
-                };
-                json = Some(path);
-            }
             "--root" => match args.next() {
                 Some(dir) => root_arg = Some(PathBuf::from(dir)),
                 None => return usage("--root requires a directory"),
             },
-            "--allowlist" => match args.next() {
-                Some(file) => allowlist_arg = Some(PathBuf::from(file)),
-                None => return usage("--allowlist requires a file"),
-            },
             "--help" | "-h" => {
                 println!(
-                    "mgk-analyze: workspace concurrency & invariant lints\n\n\
-                     USAGE: mgk-analyze [--strict] [--json [PATH]] [--root DIR] [--allowlist FILE]\n\n\
-                     Codes: MGK001 stale allowlist entry (strict), MGK101 lock-order cycle,\n\
-                     MGK201/202 condvar discipline, MGK301 undocumented unsafe,\n\
-                     MGK401/402/403 panic surface, MGK501 shim parity, MGK601-603 metric vocabulary."
+                    "mgk-analyze: workspace concurrency lints\n\n{USAGE}\n\n\
+                     Codes: MGK101 lock-order cycle, MGK201/202 condvar discipline,\n\
+                     MGK402 panicking call in a Drop impl, MGK403 unguarded kernel indexing."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -66,13 +50,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut cfg = Config::for_root(&root);
-    cfg.strict = strict;
-    if let Some(path) = allowlist_arg {
-        cfg.allowlist = path;
-    }
-
-    let report = match run(&cfg) {
+    let report = match run(&Config::for_root(&root)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("mgk-analyze: {e}");
@@ -80,36 +58,15 @@ fn main() -> ExitCode {
         }
     };
 
-    for d in report.active() {
+    for d in &report.diagnostics {
         println!("{}", d.render());
     }
-    let allowlisted = report.diagnostics.iter().filter(|d| d.allowlisted.is_some()).count();
-    let documented = report.unsafe_inventory.iter().filter(|u| u.documented).count();
     eprintln!(
-        "mgk-analyze: {} files, {} lock-order edges, {} unsafe sites ({} documented), \
-         {} metrics, {} active findings, {} allowlisted",
+        "mgk-analyze: {} files, {} lock-order edges, {} findings",
         report.files_scanned,
         report.lock_edges.len(),
-        report.unsafe_inventory.len(),
-        documented,
-        report.metric_vocabulary.len(),
-        report.active().count(),
-        allowlisted,
+        report.diagnostics.len(),
     );
-
-    if let Some(dest) = json {
-        let rendered = report.render_json();
-        match dest {
-            Some(path) => {
-                if let Err(e) = std::fs::write(&path, rendered) {
-                    eprintln!("mgk-analyze: failed to write {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-                eprintln!("mgk-analyze: JSON report written to {}", path.display());
-            }
-            None => print!("{rendered}"),
-        }
-    }
 
     if report.clean() {
         ExitCode::SUCCESS
@@ -119,6 +76,6 @@ fn main() -> ExitCode {
 }
 
 fn usage(msg: &str) -> ExitCode {
-    eprintln!("mgk-analyze: {msg}\nUSAGE: mgk-analyze [--strict] [--json [PATH]] [--root DIR] [--allowlist FILE]");
+    eprintln!("mgk-analyze: {msg}\n{USAGE}");
     ExitCode::from(2)
 }

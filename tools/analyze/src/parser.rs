@@ -1,12 +1,11 @@
 //! Lightweight block-structure parser over the token stream.
 //!
 //! Produces the structural facts the lints consume: matched brace ranges,
-//! `#[cfg(test)]` regions, `impl Drop` bodies, function bodies, and the
-//! module path active at every token. It is *not* a Rust parser — it only
-//! has to be right about block nesting and item heads, which the lexer's
-//! token stream makes unambiguous.
+//! `#[cfg(test)]` regions, `impl Drop` bodies and function bodies. It is
+//! *not* a Rust parser — it only has to be right about block nesting and
+//! item heads, which the lexer's token stream makes unambiguous.
 
-use crate::lexer::{lex, Comment, Tok, TokKind};
+use crate::lexer::{lex, Tok, TokKind};
 
 /// One parsed function.
 #[derive(Debug, Clone)]
@@ -33,10 +32,6 @@ pub struct FileModel {
     pub rel_path: String,
     /// Token stream.
     pub toks: Vec<Tok>,
-    /// Comment side table.
-    pub comments: Vec<Comment>,
-    /// Raw source lines (for line-level adjacency checks).
-    pub lines: Vec<String>,
     /// For each `{` token index, the index of its matching `}`.
     pub match_close: Vec<Option<usize>>,
     /// Token-index ranges `[open, close]` under `#[cfg(test)]` (or the
@@ -46,17 +41,13 @@ pub struct FileModel {
     pub drop_ranges: Vec<(usize, usize)>,
     /// All parsed functions.
     pub fns: Vec<FnInfo>,
-    /// For each token, the `mod` path active where it appears (inline
-    /// modules only; file-level module position comes from the path).
-    pub mod_path_at: Vec<Vec<String>>,
 }
 
 impl FileModel {
     /// Lex and parse one file. `is_test_file` marks the whole file as test
     /// code (top-level `tests/` integration suites, bench fixtures).
     pub fn parse(rel_path: &str, src: &str, is_test_file: bool) -> FileModel {
-        let (toks, comments) = lex(src);
-        let lines: Vec<String> = src.lines().map(|l| l.to_string()).collect();
+        let toks = lex(src);
         let match_close = match_braces(&toks);
 
         let mut test_ranges = Vec::new();
@@ -65,30 +56,16 @@ impl FileModel {
         }
         collect_cfg_test_ranges(&toks, &match_close, &mut test_ranges);
         let drop_ranges = collect_drop_ranges(&toks, &match_close);
-        let mod_path_at = collect_mod_paths(&toks, &match_close);
         let fns = collect_fns(&toks, &match_close, &test_ranges, &drop_ranges);
 
         FileModel {
             rel_path: rel_path.to_string(),
             toks,
-            comments,
-            lines,
             match_close,
             test_ranges,
             drop_ranges,
             fns,
-            mod_path_at,
         }
-    }
-
-    /// True when token index `i` falls in any `#[cfg(test)]`/test-file range.
-    pub fn in_test(&self, i: usize) -> bool {
-        self.test_ranges.iter().any(|&(a, b)| i >= a && i <= b)
-    }
-
-    /// The comment (if any) whose span covers `line`.
-    pub fn comment_on_line(&self, line: u32) -> Option<&Comment> {
-        self.comments.iter().find(|c| c.line_start <= line && line <= c.line_end)
     }
 }
 
@@ -222,33 +199,6 @@ fn collect_drop_ranges(toks: &[Tok], match_close: &[Option<usize>]) -> Vec<(usiz
     out
 }
 
-/// The inline-`mod` path active at each token index.
-fn collect_mod_paths(toks: &[Tok], match_close: &[Option<usize>]) -> Vec<Vec<String>> {
-    let mut out = vec![Vec::new(); toks.len()];
-    let mut stack: Vec<(String, usize)> = Vec::new(); // (name, close index)
-    let mut i = 0usize;
-    while i < toks.len() {
-        while let Some(&(_, close)) = stack.last() {
-            if i > close {
-                stack.pop();
-            } else {
-                break;
-            }
-        }
-        if toks[i].is_ident("mod")
-            && toks.get(i + 1).map(|t| t.kind == TokKind::Ident).unwrap_or(false)
-            && toks.get(i + 2).map(|t| t.is_punct("{")).unwrap_or(false)
-        {
-            if let Some(close) = match_close[i + 2] {
-                stack.push((toks[i + 1].text.clone(), close));
-            }
-        }
-        out[i] = stack.iter().map(|(n, _)| n.clone()).collect();
-        i += 1;
-    }
-    out
-}
-
 /// Parse every `fn` item into a [`FnInfo`].
 fn collect_fns(
     toks: &[Tok],
@@ -337,16 +287,6 @@ mod tests {
         let fmt_fn = m.fns.iter().find(|f| f.name == "fmt").unwrap();
         assert!(drop_fn.in_drop_impl);
         assert!(!fmt_fn.in_drop_impl);
-    }
-
-    #[test]
-    fn mod_paths_track_inline_modules() {
-        let src = "mod names { const A: u8 = 1; } const B: u8 = 2;";
-        let m = FileModel::parse("x.rs", src, false);
-        let a = m.toks.iter().position(|t| t.is_ident("A")).unwrap();
-        let b = m.toks.iter().position(|t| t.is_ident("B")).unwrap();
-        assert_eq!(m.mod_path_at[a], vec!["names".to_string()]);
-        assert!(m.mod_path_at[b].is_empty());
     }
 
     #[test]
