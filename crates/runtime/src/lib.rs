@@ -132,6 +132,19 @@ pub use watch::{
     VersionedSnapshot, WatchClosed,
 };
 
+/// Acquire `mutex` whether or not a previous holder panicked.
+///
+/// Sound for the watch slot and the ticket cell, the two protocols that
+/// lock through here, because every critical section of theirs leaves its
+/// state valid at each statement boundary: a holder that unwinds half-way
+/// has published either all of a field or none of it, so the next holder
+/// reads a consistent (if older) state — and a `Drop` that must wake
+/// waiters can do so while its thread is already unwinding, where a second
+/// panic would abort the process.
+pub(crate) fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

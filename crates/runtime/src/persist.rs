@@ -10,6 +10,18 @@
 //! here (and nowhere else) means in-memory refactors cannot silently
 //! change the on-disk format.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::path::PathBuf;
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::thread::JoinHandle;
@@ -148,20 +160,18 @@ impl WalSyncer {
     /// ([`PairStore::sync_handle`](mgk_store::PairStore::sync_handle)):
     /// both handles share one file description, so `sync_data` here
     /// flushes everything the owning thread appended before the call.
-    pub(crate) fn spawn(file: std::fs::File) -> WalSyncer {
+    /// An error is the OS refusing the thread.
+    pub(crate) fn spawn(file: std::fs::File) -> std::io::Result<WalSyncer> {
         let (tx, rx) = sync_channel::<()>(1);
-        let thread = std::thread::Builder::new()
-            .name("mgk-wal-sync".into())
-            .spawn(move || {
-                while rx.recv().is_ok() {
-                    if file.sync_data().is_err() {
-                        // die; the owner sees Failed at the next boundary
-                        return;
-                    }
+        let thread = std::thread::Builder::new().name("mgk-wal-sync".into()).spawn(move || {
+            while rx.recv().is_ok() {
+                if file.sync_data().is_err() {
+                    // die; the owner sees Failed at the next boundary
+                    return;
                 }
-            })
-            .expect("spawning the WAL sync thread");
-        WalSyncer { tx: Some(tx), thread: Some(thread) }
+            }
+        })?;
+        Ok(WalSyncer { tx: Some(tx), thread: Some(thread) })
     }
 
     /// Request a sync of everything appended so far; `Ok(true)` if one was
@@ -170,10 +180,12 @@ impl WalSyncer {
     /// boundaries coalesce into it (`Ok(false)`). An error means the sync
     /// thread died on an I/O error — detach the store.
     fn schedule(&self) -> Result<bool, mgk_store::StoreError> {
-        match self.tx.as_ref().expect("sender lives until drop").try_send(()) {
-            Ok(()) => Ok(true),
-            Err(TrySendError::Full(())) => Ok(false),
-            Err(TrySendError::Disconnected(())) => {
+        match self.tx.as_ref().map(|tx| tx.try_send(())) {
+            Some(Ok(())) => Ok(true),
+            Some(Err(TrySendError::Full(()))) => Ok(false),
+            // only `drop` takes the sender (`spawn` is the one constructor),
+            // so `None` cannot occur here; it reads as a dead thread
+            Some(Err(TrySendError::Disconnected(()))) | None => {
                 Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "WAL sync thread died")
                     .into())
             }

@@ -1088,7 +1088,7 @@ where
         // the synchronous policies (EveryRecord, Off) need no helper
         let syncer = match config.fsync {
             mgk_store::FsyncPolicy::EveryFlush => {
-                Some(crate::persist::WalSyncer::spawn(store.sync_handle()?))
+                Some(crate::persist::WalSyncer::spawn(store.sync_handle()?)?)
             }
             _ => None,
         };

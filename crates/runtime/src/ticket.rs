@@ -19,12 +19,35 @@
 //! * An expired deadline resolves the ticket with
 //!   [`RequestError::Expired`] *before* its solve starts, so a stale
 //!   request never occupies the solve lane.
+//!
+//! **After a panicking holder.** Every acquisition goes through the
+//! crate's poison-tolerant `lock` — each critical section leaves the cell
+//! either pending or resolved — so a poisoned cell still resolves, still
+//! closes on resolver drop (also mid-unwind, where a second panic would
+//! abort) and parks and wakes its waiters like a healthy one. The one
+//! difference: std's `wait_while` hands a poisoned guard back at the first
+//! wakeup, so a *spurious* one reads as [`RequestError::Closed`] from
+//! `wait` and as pending from `wait_timeout`.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use mgk_core::SolverError;
+
+use crate::lock;
 
 /// Why a request resolved without a kernel value.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,41 +93,26 @@ pub struct Ticket<R> {
 impl<R: Clone> Ticket<R> {
     /// The resolution, if one has arrived — never blocks.
     pub fn try_get(&self) -> Option<Result<R, RequestError>> {
-        self.cell.state.lock().unwrap().clone()
+        lock(&self.cell.state).clone()
     }
 
     /// Block until the request resolves. Cannot hang: the scheduler-side
     /// resolver closes the ticket on drop if it never answers.
     pub fn wait(&self) -> Result<R, RequestError> {
-        let mut state = self.cell.state.lock().unwrap();
-        loop {
-            if let Some(result) = state.as_ref() {
-                return result.clone();
-            }
-            state = self.cell.ready.wait(state).unwrap();
-        }
+        let state = lock(&self.cell.state);
+        let state = self.cell.ready.wait_while(state, |s| s.is_none());
+        // `None` only after a spurious wakeup of a poisoned cell
+        state.unwrap_or_else(PoisonError::into_inner).clone().unwrap_or(Err(RequestError::Closed))
     }
 
     /// Block until the request resolves or `timeout` elapses; `None` means
     /// the request is still pending (the ticket stays valid — wait again,
-    /// poll, or drop it to cancel).
+    /// poll, or drop it to cancel). A timeout too large for the clock to
+    /// hold waits without a deadline.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<R, RequestError>> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut state = self.cell.state.lock().unwrap();
-        loop {
-            if let Some(result) = state.as_ref() {
-                return Some(result.clone());
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (next, timed_out) = self.cell.ready.wait_timeout(state, deadline - now).unwrap();
-            state = next;
-            if timed_out.timed_out() && state.is_none() {
-                return None;
-            }
-        }
+        let state = lock(&self.cell.state);
+        let waited = self.cell.ready.wait_timeout_while(state, timeout, |s| s.is_none());
+        waited.unwrap_or_else(PoisonError::into_inner).0.clone()
     }
 }
 
@@ -135,7 +143,7 @@ impl<R> TicketResolver<R> {
     /// Resolve the ticket, waking every waiter.
     pub fn resolve(mut self, result: Result<R, RequestError>) {
         self.resolved = true;
-        let mut state = self.cell.state.lock().unwrap();
+        let mut state = lock(&self.cell.state);
         debug_assert!(state.is_none(), "a ticket resolves exactly once");
         *state = Some(result);
         drop(state);
@@ -148,17 +156,8 @@ impl<R> Drop for TicketResolver<R> {
         if self.resolved {
             return;
         }
-        // poison-tolerant: this drop may run during an unwind (a solve
-        // panicked mid-resolve), and panicking again here would abort the
-        // process — recover the guard and still wake the waiters
-        let mut state = match self.cell.state.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if state.is_none() {
-            *state = Some(Err(RequestError::Closed));
-        }
-        drop(state);
+        // may run mid-unwind, where a second panic would abort: `lock` cannot panic
+        lock(&self.cell.state).get_or_insert(Err(RequestError::Closed));
         self.cell.ready.notify_all();
     }
 }
@@ -213,6 +212,13 @@ mod tests {
         assert!(r.is_cancelled());
         // resolving a cancelled ticket is harmless (nobody observes it)
         r.resolve(Ok(1));
+    }
+
+    #[test]
+    fn an_unrepresentable_timeout_waits_without_a_deadline() {
+        let (t, r) = ticket::<u32>();
+        r.resolve(Ok(9));
+        assert_eq!(t.wait_timeout(Duration::MAX), Some(Ok(9)));
     }
 
     #[test]

@@ -20,11 +20,37 @@
 //! publisher. When the publisher is dropped — scheduler shutdown, or its
 //! thread unwinding on a panic — the watch is closed and every blocked
 //! consumer wakes with [`WatchClosed`] instead of hanging.
+//!
+//! **After a panicking holder.** Every acquisition here goes through the
+//! crate's poison-tolerant `lock`, and every critical section leaves the
+//! slot valid at each statement boundary, so a holder that panicked changes
+//! nothing a consumer can observe beyond the operation that panicked: a
+//! `publish` refused for a backwards epoch leaves the previous epoch served
+//! by `latest` and `wait_newer`, later publications land and wake waiters
+//! as usual, and dropping the publisher still closes the watch — also
+//! while its thread is unwinding, where a second panic would abort the
+//! process. A dense build that panics has consumed its source under the
+//! source lock, so that epoch reads like a retired one and its waiters get
+//! the successor.
 
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
 
 use mgk_telemetry::Counter;
 
+use crate::lock;
 use crate::service::{GramSnapshot, SnapshotSource};
 
 /// A snapshot together with the epoch it was published at.
@@ -78,18 +104,16 @@ impl PublishedEpoch {
         if let Some(built) = self.built.get() {
             return Some(Arc::clone(built));
         }
-        let mut source = self.source.lock().unwrap();
-        // a concurrent first observer may have built while this consumer
-        // waited on the lock
-        if let Some(built) = self.built.get() {
-            return Some(Arc::clone(built));
+        let mut source = lock(&self.source);
+        match source.take() {
+            Some(taken) => {
+                builds.inc();
+                Some(Arc::clone(self.built.get_or_init(|| Arc::new(taken.build()))))
+            }
+            // consumed by a concurrent first observer while this consumer
+            // waited on the lock (then `built` is set), or retired
+            None => self.built.get().map(Arc::clone),
         }
-        let taken = source.take()?;
-        builds.inc();
-        let built = Arc::new(taken.build());
-        self.built.set(Arc::clone(&built)).expect("first build under the source lock");
-        drop(source);
-        Some(built)
     }
 
     /// Whether some consumer has materialized this epoch.
@@ -156,12 +180,12 @@ impl SnapshotWatch {
     /// The epoch of the most recently published snapshot (0 before the
     /// first publication).
     pub fn epoch(&self) -> u64 {
-        self.shared.slot.lock().unwrap().epoch
+        lock(&self.shared.slot).epoch
     }
 
     /// Whether the publisher is gone (no newer snapshot will arrive).
     pub fn is_closed(&self) -> bool {
-        self.shared.slot.lock().unwrap().closed
+        lock(&self.shared.slot).closed
     }
 
     /// How many dense snapshot materializations this watch has performed.
@@ -181,7 +205,7 @@ impl SnapshotWatch {
     /// returned (exactly as before the first publication).
     pub fn latest(&self) -> Option<VersionedSnapshot> {
         let (epoch, published) = {
-            let slot = self.shared.slot.lock().unwrap();
+            let slot = lock(&self.shared.slot);
             (slot.epoch, slot.published.as_ref().map(Arc::clone))
         };
         // build outside the slot lock: a large materialization must not
@@ -201,28 +225,33 @@ impl SnapshotWatch {
     /// [`WatchClosed`] once the publisher is gone and nothing newer than
     /// `epoch` was ever published.
     pub fn wait_newer(&self, epoch: u64) -> Result<VersionedSnapshot, WatchClosed> {
-        self.wait_newer_until(epoch, None)
-            .map(|v| v.expect("an unbounded wait only returns with a snapshot or closure"))
+        loop {
+            // without a deadline `None` does not come back
+            if let Some(newer) = self.wait_newer_until(epoch, None)? {
+                return Ok(newer);
+            }
+        }
     }
 
     /// [`wait_newer`](Self::wait_newer) with a timeout: `Ok(None)` if no
     /// strictly newer snapshot was published within `timeout`. A cluster
     /// watch waits on its shards round-robin through this, so progress on
-    /// *any* shard is observed within one timeout slice.
+    /// *any* shard is observed within one timeout slice. A timeout too
+    /// large for the clock to represent is no deadline.
     pub fn wait_newer_timeout(
         &self,
         epoch: u64,
-        timeout: std::time::Duration,
+        timeout: Duration,
     ) -> Result<Option<VersionedSnapshot>, WatchClosed> {
-        self.wait_newer_until(epoch, Some(std::time::Instant::now() + timeout))
+        self.wait_newer_until(epoch, Instant::now().checked_add(timeout))
     }
 
     fn wait_newer_until(
         &self,
         epoch: u64,
-        deadline: Option<std::time::Instant>,
+        deadline: Option<Instant>,
     ) -> Result<Option<VersionedSnapshot>, WatchClosed> {
-        let mut slot = self.shared.slot.lock().unwrap();
+        let mut slot = lock(&self.shared.slot);
         loop {
             if slot.epoch > epoch {
                 if let Some(p) = &slot.published {
@@ -235,7 +264,7 @@ impl SnapshotWatch {
                     // flushes: re-examine the slot; if nothing newer has
                     // landed yet, fall through to the condvar wait for the
                     // successor's publication (or closure)
-                    slot = self.shared.slot.lock().unwrap();
+                    slot = lock(&self.shared.slot);
                     if slot.epoch > found {
                         continue;
                     }
@@ -245,14 +274,19 @@ impl SnapshotWatch {
                 return Err(WatchClosed);
             }
             match deadline {
-                None => slot = self.shared.newer.wait(slot).unwrap(),
+                None => {
+                    slot = self.shared.newer.wait(slot).unwrap_or_else(PoisonError::into_inner);
+                }
                 Some(deadline) => {
-                    let now = std::time::Instant::now();
+                    let now = Instant::now();
                     if now >= deadline {
                         return Ok(None);
                     }
-                    let (next, timeout) =
-                        self.shared.newer.wait_timeout(slot, deadline - now).unwrap();
+                    let (next, timeout) = self
+                        .shared
+                        .newer
+                        .wait_timeout(slot, deadline - now)
+                        .unwrap_or_else(PoisonError::into_inner);
                     slot = next;
                     if timeout.timed_out() {
                         // one re-examination after the timeout: a publish
@@ -272,7 +306,7 @@ impl SnapshotPublisher {
     /// non-decreasing; a republication at the current epoch replaces the
     /// source without waking `wait_newer` callers already past it.
     pub fn publish(&self, epoch: u64, source: SnapshotSource) {
-        let mut slot = self.shared.slot.lock().unwrap();
+        let mut slot = lock(&self.shared.slot);
         debug_assert!(epoch >= slot.epoch, "epochs must not go backwards");
         slot.epoch = epoch;
         slot.published = Some(Arc::new(PublishedEpoch::new(source)));
@@ -293,14 +327,14 @@ impl SnapshotPublisher {
     /// (or polls until) the successor epoch the flush is about to publish.
     pub fn retire_unobserved(&self) {
         let published = {
-            let slot = self.shared.slot.lock().unwrap();
+            let slot = lock(&self.shared.slot);
             slot.published.as_ref().map(Arc::clone)
         };
         if let Some(p) = published {
             if !p.is_built() {
                 // drop the triangle share; materialize() reports None to
                 // any racing first observer, who then awaits the successor
-                p.source.lock().unwrap().take();
+                lock(&p.source).take();
             }
         }
     }
@@ -309,7 +343,7 @@ impl SnapshotPublisher {
     /// [`WatchClosed`] (after consuming any snapshot still newer than its
     /// request). Called automatically on drop.
     pub fn close(&self) {
-        let mut slot = self.shared.slot.lock().unwrap();
+        let mut slot = lock(&self.shared.slot);
         slot.closed = true;
         drop(slot);
         self.shared.newer.notify_all();
@@ -379,6 +413,32 @@ mod tests {
         assert_eq!(watch.wait_newer(2).unwrap().epoch, 5);
         // … and only then report closure
         assert_eq!(watch.wait_newer(5).unwrap_err(), WatchClosed);
+    }
+
+    #[test]
+    fn an_unrepresentable_timeout_is_no_deadline() {
+        let (publisher, watch) = snapshot_channel();
+        publisher.publish(1, source(1));
+        let v = watch.wait_newer_timeout(0, Duration::MAX).unwrap();
+        assert_eq!(v.map(|v| v.epoch), Some(1));
+    }
+
+    // the refused publication is a `debug_assert!`
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_poisoned_slot_still_closes_on_publisher_drop() {
+        let (publisher, watch) = snapshot_channel();
+        publisher.publish(5, source(3));
+        // a backwards epoch panics under the slot lock and poisons it
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            publisher.publish(3, source(1));
+        }));
+        assert!(refused.is_err());
+        drop(publisher);
+        assert!(watch.is_closed());
+        assert_eq!(watch.wait_newer(5).unwrap_err(), WatchClosed);
+        let last = watch.latest().unwrap();
+        assert_eq!((last.epoch, last.snapshot.num_graphs), (5, 3));
     }
 
     #[test]

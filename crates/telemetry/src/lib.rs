@@ -330,6 +330,20 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_hook_does_not_panic_the_reporter_owner() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reporter = TelemetryReporter::spawn(registry, Duration::from_millis(5), move |_| {
+            let _ = tx.send(());
+            panic!("hook failed");
+        });
+        rx.recv_timeout(Duration::from_secs(5)).expect("the hook ran");
+        // the hook ran under the signal lock, which its panic poisons;
+        // shutdown takes that lock
+        drop(reporter);
+    }
+
+    #[test]
     fn stage_breakdown_totals_saturate() {
         let stages =
             StageBreakdown { queue_wait_ns: 10, prepare_ns: 20, solve_ns: 30, fold_ns: 40 };

@@ -2,7 +2,19 @@
 //! the capture to a user hook (print it, push it, diff it — the hook
 //! decides).
 
-use std::sync::{Arc, Condvar, Mutex};
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -12,7 +24,9 @@ use crate::registry::{MetricsRegistry, TelemetrySnapshot};
 ///
 /// The hook runs on the reporter thread every `interval`; [`stop`] (or
 /// drop) wakes the thread immediately, delivers one final snapshot so no
-/// tail activity is lost, and joins it.
+/// tail activity is lost, and joins it. A hook that panics ends the
+/// reporter thread there; the panic does not reach the owner, whose
+/// [`stop`] or drop still returns.
 ///
 /// [`stop`]: TelemetryReporter::stop
 #[derive(Debug)]
@@ -35,13 +49,13 @@ impl TelemetryReporter {
         let thread_signal = Arc::clone(&signal);
         let handle = std::thread::spawn(move || {
             let (stop, wake) = &*thread_signal;
-            let mut stopped = stop.lock().expect("reporter signal poisoned");
+            let mut stopped = stop.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if *stopped {
                     break;
                 }
                 let (next, timeout) =
-                    wake.wait_timeout(stopped, interval).expect("reporter signal poisoned");
+                    wake.wait_timeout(stopped, interval).unwrap_or_else(PoisonError::into_inner);
                 stopped = next;
                 if *stopped {
                     break;
@@ -65,7 +79,9 @@ impl TelemetryReporter {
     fn shutdown(&mut self) {
         if let Some(handle) = self.handle.take() {
             let (stop, wake) = &*self.signal;
-            *stop.lock().expect("reporter signal poisoned") = true;
+            // the hook runs under this lock, so one that panicked poisoned
+            // it; the flag is a plain bool, valid whatever happened
+            *stop.lock().unwrap_or_else(PoisonError::into_inner) = true;
             wake.notify_all();
             let _ = handle.join();
         }

@@ -121,10 +121,8 @@ impl Job {
 
     /// Block until every index has retired.
     fn wait_complete(&self) {
-        let mut finished = self.complete.lock().unwrap();
-        while !*finished {
-            finished = self.complete_cv.wait(finished).unwrap();
-        }
+        let finished = self.complete.lock().unwrap();
+        drop(self.complete_cv.wait_while(finished, |finished| !*finished).unwrap());
     }
 }
 
@@ -302,6 +300,27 @@ mod tests {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn a_region_that_finished_before_the_completion_wait_still_returns() {
+        // every index retires on this thread before it reaches the wait, so
+        // no wakeup will ever come: the predicate alone must release it
+        let body: &(dyn Fn(usize) + Sync) = &|_| {};
+        let job = Job {
+            task: body,
+            next: AtomicUsize::new(0),
+            count: 3,
+            done: AtomicUsize::new(0),
+            participants: AtomicUsize::new(1),
+            max_participants: 1,
+            panicked: AtomicBool::new(false),
+            complete: Mutex::new(false),
+            complete_cv: Condvar::new(),
+        };
+        job.run_to_exhaustion();
+        job.wait_complete();
+        assert_eq!(job.done.load(Ordering::Relaxed), 3);
     }
 
     #[test]
