@@ -12,6 +12,11 @@
 //! slowest, sparsity + reordering + adaptive primitives give the bulk of
 //! the improvement, block sharing matters most for the size-skewed
 //! DrugBank-like set, and dynamic scheduling adds a little on top.
+//!
+//! From +Adaptive on, the solver picks each tile pair's primitive by the CPU
+//! table (`KindTable`), not the paper's GPU model, so those rows project
+//! the traffic *counted* for CPU-routed work — mostly dense×dense on sparse
+//! graphs, counted as the GPU's full 64×64 block — onto the V100.
 
 use std::time::Instant;
 

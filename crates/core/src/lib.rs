@@ -20,8 +20,9 @@
 //!   Section III (naive, shared tiling, register blocking, tiling+blocking)
 //!   with memory-traffic instrumentation.
 //! * [`octile_ops`] — the sparse tile-pair product primitives of
-//!   Section IV-B (`dense×dense`, `dense×sparse`, `sparse×sparse`) and the
-//!   adaptive selection rule of Fig. 8.
+//!   Section IV-B (`dense×dense`, `dense×sparse`, `sparse×sparse`), the
+//!   paper's Fig. 8 selection model, and the CPU-fit table the solver
+//!   routes tile pairs by.
 //! * [`prepared`] — [`PreparedGraph`], everything about one structure that
 //!   is built once and shared by every pair it is in (octile storage).
 //! * [`product`] — assembly of the tensor-product system (degree/vertex

@@ -18,9 +18,26 @@
 //! * [`TileProductKind::SparseSparse`] — both tiles iterated via their
 //!   bitmaps; only `nnz₁ · nnz₂` products are formed.
 //!
-//! [`select_kind`] implements the dynamic selection rule of Fig. 8 using a
-//! per-primitive cycle estimate that mirrors the GPU execution efficiency
-//! of each variant.
+//! Two cost models pick among them. [`select_kind`] is the paper's Fig. 8
+//! rule: a per-primitive warp-cycle estimate ([`estimated_cycles`]) of each
+//! variant on a V100, kept as the figure's artifact. The solver routes by
+//! [`KindTable`] instead, whose closed forms follow the loops each primitive
+//! runs *here* and whose constants were fit to them on a CPU (see
+//! [`KindTable`]).
+//!
+//! # Counted traffic
+//!
+//! Every primitive attributes its traffic through
+//! [`mgk_gpusim::octile_pair_traffic`], the GPU kernels' closed forms. For
+//! dense×dense these count the full 64×64 block a warp evaluates — `4096·x`
+//! FLOPs — while the CPU body skips the first tile's empty slots and
+//! executes at most `64·nnz₁` kernel evaluations. The CPU table sends most
+//! small tile pairs to dense×dense, so on sparse graphs the FLOP counters
+//! (`mgk_traffic_flops_total`, the intensity gauge, and any roofline
+//! fraction built on them) count the GPU's work, several times what the CPU
+//! does.
+//! The forms stay as they are: they are the GPU projection's inputs, and
+//! their totals are pinned to [`tile_pair_product_scalar`].
 //!
 //! # Vectorization
 //!
@@ -129,31 +146,81 @@ pub fn estimated_cycles(kind: TileProductKind, nnz1: usize, nnz2: usize, x: usiz
 
 /// Dynamic primitive selection (Fig. 8): pick the cheapest primitive for a
 /// tile pair with `nnz1`/`nnz2` nonzeros under a base kernel costing `x`
-/// FLOPs per evaluation.
+/// FLOPs per evaluation, by the GPU model [`estimated_cycles`].
 pub fn select_kind(nnz1: usize, nnz2: usize, x: usize) -> TileProductKind {
-    let candidates =
-        [TileProductKind::SparseSparse, TileProductKind::DenseSparse, TileProductKind::DenseDense];
+    cheapest(|kind| estimated_cycles(kind, nnz1, nnz2, x))
+}
+
+/// The primitive of least `cost`; ties go to sparse×sparse, then
+/// dense×sparse.
+fn cheapest(cost: impl Fn(TileProductKind) -> f64) -> TileProductKind {
     let mut best = TileProductKind::SparseSparse;
     let mut best_cost = f64::INFINITY;
-    for &k in &candidates {
-        let c = estimated_cycles(k, nnz1, nnz2, x);
+    for kind in
+        [TileProductKind::SparseSparse, TileProductKind::DenseSparse, TileProductKind::DenseDense]
+    {
+        let c = cost(kind);
         if c < best_cost {
             best_cost = c;
-            best = k;
+            best = kind;
         }
     }
     best
 }
 
-/// Precomputed 65×65 decision table for [`select_kind`], keyed by
-/// `(nnz1, nnz2)`.
+// ns per tile pair of the three loops the primitives run, as closed forms in
+// the tile populations and the kernel's FLOP count `x`. Fit by relative least
+// squares to `fig8_profitable_regions`' timing grid (random octiles, nnz₁ and
+// nnz₂ each over 1–16, 20, 24, 28, 32, 40, 48, 56, 64; unit, Kronecker-delta
+// and square-exponential edge kernels, x = 3, 4, 11; f32; AVX2 dense×dense)
+// on one 2.0 GHz Xeon core (family 6 model 143). That bin refits them.
+// Outside x = 3–11 they extrapolate.
+
+/// [`dense_dense`]: one 64-evaluation block per nonzero of the first tile,
+/// flat in `nnz₂`: `a + nnz₁·(b + c·x)`.
+const DENSE_DENSE_NS: [f64; 3] = [92.8, -14.19, 6.043];
+/// [`sparse_outer_lanes`]: per nonzero of the first tile, one kernel
+/// evaluation per nonzero of the second and an 8-lane sweep:
+/// `d + nnz₁·(e + f·x·nnz₂)`.
+const SPARSE_SPARSE_NS: [f64; 3] = [24.9, 17.11, 0.1890];
+/// [`dense_rows_direct`]: per nonzero of the second tile, one kernel
+/// evaluation per nonzero of the first and a 64-term serial chain:
+/// `g + nnz₂·(h + i·x·nnz₁)`.
+const DENSE_ROWS_NS: [f64; 3] = [36.7, 57.65, 0.1402];
+
+/// What `kind` costs on a tile pair, by the closed forms above.
+fn cpu_cost(kind: TileProductKind, nnz1: usize, nnz2: usize, kernel_flops: usize) -> f64 {
+    let (n1, n2, x) = (nnz1 as f64, nnz2 as f64, kernel_flops as f64);
+    match kind {
+        TileProductKind::DenseDense => {
+            let [a, b, c] = DENSE_DENSE_NS;
+            a + n1 * (b + c * x)
+        }
+        TileProductKind::DenseSparse if nnz1 > nnz2 => {
+            let [g, h, i] = DENSE_ROWS_NS;
+            g + n2 * (h + i * x * n1)
+        }
+        // dense×sparse with the first tile the sparser is the sparse×sparse
+        // call itself
+        TileProductKind::SparseSparse | TileProductKind::DenseSparse => {
+            let [d, e, f] = SPARSE_SPARSE_NS;
+            d + n1 * (e + f * x * n2)
+        }
+    }
+}
+
+/// The serving path's 65×65 primitive table, keyed by `(nnz1, nnz2)`.
 ///
-/// The adaptive rule only depends on the two tile populations and the
-/// base-kernel FLOP count, so an operator that sweeps every tile pair of a
-/// graph pair can evaluate the three [`estimated_cycles`] candidates once
-/// per population pair at assembly time and reduce the per-pair selection
-/// to a table lookup.
-#[derive(Debug, Clone)]
+/// The choice only depends on the two tile populations and the base-kernel
+/// FLOP count, so an operator that sweeps every tile pair of a graph pair
+/// looks it up instead of costing three candidates per pair. It is built
+/// from closed forms of what each primitive costs on a CPU, with constants
+/// fit once and written into the source — not from the GPU model of
+/// [`select_kind`], and not timed per process: the primitive fixes a pair's
+/// summation order, so a table measured on the host would make answers
+/// depend on the host's load. Ties go to sparse×sparse, so dense×sparse is
+/// chosen only where it runs its own loop (`nnz1 > nnz2`).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KindTable {
     kinds: [[TileProductKind; TILE_AREA + 1]; TILE_AREA + 1],
 }
@@ -165,14 +232,14 @@ impl KindTable {
         let mut kinds = [[TileProductKind::DenseDense; TILE_AREA + 1]; TILE_AREA + 1];
         for (n1, row) in kinds.iter_mut().enumerate() {
             for (n2, slot) in row.iter_mut().enumerate() {
-                *slot = select_kind(n1, n2, kernel_flops);
+                *slot = cheapest(|kind| cpu_cost(kind, n1, n2, kernel_flops));
             }
         }
         KindTable { kinds }
     }
 
-    /// The primitive [`select_kind`] would pick for a tile pair with
-    /// `nnz1`/`nnz2` nonzeros.
+    /// The primitive the table routes a tile pair with `nnz1`/`nnz2`
+    /// nonzeros to.
     #[inline]
     pub fn get(&self, nnz1: usize, nnz2: usize) -> TileProductKind {
         debug_assert!(
@@ -870,30 +937,30 @@ mod tests {
         let p: Vec<f32> = (0..25 * 9).map(|k| ((k * 13 % 17) as f32) * 0.05).collect();
         let expect = reference(&g1, &g2, &kernel, &p);
         let flops = mgk_kernels::BaseKernel::<f32>::cost(&kernel).flops;
-        let y = full_product(|n1, n2| select_kind(n1, n2, flops), &g1, &g2, &kernel, &p);
+        let table = KindTable::new(flops);
+        let y = full_product(|n1, n2| table.get(n1, n2), &g1, &g2, &kernel, &p);
         assert_close(&y, &expect, 1e-4);
     }
 
     #[test]
     fn selection_rule_reproduces_figure_8_crossovers() {
-        // the hot path reads the precomputed decision table; pin the Fig. 8
-        // crossovers to the table itself
-        let unl_table = KindTable::new(3);
-        let lab_table = KindTable::new(11);
+        // the paper's GPU model, kept as the Fig. 8 artifact
+        let unl = |a, b| select_kind(a, b, 3);
+        let lab = |a, b| select_kind(a, b, 11);
         // unlabeled graphs: X = 3
-        assert_eq!(unl_table.get(4, 4), TileProductKind::SparseSparse);
-        assert_eq!(unl_table.get(8, 8), TileProductKind::SparseSparse);
-        assert_eq!(unl_table.get(16, 16), TileProductKind::DenseDense);
-        assert_eq!(unl_table.get(64, 64), TileProductKind::DenseDense);
+        assert_eq!(unl(4, 4), TileProductKind::SparseSparse);
+        assert_eq!(unl(8, 8), TileProductKind::SparseSparse);
+        assert_eq!(unl(16, 16), TileProductKind::DenseDense);
+        assert_eq!(unl(64, 64), TileProductKind::DenseDense);
         // strongly asymmetric pairs favour dense×sparse
-        assert_eq!(unl_table.get(2, 60), TileProductKind::DenseSparse);
+        assert_eq!(unl(2, 60), TileProductKind::DenseSparse);
         // labeled graphs (X = 11): the sparse×sparse region extends further
-        assert_eq!(lab_table.get(12, 12), TileProductKind::SparseSparse);
-        assert_eq!(lab_table.get(32, 32), TileProductKind::DenseDense);
+        assert_eq!(lab(12, 12), TileProductKind::SparseSparse);
+        assert_eq!(lab(32, 32), TileProductKind::DenseDense);
         let threshold_unlabeled =
-            (1..=64).find(|&s| unl_table.get(s, s) != TileProductKind::SparseSparse).unwrap();
+            (1..=64).find(|&s| unl(s, s) != TileProductKind::SparseSparse).unwrap();
         let threshold_labeled =
-            (1..=64).find(|&s| lab_table.get(s, s) != TileProductKind::SparseSparse).unwrap();
+            (1..=64).find(|&s| lab(s, s) != TileProductKind::SparseSparse).unwrap();
         assert!(
             threshold_labeled > threshold_unlabeled,
             "labeled threshold {threshold_labeled} should exceed unlabeled {threshold_unlabeled}"
@@ -906,19 +973,26 @@ mod tests {
     }
 
     #[test]
-    fn kind_table_matches_select_kind_exhaustively() {
-        for flops in [1, 3, 11, 40] {
+    fn kind_table_follows_the_cpu_fit() {
+        for flops in [1, 3, 4, 11, 40] {
             let table = KindTable::new(flops);
+            assert_eq!(table, KindTable::new(flops), "two builds differ at X = {flops}");
+            // where dense×sparse is the sparse×sparse call, the tie goes to
+            // sparse×sparse
             for n1 in 0..=TILE_AREA {
-                for n2 in 0..=TILE_AREA {
-                    assert_eq!(
-                        table.get(n1, n2),
-                        select_kind(n1, n2, flops),
-                        "table disagrees at ({n1}, {n2}) with X = {flops}"
-                    );
+                for n2 in n1..=TILE_AREA {
+                    assert_ne!(table.get(n1, n2), TileProductKind::DenseSparse, "({n1}, {n2})");
                 }
             }
         }
+        // cells the timing grid measured
+        let (unit, se) = (KindTable::new(3), KindTable::new(11));
+        for (n1, n2) in [(6, 4), (6, 6), (7, 6)] {
+            assert_eq!(unit.get(n1, n2), TileProductKind::DenseDense, "unit ({n1}, {n2})");
+        }
+        assert_eq!(unit.get(1, 6), TileProductKind::SparseSparse);
+        assert_eq!(se.get(50, 4), TileProductKind::DenseSparse);
+        assert_eq!(se.get(4, 4), TileProductKind::SparseSparse);
     }
 
     /// Run the full tile-pair sweep through either the bitmap kernels or

@@ -54,7 +54,7 @@ enum OffDiagonal<E> {
         left: Octiles<E>,
         right: Octiles<E>,
         /// The solver's adaptive-selection table (the per-pair decision is
-        /// a lookup, not three cycle estimates), or `None` to force the
+        /// a lookup, not three cost estimates), or `None` to force the
         /// dense×dense primitive.
         kinds: Option<Arc<KindTable>>,
         /// Use the compact (bitmap + packed payload) storage accounting.

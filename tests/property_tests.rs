@@ -286,13 +286,17 @@ proptest! {
     ) {
         // the operator's real dispatch path: per-pair kinds from the
         // precomputed table, closed-form counters from the bitmap kernels
-        let table = KindTable::new(11);
-        let (y_new, c_new) = octile_sweep(false, |a, b| table.get(a, b), &g1, &g2, &p);
-        let (y_ref, c_ref) = octile_sweep(true, |a, b| table.get(a, b), &g1, &g2, &p);
-        for (a, b) in y_new.iter().zip(&y_ref) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
+        // — under the unit (X = 3) and Kronecker-delta (4) tables the sparse
+        // workloads route by, and the square-exponential one (11)
+        for flops in [3, 4, 11] {
+            let table = KindTable::new(flops);
+            let (y_new, c_new) = octile_sweep(false, |a, b| table.get(a, b), &g1, &g2, &p);
+            let (y_ref, c_ref) = octile_sweep(true, |a, b| table.get(a, b), &g1, &g2, &p);
+            for (a, b) in y_new.iter().zip(&y_ref) {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "X = {}", flops);
+            }
+            prop_assert_eq!(c_new, c_ref, "closed-form traffic must equal per-element totals");
         }
-        prop_assert_eq!(c_new, c_ref, "closed-form traffic must equal per-element totals");
     }
 }
 
