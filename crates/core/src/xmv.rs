@@ -693,6 +693,101 @@ mod tests {
         }
     }
 
+    /// The numbers `table1_intensity` and `fig8_profitable_regions` print,
+    /// as literals: the four Table I rows at the two 72-node shapes, and
+    /// the Fig. 8 GPU-model map at X = 3 and 11 over that bin's populations
+    /// (`s` sparse×sparse, `m` dense×sparse, `D` dense×dense).
+    #[test]
+    fn model_numbers_are_pinned() {
+        use crate::octile_ops::{select_kind, TileProductKind};
+        use mgk_gpusim::{xmv_traffic, PrimitiveKind, ProblemShape};
+        // [ops, ld.global, st.global, ld.shared, st.shared, kernel evaluations]
+        let rows = |shape: ProblemShape| {
+            let naive = xmv_traffic(PrimitiveKind::Naive, &shape);
+            let octile = [
+                XmvPrimitive::SharedTiling { t: 8, r: 8 },
+                XmvPrimitive::RegisterBlocking { t: 8, r: 8 },
+                XmvPrimitive::OCTILE,
+            ]
+            .map(|prim| xmv_traffic(prim.to_cost_kind(), &shape));
+            [naive, octile[0], octile[1], octile[2]].map(|c| {
+                [
+                    c.flops,
+                    c.global_load_bytes,
+                    c.global_store_bytes,
+                    c.shared_load_bytes,
+                    c.shared_store_bytes,
+                    c.kernel_evaluations,
+                ]
+            })
+        };
+        assert_eq!(
+            rows(ProblemShape::unlabeled(72, 72)),
+            [
+                [53747712, 110854656, 20736, 0, 0, 0],
+                [80621568, 3545856, 20736, 228427776, 3545856, 26873856],
+                [80621568, 3545856, 20736, 107495424, 1679616, 26873856],
+                [80621568, 3545856, 20736, 26873856, 1866240, 26873856],
+            ]
+        );
+        assert_eq!(
+            rows(ProblemShape::labeled_f32(72, 72, 11)),
+            [
+                [53747712, 110854656, 20736, 0, 0, 0],
+                [295612416, 5412096, 20736, 349360128, 5412096, 26873856],
+                [295612416, 5412096, 20736, 107495424, 1679616, 26873856],
+                [295612416, 5412096, 20736, 53747712, 3732480, 26873856],
+            ]
+        );
+
+        const MAP: [usize; 12] = [1, 2, 4, 6, 8, 10, 12, 16, 24, 32, 48, 64];
+        let map = |x| {
+            MAP.map(|n1| {
+                MAP.iter()
+                    .map(|&n2| match select_kind(n1, n2, x) {
+                        TileProductKind::SparseSparse => 's',
+                        TileProductKind::DenseSparse => 'm',
+                        TileProductKind::DenseDense => 'D',
+                    })
+                    .collect::<String>()
+            })
+        };
+        assert_eq!(
+            map(3),
+            [
+                "sssssssmmmmm",
+                "ssssssmmmmmm",
+                "sssssmmmmmmm",
+                "sssssmmmmmmm",
+                "sssssmmmmmmm",
+                "ssmmmDDDDDDD",
+                "smmmmDDDDDDD",
+                "mmmmmDDDDDDD",
+                "mmmmmDDDDDDD",
+                "mmmmmDDDDDDD",
+                "mmmmmDDDDDDD",
+                "mmmmmDDDDDDD",
+            ]
+        );
+        assert_eq!(
+            map(11),
+            [
+                "sssssssmmmmm",
+                "sssssssmmmmm",
+                "sssssssmmmmm",
+                "sssssssmmmmm",
+                "sssssssmmmmm",
+                "sssssssmmmmm",
+                "sssssssDDDDD",
+                "mmmmmmDDDDDD",
+                "mmmmmmDDDDDD",
+                "mmmmmmDDDDDD",
+                "mmmmmmDDDDDD",
+                "mmmmmmDDDDDD",
+            ]
+        );
+    }
+
     #[test]
     fn octile_primitive_moves_less_global_data_than_small_tiles() {
         let (data, p) = test_pair(9, 24, 24);
