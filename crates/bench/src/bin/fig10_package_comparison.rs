@@ -17,9 +17,10 @@
 use std::time::Instant;
 
 use mgk_baselines::{ExplicitSolver, FixedPointSolver};
+use mgk_bench::device::DeviceSpec;
+use mgk_bench::project::estimate_time;
 use mgk_bench::{fmt_duration, scaled, AtomKernel, BondKernel, ElementKernel};
 use mgk_core::{GramConfig, GramEngine, MarginalizedKernelSolver, SolverConfig};
-use mgk_gpusim::{estimate_time, DeviceSpec};
 use mgk_graph::Graph;
 use mgk_kernels::BaseKernel;
 

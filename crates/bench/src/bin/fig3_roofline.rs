@@ -5,7 +5,9 @@
 //! `X = 3`); the on-the-fly solver reuses each streamed element `c` times,
 //! giving an arithmetic intensity of `c·X / (E + F)`.
 
-use mgk_gpusim::{DeviceSpec, PrimitiveKind, RooflineModel};
+use mgk_bench::device::DeviceSpec;
+use mgk_bench::roofline::RooflineModel;
+use mgk_core::xmv::NaiveProduct;
 
 fn main() {
     let device = DeviceSpec::volta_v100();
@@ -26,7 +28,7 @@ fn main() {
     );
 
     // the naive kernel: AI = 2/F
-    let naive_ai = PrimitiveKind::Naive.asymptotic_ai_global(e, f, x);
+    let naive_ai = NaiveProduct::asymptotic_ai_global(f);
     let naive_perf = model.attainable_global(naive_ai);
     println!(
         "{:<22} {:>12.2} {:>18.1} {:>13.1}%",

@@ -13,12 +13,14 @@
 
 use std::time::Instant;
 
+use mgk_bench::device::DeviceSpec;
+use mgk_bench::occupancy::{occupancy, register_blocking_registers, OccupancyLimits};
+use mgk_bench::project::estimate_time;
 use mgk_bench::{bench_rng, fmt_duration, scaled};
 use mgk_core::{DensePairData, XmvPrimitive};
-use mgk_gpusim::occupancy::register_blocking_registers;
-use mgk_gpusim::{estimate_time, occupancy, DeviceSpec, OccupancyLimits, TrafficCounters};
 use mgk_graph::generators;
 use mgk_kernels::UnitKernel;
+use mgk_linalg::TrafficCounters;
 
 const PAPER_PAIRS: u64 = 5120;
 const NODES: usize = 72;
@@ -42,7 +44,7 @@ fn configurations() -> Vec<(&'static str, Option<XmvPrimitive>)> {
 
 /// Occupancy of each configuration on the V100 (register blocking with
 /// large `r` loses occupancy to register pressure — Section III-D).
-fn config_occupancy(device: &DeviceSpec, name: &str, prim: Option<XmvPrimitive>) -> f64 {
+fn config_occupancy(device: &DeviceSpec, prim: Option<XmvPrimitive>) -> f64 {
     let (regs, shared) = match prim {
         None => (32, 0),
         Some(XmvPrimitive::SharedTiling { t, r }) => (48, (t * r + t * r + r * r) * 8),
@@ -51,7 +53,6 @@ fn config_occupancy(device: &DeviceSpec, name: &str, prim: Option<XmvPrimitive>)
         }
         Some(XmvPrimitive::TilingBlocking { t, r }) => (40 + 2 * r, (t * t * 2 + t * t) * 8),
     };
-    let _ = name;
     occupancy(
         device,
         &OccupancyLimits {
@@ -125,7 +126,7 @@ fn main() {
             flops: per_pair.flops * PAPER_PAIRS / pairs as u64,
             kernel_evaluations: per_pair.kernel_evaluations * PAPER_PAIRS / pairs as u64,
         };
-        let occ = config_occupancy(&device, name, prim);
+        let occ = config_occupancy(&device, prim);
         let est = estimate_time(&device, &projected, occ);
         let device_gibs =
             projected.global_bytes() as f64 / est.total_seconds / (1024.0 * 1024.0 * 1024.0);

@@ -21,12 +21,13 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use mgk_bench::bench_rng;
+use mgk_bench::warp_cycles::select_kind;
 use mgk_core::octile_ops::{
-    select_kind, tile_pair_product_with_panels, KindTable, PairContext, PaneledTile, TileCosts,
-    TilePanels, TileProductKind,
+    tile_pair_product_with_panels, KindTable, PairContext, PaneledTile, TileCosts, TilePanels,
+    TileProductKind,
 };
-use mgk_gpusim::TrafficCounters;
 use mgk_kernels::{BaseKernel, KroneckerDelta, SquareExponential, UnitKernel};
+use mgk_linalg::TrafficCounters;
 use mgk_tile::Octile;
 use rand::seq::SliceRandom;
 use rand::Rng;

@@ -20,11 +20,12 @@
 
 use std::time::Instant;
 
+use mgk_bench::device::DeviceSpec;
+use mgk_bench::project::estimate_time;
 use mgk_bench::{
     bench_scale, distance_kernel, fmt_duration, scaled, AtomKernel, BondKernel, ElementKernel,
 };
 use mgk_core::{GramConfig, GramEngine, MarginalizedKernelSolver, OptimizationLevel, SolverConfig};
-use mgk_gpusim::{estimate_time, DeviceSpec};
 use mgk_graph::Graph;
 use mgk_kernels::BaseKernel;
 

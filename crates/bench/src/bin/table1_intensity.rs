@@ -10,34 +10,30 @@
 //!    which is the correctness check of the cost model.
 
 use mgk_bench::bench_rng;
+use mgk_core::xmv::{NaiveProduct, ProblemShape};
 use mgk_core::{DensePairData, XmvPrimitive};
-use mgk_gpusim::{xmv_traffic, PrimitiveKind, ProblemShape, TrafficCounters};
 use mgk_graph::generators;
 use mgk_kernels::{BaseKernel, SquareExponential, UnitKernel};
+use mgk_linalg::TrafficCounters;
 
-fn primitives() -> Vec<PrimitiveKind> {
-    vec![
-        PrimitiveKind::Naive,
-        PrimitiveKind::SharedTiling { t: 8, r: 8 },
-        PrimitiveKind::RegisterBlocking { t: 8, r: 8 },
-        PrimitiveKind::TilingBlocking { t: 8, r: 8 },
-    ]
-}
+/// Table I's on-the-fly rows; the naive row comes first.
+const PRIMITIVES: [XmvPrimitive; 3] = [
+    XmvPrimitive::SharedTiling { t: 8, r: 8 },
+    XmvPrimitive::RegisterBlocking { t: 8, r: 8 },
+    XmvPrimitive::TilingBlocking { t: 8, r: 8 },
+];
 
-fn print_model_row(kind: PrimitiveKind, shape: &ProblemShape) {
-    let c = xmv_traffic(kind, shape);
-    let (e, f, x) =
-        (shape.edge_label_bytes as f64, shape.float_bytes as f64, shape.kernel_flops as f64);
+fn print_model_row(name: &str, c: TrafficCounters, ai_global: f64, ai_shared: f64) {
     println!(
         "{:<26} {:>12} {:>14} {:>12} {:>14} {:>12} {:>10.2} {:>10.2}",
-        kind.name(),
+        name,
         c.flops,
         c.global_load_bytes,
         c.global_store_bytes,
         c.shared_load_bytes,
         c.shared_store_bytes,
-        kind.asymptotic_ai_global(e, f, x),
-        kind.asymptotic_ai_shared(e, f, x),
+        ai_global,
+        ai_shared,
     );
 }
 
@@ -65,8 +61,18 @@ fn main() {
             "AI.glob",
             "AI.shared"
         );
-        for kind in primitives() {
-            print_model_row(kind, &shape);
+        let (e, f, x) =
+            (shape.edge_label_bytes as f64, shape.float_bytes as f64, shape.kernel_flops as f64);
+        // the naive kernel performs no shared-memory traffic
+        let naive = NaiveProduct::modeled_traffic(&shape);
+        print_model_row("naive", naive, NaiveProduct::asymptotic_ai_global(f), f64::INFINITY);
+        for prim in PRIMITIVES {
+            print_model_row(
+                &prim.name(),
+                prim.modeled_traffic(&shape),
+                prim.asymptotic_ai_global(e, f, x),
+                prim.asymptotic_ai_shared(e, f, x),
+            );
         }
         println!();
     }
@@ -82,13 +88,7 @@ fn main() {
     let data = DensePairData::new(&g1, &g2, &kernel);
     let p: Vec<f32> = (0..data.product_dim()).map(|k| ((k % 13) as f32) * 0.07).collect();
     let mut y = vec![0.0f32; data.product_dim()];
-    let shape = ProblemShape {
-        n: 72,
-        m: 72,
-        edge_label_bytes: 4,
-        float_bytes: 4,
-        kernel_flops: BaseKernel::<f32>::cost(&kernel).flops,
-    };
+    let shape = ProblemShape::labeled_f32(72, 72, BaseKernel::<f32>::cost(&kernel).flops);
     println!(
         "{:<26} {:>16} {:>16} {:>10} {:>16} {:>16} {:>10}",
         "primitive",
@@ -99,14 +99,10 @@ fn main() {
         "ld.shared model",
         "ratio"
     );
-    for prim in [
-        XmvPrimitive::SharedTiling { t: 8, r: 8 },
-        XmvPrimitive::RegisterBlocking { t: 8, r: 8 },
-        XmvPrimitive::TilingBlocking { t: 8, r: 8 },
-    ] {
+    for prim in PRIMITIVES {
         let mut counted = TrafficCounters::new();
         prim.apply(&data, &kernel, &p, &mut y, &mut counted);
-        let model = xmv_traffic(prim.to_cost_kind(), &shape);
+        let model = prim.modeled_traffic(&shape);
         let ratio = |a: u64, b: u64| a as f64 / b.max(1) as f64;
         println!(
             "{:<26} {:>16} {:>16} {:>10.3} {:>16} {:>16} {:>10.3}",
@@ -130,6 +126,6 @@ fn main() {
     println!(
         "\nunlabeled octile primitive: counted global AI = {:.1} FLOP/B (Table I asymptote: {:.1})",
         counted.arithmetic_intensity_global(),
-        PrimitiveKind::TilingBlocking { t: 8, r: 8 }.asymptotic_ai_global(0.0, 4.0, 3.0)
+        XmvPrimitive::OCTILE.asymptotic_ai_global(0.0, 4.0, 3.0)
     );
 }

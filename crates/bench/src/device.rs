@@ -2,7 +2,7 @@
 //! models.
 
 /// Hardware parameters of a GPU, at the granularity the paper's Roofline
-//  analysis needs.
+/// analysis needs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Marketing name, e.g. "Tesla V100".

@@ -1,4 +1,5 @@
-//! Shared helpers for the paper's report binaries.
+//! The paper's report binaries, their shared helpers, and the V100 model
+//! they project onto.
 //!
 //! Every table and figure of the paper's evaluation has a dedicated report
 //! binary under `src/bin/` (run with
@@ -20,12 +21,25 @@
 //! The CPU in this environment obviously cannot hit the absolute numbers of
 //! a V100; each binary therefore reports both the measured CPU time of this
 //! implementation and, where the paper's result is a GPU quantity, the
-//! projection of the measured memory traffic onto the V100 model from
-//! `mgk-gpusim`. Dataset sizes default to values that complete in minutes
-//! and can be scaled with the `MGK_BENCH_SCALE` environment variable
-//! (a float multiplier on dataset sizes; `1.0` is the default).
+//! projection of the measured memory traffic onto the V100 model below.
+//! Dataset sizes default to values that complete in minutes and can be
+//! scaled with the `MGK_BENCH_SCALE` environment variable (a float
+//! multiplier on dataset sizes; `1.0` is the default).
+//!
+//! The V100 model is analysis, not serving code, so it lives here beside the
+//! bins that print it: device specifications ([`device`]), the Roofline
+//! model of Figs. 3 and 5 ([`roofline`]), an occupancy model
+//! ([`mod@occupancy`]), a projected-time estimator ([`project`]) and the
+//! Fig. 8 warp-cycle selection rule ([`warp_cycles`]). Table I's closed
+//! forms sit in `mgk_core::xmv`, beside the primitives they model.
 
 #![forbid(unsafe_code)]
+
+pub mod device;
+pub mod occupancy;
+pub mod project;
+pub mod roofline;
+pub mod warp_cycles;
 
 use mgk_graph::{AtomLabel, BondLabel, Element, Graph, Unlabeled};
 use mgk_kernels::{BaseKernel, KernelCost, KroneckerDelta, SquareExponential};

@@ -7,8 +7,9 @@
 //! arithmetic throughput (an SM that cannot keep enough warps in flight
 //! cannot reach peak issue rate).
 
+use mgk_linalg::TrafficCounters;
+
 use crate::device::DeviceSpec;
-use crate::traffic::TrafficCounters;
 
 /// What limits the projected execution time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,16 +79,24 @@ pub fn estimate_time(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{xmv_traffic, PrimitiveKind, ProblemShape};
+    use mgk_core::xmv::{NaiveProduct, ProblemShape, XmvPrimitive};
 
-    fn per_pair(kind: PrimitiveKind) -> TrafficCounters {
-        xmv_traffic(kind, &ProblemShape::unlabeled(72, 72))
+    fn shape() -> ProblemShape {
+        ProblemShape::unlabeled(72, 72)
+    }
+
+    fn naive_pair() -> TrafficCounters {
+        NaiveProduct::modeled_traffic(&shape())
+    }
+
+    fn per_pair(kind: XmvPrimitive) -> TrafficCounters {
+        kind.modeled_traffic(&shape())
     }
 
     #[test]
     fn naive_is_global_memory_bound() {
         let d = DeviceSpec::volta_v100();
-        let est = estimate_time(&d, &per_pair(PrimitiveKind::Naive), 1.0);
+        let est = estimate_time(&d, &naive_pair(), 1.0);
         assert_eq!(est.bound, Bound::GlobalMemory);
         assert!(est.flops_efficiency < 0.05);
     }
@@ -96,12 +105,8 @@ mod tests {
     fn octile_primitive_is_much_faster_than_naive() {
         let d = DeviceSpec::volta_v100();
         // 5120 pairs of 72-node graphs, as in Fig. 5
-        let naive = estimate_time(&d, &per_pair(PrimitiveKind::Naive).scaled(5120), 1.0);
-        let octile = estimate_time(
-            &d,
-            &per_pair(PrimitiveKind::TilingBlocking { t: 8, r: 8 }).scaled(5120),
-            1.0,
-        );
+        let naive = estimate_time(&d, &naive_pair().scaled(5120), 1.0);
+        let octile = estimate_time(&d, &per_pair(XmvPrimitive::OCTILE).scaled(5120), 1.0);
         assert!(octile.total_seconds * 3.0 < naive.total_seconds);
         assert!(octile.flops_efficiency > 0.5);
     }
@@ -111,11 +116,11 @@ mod tests {
         // walltime: tiling-blocking < register-blocking(8,8) and
         // shared-tiling(8,8); all beat the naive kernel
         let d = DeviceSpec::volta_v100();
-        let time = |k| estimate_time(&d, &per_pair(k).scaled(5120), 1.0).total_seconds;
-        let naive = time(PrimitiveKind::Naive);
-        let shared = time(PrimitiveKind::SharedTiling { t: 8, r: 8 });
-        let reg = time(PrimitiveKind::RegisterBlocking { t: 8, r: 8 });
-        let octile = time(PrimitiveKind::TilingBlocking { t: 8, r: 8 });
+        let time = |c: TrafficCounters| estimate_time(&d, &c.scaled(5120), 1.0).total_seconds;
+        let naive = time(naive_pair());
+        let shared = time(per_pair(XmvPrimitive::SharedTiling { t: 8, r: 8 }));
+        let reg = time(per_pair(XmvPrimitive::RegisterBlocking { t: 8, r: 8 }));
+        let octile = time(per_pair(XmvPrimitive::OCTILE));
         assert!(octile < shared, "octile {octile} vs shared {shared}");
         assert!(octile < reg, "octile {octile} vs register {reg}");
         assert!(shared < naive && reg < naive);
@@ -124,7 +129,7 @@ mod tests {
     #[test]
     fn low_occupancy_slows_compute_bound_kernels() {
         let d = DeviceSpec::volta_v100();
-        let c = per_pair(PrimitiveKind::TilingBlocking { t: 8, r: 8 });
+        let c = per_pair(XmvPrimitive::OCTILE);
         let full = estimate_time(&d, &c, 1.0);
         let starved = estimate_time(&d, &c, 0.1);
         assert!(starved.total_seconds > full.total_seconds);
@@ -138,10 +143,8 @@ mod tests {
         let volta = DeviceSpec::volta_v100();
         let pascal = DeviceSpec::titan_x_pascal();
         let speedup = |d: &DeviceSpec| {
-            let naive = estimate_time(d, &per_pair(PrimitiveKind::Naive), 1.0).total_seconds;
-            let octile =
-                estimate_time(d, &per_pair(PrimitiveKind::TilingBlocking { t: 8, r: 8 }), 1.0)
-                    .total_seconds;
+            let naive = estimate_time(d, &naive_pair(), 1.0).total_seconds;
+            let octile = estimate_time(d, &per_pair(XmvPrimitive::OCTILE), 1.0).total_seconds;
             naive / octile
         };
         assert!(speedup(&pascal) > speedup(&volta));

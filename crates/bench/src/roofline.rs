@@ -1,8 +1,9 @@
 //! The Roofline model (Williams et al., reference \[8\]) used in Figs. 3 and
 //! 5 of the paper.
 
+use mgk_linalg::TrafficCounters;
+
 use crate::device::DeviceSpec;
-use crate::traffic::TrafficCounters;
 
 /// A point on the Roofline plot: a kernel characterized by its arithmetic
 /// intensities and its attainable/measured performance.
@@ -90,7 +91,7 @@ impl RooflineModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{xmv_traffic, PrimitiveKind, ProblemShape};
+    use mgk_core::xmv::{NaiveProduct, ProblemShape, XmvPrimitive};
 
     #[test]
     fn naive_solver_is_memory_bound_at_3_percent() {
@@ -130,12 +131,12 @@ mod tests {
     fn tiling_blocking_point_is_compute_bound_on_v100() {
         let model = RooflineModel::new(DeviceSpec::volta_v100());
         let shape = ProblemShape::unlabeled(72, 72);
-        let c = xmv_traffic(PrimitiveKind::TilingBlocking { t: 8, r: 8 }, &shape);
+        let c = XmvPrimitive::OCTILE.modeled_traffic(&shape);
         let p = model.point("octile", &c);
         // Fig. 5 reports ~91% FLOPS efficiency for the (8,8) tiling-blocking
         // primitive; the Roofline bound itself must therefore be higher
         assert!(p.peak_fraction > 0.85, "peak fraction {}", p.peak_fraction);
-        let naive = model.point("naive", &xmv_traffic(PrimitiveKind::Naive, &shape));
+        let naive = model.point("naive", &NaiveProduct::modeled_traffic(&shape));
         assert!(naive.peak_fraction < 0.05);
         assert!(p.attainable_gflops_per_sm > naive.attainable_gflops_per_sm * 10.0);
     }
@@ -144,7 +145,7 @@ mod tests {
     fn shared_tiling_is_limited_by_the_shared_roof() {
         let model = RooflineModel::new(DeviceSpec::volta_v100());
         let shape = ProblemShape::unlabeled(72, 72);
-        let c = xmv_traffic(PrimitiveKind::SharedTiling { t: 8, r: 8 }, &shape);
+        let c = XmvPrimitive::SharedTiling { t: 8, r: 8 }.modeled_traffic(&shape);
         let p = model.point("shared-tiling", &c);
         // bound by shared memory, i.e. the shared bound is the tighter one
         let only_global = model.attainable_global(p.ai_global);

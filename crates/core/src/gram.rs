@@ -12,10 +12,9 @@ use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 
-use mgk_gpusim::TrafficCounters;
 use mgk_graph::Graph;
 use mgk_kernels::BaseKernel;
-use mgk_linalg::{Precision, Scalar};
+use mgk_linalg::{Precision, Scalar, TrafficCounters};
 
 use crate::prepared::PreparedGraph;
 use crate::solver::{KernelResult, MarginalizedKernelSolver, SolverError};

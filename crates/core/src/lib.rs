@@ -18,11 +18,10 @@
 //!
 //! * [`xmv`] — the dense on-the-fly Kronecker-product mat-vec primitives of
 //!   Section III (naive, shared tiling, register blocking, tiling+blocking)
-//!   with memory-traffic instrumentation.
+//!   with memory-traffic instrumentation, beside Table I's closed forms.
 //! * [`octile_ops`] — the sparse tile-pair product primitives of
-//!   Section IV-B (`dense×dense`, `dense×sparse`, `sparse×sparse`), the
-//!   paper's Fig. 8 selection model, and the CPU-fit table the solver
-//!   routes tile pairs by.
+//!   Section IV-B (`dense×dense`, `dense×sparse`, `sparse×sparse`) and the
+//!   CPU-fit table the solver routes tile pairs by.
 //! * [`prepared`] — [`PreparedGraph`], everything about one structure that
 //!   is built once and shared by every pair it is in (octile storage).
 //! * [`product`] — assembly of the tensor-product system (degree/vertex

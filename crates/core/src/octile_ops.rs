@@ -18,25 +18,25 @@
 //! * [`TileProductKind::SparseSparse`] — both tiles iterated via their
 //!   bitmaps; only `nnz₁ · nnz₂` products are formed.
 //!
-//! Two cost models pick among them. [`select_kind`] is the paper's Fig. 8
-//! rule: a per-primitive warp-cycle estimate ([`estimated_cycles`]) of each
-//! variant on a V100, kept as the figure's artifact. The solver routes by
-//! [`KindTable`] instead, whose closed forms follow the loops each primitive
-//! runs *here* and whose constants were fit to them on a CPU (see
-//! [`KindTable`]).
+//! The solver picks among them by [`KindTable`], whose closed forms follow
+//! the loops each primitive runs *here* and whose constants were fit to them
+//! on a CPU. The paper's Fig. 8 rule — a warp-cycle estimate of each variant
+//! on a V100 — is not on this path: it lives beside the bin that prints the
+//! figure, as `mgk_bench::warp_cycles::select_kind`.
 //!
 //! # Counted traffic
 //!
-//! Every primitive attributes its traffic through
-//! [`mgk_gpusim::octile_pair_traffic`], the GPU kernels' closed forms. For
-//! dense×dense these count the full 64×64 block a warp evaluates — `4096·x`
-//! FLOPs — while the CPU body skips the first tile's empty slots and
-//! executes at most `64·nnz₁` kernel evaluations. The CPU table sends most
-//! small tile pairs to dense×dense, so on sparse graphs the FLOP counters
-//! (`mgk_traffic_flops_total`, the intensity gauge, and any roofline
-//! fraction built on them) count the GPU's work, several times what the CPU
-//! does.
-//! The forms stay as they are: they are the GPU projection's inputs, and
+//! Every primitive attributes its traffic through one per-tile-pair closed
+//! form of the GPU kernels' shared-memory traffic and FLOPs
+//! (`octile_pair_traffic`, private, beside
+//! [`tile_pair_product_with_panels`]). For dense×dense it counts the full
+//! 64×64 block a warp evaluates — `4096·x` FLOPs — while the CPU body skips
+//! the first tile's empty slots and executes at most `64·nnz₁` kernel
+//! evaluations. The CPU table sends most small tile pairs to dense×dense, so
+//! on sparse graphs the FLOP counters (`mgk_traffic_flops_total`, the
+//! intensity gauge, and any roofline fraction built on them) count the GPU's
+//! work, several times what the CPU does.
+//! The forms stay as they are: they are the V100 projection's inputs, and
 //! their totals are pinned to [`tile_pair_product_scalar`].
 //!
 //! # Vectorization
@@ -80,9 +80,8 @@
     )
 )]
 
-use mgk_gpusim::{octile_pair_traffic, OctilePairShape, TrafficCounters};
 use mgk_kernels::BaseKernel;
-use mgk_linalg::Scalar;
+use mgk_linalg::{Scalar, TrafficCounters};
 use mgk_tile::{Octile, TILE_AREA, TILE_SIZE};
 
 /// Which tile-pair primitive to use.
@@ -105,50 +104,6 @@ impl TileProductKind {
             TileProductKind::SparseSparse => "sparse×sparse",
         }
     }
-}
-
-/// Estimated execution cost, in abstract warp-cycles, of applying `kind` to
-/// a tile pair with the given populations, when one base-kernel evaluation
-/// costs `x` FLOPs.
-///
-/// The constants encode the efficiency differences of the GPU variants: the
-/// dense kernel runs in lockstep over all 64 lanes-worth of products with
-/// FMA pairing, the sparse kernel pays per-nonzero index decoding
-/// (bit-manipulation) and divergence, and the mixed kernel sits in between.
-/// The resulting profitable regions reproduce the crossovers of Fig. 8
-/// (sparse×sparse up to ~8–10 nonzeros per tile for unlabeled graphs,
-/// ~13–16 for labeled ones).
-pub fn estimated_cycles(kind: TileProductKind, nnz1: usize, nnz2: usize, x: usize) -> f64 {
-    let x = x as f64;
-    let full = (TILE_SIZE * TILE_SIZE) as f64;
-    match kind {
-        // all products evaluated, 64 products per instruction group (full
-        // warp with FMA pairing), plus the cost of expanding both tiles
-        // into shared memory
-        TileProductKind::DenseDense => full * full * x / 64.0 + full,
-        // the sparse operand is decoded once per nonzero; products proceed
-        // at a reduced rate because one index stream is irregular
-        TileProductKind::DenseSparse => {
-            let s = nnz1.min(nnz2) as f64;
-            full * s * x / 12.0 + 4.0 * s + full
-        }
-        // only nnz1·nnz2 products, but each pays index decoding and the
-        // warp runs partially divergent; the fixed per-product overhead
-        // shrinks relative to the arithmetic as the base kernel gets more
-        // expensive, which is why the labeled crossover sits further out
-        // (Fig. 8, right panel)
-        TileProductKind::SparseSparse => {
-            let prods = (nnz1 * nnz2) as f64;
-            prods * (x / 4.0 + 1.5) + 4.0 * (nnz1 + nnz2) as f64
-        }
-    }
-}
-
-/// Dynamic primitive selection (Fig. 8): pick the cheapest primitive for a
-/// tile pair with `nnz1`/`nnz2` nonzeros under a base kernel costing `x`
-/// FLOPs per evaluation, by the GPU model [`estimated_cycles`].
-pub fn select_kind(nnz1: usize, nnz2: usize, x: usize) -> TileProductKind {
-    cheapest(|kind| estimated_cycles(kind, nnz1, nnz2, x))
 }
 
 /// The primitive of least `cost`; ties go to sparse×sparse, then
@@ -215,8 +170,8 @@ fn cpu_cost(kind: TileProductKind, nnz1: usize, nnz2: usize, kernel_flops: usize
 /// FLOP count, so an operator that sweeps every tile pair of a graph pair
 /// looks it up instead of costing three candidates per pair. It is built
 /// from closed forms of what each primitive costs on a CPU, with constants
-/// fit once and written into the source — not from the GPU model of
-/// [`select_kind`], and not timed per process: the primitive fixes a pair's
+/// fit once and written into the source — not from the paper's V100 model,
+/// and not timed per process: the primitive fixes a pair's
 /// summation order, so a table measured on the host would make answers
 /// depend on the host's load. Ties go to sparse×sparse, so dense×sparse is
 /// chosen only where it runs its own loop (`nnz1 > nnz2`).
@@ -400,9 +355,8 @@ pub struct PairContext<'a, K> {
 /// each output element accumulates the same nonzero terms in the same
 /// order, at the same associativity, as [`tile_pair_product_scalar`]: the
 /// results are bitwise identical at `f32` and `f64`. Traffic is attributed
-/// through the per-pair closed forms of
-/// [`mgk_gpusim::octile_pair_traffic`], which match the scalar reference's
-/// totals exactly.
+/// through per-pair closed forms (the private `octile_pair_traffic`), which
+/// match the scalar reference's totals exactly.
 pub fn tile_pair_product_with_panels<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     kind: TileProductKind,
     s1: PaneledTile<'_, E>,
@@ -458,6 +412,79 @@ pub fn tile_pair_product_with_panels<T: Scalar, E: Copy + Default, K: BaseKernel
             dense_dense(s1, s2, (n, m), kernel, p, y);
         }
     }
+}
+
+/// The shape of one tile-pair product, for the closed forms of
+/// [`octile_pair_traffic`]: exactly what the primitives know before touching
+/// any payload — the tile populations and, for the mixed primitive, how many
+/// of the dense tile's rows fall inside the matrix (edge tiles are clamped).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OctilePairShape {
+    /// Both tiles expanded; all `t⁴` products evaluated.
+    DenseDense,
+    /// The sparser tile iterated per nonzero against the dense tile's
+    /// in-range rows.
+    DenseSparse {
+        /// Nonzeros of the sparser tile.
+        nnz_sparse: u64,
+        /// Dense-tile rows inside the matrix (`min(t, dim − 8·tile_row)`).
+        rows_in_range: u64,
+    },
+    /// Only `nnz₁ · nnz₂` products formed.
+    SparseSparse {
+        /// Nonzeros of the first tile.
+        nnz1: u64,
+        /// Nonzeros of the second tile.
+        nnz2: u64,
+    },
+}
+
+/// Closed-form shared-memory traffic, FLOPs and base-kernel evaluations of
+/// one 8×8 tile-pair product on the GPU (Section IV-B), attributing what the
+/// Appendix-C table attributes per term: `label_bytes`/`float_bytes` are the
+/// stored `E`/`F` sizes, `vector_bytes` the right-hand-side scalar width and
+/// `kernel_flops` the per-evaluation cost `X`.
+///
+/// Global traffic is *not* included — tile streaming is accounted at the
+/// operator layer, where compact storage and block sharing apply.
+/// [`tile_pair_product_scalar`] counts the same totals element by element.
+fn octile_pair_traffic(
+    shape: OctilePairShape,
+    label_bytes: u64,
+    float_bytes: u64,
+    vector_bytes: u64,
+    kernel_flops: u64,
+) -> TrafficCounters {
+    const T: u64 = TILE_SIZE as u64;
+    let (eb, fb, vb, x) = (label_bytes, float_bytes, vector_bytes, kernel_flops);
+    let mut c = TrafficCounters::new();
+    match shape {
+        OctilePairShape::SparseSparse { nnz1, nnz2 } => {
+            let prods = nnz1 * nnz2;
+            c.flops = prods * x;
+            c.kernel_evaluations = prods;
+            c.shared_load_bytes = prods * (2 * (fb + eb) + vb);
+        }
+        OctilePairShape::DenseSparse { nnz_sparse, rows_in_range } => {
+            // the dense tile is expanded into shared memory once, then every
+            // in-range dense slot is visited per sparse nonzero
+            let elems = nnz_sparse * rows_in_range * T;
+            c.flops = elems * x;
+            c.kernel_evaluations = elems;
+            c.shared_load_bytes = elems * (fb + eb + vb);
+            c.shared_store_bytes = T * T * (fb + eb);
+        }
+        OctilePairShape::DenseDense => {
+            // both tiles expanded; the full t⁴ block is evaluated with the
+            // tiling-blocking reuse pattern (~2(E+F)/t bytes per term)
+            let full = T * T * T * T;
+            c.flops = full * x;
+            c.kernel_evaluations = full;
+            c.shared_load_bytes = full * (fb + eb) * 2 / T;
+            c.shared_store_bytes = 2 * T * T * (fb + eb);
+        }
+    }
+    c
 }
 
 /// Sparse-outer bitmap-expansion kernel: walk the sparse tile's nonzeros
@@ -943,33 +970,31 @@ mod tests {
     }
 
     #[test]
-    fn selection_rule_reproduces_figure_8_crossovers() {
-        // the paper's GPU model, kept as the Fig. 8 artifact
-        let unl = |a, b| select_kind(a, b, 3);
-        let lab = |a, b| select_kind(a, b, 11);
-        // unlabeled graphs: X = 3
-        assert_eq!(unl(4, 4), TileProductKind::SparseSparse);
-        assert_eq!(unl(8, 8), TileProductKind::SparseSparse);
-        assert_eq!(unl(16, 16), TileProductKind::DenseDense);
-        assert_eq!(unl(64, 64), TileProductKind::DenseDense);
-        // strongly asymmetric pairs favour dense×sparse
-        assert_eq!(unl(2, 60), TileProductKind::DenseSparse);
-        // labeled graphs (X = 11): the sparse×sparse region extends further
-        assert_eq!(lab(12, 12), TileProductKind::SparseSparse);
-        assert_eq!(lab(32, 32), TileProductKind::DenseDense);
-        let threshold_unlabeled =
-            (1..=64).find(|&s| unl(s, s) != TileProductKind::SparseSparse).unwrap();
-        let threshold_labeled =
-            (1..=64).find(|&s| lab(s, s) != TileProductKind::SparseSparse).unwrap();
-        assert!(
-            threshold_labeled > threshold_unlabeled,
-            "labeled threshold {threshold_labeled} should exceed unlabeled {threshold_unlabeled}"
+    fn octile_pair_closed_forms_scale_with_population() {
+        let ss =
+            octile_pair_traffic(OctilePairShape::SparseSparse { nnz1: 3, nnz2: 5 }, 4, 4, 4, 11);
+        assert_eq!(ss.kernel_evaluations, 15);
+        assert_eq!(ss.flops, 15 * 11);
+        assert_eq!(ss.shared_load_bytes, 15 * (2 * 8 + 4));
+        assert_eq!(ss.shared_store_bytes, 0);
+
+        let ds = octile_pair_traffic(
+            OctilePairShape::DenseSparse { nnz_sparse: 4, rows_in_range: 6 },
+            4,
+            4,
+            8,
+            11,
         );
-        assert!(
-            (8..=12).contains(&threshold_unlabeled),
-            "unlabeled threshold {threshold_unlabeled}"
-        );
-        assert!((12..=20).contains(&threshold_labeled), "labeled threshold {threshold_labeled}");
+        assert_eq!(ds.kernel_evaluations, 4 * 6 * 8);
+        assert_eq!(ds.flops, 4 * 6 * 8 * 11);
+        assert_eq!(ds.shared_load_bytes, 4 * 6 * 8 * (4 + 4 + 8));
+        assert_eq!(ds.shared_store_bytes, 64 * 8);
+
+        let dd = octile_pair_traffic(OctilePairShape::DenseDense, 0, 4, 4, 3);
+        assert_eq!(dd.kernel_evaluations, 4096);
+        assert_eq!(dd.flops, 4096 * 3);
+        assert_eq!(dd.shared_load_bytes, 4096 * 4 * 2 / 8);
+        assert_eq!(dd.shared_store_bytes, 2 * 64 * 4);
     }
 
     #[test]

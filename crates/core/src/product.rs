@@ -22,10 +22,11 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use mgk_gpusim::TrafficCounters;
 use mgk_graph::Graph;
 use mgk_kernels::BaseKernel;
-use mgk_linalg::{kron_vec, kronecker::generalized_kron_vec, LinearOperator, Scalar};
+use mgk_linalg::{
+    kron_vec, kronecker::generalized_kron_vec, LinearOperator, Scalar, TrafficCounters,
+};
 use mgk_tile::TILE_SIZE;
 
 use crate::octile_ops::{

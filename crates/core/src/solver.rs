@@ -2,12 +2,11 @@
 
 use std::sync::{Arc, OnceLock};
 
-use mgk_gpusim::TrafficCounters;
 use mgk_graph::Graph;
 use mgk_kernels::{BaseKernel, UnitKernel};
 use mgk_linalg::{
     pcg_counted_warm_multi, pcg_refined_counted, ConvergenceInfo, DiagonalOperator, Precision,
-    Scalar, SolveOptions,
+    Scalar, SolveOptions, TrafficCounters,
 };
 use mgk_reorder::ReorderMethod;
 use mgk_telemetry::StageBreakdown;

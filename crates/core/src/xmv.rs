@@ -13,8 +13,8 @@
 //! memory traffic. Each primitive reproduces the loop structure of its
 //! pseudocode in Appendix C and increments a [`TrafficCounters`] with the
 //! same load/store/operation accounting, so that the measured traffic can
-//! be compared against the closed forms of Table I
-//! ([`mgk_gpusim::xmv_traffic`]).
+//! be compared against the closed forms of Table I, which sit beside them
+//! ([`XmvPrimitive::modeled_traffic`], [`NaiveProduct::modeled_traffic`]).
 //!
 //! On the CPU the role of "shared memory" is played by the cache-resident
 //! tile copies; the traffic categories retain the GPU meaning for the cost
@@ -32,10 +32,9 @@
     )
 )]
 
-use mgk_gpusim::TrafficCounters;
 use mgk_graph::Graph;
 use mgk_kernels::BaseKernel;
-use mgk_linalg::Scalar;
+use mgk_linalg::{Scalar, TrafficCounters};
 
 /// Bytes of one stored `f32` operand element (adjacency weights, edge
 /// labels' float payloads, materialized product entries): matrix storage
@@ -91,6 +90,56 @@ impl<E: Copy + Default> DensePairData<E> {
     }
 }
 
+/// The problem shape and cost-model constants of one XMV invocation on a
+/// pair of dense (fully connected) graphs — the inputs of the Table I /
+/// Appendix C closed forms.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProblemShape {
+    /// Number of nodes of the first graph.
+    pub n: usize,
+    /// Number of nodes of the second graph.
+    pub m: usize,
+    /// Byte size of an edge label (`E`).
+    pub edge_label_bytes: usize,
+    /// Byte size of an edge weight / floating point number (`F`).
+    pub float_bytes: usize,
+    /// FLOPs per base-kernel evaluation (`X`).
+    pub kernel_flops: usize,
+}
+
+impl ProblemShape {
+    /// The unlabeled model problem of Section II-D: `E = 0`, `F = 4`,
+    /// `X = 3`.
+    pub fn unlabeled(n: usize, m: usize) -> Self {
+        ProblemShape { n, m, edge_label_bytes: 0, float_bytes: 4, kernel_flops: 3 }
+    }
+
+    /// A labeled problem with 4-byte edge labels and a square-exponential
+    /// edge kernel.
+    pub fn labeled_f32(n: usize, m: usize, kernel_flops: usize) -> Self {
+        ProblemShape { n, m, edge_label_bytes: 4, float_bytes: 4, kernel_flops }
+    }
+
+    /// `n`, `m`, `E`, `F` and `X` as floats.
+    fn terms(&self) -> [f64; 5] {
+        [self.n, self.m, self.edge_label_bytes, self.float_bytes, self.kernel_flops]
+            .map(|v| v as f64)
+    }
+}
+
+/// Counters from the closed-form terms of one XMV, rounded to whole bytes
+/// and operations.
+fn modeled(ops: f64, ld_g: f64, st_g: f64, ld_s: f64, st_s: f64, evals: f64) -> TrafficCounters {
+    TrafficCounters {
+        global_load_bytes: ld_g.round() as u64,
+        global_store_bytes: st_g.round() as u64,
+        shared_load_bytes: ld_s.round() as u64,
+        shared_store_bytes: st_s.round() as u64,
+        flops: ops.round() as u64,
+        kernel_evaluations: evals.round() as u64,
+    }
+}
+
 /// The three on-the-fly XMV primitives of Section III.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum XmvPrimitive {
@@ -126,22 +175,80 @@ impl XmvPrimitive {
     /// 8-element register chunks.
     pub const OCTILE: XmvPrimitive = XmvPrimitive::TilingBlocking { t: 8, r: 8 };
 
-    /// The corresponding analytic cost-model primitive.
-    pub fn to_cost_kind(self) -> mgk_gpusim::PrimitiveKind {
+    /// Display name.
+    pub fn name(self) -> String {
         match self {
-            XmvPrimitive::SharedTiling { t, r } => mgk_gpusim::PrimitiveKind::SharedTiling { t, r },
+            XmvPrimitive::SharedTiling { t, r } => format!("shared-tiling({t},{r})"),
+            XmvPrimitive::RegisterBlocking { t, r } => format!("register-blocking({t},{r})"),
+            XmvPrimitive::TilingBlocking { t, r } => format!("tiling-blocking({t},{r})"),
+        }
+    }
+
+    /// The Table I / Appendix C closed forms of this primitive: the traffic
+    /// of one XMV (one CG iteration) on a dense graph pair of `shape`.
+    pub fn modeled_traffic(self, shape: &ProblemShape) -> TrafficCounters {
+        let [n, m, e, f, x] = shape.terms();
+        let (n2m2, n2m, nm) = (n * n * m * m, n * n * m, n * m);
+        // both graphs' chunks and the right-hand side, streamed from global
+        // memory
+        let streamed = |t: f64, r: f64| {
+            n2m * f / t + n2m * e / t + n2m2 * f / (r * t) + n2m2 * e / (r * t) + n2m2 * f / (t * t)
+        };
+        let (ld_g, ld_s, st_s) = match self {
+            XmvPrimitive::SharedTiling { t, r } => {
+                let (t, r) = (t as f64, r as f64);
+                let ld_g = streamed(t, r);
+                // every streamed element is staged in shared memory
+                (ld_g, n2m2 * (e + f) / r + n2m2 * f + n2m2 * e + n2m2 * f, ld_g)
+            }
             XmvPrimitive::RegisterBlocking { t, r } => {
-                mgk_gpusim::PrimitiveKind::RegisterBlocking { t, r }
+                let (t, r) = (t as f64, r as f64);
+                // only the right-hand side chunk is staged
+                (streamed(t, r), n2m2 * f, n2m2 * f / (t * t))
             }
             XmvPrimitive::TilingBlocking { t, r } => {
-                mgk_gpusim::PrimitiveKind::TilingBlocking { t, r }
+                let (t, r) = (t as f64, r as f64);
+                let st_s = n2m * f / t + n2m * e / t + n2m2 * f / (t * t) + n2m2 * e / (t * t);
+                let ld_s = n2m2 * f / t + n2m2 * e / t + n2m2 * f / r + n2m2 * e / r;
+                (streamed(t, t), ld_s, st_s)
+            }
+        };
+        modeled(n2m2 * x, ld_g, nm * f, ld_s, st_s, n2m2)
+    }
+
+    /// Asymptotic arithmetic intensity with respect to *global* memory (the
+    /// "A.I. Global" row of Table I), in FLOPs per byte, for `e`-byte edge
+    /// labels, `f`-byte floats and `x` FLOPs per kernel evaluation.
+    pub fn asymptotic_ai_global(self, e: f64, f: f64, x: f64) -> f64 {
+        match self {
+            XmvPrimitive::SharedTiling { t, r } | XmvPrimitive::RegisterBlocking { t, r } => {
+                let (t, r) = (t as f64, r as f64);
+                t * t * x / (t / r * e + (1.0 + t / r) * f)
+            }
+            XmvPrimitive::TilingBlocking { t, .. } => {
+                let t = t as f64;
+                t * t * x / (e + 2.0 * f)
             }
         }
     }
 
-    /// Display name.
-    pub fn name(self) -> String {
-        self.to_cost_kind().name()
+    /// Asymptotic arithmetic intensity with respect to *shared* memory (the
+    /// "A.I. Shared" row of Table I).
+    pub fn asymptotic_ai_shared(self, e: f64, f: f64, x: f64) -> f64 {
+        match self {
+            XmvPrimitive::SharedTiling { r, .. } => {
+                let r = r as f64;
+                x / ((1.0 + 1.0 / r) * e + (2.0 + 1.0 / r) * f)
+            }
+            XmvPrimitive::RegisterBlocking { t, .. } => {
+                let t = t as f64;
+                x / ((1.0 + 1.0 / (t * t)) * f)
+            }
+            XmvPrimitive::TilingBlocking { t, r } => {
+                let (t, r) = (t as f64, r as f64);
+                x / ((1.0 / r + 1.0 / t) * e + (1.0 / r + 1.0 / t) * f)
+            }
+        }
     }
 
     /// Apply the primitive: `y ← (A ⊗ A') ∘ (E κ⊗ E') · p`, accumulating
@@ -219,6 +326,23 @@ impl NaiveProduct {
     /// Dimension of the product system.
     pub fn dim(&self) -> usize {
         self.nm
+    }
+
+    /// The Table I / Appendix C closed form of the naive primitive: the
+    /// traffic of one application on a dense graph pair of `shape` — the
+    /// product matrix plus the warp-shared right-hand side, 2 FLOPs (one
+    /// FMA) per element, no shared-memory traffic.
+    pub fn modeled_traffic(shape: &ProblemShape) -> TrafficCounters {
+        let [n, m, _, f, _] = shape.terms();
+        let (n2m2, nm) = (n * n * m * m, n * m);
+        modeled(2.0 * n2m2, n2m2 * f + n2m2 * f / 32.0, nm * f, 0.0, 0.0, 0.0)
+    }
+
+    /// Asymptotic arithmetic intensity with respect to global memory for
+    /// `f`-byte floats: `2 / F` (Section II-D). With no shared-memory
+    /// traffic, the shared intensity is infinite.
+    pub fn asymptotic_ai_global(f: f64) -> f64 {
+        2.0 / f
     }
 
     /// Apply `y ← L× · p`, counting the traffic of one pass over the
@@ -646,7 +770,7 @@ mod tests {
         // warp-amortized rhs of the naive kernel)
         let (data, p) = test_pair(7, 16, 16);
         let kernel = SquareExponential::new(0.7);
-        let shape = mgk_gpusim::ProblemShape {
+        let shape = ProblemShape {
             n: 16,
             m: 16,
             edge_label_bytes: 4,
@@ -661,7 +785,7 @@ mod tests {
             let mut y = vec![0.0f32; data.product_dim()];
             let mut counted = TrafficCounters::new();
             prim.apply(&data, &kernel, &p, &mut y, &mut counted);
-            let modeled = mgk_gpusim::xmv_traffic(prim.to_cost_kind(), &shape);
+            let modeled = prim.modeled_traffic(&shape);
             let rel = |a: u64, b: u64| {
                 if b == 0 {
                     (a == 0) as u64 as f64
@@ -693,23 +817,19 @@ mod tests {
         }
     }
 
-    /// The numbers `table1_intensity` and `fig8_profitable_regions` print,
-    /// as literals: the four Table I rows at the two 72-node shapes, and
-    /// the Fig. 8 GPU-model map at X = 3 and 11 over that bin's populations
-    /// (`s` sparse×sparse, `m` dense×sparse, `D` dense×dense).
+    /// The numbers `table1_intensity` prints, as literals: the four Table I
+    /// rows at the two 72-node shapes.
     #[test]
-    fn model_numbers_are_pinned() {
-        use crate::octile_ops::{select_kind, TileProductKind};
-        use mgk_gpusim::{xmv_traffic, PrimitiveKind, ProblemShape};
+    fn table_i_rows_are_pinned() {
         // [ops, ld.global, st.global, ld.shared, st.shared, kernel evaluations]
         let rows = |shape: ProblemShape| {
-            let naive = xmv_traffic(PrimitiveKind::Naive, &shape);
+            let naive = NaiveProduct::modeled_traffic(&shape);
             let octile = [
                 XmvPrimitive::SharedTiling { t: 8, r: 8 },
                 XmvPrimitive::RegisterBlocking { t: 8, r: 8 },
                 XmvPrimitive::OCTILE,
             ]
-            .map(|prim| xmv_traffic(prim.to_cost_kind(), &shape));
+            .map(|prim| prim.modeled_traffic(&shape));
             [naive, octile[0], octile[1], octile[2]].map(|c| {
                 [
                     c.flops,
@@ -739,53 +859,93 @@ mod tests {
                 [295612416, 5412096, 20736, 53747712, 3732480, 26873856],
             ]
         );
+    }
 
-        const MAP: [usize; 12] = [1, 2, 4, 6, 8, 10, 12, 16, 24, 32, 48, 64];
-        let map = |x| {
-            MAP.map(|n1| {
-                MAP.iter()
-                    .map(|&n2| match select_kind(n1, n2, x) {
-                        TileProductKind::SparseSparse => 's',
-                        TileProductKind::DenseSparse => 'm',
-                        TileProductKind::DenseDense => 'D',
-                    })
-                    .collect::<String>()
-            })
-        };
-        assert_eq!(
-            map(3),
-            [
-                "sssssssmmmmm",
-                "ssssssmmmmmm",
-                "sssssmmmmmmm",
-                "sssssmmmmmmm",
-                "sssssmmmmmmm",
-                "ssmmmDDDDDDD",
-                "smmmmDDDDDDD",
-                "mmmmmDDDDDDD",
-                "mmmmmDDDDDDD",
-                "mmmmmDDDDDDD",
-                "mmmmmDDDDDDD",
-                "mmmmmDDDDDDD",
-            ]
+    const UNLABELED: (f64, f64, f64) = (0.0, 4.0, 3.0);
+
+    #[test]
+    fn naive_intensity_matches_section_2d() {
+        // the naive solver's arithmetic intensity is 2/F = 1/2 in single
+        // precision (Section II-D)
+        let ai = NaiveProduct::asymptotic_ai_global(UNLABELED.1);
+        assert!((ai - 0.5).abs() < 1e-12);
+        let c = NaiveProduct::modeled_traffic(&ProblemShape::unlabeled(72, 72));
+        // measured intensity approaches the asymptote for a 72x72 pair
+        assert!((c.arithmetic_intensity_global() - 0.5).abs() < 0.02);
+    }
+
+    #[test]
+    fn octile_primitive_intensity() {
+        // tiling-blocking with t=8 in the unlabeled case: t²X / (E + 2F) =
+        // 64*3/8 = 24 flops per byte of global traffic
+        let k = XmvPrimitive::OCTILE;
+        let ai = k.asymptotic_ai_global(UNLABELED.0, UNLABELED.1, UNLABELED.2);
+        assert!((ai - 24.0).abs() < 1e-12);
+        // shared intensity: X / ((1/r + 1/t)(E + F)) = 3 / (0.25*4) = 3
+        let ai_s = k.asymptotic_ai_shared(UNLABELED.0, UNLABELED.1, UNLABELED.2);
+        assert!((ai_s - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn counted_traffic_approaches_asymptotic_intensity() {
+        let shape = ProblemShape::unlabeled(72, 72);
+        for kind in [
+            XmvPrimitive::SharedTiling { t: 8, r: 8 },
+            XmvPrimitive::RegisterBlocking { t: 8, r: 8 },
+            XmvPrimitive::OCTILE,
+        ] {
+            let measured = kind.modeled_traffic(&shape).arithmetic_intensity_global();
+            let asymptotic = kind.asymptotic_ai_global(0.0, 4.0, 3.0);
+            let rel = (measured - asymptotic).abs() / asymptotic;
+            // the lower-order O(n²m) terms make the measured value smaller,
+            // but it should be within ~20% for 72-node graphs
+            assert!(
+                rel < 0.2,
+                "{}: measured {measured:.2} vs asymptotic {asymptotic:.2}",
+                kind.name()
+            );
+            assert!(measured <= asymptotic + 1e-9);
+        }
+    }
+
+    #[test]
+    fn bigger_tiles_give_higher_global_intensity() {
+        let shape = ProblemShape::labeled_f32(96, 96, 11);
+        let small = XmvPrimitive::TilingBlocking { t: 4, r: 4 }.modeled_traffic(&shape);
+        let large = XmvPrimitive::OCTILE.modeled_traffic(&shape);
+        assert!(
+            large.arithmetic_intensity_global() > small.arithmetic_intensity_global(),
+            "8x8 tiles should be more intense than 4x4"
         );
-        assert_eq!(
-            map(11),
-            [
-                "sssssssmmmmm",
-                "sssssssmmmmm",
-                "sssssssmmmmm",
-                "sssssssmmmmm",
-                "sssssssmmmmm",
-                "sssssssmmmmm",
-                "sssssssDDDDD",
-                "mmmmmmDDDDDD",
-                "mmmmmmDDDDDD",
-                "mmmmmmDDDDDD",
-                "mmmmmmDDDDDD",
-                "mmmmmmDDDDDD",
-            ]
-        );
+        // FLOP count is identical — only data movement changes
+        assert_eq!(small.flops, large.flops);
+    }
+
+    #[test]
+    fn on_the_fly_primitives_trade_flops_for_traffic() {
+        let shape = ProblemShape::unlabeled(72, 72);
+        let naive = NaiveProduct::modeled_traffic(&shape);
+        let otf = XmvPrimitive::OCTILE.modeled_traffic(&shape);
+        // more arithmetic (X=3 vs 2 per term) but far less global traffic
+        assert!(otf.flops > naive.flops);
+        assert!(otf.global_load_bytes * 10 < naive.global_load_bytes);
+    }
+
+    #[test]
+    fn register_blocking_with_larger_r_reduces_global_traffic() {
+        let shape = ProblemShape::unlabeled(72, 72);
+        let r4 = XmvPrimitive::RegisterBlocking { t: 8, r: 4 }.modeled_traffic(&shape);
+        let r16 = XmvPrimitive::RegisterBlocking { t: 8, r: 16 }.modeled_traffic(&shape);
+        assert!(r16.global_load_bytes < r4.global_load_bytes);
+    }
+
+    #[test]
+    fn shared_tiling_ai_shared_matches_table() {
+        // X / ((1 + 1/r)E + (2 + 1/r)F) with unlabeled params and r=8:
+        // 3 / (2.125 * 4) = 0.3529…
+        let k = XmvPrimitive::SharedTiling { t: 8, r: 8 };
+        let ai = k.asymptotic_ai_shared(0.0, 4.0, 3.0);
+        assert!((ai - 3.0 / 8.5).abs() < 1e-9);
     }
 
     #[test]

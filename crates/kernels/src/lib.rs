@@ -11,9 +11,9 @@
 //! graph kernel is a valid kernel.
 //!
 //! Each implementation also reports a [`KernelCost`] — the byte size `E` of
-//! a label and the FLOP count `X` of one evaluation — which feeds the
-//! Roofline/arithmetic-intensity model of `mgk-gpusim` (these are the `E`
-//! and `X` symbols of Table I and Appendix B of the paper).
+//! a label and the FLOP count `X` of one evaluation — which feeds the traffic
+//! closed forms in `mgk-core` and the Roofline model in `mgk-bench` (these
+//! are the `E` and `X` symbols of Table I and Appendix B of the paper).
 
 #![forbid(unsafe_code)]
 

@@ -11,7 +11,8 @@
 //!
 //! The struct lives here, at the bottom of the workspace DAG, so that the
 //! operator abstraction and the iterative solvers can thread counters
-//! uniformly; `mgk-gpusim` re-exports it for the cost model.
+//! uniformly; the traffic closed forms in `mgk-core` and the V100 projection
+//! in `mgk-bench` use it as it is.
 
 /// Byte and operation counters for one kernel execution (or an aggregate of
 /// many).

@@ -15,8 +15,6 @@
 //! * [`tile`] — the octile (8×8 tile, bitmap-compressed) sparse format.
 //! * [`reorder`] — RCM, partition-based (PBR), space-filling-curve and TSP
 //!   node reorderings that minimize the number of non-empty octiles.
-//! * [`gpusim`] — the GPU cost model (memory-traffic counters, Roofline and
-//!   occupancy models) used to project performance onto V100-class devices.
 //! * [`solver`] — the core contribution: on-the-fly Kronecker-product
 //!   matrix-vector primitives, the PCG marginalized-graph-kernel solver and
 //!   the parallel Gram-matrix engine.
@@ -24,8 +22,6 @@
 //!   GraphKernels.
 //! * [`datasets`] — synthetic stand-ins for the paper's PDB-3k and DrugBank
 //!   datasets, a SMILES parser, plus the small-world / scale-free ensembles.
-//! * [`learn`] — kernel ridge / Gaussian process regression on top of the
-//!   Gram matrices (the paper's motivating application, reference \[2\]).
 //! * [`runtime`] — the serving layer: the persistent worker pool every
 //!   parallel region executes on, the streaming Gram service with
 //!   incremental extension, content-hash entry caching and warm-started
@@ -69,10 +65,8 @@
 pub use mgk_baselines as baselines;
 pub use mgk_core as solver;
 pub use mgk_datasets as datasets;
-pub use mgk_gpusim as gpusim;
 pub use mgk_graph as graph;
 pub use mgk_kernels as kernels;
-pub use mgk_learn as learn;
 pub use mgk_linalg as linalg;
 pub use mgk_reorder as reorder;
 pub use mgk_runtime as runtime;
