@@ -234,7 +234,7 @@ impl<KV, KE> GramEngine<KV, KE> {
 
         let start = Instant::now();
         let solve_pair = |&(i, j): &(usize, usize)| {
-            (i, j, self.solver.kernel_prepared::<T, V, E>(&rows[i], &cols[j], &[], precision))
+            (i, j, self.solver.kernel_prepared::<T, V, E>(&rows[i], &cols[j], precision))
         };
         let results: Vec<(usize, usize, Result<KernelResult<T>, SolverError>)> =
             match self.config.scheduling {

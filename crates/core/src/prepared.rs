@@ -42,8 +42,7 @@ impl<V, E: Copy + Default> PreparedGraph<V, E> {
     }
 
     /// The prepared graph, in the vertex order every solve over this
-    /// structure uses (nodal vectors and warm-start guesses are laid out in
-    /// it).
+    /// structure uses (nodal vectors are laid out in it).
     pub fn graph(&self) -> &Graph<V, E> {
         &self.graph
     }

@@ -5,8 +5,8 @@ use std::sync::{Arc, OnceLock};
 use mgk_graph::Graph;
 use mgk_kernels::{BaseKernel, UnitKernel};
 use mgk_linalg::{
-    pcg_counted_warm_multi, pcg_refined_counted, ConvergenceInfo, DiagonalOperator, Precision,
-    Scalar, SolveOptions, TrafficCounters,
+    pcg_counted, pcg_refined_counted, ConvergenceInfo, DiagonalOperator, Precision, Scalar,
+    SolveOptions, TrafficCounters,
 };
 use mgk_reorder::ReorderMethod;
 use mgk_telemetry::StageBreakdown;
@@ -210,7 +210,7 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
         KE: BaseKernel<E> + Clone,
     {
         let (a, b) = (self.prepare_graph(g1), self.prepare_graph(g2));
-        self.kernel_prepared(&a, &b, &[], self.config.precision)
+        self.kernel_prepared(&a, &b, self.config.precision)
     }
 
     /// Evaluate the kernel at a *specific* [`Scalar`] instantiation of the
@@ -233,7 +233,7 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
         KE: BaseKernel<E> + Clone,
     {
         let (a, b) = (self.prepare_graph(g1), self.prepare_graph(g2));
-        self.kernel_prepared(&a, &b, &[], T::PRECISION)
+        self.kernel_prepared(&a, &b, T::PRECISION)
     }
 
     /// Evaluate the kernel of two prepared structures — the routine every
@@ -246,17 +246,15 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
     /// [`Precision::Refined`]) and the result is carried at `T`:
     /// `kernel_prepared::<f64>(.., Precision::Refined)` is the un-narrowed
     /// refined answer, `kernel_prepared::<f32>(.., Precision::F64)` the
-    /// oracle's value at the serving type. Warm-start candidates arrive as
-    /// `f32` (the Gram layers store `f32` donors), are widened to the
-    /// iteration's scalar and ranked by initial residual; wrong-length ones
-    /// are ignored. Both structures must come from
+    /// oracle's value at the serving type. Every solve starts from zero, so
+    /// the result depends on the prepared pair, its orientation and the
+    /// precision alone. Both structures must come from
     /// [`prepare_graph`](Self::prepare_graph) of a solver in this one's
     /// [`XmvMode`].
     pub fn kernel_prepared<T, V, E>(
         &self,
         a: &PreparedGraph<V, E>,
         b: &PreparedGraph<V, E>,
-        candidates: &[&[f32]],
         precision: Precision,
     ) -> Result<KernelResult<T>, SolverError>
     where
@@ -274,11 +272,11 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
         let mut traffic = TrafficCounters::new();
         match precision {
             Precision::F32 => {
-                let run = self.iterate::<f32, E, KE>(&system, candidates, &mut traffic);
+                let run = self.iterate::<f32, E, KE>(&system, &mut traffic);
                 self.finish(&system, run, traffic)
             }
             Precision::F64 => {
-                let run = self.iterate::<f64, E, KE>(&system, candidates, &mut traffic);
+                let run = self.iterate::<f64, E, KE>(&system, &mut traffic);
                 self.finish(&system, run, traffic)
             }
             Precision::Refined => {
@@ -288,14 +286,11 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
                 let op32 = SystemOperator::<E, KE, f32>::new(&system);
                 let op64 = SystemOperator::<E, KE, f64>::new(&system);
                 let prec32 = DiagonalOperator::new(system.preconditioner_diagonal::<f32>());
-                let widened = widen::<f64>(candidates, rhs.len());
-                let refs: Vec<&[f64]> = widened.iter().map(Vec::as_slice).collect();
                 let run = pcg_refined_counted(
                     &op32,
                     &op64,
                     &prec32,
                     &rhs,
-                    &refs,
                     &self.config.solve,
                     &mut traffic,
                 );
@@ -343,7 +338,6 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
     fn iterate<U, E, KE2>(
         &self,
         system: &ProductSystem<E, KE2>,
-        candidates: &[&[f32]],
         traffic: &mut TrafficCounters,
     ) -> (Vec<U>, ConvergenceInfo)
     where
@@ -354,9 +348,7 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
         let rhs = system.rhs::<U>();
         let operator = SystemOperator::<E, KE2, U>::new(system);
         let preconditioner = DiagonalOperator::new(system.preconditioner_diagonal::<U>());
-        let widened = widen::<U>(candidates, rhs.len());
-        let refs: Vec<&[U]> = widened.iter().map(Vec::as_slice).collect();
-        pcg_counted_warm_multi(&operator, &preconditioner, &rhs, &refs, &self.config.solve, traffic)
+        pcg_counted(&operator, &preconditioner, &rhs, &self.config.solve, traffic)
     }
 
     /// Turn a finished iteration (solution at `U`) into the result carried
@@ -426,15 +418,6 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
         }
         out
     }
-}
-
-/// Widen the `f32` warm-start candidates of the right length to `U`.
-fn widen<U: Scalar>(candidates: &[&[f32]], len: usize) -> Vec<Vec<U>> {
-    candidates
-        .iter()
-        .filter(|g| g.len() == len)
-        .map(|g| g.iter().map(|&v| U::from_f32(v)).collect())
-        .collect()
 }
 
 #[cfg(test)]

@@ -119,96 +119,20 @@ pub fn pcg_counted<T: Scalar, A: LinearOperator<T>, M: LinearOperator<T>>(
     opts: &SolveOptions,
     counters: &mut TrafficCounters,
 ) -> (Vec<T>, ConvergenceInfo) {
-    pcg_counted_warm(a, m_inv, b, None, opts, counters)
+    pcg_counted_warm_multi(a, m_inv, b, &[], opts, counters)
 }
 
-/// [`pcg_counted`] with an optional warm-start initial guess.
-///
-/// When `x0` is `Some`, the iteration starts from that vector instead of
-/// zero: the initial residual is `b − A·x0` (one extra counted operator
-/// application). A guess near the true solution — e.g. the converged
-/// solution of a similar system, as when a Gram matrix is extended with
-/// structures resembling already-solved ones — cuts the iteration count,
-/// which is exactly the reuse the streaming Gram service exploits. A guess
-/// of the wrong length is rejected by assertion.
-///
-/// A guess is only kept when it actually starts closer than zero: if its
-/// initial residual exceeds `‖b‖` (the zero-start residual), the iteration
-/// falls back to the cold start, so a bad donor costs one operator
-/// application but never extra iterations.
-///
-/// Convergence is still measured against `‖b‖`, so a warm and a cold solve
-/// of the same system stop at the same residual quality.
-///
-/// ```
-/// use mgk_linalg::{pcg_counted, pcg_counted_warm, DiagonalOperator, SolveOptions,
-///                  TrafficCounters};
-///
-/// let a = DiagonalOperator::new(vec![2.0f32, 4.0]);
-/// let m_inv = a.inverse();
-/// let opts = SolveOptions::default();
-/// let (cold, _) = pcg_counted(&a, &m_inv, &[1.0, 1.0], &opts, &mut TrafficCounters::new());
-/// // restarting from the converged solution finishes without iterating
-/// let (warm, info) = pcg_counted_warm(
-///     &a, &m_inv, &[1.0, 1.0], Some(&cold), &opts, &mut TrafficCounters::new());
-/// assert!(info.converged && info.iterations == 0);
-/// assert_eq!(warm, cold);
-/// ```
-pub fn pcg_counted_warm<T: Scalar, A: LinearOperator<T>, M: LinearOperator<T>>(
-    a: &A,
-    m_inv: &M,
-    b: &[T],
-    x0: Option<&[T]>,
-    opts: &SolveOptions,
-    counters: &mut TrafficCounters,
-) -> (Vec<T>, ConvergenceInfo) {
-    pcg_counted_warm_multi(a, m_inv, b, x0.as_slice(), opts, counters)
-}
-
-/// Where an iteration on `A x = b` starts: `(x, r, ‖r‖²)` of the candidate
-/// with the smallest measured initial residual `r = b − A·c`, or of the cold
-/// start (`x = 0`, `r = b`) when no candidate meets its `‖b‖²` — the bar a
-/// guess must clear to be used at all. Ranking a candidate costs one counted
-/// operator application (into `scratch`) and two counted vector sweeps.
-fn best_start<T: Scalar, A: LinearOperator<T>>(
-    a: &A,
-    b: &[T],
-    candidates: &[&[T]],
-    b_norm_sq: f64,
-    scratch: &mut [T],
-    counters: &mut TrafficCounters,
-) -> (Vec<T>, Vec<T>, f64) {
-    let nn = b.len() as u64;
-    let mut best: Option<(Vec<T>, Vec<T>)> = None;
-    let mut best_sq = b_norm_sq;
-    for guess in candidates {
-        assert_eq!(guess.len(), b.len(), "warm-start guess dimension must match right-hand side");
-        a.apply_counted(guess, scratch, counters);
-        let r: Vec<T> = b.iter().zip(&*scratch).map(|(&bi, &axi)| bi - axi).collect();
-        counters.count_vector_op_t::<T>(2 * nn, nn, nn);
-        counters.count_vector_op_t::<T>(nn, 0, 2 * nn);
-        let r_sq = T::accum_to_f64(norm_sq(&r));
-        if r_sq <= best_sq {
-            best_sq = r_sq;
-            best = Some((guess.to_vec(), r));
-        }
-    }
-    let (x, r) = best.unwrap_or_else(|| (vec![T::ZERO; b.len()], b.to_vec()));
-    (x, r, best_sq)
-}
-
-/// [`pcg_counted_warm`] with several candidate warm starts: the iteration
-/// begins from the candidate with the *best initial residual*.
+/// [`pcg_counted`] started from the candidate initial guess with the *best
+/// initial residual*.
 ///
 /// Each candidate costs one counted operator application up front (its
 /// residual `b − A·c` must be evaluated to rank it); a candidate is only
 /// kept when its residual beats the cold start's `‖b‖`, so an empty or
-/// uniformly bad candidate list degenerates to the cold solve. This is the
-/// donor-selection primitive of the streaming Gram service: the donor pool
-/// retains the `k` most recent donors per key and the solver picks whichever
-/// actually starts closest for *this* system — a donor that looks plausible
-/// by content similarity but starts farther out than another is ranked out
-/// here, by measurement instead of heuristics.
+/// uniformly bad candidate list degenerates to the cold solve. A guess of
+/// the wrong length is rejected by assertion. Convergence is still measured
+/// against `‖b‖`, so a warm and a cold solve of the same system stop at the
+/// same residual quality. No solver of the workspace passes candidates:
+/// every kernel value is a cold solve, so it depends on the pair alone.
 pub fn pcg_counted_warm_multi<T: Scalar, A: LinearOperator<T>, M: LinearOperator<T>>(
     a: &A,
     m_inv: &M,
@@ -232,7 +156,21 @@ pub fn pcg_counted_warm_multi<T: Scalar, A: LinearOperator<T>, M: LinearOperator
 
     // `a_p` doubles as the ranking's scratch: every application overwrites it
     let mut a_p = vec![T::ZERO; n];
-    let (mut x, mut r, _) = best_start(a, b, candidates, b_norm * b_norm, &mut a_p, counters);
+    let mut best: Option<(Vec<T>, Vec<T>)> = None;
+    let mut best_sq = b_norm * b_norm;
+    for guess in candidates {
+        assert_eq!(guess.len(), n, "warm-start guess dimension must match right-hand side");
+        a.apply_counted(guess, &mut a_p, counters);
+        let r: Vec<T> = b.iter().zip(&a_p).map(|(&bi, &axi)| bi - axi).collect();
+        counters.count_vector_op_t::<T>(2 * nn, nn, nn);
+        counters.count_vector_op_t::<T>(nn, 0, 2 * nn);
+        let r_sq = T::accum_to_f64(norm_sq(&r));
+        if r_sq <= best_sq {
+            best_sq = r_sq;
+            best = Some((guess.to_vec(), r));
+        }
+    }
+    let (mut x, mut r) = best.unwrap_or_else(|| (vec![T::ZERO; n], b.to_vec()));
     let mut z = vec![T::ZERO; n];
     m_inv.apply_counted(&r, &mut z, counters);
     let mut p = z.clone();
@@ -376,18 +314,13 @@ pub fn fixed_point<T: Scalar, A: LinearOperator<T> + ?Sized>(
 /// all sweeps (reported in [`ConvergenceInfo::iterations`]); convergence is
 /// the `f64` relative residual reaching `opts.tolerance`. The driver stops
 /// early when a sweep fails to halve the residual — at that point the `f32`
-/// corrections have bottomed out and further sweeps cannot help.
-///
-/// `candidates` are optional warm starts, ranked by measured `f64` initial
-/// residual exactly like [`pcg_counted_warm_multi`]: the best one that
-/// beats the cold start seeds the outer iterate (one counted `a64`
-/// application each), so donor reuse composes with refinement.
+/// corrections have bottomed out and further sweeps cannot help. The outer
+/// iterate starts from zero.
 pub fn pcg_refined_counted<A32, A64, M32>(
     a32: &A32,
     a64: &A64,
     m32: &M32,
     b: &[f64],
-    candidates: &[&[f64]],
     opts: &SolveOptions,
     counters: &mut TrafficCounters,
 ) -> (Vec<f64>, ConvergenceInfo)
@@ -415,11 +348,10 @@ where
     let inner_tolerance = opts.tolerance.max(1e-6);
     let mut ax = vec![0.0f64; n];
 
-    // best-initial-residual warm start, measured against the f64 operator
-    let (mut x, mut r, best_sq) =
-        best_start(a64, b, candidates, b_norm * b_norm, &mut ax, counters);
+    // x = 0 leaves r = b: relative residual 1
+    let (mut x, mut r) = (vec![0.0f64; n], b.to_vec());
     let mut iterations = 0;
-    let mut rel_res = best_sq.sqrt() / b_norm;
+    let mut rel_res = 1.0;
     let mut converged = rel_res <= opts.tolerance;
     while !converged && iterations < opts.max_iterations {
         // narrow the residual (n f64 reads, n f32 writes) and solve the
@@ -624,12 +556,16 @@ mod tests {
         let op = DenseOperator(m);
         let b: Vec<f32> = (0..24).map(|i| 1.0 + (i as f32 * 0.1).cos()).collect();
         let opts = SolveOptions { max_iterations: 300, tolerance: 1e-7 };
-        let mut cold_traffic = crate::TrafficCounters::new();
-        let (cold, cold_info) =
-            pcg_counted_warm(&op, &IdentityPrec, &b, None, &opts, &mut cold_traffic);
+        let (cold, cold_info) = pcg_counted(&op, &IdentityPrec, &b, &opts, &mut Default::default());
         assert!(cold_info.converged && cold_info.iterations > 0);
-        let (warm, warm_info) =
-            pcg_counted_warm(&op, &IdentityPrec, &b, Some(&cold), &opts, &mut Default::default());
+        let (warm, warm_info) = pcg_counted_warm_multi(
+            &op,
+            &IdentityPrec,
+            &b,
+            &[&cold],
+            &opts,
+            &mut Default::default(),
+        );
         assert!(warm_info.converged);
         assert_eq!(warm_info.iterations, 0, "converged guess should need no iterations");
         assert_eq!(warm, cold);
@@ -641,12 +577,17 @@ mod tests {
         let op = DenseOperator(m);
         let b: Vec<f32> = (0..32).map(|i| (i as f32 * 0.2).sin() + 1.5).collect();
         let opts = SolveOptions { max_iterations: 500, tolerance: 1e-8 };
-        let (x, cold) =
-            pcg_counted_warm(&op, &IdentityPrec, &b, None, &opts, &mut Default::default());
+        let (x, cold) = pcg_counted(&op, &IdentityPrec, &b, &opts, &mut Default::default());
         // perturb the solution slightly: a nearby (not exact) guess
         let guess: Vec<f32> = x.iter().map(|&v| v * 1.001 + 1e-5).collect();
-        let (_, warm) =
-            pcg_counted_warm(&op, &IdentityPrec, &b, Some(&guess), &opts, &mut Default::default());
+        let (_, warm) = pcg_counted_warm_multi(
+            &op,
+            &IdentityPrec,
+            &b,
+            &[&guess],
+            &opts,
+            &mut Default::default(),
+        );
         assert!(warm.converged);
         assert!(
             warm.iterations < cold.iterations,
@@ -662,7 +603,7 @@ mod tests {
         let op = DenseOperator(m);
         let b: Vec<f32> = (0..32).map(|i| (i as f32 * 0.2).sin() + 1.5).collect();
         let opts = SolveOptions { max_iterations: 500, tolerance: 1e-8 };
-        let (x, _) = pcg_counted_warm(&op, &IdentityPrec, &b, None, &opts, &mut Default::default());
+        let (x, _) = pcg_counted(&op, &IdentityPrec, &b, &opts, &mut Default::default());
 
         // candidate 0 is plausible but far; candidate 1 is nearly exact —
         // the driver must start from the *measured* best, not the first
@@ -732,8 +673,7 @@ mod tests {
         let opts = SolveOptions { max_iterations: 4000, tolerance: 1e-12 };
 
         let mut refined_traffic = crate::TrafficCounters::new();
-        let (x, info) =
-            pcg_refined_counted(&op, &op, &prec32, &b64, &[], &opts, &mut refined_traffic);
+        let (x, info) = pcg_refined_counted(&op, &op, &prec32, &b64, &opts, &mut refined_traffic);
         assert!(info.converged, "refinement did not reach 1e-12: {info:?}");
 
         // the residual claim holds against the widened (true) matrix
@@ -774,35 +714,6 @@ mod tests {
             refined_per_iter < f64_per_iter,
             "refined bytes/iteration {refined_per_iter} must undercut the f64 solve's {f64_per_iter}"
         );
-    }
-
-    #[test]
-    fn refined_warm_start_from_the_solution_skips_the_sweeps() {
-        let n = 16usize;
-        let mut triplets: Vec<(u32, u32, f32)> = Vec::new();
-        for i in 0..n as u32 {
-            triplets.push((i, i, 3.0));
-            if i + 1 < n as u32 {
-                triplets.push((i, i + 1, -1.0));
-                triplets.push((i + 1, i, -1.0));
-            }
-        }
-        let op = CsrOperator(crate::CsrMatrix::from_triplets(n, n, &triplets));
-        let prec = DiagonalOperator::new(vec![3.0f32; n]).inverse();
-        let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.5).cos()).collect();
-        let opts = SolveOptions { max_iterations: 2000, tolerance: 1e-11 };
-
-        let (x, cold) =
-            pcg_refined_counted(&op, &op, &prec, &b, &[], &opts, &mut Default::default());
-        assert!(cold.converged && cold.iterations > 0);
-        // restarting from the converged solution needs no sweeps at all;
-        // a bad candidate alongside it must not confuse the selection
-        let bad = vec![1e6f64; n];
-        let (warm, info) =
-            pcg_refined_counted(&op, &op, &prec, &b, &[&bad, &x], &opts, &mut Default::default());
-        assert!(info.converged);
-        assert_eq!(info.iterations, 0, "a converged warm start skips every sweep");
-        assert_eq!(warm, x);
     }
 
     #[test]

@@ -39,8 +39,8 @@ pub mod traffic;
 pub mod vecops;
 
 pub use cg::{
-    cg, cg_counted, fixed_point, fixed_point_counted, pcg, pcg_counted, pcg_counted_warm,
-    pcg_counted_warm_multi, pcg_refined_counted, ConvergenceInfo, SolveOptions,
+    cg, cg_counted, fixed_point, fixed_point_counted, pcg, pcg_counted, pcg_counted_warm_multi,
+    pcg_refined_counted, ConvergenceInfo, SolveOptions,
 };
 pub use dense::DenseMatrix;
 pub use eigen::{symmetric_eigen, SymmetricEigen};

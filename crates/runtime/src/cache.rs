@@ -2,9 +2,9 @@
 //!
 //! Every converged pair solve yields a kernel value; keeping it turns a
 //! resubmitted structure into a pure lookup. (Converged nodal solution
-//! vectors are retained separately, in the service's bounded warm-start
-//! donor pool — caching them per pair would pin megabytes of write-only
-//! data.) The cache is bounded — at capacity the least-recently-used entry
+//! vectors are retained separately, in the smaller [`NodalCache`] — one
+//! per pair here would pin megabytes most lookups never read.) The cache
+//! is bounded — at capacity the least-recently-used entry
 //! is evicted — so a long-running service holds memory constant no matter
 //! how many structures stream through.
 //!
@@ -198,22 +198,11 @@ impl<K: Copy + Eq + Hash, V> LruMap<K, V> {
 
     /// Look up a key, refreshing its recency on a hit.
     pub fn get(&mut self, key: K) -> Option<&V> {
-        self.get_mut(key).map(|value| &*value)
-    }
-
-    /// [`get`](Self::get), handing the entry out mutably.
-    pub fn get_mut(&mut self, key: K) -> Option<&mut V> {
         let stamp_entry = self.map.get_mut(&key)?;
         stamp_entry.0 = self.recency.touch(key);
         self.compact();
         // reborrow: compaction only touched the recency queue
-        self.map.get_mut(&key).map(|(_, value)| value)
-    }
-
-    /// Look up a key *without* refreshing its recency — for readers that
-    /// share the map immutably.
-    pub fn peek(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|(_, value)| value)
+        self.map.get(&key).map(|(_, value)| value)
     }
 
     /// Insert (or refresh) an entry, evicting the least-recently-used one
@@ -269,8 +258,8 @@ pub type NodalCache = LruMap<OrderedSides, SharedNodal>;
 /// key space of the [`NodalCache`].
 pub type OrderedSides = (PairSide, PairSide);
 
-/// A nodal solution vector `Arc`-shared between the [`NodalCache`] and the
-/// donor pool.
+/// A nodal solution vector as the [`NodalCache`] holds it: `Arc`-shared, so
+/// a cache answer hands it out without copying.
 pub type SharedNodal = std::sync::Arc<Vec<f32>>;
 
 #[cfg(test)]

@@ -43,7 +43,7 @@
 //! **A shard is born from a recipe, not a copy.** Every shard beyond the
 //! one that receives the prototype itself is the prototype's
 //! `sibling()`: same solver, configuration and content hasher, no state.
-//! State a prototype holds (admitted members, cache entries, donors) is
+//! State a prototype holds (admitted members, cache entries) is
 //! therefore *not* replicated into other shards — a structure lives on the
 //! shard its identity routes to, and a replica anywhere else could never
 //! be asked for.

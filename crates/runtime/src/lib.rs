@@ -17,9 +17,9 @@
 //! * **[`GramService`]** — a streaming Gram matrix: structures are
 //!   submitted incrementally, only new row/column blocks are solved,
 //!   entries are cached by collision-hardened content key in an
-//!   LRU-bounded [`PairCache`] (O(1) eviction), appended pairs warm-start
-//!   PCG from the best converged donor of equal shape, and a bounded
-//!   pending queue applies backpressure to producers.
+//!   LRU-bounded [`PairCache`] (O(1) eviction), every pair is a cold PCG
+//!   solve whose value depends on that pair alone, and a bounded pending
+//!   queue applies backpressure to producers.
 //! * **[`GramScheduler`]** — the service on a dedicated background thread:
 //!   producers submit through a cheap [`GramClient`] over a bounded
 //!   command channel (microsecond submissions, blocking-or-try
@@ -65,7 +65,7 @@
 //! * **Telemetry plane** — both lanes record into the service's
 //!   [`RuntimeMetrics`] hub (an `mgk-telemetry` registry): stage-latency
 //!   histograms for intake → queue wait → drain/group → preparation →
-//!   solve → cache/donor fold → publish, a queue-depth gauge, live
+//!   solve → cache fold → publish, a queue-depth gauge, live
 //!   bytes/flops traffic with a running arithmetic-intensity gauge, and
 //!   every [`ServiceStats`] counter. Scrape it via
 //!   [`GramScheduler::telemetry`]/[`GramCluster::telemetry`] and render

@@ -22,8 +22,6 @@ pub mod names {
     pub const JOBS_EXECUTED: &str = "mgk_pair_solves_total";
     /// Flush-lane pairs served from the cache (counter).
     pub const CACHE_HITS: &str = "mgk_cache_hits_total";
-    /// Solves that started from a donated warm-start guess (counter).
-    pub const WARM_STARTED: &str = "mgk_warm_started_solves_total";
     /// Total PCG iterations across executed solves (counter).
     pub const TOTAL_ITERATIONS: &str = "mgk_solver_iterations_total";
     /// Solves that failed to converge (counter).
@@ -93,8 +91,6 @@ pub struct RuntimeMetrics {
     pub jobs_executed: Counter,
     /// Flush-lane cache hits.
     pub cache_hits: Counter,
-    /// Warm-started solves.
-    pub warm_started: Counter,
     /// Total PCG iterations.
     pub total_iterations: Counter,
     /// Non-converged solves.
@@ -152,7 +148,7 @@ pub struct RuntimeMetrics {
     pub stage_prepare: Histogram,
     /// Solve stage latencies.
     pub stage_solve: Histogram,
-    /// Cache/donor fold stage latencies.
+    /// Cache fold stage latencies.
     pub stage_fold: Histogram,
     /// Snapshot publication stage latencies.
     pub stage_publish: Histogram,
@@ -171,7 +167,6 @@ impl RuntimeMetrics {
             admitted: registry.counter(names::ADMITTED),
             jobs_executed: registry.counter(names::JOBS_EXECUTED),
             cache_hits: registry.counter(names::CACHE_HITS),
-            warm_started: registry.counter(names::WARM_STARTED),
             total_iterations: registry.counter(names::TOTAL_ITERATIONS),
             failures: registry.counter(names::FAILURES),
             batches: registry.counter(names::BATCHES),

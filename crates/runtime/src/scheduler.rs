@@ -1401,27 +1401,24 @@ mod tests {
         let mirrored = single.request(b.clone(), a.clone()).unwrap().wait().unwrap();
 
         // and each of them is, bit for bit, the front door's answer at its
-        // own carrier: the solver the service holds, the prepared pair, and
-        // the donors the wave had folded in by the time the group solved
+        // own carrier: the solver the service holds and the prepared pair,
+        // whatever the service solved before
         let solver = solver.with_config(SolverConfig { compute_nodal: true, ..*solver.config() });
         let [pa, pb, pc] = [a, b, c].map(|g| solver.prepare_graph(g));
-        let cold_f32 = solver.kernel_prepared::<f32, _, _>(&pa, &pb, &[], Precision::F32).unwrap();
+        let cold_f32 = solver.kernel_prepared::<f32, _, _>(&pa, &pb, Precision::F32).unwrap();
         for ticket in &served {
             assert_same_solve(ticket, &cold_f32);
         }
-        // the f64 group's wave opened after the f32 group's fold donated
-        let donor = cold_f32.nodal.as_deref().unwrap();
-        let warm_f64 =
-            solver.kernel_prepared::<f64, _, _>(&pa, &pb, &[donor], Precision::F64).unwrap();
-        assert_same_solve(&exact, &warm_f64);
-        let cold_ac = solver.kernel_prepared::<f64, _, _>(&pa, &pc, &[], Precision::F64).unwrap();
+        let cold_f64 = solver.kernel_prepared::<f64, _, _>(&pa, &pb, Precision::F64).unwrap();
+        assert_same_solve(&exact, &cold_f64);
+        let cold_ac = solver.kernel_prepared::<f64, _, _>(&pa, &pc, Precision::F64).unwrap();
         assert_same_solve(&other, &cold_ac);
         // cache replays: the f64 solve's entry, a vector only for the f32
         // request in the solved orientation (the side-cache's narrowed one)
         let narrowed: Vec<f32> =
-            warm_f64.nodal.as_ref().unwrap().iter().map(|&v| v as f32).collect();
+            cold_f64.nodal.as_ref().unwrap().iter().map(|&v| v as f32).collect();
         let replay =
-            KernelResult { nodal: None, traffic: TrafficCounters::new(), ..warm_f64.clone() };
+            KernelResult { nodal: None, traffic: TrafficCounters::new(), ..cold_f64.clone() };
         assert_same_solve(&replayed, &replay);
         let replay_f32 = |nodal: Option<Vec<f32>>| KernelResult {
             value: replay.value_f64 as f32,

@@ -14,15 +14,9 @@
 //! * **Entry caching.** Pairs are keyed by structure *content hash*
 //!   ([`graph_content_hash`]), so resubmitting a structure the service has
 //!   seen turns its pairs into lookups in an LRU-bounded [`PairCache`].
-//! * **Warm-started solves.** Converged nodal solutions are retained per
-//!   `(left structure, right dimension)` and donated as PCG starting
-//!   guesses for later pairs of the same shape (`pcg_counted_warm` in
-//!   `mgk-linalg`) — the reuse argument iterative-fitting convergence
-//!   results justify. This pays off when appended structures closely
-//!   resemble already-solved ones (streams of conformations or perturbed
-//!   variants); for unrelated structures the donated residual buys little,
-//!   so `pcg_counted_warm`'s residual guard bounds the cost of an
-//!   unhelpful donor to one extra operator application.
+//! * **Cold solves.** Every pair solve is the paper's preconditioned CG
+//!   from zero, so a value depends on the prepared pair, its orientation
+//!   and the precision — never on what the service solved before it.
 //! * **Batched scheduling with backpressure.** Submissions queue up to
 //!   [`GramServiceConfig::max_pending`]; past that, [`GramService::submit`]
 //!   reports [`GramServiceError::Backpressure`] so producers can throttle.
@@ -40,10 +34,9 @@
 //!   what the consumer reads is decided at the sink (`flush` narrows the
 //!   value into its `f32` triangle slot). The scheduler's request drain
 //!   feeds the same wave with ticket groups instead of triangle slots, so
-//!   batching, warm-start visibility (donors change only between waves)
-//!   and duplicate handling (a duplicate of a held key waits for that
-//!   wave, then is a cache answer if the cache kept the entry and a solve
-//!   of its own if not) are defined once.
+//!   batching and duplicate handling (a duplicate of a held key waits for
+//!   that wave, then is a cache answer if the cache kept the entry and a
+//!   solve of its own if not) are defined once.
 //!
 //! `flush` runs on the caller's thread; to decouple producers from solve
 //! latency, hand the service to a
@@ -75,7 +68,7 @@ use mgk_linalg::{Precision, Scalar};
 use mgk_telemetry::{MetricsRegistry, Stopwatch};
 
 use crate::cache::{
-    CachedEntry, LruMap, NodalCache, PairCache, PairKey, PairSide, ReorderCache, SharedNodal,
+    CachedEntry, NodalCache, PairCache, PairKey, PairSide, ReorderCache, SharedNodal,
 };
 use crate::hash::{graph_content_hash, ContentHash};
 use crate::metrics::RuntimeMetrics;
@@ -106,19 +99,6 @@ pub struct GramServiceConfig {
     /// (or a member, or an in-flight request) holds it; 0 disables the
     /// cache, and every encounter then prepares afresh.
     pub reorder_cache_capacity: usize,
-    /// Donate converged solutions as warm starts for equally-sized systems.
-    pub warm_start: bool,
-    /// Maximum retained warm-start donor *keys* (each holding up to
-    /// [`donors_per_key`](Self::donors_per_key) `n × m`-float vectors); at
-    /// capacity the least-recently-donated key is evicted — the pool is a
-    /// best-effort hint store, not a correctness structure.
-    pub donor_capacity: usize,
-    /// Donor vectors retained per key. Every candidate's initial residual
-    /// is measured at solve time and the best one seeds the iteration
-    /// (`pcg_counted_warm_multi`), so keeping a few donors per key widens
-    /// the regime where warm starts pay off beyond the last-donated
-    /// structure.
-    pub donors_per_key: usize,
     /// Capacity of the nodal side-cache: converged per-vertex-pair solution
     /// vectors retained per *ordered* pair identity, so an `f32` cache
     /// answer can carry its nodal vector instead of forcing a re-solve on
@@ -135,9 +115,6 @@ impl Default for GramServiceConfig {
             batch_size: 256,
             cache_capacity: 4096,
             reorder_cache_capacity: 512,
-            warm_start: true,
-            donor_capacity: 256,
-            donors_per_key: 3,
             nodal_cache_capacity: 128,
         }
     }
@@ -192,8 +169,6 @@ pub struct ServiceStats {
     pub jobs_executed: usize,
     /// Pair entries served from the cache instead of solved.
     pub cache_hits: usize,
-    /// Executed solves that started from a donated warm-start guess.
-    pub warm_started: usize,
     /// Total PCG iterations across executed solves.
     pub total_iterations: usize,
     /// Executed solves that failed to converge (entries left `NaN`).
@@ -359,107 +334,17 @@ struct PreparedStructure<V, E> {
     side: PairSide,
 }
 
-impl<V, E> PreparedStructure<V, E> {
-    /// The warm-start donor key of a pair with `self` on the left:
-    /// `(left structure hash, right vertex count)`.
-    fn donor_key(&self, right: &Self) -> (u64, usize) {
-        (self.side.hash, right.side.vertices as usize)
-    }
-}
-
-/// One retained warm-start donor: the converged nodal solution, the
-/// content hash of the right structure it was solved against (the donor's
-/// identity within its key bucket) and the iteration count of the solve
-/// that produced it (fewer iterations ⇒ the solve started closer to the
-/// fixed point ⇒ the better donor).
-#[derive(Debug)]
-struct DonorEntry {
-    right_hash: u64,
-    nodal: SharedNodal,
-    iterations: usize,
-}
-
-/// Warm-start donors keyed by `(left structure hash, right vertex count)`,
-/// bounded by evicting the least-recently-donated key.
-///
-/// Each key retains up to `per_key` donors from *distinct* right
-/// structures (the `k` nearest donors of the ROADMAP's similarity-search
-/// item — "nearest" is decided at solve time, where
-/// `pcg_counted_warm_multi` measures every candidate's initial residual
-/// and starts from the best, so a donor that merely *looks* close never
-/// beats one that actually is). Donation policy within a bucket: a donor
-/// for the same right structure keeps the existing vector when the
-/// incoming solve took *more* iterations — it converged from a worse
-/// starting point, so the retained donor was closer to the fixed point; a
-/// donor for a new right structure displaces the bucket's oldest once the
-/// bucket is full. Either way the key's recency is refreshed (it is
-/// actively being donated to).
-#[derive(Debug)]
-struct DonorPool {
-    per_key: usize,
-    buckets: LruMap<(u64, usize), Vec<DonorEntry>>,
-}
-
-impl DonorPool {
-    fn new(capacity: usize, per_key: usize) -> Self {
-        DonorPool { per_key: per_key.max(1), buckets: LruMap::new(capacity.max(1)) }
-    }
-
-    fn len(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Every retained candidate for `key`, newest donation first
-    /// (read-only: wave workers share the pool immutably, so recency is
-    /// donation-time only).
-    fn candidates(&self, key: &(u64, usize)) -> impl Iterator<Item = &[f32]> {
-        self.buckets
-            .peek(key)
-            .into_iter()
-            .flat_map(|bucket| bucket.iter().rev().map(|e| e.nodal.as_slice()))
-    }
-
-    fn donate(
-        &mut self,
-        key: (u64, usize),
-        right_hash: u64,
-        nodal: impl Into<SharedNodal>,
-        iterations: usize,
-    ) {
-        let donor = DonorEntry { right_hash, nodal: nodal.into(), iterations };
-        let Some(bucket) = self.buckets.get_mut(key) else {
-            self.buckets.insert(key, vec![donor]);
-            return;
-        };
-        match bucket.iter_mut().find(|e| e.right_hash == right_hash) {
-            Some(existing) => {
-                if iterations <= existing.iterations {
-                    *existing = donor;
-                }
-            }
-            None => {
-                if bucket.len() >= self.per_key {
-                    // the bucket's oldest donor is the least likely to
-                    // still resemble the stream
-                    bucket.remove(0);
-                }
-                bucket.push(donor);
-            }
-        }
-    }
-}
-
 /// The streaming Gram service. See the module docs for the design.
 ///
-/// Deliberately not `Clone`: its state (members, triangle, caches, donors,
-/// the live WAL handle, the registry its counters live in) belongs to one
-/// owner. A cluster's further shards are built from the prototype's *recipe*
+/// Deliberately not `Clone`: its state (members, triangle, caches, the live
+/// WAL handle, the registry its counters live in) belongs to one owner. A
+/// cluster's further shards are built from the prototype's *recipe*
 /// (solver, configuration, content hasher), not from a copy of its state.
 #[derive(Debug)]
 pub struct GramService<KV, KE, V, E> {
     /// The user's solver with nodal vectors switched on (they feed the
-    /// warm-start donor pool and the nodal side-cache): prepares each
-    /// structure once, solves every prepared pair.
+    /// nodal side-cache): prepares each structure once, solves every
+    /// prepared pair.
     solver: MarginalizedKernelSolver<KV, KE>,
     config: GramServiceConfig,
     members: Vec<Arc<PreparedStructure<V, E>>>,
@@ -478,13 +363,7 @@ pub struct GramService<KV, KE, V, E> {
     /// no second hash — and, because none of that depends on the solve
     /// precision, one entry serves f32, f64 and refined solves alike.
     reorder: ReorderCache<Arc<PreparedStructure<V, E>>>,
-    /// Best converged nodal solution per `(left structure hash, right
-    /// vertex count)`. Keying on the *left* structure means a donor shares
-    /// the `A_i ⊗ ·` half of the Kronecker system with the pair it seeds,
-    /// which keeps the guess close for ensembles of similar structures; the
-    /// `pcg_counted_warm` residual guard discards it when it is not.
-    donors: DonorPool,
-    /// Content hasher for cache keys and donor keys; replaceable via
+    /// Content hasher for cache keys; replaceable via
     /// [`with_content_hasher`](GramService::with_content_hasher).
     hasher: fn(&Graph<V, E>) -> u64,
     /// Discriminators `(vertices, edges)` of the first admitted structure
@@ -532,7 +411,6 @@ where
             solver,
             cache: PairCache::new(config.cache_capacity),
             reorder: ReorderCache::new(config.reorder_cache_capacity),
-            donors: DonorPool::new(config.donor_capacity, config.donors_per_key),
             nodal: NodalCache::new(config.nodal_cache_capacity),
             config,
             members: Vec::new(),
@@ -549,14 +427,14 @@ where
 
     /// An empty service built from this one's recipe — the same solver,
     /// (clamped) configuration and content hasher — and none of its state:
-    /// no members, empty caches and donor pool, no store, a registry of its
-    /// own reading zero. What a [`GramCluster`](crate::GramCluster) gives
-    /// its further shards (its module docs say why nothing is replicated).
+    /// no members, empty caches, no store, a registry of its own reading
+    /// zero. What a [`GramCluster`](crate::GramCluster) gives its further
+    /// shards (its module docs say why nothing is replicated).
     pub(crate) fn sibling(&self) -> Self {
         GramService::new(self.solver.clone(), self.config).with_content_hasher(self.hasher)
     }
 
-    /// Replace the content hasher used for cache and donor keys.
+    /// Replace the content hasher used for cache keys.
     ///
     /// The default is [`graph_content_hash`]; a replacement must be set
     /// before the first structure is admitted (keys of already-admitted
@@ -594,7 +472,6 @@ where
             admitted: m.admitted.value() as usize,
             jobs_executed: m.jobs_executed.value() as usize,
             cache_hits: m.cache_hits.value() as usize,
-            warm_started: m.warm_started.value() as usize,
             total_iterations: m.total_iterations.value() as usize,
             failures: m.failures.value() as usize,
             batches: m.batches.value() as usize,
@@ -643,12 +520,6 @@ where
     /// Cache hit/size observability for monitoring.
     pub fn cache_len(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Number of retained warm-start donor vectors (bounded by
-    /// [`GramServiceConfig::donor_capacity`]).
-    pub fn donor_len(&self) -> usize {
-        self.donors.len()
     }
 
     /// Number of retained prepared structures (bounded by
@@ -842,11 +713,11 @@ where
 
     /// Close `wave` and start the next: the pure solves of its cache-missed
     /// claims fan out across the worker pool in one parallel region (the
-    /// service is borrowed shared there, so every solve sees the same
-    /// donors); then the folds run in arrival order on the owning thread —
-    /// the single-writer half — so cache and donor state evolve exactly as
-    /// a sequential loop would have left them. Returns every claim with its
-    /// outcome, in arrival order, for the lane to deliver. Every fresh solve
+    /// service is borrowed shared there); then the folds run in arrival
+    /// order on the owning thread — the single-writer half — so the caches
+    /// evolve exactly as a sequential loop would have left them. Returns
+    /// every claim with its outcome, in arrival order, for the lane to
+    /// deliver. Every fresh solve
     /// is carried at `f64` — whatever it ran at, a narrower result is the
     /// element-wise `from_f64` of this one, so the lane's sink narrows.
     pub(crate) fn close<P: Send>(&mut self, wave: &mut Wave<V, E, P>) -> Landed<V, E, P> {
@@ -860,45 +731,34 @@ where
         solved.into_iter().map(|claim| claim.then(|pair, at, s| self.fold(pair, s, at))).collect()
     }
 
-    /// Warm-started solve of one prepared pair at `precision`, carried at
-    /// `T`: the *pure* half of every solve, on both lanes and at every
-    /// precision — the one place the service calls its solver. Reads the
-    /// donor pool, writes nothing (`&self`), so a closing wave fans it out
-    /// across the worker pool; the single-writer half is the fold
+    /// Cold solve of one prepared pair at `precision`, carried at `T`: the
+    /// *pure* half of every solve, on both lanes and at every precision —
+    /// the one place the service calls its solver. Writes nothing (`&self`),
+    /// so a closing wave fans it out across the worker pool; the
+    /// single-writer half is the fold
     /// ([`fold_request_solve`](Self::fold_request_solve) outside a wave).
     pub fn solve_pair<T: Scalar>(
         &self,
         pair: &PreparedPair<V, E>,
         precision: Precision,
     ) -> RequestSolve<T> {
-        let (left, right) = (&pair.left, &pair.right);
-        let candidates: Vec<&[f32]> = if self.config.warm_start {
-            self.donors.candidates(&left.donor_key(right)).collect()
-        } else {
-            Vec::new()
-        };
         let solve_watch = Stopwatch::start();
-        let result = self.solver.kernel_prepared(&left.graph, &right.graph, &candidates, precision);
-        RequestSolve { result, warmed: !candidates.is_empty(), solve_ns: solve_watch.elapsed_ns() }
+        let result = self.solver.kernel_prepared(&pair.left.graph, &pair.right.graph, precision);
+        RequestSolve { result, solve_ns: solve_watch.elapsed_ns() }
     }
 
     /// Everything a converged solve leaves behind, on either lane: the
-    /// iteration, warm-start and traffic counters, the pair-cache entry
-    /// (persisted first), the nodal side-cache vector (in solve
-    /// orientation) and the warm-start donation. `precision` is the tag the
-    /// cache entry is stored under.
+    /// iteration and traffic counters, the pair-cache entry (persisted
+    /// first) and the nodal side-cache vector (in solve orientation).
+    /// `precision` is the tag the cache entry is stored under.
     fn write_back<T: Scalar>(
         &mut self,
         pair: &PreparedPair<V, E>,
         r: &KernelResult<T>,
         precision: Precision,
-        warmed: bool,
     ) {
         let (left, right) = (&pair.left, &pair.right);
         self.metrics.total_iterations.add(r.iterations as u64);
-        if warmed {
-            self.metrics.warm_started.inc();
-        }
         r.traffic.export_to(&self.metrics.traffic);
         let key = PairKey::new(left.side, right.side);
         let entry = CachedEntry {
@@ -910,17 +770,9 @@ where
         };
         self.persist_pair(key, &entry);
         self.cache.insert(key, entry);
-        let (keep_nodal, donate) = (self.config.nodal_cache_capacity > 0, self.config.warm_start);
-        if let Some(nodal) = r.nodal.as_ref().filter(|_| keep_nodal || donate) {
-            // one narrowed vector, Arc-shared between the side-cache and
-            // the donor pool
-            let narrowed: SharedNodal = Arc::new(nodal.iter().map(|&v| v.to_f32()).collect());
-            if keep_nodal {
-                self.nodal.insert((left.side, right.side), Arc::clone(&narrowed));
-            }
-            if donate {
-                self.donors.donate(left.donor_key(right), right.side.hash, narrowed, r.iterations);
-            }
+        if let Some(nodal) = r.nodal.as_ref().filter(|_| self.config.nodal_cache_capacity > 0) {
+            let narrowed = nodal.iter().map(|&v| v.to_f32()).collect();
+            self.nodal.insert((left.side, right.side), Arc::new(narrowed));
         }
     }
 
@@ -1019,7 +871,7 @@ where
     /// The *stateful* half of a request solve outside a wave:
     /// the fold every solve gets, counted in
     /// [`ServiceStats::request_solves`]. Must run on the thread that owns
-    /// the service (the scheduler thread) — cache, donors and their recency
+    /// the service (the scheduler thread) — the caches and their recency
     /// bookkeeping are single-writer. `precision` is the one the solve ran
     /// at, the tag the cache entry is stored under: a
     /// [`Precision::Refined`] entry answers later f64 and refined requests.
@@ -1049,7 +901,7 @@ where
         self.metrics.stage_solve.record(solved.solve_ns);
         let mut r = solved.result.inspect_err(|_| self.metrics.failures.inc())?;
         let fold_watch = Stopwatch::start();
-        self.write_back(pair, &r, precision, solved.warmed);
+        self.write_back(pair, &r, precision);
         let fold_ns = fold_watch.elapsed_ns();
         self.metrics.stage_fold.record(fold_ns);
         r.stages.prepare_ns = pair.prepare_ns;
@@ -1058,7 +910,7 @@ where
         Ok(r)
     }
 
-    /// The content hasher this service keys caches and donors by — the
+    /// The content hasher this service keys its caches by — the
     /// same pure function a cluster router must use so pair routing agrees
     /// with every shard's own identity computation (and stays stable
     /// across restarts).
@@ -1281,7 +1133,6 @@ where
 #[derive(Debug)]
 pub struct RequestSolve<T: Scalar> {
     result: Result<KernelResult<T>, SolverError>,
-    warmed: bool,
     solve_ns: u64,
 }
 
@@ -1524,68 +1375,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_starts_occur_and_do_not_change_values() {
-        // same-sized graphs so every solve after the first has a donor
-        let mut rng = StdRng::seed_from_u64(23);
-        let graphs: Vec<Graph> =
-            (0..6).map(|_| generators::newman_watts_strogatz(16, 2, 0.15, &mut rng)).collect();
-
-        // small batches: donors are snapshotted per batch, so warm starts
-        // only kick in from the second batch of a flush onward
-        let mut warm_svc = service(GramServiceConfig { batch_size: 4, ..Default::default() });
-        let mut cold_svc =
-            service(GramServiceConfig { warm_start: false, batch_size: 4, ..Default::default() });
-        for g in &graphs {
-            warm_svc.submit(g.clone()).unwrap();
-            cold_svc.submit(g.clone()).unwrap();
-        }
-        let warm_snap = warm_svc.snapshot();
-        let cold_snap = cold_svc.snapshot();
-
-        assert!(warm_svc.stats().warm_started > 0, "no solve used a warm start");
-        assert_eq!(cold_svc.stats().warm_started, 0);
-        for (a, b) in warm_snap.matrix.iter().zip(&cold_snap.matrix) {
-            assert!((a - b).abs() < 1e-4, "warm {a} vs cold {b}");
-        }
-    }
-
-    #[test]
-    fn warm_starts_cut_iterations_on_similar_structures() {
-        // the realistic streaming case: variants of one structure (same
-        // topology, slightly different random-walk parameters) arrive over
-        // time — donors are nearly exact and the residual guard never has
-        // to discard them
-        let mut rng = StdRng::seed_from_u64(29);
-        let base = generators::newman_watts_strogatz(16, 2, 0.15, &mut rng);
-        let variants: Vec<Graph> = (0..8)
-            .map(|k| base.clone().with_uniform_stopping_probability(0.05 + 1e-4 * k as f32))
-            .collect();
-
-        let run = |warm_start: bool| {
-            let mut svc =
-                service(GramServiceConfig { warm_start, batch_size: 4, ..Default::default() });
-            for g in &variants {
-                svc.submit(g.clone()).unwrap();
-            }
-            let snap = svc.snapshot();
-            (svc.stats(), snap)
-        };
-        let (warm_stats, warm_snap) = run(true);
-        let (cold_stats, cold_snap) = run(false);
-
-        assert!(warm_stats.warm_started > 0);
-        assert!(
-            warm_stats.total_iterations < cold_stats.total_iterations,
-            "warm starts should cut iterations on near-identical systems: warm {} vs cold {}",
-            warm_stats.total_iterations,
-            cold_stats.total_iterations
-        );
-        for (a, b) in warm_snap.matrix.iter().zip(&cold_snap.matrix) {
-            assert!((a - b).abs() < 1e-4, "warm {a} vs cold {b}");
-        }
-    }
-
-    #[test]
     fn snapshot_is_symmetric_normalized_and_psd_like() {
         let graphs = dataset(5, 19);
         let mut svc = service(GramServiceConfig::default());
@@ -1633,29 +1422,50 @@ mod tests {
                 svc.submit(g.clone()).unwrap();
             }
             let executed = svc.flush();
-            (svc.snapshot_source(), svc.stats(), executed)
+            (svc, executed)
         };
-        let (reference, _, executed) =
+        // the bits of a fresh solve of members (i, j), in that orientation
+        let cold = |svc: &UnlabeledService, i: usize, j: usize| {
+            let (left, right) = (&svc.members[i].graph, &svc.members[j].graph);
+            let at = svc.solver.config().precision;
+            svc.solver.kernel_prepared::<f32, _, _>(left, right, at).unwrap().value.to_bits()
+        };
+        let slots = || (0..6).flat_map(|i| (0..=i).map(move |j| (i, j)));
+
+        // member k + 3 duplicates member k: the first three rows solve every
+        // unique pair once, the higher member on the left, and each
+        // duplicate slot is a cache answer with that representative's bits
+        let (reference, executed) =
             flush_twice_submitted(GramServiceConfig::default().cache_capacity);
         assert_eq!(executed, 3 * 4 / 2);
+        for (i, j) in slots() {
+            let (a, b) = (i % 3, j % 3);
+            let got = reference.values[tri_index(i, j)].to_bits();
+            assert_eq!(got, cold(&reference, a.max(b), a.min(b)), "slot ({i},{j})");
+        }
         // a cache too small to hold the flush's unique pairs cannot serve
-        // every duplicate: the ones whose probe misses are solved — in
-        // their own orientation, warm-started, so they agree with the
-        // cached representative to solver accuracy — never left NaN
+        // every duplicate: the ones whose probe misses are solved in their
+        // own orientation, never left NaN. Without a cache that is every
+        // slot, so each carries its own orientation's bits. With a small
+        // one a slot may instead be answered by an entry that a mirrored
+        // re-solve wrote — slots (3,1), (3,2) and (4,2) solve their pair the
+        // other way round — so it carries one of the two orientations' bits
         for cache_capacity in [0, 2, 4] {
-            let (source, stats, executed) = flush_twice_submitted(cache_capacity);
-            assert_eq!(stats.failures, 0);
+            let (svc, executed) = flush_twice_submitted(cache_capacity);
+            assert_eq!(svc.stats().failures, 0);
             assert!(executed > 3 * 4 / 2, "capacity {cache_capacity} must re-solve duplicates");
-            for (slot, (got, want)) in source.triangle.iter().zip(&*reference.triangle).enumerate()
-            {
+            if cache_capacity == 0 {
+                assert_eq!(executed, 6 * 7 / 2, "without a cache every slot is solved");
+            }
+            for (i, j) in slots() {
+                let got = svc.values[tri_index(i, j)].to_bits();
+                let (own, mirrored) = (cold(&svc, i, j), cold(&svc, j, i));
                 assert!(
-                    (got - want).abs() <= 1e-4 * want.abs(),
-                    "cache_capacity {cache_capacity}, triangle slot {slot}: {got} vs {want}"
+                    got == own || (cache_capacity > 0 && got == mirrored),
+                    "cache_capacity {cache_capacity}, slot ({i},{j}): {got:#x} vs {own:#x}"
                 );
             }
         }
-        let (.., executed) = flush_twice_submitted(0);
-        assert_eq!(executed, 6 * 7 / 2, "without a cache every slot is solved");
     }
 
     #[test]
@@ -1666,18 +1476,6 @@ mod tests {
         assert_eq!(svc.snapshot().num_graphs, 1);
         let ids = svc.submit_all(graphs.clone());
         assert_eq!(ids.len(), 1, "submit_all must not silently drop structures");
-    }
-
-    #[test]
-    fn donor_pool_is_bounded() {
-        let graphs = dataset(6, 61);
-        let mut svc =
-            service(GramServiceConfig { donor_capacity: 3, batch_size: 2, ..Default::default() });
-        for g in &graphs {
-            svc.submit(g.clone()).unwrap();
-        }
-        svc.flush();
-        assert!(svc.donor_len() <= 3, "donor pool exceeded its bound: {}", svc.donor_len());
     }
 
     #[test]
@@ -1768,122 +1566,6 @@ mod tests {
     }
 
     #[test]
-    fn donor_pool_keeps_the_better_donor_and_evicts_lru() {
-        let mut pool = DonorPool::new(2, 1);
-        let first = |pool: &DonorPool, key: &(u64, usize)| -> Option<Vec<f32>> {
-            pool.candidates(key).next().map(|s| s.to_vec())
-        };
-        pool.donate((1, 10), 0, vec![1.0], 5);
-        pool.donate((2, 10), 0, vec![2.0], 5);
-
-        // an incoming solve that took MORE iterations converged from a
-        // worse start: the retained donor stays
-        pool.donate((1, 10), 0, vec![1.5], 9);
-        assert_eq!(first(&pool, &(1, 10)), Some(vec![1.0]));
-        // fewer (or equal) iterations: replace
-        pool.donate((1, 10), 0, vec![1.9], 3);
-        assert_eq!(first(&pool, &(1, 10)), Some(vec![1.9]));
-
-        // (1,10) was just donated to; (2,10) is the least-recently-donated
-        // key and must be the eviction victim — not an arbitrary one
-        pool.donate((3, 10), 0, vec![3.0], 5);
-        assert_eq!(pool.len(), 2);
-        assert!(first(&pool, &(2, 10)).is_none(), "LRU donor should have been evicted");
-        assert!(first(&pool, &(1, 10)).is_some());
-        assert!(first(&pool, &(3, 10)).is_some());
-    }
-
-    #[test]
-    fn donor_recency_is_refreshed_even_when_the_old_donor_is_kept() {
-        let mut pool = DonorPool::new(2, 1);
-        pool.donate((1, 10), 0, vec![1.0], 3);
-        pool.donate((2, 10), 0, vec![2.0], 5);
-        // key 1 is re-donated with a worse solve: vector kept, recency
-        // refreshed — so key 2 is now the LRU victim
-        pool.donate((1, 10), 0, vec![1.1], 8);
-        pool.donate((3, 10), 0, vec![3.0], 4);
-        assert!(pool.candidates(&(1, 10)).next().is_some());
-        assert!(pool.candidates(&(2, 10)).next().is_none());
-    }
-
-    #[test]
-    fn donor_buckets_retain_k_distinct_right_structures() {
-        let mut pool = DonorPool::new(4, 2);
-        pool.donate((1, 10), 100, vec![1.0], 5);
-        pool.donate((1, 10), 200, vec![2.0], 5);
-        let got: Vec<Vec<f32>> = pool.candidates(&(1, 10)).map(|s| s.to_vec()).collect();
-        assert_eq!(got, vec![vec![2.0], vec![1.0]], "newest donation ranks first");
-
-        // a third distinct right structure displaces the bucket's oldest
-        pool.donate((1, 10), 300, vec![3.0], 5);
-        let got: Vec<Vec<f32>> = pool.candidates(&(1, 10)).map(|s| s.to_vec()).collect();
-        assert_eq!(got, vec![vec![3.0], vec![2.0]]);
-
-        // re-donation for a retained right structure follows the
-        // fewer-iterations rule instead of displacing anyone
-        pool.donate((1, 10), 200, vec![2.5], 9);
-        let got: Vec<Vec<f32>> = pool.candidates(&(1, 10)).map(|s| s.to_vec()).collect();
-        assert_eq!(got, vec![vec![3.0], vec![2.0]], "worse re-donation keeps the old vector");
-    }
-
-    #[test]
-    fn the_second_nearest_donor_wins_when_it_starts_closer() {
-        // two donor structures for the same (left, right-dimension) key:
-        // the one donated LAST (ranked first by recency) is a poor match
-        // for the incoming pair, the one donated before it is nearly
-        // identical — best-initial-residual selection must pick the 2nd
-        let mut rng = StdRng::seed_from_u64(97);
-        let base = generators::newman_watts_strogatz(16, 2, 0.15, &mut rng);
-        // q values distinct from the 0.05 default so no structure aliases
-        // another's cache entries; the twin sits 0.2% from the target
-        let near_twin = base.clone().with_uniform_stopping_probability(0.0521);
-        let far = generators::barabasi_albert(16, 3, &mut rng);
-        let target = base.clone().with_uniform_stopping_probability(0.052);
-        let left = base.clone();
-
-        let run = |donors: &[&Graph], donors_per_key: usize| {
-            // pinned to F32: the assertion compares iteration counts, which
-            // are only meaningfully donor-sensitive at a fixed precision
-            // (under MGK_TEST_PRECISION=refined the inner sweeps re-solve
-            // corrections and flatten the margin)
-            let solver = MarginalizedKernelSolver::unlabeled(SolverConfig {
-                precision: Precision::F32,
-                ..SolverConfig::default()
-            });
-            let mut svc = GramService::new(
-                solver,
-                GramServiceConfig {
-                    batch_size: 1, // donations land between single-job batches
-                    donors_per_key,
-                    ..Default::default()
-                },
-            );
-            // seed donors in order: the LAST one submitted is the most
-            // recent donation for the shared (left, 16) key
-            svc.submit(left.clone()).unwrap();
-            for d in donors {
-                svc.submit((*d).clone()).unwrap();
-            }
-            svc.flush();
-            let before = svc.stats().total_iterations;
-            svc.submit(target.clone()).unwrap();
-            svc.flush();
-            (svc.stats().total_iterations - before, svc.stats())
-        };
-
-        // near twin donated first, far structure last (most recent)
-        let (best_of_two, stats) = run(&[&near_twin, &far], 2);
-        assert!(stats.warm_started > 0);
-        // with a 1-deep bucket only the far donor is retained
-        let (latest_only, _) = run(&[&near_twin, &far], 1);
-        assert!(
-            best_of_two < latest_only,
-            "the 2nd-nearest donor must win: best-of-2 took {best_of_two} iterations, \
-             latest-only {latest_only}"
-        );
-    }
-
-    #[test]
     fn snapshot_capture_is_arc_shared_and_copies_only_under_contention() {
         let graphs = dataset(5, 301);
         let mut svc = service(GramServiceConfig::default());
@@ -1916,7 +1598,7 @@ mod tests {
 
         let narrow: KernelResult<f32> = solve_request::<f32>(&mut svc, &pair).unwrap();
         assert!(narrow.converged);
-        assert!(narrow.nodal.is_some(), "request solves retain nodal vectors for donors");
+        assert!(narrow.nodal.is_some(), "request solves retain nodal vectors");
         assert_eq!(svc.stats().request_solves, 1);
 
         // the pair is now cache-answerable for f32 …
@@ -1965,7 +1647,7 @@ mod tests {
         svc.flush();
         let pair = svc.prepare_pair(&graphs[0], &graphs[2]);
         solve_request::<f32>(&mut svc, &pair).unwrap();
-        assert!(svc.num_structures() > 0 && svc.cache_len() > 0 && svc.donor_len() > 0);
+        assert!(svc.num_structures() > 0 && svc.cache_len() > 0);
 
         let sibling = svc.sibling();
         assert_eq!(sibling.config(), svc.config(), "the clamped configuration");
@@ -1974,10 +1656,7 @@ mod tests {
         assert_eq!(hashed, marker(&graphs[0]), "the prototype's hasher, not the default");
         assert_ne!(hashed, graph_content_hash(&graphs[0]));
         assert_eq!((sibling.num_structures(), sibling.num_pending(), sibling.version()), (0, 0, 0));
-        assert_eq!(
-            (sibling.cache_len(), sibling.donor_len(), sibling.reorder_cache_len()),
-            (0, 0, 0)
-        );
+        assert_eq!((sibling.cache_len(), sibling.reorder_cache_len()), (0, 0));
         assert!(!sibling.store_attached());
         assert!(!Arc::ptr_eq(&sibling.telemetry(), &svc.telemetry()));
         assert_eq!(sibling.stats(), ServiceStats::default());

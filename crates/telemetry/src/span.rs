@@ -76,7 +76,7 @@ pub struct StageBreakdown {
     pub prepare_ns: u64,
     /// The conjugate-gradient solve itself (zero for cache answers).
     pub solve_ns: u64,
-    /// Folding the answer into the pair cache / donor pool.
+    /// Folding the answer into the pair cache and the nodal side-cache.
     pub fold_ns: u64,
 }
 

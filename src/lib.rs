@@ -24,8 +24,8 @@
 //!   datasets, a SMILES parser, plus the small-world / scale-free ensembles.
 //! * [`runtime`] — the serving layer: the persistent worker pool every
 //!   parallel region executes on, the streaming Gram service with
-//!   incremental extension, content-hash entry caching and warm-started
-//!   solves, the background Gram scheduler (microsecond submissions over a
+//!   incremental extension and content-hash entry caching, the background
+//!   Gram scheduler (microsecond submissions over a
 //!   bounded command channel, versioned snapshot watch), the
 //!   request-scoped `KernelClient` (per-pair tickets with coalescing,
 //!   deadlines, cancellation and typed `KernelResult<T>` answers; the same

@@ -1,11 +1,11 @@
 //! Cross-crate integration of the sharded serving plane: `GramCluster`
 //! must route deterministically by content (stable across restarts,
-//! orientation-invariant), degenerate to the plain scheduler at `K = 1`,
-//! coalesce duplicate tickets within — and never across — shards,
-//! propagate a shard panic through `join()` after every shard drained,
-//! and expose a merged cluster epoch that stays monotone (and equal to
-//! the sum of the shard epochs) under concurrent producers. Runs under
-//! `RUST_TEST_THREADS=1` too (every thread here is our own).
+//! orientation-invariant), answer with a fresh solver's bits at every
+//! shard count, coalesce duplicate tickets within — and never across —
+//! shards, propagate a shard panic through `join()` after every shard
+//! drained, and expose a merged cluster epoch that stays monotone (and
+//! equal to the sum of the shard epochs) under concurrent producers. Runs
+//! under `RUST_TEST_THREADS=1` too (every thread here is our own).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -86,41 +86,66 @@ fn routing_is_deterministic_and_orientation_invariant() {
     second.join();
 }
 
-#[test]
-fn k1_cluster_matches_the_plain_scheduler_bit_for_bit() {
-    let graphs = corpus(5, 1217);
-
-    let scheduler = GramScheduler::spawn(service(), SchedulerConfig::default());
-    let plain = scheduler.kernel_client::<f32>();
-    let mut reference = Vec::new();
+/// Request every pair `i <= j` of `graphs` at f32 and then at f64 — an f32
+/// entry cannot answer an f64 request, so both solve — and check each
+/// answer against the bits of `fresh`, in the same order.
+fn assert_answers(
+    route: &str,
+    graphs: &[Graph],
+    narrow: &KernelClient<Unlabeled, Unlabeled, f32>,
+    wide: &KernelClient<Unlabeled, Unlabeled, f64>,
+    fresh: &[(u32, u64)],
+) {
+    let mut expected = fresh.iter();
     for i in 0..graphs.len() {
         for j in i..graphs.len() {
-            let t = plain.request(graphs[i].clone(), graphs[j].clone()).unwrap();
-            reference.push(t.wait().expect("plain request must resolve").value);
+            let (l, r) = (&graphs[i], &graphs[j]);
+            let f32_value = narrow.request(l.clone(), r.clone()).unwrap().wait().unwrap().value;
+            let f64_value = wide.request(l.clone(), r.clone()).unwrap().wait().unwrap().value;
+            let &(f32_bits, f64_bits) = expected.next().unwrap();
+            assert_eq!(f32_value.to_bits(), f32_bits, "{route}, pair ({i},{j}) at f32");
+            assert_eq!(f64_value.to_bits(), f64_bits, "{route}, pair ({i},{j}) at f64");
         }
     }
+}
+
+#[test]
+fn every_shard_count_answers_with_a_fresh_solvers_bits() {
+    // sizes 8–12 and 8 again: a shard's earlier solves include pairs of
+    // the same shape, and each f64 request follows its own pair's f32 solve
+    let graphs = corpus(6, 1217);
+    let solver = MarginalizedKernelSolver::unlabeled(SolverConfig::default());
+    let prepared: Vec<_> = graphs.iter().map(|g| solver.prepare_graph(g)).collect();
+    let mut fresh = Vec::new();
+    for i in 0..graphs.len() {
+        for j in i..graphs.len() {
+            let (l, r) = (&prepared[i], &prepared[j]);
+            let narrow = solver.kernel_prepared::<f32, _, _>(l, r, Precision::F32).unwrap();
+            let wide = solver.kernel_prepared::<f64, _, _>(l, r, Precision::F64).unwrap();
+            fresh.push((narrow.value.to_bits(), wide.value.to_bits()));
+        }
+    }
+
+    let scheduler = GramScheduler::spawn(service(), SchedulerConfig::default());
+    let (narrow, wide) = (scheduler.kernel_client(), scheduler.kernel_client());
+    assert_answers("plain scheduler", &graphs, &narrow, &wide, &fresh);
     let plain_flush = scheduler.client().flush().unwrap();
     scheduler.join();
 
-    let cluster = spawn_cluster(1);
-    assert_eq!(cluster.num_shards(), 1);
-    let kernels = cluster.kernel_client::<f32>();
-    let mut k = 0;
-    for i in 0..graphs.len() {
-        for j in i..graphs.len() {
-            let t = kernels.request(graphs[i].clone(), graphs[j].clone()).unwrap();
-            let value = t.wait().expect("cluster request must resolve").value;
-            // K = 1 is the degenerate case: same solves in the same order
-            // on one scheduler thread, so values are bit-identical
-            assert_eq!(value.to_bits(), reference[k].to_bits(), "pair ({i},{j}) diverged at K=1");
-            k += 1;
-        }
+    // one shard's history, or any split of it, answers with the same bits
+    for shards in [1, 2, 3] {
+        let cluster = spawn_cluster(shards);
+        assert_eq!(cluster.num_shards(), shards);
+        let (narrow, wide) = (cluster.kernel_client(), cluster.kernel_client());
+        assert_answers(&format!("K = {shards}"), &graphs, &narrow, &wide, &fresh);
+        let BarrierReply { epoch, shard_epochs, num_structures } =
+            cluster.client().flush().unwrap();
+        assert_eq!(shard_epochs.len(), shards);
+        assert_eq!(epoch, shard_epochs.iter().sum::<u64>());
+        assert_eq!(num_structures, plain_flush.num_structures);
+        let solves: usize = cluster.join().iter().map(|svc| svc.stats().request_solves).sum();
+        assert_eq!(solves, 2 * fresh.len(), "K = {shards}: every request ran its own solve");
     }
-    let BarrierReply { epoch, shard_epochs, num_structures } = cluster.client().flush().unwrap();
-    assert_eq!(shard_epochs.len(), 1);
-    assert_eq!(epoch, shard_epochs[0], "a K=1 cluster epoch IS its only shard's epoch");
-    assert_eq!(num_structures, plain_flush.num_structures);
-    cluster.join();
 }
 
 #[test]

@@ -63,19 +63,19 @@ fn assert_prepared_matches_front_door<V, E, KV, KE>(
             // the policy-dispatched serving result
             same_bits(
                 solver.kernel(a, b),
-                solver.kernel_prepared::<f32, V, E>(&prepared_a, &prepared_b, &[], precision),
+                solver.kernel_prepared::<f32, V, E>(&prepared_a, &prepared_b, precision),
             );
             // and the reversed orientation, the reused side on the right
             same_bits(
                 solver.kernel(b, a),
-                solver.kernel_prepared::<f32, V, E>(&prepared_b, &prepared_a, &[], precision),
+                solver.kernel_prepared::<f32, V, E>(&prepared_b, &prepared_a, precision),
             );
             // the carrier is erased at the sink: whatever the solve ran at,
             // the f32 result is the element-wise narrowing of the f64 one
             same_bits(
-                solver.kernel_prepared::<f32, V, E>(&prepared_a, &prepared_b, &[], precision),
+                solver.kernel_prepared::<f32, V, E>(&prepared_a, &prepared_b, precision),
                 solver
-                    .kernel_prepared::<f64, V, E>(&prepared_a, &prepared_b, &[], precision)
+                    .kernel_prepared::<f64, V, E>(&prepared_a, &prepared_b, precision)
                     .map(narrowed),
             );
         }
@@ -83,12 +83,12 @@ fn assert_prepared_matches_front_door<V, E, KV, KE>(
         let prepared_b = solver.prepare_graph(partners[0]);
         same_bits(
             solver.kernel_at::<f64, V, E>(a, partners[0]),
-            solver.kernel_prepared::<f64, V, E>(&prepared_a, &prepared_b, &[], Precision::F64),
+            solver.kernel_prepared::<f64, V, E>(&prepared_a, &prepared_b, Precision::F64),
         );
         let (fresh_a, fresh_b) = (solver.prepare_graph(a), solver.prepare_graph(partners[0]));
         same_bits(
-            solver.kernel_prepared::<f64, V, E>(&fresh_a, &fresh_b, &[], Precision::Refined),
-            solver.kernel_prepared::<f64, V, E>(&prepared_a, &prepared_b, &[], Precision::Refined),
+            solver.kernel_prepared::<f64, V, E>(&fresh_a, &fresh_b, Precision::Refined),
+            solver.kernel_prepared::<f64, V, E>(&prepared_a, &prepared_b, Precision::Refined),
         );
     }
 }
