@@ -465,6 +465,80 @@ mod tests {
         assert!(pbr_order(&empty, &PbrConfig::default()).is_empty());
     }
 
+    /// FNV-1a over the little-endian bytes of an order.
+    fn fnv1a(order: &[u32]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in order.iter().flat_map(|v| v.to_le_bytes()) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn orders_are_pinned() {
+        // Every tiling, tile-pair primitive and kernel value downstream
+        // follows from these orders, so any rewrite of PBR must return them
+        // bit for bit. The cases: the paper's two 96-vertex ablation
+        // families (seeded), a scrambled small-world graph (refinement does
+        // real work), a pure ring lattice (many vertices tie on gain, which
+        // exercises the last-maximum rule of the FM step), a disconnected
+        // graph, the two-clique graph, a size that is not a multiple of 8,
+        // and a tile size other than 8.
+        use rand::seq::SliceRandom;
+        let cfg = PbrConfig::default();
+        let mut hashes = Vec::new();
+        let mut rng = StdRng::seed_from_u64(29);
+        for _ in 0..3 {
+            let g = generators::newman_watts_strogatz(96, 3, 0.1, &mut rng);
+            hashes.push(fnv1a(&pbr_order(&g, &cfg)));
+        }
+        for _ in 0..3 {
+            let g = generators::barabasi_albert(96, 6, &mut rng);
+            hashes.push(fnv1a(&pbr_order(&g, &cfg)));
+        }
+        let g = generators::newman_watts_strogatz(96, 3, 0.1, &mut rng);
+        let mut shuffle: Vec<u32> = (0..96).collect();
+        shuffle.shuffle(&mut rng);
+        hashes.push(fnv1a(&pbr_order(&g.permute(&shuffle), &cfg)));
+        let ring = generators::newman_watts_strogatz(64, 2, 0.0, &mut rng);
+        hashes.push(fnv1a(&pbr_order(&ring, &cfg)));
+        let disconnected = Graph::from_edge_list(
+            30,
+            &[(0, 1), (1, 2), (2, 3), (10, 11), (11, 12), (18, 19), (20, 29), (25, 26)],
+        );
+        hashes.push(fnv1a(&pbr_order(&disconnected, &cfg)));
+        let mut cliques = Vec::new();
+        for parity in 0..2 {
+            for x in 0..8 {
+                for y in (x + 1)..8 {
+                    cliques.push((2 * x + parity, 2 * y + parity));
+                }
+            }
+        }
+        cliques.push((14, 1));
+        hashes.push(fnv1a(&pbr_order(&Graph::from_edge_list(16, &cliques), &cfg)));
+        let odd = generators::barabasi_albert(45, 3, &mut rng);
+        hashes.push(fnv1a(&pbr_order(&odd, &cfg)));
+        let small_tiles = PbrConfig { tile_size: 4, ..cfg };
+        let g = generators::newman_watts_strogatz(50, 2, 0.2, &mut rng);
+        hashes.push(fnv1a(&pbr_order(&g, &small_tiles)));
+        let pinned: [u64; 12] = [
+            0x0719_c628_e6b8_fb45, // nws 0
+            0xfb6d_e06f_5f57_5b95, // nws 1
+            0x3c71_c3b6_2eb0_2b95, // nws 2
+            0xafb2_b720_e2e7_e525, // ba 0
+            0x1e79_b8e8_9420_b445, // ba 1
+            0x2804_dbbd_eb3d_c125, // ba 2
+            0x3434_9f7c_2e05_56b5, // scrambled nws
+            0xf5f4_5328_a8eb_db25, // ring lattice
+            0x825e_d372_e66b_8f24, // disconnected
+            0xdbb3_dd39_4bef_3fe5, // two cliques
+            0xcfce_d1a6_d8b0_37e9, // ba, n = 45
+            0x47f0_e3b6_00ce_78c4, // nws, t = 4
+        ];
+        assert_eq!(hashes, pinned);
+    }
+
     #[test]
     fn custom_tile_size_is_respected() {
         let mut rng = StdRng::seed_from_u64(3);
