@@ -12,7 +12,50 @@
 //! Fiduccia–Mattheyses-style refinement restricted to balance-preserving
 //! swaps. Minimizing the cut at every level of the recursion keeps edges
 //! inside small vertex groups, which is exactly what concentrates nonzeros
-//! into few dense tiles.
+//! into few dense tiles. A final pass, `refine_tile_partition`, then
+//! swaps vertices between parts wherever that removes a connected part
+//! pair, the analogue of the paper's extra FM step on Eq. 3.
+//!
+//! # Cost
+//!
+//! One CSR copy of the adjacency and one scratch serve the whole
+//! recursion: a sub-problem of `s` vertices re-indexes its induced
+//! subgraph into that scratch in `O(s + edges touched)` and allocates
+//! nothing. Greedy growth and each FM swap scan the sub-problem once, so a
+//! level costs `O(s²)` like the scans it replaces. The final pass keeps the
+//! connected-pair counts in a dense `⌈n/t⌉²` table and scores a candidate
+//! swap `(u, w)` in `O(deg w + touched parts)` from per-part neighbour
+//! histograms; `u`'s histogram is built once per `u`, not per candidate.
+//!
+//! # Contract
+//!
+//! The order is a pure function of the graph's adjacency (in its stored
+//! neighbour order) and the config, and every tiling, tile-pair primitive
+//! and kernel value downstream follows from it, so `tests::orders_are_pinned`
+//! pins it bit for bit. The tie-breaks that fix it:
+//! - the growth seed is the *first* vertex of minimum subset degree;
+//! - growth absorbs the vertex of largest `(adhesion, Reverse(index))`,
+//!   i.e. the lowest-indexed one among the most-adhesive;
+//! - an FM swap takes the *last* unlocked vertex of maximal gain on each
+//!   side (what `Iterator::max_by_key` returns);
+//! - both halves keep the sub-problem's relative vertex order;
+//! - the final pass visits `u` in index order, its candidate parts in
+//!   ascending order and each part's slots in order, and commits the first
+//!   swap that lowers the objective.
+//!
+//! For `n ≤ t` the order is the identity.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use mgk_graph::Graph;
 
@@ -40,17 +83,40 @@ impl Default for PbrConfig {
 /// Compute the PBR vertex order of a graph.
 pub fn pbr_order<V, E>(g: &Graph<V, E>, cfg: &PbrConfig) -> Vec<u32> {
     assert!(cfg.tile_size >= 1, "tile size must be at least 1");
-    let n = g.num_vertices();
-    let mut out = Vec::with_capacity(n);
-    let all: Vec<u32> = (0..n as u32).collect();
-    bisect(g, all, cfg, &mut out);
-    debug_assert_eq!(out.len(), n);
-    // direct refinement of the non-empty-tile objective (Eq. 3): the
-    // recursive bisection only minimizes cuts level by level, this pass
-    // swaps vertices between parts whenever that removes a connected part
-    // pair — the analogue of the paper's extra Fiduccia–Mattheyses step
-    refine_tile_partition(g, &mut out, cfg.tile_size, 5);
-    out
+    let csr = Csr::new(g);
+    let mut order: Vec<u32> = (0..csr.len() as u32).collect();
+    Bisection::new(&csr, cfg).bisect(&mut order);
+    refine_tile_partition(&csr, &mut order, cfg.tile_size, 5);
+    order
+}
+
+/// The graph's adjacency as compressed sparse rows, in its stored
+/// neighbour order.
+struct Csr {
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+}
+
+impl Csr {
+    fn new<V, E>(g: &Graph<V, E>) -> Self {
+        let n = g.num_vertices();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(g.num_adjacency_entries());
+        offsets.push(0);
+        for v in 0..n {
+            targets.extend(g.neighbors(v).map(|e| e.target));
+            offsets.push(targets.len());
+        }
+        Csr { offsets, targets }
+    }
+
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn neighbors(&self, v: usize) -> &[u32] {
+        &self.targets[self.offsets[v]..self.offsets[v + 1]]
+    }
 }
 
 /// Greedy partition-level refinement: swap vertices between parts whenever
@@ -58,112 +124,140 @@ pub fn pbr_order<V, E>(g: &Graph<V, E>, cfg: &PbrConfig) -> Vec<u32> {
 /// in place (the grouping of the order into consecutive `tile_size` chunks
 /// defines the partition; the order of vertices within a part and the order
 /// of the parts themselves do not affect the objective).
-fn refine_tile_partition<V, E>(
-    g: &Graph<V, E>,
-    order: &mut [u32],
-    tile_size: usize,
-    passes: usize,
-) {
+///
+/// For each `u` (in index order, part `pu`) the candidates are the vertices
+/// `w` of each part `pw ≠ pu` holding a neighbour of `u`, parts ascending,
+/// slots in order; the first swap with a negative objective change is
+/// committed, and `u` waits for the next pass. Scoring a candidate costs
+/// `O(deg w + touched parts)` and allocates nothing:
+/// - `a[p]` counts `u`'s neighbours in part `p`, once per `u`; the `u–w`
+///   edge (a `Graph` has no duplicate edges or self loops, so at most
+///   one), which joins the same two parts after the swap, leaves `a[pw]`;
+/// - `b[p]` counts `w`'s neighbours in part `p`, skipping `u`;
+/// - with `d_p = b[p] − a[p]`, the swap moves the edge count of the pair
+///   `(pu, p)` by `d_p` and of `(pw, p)` by `−d_p` for `p ∉ {pu, pw}`, and
+///   of `(pu, pw)` by `d_pw − d_pu`; diagonal pairs never score.
+///
+/// Those are exactly the per-pair net changes of moving every edge of `u`
+/// and `w` one at a time, and the objective change is the number of pairs
+/// that reach zero edges minus the number that leave it, so each decision
+/// and therefore the order are the same as with per-edge bookkeeping.
+fn refine_tile_partition(csr: &Csr, order: &mut [u32], tile_size: usize, passes: usize) {
     let n = order.len();
     if n <= tile_size {
         return;
     }
     let num_parts = n.div_ceil(tile_size);
     // position of each vertex in the order, and its part
-    let mut position = vec![0u32; n];
+    let mut position = vec![0usize; n];
+    let mut part = vec![0usize; n];
     for (pos, &v) in order.iter().enumerate() {
-        position[v as usize] = pos as u32;
+        position[v as usize] = pos;
+        part[v as usize] = pos / tile_size;
     }
-    let part_of = |position: &[u32], v: usize| (position[v] as usize) / tile_size;
+    // edge counts between part pairs, symmetric (the diagonal is unused)
+    let mut pair_count = vec![0i32; num_parts * num_parts];
+    for u in 0..n {
+        for &x in csr.neighbors(u) {
+            pair_count[part[u] * num_parts + part[x as usize]] += 1;
+        }
+    }
 
-    // counts of edges between part pairs (unordered, including diagonal)
-    let mut pair_count: std::collections::HashMap<(u32, u32), i64> =
-        std::collections::HashMap::new();
-    let key = |a: usize, b: usize| (a.min(b) as u32, a.max(b) as u32);
-    for (i, j, _, _) in g.edges() {
-        let (pa, pb) = (part_of(&position, i as usize), part_of(&position, j as usize));
-        *pair_count.entry(key(pa, pb)).or_insert(0) += 1;
-    }
+    // per-part neighbour histograms of u and of the candidate w, and the
+    // parts each touches
+    let mut a = vec![0i32; num_parts];
+    let mut b = vec![0i32; num_parts];
+    let mut a_parts: Vec<usize> = Vec::new();
+    let mut b_parts: Vec<usize> = Vec::new();
 
     for _ in 0..passes {
         let mut improved = false;
         for u in 0..n {
-            let pu = part_of(&position, u);
-            // candidate destination parts: the parts of u's neighbours
-            let mut candidate_parts: Vec<usize> = g
-                .neighbors(u)
-                .map(|e| part_of(&position, e.target as usize))
-                .filter(|&p| p != pu)
-                .collect();
-            candidate_parts.sort_unstable();
-            candidate_parts.dedup();
-            'parts: for &pw in &candidate_parts {
-                if pw >= num_parts {
+            let pu = part[u];
+            a_parts.clear();
+            for &x in csr.neighbors(u) {
+                let px = part[x as usize];
+                if a[px] == 0 {
+                    a_parts.push(px);
+                }
+                a[px] += 1;
+            }
+            a_parts.sort_unstable();
+            'parts: for &pw in &a_parts {
+                if pw == pu {
                     continue;
                 }
-                // try swapping u with every vertex of part pw
                 let start = pw * tile_size;
                 let end = (start + tile_size).min(n);
                 for slot in start..end {
                     let w = order[slot] as usize;
-                    if w == u {
-                        continue;
-                    }
-                    // compute the change in the number of connected part
-                    // pairs if u and w swap parts
-                    let mut delta: std::collections::HashMap<(u32, u32), i64> =
-                        std::collections::HashMap::new();
-                    let record = |k: (u32, u32), d: i64, delta: &mut std::collections::HashMap<(u32, u32), i64>| {
-                        *delta.entry(k).or_insert(0) += d;
-                    };
-                    for e in g.neighbors(u) {
-                        let x = e.target as usize;
-                        if x == w {
-                            continue; // the u-w edge connects the same two parts after the swap
-                        }
-                        let px = part_of(&position, x);
-                        record(key(pu, px), -1, &mut delta);
-                        record(key(pw, px), 1, &mut delta);
-                    }
-                    for e in g.neighbors(w) {
-                        let x = e.target as usize;
-                        if x == u {
+                    b_parts.clear();
+                    let mut uw = 0;
+                    for &x in csr.neighbors(w) {
+                        if x as usize == u {
+                            uw = 1;
                             continue;
                         }
-                        let px = part_of(&position, x);
-                        record(key(pw, px), -1, &mut delta);
-                        record(key(pu, px), 1, &mut delta);
-                    }
-                    // objective delta: count off-diagonal pairs that appear
-                    // or disappear
-                    let mut objective_delta = 0i64;
-                    for (&k, &d) in &delta {
-                        if k.0 == k.1 {
-                            continue; // diagonal tiles are always resident
+                        let px = part[x as usize];
+                        if b[px] == 0 {
+                            b_parts.push(px);
                         }
-                        let before = *pair_count.get(&k).unwrap_or(&0);
+                        b[px] += 1;
+                    }
+                    a[pw] -= uw;
+
+                    let mut objective_delta = 0i32;
+                    let mut score = |p: usize, q: usize, d: i32| {
+                        let before = pair_count[p * num_parts + q];
                         let after = before + d;
                         debug_assert!(after >= 0, "negative pair count");
-                        objective_delta += (after > 0) as i64 - (before > 0) as i64;
+                        objective_delta += i32::from(after > 0) - i32::from(before > 0);
+                    };
+                    let others = a_parts.iter().chain(b_parts.iter().filter(|&&p| a[p] == 0));
+                    for &p in others.clone() {
+                        if p != pu && p != pw {
+                            let d = b[p] - a[p];
+                            score(pu, p, d);
+                            score(pw, p, -d);
+                        }
+                    }
+                    let shared = (b[pw] - a[pw]) - (b[pu] - a[pu]);
+                    score(pu, pw, shared);
+
+                    if objective_delta < 0 {
+                        let mut apply = |p: usize, q: usize, d: i32| {
+                            pair_count[p * num_parts + q] += d;
+                            pair_count[q * num_parts + p] += d;
+                        };
+                        for &p in others {
+                            if p != pu && p != pw {
+                                let d = b[p] - a[p];
+                                apply(pu, p, d);
+                                apply(pw, p, -d);
+                            }
+                        }
+                        apply(pu, pw, shared);
+                        let (posu, posw) = (position[u], position[w]);
+                        order.swap(posu, posw);
+                        position.swap(u, w);
+                        part.swap(u, w);
+                        improved = true;
+                    }
+                    a[pw] += uw;
+                    for &p in &b_parts {
+                        b[p] = 0;
                     }
                     if objective_delta < 0 {
-                        // commit the swap
-                        for (k, d) in delta {
-                            let slot_count = pair_count.entry(k).or_insert(0);
-                            *slot_count += d;
-                        }
-                        let (posu, posw) = (position[u] as usize, position[w]);
-                        order.swap(posu, posw as usize);
-                        position[u] = posw;
-                        position[w] = posu as u32;
-                        improved = true;
-                        // u has moved to part pw: both `pu` and the candidate
-                        // part list are now stale, so stop processing u this
-                        // pass (it can move again on the next pass)
+                        // u has moved to part pw: both `pu` and its
+                        // histogram are now stale, so stop processing u
+                        // this pass (it can move again on the next pass)
                         break 'parts;
                     }
                 }
             }
+            for &p in &a_parts {
+                a[p] = 0;
+            }
         }
         if !improved {
             break;
@@ -171,176 +265,198 @@ fn refine_tile_partition<V, E>(
     }
 }
 
-fn bisect<V, E>(g: &Graph<V, E>, verts: Vec<u32>, cfg: &PbrConfig, out: &mut Vec<u32>) {
-    let t = cfg.tile_size;
-    if verts.len() <= t {
-        out.extend(verts);
-        return;
-    }
-    let k = verts.len().div_ceil(t);
-    // left half receives ⌊k/2⌋ full tiles; the (possibly partial) last tile
-    // stays on the right so that every left part is perfectly balanced
-    let left_tiles = k / 2;
-    let left_size = left_tiles * t;
-
-    let (left, right) = split(g, &verts, left_size, cfg);
-    bisect(g, left, cfg, out);
-    bisect(g, right, cfg, out);
+/// Recursive bisection over one scratch. Each sub-problem is a contiguous
+/// range of the order, split in place into its left and right halves.
+struct Bisection<'a> {
+    csr: &'a Csr,
+    cfg: &'a PbrConfig,
+    /// global vertex -> index in the current sub-problem, `u32::MAX` outside
+    local: Vec<u32>,
+    /// the sub-problem's induced subgraph as CSR over local indices
+    sub_offsets: Vec<usize>,
+    sub_targets: Vec<u32>,
+    in_left: Vec<bool>,
+    adhesion: Vec<u32>,
+    gain: Vec<i64>,
+    locked: Vec<bool>,
+    /// the right half while the left one is compacted in place
+    spill: Vec<u32>,
 }
 
-/// Split `verts` into two halves of sizes `left_size` and
-/// `verts.len() - left_size`, minimizing the edge cut between them.
-fn split<V, E>(
-    g: &Graph<V, E>,
-    verts: &[u32],
-    left_size: usize,
-    cfg: &PbrConfig,
-) -> (Vec<u32>, Vec<u32>) {
-    let n_sub = verts.len();
-    // membership lookup: global vertex -> local index (or MAX when outside)
-    let n_global = g.num_vertices();
-    let mut local = vec![u32::MAX; n_global];
-    for (i, &v) in verts.iter().enumerate() {
-        local[v as usize] = i as u32;
-    }
-
-    // --- initial partition: greedy graph growing from a low-degree seed --
-    // Instead of plain BFS (which happily shoots through a long-range
-    // shortcut edge and splits a remote cluster), grow the left region by
-    // repeatedly absorbing the unassigned vertex with the largest number of
-    // edges into the current region ("maximum adhesion" growth). This keeps
-    // the region contiguous and compact, which is what minimizes the cut.
-    let mut in_left = vec![false; n_sub];
-    let mut taken = 0usize;
-    // adhesion[v] = number of edges from v into the current left region
-    let mut adhesion = vec![0u32; n_sub];
-    // seed: minimum subset-degree vertex (approximates a peripheral vertex)
-    let seed = (0..n_sub)
-        .min_by_key(|&i| {
-            g.neighbors(verts[i] as usize).filter(|e| local[e.target as usize] != u32::MAX).count()
-        })
-        .unwrap_or(0);
-    let mut next_pick = Some(seed);
-    while taken < left_size {
-        let v = match next_pick.take() {
-            Some(v) => v,
-            None => {
-                // pick the unassigned vertex with maximal adhesion; ties are
-                // broken toward lower local index for determinism. Isolated
-                // or disconnected vertices (adhesion 0) are absorbed last.
-                match (0..n_sub)
-                    .filter(|&u| !in_left[u])
-                    .max_by_key(|&u| (adhesion[u], std::cmp::Reverse(u)))
-                {
-                    Some(u) => u,
-                    None => break,
-                }
-            }
-        };
-        if in_left[v] {
-            continue;
-        }
-        in_left[v] = true;
-        taken += 1;
-        for e in g.neighbors(verts[v] as usize) {
-            let l = local[e.target as usize];
-            if l != u32::MAX && !in_left[l as usize] {
-                adhesion[l as usize] += 1;
-            }
+impl<'a> Bisection<'a> {
+    fn new(csr: &'a Csr, cfg: &'a PbrConfig) -> Self {
+        Bisection {
+            csr,
+            cfg,
+            local: vec![u32::MAX; csr.len()],
+            sub_offsets: Vec::new(),
+            sub_targets: Vec::new(),
+            in_left: Vec::new(),
+            adhesion: Vec::new(),
+            gain: Vec::new(),
+            locked: Vec::new(),
+            spill: Vec::new(),
         }
     }
 
-    // --- FM-style refinement with balance-preserving swaps ---------------
-    // gain(v) = (edges to the other side) - (edges to the own side); a swap
-    // of (l, r) changes the cut by -(gain_l + gain_r - 2·[l ~ r]).
-    let adjacency = |v: usize| {
-        g.neighbors(verts[v] as usize)
-            .filter_map(|e| {
-                let l = local[e.target as usize];
-                (l != u32::MAX).then_some(l as usize)
-            })
-            .collect::<Vec<_>>()
-    };
-    let adj: Vec<Vec<usize>> = (0..n_sub).map(adjacency).collect();
+    fn bisect(&mut self, verts: &mut [u32]) {
+        let t = self.cfg.tile_size;
+        if verts.len() <= t {
+            return;
+        }
+        // left half receives ⌊k/2⌋ full tiles; the (possibly partial) last
+        // tile stays on the right so that every left part is perfectly
+        // balanced
+        let left_size = verts.len().div_ceil(t) / 2 * t;
+        self.split(verts, left_size);
+        let (left, right) = verts.split_at_mut(left_size);
+        self.bisect(left);
+        self.bisect(right);
+    }
 
-    let max_swaps = ((n_sub as f64 * cfg.max_swap_fraction) as usize).max(1);
-    for _pass in 0..cfg.refinement_passes {
-        let mut gain: Vec<i64> = (0..n_sub)
-            .map(|v| {
-                let mut ext = 0i64;
-                let mut int = 0i64;
-                for &u in &adj[v] {
-                    if in_left[u] == in_left[v] {
-                        int += 1;
-                    } else {
-                        ext += 1;
-                    }
+    fn sub_neighbors(&self, v: usize) -> &[u32] {
+        &self.sub_targets[self.sub_offsets[v]..self.sub_offsets[v + 1]]
+    }
+
+    /// gain(v) = (edges to the other side) − (edges to the own side)
+    fn gain_of(&self, v: usize) -> i64 {
+        self.sub_neighbors(v)
+            .iter()
+            .map(|&u| if self.in_left[u as usize] == self.in_left[v] { -1 } else { 1 })
+            .sum()
+    }
+
+    /// Reorder `verts` so that its first `left_size` vertices and the rest
+    /// are two halves with a small edge cut between them, each in its
+    /// original relative order.
+    fn split(&mut self, verts: &mut [u32], left_size: usize) {
+        let n_sub = verts.len();
+        for (i, &v) in verts.iter().enumerate() {
+            self.local[v as usize] = i as u32;
+        }
+        self.sub_offsets.clear();
+        self.sub_targets.clear();
+        self.sub_offsets.push(0);
+        for &v in verts.iter() {
+            for &x in self.csr.neighbors(v as usize) {
+                let l = self.local[x as usize];
+                if l != u32::MAX {
+                    self.sub_targets.push(l);
                 }
-                ext - int
-            })
-            .collect();
-        let mut locked = vec![false; n_sub];
-        let mut improved = false;
-
-        for _ in 0..max_swaps {
-            // best unlocked candidate on each side
-            let best_on = |side_left: bool, gain: &[i64], locked: &[bool]| {
-                (0..n_sub)
-                    .filter(|&v| in_left[v] == side_left && !locked[v])
-                    .max_by_key(|&v| gain[v])
-            };
-            let (Some(l), Some(r)) =
-                (best_on(true, &gain, &locked), best_on(false, &gain, &locked))
-            else {
-                break;
-            };
-            let adjacency_lr = adj[l].iter().filter(|&&u| u == r).count() as i64;
-            let swap_gain = gain[l] + gain[r] - 2 * adjacency_lr;
-            if swap_gain <= 0 {
-                break;
             }
-            // perform the swap
-            in_left[l] = false;
-            in_left[r] = true;
-            locked[l] = true;
-            locked[r] = true;
-            improved = true;
-            // update neighbour gains
-            for &moved in &[l, r] {
-                for &u in &adj[moved] {
-                    if locked[u] {
+            self.sub_offsets.push(self.sub_targets.len());
+        }
+        for &v in verts.iter() {
+            self.local[v as usize] = u32::MAX;
+        }
+
+        // --- initial partition: greedy graph growing from a low-degree seed
+        // Instead of plain BFS (which happily shoots through a long-range
+        // shortcut edge and splits a remote cluster), grow the left region
+        // by repeatedly absorbing the unassigned vertex with the largest
+        // number of edges into the current region ("maximum adhesion"
+        // growth). This keeps the region contiguous and compact, which is
+        // what minimizes the cut.
+        self.in_left.clear();
+        self.in_left.resize(n_sub, false);
+        // adhesion[v] = number of edges from v into the current left region
+        self.adhesion.clear();
+        self.adhesion.resize(n_sub, 0);
+        // seed: minimum subset-degree vertex (approximates a peripheral
+        // vertex)
+        let mut v =
+            (0..n_sub).min_by_key(|&i| self.sub_offsets[i + 1] - self.sub_offsets[i]).unwrap_or(0);
+        // n_sub > t ≥ 1 makes 1 ≤ left_size < n_sub, so every step finds an
+        // unassigned vertex
+        for taken in 0..left_size {
+            if taken > 0 {
+                // ties go to the lower local index; isolated or
+                // disconnected vertices (adhesion 0) are absorbed last
+                let Some(next) = (0..n_sub)
+                    .filter(|&u| !self.in_left[u])
+                    .max_by_key(|&u| (self.adhesion[u], std::cmp::Reverse(u)))
+                else {
+                    break;
+                };
+                v = next;
+            }
+            self.in_left[v] = true;
+            for i in self.sub_offsets[v]..self.sub_offsets[v + 1] {
+                let l = self.sub_targets[i] as usize;
+                if !self.in_left[l] {
+                    self.adhesion[l] += 1;
+                }
+            }
+        }
+
+        // --- FM-style refinement with balance-preserving swaps -----------
+        // a swap of (l, r) changes the cut by -(gain_l + gain_r - 2·[l ~ r])
+        let max_swaps = ((n_sub as f64 * self.cfg.max_swap_fraction) as usize).max(1);
+        for _pass in 0..self.cfg.refinement_passes {
+            self.gain.clear();
+            for v in 0..n_sub {
+                let g = self.gain_of(v);
+                self.gain.push(g);
+            }
+            self.locked.clear();
+            self.locked.resize(n_sub, false);
+            let mut improved = false;
+
+            for _ in 0..max_swaps {
+                // the last unlocked vertex of maximal gain on each side
+                let (mut best_l, mut best_r): (Option<usize>, Option<usize>) = (None, None);
+                for v in 0..n_sub {
+                    if self.locked[v] {
                         continue;
                     }
-                    // recompute the neighbour's gain from scratch (cheap: deg)
-                    let mut ext = 0i64;
-                    let mut int = 0i64;
-                    for &w in &adj[u] {
-                        if in_left[w] == in_left[u] {
-                            int += 1;
-                        } else {
-                            ext += 1;
+                    let best = if self.in_left[v] { &mut best_l } else { &mut best_r };
+                    if best.is_none_or(|b| self.gain[v] >= self.gain[b]) {
+                        *best = Some(v);
+                    }
+                }
+                let (Some(l), Some(r)) = (best_l, best_r) else {
+                    break;
+                };
+                let adjacent = self.sub_neighbors(l).contains(&(r as u32));
+                let swap_gain = self.gain[l] + self.gain[r] - 2 * i64::from(adjacent);
+                if swap_gain <= 0 {
+                    break;
+                }
+                self.in_left[l] = false;
+                self.in_left[r] = true;
+                self.locked[l] = true;
+                self.locked[r] = true;
+                improved = true;
+                // recompute the unlocked neighbours' gains (cheap: deg)
+                for moved in [l, r] {
+                    for i in self.sub_offsets[moved]..self.sub_offsets[moved + 1] {
+                        let u = self.sub_targets[i] as usize;
+                        if !self.locked[u] {
+                            self.gain[u] = self.gain_of(u);
                         }
                     }
-                    gain[u] = ext - int;
                 }
             }
+            if !improved {
+                break;
+            }
         }
-        if !improved {
-            break;
-        }
-    }
 
-    let mut left = Vec::with_capacity(left_size);
-    let mut right = Vec::with_capacity(n_sub - left_size);
-    for (i, &v) in verts.iter().enumerate() {
-        if in_left[i] {
-            left.push(v);
-        } else {
-            right.push(v);
+        // stable partition: compact the left half in place, spill the right
+        self.spill.clear();
+        let mut k = 0;
+        for i in 0..n_sub {
+            let v = verts[i];
+            if self.in_left[i] {
+                verts[k] = v;
+                k += 1;
+            } else {
+                self.spill.push(v);
+            }
         }
+        debug_assert_eq!(k, left_size);
+        verts[k..].copy_from_slice(&self.spill);
     }
-    debug_assert_eq!(left.len(), left_size);
-    (left, right)
 }
 
 #[cfg(test)]
