@@ -21,9 +21,7 @@
 pub mod ensembles;
 pub mod molecules;
 pub mod protein;
-pub mod smiles;
 
 pub use ensembles::{fig5_dense_pairs, scale_free, small_world};
 pub use molecules::{drugbank_like, MoleculeGraph};
 pub use protein::{pdb_like, ProteinStructure};
-pub use smiles::{parse_smiles, SmilesError};

@@ -28,16 +28,6 @@ impl KernelCost {
     pub const fn new(label_bytes: usize, flops: usize) -> Self {
         KernelCost { label_bytes, flops }
     }
-
-    /// Combine the costs of two kernels evaluated together (e.g. a tensor
-    /// product kernel over tuple labels): label bytes add, FLOPs add plus
-    /// one multiplication to combine the two partial results.
-    pub fn combine(self, other: KernelCost) -> KernelCost {
-        KernelCost {
-            label_bytes: self.label_bytes + other.label_bytes,
-            flops: self.flops + other.flops + 1,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -49,14 +39,5 @@ mod tests {
         // Section II-D uses E = 0, F = 4, X = 3 for the unlabeled model
         assert_eq!(KernelCost::UNLABELED.label_bytes, 0);
         assert_eq!(KernelCost::UNLABELED.flops, 3);
-    }
-
-    #[test]
-    fn combine_adds_bytes_and_flops() {
-        let a = KernelCost::new(4, 5);
-        let b = KernelCost::new(8, 2);
-        let c = a.combine(b);
-        assert_eq!(c.label_bytes, 12);
-        assert_eq!(c.flops, 8);
     }
 }

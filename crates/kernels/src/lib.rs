@@ -17,16 +17,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod composite;
 pub mod cost;
 pub mod elementary;
 
-pub use composite::{ConvolutionKernel, TensorProductKernel};
 pub use cost::KernelCost;
-pub use elementary::{
-    CompactPolynomial, ConstantKernel, DotProductKernel, KroneckerDelta, SquareExponential,
-    UnitKernel,
-};
+pub use elementary::{KroneckerDelta, SquareExponential, UnitKernel};
 
 /// A positive-definite base kernel over a label type `L`.
 ///

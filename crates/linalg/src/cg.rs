@@ -395,7 +395,42 @@ where
 mod tests {
     use super::*;
     use crate::dense::DenseMatrix;
-    use crate::operator::{CsrOperator, DenseOperator, DiagonalOperator};
+    use crate::operator::{DenseOperator, DiagonalOperator};
+
+    /// The `n × n` matrix with 2.5 on the diagonal and −1 beside it, applied
+    /// with `f64` accumulation and counted as `3n − 2` stored `f32` entries.
+    struct Tridiagonal {
+        n: usize,
+    }
+
+    impl<T: Scalar> LinearOperator<T> for Tridiagonal {
+        fn dim(&self) -> usize {
+            self.n
+        }
+
+        fn apply(&self, x: &[T], y: &mut [T]) {
+            for (i, yi) in y.iter_mut().enumerate() {
+                let mut acc = 0.0f64;
+                if i > 0 {
+                    acc -= x[i - 1].to_f64();
+                }
+                acc += 2.5 * x[i].to_f64();
+                if i + 1 < self.n {
+                    acc -= x[i + 1].to_f64();
+                }
+                *yi = T::from_f64(acc);
+            }
+        }
+
+        fn apply_counted(&self, x: &[T], y: &mut [T], counters: &mut TrafficCounters) {
+            self.apply(x, y);
+            let (n, nnz) = (self.n as u64, 3 * self.n as u64 - 2);
+            // each stored entry and the x entry it multiplies; y written once
+            counters.global_load_bytes += nnz * (4 + T::BYTES);
+            counters.global_store_bytes += n * T::BYTES;
+            counters.flops += 2 * nnz;
+        }
+    }
 
     fn spd_matrix(n: usize, seed: u64) -> DenseMatrix {
         // A = Bᵀ B + n*I is SPD; B filled from a simple LCG for determinism
@@ -655,19 +690,11 @@ mod tests {
 
     #[test]
     fn refined_solve_reaches_f64_tolerances_at_near_f32_traffic() {
-        // a tridiagonal SPD system in CSR — the sparse regime the solver
-        // actually serves, where vector traffic is a real fraction of the
-        // per-iteration bytes
+        // a tridiagonal SPD system applied from its stored entries — the
+        // sparse regime the solver actually serves, where vector traffic is
+        // a real fraction of the per-iteration bytes
         let n = 64usize;
-        let mut triplets: Vec<(u32, u32, f32)> = Vec::new();
-        for i in 0..n as u32 {
-            triplets.push((i, i, 2.5));
-            if i + 1 < n as u32 {
-                triplets.push((i, i + 1, -1.0));
-                triplets.push((i + 1, i, -1.0));
-            }
-        }
-        let op = CsrOperator(crate::CsrMatrix::from_triplets(n, n, &triplets));
+        let op = Tridiagonal { n };
         let prec32 = DiagonalOperator::new(vec![2.5f32; n]).inverse();
         let b64: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.3).sin()).collect();
         let opts = SolveOptions { max_iterations: 4000, tolerance: 1e-12 };

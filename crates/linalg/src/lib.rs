@@ -1,4 +1,4 @@
-//! Dense/sparse linear algebra, Kronecker products and conjugate-gradient
+//! Dense linear algebra, Kronecker products and conjugate-gradient
 //! solvers for the marginalized graph kernel workspace.
 //!
 //! The crate deliberately implements only the operations the solver needs —
@@ -12,7 +12,8 @@
 //!
 //! Main entry points:
 //!
-//! * [`DenseMatrix`], [`CsrMatrix`] — storage formats.
+//! * [`DenseMatrix`] — the storage format of the explicit baselines and of
+//!   the test oracles.
 //! * [`kronecker`] — standard, generalized (base-kernel) and Hadamard
 //!   products that appear in Eq. (1) of the paper.
 //! * [`Scalar`] / [`Precision`] — the precision axis of the solver surface.
@@ -34,7 +35,6 @@ pub mod eigen;
 pub mod kronecker;
 pub mod operator;
 pub mod scalar;
-pub mod sparse;
 pub mod traffic;
 pub mod vecops;
 
@@ -45,7 +45,6 @@ pub use cg::{
 pub use dense::DenseMatrix;
 pub use eigen::{symmetric_eigen, SymmetricEigen};
 pub use kronecker::{generalized_kron, hadamard, kron_dense, kron_vec};
-pub use operator::{CsrOperator, DenseOperator, DiagonalOperator, LinearOperator, ScaledSum};
+pub use operator::{DenseOperator, DiagonalOperator, LinearOperator, ScaledSum};
 pub use scalar::{Precision, Scalar};
-pub use sparse::CsrMatrix;
 pub use traffic::TrafficCounters;

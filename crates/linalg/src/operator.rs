@@ -8,7 +8,7 @@
 //!
 //! The trait is generic over the [`Scalar`] precision of the vectors it
 //! acts on (defaulting to `f32`, the paper's serving precision). Operators
-//! whose *data* is stored in `f32` — the dense/CSR wrappers here, the
+//! whose *data* is stored in `f32` — the dense wrapper here, the
 //! on-the-fly tensor-product operators of `mgk-core` — implement
 //! `LinearOperator<T>` for every `T: Scalar` by widening each stored factor
 //! through [`Scalar::from_f32`] before multiplying, so the `f64`
@@ -16,7 +16,6 @@
 
 use crate::dense::DenseMatrix;
 use crate::scalar::Scalar;
-use crate::sparse::CsrMatrix;
 use crate::traffic::TrafficCounters;
 
 /// Bytes of one `f32` element — the storage footprint of the workspace's
@@ -84,31 +83,6 @@ impl<T: Scalar> LinearOperator<T> for DenseOperator {
         counters.global_load_bytes += n * m * F32_BYTES + m * T::BYTES;
         counters.global_store_bytes += n * T::BYTES;
         counters.flops += 2 * n * m;
-    }
-}
-
-/// A CSR (`f32`-stored) matrix viewed as a linear operator at any
-/// [`Scalar`] precision.
-#[derive(Debug, Clone)]
-pub struct CsrOperator(pub CsrMatrix);
-
-impl<T: Scalar> LinearOperator<T> for CsrOperator {
-    fn dim(&self) -> usize {
-        assert_eq!(self.0.rows(), self.0.cols(), "operator must be square");
-        self.0.rows()
-    }
-
-    fn apply(&self, x: &[T], y: &mut [T]) {
-        self.0.matvec_t(x, y);
-    }
-
-    fn apply_counted(&self, x: &[T], y: &mut [T], counters: &mut TrafficCounters) {
-        LinearOperator::<T>::apply(self, x, y);
-        let (n, nnz) = (self.0.rows() as u64, self.0.nnz() as u64);
-        // values + column indices + row pointers + gathered x entries
-        counters.global_load_bytes += nnz * (F32_BYTES + T::BYTES + 4) + (n + 1) * 4;
-        counters.global_store_bytes += n * T::BYTES;
-        counters.flops += 2 * nnz;
     }
 }
 
@@ -241,19 +215,9 @@ mod tests {
     }
 
     #[test]
-    fn csr_operator_matches_dense() {
-        let d = DenseMatrix::from_row_major(3, 3, vec![1., 0., 2., 0., 3., 0., 0., 0., 4.]);
-        let dense_op = DenseOperator(d.clone());
-        let csr_op = CsrOperator(CsrMatrix::from_dense(&d, 0.0));
-        let x = [1.0f32, 2.0, 3.0];
-        assert_eq!(dense_op.apply_alloc(&x), csr_op.apply_alloc(&x));
-    }
-
-    #[test]
     fn f32_and_f64_instantiations_apply_the_same_matrix() {
         let m = DenseMatrix::from_row_major(2, 2, vec![0.5, -1.0, 2.0, 0.25]);
-        let dense = DenseOperator(m.clone());
-        let csr = CsrOperator(CsrMatrix::from_dense(&m, 0.0));
+        let dense = DenseOperator(m);
         let x32 = [1.0f32, -2.0];
         let x64 = [1.0f64, -2.0];
         let narrow = LinearOperator::<f32>::apply_alloc(&dense, &x32);
@@ -261,8 +225,6 @@ mod tests {
         for (a, b) in narrow.iter().zip(&wide) {
             assert_eq!(*a as f64, *b, "exact inputs must agree across precisions");
         }
-        let wide_csr = LinearOperator::<f64>::apply_alloc(&csr, &x64);
-        assert_eq!(wide, wide_csr);
     }
 
     #[test]
@@ -293,12 +255,10 @@ mod tests {
 
     #[test]
     fn counted_apply_matches_plain_apply_and_counts() {
-        let d = DenseMatrix::from_row_major(2, 2, vec![1., 2., 3., 4.]);
-        let csr = CsrOperator(CsrMatrix::from_dense(&d, 0.0));
-        let dense = DenseOperator(d);
+        let dense = DenseOperator(DenseMatrix::from_row_major(2, 2, vec![1., 2., 3., 4.]));
         let diag = DiagonalOperator::new(vec![2.0f32, 3.0]);
         let x = [1.0f32, -1.0];
-        for op in [&dense as &dyn LinearOperator, &csr, &diag] {
+        for op in [&dense as &dyn LinearOperator, &diag] {
             let mut counters = TrafficCounters::new();
             let mut y = vec![0.0f32; 2];
             op.apply_counted(&x, &mut y, &mut counters);

@@ -6,7 +6,7 @@
 //! * `slice.par_iter().map(f).collect::<Vec<_>>()`
 //! * `vec.into_par_iter().map(f).collect::<Vec<_>>()`
 //! * `slice.par_chunks(n).flat_map_iter(f).collect::<Vec<_>>()`
-//! * [`current_num_threads`], [`ThreadPoolBuilder`] / [`ThreadPool::install`]
+//! * [`current_num_threads`]
 //!
 //! Every parallel call executes on the persistent worker pool of
 //! [`pool::Pool::global`] — workers are spawned once and parked between
@@ -20,7 +20,6 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 pub mod pool;
@@ -30,18 +29,10 @@ pub mod prelude {
     pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParallelSlice};
 }
 
-/// Thread-count override installed by [`ThreadPool::install`]; 0 = default.
-static POOL_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Number of threads parallel calls will use (the global pool's workers plus
-/// the submitting thread, unless overridden by [`ThreadPool::install`]).
+/// Number of threads parallel calls will use: the global pool's workers plus
+/// the submitting thread.
 pub fn current_num_threads() -> usize {
-    let forced = POOL_THREADS.load(Ordering::Relaxed);
-    if forced > 0 {
-        forced
-    } else {
-        pool::Pool::global().max_parallelism()
-    }
+    pool::Pool::global().max_parallelism()
 }
 
 /// One output slot of a parallel map, written by exactly one index of the
@@ -57,12 +48,11 @@ unsafe impl<R: Send> Sync for Slot<R> {}
 /// handing out items dynamically, and return the results in input order.
 fn dynamic_map<'a, T: Sync, R: Send>(items: &'a [T], f: impl Fn(&'a T) -> R + Sync) -> Vec<R> {
     let n = items.len();
-    let threads = current_num_threads().min(n.max(1));
-    if threads <= 1 || n <= 1 {
+    if n <= 1 || current_num_threads() <= 1 {
         return items.iter().map(f).collect();
     }
     let slots: Vec<Slot<R>> = (0..n).map(|_| Slot(UnsafeCell::new(None))).collect();
-    pool::Pool::global().run_indexed(n, threads, &|i| {
+    pool::Pool::global().run_indexed(n, &|i| {
         let value = f(&items[i]);
         // SAFETY: index i is claimed exactly once, so this is the only
         // writer of slots[i], and no reader exists until the region ends.
@@ -243,72 +233,6 @@ impl<'a, T: Sync, F> ParFlatMapIter<'a, T, F> {
     }
 }
 
-/// Builder mirroring `rayon::ThreadPoolBuilder`.
-#[derive(Debug, Default)]
-pub struct ThreadPoolBuilder {
-    num_threads: usize,
-}
-
-/// Error type of [`ThreadPoolBuilder::build`] (never produced).
-#[derive(Debug)]
-pub struct ThreadPoolBuildError;
-
-impl std::fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "thread pool construction failed")
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
-
-impl ThreadPoolBuilder {
-    /// Start building a pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fix the number of worker threads (0 = default).
-    pub fn num_threads(mut self, n: usize) -> Self {
-        self.num_threads = n;
-        self
-    }
-
-    /// Finish the builder.
-    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        Ok(ThreadPool { num_threads: self.num_threads })
-    }
-}
-
-/// A scoped thread-count override standing in for a real rayon pool.
-///
-/// Execution always happens on the persistent global pool;
-/// [`ThreadPool::install`] simply pins [`current_num_threads`] — and with it
-/// the number of participants parallel regions request — to this pool's
-/// size while `f` runs, which is the property the benchmarks rely on.
-#[derive(Debug)]
-pub struct ThreadPool {
-    num_threads: usize,
-}
-
-impl ThreadPool {
-    /// Run `f` with this pool's thread count as the parallelism level.
-    ///
-    /// The override is process-global (unlike real rayon's per-pool
-    /// workers), so nesting or racing two `install`s interleaves their
-    /// counts; the benchmarks that use this run pools one at a time. The
-    /// previous count is restored even if `f` panics.
-    pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        struct Restore(usize);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                POOL_THREADS.store(self.0, Ordering::Relaxed);
-            }
-        }
-        let _restore = Restore(POOL_THREADS.swap(self.num_threads, Ordering::Relaxed));
-        f()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,14 +271,6 @@ mod tests {
             .flat_map_iter(|c| c.iter().map(|&x| x + 1).collect::<Vec<_>>())
             .collect();
         assert_eq!(out, (1..258).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pool_install_pins_thread_count() {
-        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
-        let inside = pool.install(current_num_threads);
-        assert_eq!(inside, 3);
-        assert_ne!(current_num_threads(), 0);
     }
 
     #[test]

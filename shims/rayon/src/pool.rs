@@ -18,9 +18,6 @@
 //!   submitter drives its own job to completion, nested parallel regions
 //!   (a `par_iter` inside a `par_iter` body) cannot deadlock even when all
 //!   pool workers are busy.
-//! * [`ThreadPool::install`](crate::ThreadPool::install) thread-count
-//!   overrides are honored by capping the number of participants per job
-//!   rather than by resizing the pool.
 //!
 //! `mgk-runtime` re-exports this type as its pool layer; the crate lives
 //! here, at the very bottom of the workspace DAG, so that the rayon shim
@@ -68,10 +65,6 @@ struct Job {
     count: usize,
     /// Indices fully executed.
     done: AtomicUsize,
-    /// Threads currently (or ever) attached to this job.
-    participants: AtomicUsize,
-    /// Cap on `participants` (the `install`ed thread count).
-    max_participants: usize,
     /// Set when any index panicked; the submitter re-raises.
     panicked: AtomicBool,
     /// Completion latch for the submitting thread.
@@ -90,11 +83,9 @@ unsafe impl Send for Job {}
 unsafe impl Sync for Job {}
 
 impl Job {
-    /// True when the job still has unclaimed indices and a free participant
-    /// slot.
+    /// True when the job still has unclaimed indices.
     fn joinable(&self) -> bool {
         self.next.load(Ordering::Relaxed) < self.count
-            && self.participants.load(Ordering::Relaxed) < self.max_participants
     }
 
     /// Claim and execute indices until none remain. Returns after the last
@@ -184,22 +175,14 @@ impl Pool {
 
     /// Run `body(i)` for every `i in 0..count` across the pool.
     ///
-    /// At most `max_participants` threads (including the calling thread)
-    /// execute the region; the calling thread always participates and the
-    /// call returns only after every index has completed. Panics in `body`
-    /// are collected and re-raised on the calling thread after the region
-    /// drains.
-    pub fn run_indexed(
-        &self,
-        count: usize,
-        max_participants: usize,
-        body: &(dyn Fn(usize) + Sync),
-    ) {
+    /// The calling thread always participates, and the call returns only
+    /// after every index has completed. Panics in `body` are collected and
+    /// re-raised on the calling thread after the region drains.
+    pub fn run_indexed(&self, count: usize, body: &(dyn Fn(usize) + Sync)) {
         if count == 0 {
             return;
         }
-        let max_participants = max_participants.clamp(1, self.max_parallelism());
-        if count == 1 || max_participants == 1 || self.workers == 0 {
+        if count == 1 || self.workers == 0 {
             for i in 0..count {
                 body(i);
             }
@@ -219,9 +202,6 @@ impl Pool {
             next: AtomicUsize::new(0),
             count,
             done: AtomicUsize::new(0),
-            // the submitting thread occupies one slot from the start
-            participants: AtomicUsize::new(1),
-            max_participants,
             panicked: AtomicBool::new(false),
             complete: Mutex::new(false),
             complete_cv: Condvar::new(),
@@ -254,23 +234,14 @@ fn worker_loop(shared: &Shared) {
         let job: Arc<Job> = {
             let mut queue = shared.queue.lock().unwrap();
             loop {
-                // attach to the first job with both free indices and a free
-                // participant slot, claiming the slot under the queue lock so
-                // two workers cannot both take the last one
-                let joinable = queue.iter().find(|j| j.joinable()).cloned();
-                match joinable {
-                    Some(job) => {
-                        job.participants.fetch_add(1, Ordering::Relaxed);
-                        break job;
-                    }
+                // attach to the first job with unclaimed indices
+                match queue.iter().find(|j| j.joinable()).cloned() {
+                    Some(job) => break job,
                     None => queue = shared.work_available.wait(queue).unwrap(),
                 }
             }
         };
         job.run_to_exhaustion();
-        // Detach so the slot frees up for a later job; this job is already
-        // exhausted (run_to_exhaustion only returns on `next >= count`).
-        job.participants.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -284,7 +255,7 @@ mod tests {
 
     fn thread_ids_of_region(pool: &Pool, count: usize) -> HashSet<ThreadId> {
         let ids = Mutex::new(HashSet::new());
-        pool.run_indexed(count, usize::MAX, &|_| {
+        pool.run_indexed(count, &|_| {
             std::thread::sleep(Duration::from_millis(1));
             ids.lock().unwrap().insert(std::thread::current().id());
         });
@@ -296,7 +267,7 @@ mod tests {
         let pool = Pool::new(3);
         let n = 10_000;
         let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        pool.run_indexed(n, usize::MAX, &|i| {
+        pool.run_indexed(n, &|i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -312,8 +283,6 @@ mod tests {
             next: AtomicUsize::new(0),
             count: 3,
             done: AtomicUsize::new(0),
-            participants: AtomicUsize::new(1),
-            max_participants: 1,
             panicked: AtomicBool::new(false),
             complete: Mutex::new(false),
             complete_cv: Condvar::new(),
@@ -342,25 +311,11 @@ mod tests {
     }
 
     #[test]
-    fn participant_cap_limits_concurrency() {
-        let pool = Pool::new(4);
-        let concurrent = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        pool.run_indexed(256, 2, &|_| {
-            let now = concurrent.fetch_add(1, Ordering::SeqCst) + 1;
-            peak.fetch_max(now, Ordering::SeqCst);
-            std::thread::sleep(Duration::from_micros(200));
-            concurrent.fetch_sub(1, Ordering::SeqCst);
-        });
-        assert!(peak.load(Ordering::SeqCst) <= 2, "cap violated: {peak:?}");
-    }
-
-    #[test]
     fn nested_regions_complete() {
         let pool = Pool::new(2);
         let total = AtomicUsize::new(0);
-        pool.run_indexed(4, usize::MAX, &|_| {
-            pool.run_indexed(8, usize::MAX, &|_| {
+        pool.run_indexed(4, &|_| {
+            pool.run_indexed(8, &|_| {
                 total.fetch_add(1, Ordering::Relaxed);
             });
         });
@@ -371,7 +326,7 @@ mod tests {
     fn zero_worker_pool_runs_serially() {
         let pool = Pool::new(0);
         let sum = AtomicUsize::new(0);
-        pool.run_indexed(100, usize::MAX, &|i| {
+        pool.run_indexed(100, &|i| {
             sum.fetch_add(i, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 99 * 100 / 2);
@@ -381,7 +336,7 @@ mod tests {
     fn panics_propagate_to_the_submitter() {
         let pool = Pool::new(2);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.run_indexed(16, usize::MAX, &|i| {
+            pool.run_indexed(16, &|i| {
                 if i == 7 {
                     panic!("boom");
                 }
@@ -390,7 +345,7 @@ mod tests {
         assert!(result.is_err(), "panic was swallowed");
         // the pool survives a panicked region
         let ok = AtomicUsize::new(0);
-        pool.run_indexed(16, usize::MAX, &|_| {
+        pool.run_indexed(16, &|_| {
             ok.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(ok.load(Ordering::Relaxed), 16);

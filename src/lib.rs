@@ -6,7 +6,7 @@
 //! (Tang, Selvitopi, Popovici, Buluç — IPDPS 2020):
 //!
 //! * [`graph`] — labeled weighted undirected graphs and random generators.
-//! * [`linalg`] — dense/sparse linear algebra, Kronecker products and the
+//! * [`linalg`] — dense linear algebra, Kronecker products and the
 //!   (preconditioned) conjugate gradient and fixed-point solvers, generic
 //!   over the sealed `Scalar` precision axis (`f32` serving / `f64`
 //!   validation, selected at runtime through the `Precision` policy).
@@ -21,7 +21,7 @@
 //! * [`baselines`] — CPU reference solvers in the style of GraKeL and
 //!   GraphKernels.
 //! * [`datasets`] — synthetic stand-ins for the paper's PDB-3k and DrugBank
-//!   datasets, a SMILES parser, plus the small-world / scale-free ensembles.
+//!   datasets, plus the small-world / scale-free ensembles.
 //! * [`runtime`] — the serving layer: the persistent worker pool every
 //!   parallel region executes on, the streaming Gram service with
 //!   incremental extension and content-hash entry caching, the background

@@ -73,7 +73,7 @@ fn facade_modules_resolve() {
     let _ = mgk::reorder::ReorderMethod::default();
     let _ = mgk::solver::SolverConfig::default();
     let _ = mgk::baselines::SpectralSolver::new();
-    let _ = mgk::datasets::parse_smiles("CC");
+    let _: Option<mgk::datasets::MoleculeGraph> = None;
     let _ = mgk::runtime::GramServiceConfig::default();
     let _ = mgk::store::FsyncPolicy::default();
     let _ = mgk::telemetry::MetricsRegistry::new();
