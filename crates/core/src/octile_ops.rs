@@ -32,25 +32,26 @@
 //! [`tile_pair_product_with_panels`]). For dense×dense it counts the full
 //! 64×64 block a warp evaluates — `4096·x` FLOPs — while the CPU body skips
 //! the first tile's empty slots and executes at most `64·nnz₁` kernel
-//! evaluations. The CPU table sends most small tile pairs to dense×dense, so
-//! on sparse graphs the FLOP counters (`mgk_traffic_flops_total`, the
-//! intensity gauge, and any roofline fraction built on them) count the GPU's
-//! work, several times what the CPU does.
+//! evaluations. Wherever the CPU table sends a tile pair to dense×dense, the
+//! FLOP counters (`mgk_traffic_flops_total`, the intensity gauge, and any
+//! roofline fraction built on them) count the GPU's work, several times
+//! what the CPU does.
 //! The forms stay as they are: they are the V100 projection's inputs, and
 //! their totals are pinned to [`tile_pair_product_scalar`].
 //!
 //! # Vectorization
 //!
 //! The paper regenerates each product tile on the fly, so the base-kernel
-//! evaluation *is* the inner loop, and the fixed-8-lane loops below only
-//! become SIMD code if the compiler can see through [`BaseKernel::eval`]:
-//! a base kernel must stay `#[inline]` and free of opaque calls (libm's
-//! `expf`, `floor`, `round`, …) — one such call and every lane runs scalar.
-//! That is why `mgk_kernels::SquareExponential` evaluates its exponential as
-//! an inlined polynomial, and why the two sparse-operand primitives evaluate
-//! the kernel over the dense tile's *packed* labels before scattering the
-//! values into a panel. The lanes themselves must be slices, not indexed
-//! elements: a bounds check per lane keeps the loop scalar whatever the
+//! evaluation *is* the inner loop, and the loops below only become SIMD
+//! code if the compiler can see through [`BaseKernel::eval`]: a base kernel
+//! must stay `#[inline]` and free of opaque calls (libm's `expf`, `floor`,
+//! `round`, …) — one such call and every lane runs scalar. That is why
+//! `mgk_kernels::SquareExponential` evaluates its exponential as an inlined
+//! polynomial, and why both sparse-operand primitives evaluate the kernel
+//! over the other tile's contiguous *packed* labels: sparse×sparse then
+//! makes one scalar update per packed nonzero, and dense-rows scatters the
+//! values into a panel. The dense×dense lanes are slices, not indexed
+//! elements: a bounds check per lane keeps a loop scalar whatever the
 //! kernel is.
 //!
 //! The dense×dense primitive additionally has an AVX2 instantiation, chosen
@@ -64,9 +65,10 @@
 //!
 //! Measured by the benchmark's traced `gram-dense` run (square-exponential
 //! edge kernel, one pinned 2.1 GHz Xeon core, seed 1, medians of five
-//! alternated pairs), libm `expf` → this module as it stands, ns per tile
+//! alternated pairs), libm `expf` → the inlined polynomial, ns per tile
 //! pair: dense×dense 10022 → 2458, dense×sparse 5967 → 3292, sparse×sparse
-//! 5796 → 3178; `product.apply_gflops` 3.7 → 13.6.
+//! (then an 8-lane sweep over panels) 5796 → 3178; `product.apply_gflops`
+//! 3.7 → 13.6.
 
 #![cfg_attr(
     not(test),
@@ -129,15 +131,18 @@ fn cheapest(cost: impl Fn(TileProductKind) -> f64) -> TileProductKind {
 // nnz₂ each over 1–16, 20, 24, 28, 32, 40, 48, 56, 64; unit, Kronecker-delta
 // and square-exponential edge kernels, x = 3, 4, 11; f32; AVX2 dense×dense)
 // on one 2.0 GHz Xeon core (family 6 model 143). That bin refits them.
-// Outside x = 3–11 they extrapolate.
+// Outside x = 3–11 they extrapolate. `SPARSE_SPARSE_NS` was refit alone when
+// the packed loop replaced an 8-lane sweep, from the quietest of six grids
+// (the one whose dense×dense fit reproduced `DENSE_DENSE_NS`); the table
+// then picks within 10 % of the fastest in 94–95 % of cells.
 
 /// [`dense_dense`]: one 64-evaluation block per nonzero of the first tile,
 /// flat in `nnz₂`: `a + nnz₁·(b + c·x)`.
 const DENSE_DENSE_NS: [f64; 3] = [92.8, -14.19, 6.043];
-/// [`sparse_outer_lanes`]: per nonzero of the first tile, one kernel
-/// evaluation per nonzero of the second and an 8-lane sweep:
+/// [`sparse_sparse_packed`]: per nonzero of the first tile, one kernel
+/// evaluation and one update of `y` per nonzero of the second:
 /// `d + nnz₁·(e + f·x·nnz₂)`.
-const SPARSE_SPARSE_NS: [f64; 3] = [24.9, 17.11, 0.1890];
+const SPARSE_SPARSE_NS: [f64; 3] = [17.3, 3.97, 0.3516];
 /// [`dense_rows_direct`]: per nonzero of the second tile, one kernel
 /// evaluation per nonzero of the first and a 64-term serial chain:
 /// `g + nnz₂·(h + i·x·nnz₁)`.
@@ -217,10 +222,10 @@ pub struct TileCosts {
     pub kernel_flops: usize,
 }
 
-/// Precomputed bitmap-derived views of one octile, shared by the branchless
-/// tile-pair kernels: dense row-major and transposed (column-major)
-/// expansions of the payload, per-column occupancy masks, and the scatter
-/// positions of each packed nonzero in both layouts.
+/// Precomputed bitmap-derived views of one octile, read by the dense×dense
+/// and dense-rows kernels: dense row-major and transposed (column-major)
+/// expansions of the payload, and the row-major position of each packed
+/// nonzero. The sparse×sparse kernel reads the packed tile itself.
 ///
 /// Building the panels costs `O(nnz)` per tile; an operator sweeping all
 /// tile pairs of a graph pair builds them once per tile and amortizes the
@@ -236,13 +241,9 @@ pub struct TilePanels<E> {
     pub labels: [E; TILE_AREA],
     /// Transposed dense labels.
     pub labels_t: [E; TILE_AREA],
-    /// Per-column occupancy masks (bit `r` of byte `c`).
-    pub col_masks: [u8; TILE_SIZE],
     /// Row-major position of the `k`-th packed nonzero.
     pub pos: [u8; TILE_AREA],
-    /// Transposed position of the `k`-th packed nonzero.
-    pub pos_t: [u8; TILE_AREA],
-    /// Number of nonzeros (valid prefix length of `pos`/`pos_t`).
+    /// Number of nonzeros (valid prefix length of `pos`).
     pub nnz: usize,
 }
 
@@ -254,9 +255,7 @@ impl<E: Copy + Default> TilePanels<E> {
             weights_t: [0.0; TILE_AREA],
             labels: [E::default(); TILE_AREA],
             labels_t: [E::default(); TILE_AREA],
-            col_masks: tile.col_masks(),
             pos: [0; TILE_AREA],
-            pos_t: [0; TILE_AREA],
             nnz: 0,
         };
         for (k, (r, c, w, l)) in tile.iter().enumerate() {
@@ -270,7 +269,6 @@ impl<E: Copy + Default> TilePanels<E> {
             panels.labels[rm] = l;
             panels.labels_t[tr] = l;
             panels.pos[k] = rm as u8;
-            panels.pos_t[k] = tr as u8;
             panels.nnz = k + 1;
         }
         panels
@@ -348,13 +346,14 @@ pub struct PairContext<'a, K> {
 /// hot-path entry used by the octile operator, which builds the panels once
 /// per tile and reuses them across the whole tile-pair sweep.
 ///
-/// The three primitives are restructured around the 64-bit occupancy
-/// bitmaps so the inner loops are branchless fixed-8-lane sweeps (see the
-/// private kernels below). Every inserted term at an empty slot is an exact
-/// `±0.0` — base kernels return finite values in `[0, 1]` by contract — so
-/// each output element accumulates the same nonzero terms in the same
-/// order, at the same associativity, as [`tile_pair_product_scalar`]: the
-/// results are bitwise identical at `f32` and `f64`. Traffic is attributed
+/// Sparse×sparse, and dense×sparse with the first tile the sparser, form
+/// exactly the reference's terms from the packed tiles. Dense×dense and the
+/// other dense×sparse orientation sweep panel rows branchlessly, and every
+/// term they insert at an empty slot is an exact `±0.0` — base kernels
+/// return finite values in `[0, 1]` by contract. So each output element
+/// accumulates the same nonzero terms in the same order, at the same
+/// associativity, as [`tile_pair_product_scalar`]: the results are bitwise
+/// identical at `f32` and `f64`. Traffic is attributed
 /// through per-pair closed forms (the private `octile_pair_traffic`), which
 /// match the scalar reference's totals exactly.
 pub fn tile_pair_product_with_panels<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
@@ -383,7 +382,7 @@ pub fn tile_pair_product_with_panels<T: Scalar, E: Copy + Default, K: BaseKernel
                 vb,
                 xf,
             ));
-            sparse_outer_lanes(t1, s2, m, kernel, p, y);
+            sparse_sparse_packed(t1, t2, m, kernel, p, y);
         }
         TileProductKind::DenseSparse => {
             // orient exactly like the scalar reference: the first tile is
@@ -402,7 +401,7 @@ pub fn tile_pair_product_with_panels<T: Scalar, E: Copy + Default, K: BaseKernel
                 xf,
             ));
             if sparse_is_first {
-                sparse_outer_lanes(t1, s2, m, kernel, p, y);
+                sparse_sparse_packed(t1, t2, m, kernel, p, y);
             } else {
                 dense_rows_direct(t2, s1, (n, m), kernel, p, y);
             }
@@ -487,65 +486,47 @@ fn octile_pair_traffic(
     c
 }
 
-/// Sparse-outer bitmap-expansion kernel: walk the sparse tile's nonzeros
-/// (a tile of the first graph) and fan each one across the dense tile's
-/// transposed panels with a fixed 8-lane inner loop over the dense tile's
-/// local rows — contiguous in `y`. Serves both the sparse×sparse primitive
-/// and the mixed primitive when the first operand is the sparser one.
+/// Packed sparse×sparse kernel: the paper's `nnz₁ · nnz₂` products, read
+/// from the two tiles' bitmaps and packed payloads. Serves both the
+/// sparse×sparse primitive and the mixed primitive when the first operand
+/// is the sparser one.
 ///
-/// The base-kernel evaluations are hoisted out of the lane loop: per sparse
-/// nonzero the kernel is evaluated once against each of the dense tile's
-/// packed labels and scattered into a transposed panel
-/// ([`fill_kernel_panel`]), leaving the innermost loop a branchless
-/// multiply-accumulate.
-fn sparse_outer_lanes<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
-    sp: &Octile<E>,
-    dense: PaneledTile<'_, E>,
+/// Per nonzero `(i, j)` of the first tile, the product coefficients
+/// `(w₁·w₂)·κ(l₁, l₂)` are formed over the second tile's contiguous packed
+/// weights and labels, a loop that vectorizes. Then each packed nonzero
+/// `(i', j')` of the second tile, decoded from its mask in ascending bit
+/// order, adds one term `coefficient · p` to `y`. These are the terms of
+/// [`tile_pair_product_scalar`]'s sparse×sparse loop, in its order and
+/// association, and of its sparse-first dense×sparse loop, whose row-major
+/// sweep of the dense tile meets the same nonzeros in the same order. (A
+/// stored zero weight, which that loop skips, adds an exact zero here: no
+/// sum changes, since an accumulation from `+0.0` never reaches `−0.0`.)
+fn sparse_sparse_packed<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
+    t1: &Octile<E>,
+    t2: &Octile<E>,
     m: usize,
     kernel: &K,
     p: &[T],
     y: &mut [T],
 ) {
-    let (dn, dn_panels) = (dense.tile, dense.panels);
     debug_assert_eq!(p.len(), y.len(), "p and y are both length n*m");
-    debug_assert!(dn_panels.nnz <= TILE_AREA);
-    let (srow, scol) = (sp.row as usize * TILE_SIZE, sp.col as usize * TILE_SIZE);
-    let (drow, dcol) = (dn.row as usize * TILE_SIZE, dn.col as usize * TILE_SIZE);
-    let lanes = TILE_SIZE.min(m.saturating_sub(drow));
-    let wt = &dn_panels.weights_t;
-    let col_masks = dn_panels.col_masks;
-    let nnzd = dn_panels.nnz;
-    // empty slots stay zero across all outer iterations: nonzero slots are
-    // rewritten for every sparse element, zero slots never contribute
-    // because the paired transposed weight there is exactly zero
-    let mut ket = [0.0f32; TILE_AREA];
-    let mut packed = [0.0f32; TILE_AREA];
-    for (i, j, w1, l1) in sp.iter() {
-        fill_kernel_panel(
-            kernel,
-            &l1,
-            &dn.labels[..nnzd],
-            &dn_panels.pos_t[..nnzd],
-            &mut packed,
-            &mut ket,
-        );
+    debug_assert!(t2.weights.len() == t2.nnz() && t2.labels.len() == t2.nnz());
+    let (row1, col1) = (t1.row as usize * TILE_SIZE, t1.col as usize * TILE_SIZE);
+    let (row2, col2) = (t2.row as usize * TILE_SIZE, t2.col as usize * TILE_SIZE);
+    let mut coefficients = [T::ZERO; TILE_AREA];
+    let coefficients = &mut coefficients[..t2.weights.len()];
+    for (i, j, w1, l1) in t1.iter() {
         let w1t = T::from_f32(w1);
-        let yrow = (srow + i) * m + drow;
-        let prow = (scol + j) * m + dcol;
-        // the lanes as slices, bounds-checked once here: indexed
-        // `y[yrow + ip]` carries a check per lane and the loop stays scalar
-        let y_lanes = &mut y[yrow..yrow + lanes];
-        for jp in 0..TILE_SIZE {
-            // a set column mask bit also proves `dcol + jp` is in range
-            if col_masks[jp] == 0 {
-                continue;
-            }
-            let ps = p[prow + jp];
-            let base = jp * TILE_SIZE;
-            let (w_lanes, k_lanes) = (&wt[base..base + lanes], &ket[base..base + lanes]);
-            for ((yv, &w2), &k) in y_lanes.iter_mut().zip(w_lanes).zip(k_lanes) {
-                *yv += ((w1t * T::from_f32(w2)) * T::from_f32(k)) * ps;
-            }
+        for ((c, &w2), l2) in coefficients.iter_mut().zip(&t2.weights).zip(&t2.labels) {
+            *c = (w1t * T::from_f32(w2)) * T::from_f32(kernel.eval(&l1, l2));
+        }
+        let yrow = (row1 + i) * m + row2;
+        let prow = (col1 + j) * m + col2;
+        let mut bits = t2.mask;
+        for &c in coefficients.iter() {
+            let bit = bits.trailing_zeros() as usize;
+            bits &= bits.wrapping_sub(1);
+            y[yrow + bit / TILE_SIZE] += c * p[prow + bit % TILE_SIZE];
         }
     }
 }
@@ -861,6 +842,8 @@ mod tests {
     use mgk_graph::{Graph, GraphBuilder, Unlabeled};
     use mgk_kernels::{KroneckerDelta, SquareExponential, UnitKernel};
     use mgk_tile::OctileMatrix;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn costs() -> TileCosts {
         TileCosts { label_bytes: 4, float_bytes: 4, kernel_flops: 11 }
@@ -1012,11 +995,13 @@ mod tests {
         }
         // cells the timing grid measured
         let (unit, se) = (KindTable::new(3), KindTable::new(11));
-        for (n1, n2) in [(6, 4), (6, 6), (7, 6)] {
+        for (n1, n2) in [(8, 12), (10, 10), (12, 6)] {
             assert_eq!(unit.get(n1, n2), TileProductKind::DenseDense, "unit ({n1}, {n2})");
         }
-        assert_eq!(unit.get(1, 6), TileProductKind::SparseSparse);
-        assert_eq!(se.get(50, 4), TileProductKind::DenseSparse);
+        for (n1, n2) in [(1, 6), (6, 4), (6, 6)] {
+            assert_eq!(unit.get(n1, n2), TileProductKind::SparseSparse, "unit ({n1}, {n2})");
+        }
+        assert_eq!(se.get(48, 4), TileProductKind::DenseSparse);
         assert_eq!(se.get(4, 4), TileProductKind::SparseSparse);
     }
 
@@ -1180,6 +1165,71 @@ mod tests {
         let avx2 = false;
         if !avx2 {
             println!("avx2 not detected, instantiation skipped");
+        }
+    }
+
+    /// A random graph of 13–29 vertices at edge probability `prob`, with
+    /// weights in `[0.1, 2)` and integer labels `0..4`, so the Kronecker
+    /// delta both matches and misses.
+    fn random_graph(rng: &mut StdRng, prob: f64) -> Graph<Unlabeled, f32> {
+        let n = rng.gen_range(13..30usize);
+        let mut b: GraphBuilder<Unlabeled, f32> = GraphBuilder::new();
+        for _ in 0..n {
+            b.add_vertex(Unlabeled);
+        }
+        for u in 0..n {
+            for v in u + 1..n {
+                if rng.gen_bool(prob) {
+                    let label = rng.gen_range(0..4u8) as f32;
+                    b.add_edge(u, v, rng.gen_range(0.1..2.0f32), label).unwrap();
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// One forced-`kind` sweep of `g1 × g2` through the public entry, bit for
+    /// bit against the scalar reference.
+    fn matches_reference<T: Scalar, K: BaseKernel<f32> + Copy>(
+        kind: TileProductKind,
+        g1: &Graph<Unlabeled, f32>,
+        g2: &Graph<Unlabeled, f32>,
+        kernel: &K,
+        p: &[T],
+    ) -> bool {
+        let (y_new, _) = sweep(false, |_, _| kind, g1, g2, kernel, p);
+        let (y_ref, _) = sweep(true, |_, _| kind, g1, g2, kernel, p);
+        bitwise_equal(&y_new, &y_ref)
+    }
+
+    #[test]
+    fn packed_sparse_loop_matches_scalar_reference_bitwise_on_random_graphs() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let graphs: Vec<_> =
+            (1..=9).map(|tenths| random_graph(&mut rng, tenths as f64 / 10.0)).collect();
+        let populations: Vec<usize> = graphs
+            .iter()
+            .flat_map(|g| {
+                OctileMatrix::from_graph(g).tiles().iter().map(|t| t.nnz()).collect::<Vec<_>>()
+            })
+            .collect();
+        assert!(populations.contains(&1) && populations.iter().any(|&nnz| nnz >= 48));
+        let (se, kd) = (SquareExponential::new(0.8), KroneckerDelta::new(0.25));
+        for pair in graphs.windows(2) {
+            // both operand orders: the sparser tile is the first one in some
+            // tile pairs and the second one in others
+            for (g1, g2) in [(&pair[0], &pair[1]), (&pair[1], &pair[0])] {
+                let nm = g1.num_vertices() * g2.num_vertices();
+                let p32: Vec<f32> = (0..nm).map(|_| rng.gen_range(-1.0..1.0f32)).collect();
+                let p64: Vec<f64> = p32.iter().map(|&v| v as f64).collect();
+                for kind in [TileProductKind::SparseSparse, TileProductKind::DenseSparse] {
+                    let name = kind.name();
+                    assert!(matches_reference(kind, g1, g2, &se, &p32), "{name}, f32, se");
+                    assert!(matches_reference(kind, g1, g2, &se, &p64), "{name}, f64, se");
+                    assert!(matches_reference(kind, g1, g2, &kd, &p32), "{name}, f32, delta");
+                    assert!(matches_reference(kind, g1, g2, &kd, &p64), "{name}, f64, delta");
+                }
+            }
         }
     }
 

@@ -19,5 +19,5 @@
 pub mod octile;
 pub mod stats;
 
-pub use octile::{transpose_mask, Octile, OctileMatrix, TILE_AREA, TILE_SIZE};
+pub use octile::{Octile, OctileMatrix, TILE_AREA, TILE_SIZE};
 pub use stats::TileDensityStats;

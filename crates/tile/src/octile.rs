@@ -92,13 +92,6 @@ impl<E: Copy> Octile<E> {
         self.mask.to_le_bytes()
     }
 
-    /// Per-column nonzero masks: byte `c` holds the 8 row-occupancy bits of
-    /// local column `c` — the row masks of the bit-transposed tile.
-    #[inline]
-    pub fn col_masks(&self) -> [u8; TILE_SIZE] {
-        transpose_mask(self.mask).to_le_bytes()
-    }
-
     /// Iterate over the nonzero elements as `(local_row, local_col, weight,
     /// label)`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f32, E)> + '_ {
@@ -116,20 +109,6 @@ impl<E: Copy> Octile<E> {
         let rank = (self.mask & ((1u64 << bit) - 1)).count_ones() as usize;
         self.weights[rank]
     }
-}
-
-/// Bit-transpose an 8×8 occupancy bitmap: bit `r * 8 + c` of the input
-/// becomes bit `c * 8 + r` of the output. Three delta-swap rounds — the
-/// classic branch-free 8×8 Boolean-matrix transpose.
-#[inline]
-pub fn transpose_mask(mut x: u64) -> u64 {
-    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
-    x ^= t ^ (t << 7);
-    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
-    x ^= t ^ (t << 14);
-    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
-    x ^= t ^ (t << 28);
-    x
 }
 
 /// Iterator over the set bit positions of a 64-bit mask, in ascending order.
@@ -343,17 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_mask_moves_every_bit() {
-        for (r, c) in [(0usize, 0usize), (0, 7), (7, 0), (3, 5), (6, 2)] {
-            let m = 1u64 << (r * TILE_SIZE + c);
-            assert_eq!(transpose_mask(m), 1u64 << (c * TILE_SIZE + r), "bit ({r},{c})");
-        }
-        // involution on an arbitrary pattern
-        let m = 0x8040_2013_d00f_5a91u64;
-        assert_eq!(transpose_mask(transpose_mask(m)), m);
-    }
-
-    #[test]
     fn transposed_expansions_match_row_major_expansions() {
         let g = labeled_path(10);
         let m = OctileMatrix::from_graph(&g);
@@ -372,17 +340,15 @@ mod tests {
     }
 
     #[test]
-    fn row_and_col_masks_agree_with_the_bitmap() {
+    fn row_masks_agree_with_the_bitmap() {
         let g = labeled_path(20);
         let m = OctileMatrix::from_graph(&g);
         for t in m.tiles() {
             let rows = t.row_masks();
-            let cols = t.col_masks();
             for (r, &row_mask) in rows.iter().enumerate() {
-                for (c, &col_mask) in cols.iter().enumerate() {
+                for c in 0..TILE_SIZE {
                     let set = t.mask & (1u64 << (r * TILE_SIZE + c)) != 0;
                     assert_eq!(row_mask & (1u8 << c) != 0, set);
-                    assert_eq!(col_mask & (1u8 << r) != 0, set);
                 }
             }
             assert_eq!(
