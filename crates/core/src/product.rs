@@ -19,7 +19,6 @@
 //! [`TrafficCounters`] down and receive exact counts back, with no interior
 //! mutability on the system itself.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use mgk_graph::Graph;
@@ -288,20 +287,11 @@ where
 /// The off-diagonal part is [`ProductSystem::apply_off_diagonal`]; the
 /// diagonal is precomputed at precision `T` and fused into the same sweep.
 /// Traffic is threaded through
-/// [`apply_counted`](LinearOperator::apply_counted) — the operator holds a
-/// scratch buffer (behind a `RefCell`, since `apply` takes `&self`) but no
+/// [`apply_counted`](LinearOperator::apply_counted); the operator holds no
 /// counter state.
-///
-/// The scratch is deliberate. Accumulating the off-diagonal product
-/// straight into `y` and finishing in place (`*yi = di * xi - *yi`, the
-/// same two operations per element) was measured and is 9–17 % *slower*
-/// end to end: built that way, every instantiation of
-/// `octile_ops::sparse_outer_lanes` loses its 4-wide lane loop to eight
-/// unrolled scalar steps (see ROADMAP item 2(e)).
 pub struct SystemOperator<'a, E, KE, T: Scalar = f32> {
     system: &'a ProductSystem<E, KE>,
     diagonal: Vec<T>,
-    scratch: RefCell<Vec<T>>,
 }
 
 impl<'a, E, KE, T> SystemOperator<'a, E, KE, T>
@@ -312,11 +302,7 @@ where
 {
     /// Wrap an assembled product system.
     pub fn new(system: &'a ProductSystem<E, KE>) -> Self {
-        SystemOperator {
-            system,
-            diagonal: system.system_diagonal::<T>(),
-            scratch: RefCell::new(vec![T::ZERO; system.dim()]),
-        }
+        SystemOperator { system, diagonal: system.system_diagonal::<T>() }
     }
 }
 
@@ -335,17 +321,14 @@ where
     }
 
     fn apply_counted(&self, x: &[T], y: &mut [T], counters: &mut TrafficCounters) {
-        let mut scratch = self.scratch.borrow_mut();
-        self.system.apply_off_diagonal(x, scratch.as_mut_slice(), counters);
-        for ((yi, &xi), (&di, &oi)) in
-            y.iter_mut().zip(x).zip(self.diagonal.iter().zip(scratch.iter()))
-        {
-            *yi = di * xi - oi;
+        self.system.apply_off_diagonal(x, y, counters);
+        for ((yi, &xi), &di) in y.iter_mut().zip(x).zip(&self.diagonal) {
+            *yi = di * xi - *yi;
         }
-        // the fused diagonal sweep: one multiply and one subtract per
-        // element, streaming the diagonal, x and the off-diagonal scratch
-        // and writing y once (same per-vector accounting as the built-in
-        // mgk_linalg operators)
+        // the fused diagonal sweep, in place over the off-diagonal product:
+        // one multiply and one subtract per element, streaming the
+        // diagonal, x and y and writing y once (same per-vector accounting
+        // as the built-in mgk_linalg operators)
         let n = self.diagonal.len() as u64;
         counters.flops += 2 * n;
         counters.global_load_bytes += 3 * n * T::BYTES;
