@@ -66,9 +66,8 @@
 //! Measured by the benchmark's traced `gram-dense` run (square-exponential
 //! edge kernel, one pinned 2.1 GHz Xeon core, seed 1, medians of five
 //! alternated pairs), libm `expf` → the inlined polynomial, ns per tile
-//! pair: dense×dense 10022 → 2458, dense×sparse 5967 → 3292, sparse×sparse
-//! (then an 8-lane sweep over panels) 5796 → 3178; `product.apply_gflops`
-//! 3.7 → 13.6.
+//! pair: dense×dense 10022 → 2458, dense×sparse 5967 → 3292;
+//! `product.apply_gflops` 3.7 → 13.6.
 
 #![cfg_attr(
     not(test),
@@ -131,10 +130,10 @@ fn cheapest(cost: impl Fn(TileProductKind) -> f64) -> TileProductKind {
 // nnz₂ each over 1–16, 20, 24, 28, 32, 40, 48, 56, 64; unit, Kronecker-delta
 // and square-exponential edge kernels, x = 3, 4, 11; f32; AVX2 dense×dense)
 // on one 2.0 GHz Xeon core (family 6 model 143). That bin refits them.
-// Outside x = 3–11 they extrapolate. `SPARSE_SPARSE_NS` was refit alone when
-// the packed loop replaced an 8-lane sweep, from the quietest of six grids
-// (the one whose dense×dense fit reproduced `DENSE_DENSE_NS`); the table
-// then picks within 10 % of the fastest in 94–95 % of cells.
+// Outside x = 3–11 they extrapolate. `SPARSE_SPARSE_NS` was fit later than
+// the other two, alone, to the quietest of six grids (the one whose
+// dense×dense fit reproduced `DENSE_DENSE_NS`); with it the table picks
+// within 10 % of the fastest primitive in 94–96 % of cells.
 
 /// [`dense_dense`]: one 64-evaluation block per nonzero of the first tile,
 /// flat in `nnz₂`: `a + nnz₁·(b + c·x)`.
@@ -1084,9 +1083,9 @@ mod tests {
 
     /// Sweep every tile pair of `g1 × g2` through the portable dense×dense
     /// body and through the dispatcher — the AVX2 instantiation where the CPU
-    /// has it — each called directly, then all three primitives (so both
-    /// panel fills, transposed and row-major) through the public entry, and
-    /// compare each bit for bit with the scalar reference.
+    /// has it — each called directly, then all three primitives (so the
+    /// packed kernel fill and the packed sparse×sparse loop) through the
+    /// public entry, and compare each bit for bit with the scalar reference.
     fn instantiations_and_fills_agree<T: Scalar, K: BaseKernel<f32> + Copy>(
         g1: &Graph<Unlabeled, f32>,
         g2: &Graph<Unlabeled, f32>,
