@@ -26,10 +26,13 @@
 //!
 //! # Counted traffic
 //!
-//! Every primitive attributes its traffic through one per-tile-pair closed
-//! form of the GPU kernels' shared-memory traffic and FLOPs
-//! (`octile_pair_traffic`, private, beside
-//! [`tile_pair_product_with_panels`]). For dense×dense it counts the full
+//! Every primitive's traffic is one closed form per tile pair of the GPU
+//! kernels' shared-memory traffic and FLOPs (`octile_pair_traffic`, private,
+//! beside [`tile_pair_product_with_panels`]). None of it depends on the
+//! vector, so the octile operator sums the forms of every tile pair once, at
+//! assembly, into a per-apply ledger, and each application adds that ledger
+//! once; the standalone entries count their own pair's form per call. For
+//! dense×dense it counts the full
 //! 64×64 block a warp evaluates — `4096·x` FLOPs — while the CPU body skips
 //! the first tile's empty slots and executes at most `64·nnz₁` kernel
 //! evaluations. Wherever the CPU table sends a tile pair to dense×dense, the
@@ -341,9 +344,8 @@ pub struct PairContext<'a, K> {
     pub costs: &'a TileCosts,
 }
 
-/// Bitmap-driven tile-pair product over precomputed [`TilePanels`] — the
-/// hot-path entry used by the octile operator, which builds the panels once
-/// per tile and reuses them across the whole tile-pair sweep.
+/// Bitmap-driven tile-pair product over precomputed [`TilePanels`], counting
+/// the pair's closed-form traffic into `counters`.
 ///
 /// Sparse×sparse, and dense×sparse with the first tile the sparser, form
 /// exactly the reference's terms from the packed tiles. Dense×dense and the
@@ -355,6 +357,10 @@ pub struct PairContext<'a, K> {
 /// identical at `f32` and `f64`. Traffic is attributed
 /// through per-pair closed forms (the private `octile_pair_traffic`), which
 /// match the scalar reference's totals exactly.
+///
+/// The octile operator runs the same body over a whole sweep without this
+/// entry: it decodes each outer tile once per sweep instead of once per pair,
+/// and counts the traffic of an application once, fixed at assembly.
 pub fn tile_pair_product_with_panels<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     kind: TileProductKind,
     s1: PaneledTile<'_, E>,
@@ -364,52 +370,116 @@ pub fn tile_pair_product_with_panels<T: Scalar, E: Copy + Default, K: BaseKernel
     y: &mut [T],
     counters: &mut TrafficCounters,
 ) {
-    let PairContext { n, m, kernel, costs } = ctx;
-    let (t1, t2) = (s1.tile, s2.tile);
+    counters.accumulate(&tile_pair_traffic(
+        kind,
+        s1.tile,
+        s2.tile,
+        (ctx.n, ctx.m),
+        ctx.costs,
+        T::BYTES,
+    ));
+    let mut sweep = OuterSweep::new();
+    sweep.decode(s1.tile, ctx.m);
+    tile_pair_body(kind, &mut sweep, s1, s2, ctx, p, y);
+}
+
+/// The per-sweep state of a tile-pair sweep over one outer tile: the outer
+/// tile decoded once, and one coefficient scratch.
+///
+/// Per packed nonzero `(i, j)` of the outer tile, `entries` holds the output
+/// row offset `(row₁+i)·m`, the right-hand-side row offset `(col₁+j)·m`, the
+/// weight at the vector precision and the label. Every sparse×sparse pair of
+/// the sweep reads it, and so does every dense×sparse pair with the outer
+/// tile the sparser. `coefficients` is written before it is read, so it is
+/// never re-zeroed.
+pub(crate) struct OuterSweep<T, E> {
+    entries: [(usize, usize, T, E); TILE_AREA],
+    len: usize,
+    coefficients: [T; TILE_AREA],
+}
+
+impl<T: Scalar, E: Copy + Default> OuterSweep<T, E> {
+    pub(crate) fn new() -> Self {
+        OuterSweep {
+            entries: [(0, 0, T::ZERO, E::default()); TILE_AREA],
+            len: 0,
+            coefficients: [T::ZERO; TILE_AREA],
+        }
+    }
+
+    /// Decode `tile` as the outer tile of a sweep over a second graph of
+    /// `m` vertices.
+    pub(crate) fn decode(&mut self, tile: &Octile<E>, m: usize) {
+        let (row, col) = (tile.row as usize * TILE_SIZE, tile.col as usize * TILE_SIZE);
+        for (slot, (i, j, w, l)) in self.entries.iter_mut().zip(tile.iter()) {
+            *slot = ((row + i) * m, (col + j) * m, T::from_f32(w), l);
+        }
+        self.len = tile.nnz();
+    }
+}
+
+/// One tile pair's product, with the first tile already decoded into
+/// `sweep`: the body [`tile_pair_product_with_panels`] and the octile
+/// operator's sweep both run.
+#[inline]
+pub(crate) fn tile_pair_body<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
+    kind: TileProductKind,
+    sweep: &mut OuterSweep<T, E>,
+    s1: PaneledTile<'_, E>,
+    s2: PaneledTile<'_, E>,
+    ctx: PairContext<'_, K>,
+    p: &[T],
+    y: &mut [T],
+) {
+    let PairContext { n, m, kernel, .. } = ctx;
     debug_assert_eq!(p.len(), n * m);
     debug_assert_eq!(y.len(), n * m);
-    let fb = costs.float_bytes as u64;
-    let eb = costs.label_bytes as u64;
-    let vb = T::BYTES;
-    let xf = costs.kernel_flops as u64;
+    debug_assert_eq!(sweep.len, s1.tile.nnz(), "the sweep holds the first tile");
     match kind {
+        TileProductKind::SparseSparse => sparse_sparse_packed(sweep, s2.tile, kernel, p, y),
+        // orient exactly like the scalar reference: the first tile is
+        // "sparse" on ties, so the iteration order (and therefore the
+        // floating-point result) matches
+        TileProductKind::DenseSparse if s1.tile.nnz() <= s2.tile.nnz() => {
+            sparse_sparse_packed(sweep, s2.tile, kernel, p, y)
+        }
+        TileProductKind::DenseSparse => dense_rows_direct(s2.tile, s1, (n, m), kernel, p, y),
+        TileProductKind::DenseDense => dense_dense(s1, s2, (n, m), kernel, p, y),
+    }
+}
+
+/// The closed-form traffic of one tile pair routed to `kind`, at vector
+/// width `vector_bytes`: what the primitive is counted before it touches any
+/// payload.
+pub(crate) fn tile_pair_traffic<E: Copy>(
+    kind: TileProductKind,
+    t1: &Octile<E>,
+    t2: &Octile<E>,
+    (n, m): (usize, usize),
+    costs: &TileCosts,
+    vector_bytes: u64,
+) -> TrafficCounters {
+    let shape = match kind {
         TileProductKind::SparseSparse => {
-            counters.accumulate(&octile_pair_traffic(
-                OctilePairShape::SparseSparse { nnz1: t1.nnz() as u64, nnz2: t2.nnz() as u64 },
-                eb,
-                fb,
-                vb,
-                xf,
-            ));
-            sparse_sparse_packed(t1, t2, m, kernel, p, y);
+            OctilePairShape::SparseSparse { nnz1: t1.nnz() as u64, nnz2: t2.nnz() as u64 }
         }
         TileProductKind::DenseSparse => {
-            // orient exactly like the scalar reference: the first tile is
-            // "sparse" on ties, so the iteration order (and therefore the
-            // floating-point result) matches
             let sparse_is_first = t1.nnz() <= t2.nnz();
             let (dense, dense_dim) = if sparse_is_first { (t2, m) } else { (t1, n) };
             let drow = dense.row as usize * TILE_SIZE;
             let rows_in_range = TILE_SIZE.min(dense_dim.saturating_sub(drow)) as u64;
             let nnz_sparse = t1.nnz().min(t2.nnz()) as u64;
-            counters.accumulate(&octile_pair_traffic(
-                OctilePairShape::DenseSparse { nnz_sparse, rows_in_range },
-                eb,
-                fb,
-                vb,
-                xf,
-            ));
-            if sparse_is_first {
-                sparse_sparse_packed(t1, t2, m, kernel, p, y);
-            } else {
-                dense_rows_direct(t2, s1, (n, m), kernel, p, y);
-            }
+            OctilePairShape::DenseSparse { nnz_sparse, rows_in_range }
         }
-        TileProductKind::DenseDense => {
-            counters.accumulate(&octile_pair_traffic(OctilePairShape::DenseDense, eb, fb, vb, xf));
-            dense_dense(s1, s2, (n, m), kernel, p, y);
-        }
-    }
+        TileProductKind::DenseDense => OctilePairShape::DenseDense,
+    };
+    octile_pair_traffic(
+        shape,
+        costs.label_bytes as u64,
+        costs.float_bytes as u64,
+        vector_bytes,
+        costs.kernel_flops as u64,
+    )
 }
 
 /// The shape of one tile-pair product, for the closed forms of
@@ -490,7 +560,8 @@ fn octile_pair_traffic(
 /// sparse×sparse primitive and the mixed primitive when the first operand
 /// is the sparser one.
 ///
-/// Per nonzero `(i, j)` of the first tile, the product coefficients
+/// Per nonzero `(i, j)` of the first tile, read from the sweep's decoded
+/// copy, the product coefficients
 /// `(w₁·w₂)·κ(l₁, l₂)` are formed over the second tile's contiguous packed
 /// weights and labels, a loop that vectorizes. Then each packed nonzero
 /// `(i', j')` of the second tile, decoded from its mask in ascending bit
@@ -501,26 +572,22 @@ fn octile_pair_traffic(
 /// stored zero weight, which that loop skips, adds an exact zero here: no
 /// sum changes, since an accumulation from `+0.0` never reaches `−0.0`.)
 fn sparse_sparse_packed<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
-    t1: &Octile<E>,
+    sweep: &mut OuterSweep<T, E>,
     t2: &Octile<E>,
-    m: usize,
     kernel: &K,
     p: &[T],
     y: &mut [T],
 ) {
     debug_assert_eq!(p.len(), y.len(), "p and y are both length n*m");
     debug_assert!(t2.weights.len() == t2.nnz() && t2.labels.len() == t2.nnz());
-    let (row1, col1) = (t1.row as usize * TILE_SIZE, t1.col as usize * TILE_SIZE);
     let (row2, col2) = (t2.row as usize * TILE_SIZE, t2.col as usize * TILE_SIZE);
-    let mut coefficients = [T::ZERO; TILE_AREA];
-    let coefficients = &mut coefficients[..t2.weights.len()];
-    for (i, j, w1, l1) in t1.iter() {
-        let w1t = T::from_f32(w1);
+    let coefficients = &mut sweep.coefficients[..t2.weights.len()];
+    for &(yrow1, prow1, w1t, l1) in &sweep.entries[..sweep.len] {
         for ((c, &w2), l2) in coefficients.iter_mut().zip(&t2.weights).zip(&t2.labels) {
             *c = (w1t * T::from_f32(w2)) * T::from_f32(kernel.eval(&l1, l2));
         }
-        let yrow = (row1 + i) * m + row2;
-        let prow = (col1 + j) * m + col2;
+        let yrow = yrow1 + row2;
+        let prow = prow1 + col2;
         let mut bits = t2.mask;
         for &c in coefficients.iter() {
             let bit = bits.trailing_zeros() as usize;

@@ -17,7 +17,10 @@
 //! [`mgk_linalg::LinearOperator`], and memory traffic flows through the
 //! `apply_counted` side of that surface: callers pass a
 //! [`TrafficCounters`] down and receive exact counts back, with no interior
-//! mutability on the system itself.
+//! mutability on the system itself. For the octile form those counts are a
+//! per-apply ledger summed once at assembly from the tile pairs' closed
+//! forms, the storage and sharing configuration and the global terms; an
+//! application adds it once instead of re-deriving it per tile pair.
 
 use std::sync::Arc;
 
@@ -29,7 +32,8 @@ use mgk_linalg::{
 use mgk_tile::TILE_SIZE;
 
 use crate::octile_ops::{
-    tile_pair_product_with_panels, KindTable, PairContext, PaneledTile, TileCosts, TileProductKind,
+    tile_pair_body, tile_pair_traffic, KindTable, OuterSweep, PairContext, PaneledTile, TileCosts,
+    TileProductKind,
 };
 use crate::prepared::{Octiles, PreparedGraph};
 use crate::solver::{MarginalizedKernelSolver, SolverConfig, XmvMode};
@@ -57,12 +61,75 @@ enum OffDiagonal<E> {
         /// a lookup, not three cost estimates), or `None` to force the
         /// dense×dense primitive.
         kinds: Option<Arc<KindTable>>,
-        /// Use the compact (bitmap + packed payload) storage accounting.
-        compact: bool,
-        /// Number of warps sharing octiles within a block (Section V-A);
-        /// 1 means no sharing.
-        block_sharing: usize,
+        /// What one application counts, fixed at assembly.
+        traffic: ApplyTraffic,
     },
+}
+
+/// The traffic one application of the octile operator counts. Every term
+/// depends on the pair's tiles, the table's picks, the storage and sharing
+/// configuration and the vector width, and none on the vector, so it is
+/// summed once at assembly, at both widths.
+struct ApplyTraffic {
+    at_f32: TrafficCounters,
+    at_f64: TrafficCounters,
+}
+
+impl ApplyTraffic {
+    /// Sum, over every tile pair of the sweep, the closed form of the
+    /// primitive `kinds` routes it to (dense×dense without a table), plus the
+    /// operator's global terms: each outer tile loaded once per sweep, each
+    /// inner tile once per outer tile with the load shared across the
+    /// `block_sharing` warps of a block (Section V-A), one right-hand-side
+    /// block per tile pair and one write-back of `y`. Tile payloads and
+    /// labels keep their stored (`f32`) sizes at every vector precision; only
+    /// the right-hand-side reads inside a tile pair and the write-back follow
+    /// the vector width.
+    fn octile<E: Copy + Default>(
+        left: &Octiles<E>,
+        right: &Octiles<E>,
+        kinds: Option<&KindTable>,
+        costs: &TileCosts,
+        (n, m): (usize, usize),
+        config: &SolverConfig,
+    ) -> Self {
+        let fb = costs.float_bytes as u64;
+        let eb = costs.label_bytes as u64;
+        let tile_bytes = |t: &mgk_tile::Octile<E>| -> u64 {
+            if config.compact_storage {
+                8 + t.nnz() as u64 * (fb + eb)
+            } else {
+                (TILE_SIZE * TILE_SIZE) as u64 * (fb + eb)
+            }
+        };
+        let sharing = config.block_sharing.max(1) as u64;
+        let (mut at_f32, mut at_f64) = (TrafficCounters::new(), TrafficCounters::new());
+        let mut global_loads = 0;
+        for t1 in left.matrix.tiles() {
+            global_loads += tile_bytes(t1);
+            for t2 in right.matrix.tiles() {
+                global_loads += tile_bytes(t2).div_ceil(sharing);
+                global_loads += (TILE_SIZE * TILE_SIZE) as u64 * fb;
+                let kind = kinds.map_or(TileProductKind::DenseDense, |k| k.get(t1.nnz(), t2.nnz()));
+                at_f32.accumulate(&tile_pair_traffic(kind, t1, t2, (n, m), costs, f32::BYTES));
+                at_f64.accumulate(&tile_pair_traffic(kind, t1, t2, (n, m), costs, f64::BYTES));
+            }
+        }
+        for (ledger, vb) in [(&mut at_f32, f32::BYTES), (&mut at_f64, f64::BYTES)] {
+            ledger.global_load_bytes += global_loads;
+            ledger.global_store_bytes += (n * m) as u64 * vb;
+        }
+        ApplyTraffic { at_f32, at_f64 }
+    }
+
+    /// The ledger at the vector precision `T`.
+    fn at<T: Scalar>(&self) -> &TrafficCounters {
+        if T::BYTES == f64::BYTES {
+            &self.at_f64
+        } else {
+            &self.at_f32
+        }
+    }
 }
 
 /// The assembled tensor-product system for one graph pair.
@@ -143,13 +210,19 @@ where
             XmvMode::DenseOnTheFly(primitive) => {
                 OffDiagonal::Dense { data: DensePairData::new(g1, g2, &edge_kernel), primitive }
             }
-            XmvMode::Octile => OffDiagonal::Octile {
-                left: a.octiles(),
-                right: b.octiles(),
-                kinds,
-                compact: config.compact_storage,
-                block_sharing: config.block_sharing.max(1),
-            },
+            XmvMode::Octile => {
+                let (left, right) = (a.octiles(), b.octiles());
+                let dims = (g1.num_vertices(), g2.num_vertices());
+                let traffic = ApplyTraffic::octile(
+                    &left,
+                    &right,
+                    kinds.as_deref(),
+                    &tile_costs,
+                    dims,
+                    config,
+                );
+                OffDiagonal::Octile { left, right, kinds, traffic }
+            }
         };
 
         ProductSystem {
@@ -215,6 +288,13 @@ where
     /// memory traffic of the application to `counters`. Generic over the
     /// vector [`Scalar`]; the `f32`-stored tiles and kernel values are
     /// widened factor-wise at `f64`.
+    ///
+    /// The octile form sweeps the second graph's tiles once per tile of the
+    /// first. Each outer tile is decoded once for its whole sweep, the
+    /// sweep's coefficient scratch is never re-zeroed, and the application's
+    /// traffic is the ledger fixed at assembly, added once: the loop pays for
+    /// the tile-pair products and the table lookup, nothing else. The naive
+    /// and dense forms count their traffic as they apply.
     pub fn apply_off_diagonal<T: Scalar>(
         &self,
         x: &[T],
@@ -222,43 +302,25 @@ where
         counters: &mut TrafficCounters,
     ) {
         y.iter_mut().for_each(|v| *v = T::ZERO);
-        let local = counters;
         match &self.off_diagonal {
-            OffDiagonal::Naive(naive) => naive.apply(x, y, local),
+            OffDiagonal::Naive(naive) => naive.apply(x, y, counters),
             OffDiagonal::Dense { data, primitive } => {
-                primitive.apply(data, &self.edge_kernel, x, y, local)
+                primitive.apply(data, &self.edge_kernel, x, y, counters)
             }
-            OffDiagonal::Octile { left, right, kinds, compact, block_sharing } => {
-                // tile payloads and labels keep their stored (f32) sizes at
-                // every vector precision; only right-hand-side and output
-                // traffic follow the vector scalar T
-                let fb = self.tile_costs.float_bytes as u64;
-                let eb = self.tile_costs.label_bytes as u64;
-                let vb = T::BYTES;
-                let tile_bytes = |t: &mgk_tile::Octile<E>| -> u64 {
-                    if *compact {
-                        8 + t.nnz() as u64 * (fb + eb)
-                    } else {
-                        (TILE_SIZE * TILE_SIZE) as u64 * (fb + eb)
-                    }
-                };
+            OffDiagonal::Octile { left, right, kinds, traffic } => {
+                let mut sweep = OuterSweep::new();
                 for (t1, p1) in left.matrix.tiles().iter().zip(&left.panels) {
                     // the outer tile is loaded once and kept for the whole
                     // sweep over the inner graph
-                    local.global_load_bytes += tile_bytes(t1);
+                    sweep.decode(t1, self.m);
                     let nnz1 = t1.nnz();
                     for (t2, p2) in right.matrix.tiles().iter().zip(&right.panels) {
-                        // inner tiles are re-streamed for every outer tile;
-                        // block-level sharing amortizes the load across the
-                        // warps of a block (Section V-A)
-                        local.global_load_bytes += tile_bytes(t2).div_ceil(*block_sharing as u64);
-                        // the right-hand-side block for this tile pair
-                        local.global_load_bytes += (TILE_SIZE * TILE_SIZE) as u64 * fb;
                         let kind = kinds
                             .as_ref()
                             .map_or(TileProductKind::DenseDense, |k| k.get(nnz1, t2.nnz()));
-                        tile_pair_product_with_panels(
+                        tile_pair_body(
                             kind,
+                            &mut sweep,
                             PaneledTile { tile: t1, panels: p1 },
                             PaneledTile { tile: t2, panels: p2 },
                             PairContext {
@@ -269,12 +331,10 @@ where
                             },
                             x,
                             y,
-                            local,
                         );
                     }
                 }
-                // the output vector is written back once per application
-                local.global_store_bytes += (self.n * self.m) as u64 * vb;
+                counters.accumulate(traffic.at::<T>());
             }
         }
     }
