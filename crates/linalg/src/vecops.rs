@@ -6,29 +6,64 @@
 //! conjugate gradient recurrences remain stable even for large tensor
 //! product systems computed in single precision, and the `f64`
 //! instantiation keeps the identical accumulation structure.
+//!
+//! The reductions [`dot`] and [`norm_sq`] run [`LANES`] independent add
+//! chains: element `k` accumulates into lane `k mod 8`, and the lanes are
+//! combined by one fixed tree, `((l₀+l₄) + (l₂+l₆)) + ((l₁+l₅) + (l₃+l₇))`.
+//! The order depends on the length alone, never on the CPU or the thread, so
+//! answers are deterministic and identical between runs; one serial chain
+//! would leave each reduction waiting on its add latency per element.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use crate::scalar::Scalar;
 
-/// Dot product `xᵀ y` with [`Accum`](Scalar::Accum) (`f64`) accumulation.
+/// Number of independent accumulators of [`dot`] and [`norm_sq`].
+pub const LANES: usize = 8;
+
+/// `Σₖ x[k]·y[k]`, widened, with term `k` added into lane `k mod LANES`
+/// and the lanes combined by the fixed tree of the module docs.
+#[inline(always)]
+fn lane_dot<T: Scalar>(x: &[T], y: &[T]) -> T::Accum {
+    debug_assert_eq!(x.len(), y.len());
+    let (x_blocks, x_tail) = x.as_chunks::<LANES>();
+    let (y_blocks, y_tail) = y.as_chunks::<LANES>();
+    let mut lanes = [T::Accum::default(); LANES];
+    for (xb, yb) in x_blocks.iter().zip(y_blocks) {
+        for ((lane, &a), &b) in lanes.iter_mut().zip(xb).zip(yb) {
+            *lane += a.widen() * b.widen();
+        }
+    }
+    for ((lane, &a), &b) in lanes.iter_mut().zip(x_tail).zip(y_tail) {
+        *lane += a.widen() * b.widen();
+    }
+    let [l0, l1, l2, l3, l4, l5, l6, l7] = lanes;
+    ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7))
+}
+
+/// Dot product `xᵀ y` with [`Accum`](Scalar::Accum) (`f64`) accumulation
+/// over [`LANES`] lanes.
 #[inline]
 pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T::Accum {
     assert_eq!(x.len(), y.len(), "dot: length mismatch {} vs {}", x.len(), y.len());
-    let mut acc = T::Accum::default();
-    for (&a, &b) in x.iter().zip(y) {
-        acc += a.widen() * b.widen();
-    }
-    acc
+    lane_dot(x, y)
 }
 
 /// Squared Euclidean norm `‖x‖²` with [`Accum`](Scalar::Accum)
-/// accumulation.
+/// accumulation over [`LANES`] lanes.
 #[inline]
 pub fn norm_sq<T: Scalar>(x: &[T]) -> T::Accum {
-    let mut acc = T::Accum::default();
-    for &a in x {
-        acc += a.widen() * a.widen();
-    }
-    acc
+    lane_dot(x, x)
 }
 
 /// Euclidean norm `‖x‖`.
@@ -137,6 +172,48 @@ mod tests {
         let ones = vec![1.0f32; 1_000_000];
         let d = dot(&x, &ones);
         assert!((d - 100.0).abs() < 1e-2, "got {d}");
+    }
+
+    /// The lane order written out: term `k` into lane `k mod 8`, then the
+    /// fixed combining tree.
+    fn lane_order_reference(terms: impl Iterator<Item = f64>) -> f64 {
+        let mut lanes = [0.0f64; 8];
+        for (k, term) in terms.enumerate() {
+            lanes[k % 8] += term;
+        }
+        ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6]))
+            + ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]))
+    }
+
+    /// `len` values of mixed sign and magnitude, so every association
+    /// rounds differently.
+    fn mixed(len: usize, seed: u32) -> Vec<f32> {
+        (0..len as u32)
+            .map(|k| {
+                let h = (k.wrapping_add(seed)).wrapping_mul(2_654_435_761) >> 8;
+                (h % 2001) as f32 / 997.0 - 1.0 + 1e-3 * (k % 7) as f32
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reductions_follow_the_lane_order_bitwise() {
+        for len in (0..=17).chain([1000]) {
+            let (x32, y32) = (mixed(len, 1), mixed(len, 7));
+            let x64: Vec<f64> = x32.iter().map(|&v| v as f64 * 1.000_000_1).collect();
+            let y64: Vec<f64> = y32.iter().map(|&v| v as f64 / 3.0).collect();
+            let widened = |v: &[f32]| -> Vec<f64> { v.iter().map(|&a| a as f64).collect() };
+            let (xw, yw) = (widened(&x32), widened(&y32));
+            let cases = [
+                (dot(&x32, &y32), lane_order_reference(xw.iter().zip(&yw).map(|(a, b)| a * b))),
+                (norm_sq(&x32), lane_order_reference(xw.iter().map(|a| a * a))),
+                (dot(&x64, &y64), lane_order_reference(x64.iter().zip(&y64).map(|(a, b)| a * b))),
+                (norm_sq(&x64), lane_order_reference(x64.iter().map(|a| a * a))),
+            ];
+            for (case, (got, want)) in cases.into_iter().enumerate() {
+                assert_eq!(got.to_bits(), want.to_bits(), "length {len}, case {case}");
+            }
+        }
     }
 
     #[test]
