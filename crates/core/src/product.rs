@@ -22,6 +22,18 @@
 //! forms, the storage and sharing configuration and the global terms; an
 //! application adds it once instead of re-deriving it per tile pair.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::sync::Arc;
 
 use mgk_graph::Graph;

@@ -10,6 +10,18 @@
 //! (only the vector element type changes; the scalar recurrences always
 //! evaluate in `f64`).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::operator::LinearOperator;
 use crate::scalar::Scalar;
 use crate::traffic::TrafficCounters;
