@@ -122,8 +122,8 @@ impl<KV, KE> GramEngine<KV, KE> {
     }
 
     /// Compute the symmetric pairwise kernel matrix of a dataset. Per-pair
-    /// solves go through the runtime [`Precision`] policy (F32, F64 or
-    /// Refined), narrowed to the f32 serving matrix.
+    /// solves go through the runtime [`Precision`] policy (F32 or F64),
+    /// narrowed to the f32 serving matrix.
     pub fn compute<V, E>(&self, graphs: &[Graph<V, E>]) -> GramResult
     where
         V: Clone + Send + Sync,

@@ -5,8 +5,8 @@ use std::sync::{Arc, OnceLock};
 use mgk_graph::Graph;
 use mgk_kernels::{BaseKernel, UnitKernel};
 use mgk_linalg::{
-    pcg_counted, pcg_refined_counted, ConvergenceInfo, DiagonalOperator, Precision, Scalar,
-    SolveOptions, TrafficCounters,
+    pcg_counted, ConvergenceInfo, DiagonalOperator, Precision, Scalar, SolveOptions,
+    TrafficCounters,
 };
 use mgk_reorder::ReorderMethod;
 use mgk_telemetry::StageBreakdown;
@@ -48,9 +48,7 @@ pub struct SolverConfig {
     /// surface the PCG iteration runs at. [`Precision::F32`] is the paper's
     /// serving arithmetic (f32 vectors, f64-accumulating reductions);
     /// [`Precision::F64`] iterates the identical structure in f64 over the
-    /// same f32-stored operands, which is the validation oracle;
-    /// [`Precision::Refined`] runs f32 inner sweeps with f64 residual
-    /// correction — f64-quality values at near-f32 stored-matrix traffic.
+    /// same f32-stored operands, which is the validation oracle.
     /// The default consults the `MGK_TEST_PRECISION` environment variable
     /// ([`Precision::from_env`]) so entire test suites can be re-run at
     /// f64 without modification; unset, it is `F32`.
@@ -242,11 +240,9 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
     /// serving cache): neither structure is reordered or tiled again here.
     ///
     /// The solve runs at `precision` (PCG at the `f32` or `f64`
-    /// instantiation, or `f32` sweeps with `f64` residual corrections for
-    /// [`Precision::Refined`]) and the result is carried at `T`:
-    /// `kernel_prepared::<f64>(.., Precision::Refined)` is the un-narrowed
-    /// refined answer, `kernel_prepared::<f32>(.., Precision::F64)` the
-    /// oracle's value at the serving type. Every solve starts from zero, so
+    /// instantiation) and the result is carried at `T`:
+    /// `kernel_prepared::<f32>(.., Precision::F64)` is the oracle's value at
+    /// the serving type. Every solve starts from zero, so
     /// the result depends on the prepared pair, its orientation and the
     /// precision alone. Both structures must come from
     /// [`prepare_graph`](Self::prepare_graph) of a solver in this one's
@@ -277,23 +273,6 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
             }
             Precision::F64 => {
                 let run = self.iterate::<f64, E, KE>(&system, &mut traffic);
-                self.finish(&system, run, traffic)
-            }
-            Precision::Refined => {
-                // f32 inner sweeps, f64 residual corrections against the
-                // f64 instantiation of the *same* operator
-                let rhs = system.rhs::<f64>();
-                let op32 = SystemOperator::<E, KE, f32>::new(&system);
-                let op64 = SystemOperator::<E, KE, f64>::new(&system);
-                let prec32 = DiagonalOperator::new(system.preconditioner_diagonal::<f32>());
-                let run = pcg_refined_counted(
-                    &op32,
-                    &op64,
-                    &prec32,
-                    &rhs,
-                    &self.config.solve,
-                    &mut traffic,
-                );
                 self.finish(&system, run, traffic)
             }
         }
@@ -727,46 +706,6 @@ mod tests {
         let value_direct: f64 = px.iter().zip(&x_direct).map(|(p, x)| p * x).sum();
         assert!((result.value - value_direct).abs() / value_direct.abs() <= 1e-10);
         assert_eq!(result.value, result.value_f64, "f64 results carry the full value in both");
-    }
-
-    #[test]
-    fn refined_precision_matches_the_dense_direct_solver_to_1e10() {
-        // the mixed-precision mode must hit the same validation bar as the
-        // f64 instantiation while iterating in f32
-        let g1 =
-            Graph::from_edge_list(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)]);
-        let g2 = Graph::from_edge_list(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let config = SolverConfig {
-            reorder: ReorderMethod::Natural,
-            precision: Precision::Refined,
-            solve: SolveOptions { tolerance: 1e-12, max_iterations: 5000 },
-            ..SolverConfig::default()
-        };
-        let solver = MarginalizedKernelSolver::unlabeled(config);
-        let result = solver.kernel(&g1, &g2).unwrap();
-        assert!(result.converged);
-        assert!(result.relative_residual <= 1e-12);
-
-        let (mat, b, px) = widened_reference_system(&g1, &g2, &UnitKernel, &UnitKernel);
-        let x_direct = direct::lu_solve(&mat, &b).expect("reference system solvable");
-        let value_direct: f64 = px.iter().zip(&x_direct).map(|(p, x)| p * x).sum();
-        let rel = (result.value_f64 - value_direct).abs() / value_direct.abs();
-        assert!(rel <= 1e-10, "refined value {} vs direct {value_direct}", result.value_f64);
-
-        // near-f32 traffic: the refined solve moves fewer bytes per inner
-        // iteration than the f64 instantiation of the same solve
-        let wide = MarginalizedKernelSolver::unlabeled(SolverConfig {
-            precision: Precision::F64,
-            ..config
-        })
-        .kernel(&g1, &g2)
-        .unwrap();
-        let refined_per_iter = result.traffic.global_bytes() / result.iterations as u64;
-        let wide_per_iter = wide.traffic.global_bytes() / wide.iterations as u64;
-        assert!(
-            refined_per_iter < wide_per_iter,
-            "refined bytes/iter {refined_per_iter} must undercut f64's {wide_per_iter}"
-        );
     }
 
     #[test]

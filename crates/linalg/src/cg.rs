@@ -306,143 +306,11 @@ pub fn fixed_point<T: Scalar, A: LinearOperator<T> + ?Sized>(
     fixed_point_counted(a, b, opts, &mut TrafficCounters::new())
 }
 
-/// Mixed-precision iterative refinement: `f32` inner PCG sweeps, `f64`
-/// residual correction — `f64`-quality solutions at near-`f32`
-/// stored-matrix traffic (the [`Precision::Refined`](crate::Precision)
-/// mode).
-///
-/// `a32` and `a64` must be the two [`Scalar`] instantiations of the *same*
-/// operator (the workspace's `f32`-stored operators implement both by
-/// widening each factor before multiplying), and `m32` a preconditioner for
-/// the `f32` instantiation. Each outer sweep solves the correction system
-/// `A d = r` at `f32` (cheap: the matrix streams at 4 bytes per stored
-/// element), then recomputes the residual `r = b − A x` exactly at `f64`
-/// and folds the correction into the `f64` iterate. A single `f32` solve
-/// bottoms out near the `f32` unit roundoff; the `f64` residual recurrence
-/// pushes past it, sweep by sweep, to tolerances (`1e-10` and below) that
-/// a pure `f32` iteration cannot reach.
-///
-/// `opts.max_iterations` bounds the *total* inner PCG iterations across
-/// all sweeps (reported in [`ConvergenceInfo::iterations`]); convergence is
-/// the `f64` relative residual reaching `opts.tolerance`. The driver stops
-/// early when a sweep fails to halve the residual — at that point the `f32`
-/// corrections have bottomed out and further sweeps cannot help. The outer
-/// iterate starts from zero.
-pub fn pcg_refined_counted<A32, A64, M32>(
-    a32: &A32,
-    a64: &A64,
-    m32: &M32,
-    b: &[f64],
-    opts: &SolveOptions,
-    counters: &mut TrafficCounters,
-) -> (Vec<f64>, ConvergenceInfo)
-where
-    A32: LinearOperator<f32>,
-    A64: LinearOperator<f64>,
-    M32: LinearOperator<f32>,
-{
-    let n = b.len();
-    assert_eq!(a64.dim(), n, "operator dimension must match right-hand side");
-    assert_eq!(a32.dim(), n, "the two instantiations must share one dimension");
-    let nn = n as u64;
-
-    let b_norm = f64::accum_to_f64(norm_sq(b)).sqrt();
-    counters.count_vector_op_t::<f64>(nn, 0, 2 * nn);
-    if b_norm == 0.0 {
-        return (
-            vec![0.0; n],
-            ConvergenceInfo { iterations: 0, relative_residual: 0.0, converged: true },
-        );
-    }
-
-    // the inner solves only need to deliver f32-quality corrections; the
-    // outer f64 recurrence supplies the accuracy beyond that
-    let inner_tolerance = opts.tolerance.max(1e-6);
-    let mut ax = vec![0.0f64; n];
-
-    // x = 0 leaves r = b: relative residual 1
-    let (mut x, mut r) = (vec![0.0f64; n], b.to_vec());
-    let mut iterations = 0;
-    let mut rel_res = 1.0;
-    let mut converged = rel_res <= opts.tolerance;
-    while !converged && iterations < opts.max_iterations {
-        // narrow the residual (n f64 reads, n f32 writes) and solve the
-        // f32 correction system with the remaining iteration budget
-        let r32: Vec<f32> = r.iter().map(|&v| v as f32).collect();
-        counters.count_vector_op_t::<f64>(nn, 0, 0);
-        counters.count_vector_op_t::<f32>(0, nn, 0);
-        let inner_opts = SolveOptions {
-            tolerance: inner_tolerance,
-            max_iterations: opts.max_iterations - iterations,
-        };
-        let (d, inner) = pcg_counted(a32, m32, &r32, &inner_opts, counters);
-        iterations += inner.iterations.max(1);
-
-        // x += d and a fresh residual r = b − A x, both in f64
-        for (xi, &di) in x.iter_mut().zip(&d) {
-            *xi += di as f64;
-        }
-        a64.apply_counted(&x, &mut ax, counters);
-        for ((ri, &bi), &axi) in r.iter_mut().zip(b).zip(&ax) {
-            *ri = bi - axi;
-        }
-        counters.count_vector_op_t::<f64>(4 * nn, 2 * nn, 2 * nn);
-        let prev = rel_res;
-        rel_res = f64::accum_to_f64(norm_sq(&r)).sqrt() / b_norm;
-        counters.count_vector_op_t::<f64>(nn, 0, 2 * nn);
-        if rel_res <= opts.tolerance {
-            converged = true;
-            break;
-        }
-        if rel_res > 0.5 * prev {
-            // the f32 corrections have bottomed out; more sweeps only burn
-            // budget without making progress
-            break;
-        }
-    }
-    (x, ConvergenceInfo { iterations, relative_residual: rel_res, converged })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dense::DenseMatrix;
     use crate::operator::{DenseOperator, DiagonalOperator};
-
-    /// The `n × n` matrix with 2.5 on the diagonal and −1 beside it, applied
-    /// with `f64` accumulation and counted as `3n − 2` stored `f32` entries.
-    struct Tridiagonal {
-        n: usize,
-    }
-
-    impl<T: Scalar> LinearOperator<T> for Tridiagonal {
-        fn dim(&self) -> usize {
-            self.n
-        }
-
-        fn apply(&self, x: &[T], y: &mut [T]) {
-            for (i, yi) in y.iter_mut().enumerate() {
-                let mut acc = 0.0f64;
-                if i > 0 {
-                    acc -= x[i - 1].to_f64();
-                }
-                acc += 2.5 * x[i].to_f64();
-                if i + 1 < self.n {
-                    acc -= x[i + 1].to_f64();
-                }
-                *yi = T::from_f64(acc);
-            }
-        }
-
-        fn apply_counted(&self, x: &[T], y: &mut [T], counters: &mut TrafficCounters) {
-            self.apply(x, y);
-            let (n, nnz) = (self.n as u64, 3 * self.n as u64 - 2);
-            // each stored entry and the x entry it multiplies; y written once
-            counters.global_load_bytes += nnz * (4 + T::BYTES);
-            counters.global_store_bytes += n * T::BYTES;
-            counters.flops += 2 * nnz;
-        }
-    }
 
     fn spd_matrix(n: usize, seed: u64) -> DenseMatrix {
         // A = Bᵀ B + n*I is SPD; B filled from a simple LCG for determinism
@@ -698,61 +566,6 @@ mod tests {
         );
         assert_eq!(warm, cold, "bad candidates must not change the solve");
         assert_eq!(warm_info.iterations, cold_info.iterations);
-    }
-
-    #[test]
-    fn refined_solve_reaches_f64_tolerances_at_near_f32_traffic() {
-        // a tridiagonal SPD system applied from its stored entries — the
-        // sparse regime the solver actually serves, where vector traffic is
-        // a real fraction of the per-iteration bytes
-        let n = 64usize;
-        let op = Tridiagonal { n };
-        let prec32 = DiagonalOperator::new(vec![2.5f32; n]).inverse();
-        let b64: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.3).sin()).collect();
-        let opts = SolveOptions { max_iterations: 4000, tolerance: 1e-12 };
-
-        let mut refined_traffic = crate::TrafficCounters::new();
-        let (x, info) = pcg_refined_counted(&op, &op, &prec32, &b64, &opts, &mut refined_traffic);
-        assert!(info.converged, "refinement did not reach 1e-12: {info:?}");
-
-        // the residual claim holds against the widened (true) matrix
-        let mut ax = vec![0.0f64; n];
-        LinearOperator::<f64>::apply(&op, &x, &mut ax);
-        let res_sq: f64 = b64.iter().zip(&ax).map(|(b, a)| (b - a) * (b - a)).sum();
-        let b_sq: f64 = b64.iter().map(|v| v * v).sum();
-        assert!(
-            (res_sq / b_sq).sqrt() <= 1e-10,
-            "relative residual {:e} above 1e-10",
-            (res_sq / b_sq).sqrt()
-        );
-
-        // a pure f32 iteration cannot get there at all: its recurrence may
-        // report convergence, but the *true* residual floors at f32
-        // roundoff, orders of magnitude above the refined solution's
-        let b32: Vec<f32> = b64.iter().map(|&v| v as f32).collect();
-        let (x32, _) = pcg(&op, &prec32, &b32, &opts);
-        let x32w: Vec<f64> = x32.iter().map(|&v| v as f64).collect();
-        LinearOperator::<f64>::apply(&op, &x32w, &mut ax);
-        let res32_sq: f64 = b64.iter().zip(&ax).map(|(b, a)| (b - a) * (b - a)).sum();
-        assert!(
-            (res32_sq / b_sq).sqrt() > 1e-8,
-            "an f32 solution should not truly reach 1e-8: {:e}",
-            (res32_sq / b_sq).sqrt()
-        );
-
-        // … and the f64 instantiation that can moves strictly more bytes
-        // per iteration: refinement streams its iterations at f32 vector
-        // width, paying f64 width only for the few outer corrections
-        let prec64 = DiagonalOperator::new(vec![2.5f64; n]).inverse();
-        let mut f64_traffic = crate::TrafficCounters::new();
-        let (_, full) = pcg_counted(&op, &prec64, &b64, &opts, &mut f64_traffic);
-        assert!(full.converged);
-        let refined_per_iter = refined_traffic.global_bytes() / info.iterations as u64;
-        let f64_per_iter = f64_traffic.global_bytes() / full.iterations as u64;
-        assert!(
-            refined_per_iter < f64_per_iter,
-            "refined bytes/iteration {refined_per_iter} must undercut the f64 solve's {f64_per_iter}"
-        );
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod vecops;
 
 pub use cg::{
     cg, cg_counted, fixed_point, fixed_point_counted, pcg, pcg_counted, pcg_counted_warm_multi,
-    pcg_refined_counted, ConvergenceInfo, SolveOptions,
+    ConvergenceInfo, SolveOptions,
 };
 pub use dense::DenseMatrix;
 pub use eigen::{symmetric_eigen, SymmetricEigen};

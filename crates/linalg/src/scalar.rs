@@ -185,37 +185,21 @@ pub enum Precision {
     /// validation oracle, sharing the exact iteration structure of the
     /// `f32` path.
     F64,
-    /// Mixed-precision iterative refinement: inner PCG sweeps run at the
-    /// `f32` instantiation while an outer loop corrects the solution with
-    /// `f64` residuals — `f64`-quality answers at near-`f32` stored-matrix
-    /// traffic (see [`pcg_refined_counted`](crate::cg::pcg_refined_counted)).
-    Refined,
 }
 
 impl Precision {
-    /// Bytes per element of the *iteration* vectors at this precision (the
-    /// refined mode iterates in `f32`; only its outer corrections touch
-    /// `f64` vectors).
-    pub fn bytes(self) -> u64 {
-        match self {
-            Precision::F32 | Precision::Refined => f32::BYTES,
-            Precision::F64 => f64::BYTES,
-        }
-    }
-
-    /// Display name (`"f32"` / `"f64"` / `"refined"`).
+    /// Display name (`"f32"` / `"f64"`).
     pub fn name(self) -> &'static str {
         match self {
             Precision::F32 => f32::NAME,
             Precision::F64 => f64::NAME,
-            Precision::Refined => "refined",
         }
     }
 
     /// The precision selected by the `MGK_TEST_PRECISION` environment
-    /// variable (`"f32"` / `"f64"` / `"refined"`, case-insensitive), or
-    /// [`Precision::F32`] when unset. A value that is set but names none of
-    /// the three panics: a typo must not leave a suite silently testing
+    /// variable (`"f32"` / `"f64"`, case-insensitive), or
+    /// [`Precision::F32`] when unset. A value that is set but names neither
+    /// panics: a typo must not leave a suite silently testing
     /// `f32` while its job title says otherwise.
     ///
     /// This is the env-gated test-harness hook: `SolverConfig::default()`
@@ -228,15 +212,16 @@ impl Precision {
         static CACHED: std::sync::OnceLock<Precision> = std::sync::OnceLock::new();
         *CACHED.get_or_init(|| match std::env::var_os("MGK_TEST_PRECISION") {
             None => Precision::F32,
-            Some(value) => value.to_str().and_then(Precision::parse).unwrap_or_else(|| {
-                panic!("MGK_TEST_PRECISION={value:?} is not one of f32, f64, refined")
-            }),
+            Some(value) => value
+                .to_str()
+                .and_then(Precision::parse)
+                .unwrap_or_else(|| panic!("MGK_TEST_PRECISION={value:?} is not one of f32, f64")),
         })
     }
 
     /// The precision [`name`](Self::name)d by `text`, case-insensitively.
     fn parse(text: &str) -> Option<Precision> {
-        [Precision::F32, Precision::F64, Precision::Refined]
+        [Precision::F32, Precision::F64]
             .into_iter()
             .find(|precision| text.eq_ignore_ascii_case(precision.name()))
     }
@@ -267,8 +252,7 @@ mod tests {
     fn harness_precision_names_parse_exactly() {
         assert_eq!(Precision::parse("f32"), Some(Precision::F32));
         assert_eq!(Precision::parse("F64"), Some(Precision::F64));
-        assert_eq!(Precision::parse("Refined"), Some(Precision::Refined));
-        for typo in ["", "fp64", "double", "f64 ", " refined"] {
+        for typo in ["", "fp64", "double", "f64 ", " refined", "refined"] {
             assert_eq!(Precision::parse(typo), None, "{typo:?} must not fall back to a default");
         }
     }
@@ -286,12 +270,8 @@ mod tests {
 
     #[test]
     fn precision_policy_reports_its_instantiation() {
-        assert_eq!(Precision::F32.bytes(), 4);
-        assert_eq!(Precision::F64.bytes(), 8);
         assert_eq!(Precision::F32.name(), "f32");
         assert_eq!(Precision::F64.to_string(), "f64");
-        assert_eq!(Precision::Refined.name(), "refined");
-        assert_eq!(Precision::Refined.bytes(), 4, "refined iterates in f32");
         assert_eq!(Precision::default(), Precision::F32);
     }
 }

@@ -102,13 +102,10 @@ pub struct CachedEntry {
 
 impl CachedEntry {
     /// Whether this entry can answer a request at `wanted` without losing
-    /// accuracy: `f32` requests accept any entry, `f64`/refined requests
-    /// only entries whose solve carried `f64` accuracy.
+    /// accuracy: `f32` requests accept any entry, `f64` requests only
+    /// entries whose solve ran at `f64`.
     pub fn answers(&self, wanted: Precision) -> bool {
-        match wanted {
-            Precision::F32 => true,
-            Precision::F64 | Precision::Refined => self.precision != Precision::F32,
-        }
+        wanted == Precision::F32 || self.precision == Precision::F64
     }
 }
 
@@ -314,11 +311,9 @@ mod tests {
     fn precision_gating_blocks_narrow_entries_from_wide_requests() {
         let narrow = entry(1.0);
         let wide = CachedEntry { precision: Precision::F64, ..entry(1.0) };
-        let refined = CachedEntry { precision: Precision::Refined, ..entry(1.0) };
         assert!(narrow.answers(Precision::F32));
         assert!(!narrow.answers(Precision::F64));
         assert!(wide.answers(Precision::F32) && wide.answers(Precision::F64));
-        assert!(refined.answers(Precision::F64), "refined entries carry f64 accuracy");
     }
 
     #[test]

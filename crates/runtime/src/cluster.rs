@@ -185,7 +185,7 @@ where
     /// A typed request client carrying its answers at `T`, over every
     /// shard's command lane: each pair goes to the shard its normalized
     /// [`PairKey`] hashes to. Otherwise exactly
-    /// [`GramScheduler::kernel_client`] — `.refined()` included.
+    /// [`GramScheduler::kernel_client`].
     pub fn kernel_client<T: RequestScalar>(&self) -> KernelClient<V, E, T> {
         KernelClient::over(self.client())
     }

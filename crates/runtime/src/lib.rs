@@ -32,10 +32,8 @@
 //!   solve panics.
 //! * **[`KernelClient`]** — the request lane on the same scheduler thread:
 //!   `request(pair)` returns a [`Ticket`] immediately and resolves it to a
-//!   typed `KernelResult<T>` (f32 serving or f64 end-to-end;
-//!   `kernel_client::<f64>().refined()` solves on the mixed-precision
-//!   path). The precision is a value on the request, so one pipeline
-//!   serves all three. Duplicate in-flight requests coalesce onto one
+//!   typed `KernelResult<T>` (f32 serving or f64 end-to-end). The
+//!   precision is a value on the request, so one pipeline serves both. Duplicate in-flight requests coalesce onto one
 //!   solve, already-solved pairs are answered from the [`PairCache`]
 //!   without touching the solve lane, and expired or dropped tickets are
 //!   skipped before their solve starts — tickets can never hang

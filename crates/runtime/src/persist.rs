@@ -208,18 +208,19 @@ pub(crate) fn precision_to_byte(p: Precision) -> u8 {
     match p {
         Precision::F32 => 0,
         Precision::F64 => 1,
-        Precision::Refined => 2,
     }
 }
 
-/// Inverse of [`precision_to_byte`]. An unknown byte (a future format's
-/// tag) decodes to [`Precision::F32`] — the conservative reading: an f32
-/// entry answers only f32 requests, so a misunderstood tag can never
-/// over-promise accuracy.
+/// Inverse of [`precision_to_byte`]. Byte 2 is a legacy tag: stores written
+/// before mixed-precision refinement was removed hold it for entries that
+/// solve converged on the true f64 residual, which certifies at least what
+/// an f64 solve does, so it decodes to [`Precision::F64`]. Any other unknown
+/// byte (a future format's tag) decodes to [`Precision::F32`] — the
+/// conservative reading: an f32 entry answers only f32 requests, so a
+/// misunderstood tag can never over-promise accuracy.
 pub(crate) fn precision_from_byte(b: u8) -> Precision {
     match b {
-        1 => Precision::F64,
-        2 => Precision::Refined,
+        1 | 2 => Precision::F64,
         _ => Precision::F32,
     }
 }
@@ -267,7 +268,7 @@ mod tests {
     #[test]
     fn entries_roundtrip_through_the_stored_form() {
         let key = PairKey::new(PairSide::new(7, 10, 12), PairSide::new(3, 11, 13));
-        for precision in [Precision::F32, Precision::F64, Precision::Refined] {
+        for precision in [Precision::F32, Precision::F64] {
             let entry = CachedEntry {
                 value: 0.75,
                 value_f64: 0.750000001,
@@ -288,9 +289,11 @@ mod tests {
     #[test]
     fn unknown_precision_bytes_decode_conservatively() {
         assert_eq!(precision_from_byte(250), Precision::F32);
-        for p in [Precision::F32, Precision::F64, Precision::Refined] {
+        for p in [Precision::F32, Precision::F64] {
             assert_eq!(precision_from_byte(precision_to_byte(p)), p);
         }
+        // the legacy refined tag: converged on the true f64 residual
+        assert_eq!(precision_from_byte(2), Precision::F64);
     }
 
     #[test]

@@ -372,8 +372,7 @@ impl<V, E> GramClient<V, E> {
 ///
 /// `T` is the *carrier*: `KernelClient<_, _, f64>` tickets carry
 /// [`KernelResult<f64>`] — f64 values *and* nodal vectors — end-to-end.
-/// Requests are solved at the carrier's own [`Precision`] unless an f64
-/// client was switched to [`refined`](KernelClient::refined).
+/// Requests are solved at the carrier's own [`Precision`].
 ///
 /// Request-lane guarantees (see the module docs for the mechanism):
 ///
@@ -390,30 +389,12 @@ impl<V, E> GramClient<V, E> {
 pub struct KernelClient<V, E, T: RequestScalar = f32> {
     /// The lanes and routing hasher of the sibling producer handle.
     producer: GramClient<V, E>,
-    precision: Precision,
     _carrier: PhantomData<T>,
 }
 
 impl<V, E, T: RequestScalar> Clone for KernelClient<V, E, T> {
     fn clone(&self) -> Self {
-        KernelClient {
-            producer: self.producer.clone(),
-            precision: self.precision,
-            _carrier: PhantomData,
-        }
-    }
-}
-
-impl<V, E> KernelClient<V, E, f64> {
-    /// Solve this client's requests on the **mixed-precision refinement**
-    /// path ([`Precision::Refined`]): f64-quality values and nodal vectors
-    /// from f32 inner PCG sweeps with f64 residual corrections, at a
-    /// fraction of a plain f64 solve's bandwidth cost. Refined requests
-    /// group apart from plain f64 ones, but the cache entry either solve
-    /// folds in answers later requests of both kinds.
-    pub fn refined(mut self) -> Self {
-        self.precision = Precision::Refined;
-        self
+        KernelClient { producer: self.producer.clone(), _carrier: PhantomData }
     }
 }
 
@@ -421,7 +402,7 @@ impl<V, E, T: RequestScalar> KernelClient<V, E, T> {
     /// A client over `producer`'s lanes, solving at the carrier's own
     /// precision.
     pub(crate) fn over(producer: GramClient<V, E>) -> Self {
-        KernelClient { producer, precision: T::PRECISION, _carrier: PhantomData }
+        KernelClient { producer, _carrier: PhantomData }
     }
 
     /// The index of the scheduler a pair routes to — by normalized
@@ -496,7 +477,7 @@ impl<V, E, T: RequestScalar> KernelClient<V, E, T> {
         let request = KernelRequest {
             left,
             right,
-            precision: self.precision,
+            precision: T::PRECISION,
             deadline,
             resolver: T::wrap_resolver(resolver),
             intake: Stopwatch::start(),
@@ -589,9 +570,7 @@ where
     /// A typed request client carrying its answers at `T` (cheap; clone
     /// freely across threads). `kernel_client::<f32>()` serves the paper's
     /// f32 arithmetic; `kernel_client::<f64>()` resolves tickets to
-    /// [`KernelResult<f64>`] with f64 nodal vectors end-to-end, and
-    /// `kernel_client::<f64>().refined()` computes them on the
-    /// mixed-precision path.
+    /// [`KernelResult<f64>`] with f64 nodal vectors end-to-end.
     pub fn kernel_client<T: RequestScalar>(&self) -> KernelClient<V, E, T> {
         KernelClient::over(self.client())
     }
@@ -941,7 +920,7 @@ where
                     Ok(Shared { result: replay_entry(&entry, pair.prepare_ns()), replayed_nodal })
                 }
                 // the entry was tagged with the precision the solve ran at,
-                // so a refined one answers later f64 and refined requests too
+                // so an f64 one answers later f32 and f64 requests alike
                 Answer::Fresh(result) => {
                     if result.is_ok() {
                         self.service.metrics().request_solves.inc();
@@ -1360,7 +1339,6 @@ mod tests {
         let producers = scheduler.client();
         let single = scheduler.kernel_client::<f32>();
         let double = scheduler.kernel_client::<f64>();
-        let refined = scheduler.kernel_client::<f64>().refined();
         let graphs = dataset(4, 173);
         let (a, b, c) = (&graphs[0], &graphs[1], &graphs[2]);
         let solver = MarginalizedKernelSolver::unlabeled(SolverConfig::default());
@@ -1375,8 +1353,8 @@ mod tests {
         let ab_f32: Vec<_> =
             (0..2).map(|_| single.request(a.clone(), b.clone()).unwrap()).collect();
         let ab_f64 = double.request(a.clone(), b.clone()).unwrap();
-        let ab_refined = refined.request(a.clone(), b.clone()).unwrap();
         let ac_f64 = double.request(a.clone(), c.clone()).unwrap();
+        let ac_f32 = single.request(a.clone(), c.clone()).unwrap();
         drop(gate);
 
         // every ticket resolves at its own carrier type
@@ -1386,13 +1364,12 @@ mod tests {
         let exact: KernelResult<f64> = ab_f64.wait().unwrap();
         assert!(close(exact.value, direct_ab), "f64 {} vs direct {direct_ab}", exact.value);
         assert!(exact.nodal.is_some(), "the f64 group ran its own solve");
-        // the refined group closed the f64 group's wave and found its
-        // upgraded entry: the f64 group's value, replayed without a vector
-        let replayed: KernelResult<f64> = ab_refined.wait().unwrap();
-        assert_eq!(replayed.value, exact.value);
-        assert!(replayed.nodal.is_none());
         let other: KernelResult<f64> = ac_f64.wait().unwrap();
         assert!(close(other.value, direct_ac), "f64 {} vs direct {direct_ac}", other.value);
+        // the f32 (A,C) group closed the wave that held the f64 (A,C) group
+        // and found its upgraded entry: the f64 group's value, narrowed
+        let replayed: KernelResult<f32> = ac_f32.wait().unwrap();
+        assert_eq!(replayed.value, other.value as f32);
 
         // a late f32 request accepts the f64 entry too, and so does the
         // mirrored orientation
@@ -1413,25 +1390,22 @@ mod tests {
         assert_same_solve(&exact, &cold_f64);
         let cold_ac = solver.kernel_prepared::<f64, _, _>(&pa, &pc, Precision::F64).unwrap();
         assert_same_solve(&other, &cold_ac);
-        // cache replays: the f64 solve's entry, a vector only for the f32
-        // request in the solved orientation (the side-cache's narrowed one)
-        let narrowed: Vec<f32> =
-            cold_f64.nodal.as_ref().unwrap().iter().map(|&v| v as f32).collect();
-        let replay =
-            KernelResult { nodal: None, traffic: TrafficCounters::new(), ..cold_f64.clone() };
-        assert_same_solve(&replayed, &replay);
-        let replay_f32 = |nodal: Option<Vec<f32>>| KernelResult {
-            value: replay.value_f64 as f32,
-            value_f64: replay.value_f64,
-            iterations: replay.iterations,
+        // cache replays: an f64 solve's entry, with a vector only in the
+        // solved orientation (the side-cache's narrowed one)
+        let replay_f32 = |solved: &KernelResult<f64>, nodal: bool| KernelResult {
+            value: solved.value_f64 as f32,
+            value_f64: solved.value_f64,
+            iterations: solved.iterations,
             converged: true,
-            relative_residual: replay.relative_residual,
-            traffic: replay.traffic,
-            nodal,
+            relative_residual: solved.relative_residual,
+            traffic: TrafficCounters::new(),
+            nodal: nodal
+                .then(|| solved.nodal.as_ref().unwrap().iter().map(|&v| v as f32).collect()),
             stages: StageBreakdown::default(),
         };
-        assert_same_solve(&late, &replay_f32(Some(narrowed)));
-        assert_same_solve(&mirrored, &replay_f32(None));
+        assert_same_solve(&replayed, &replay_f32(&cold_ac, true));
+        assert_same_solve(&late, &replay_f32(&cold_f64, true));
+        assert_same_solve(&mirrored, &replay_f32(&cold_f64, false));
 
         let svc = scheduler.join();
         assert_eq!(svc.stats().requests_coalesced, 1, "precisions never coalesce with each other");
@@ -1439,9 +1413,9 @@ mod tests {
         assert_eq!(
             svc.stats().request_cache_answers,
             3,
-            "the refined group, the late f32 and its mirror"
+            "the (A,C) f32 group, the late f32 and its mirror"
         );
-        assert_eq!((svc.stats().nodal_hits, svc.stats().nodal_misses), (1, 1));
+        assert_eq!((svc.stats().nodal_hits, svc.stats().nodal_misses), (2, 1));
     }
 
     fn bits<T: Scalar>(values: &[T]) -> Vec<u64> {

@@ -361,7 +361,7 @@ pub struct GramService<KV, KE, V, E> {
     /// identity, shared across batch admission and the request lane. The
     /// stored `Arc` makes reuse allocation-free — no reordering, no tiling,
     /// no second hash — and, because none of that depends on the solve
-    /// precision, one entry serves f32, f64 and refined solves alike.
+    /// precision, one entry serves f32 and f64 solves alike.
     reorder: ReorderCache<Arc<PreparedStructure<V, E>>>,
     /// Content hasher for cache keys; replaceable via
     /// [`with_content_hasher`](GramService::with_content_hasher).
@@ -873,8 +873,8 @@ where
     /// [`ServiceStats::request_solves`]. Must run on the thread that owns
     /// the service (the scheduler thread) — the caches and their recency
     /// bookkeeping are single-writer. `precision` is the one the solve ran
-    /// at, the tag the cache entry is stored under: a
-    /// [`Precision::Refined`] entry answers later f64 and refined requests.
+    /// at, the tag the cache entry is stored under: a [`Precision::F64`]
+    /// entry answers later f32 and f64 requests.
     pub fn fold_request_solve<T: Scalar>(
         &mut self,
         pair: &PreparedPair<V, E>,

@@ -282,42 +282,3 @@ fn merged_epoch_is_monotone_under_concurrent_producers() {
     assert!(observations > 0, "the watcher never saw a publication");
     assert!(final_epoch >= settled, "the watcher missed the final epoch");
 }
-
-#[test]
-fn refined_cluster_requests_land_between_serving_and_validation_quality() {
-    let graphs = corpus(4, 733);
-    // two clusters so the refined lane cannot replay the reference's
-    // cached f64 entries (or vice versa): every refined request below
-    // must run the mixed-precision solve itself
-    let cluster = spawn_cluster(2);
-    let reference = spawn_cluster(2);
-    let refined = cluster.kernel_client::<f64>().refined();
-    let validation = reference.kernel_client::<f64>();
-
-    let mut pairs = 0u64;
-    for i in 0..graphs.len() {
-        for j in i..graphs.len() {
-            let r = refined
-                .request(graphs[i].clone(), graphs[j].clone())
-                .unwrap()
-                .wait()
-                .expect("refined request must resolve");
-            let v = validation
-                .request(graphs[i].clone(), graphs[j].clone())
-                .unwrap()
-                .wait()
-                .expect("validation request must resolve");
-            let tolerance = 1e-5 * v.value.abs().max(1.0);
-            assert!(
-                (r.value - v.value).abs() <= tolerance,
-                "pair ({i},{j}): refined {} vs f64 {}",
-                r.value,
-                v.value
-            );
-            pairs += 1;
-        }
-    }
-    reference.join();
-    let solves: u64 = cluster.join().iter().map(|svc| svc.stats().request_solves as u64).sum();
-    assert_eq!(solves, pairs, "every refined request must have solved, not replayed");
-}

@@ -1,7 +1,8 @@
 //! Cross-crate integration of the durability plane: an attached
 //! `mgk-store` must carry the serving state across process lives. Warm
 //! restarts answer previously solved pairs straight from the replayed
-//! cache (bit-identical `f32` values, f64-quality refined values), a kill
+//! cache (bit-identical `f32` and `f64` values, entries under the legacy
+//! refined tag read as `f64`), a kill
 //! without a graceful shutdown recovers from the WAL tail alone, torn
 //! final records are skipped and counted, checksum corruption and format
 //! version skew are refused with typed errors, and a restarted cluster
@@ -104,7 +105,11 @@ fn graceful_restart_answers_warm_with_bit_identical_values() {
 
 #[test]
 fn refined_entries_survive_restart_at_f64_quality() {
-    let dir = TempDir::new("durable-refined").unwrap();
+    // stores written while mixed-precision refinement existed hold its
+    // entries under the legacy tag 2; they converged on the true f64
+    // residual, so they recover as f64 entries
+    let (solved_dir, legacy_dir) =
+        (TempDir::new("durable-f64").unwrap(), TempDir::new("durable-legacy-tag").unwrap());
     let g1 = Graph::from_edge_list(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)]);
     let g2 = Graph::from_edge_list(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
     let solver = || {
@@ -113,29 +118,36 @@ fn refined_entries_survive_restart_at_f64_quality() {
             ..SolverConfig::default()
         })
     };
-    let spawn = || {
+    let spawn = |dir: &std::path::Path| {
         GramScheduler::spawn_durable(
             GramService::new(solver(), GramServiceConfig::default()),
             SchedulerConfig::default(),
-            DurabilityConfig::new(dir.path()),
+            DurabilityConfig::new(dir),
         )
         .unwrap()
     };
 
-    let (scheduler, _) = spawn();
-    let refined = scheduler.kernel_client::<f64>().refined();
-    let first = refined.request(g1.clone(), g2.clone()).unwrap().wait().unwrap();
+    // first life: one f64 solve, persisted under tag 1
+    let (scheduler, _) = spawn(solved_dir.path());
+    let first =
+        scheduler.kernel_client::<f64>().request(g1.clone(), g2.clone()).unwrap().wait().unwrap();
     scheduler.join();
 
-    // the restarted service answers the refined request from the replayed
-    // entry — the stored f64 value arrives unrounded
-    let (scheduler, report) = spawn();
-    assert!(report.is_warm());
-    let refined = scheduler.kernel_client::<f64>().refined();
-    let again = refined.request(g1, g2).unwrap().wait().unwrap();
+    // re-append what recovery reads back into a fresh store, re-tagged 2
+    let (_, recovery) = mgk::store::PairStore::open(solved_dir.path(), FsyncPolicy::Off).unwrap();
+    let (mut legacy, _) = mgk::store::PairStore::open(legacy_dir.path(), FsyncPolicy::Off).unwrap();
+    let entries: Vec<_> = recovery.all_entries().copied().collect();
+    assert_eq!(entries.len(), 1);
+    assert_eq!(entries[0].precision, 1, "the first life solved at f64");
+    legacy.append_pair(&mgk::store::StoredEntry { precision: 2, ..entries[0] }).unwrap();
+    drop(legacy);
+
+    // the legacy entry answers an f64 request from the replayed cache, and
+    // the stored f64 value arrives unrounded
+    let (scheduler, report) = spawn(legacy_dir.path());
+    assert_eq!(report.replayed, 1);
+    let again = scheduler.kernel_client::<f64>().request(g1, g2).unwrap().wait().unwrap();
     assert_eq!(again.value.to_bits(), first.value.to_bits());
-    let rel = (again.value - first.value).abs() / first.value.abs();
-    assert!(rel <= 1e-10);
     let svc = scheduler.join();
     assert_eq!(svc.stats().request_solves, 0);
     assert_eq!(svc.stats().request_cache_answers, 1);

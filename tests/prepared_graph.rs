@@ -54,7 +54,7 @@ fn assert_prepared_matches_front_door<V, E, KV, KE>(
     KV: BaseKernel<V> + Clone,
     KE: BaseKernel<E> + Clone,
 {
-    for precision in [Precision::F32, Precision::F64, Precision::Refined] {
+    for precision in [Precision::F32, Precision::F64] {
         let solver =
             solver.with_config(SolverConfig { precision, compute_nodal: true, ..*solver.config() });
         let prepared_a = solver.prepare_graph(a);
@@ -79,16 +79,11 @@ fn assert_prepared_matches_front_door<V, E, KV, KE>(
                     .map(narrowed),
             );
         }
-        // the pinned and the un-narrowed refined entries carry f64
+        // the pinned and the un-narrowed entries carry f64
         let prepared_b = solver.prepare_graph(partners[0]);
         same_bits(
             solver.kernel_at::<f64, V, E>(a, partners[0]),
             solver.kernel_prepared::<f64, V, E>(&prepared_a, &prepared_b, Precision::F64),
-        );
-        let (fresh_a, fresh_b) = (solver.prepare_graph(a), solver.prepare_graph(partners[0]));
-        same_bits(
-            solver.kernel_prepared::<f64, V, E>(&fresh_a, &fresh_b, Precision::Refined),
-            solver.kernel_prepared::<f64, V, E>(&prepared_a, &prepared_b, Precision::Refined),
         );
     }
 }

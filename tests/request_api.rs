@@ -105,7 +105,12 @@ fn f64_requests_agree_with_the_dense_direct_solver_to_1e10() {
     );
     let kernels = scheduler.kernel_client::<f64>();
     let result = kernels.request(g1.clone(), g2.clone()).unwrap().wait().expect("must resolve");
-    scheduler.join();
+
+    // the f64 entry answers a repeat f64 request from the cache, bit for bit
+    let again = kernels.request(g1.clone(), g2.clone()).unwrap().wait().expect("must resolve");
+    assert_eq!(again.value.to_bits(), result.value.to_bits());
+    let svc = scheduler.join();
+    assert_eq!(svc.stats().request_solves, 1, "the repeat must replay the f64 entry");
 
     let (mat, b, px) = widened_reference(&g1, &g2);
     let x_direct = direct::lu_solve(&mat, &b).expect("reference system solvable");
@@ -114,6 +119,9 @@ fn f64_requests_agree_with_the_dense_direct_solver_to_1e10() {
     let value_direct: f64 = px.iter().zip(&x_direct).map(|(p, x)| p * x).sum();
     let rel_value = (result.value - value_direct).abs() / value_direct.abs();
     assert!(rel_value <= 1e-10, "ticket value {} vs direct {value_direct}", result.value);
+    // beyond-f32 proof: rounding the answer through f32 must break the bar
+    let narrowed = result.value as f32 as f64;
+    assert!((narrowed - value_direct).abs() / value_direct.abs() > 1e-10);
 
     // typed nodal vector against the direct solution — the f64 vector must
     // arrive unrounded (an f32 boundary anywhere would show up here)
@@ -128,42 +136,6 @@ fn f64_requests_agree_with_the_dense_direct_solver_to_1e10() {
         (narrowed_err / norm_sq).sqrt() > 1e-10,
         "an f32-rounded vector could not pass the bar above"
     );
-}
-
-#[test]
-fn refined_requests_deliver_f64_quality_through_the_typed_client() {
-    // the mixed-precision lane end-to-end: `kernel_client::<f64>().refined()`
-    // tickets must reach the dense direct solver's f64 answer (f32 inner
-    // PCG sweeps + f64 residual corrections), not merely f32 quality
-    let g1 = Graph::from_edge_list(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)]);
-    let g2 = Graph::from_edge_list(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-    let solver = MarginalizedKernelSolver::unlabeled(SolverConfig {
-        reorder: mgk::reorder::ReorderMethod::Natural,
-        solve: SolveOptions { tolerance: 1e-13, max_iterations: 5000 },
-        ..SolverConfig::default()
-    });
-    let scheduler = GramScheduler::spawn(
-        GramService::new(solver, GramServiceConfig::default()),
-        SchedulerConfig::default(),
-    );
-    let kernels = scheduler.kernel_client::<f64>().refined();
-    let result = kernels.request(g1.clone(), g2.clone()).unwrap().wait().expect("must resolve");
-
-    // a refined entry answers later f64-quality requests from the cache
-    let again = kernels.request(g1.clone(), g2.clone()).unwrap().wait().expect("must resolve");
-    assert_eq!(again.value.to_bits(), result.value.to_bits());
-    let svc = scheduler.join();
-    assert_eq!(svc.stats().request_solves, 1, "the repeat must replay the refined entry");
-
-    let (mat, b, px) = widened_reference(&g1, &g2);
-    let x_direct = direct::lu_solve(&mat, &b).expect("reference system solvable");
-    let value_direct: f64 = px.iter().zip(&x_direct).map(|(p, x)| p * x).sum();
-    let rel_value = (result.value - value_direct).abs() / value_direct.abs();
-    assert!(rel_value <= 1e-10, "refined value {} vs direct {value_direct}", result.value);
-
-    // beyond-f32 proof: rounding the answer through f32 must break the bar
-    let narrowed = result.value as f32 as f64;
-    assert!((narrowed - value_direct).abs() / value_direct.abs() > 1e-10);
 }
 
 #[test]
