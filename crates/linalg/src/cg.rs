@@ -55,42 +55,6 @@ pub struct ConvergenceInfo {
     pub converged: bool,
 }
 
-/// Solve `A x = b` with plain conjugate gradient.
-///
-/// `a` must be symmetric positive definite. Returns the solution and
-/// convergence information. The initial guess is the zero vector.
-pub fn cg<T: Scalar, A: LinearOperator<T>>(
-    a: &A,
-    b: &[T],
-    opts: &SolveOptions,
-) -> (Vec<T>, ConvergenceInfo) {
-    pcg(a, &IdentityPrec, b, opts)
-}
-
-/// [`cg`] with memory-traffic accounting: every application of `a` adds its
-/// traffic to `counters` through
-/// [`LinearOperator::apply_counted`].
-pub fn cg_counted<T: Scalar, A: LinearOperator<T>>(
-    a: &A,
-    b: &[T],
-    opts: &SolveOptions,
-    counters: &mut TrafficCounters,
-) -> (Vec<T>, ConvergenceInfo) {
-    pcg_counted(a, &IdentityPrec, b, opts, counters)
-}
-
-/// Identity preconditioner (turns PCG into plain CG).
-struct IdentityPrec;
-
-impl<T: Scalar> LinearOperator<T> for IdentityPrec {
-    fn dim(&self) -> usize {
-        usize::MAX
-    }
-    fn apply(&self, x: &[T], y: &mut [T]) {
-        y.copy_from_slice(x);
-    }
-}
-
 /// Solve `A x = b` with preconditioned conjugate gradient.
 ///
 /// `m_inv` is the *inverse* of the preconditioner, i.e. the operator applied
@@ -297,20 +261,24 @@ pub fn fixed_point_counted<T: Scalar, A: LinearOperator<T> + ?Sized>(
     (x, ConvergenceInfo { iterations, relative_residual: rel_change, converged })
 }
 
-/// [`fixed_point_counted`] without traffic accounting.
-pub fn fixed_point<T: Scalar, A: LinearOperator<T> + ?Sized>(
-    a: &A,
-    b: &[T],
-    opts: &SolveOptions,
-) -> (Vec<T>, ConvergenceInfo) {
-    fixed_point_counted(a, b, opts, &mut TrafficCounters::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dense::DenseMatrix;
     use crate::operator::{DenseOperator, DiagonalOperator};
+
+    /// The identity preconditioner, which turns PCG into plain CG and
+    /// counts no traffic.
+    struct IdentityPrec;
+
+    impl<T: Scalar> LinearOperator<T> for IdentityPrec {
+        fn dim(&self) -> usize {
+            usize::MAX
+        }
+        fn apply(&self, x: &[T], y: &mut [T]) {
+            y.copy_from_slice(x);
+        }
+    }
 
     fn spd_matrix(n: usize, seed: u64) -> DenseMatrix {
         // A = Bᵀ B + n*I is SPD; B filled from a simple LCG for determinism
@@ -331,7 +299,7 @@ mod tests {
     fn cg_solves_identity() {
         let a = DenseOperator(DenseMatrix::identity(5));
         let b = vec![1.0f32, -2.0, 3.0, 0.5, 0.0];
-        let (x, info) = cg(&a, &b, &SolveOptions::default());
+        let (x, info) = pcg(&a, &IdentityPrec, &b, &SolveOptions::default());
         assert!(info.converged);
         assert!(info.iterations <= 2);
         for (xi, bi) in x.iter().zip(&b) {
@@ -344,7 +312,8 @@ mod tests {
         let m = spd_matrix(20, 7);
         let op = DenseOperator(m.clone());
         let b: Vec<f32> = (0..20).map(|i| (i as f32 * 0.3).sin()).collect();
-        let (x, info) = cg(&op, &b, &SolveOptions { max_iterations: 200, tolerance: 1e-8 });
+        let (x, info) =
+            pcg(&op, &IdentityPrec, &b, &SolveOptions { max_iterations: 200, tolerance: 1e-8 });
         assert!(info.converged, "did not converge: {info:?}");
         // check the residual directly
         let mut ax = vec![0.0; 20];
@@ -360,8 +329,8 @@ mod tests {
         let b32: Vec<f32> = (0..16).map(|i| 1.0 + (i as f32 * 0.4).cos()).collect();
         let b64: Vec<f64> = b32.iter().map(|&v| v as f64).collect();
         let opts = SolveOptions { max_iterations: 300, tolerance: 1e-8 };
-        let (x32, i32_) = cg(&op, &b32, &opts);
-        let (x64, i64_) = cg(&op, &b64, &opts);
+        let (x32, i32_) = pcg(&op, &IdentityPrec, &b32, &opts);
+        let (x64, i64_) = pcg(&op, &IdentityPrec, &b64, &opts);
         assert!(i32_.converged && i64_.converged);
         for (a, b) in x32.iter().zip(&x64) {
             assert!(
@@ -370,7 +339,8 @@ mod tests {
             );
         }
         // the f64 instantiation reaches a strictly tighter residual budget
-        let (_, deep) = cg(&op, &b64, &SolveOptions { max_iterations: 300, tolerance: 1e-13 });
+        let (_, deep) =
+            pcg(&op, &IdentityPrec, &b64, &SolveOptions { max_iterations: 300, tolerance: 1e-13 });
         assert!(deep.converged, "f64 CG should reach 1e-13: {deep:?}");
     }
 
@@ -390,7 +360,7 @@ mod tests {
         let op = DenseOperator(m);
         let b = vec![1.0f32; n];
         let opts = SolveOptions { max_iterations: 500, tolerance: 1e-8 };
-        let (_, plain) = cg(&op, &b, &opts);
+        let (_, plain) = pcg(&op, &IdentityPrec, &b, &opts);
         let prec = DiagonalOperator::new(diag).inverse();
         let (_, pre) = pcg(&op, &prec, &b, &opts);
         assert!(pre.converged);
@@ -405,7 +375,7 @@ mod tests {
     #[test]
     fn zero_rhs_returns_zero_solution() {
         let a = DenseOperator(DenseMatrix::identity(3));
-        let (x, info) = cg(&a, &[0.0f32, 0.0, 0.0], &SolveOptions::default());
+        let (x, info) = pcg(&a, &IdentityPrec, &[0.0f32, 0.0, 0.0], &SolveOptions::default());
         assert_eq!(x, vec![0.0, 0.0, 0.0]);
         assert!(info.converged);
         assert_eq!(info.iterations, 0);
@@ -416,7 +386,8 @@ mod tests {
         let m = spd_matrix(30, 11);
         let op = DenseOperator(m);
         let b = vec![1.0f32; 30];
-        let (_, info) = cg(&op, &b, &SolveOptions { max_iterations: 2, tolerance: 1e-14 });
+        let (_, info) =
+            pcg(&op, &IdentityPrec, &b, &SolveOptions { max_iterations: 2, tolerance: 1e-14 });
         assert!(!info.converged);
         assert_eq!(info.iterations, 2);
     }
@@ -427,9 +398,9 @@ mod tests {
         let op = DenseOperator(m);
         let b = vec![1.0f32; 16];
         let opts = SolveOptions::default();
-        let (x_plain, info_plain) = cg(&op, &b, &opts);
+        let (x_plain, info_plain) = pcg(&op, &IdentityPrec, &b, &opts);
         let mut counters = crate::TrafficCounters::new();
-        let (x_counted, info_counted) = cg_counted(&op, &b, &opts, &mut counters);
+        let (x_counted, info_counted) = pcg_counted(&op, &IdentityPrec, &b, &opts, &mut counters);
         assert_eq!(x_plain, x_counted);
         assert_eq!(info_plain, info_counted);
         assert!(info_counted.converged);
@@ -576,7 +547,8 @@ mod tests {
         let m = spd_matrix(n, 5);
         let op = DenseOperator(m);
         let b = vec![1.0f32; n];
-        let (_, info) = cg(&op, &b, &SolveOptions { max_iterations: 3 * n, tolerance: 1e-6 });
+        let (_, info) =
+            pcg(&op, &IdentityPrec, &b, &SolveOptions { max_iterations: 3 * n, tolerance: 1e-6 });
         assert!(info.converged);
         assert!(info.iterations <= 2 * n);
     }
@@ -586,8 +558,12 @@ mod tests {
         // contraction A = 0.5·I: the fixed point of x = b + A x is 2b
         let a = DiagonalOperator::new(vec![0.5f64; 4]);
         let b = vec![1.0f64, 2.0, -1.0, 0.5];
-        let (x, info) =
-            fixed_point(&a, &b, &SolveOptions { max_iterations: 500, tolerance: 1e-12 });
+        let (x, info) = fixed_point_counted(
+            &a,
+            &b,
+            &SolveOptions { max_iterations: 500, tolerance: 1e-12 },
+            &mut TrafficCounters::new(),
+        );
         assert!(info.converged);
         for (xi, bi) in x.iter().zip(&b) {
             assert!((xi - 2.0 * bi).abs() < 1e-9, "{xi} vs {}", 2.0 * bi);
@@ -601,8 +577,12 @@ mod tests {
         let a = DiagonalOperator::new(vec![0.5f64; 2]);
         let b = vec![1.0f64, 1.0];
         for k in [1usize, 3, 7] {
-            let (x, info) =
-                fixed_point(&a, &b, &SolveOptions { max_iterations: k, tolerance: 0.0 });
+            let (x, info) = fixed_point_counted(
+                &a,
+                &b,
+                &SolveOptions { max_iterations: k, tolerance: 0.0 },
+                &mut TrafficCounters::new(),
+            );
             assert!(!info.converged);
             assert_eq!(info.iterations, k);
             let expect: f64 = (0..=k).map(|i| 0.5f64.powi(i as i32)).sum();

@@ -40,16 +40,6 @@ impl DenseMatrix {
         DenseMatrix { rows, cols, data }
     }
 
-    /// A diagonal matrix with the given diagonal.
-    pub fn from_diagonal(diag: &[f32]) -> Self {
-        let n = diag.len();
-        let mut m = Self::zeros(n, n);
-        for (i, &d) in diag.iter().enumerate() {
-            m[(i, i)] = d;
-        }
-        m
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -66,12 +56,6 @@ impl DenseMatrix {
     #[inline]
     pub fn as_slice(&self) -> &[f32] {
         &self.data
-    }
-
-    /// Mutable access to the underlying row-major buffer.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
     }
 
     /// One row as a slice.
@@ -128,37 +112,6 @@ impl DenseMatrix {
     /// Transposed copy.
     pub fn transpose(&self) -> DenseMatrix {
         DenseMatrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
-    }
-
-    /// True if the matrix is square and symmetric within `tol`.
-    pub fn is_symmetric(&self, tol: f32) -> bool {
-        if self.rows != self.cols {
-            return false;
-        }
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                if (self[(i, j)] - self[(j, i)]).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Maximum absolute element.
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
-    }
-
-    /// Element-wise (Hadamard) product with another matrix of the same shape.
-    pub fn hadamard(&self, other: &DenseMatrix) -> DenseMatrix {
-        assert_eq!(self.rows, other.rows, "hadamard: shape mismatch");
-        assert_eq!(self.cols, other.cols, "hadamard: shape mismatch");
-        DenseMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().zip(&other.data).map(|(&a, &b)| a * b).collect(),
-        }
     }
 }
 
@@ -220,27 +173,7 @@ mod tests {
         assert_eq!(c[(0, 1)], 32.0);
         assert_eq!(c[(1, 0)], 32.0);
         assert_eq!(c[(1, 1)], 77.0);
-        assert!(c.is_symmetric(0.0));
-    }
-
-    #[test]
-    fn symmetry_check() {
-        let a = DenseMatrix::from_row_major(2, 2, vec![1.0, 2.0, 2.0, 1.0]);
-        assert!(a.is_symmetric(1e-6));
-        let b = DenseMatrix::from_row_major(2, 2, vec![1.0, 2.0, 2.5, 1.0]);
-        assert!(!b.is_symmetric(1e-6));
-        let rect = DenseMatrix::zeros(2, 3);
-        assert!(!rect.is_symmetric(1e-6));
-    }
-
-    #[test]
-    fn diagonal_and_hadamard() {
-        let d = DenseMatrix::from_diagonal(&[1.0, 2.0, 3.0]);
-        assert_eq!(d[(1, 1)], 2.0);
-        assert_eq!(d[(0, 1)], 0.0);
-        let h = d.hadamard(&DenseMatrix::identity(3));
-        assert_eq!(h[(2, 2)], 3.0);
-        assert_eq!(h.max_abs(), 3.0);
+        assert_eq!(c, c.transpose());
     }
 
     #[test]

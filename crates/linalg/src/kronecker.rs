@@ -1,4 +1,4 @@
-//! Kronecker, generalized Kronecker and Hadamard products.
+//! Kronecker and generalized Kronecker products.
 //!
 //! These are the building blocks of the tensor-product linear system of
 //! Eq. (1). The *generalized* Kronecker product replaces scalar
@@ -83,11 +83,6 @@ pub fn generalized_kron_vec<L>(a: &[L], b: &[L], kernel: impl Fn(&L, &L) -> f32)
     out
 }
 
-/// Hadamard (element-wise) product of two dense matrices.
-pub fn hadamard(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
-    a.hadamard(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,13 +164,5 @@ mod tests {
         let b = ['x', 'z'];
         let v = generalized_kron_vec(&a, &b, |p, q| if p == q { 1.0 } else { 0.25 });
         assert_eq!(v, vec![1.0, 0.25, 0.25, 0.25]);
-    }
-
-    #[test]
-    fn hadamard_matches_dense_method() {
-        let a = DenseMatrix::from_row_major(2, 2, vec![1., 2., 3., 4.]);
-        let b = DenseMatrix::from_row_major(2, 2, vec![2., 2., 2., 2.]);
-        let h = hadamard(&a, &b);
-        assert_eq!(h.as_slice(), &[2., 4., 6., 8.]);
     }
 }

@@ -14,15 +14,15 @@
 //!
 //! * [`DenseMatrix`] — the storage format of the explicit baselines and of
 //!   the test oracles.
-//! * [`kronecker`] — standard, generalized (base-kernel) and Hadamard
-//!   products that appear in Eq. (1) of the paper.
+//! * [`kronecker`] — standard and generalized (base-kernel) products that
+//!   appear in Eq. (1) of the paper.
 //! * [`Scalar`] / [`Precision`] — the precision axis of the solver surface.
 //! * [`LinearOperator`] — abstraction of `y ← A·x` used by the iterative
 //!   solvers so that the on-the-fly product operators of `mgk-core` never
 //!   materialize the tensor-product system; generic over [`Scalar`].
-//! * [`cg()`] / [`pcg`] — (preconditioned) conjugate gradient, Algorithm 1 of
-//!   the paper, at either precision.
-//! * [`fixed_point`] / [`fixed_point_counted`] — the Richardson /
+//! * [`pcg`] / [`pcg_counted`] — preconditioned conjugate gradient,
+//!   Algorithm 1 of the paper, at either precision.
+//! * [`fixed_point_counted`] — the Richardson /
 //!   truncated-path-sum iteration driver sharing the same operator surface.
 //! * [`direct`] — dense `f64` Cholesky/LU used as ground truth in tests.
 
@@ -39,12 +39,11 @@ pub mod traffic;
 pub mod vecops;
 
 pub use cg::{
-    cg, cg_counted, fixed_point, fixed_point_counted, pcg, pcg_counted, pcg_counted_warm_multi,
-    ConvergenceInfo, SolveOptions,
+    fixed_point_counted, pcg, pcg_counted, pcg_counted_warm_multi, ConvergenceInfo, SolveOptions,
 };
 pub use dense::DenseMatrix;
 pub use eigen::{symmetric_eigen, SymmetricEigen};
-pub use kronecker::{generalized_kron, hadamard, kron_dense, kron_vec};
+pub use kronecker::{generalized_kron, kron_dense, kron_vec};
 pub use operator::{DenseOperator, DiagonalOperator, LinearOperator, ScaledSum};
 pub use scalar::{Precision, Scalar};
 pub use traffic::TrafficCounters;
