@@ -1,5 +1,5 @@
-//! Conjugate gradient, preconditioned conjugate gradient and fixed-point
-//! iteration drivers, generic over the [`Scalar`] precision.
+//! Preconditioned conjugate gradient and fixed-point iteration drivers,
+//! generic over the [`Scalar`] precision.
 //!
 //! This is Algorithm 1 of the paper stripped of the graph-kernel-specific
 //! operator: the system matrix and the preconditioner are abstract

@@ -22,8 +22,8 @@
 //!   materialize the tensor-product system; generic over [`Scalar`].
 //! * [`pcg`] / [`pcg_counted`] — preconditioned conjugate gradient,
 //!   Algorithm 1 of the paper, at either precision.
-//! * [`fixed_point_counted`] — the Richardson /
-//!   truncated-path-sum iteration driver sharing the same operator surface.
+//! * [`fixed_point_counted`] — the Richardson / truncated-path-sum
+//!   iteration driver sharing the same operator surface.
 //! * [`direct`] — dense `f64` Cholesky/LU used as ground truth in tests.
 
 #![forbid(unsafe_code)]

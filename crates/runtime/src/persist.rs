@@ -212,7 +212,7 @@ pub(crate) fn precision_to_byte(p: Precision) -> u8 {
 }
 
 /// Inverse of [`precision_to_byte`]. Byte 2 is a legacy tag: stores written
-/// before mixed-precision refinement was removed hold it for entries that
+/// before mixed-precision refinement was removed hold it for entries whose
 /// solve converged on the true f64 residual, which certifies at least what
 /// an f64 solve does, so it decodes to [`Precision::F64`]. Any other unknown
 /// byte (a future format's tag) decodes to [`Precision::F32`] — the
