@@ -105,12 +105,7 @@ fn f64_requests_agree_with_the_dense_direct_solver_to_1e10() {
     );
     let kernels = scheduler.kernel_client::<f64>();
     let result = kernels.request(g1.clone(), g2.clone()).unwrap().wait().expect("must resolve");
-
-    // the f64 entry answers a repeat f64 request from the cache, bit for bit
-    let again = kernels.request(g1.clone(), g2.clone()).unwrap().wait().expect("must resolve");
-    assert_eq!(again.value.to_bits(), result.value.to_bits());
-    let svc = scheduler.join();
-    assert_eq!(svc.stats().request_solves, 1, "the repeat must replay the f64 entry");
+    scheduler.join();
 
     let (mat, b, px) = widened_reference(&g1, &g2);
     let x_direct = direct::lu_solve(&mat, &b).expect("reference system solvable");
@@ -119,9 +114,6 @@ fn f64_requests_agree_with_the_dense_direct_solver_to_1e10() {
     let value_direct: f64 = px.iter().zip(&x_direct).map(|(p, x)| p * x).sum();
     let rel_value = (result.value - value_direct).abs() / value_direct.abs();
     assert!(rel_value <= 1e-10, "ticket value {} vs direct {value_direct}", result.value);
-    // beyond-f32 proof: rounding the answer through f32 must break the bar
-    let narrowed = result.value as f32 as f64;
-    assert!((narrowed - value_direct).abs() / value_direct.abs() > 1e-10);
 
     // typed nodal vector against the direct solution — the f64 vector must
     // arrive unrounded (an f32 boundary anywhere would show up here)
@@ -136,6 +128,42 @@ fn f64_requests_agree_with_the_dense_direct_solver_to_1e10() {
         (narrowed_err / norm_sq).sqrt() > 1e-10,
         "an f32-rounded vector could not pass the bar above"
     );
+}
+
+#[test]
+fn refined_requests_deliver_f64_quality_through_the_typed_client() {
+    // the quality the mixed-precision lane once sold is now what a plain
+    // `kernel_client::<f64>()` ticket delivers: under the default reordering
+    // the answer must reach the dense direct solver's f64 value, replay
+    // from the cache bit for bit, and be out of reach of f32 rounding
+    let g1 = Graph::from_edge_list(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)]);
+    let g2 = Graph::from_edge_list(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
+    let solver = MarginalizedKernelSolver::unlabeled(SolverConfig {
+        solve: SolveOptions { tolerance: 1e-13, max_iterations: 5000 },
+        ..SolverConfig::default()
+    });
+    let scheduler = GramScheduler::spawn(
+        GramService::new(solver, GramServiceConfig::default()),
+        SchedulerConfig::default(),
+    );
+    let kernels = scheduler.kernel_client::<f64>();
+    let result = kernels.request(g1.clone(), g2.clone()).unwrap().wait().expect("must resolve");
+
+    // the f64 entry answers a repeat f64 request from the cache
+    let again = kernels.request(g1.clone(), g2.clone()).unwrap().wait().expect("must resolve");
+    assert_eq!(again.value.to_bits(), result.value.to_bits());
+    let svc = scheduler.join();
+    assert_eq!(svc.stats().request_solves, 1, "the repeat must replay the f64 entry");
+
+    let (mat, b, px) = widened_reference(&g1, &g2);
+    let x_direct = direct::lu_solve(&mat, &b).expect("reference system solvable");
+    let value_direct: f64 = px.iter().zip(&x_direct).map(|(p, x)| p * x).sum();
+    let rel_value = (result.value - value_direct).abs() / value_direct.abs();
+    assert!(rel_value <= 1e-10, "f64 value {} vs direct {value_direct}", result.value);
+
+    // beyond-f32 proof: rounding the answer through f32 must break the bar
+    let narrowed = result.value as f32 as f64;
+    assert!((narrowed - value_direct).abs() / value_direct.abs() > 1e-10);
 }
 
 #[test]
