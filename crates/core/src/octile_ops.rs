@@ -51,9 +51,13 @@
 //! `round`, …) — one such call and every lane runs scalar. That is why
 //! `mgk_kernels::SquareExponential` evaluates its exponential as an inlined
 //! polynomial, and why both sparse-operand primitives evaluate the kernel
-//! over the other tile's contiguous *packed* labels: sparse×sparse then
-//! makes one scalar update per packed nonzero, and dense-rows scatters the
-//! values into a panel. The dense×dense lanes are slices, not indexed
+//! over contiguous *packed* labels: the packed sparse×sparse loop then makes
+//! one scalar update per packed nonzero, and dense-rows scatters the values
+//! into a panel. The octile operator hands the packed loop many inner tiles
+//! at once. It groups the inner graph's tiles into layers, where layer ℓ is
+//! the ℓ-th tile of every tile row. A run of a layer's packed tiles, up to
+//! 64 nonzeros, then costs one kernel-evaluation loop per outer nonzero,
+//! not one per tile pair. The dense×dense lanes are slices, not indexed
 //! elements: a bounds check per lane keeps a loop scalar whatever the
 //! kernel is.
 //!
@@ -83,6 +87,10 @@
         clippy::unimplemented
     )
 )]
+
+use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use mgk_kernels::BaseKernel;
 use mgk_linalg::{Scalar, TrafficCounters};
@@ -137,11 +145,18 @@ fn cheapest(cost: impl Fn(TileProductKind) -> f64) -> TileProductKind {
 // the other two, alone, to the quietest of six grids (the one whose
 // dense×dense fit reproduced `DENSE_DENSE_NS`); with it the table picks
 // within 10 % of the fastest primitive in 94–96 % of cells.
+//
+// The grid times the standalone entry, one tile pair per call. The octile
+// operator runs the packed loop over runs of several inner tiles, so it pays
+// the fixed terms `d` and `e` once per run, not once per tile pair: for the
+// operator these constants overstate what a sparse×sparse tile pair costs.
+// They stay fit to the standalone loop on purpose. A refit moves the
+// routing, and with it the summation order and the answers.
 
 /// [`dense_dense`]: one 64-evaluation block per nonzero of the first tile,
 /// flat in `nnz₂`: `a + nnz₁·(b + c·x)`.
 const DENSE_DENSE_NS: [f64; 3] = [92.8, -14.19, 6.043];
-/// [`sparse_sparse_packed`]: per nonzero of the first tile, one kernel
+/// [`packed_run`] over one tile: per nonzero of the first tile, one kernel
 /// evaluation and one update of `y` per nonzero of the second:
 /// `d + nnz₁·(e + f·x·nnz₂)`.
 const SPARSE_SPARSE_NS: [f64; 3] = [17.3, 3.97, 0.3516];
@@ -200,6 +215,15 @@ impl KindTable {
         KindTable { kinds }
     }
 
+    /// The table for `kernel_flops`, built on the first request and shared
+    /// by every later one in the process: it depends on nothing else, so an
+    /// assembly asks for it instead of building it.
+    pub(crate) fn shared(kernel_flops: usize) -> Arc<KindTable> {
+        static TABLES: Mutex<BTreeMap<usize, Arc<KindTable>>> = Mutex::new(BTreeMap::new());
+        let mut tables = TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(tables.entry(kernel_flops).or_insert_with(|| Arc::new(Self::new(kernel_flops))))
+    }
+
     /// The primitive the table routes a tile pair with `nnz1`/`nnz2`
     /// nonzeros to.
     #[inline]
@@ -227,7 +251,9 @@ pub struct TileCosts {
 /// Precomputed bitmap-derived views of one octile, read by the dense×dense
 /// and dense-rows kernels: dense row-major and transposed (column-major)
 /// expansions of the payload, and the row-major position of each packed
-/// nonzero. The sparse×sparse kernel reads the packed tile itself.
+/// nonzero. The packed sparse×sparse loop reads no panel: the operator's
+/// sweep hands it the inner tiles' packed nonzeros through [`TileLayers`],
+/// and the standalone entry decodes the inner tile's mask.
 ///
 /// Building the panels costs `O(nnz)` per tile; an operator sweeping all
 /// tile pairs of a graph pair builds them once per tile and amortizes the
@@ -332,7 +358,6 @@ pub struct PaneledTile<'a, E> {
 /// The context shared by every tile pair of one graph-pair sweep: problem
 /// dimensions, base kernel and the cost metadata of the traffic closed
 /// forms.
-#[derive(Clone, Copy)]
 pub struct PairContext<'a, K> {
     /// First graph's vertex count (row blocks of the product system).
     pub n: usize,
@@ -343,6 +368,15 @@ pub struct PairContext<'a, K> {
     /// Byte sizes and FLOP count threaded into the traffic closed forms.
     pub costs: &'a TileCosts,
 }
+
+// by hand: a derive would ask for `K: Copy`, and the context holds `&K`
+impl<K> Clone for PairContext<'_, K> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<K> Copy for PairContext<'_, K> {}
 
 /// Bitmap-driven tile-pair product over precomputed [`TilePanels`], counting
 /// the pair's closed-form traffic into `counters`.
@@ -358,9 +392,11 @@ pub struct PairContext<'a, K> {
 /// through per-pair closed forms (the private `octile_pair_traffic`), which
 /// match the scalar reference's totals exactly.
 ///
-/// The octile operator runs the same body over a whole sweep without this
-/// entry: it decodes each outer tile once per sweep instead of once per pair,
-/// and counts the traffic of an application once, fixed at assembly.
+/// The octile operator does not call this entry. It decodes each outer tile
+/// once per sweep instead of once per pair, runs the packed loop over runs
+/// of inner tiles instead of one tile (see `sweep_inner_layers`), and counts
+/// the traffic of an application once, fixed at assembly. This entry runs
+/// that same packed loop with a run of one tile, whose mask it decodes.
 pub fn tile_pair_product_with_panels<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     kind: TileProductKind,
     s1: PaneledTile<'_, E>,
@@ -388,10 +424,11 @@ pub fn tile_pair_product_with_panels<T: Scalar, E: Copy + Default, K: BaseKernel
 ///
 /// Per packed nonzero `(i, j)` of the outer tile, `entries` holds the output
 /// row offset `(row₁+i)·m`, the right-hand-side row offset `(col₁+j)·m`, the
-/// weight at the vector precision and the label. Every sparse×sparse pair of
-/// the sweep reads it, and so does every dense×sparse pair with the outer
-/// tile the sparser. `coefficients` is written before it is read, so it is
-/// never re-zeroed.
+/// weight at the vector precision and the label. Every run of the packed
+/// loop in the sweep reads it: sparse×sparse, and dense×sparse with the
+/// outer tile the sparser. `coefficients` holds one coefficient per nonzero
+/// of a run, so a run holds at most [`TILE_AREA`] nonzeros. It is written
+/// before it is read, so it is never re-zeroed.
 pub(crate) struct OuterSweep<T, E> {
     entries: [(usize, usize, T, E); TILE_AREA],
     len: usize,
@@ -419,8 +456,10 @@ impl<T: Scalar, E: Copy + Default> OuterSweep<T, E> {
 }
 
 /// One tile pair's product, with the first tile already decoded into
-/// `sweep`: the body [`tile_pair_product_with_panels`] and the octile
-/// operator's sweep both run.
+/// `sweep`: the body [`tile_pair_product_with_panels`] runs, and the one the
+/// octile operator's sweep runs for the pairs it routes to a dense form. A
+/// pair routed to the packed loop is a run of one tile here, its mask
+/// decoded on the stack.
 #[inline]
 pub(crate) fn tile_pair_body<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     kind: TileProductKind,
@@ -435,16 +474,29 @@ pub(crate) fn tile_pair_body<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     debug_assert_eq!(p.len(), n * m);
     debug_assert_eq!(y.len(), n * m);
     debug_assert_eq!(sweep.len, s1.tile.nnz(), "the sweep holds the first tile");
-    match kind {
-        TileProductKind::SparseSparse => sparse_sparse_packed(sweep, s2.tile, kernel, p, y),
-        // orient exactly like the scalar reference: the first tile is
-        // "sparse" on ties, so the iteration order (and therefore the
-        // floating-point result) matches
-        TileProductKind::DenseSparse if s1.tile.nnz() <= s2.tile.nnz() => {
-            sparse_sparse_packed(sweep, s2.tile, kernel, p, y)
+    let t2 = s2.tile;
+    if reads_packed(kind, s1.tile.nnz(), t2.nnz()) {
+        const SIDE: u32 = TILE_SIZE as u32;
+        let (row2, col2) = (t2.row * SIDE, t2.col * SIDE);
+        let nnz2 = t2.nnz();
+        let (mut rows, mut cols) = ([0u32; TILE_AREA], [0u32; TILE_AREA]);
+        let mut bits = t2.mask;
+        for (r, c) in rows.iter_mut().zip(&mut cols).take(nnz2) {
+            let bit = bits.trailing_zeros();
+            bits &= bits.wrapping_sub(1);
+            (*r, *c) = (row2 + bit / SIDE, col2 + bit % SIDE);
         }
-        TileProductKind::DenseSparse => dense_rows_direct(s2.tile, s1, (n, m), kernel, p, y),
-        TileProductKind::DenseDense => dense_dense(s1, s2, (n, m), kernel, p, y),
+        let run = PackedRun {
+            rows: &rows[..nnz2],
+            cols: &cols[..nnz2],
+            weights: &t2.weights,
+            labels: &t2.labels,
+        };
+        packed_run(sweep, run, kernel, p, y);
+    } else if kind == TileProductKind::DenseDense {
+        dense_dense(s1, s2, (n, m), kernel, p, y);
+    } else {
+        dense_rows_direct(t2, s1, (n, m), kernel, p, y);
     }
 }
 
@@ -555,45 +607,203 @@ fn octile_pair_traffic(
     c
 }
 
-/// Packed sparse×sparse kernel: the paper's `nnz₁ · nnz₂` products, read
-/// from the two tiles' bitmaps and packed payloads. Serves both the
-/// sparse×sparse primitive and the mixed primitive when the first operand
-/// is the sparser one.
+/// Whether `kind` reads the second tile's packed nonzeros: sparse×sparse,
+/// and dense×sparse with the first tile the sparser (the scalar reference
+/// calls the first tile "sparse" on ties, and so does this).
+#[inline]
+fn reads_packed(kind: TileProductKind, nnz1: usize, nnz2: usize) -> bool {
+    match kind {
+        TileProductKind::SparseSparse => true,
+        TileProductKind::DenseSparse => nnz1 <= nnz2,
+        TileProductKind::DenseDense => false,
+    }
+}
+
+/// Packed nonzeros of one or more inner tiles that lie in distinct tile
+/// rows, each as its global row, its global column, its weight and its
+/// label: what [`packed_run`] reads.
+struct PackedRun<'a, E> {
+    rows: &'a [u32],
+    cols: &'a [u32],
+    weights: &'a [f32],
+    labels: &'a [E],
+}
+
+/// The packed sparse×sparse loop: the paper's `nnz₁ · nnz₂` products of the
+/// sweep's outer tile with a run of inner nonzeros. It serves both the
+/// sparse×sparse primitive and the mixed primitive when the outer tile is
+/// the sparser one.
 ///
-/// Per nonzero `(i, j)` of the first tile, read from the sweep's decoded
-/// copy, the product coefficients
-/// `(w₁·w₂)·κ(l₁, l₂)` are formed over the second tile's contiguous packed
-/// weights and labels, a loop that vectorizes. Then each packed nonzero
-/// `(i', j')` of the second tile, decoded from its mask in ascending bit
-/// order, adds one term `coefficient · p` to `y`. These are the terms of
-/// [`tile_pair_product_scalar`]'s sparse×sparse loop, in its order and
-/// association, and of its sparse-first dense×sparse loop, whose row-major
-/// sweep of the dense tile meets the same nonzeros in the same order. (A
-/// stored zero weight, which that loop skips, adds an exact zero here: no
-/// sum changes, since an accumulation from `+0.0` never reaches `−0.0`.)
-fn sparse_sparse_packed<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
+/// Per nonzero `(i, j)` of the outer tile, read from the sweep's decoded
+/// copy, the coefficients `(w₁·w₂)·κ(l₁, l₂)` are formed over the run's
+/// contiguous packed weights and labels, a loop that vectorizes. Then each
+/// inner nonzero adds one term `coefficient · p` to `y`, in the run's order.
+///
+/// For one tile these are the terms of [`tile_pair_product_scalar`]'s
+/// sparse×sparse loop, in its order and association. They are also the terms
+/// of its sparse-first dense×sparse loop, whose row-major sweep of the dense
+/// tile meets the same nonzeros in the same order. (That loop skips a stored
+/// zero weight. Here it adds an exact zero, which changes no sum, since an
+/// accumulation from `+0.0` never reaches `−0.0`.) A run of several tiles
+/// changes no element's order either. Its tiles lie in distinct tile rows,
+/// so each output element meets the nonzeros of one tile of the run only,
+/// in that tile's order.
+fn packed_run<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     sweep: &mut OuterSweep<T, E>,
-    t2: &Octile<E>,
+    run: PackedRun<'_, E>,
     kernel: &K,
     p: &[T],
     y: &mut [T],
 ) {
     debug_assert_eq!(p.len(), y.len(), "p and y are both length n*m");
-    debug_assert!(t2.weights.len() == t2.nnz() && t2.labels.len() == t2.nnz());
-    let (row2, col2) = (t2.row as usize * TILE_SIZE, t2.col as usize * TILE_SIZE);
-    let coefficients = &mut sweep.coefficients[..t2.weights.len()];
+    debug_assert!(run.weights.len() <= TILE_AREA, "a run holds at most {TILE_AREA} nonzeros");
+    debug_assert!(
+        run.rows.len() == run.weights.len()
+            && run.cols.len() == run.weights.len()
+            && run.labels.len() == run.weights.len()
+    );
+    if run.weights.is_empty() {
+        return;
+    }
+    let coefficients = &mut sweep.coefficients[..run.weights.len()];
     for &(yrow1, prow1, w1t, l1) in &sweep.entries[..sweep.len] {
-        for ((c, &w2), l2) in coefficients.iter_mut().zip(&t2.weights).zip(&t2.labels) {
+        for ((c, &w2), l2) in coefficients.iter_mut().zip(run.weights).zip(run.labels) {
             *c = (w1t * T::from_f32(w2)) * T::from_f32(kernel.eval(&l1, l2));
         }
-        let yrow = yrow1 + row2;
-        let prow = prow1 + col2;
-        let mut bits = t2.mask;
-        for &c in coefficients.iter() {
-            let bit = bits.trailing_zeros() as usize;
-            bits &= bits.wrapping_sub(1);
-            y[yrow + bit / TILE_SIZE] += c * p[prow + bit % TILE_SIZE];
+        for ((&c, &row), &col) in coefficients.iter().zip(run.rows).zip(run.cols) {
+            y[yrow1 + row as usize] += c * p[prow1 + col as usize];
         }
+    }
+}
+
+/// One structure's tiles as the inner operand of the octile operator:
+/// grouped into layers, with every tile's packed nonzeros laid out for
+/// [`packed_run`].
+///
+/// Layer ℓ is the ℓ-th tile, in column order, of every tile row that has
+/// one, so the tiles of a layer lie in pairwise distinct tile rows. Each
+/// layer stores its tiles one after another, in row order. Each nonzero
+/// `(i, j)` of tile `(I, J)` is stored as its global row `8·I + i`, its
+/// global column `8·J + j`, its weight and its label. Consecutive tiles of
+/// a layer are therefore one contiguous slice of the four arrays. Building
+/// the index costs `O(nnz)`, once per system.
+pub(crate) struct TileLayers<E> {
+    /// Layer ℓ is the slots `layers[ℓ]..layers[ℓ + 1]`.
+    layers: Vec<usize>,
+    /// Each slot's tile, as an index into the structure's tile list.
+    tiles: Vec<usize>,
+    /// Slot `s` holds the nonzeros `offsets[s]..offsets[s + 1]`.
+    offsets: Vec<usize>,
+    rows: Vec<u32>,
+    cols: Vec<u32>,
+    weights: Vec<f32>,
+    labels: Vec<E>,
+}
+
+impl<E: Copy> TileLayers<E> {
+    /// Index `tiles`, which are sorted by `(row, col)` as
+    /// [`mgk_tile::OctileMatrix::tiles`] keeps them.
+    pub(crate) fn new(tiles: &[Octile<E>]) -> Self {
+        // the tile-list range of each tile row
+        let mut tile_rows: Vec<Range<usize>> = Vec::new();
+        for (k, tile) in tiles.iter().enumerate() {
+            match tile_rows.last_mut() {
+                Some(range) if tiles[range.start].row == tile.row => range.end = k + 1,
+                _ => tile_rows.push(k..k + 1),
+            }
+        }
+        let depth = tile_rows.iter().map(ExactSizeIterator::len).max().unwrap_or(0);
+        let nnz = tiles.iter().map(Octile::nnz).sum();
+        let mut index = TileLayers {
+            layers: Vec::with_capacity(depth + 1),
+            tiles: Vec::with_capacity(tiles.len()),
+            offsets: Vec::with_capacity(tiles.len() + 1),
+            rows: Vec::with_capacity(nnz),
+            cols: Vec::with_capacity(nnz),
+            weights: Vec::with_capacity(nnz),
+            labels: Vec::with_capacity(nnz),
+        };
+        index.layers.push(0);
+        index.offsets.push(0);
+        for position in 0..depth {
+            for k in tile_rows.iter().filter_map(|range| range.clone().nth(position)) {
+                let tile = &tiles[k];
+                let (row, col) = (tile.row * TILE_SIZE as u32, tile.col * TILE_SIZE as u32);
+                for (i, j, w, l) in tile.iter() {
+                    index.rows.push(row + i as u32);
+                    index.cols.push(col + j as u32);
+                    index.weights.push(w);
+                    index.labels.push(l);
+                }
+                index.tiles.push(k);
+                index.offsets.push(index.weights.len());
+            }
+            index.layers.push(index.tiles.len());
+        }
+        index
+    }
+
+    /// The packed nonzeros `range`.
+    fn run(&self, range: Range<usize>) -> PackedRun<'_, E> {
+        PackedRun {
+            rows: &self.rows[range.clone()],
+            cols: &self.cols[range.clone()],
+            weights: &self.weights[range.clone()],
+            labels: &self.labels[range],
+        }
+    }
+}
+
+/// The product of one outer tile, decoded into `sweep`, with every tile of
+/// the inner operand: the octile operator's sweep, one layer at a time.
+///
+/// Within a layer, consecutive tiles that `kinds` routes to the packed loop
+/// form a run, and each run costs one [`packed_run`] call. A run ends
+/// before the tile that would take it past [`TILE_AREA`] nonzeros, so the
+/// sweep's coefficient scratch holds it. A tile routed to dense×dense or to
+/// `dense_rows_direct` ends the run and goes through [`tile_pair_body`].
+/// `kinds` is `None` to route every pair to dense×dense.
+///
+/// Output element `(i, i')` is written only by the inner tiles of tile row
+/// `I'`, and a layer holds at most one of them. So each element receives
+/// its terms as the reference sweep adds them: inner tiles in column order,
+/// then outer nonzeros, then inner nonzeros.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sweep_inner_layers<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
+    sweep: &mut OuterSweep<T, E>,
+    s1: PaneledTile<'_, E>,
+    inner: (&[Octile<E>], &[TilePanels<E>]),
+    layers: &TileLayers<E>,
+    kinds: Option<&KindTable>,
+    ctx: PairContext<'_, K>,
+    p: &[T],
+    y: &mut [T],
+) {
+    let nnz1 = s1.tile.nnz();
+    debug_assert_eq!(sweep.len, nnz1, "the sweep holds the outer tile");
+    for layer in layers.layers.windows(2) {
+        let first = layers.offsets[layer[0]];
+        let mut run = first..first;
+        for slot in layer[0]..layer[1] {
+            let (start, end) = (layers.offsets[slot], layers.offsets[slot + 1]);
+            let nnz2 = end - start;
+            let kind = kinds.map_or(TileProductKind::DenseDense, |k| k.get(nnz1, nnz2));
+            if reads_packed(kind, nnz1, nnz2) {
+                if end - run.start > TILE_AREA {
+                    packed_run(sweep, layers.run(run), ctx.kernel, p, y);
+                    run = start..end;
+                } else {
+                    run.end = end;
+                }
+            } else {
+                packed_run(sweep, layers.run(run), ctx.kernel, p, y);
+                run = end..end;
+                let k = layers.tiles[slot];
+                let s2 = PaneledTile { tile: &inner.0[k], panels: &inner.1[k] };
+                tile_pair_body(kind, sweep, s1, s2, ctx, p, y);
+            }
+        }
+        packed_run(sweep, layers.run(run), ctx.kernel, p, y);
     }
 }
 
@@ -1296,6 +1506,51 @@ mod tests {
                     assert!(matches_reference(kind, g1, g2, &kd, &p64), "{name}, f64, delta");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn layers_hold_each_tile_once_by_row_position_and_rebuild_the_matrix() {
+        let mut rng = StdRng::seed_from_u64(34);
+        let mut graphs: Vec<_> =
+            (1..=9).map(|tenths| random_graph(&mut rng, tenths as f64 / 10.0)).collect();
+        graphs.push(small_graph(1, 1, &[]));
+        for g in &graphs {
+            let matrix = OctileMatrix::from_graph(g);
+            let tiles = matrix.tiles();
+            let index = TileLayers::new(tiles);
+            let mut layers_of = vec![0; tiles.len()];
+            for &k in &index.tiles {
+                layers_of[k] += 1;
+            }
+            assert!(layers_of.iter().all(|&count| count == 1), "a tile is not in one layer");
+            let position = |k: usize| tiles[..k].iter().filter(|t| t.row == tiles[k].row).count();
+            for (layer, slots) in index.layers.windows(2).enumerate() {
+                let members = &index.tiles[slots[0]..slots[1]];
+                assert!(
+                    members.windows(2).all(|w| tiles[w[0]].row < tiles[w[1]].row),
+                    "layer {layer} repeats a tile row"
+                );
+                assert!(members.iter().all(|&k| position(k) == layer), "layer {layer}");
+                let deep_enough = (0..tiles.len()).filter(|&k| position(k) == layer).count();
+                assert_eq!(members.len(), deep_enough, "layer {layer} misses a row");
+            }
+            let n = matrix.dim();
+            let (mut weights, mut labels) = (vec![0.0f32; n * n], vec![0.0f32; n * n]);
+            assert_eq!(index.offsets.len(), index.tiles.len() + 1);
+            for (slot, &k) in index.tiles.iter().enumerate() {
+                let nonzeros = index.offsets[slot]..index.offsets[slot + 1];
+                assert_eq!(nonzeros.len(), tiles[k].nnz());
+                for e in nonzeros {
+                    let (i, j) = (index.rows[e] as usize, index.cols[e] as usize);
+                    let tile = (tiles[k].row as usize, tiles[k].col as usize);
+                    assert_eq!((i / TILE_SIZE, j / TILE_SIZE), tile, "a nonzero outside its tile");
+                    weights[i * n + j] = index.weights[e];
+                    labels[i * n + j] = index.labels[e];
+                }
+            }
+            assert_eq!(weights, matrix.to_dense_weights());
+            assert_eq!(labels, g.edge_labels_dense(0.0));
         }
     }
 

@@ -44,8 +44,8 @@ use mgk_linalg::{
 use mgk_tile::TILE_SIZE;
 
 use crate::octile_ops::{
-    tile_pair_body, tile_pair_traffic, KindTable, OuterSweep, PairContext, PaneledTile, TileCosts,
-    TileProductKind,
+    sweep_inner_layers, tile_pair_traffic, KindTable, OuterSweep, PairContext, PaneledTile,
+    TileCosts, TileLayers, TileProductKind,
 };
 use crate::prepared::{Octiles, PreparedGraph};
 use crate::solver::{MarginalizedKernelSolver, SolverConfig, XmvMode};
@@ -64,14 +64,16 @@ enum OffDiagonal<E> {
     },
     /// Two-level sparse octile operator of Section IV, over the octile
     /// matrices the two [`PreparedGraph`]s were built with once; their
-    /// panels are expanded per system, so every CG iteration's tile-pair
-    /// sweep reuses them.
+    /// panels and the inner operand's layer index are built per system, so
+    /// every CG iteration's tile-pair sweep reuses them.
     Octile {
         left: Octiles<E>,
         right: Octiles<E>,
-        /// The solver's adaptive-selection table (the per-pair decision is
-        /// a lookup, not three cost estimates), or `None` to force the
-        /// dense×dense primitive.
+        /// `right`'s tiles in layers, for the packed loop.
+        layers: TileLayers<E>,
+        /// The adaptive-selection table shared by every system of this
+        /// kernel cost (the per-pair decision is a lookup, not three cost
+        /// estimates), or `None` to force the dense×dense primitive.
         kinds: Option<Arc<KindTable>>,
         /// What one application counts, fixed at assembly.
         traffic: ApplyTraffic,
@@ -188,14 +190,12 @@ where
     }
 
     /// Assemble the system of two prepared structures — the one assembly
-    /// path. `kinds` is the adaptive tile-primitive table, `None` when the
-    /// configuration forces the dense×dense primitive.
+    /// path.
     pub(crate) fn from_prepared<V, KV>(
         a: &PreparedGraph<V, E>,
         b: &PreparedGraph<V, E>,
         vertex_kernel: &KV,
         edge_kernel: KE,
-        kinds: Option<Arc<KindTable>>,
         config: &SolverConfig,
     ) -> Self
     where
@@ -224,6 +224,8 @@ where
             }
             XmvMode::Octile => {
                 let (left, right) = (a.octiles(), b.octiles());
+                let layers = TileLayers::new(right.matrix.tiles());
+                let kinds = config.adaptive_tiles.then(|| KindTable::shared(cost.flops));
                 let dims = (g1.num_vertices(), g2.num_vertices());
                 let traffic = ApplyTraffic::octile(
                     &left,
@@ -233,7 +235,7 @@ where
                     dims,
                     config,
                 );
-                OffDiagonal::Octile { left, right, kinds, traffic }
+                OffDiagonal::Octile { left, right, layers, kinds, traffic }
             }
         };
 
@@ -302,11 +304,18 @@ where
     /// widened factor-wise at `f64`.
     ///
     /// The octile form sweeps the second graph's tiles once per tile of the
-    /// first. Each outer tile is decoded once for its whole sweep, the
-    /// sweep's coefficient scratch is never re-zeroed, and the application's
-    /// traffic is the ledger fixed at assembly, added once: the loop pays for
-    /// the tile-pair products and the table lookup, nothing else. The naive
-    /// and dense forms count their traffic as they apply.
+    /// first, one layer at a time (layer ℓ is the ℓ-th tile of every tile
+    /// row). Each outer tile is decoded once for its whole sweep. Within a
+    /// layer, a run of tiles the table routes to the packed loop, up to 64
+    /// nonzeros, costs one coefficient loop and one update loop per outer
+    /// nonzero, not one of each per tile pair. Every other tile goes through
+    /// its dense primitive. The tiles of a layer lie in distinct tile rows,
+    /// so each element of `y` still receives its terms in the order of the
+    /// scalar reference's tile-pair sweep: outer tile, inner tile in column
+    /// order, outer nonzero, inner nonzero. The results are bit-identical to
+    /// it. The sweep allocates nothing, and the application's traffic is
+    /// the ledger fixed at assembly, added once. The naive and dense forms
+    /// count their traffic as they apply.
     pub fn apply_off_diagonal<T: Scalar>(
         &self,
         x: &[T],
@@ -319,32 +328,28 @@ where
             OffDiagonal::Dense { data, primitive } => {
                 primitive.apply(data, &self.edge_kernel, x, y, counters)
             }
-            OffDiagonal::Octile { left, right, kinds, traffic } => {
+            OffDiagonal::Octile { left, right, layers, kinds, traffic } => {
+                let ctx = PairContext {
+                    n: self.n,
+                    m: self.m,
+                    kernel: &self.edge_kernel,
+                    costs: &self.tile_costs,
+                };
                 let mut sweep = OuterSweep::new();
                 for (t1, p1) in left.matrix.tiles().iter().zip(&left.panels) {
                     // the outer tile is loaded once and kept for the whole
                     // sweep over the inner graph
                     sweep.decode(t1, self.m);
-                    let nnz1 = t1.nnz();
-                    for (t2, p2) in right.matrix.tiles().iter().zip(&right.panels) {
-                        let kind = kinds
-                            .as_ref()
-                            .map_or(TileProductKind::DenseDense, |k| k.get(nnz1, t2.nnz()));
-                        tile_pair_body(
-                            kind,
-                            &mut sweep,
-                            PaneledTile { tile: t1, panels: p1 },
-                            PaneledTile { tile: t2, panels: p2 },
-                            PairContext {
-                                n: self.n,
-                                m: self.m,
-                                kernel: &self.edge_kernel,
-                                costs: &self.tile_costs,
-                            },
-                            x,
-                            y,
-                        );
-                    }
+                    sweep_inner_layers(
+                        &mut sweep,
+                        PaneledTile { tile: t1, panels: p1 },
+                        (right.matrix.tiles(), &right.panels),
+                        layers,
+                        kinds.as_deref(),
+                        ctx,
+                        x,
+                        y,
+                    );
                 }
                 counters.accumulate(traffic.at::<T>());
             }

@@ -1,7 +1,5 @@
 //! The per-pair marginalized graph kernel solver (Algorithm 1).
 
-use std::sync::{Arc, OnceLock};
-
 use mgk_graph::Graph;
 use mgk_kernels::{BaseKernel, UnitKernel};
 use mgk_linalg::{
@@ -11,7 +9,6 @@ use mgk_linalg::{
 use mgk_reorder::ReorderMethod;
 use mgk_telemetry::StageBreakdown;
 
-use crate::octile_ops::KindTable;
 use crate::prepared::PreparedGraph;
 use crate::product::{ProductSystem, SystemOperator};
 use crate::xmv::XmvPrimitive;
@@ -161,10 +158,6 @@ pub struct MarginalizedKernelSolver<KV, KE> {
     vertex_kernel: KV,
     edge_kernel: KE,
     config: SolverConfig,
-    /// The adaptive tile-primitive table and the base-kernel FLOP cost it
-    /// was built for — the only thing it depends on, so it is built by the
-    /// first octile assembly and shared by every system after it.
-    kinds: OnceLock<(usize, Arc<KindTable>)>,
 }
 
 impl MarginalizedKernelSolver<UnitKernel, UnitKernel> {
@@ -177,7 +170,7 @@ impl MarginalizedKernelSolver<UnitKernel, UnitKernel> {
 impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
     /// Create a solver from vertex and edge base kernels.
     pub fn new(vertex_kernel: KV, edge_kernel: KE, config: SolverConfig) -> Self {
-        MarginalizedKernelSolver { vertex_kernel, edge_kernel, config, kinds: OnceLock::new() }
+        MarginalizedKernelSolver { vertex_kernel, edge_kernel, config }
     }
 
     /// The active configuration.
@@ -289,26 +282,11 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
         KV: BaseKernel<V>,
         KE: BaseKernel<E> + Clone,
     {
-        let adaptive = self.config.xmv_mode == XmvMode::Octile && self.config.adaptive_tiles;
-        let kinds = adaptive.then(|| {
-            let flops = BaseKernel::<E>::cost(&self.edge_kernel).flops;
-            let build = || Arc::new(KindTable::new(flops));
-            let (built_for, table) = self.kinds.get_or_init(|| (flops, build()));
-            // one edge kernel costs the same at every label type it is a
-            // kernel of in this workspace; one that does not gets its table
-            // per pair
-            if *built_for == flops {
-                Arc::clone(table)
-            } else {
-                build()
-            }
-        });
         ProductSystem::from_prepared(
             a,
             b,
             &self.vertex_kernel,
             self.edge_kernel.clone(),
-            kinds,
             &self.config,
         )
     }
