@@ -252,7 +252,7 @@ pub struct TileCosts {
 /// and dense-rows kernels: dense row-major and transposed (column-major)
 /// expansions of the payload, and the row-major position of each packed
 /// nonzero. The packed sparse×sparse loop reads no panel: the operator's
-/// sweep hands it the inner tiles' packed nonzeros through [`TileLayers`],
+/// sweep hands it the inner tiles' packed nonzeros through `TileLayers`,
 /// and the standalone entry decodes the inner tile's mask.
 ///
 /// Building the panels costs `O(nnz)` per tile; an operator sweeping all
