@@ -13,10 +13,15 @@
 //! | `Block` | block-level octile sharing between warps |
 //! | `DynamicScheduling` | dynamic scheduling of graph pairs |
 
-use crate::gram::Scheduling;
-use crate::solver::{SolverConfig, XmvMode};
-use crate::xmv::XmvPrimitive;
+use mgk_core::{
+    GramConfig, GramEngine, GramResult, MarginalizedKernelSolver, Scheduling, SolverConfig,
+};
+use mgk_graph::Graph;
+use mgk_kernels::BaseKernel;
 use mgk_reorder::ReorderMethod;
+
+use crate::dense::{DenseSolver, DenseXmv};
+use crate::xmv::XmvPrimitive;
 
 /// One level of the incremental ablation of Fig. 9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -62,20 +67,22 @@ impl OptimizationLevel {
         }
     }
 
+    /// The dense on-the-fly primitive of the `Dense` level, or `None` from
+    /// `Sparse` on, where the solver's octile operator takes over.
+    pub fn dense_primitive(self) -> Option<XmvPrimitive> {
+        (self < OptimizationLevel::Sparse).then_some(XmvPrimitive::OCTILE)
+    }
+
     /// The per-pair solver configuration of this level, inheriting
     /// tolerance/iteration settings from `base`.
     pub fn solver_config(self, base: &SolverConfig) -> SolverConfig {
         let mut cfg = SolverConfig {
-            xmv_mode: XmvMode::DenseOnTheFly(XmvPrimitive::OCTILE),
             reorder: ReorderMethod::Natural,
             adaptive_tiles: false,
             compact_storage: false,
             block_sharing: 1,
             ..*base
         };
-        if self >= OptimizationLevel::Sparse {
-            cfg.xmv_mode = XmvMode::Octile;
-        }
         if self >= OptimizationLevel::Reorder {
             cfg.reorder = ReorderMethod::Pbr;
         }
@@ -99,6 +106,37 @@ impl OptimizationLevel {
             Scheduling::Static
         }
     }
+
+    /// The normalized Gram matrix of `graphs` at this level. The `Dense`
+    /// level solves with its [`dense_primitive`](Self::dense_primitive)
+    /// through [`DenseSolver::gram`] (static scheduling); every other level
+    /// runs `GramEngine` with this level's configuration and scheduling.
+    pub fn gram<V, E, KV, KE>(
+        self,
+        graphs: &[Graph<V, E>],
+        vertex_kernel: KV,
+        edge_kernel: KE,
+        base: &SolverConfig,
+    ) -> GramResult
+    where
+        V: Clone + Send + Sync,
+        E: Copy + Default + Send + Sync,
+        KV: BaseKernel<V> + Clone + Send + Sync,
+        KE: BaseKernel<E> + Clone + Send + Sync,
+    {
+        let config = self.solver_config(base);
+        match self.dense_primitive() {
+            Some(primitive) => {
+                DenseSolver::new(vertex_kernel, edge_kernel, config, DenseXmv::OnTheFly(primitive))
+                    .gram(graphs)
+            }
+            None => GramEngine::new(
+                MarginalizedKernelSolver::new(vertex_kernel, edge_kernel, config),
+                GramConfig { scheduling: self.scheduling(), normalize: true },
+            )
+            .compute(graphs),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -109,11 +147,11 @@ mod tests {
     fn levels_are_cumulative() {
         let base = SolverConfig::default();
         let dense = OptimizationLevel::Dense.solver_config(&base);
-        assert!(matches!(dense.xmv_mode, XmvMode::DenseOnTheFly(_)));
+        assert!(OptimizationLevel::Dense.dense_primitive().is_some());
         assert_eq!(dense.reorder, ReorderMethod::Natural);
 
         let sparse = OptimizationLevel::Sparse.solver_config(&base);
-        assert_eq!(sparse.xmv_mode, XmvMode::Octile);
+        assert_eq!(OptimizationLevel::Sparse.dense_primitive(), None);
         assert!(!sparse.adaptive_tiles);
 
         let reorder = OptimizationLevel::Reorder.solver_config(&base);

@@ -7,7 +7,7 @@
 
 use mgk_bench::device::DeviceSpec;
 use mgk_bench::roofline::RooflineModel;
-use mgk_core::xmv::NaiveProduct;
+use mgk_bench::xmv::NaiveProduct;
 
 fn main() {
     let device = DeviceSpec::volta_v100();

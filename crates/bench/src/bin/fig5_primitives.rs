@@ -16,8 +16,8 @@ use std::time::Instant;
 use mgk_bench::device::DeviceSpec;
 use mgk_bench::occupancy::{occupancy, register_blocking_registers, OccupancyLimits};
 use mgk_bench::project::estimate_time;
+use mgk_bench::xmv::{DensePairData, NaiveProduct, XmvPrimitive};
 use mgk_bench::{bench_rng, fmt_duration, scaled};
-use mgk_core::{DensePairData, XmvPrimitive};
 use mgk_graph::generators;
 use mgk_kernels::UnitKernel;
 use mgk_linalg::TrafficCounters;
@@ -109,7 +109,7 @@ fn main() {
                 None => {
                     // the naive kernel: materialization is a separate setup
                     // cost; only the matrix-vector product is timed
-                    let naive = mgk_core::xmv::NaiveProduct::new(&data, &UnitKernel);
+                    let naive = NaiveProduct::new(&data, &UnitKernel);
                     let start = Instant::now();
                     naive.apply(&p, &mut y, &mut traffic);
                     cpu_seconds += start.elapsed().as_secs_f64();

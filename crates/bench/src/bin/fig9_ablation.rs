@@ -20,12 +20,13 @@
 
 use std::time::Instant;
 
+use mgk_bench::ablation::OptimizationLevel;
 use mgk_bench::device::DeviceSpec;
 use mgk_bench::project::estimate_time;
 use mgk_bench::{
     bench_scale, distance_kernel, fmt_duration, scaled, AtomKernel, BondKernel, ElementKernel,
 };
-use mgk_core::{GramConfig, GramEngine, MarginalizedKernelSolver, OptimizationLevel, SolverConfig};
+use mgk_core::SolverConfig;
 use mgk_graph::Graph;
 use mgk_kernels::BaseKernel;
 
@@ -56,15 +57,8 @@ where
     let mut dense_cpu = None;
     let mut dense_proj = None;
     for level in OptimizationLevel::ALL {
-        let solver = MarginalizedKernelSolver::new(
-            vertex_kernel.clone(),
-            edge_kernel.clone(),
-            level.solver_config(&base),
-        );
-        let engine =
-            GramEngine::new(solver, GramConfig { scheduling: level.scheduling(), normalize: true });
         let start = Instant::now();
-        let result = engine.compute(graphs);
+        let result = level.gram(graphs, vertex_kernel.clone(), edge_kernel.clone(), &base);
         let cpu = start.elapsed().as_secs_f64();
         let projection = estimate_time(&device, &result.traffic, 1.0);
         let dense_cpu = *dense_cpu.get_or_insert(cpu);

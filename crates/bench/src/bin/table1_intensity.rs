@@ -10,8 +10,7 @@
 //!    which is the correctness check of the cost model.
 
 use mgk_bench::bench_rng;
-use mgk_core::xmv::{NaiveProduct, ProblemShape};
-use mgk_core::{DensePairData, XmvPrimitive};
+use mgk_bench::xmv::{DensePairData, NaiveProduct, ProblemShape, XmvPrimitive};
 use mgk_graph::generators;
 use mgk_kernels::{BaseKernel, SquareExponential, UnitKernel};
 use mgk_linalg::TrafficCounters;

@@ -30,16 +30,25 @@
 //! bins that print it: device specifications ([`device`]), the Roofline
 //! model of Figs. 3 and 5 ([`roofline`]), an occupancy model
 //! ([`mod@occupancy`]), a projected-time estimator ([`project`]) and the
-//! Fig. 8 warp-cycle selection rule ([`warp_cycles`]). Table I's closed
-//! forms sit in `mgk_core::xmv`, beside the primitives they model.
+//! Fig. 8 warp-cycle selection rule ([`warp_cycles`]).
+//!
+//! The baselines the paper compares its solver against are here too: the
+//! naive materialized product of Section II-D and the dense on-the-fly
+//! primitives of Section III, with Table I's closed forms beside them
+//! ([`xmv`]); the same primitives as whole solves over the solver's
+//! assembled system ([`dense`]); and the incremental optimization levels of
+//! Fig. 9, whose `Dense` level is such a solve ([`ablation`]).
 
 #![forbid(unsafe_code)]
 
+pub mod ablation;
+pub mod dense;
 pub mod device;
 pub mod occupancy;
 pub mod project;
 pub mod roofline;
 pub mod warp_cycles;
+pub mod xmv;
 
 use mgk_graph::{AtomLabel, BondLabel, Element, Graph, Unlabeled};
 use mgk_kernels::{BaseKernel, KernelCost, KroneckerDelta, SquareExponential};

@@ -79,7 +79,7 @@ pub fn estimate_time(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgk_core::xmv::{NaiveProduct, ProblemShape, XmvPrimitive};
+    use crate::xmv::{NaiveProduct, ProblemShape, XmvPrimitive};
 
     fn shape() -> ProblemShape {
         ProblemShape::unlabeled(72, 72)

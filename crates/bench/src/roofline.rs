@@ -91,7 +91,7 @@ impl RooflineModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgk_core::xmv::{NaiveProduct, ProblemShape, XmvPrimitive};
+    use crate::xmv::{NaiveProduct, ProblemShape, XmvPrimitive};
 
     #[test]
     fn naive_solver_is_memory_bound_at_3_percent() {

@@ -16,9 +16,6 @@
 //!
 //! Crate layout, mirroring the paper's sections:
 //!
-//! * [`xmv`] — the dense on-the-fly Kronecker-product mat-vec primitives of
-//!   Section III (naive, shared tiling, register blocking, tiling+blocking)
-//!   with memory-traffic instrumentation, beside Table I's closed forms.
 //! * [`octile_ops`] — the sparse tile-pair product primitives of
 //!   Section IV-B (`dense×dense`, `dense×sparse`, `sparse×sparse`) and the
 //!   CPU-fit table the solver routes tile pairs by.
@@ -29,22 +26,22 @@
 //! * [`solver`] — [`MarginalizedKernelSolver`], the per-pair PCG solver.
 //! * [`gram`] — [`GramEngine`], the parallel pairwise Gram-matrix engine
 //!   with static/dynamic scheduling (Section V).
-//! * [`ablation`] — the incremental optimization levels of Fig. 9.
+//!
+//! The baselines the paper compares against — the naive materialized
+//! product of Section II-D, the dense on-the-fly primitives of Section III
+//! with Table I's closed forms, and the optimization levels of Fig. 9 —
+//! live in `mgk-bench`, beside the report binaries that print them.
 
 #![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
 
-pub mod ablation;
 pub mod gram;
 pub mod octile_ops;
 pub mod prepared;
 pub mod product;
 pub mod solver;
-pub mod xmv;
 
-pub use ablation::OptimizationLevel;
 pub use gram::{GramConfig, GramEngine, GramResult, Scheduling};
 pub use mgk_telemetry::StageBreakdown;
 pub use prepared::PreparedGraph;
 pub use product::{ProductSystem, SystemOperator};
-pub use solver::{KernelResult, MarginalizedKernelSolver, SolverConfig, SolverError, XmvMode};
-pub use xmv::{DensePairData, XmvPrimitive};
+pub use solver::{KernelResult, MarginalizedKernelSolver, SolverConfig, SolverError};

@@ -7,24 +7,35 @@
 //! [`MarginalizedKernelSolver::prepare_graph`](crate::MarginalizedKernelSolver::prepare_graph)
 //! and shared by every system the structure takes part in.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::sync::Arc;
 
 use mgk_graph::Graph;
 use mgk_tile::OctileMatrix;
 
 use crate::octile_ops::TilePanels;
-use crate::solver::XmvMode;
 
 /// An immutable structure ready to be paired with any other: the prepared
 /// (stopping-probability-overridden, reordered) graph, its Laplacian
-/// degrees and — under [`XmvMode::Octile`] only — its octile matrix.
+/// degrees and its octile matrix.
 #[derive(Debug)]
 pub struct PreparedGraph<V, E> {
     graph: Graph<V, E>,
     degrees: Vec<f32>,
     /// `Arc`-shared with the product systems of the pairs this structure is
     /// in, which therefore own their operands without copying a tile.
-    matrix: Option<Arc<OctileMatrix<E>>>,
+    matrix: Arc<OctileMatrix<E>>,
 }
 
 /// One operand of the octile operator: a structure's shared octile matrix
@@ -35,9 +46,9 @@ pub(crate) struct Octiles<E> {
 }
 
 impl<V, E: Copy + Default> PreparedGraph<V, E> {
-    /// Tile an already prepared (ordered) graph for `mode`.
-    pub(crate) fn new(graph: Graph<V, E>, mode: XmvMode) -> Self {
-        let matrix = (mode == XmvMode::Octile).then(|| Arc::new(OctileMatrix::from_graph(&graph)));
+    /// Tile an already prepared (ordered) graph.
+    pub(crate) fn new(graph: Graph<V, E>) -> Self {
+        let matrix = Arc::new(OctileMatrix::from_graph(&graph));
         PreparedGraph { degrees: graph.laplacian_degrees(), graph, matrix }
     }
 
@@ -55,12 +66,9 @@ impl<V, E: Copy + Default> PreparedGraph<V, E> {
     /// panels are expanded here, per system, and live as long as it does: at
     /// ~0.9 KiB a tile they are several times the rest of the structure —
     /// too much to hold for as long as a serving cache holds the structure
-    /// — and expanding them is the cheapest step of an assembly. Panics
-    /// when the structure was prepared by a solver in another [`XmvMode`]
-    /// than the one now pairing it.
+    /// — and expanding them is the cheapest step of an assembly.
     pub(crate) fn octiles(&self) -> Octiles<E> {
-        let matrix =
-            Arc::clone(self.matrix.as_ref().expect("prepared by a solver in XmvMode::Octile"));
+        let matrix = Arc::clone(&self.matrix);
         let panels = matrix.tiles().iter().map(TilePanels::new).collect();
         Octiles { matrix, panels }
     }

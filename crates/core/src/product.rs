@@ -8,19 +8,17 @@
 //!   XMV primitives.
 //!
 //! [`ProductSystem`] owns the diagonal data, the right-hand side
-//! `D× q×` and an off-diagonal operator in one of three forms: the
-//! materialized naive product, a dense on-the-fly primitive, or the
-//! two-level sparse octile operator over the octile matrices its two
-//! [`PreparedGraph`]s were built with once.
+//! `D× q×` and the two-level sparse octile operator over the octile
+//! matrices its two [`PreparedGraph`]s were built with once.
 //!
 //! [`SystemOperator`] views the full `D× V×⁻¹ − A× ∘ E×` as a
 //! [`mgk_linalg::LinearOperator`], and memory traffic flows through the
 //! `apply_counted` side of that surface: callers pass a
 //! [`TrafficCounters`] down and receive exact counts back, with no interior
-//! mutability on the system itself. For the octile form those counts are a
-//! per-apply ledger summed once at assembly from the tile pairs' closed
-//! forms, the storage and sharing configuration and the global terms; an
-//! application adds it once instead of re-deriving it per tile pair.
+//! mutability on the system itself. Those counts are a per-apply ledger
+//! summed once at assembly from the tile pairs' closed forms, the storage
+//! and sharing configuration and the global terms; an application adds it
+//! once instead of re-deriving it per tile pair.
 
 #![cfg_attr(
     not(test),
@@ -48,37 +46,7 @@ use crate::octile_ops::{
     TileCosts, TileLayers, TileProductKind,
 };
 use crate::prepared::{Octiles, PreparedGraph};
-use crate::solver::{MarginalizedKernelSolver, SolverConfig, XmvMode};
-use crate::xmv::{DensePairData, NaiveProduct, XmvPrimitive};
-
-/// The off-diagonal operator `A× ∘ E×` in one of its three realizations.
-enum OffDiagonal<E> {
-    /// Materialized product matrix (the naive kernel of Section II-D).
-    Naive(NaiveProduct),
-    /// Dense on-the-fly primitive of Section III.
-    Dense {
-        /// Densified operands.
-        data: DensePairData<E>,
-        /// Which streaming strategy to use.
-        primitive: XmvPrimitive,
-    },
-    /// Two-level sparse octile operator of Section IV, over the octile
-    /// matrices the two [`PreparedGraph`]s were built with once; their
-    /// panels and the inner operand's layer index are built per system, so
-    /// every CG iteration's tile-pair sweep reuses them.
-    Octile {
-        left: Octiles<E>,
-        right: Octiles<E>,
-        /// `right`'s tiles in layers, for the packed loop.
-        layers: TileLayers<E>,
-        /// The adaptive-selection table shared by every system of this
-        /// kernel cost (the per-pair decision is a lookup, not three cost
-        /// estimates), or `None` to force the dense×dense primitive.
-        kinds: Option<Arc<KindTable>>,
-        /// What one application counts, fixed at assembly.
-        traffic: ApplyTraffic,
-    },
-}
+use crate::solver::{MarginalizedKernelSolver, SolverConfig};
 
 /// The traffic one application of the octile operator counts. Every term
 /// depends on the pair's tiles, the table's picks, the storage and sharing
@@ -158,7 +126,21 @@ pub struct ProductSystem<E, KE> {
     start_product: Vec<f32>,
     /// `q ⊗ q'`.
     stop_product: Vec<f32>,
-    off_diagonal: OffDiagonal<E>,
+    /// The outer and inner operands of `A× ∘ E×`, the two-level sparse
+    /// octile operator of Section IV: the octile matrices the two
+    /// [`PreparedGraph`]s were built with once. Their panels and the inner
+    /// operand's layer index are built per system, so every CG iteration's
+    /// tile-pair sweep reuses them.
+    left: Octiles<E>,
+    right: Octiles<E>,
+    /// `right`'s tiles in layers, for the packed loop.
+    layers: TileLayers<E>,
+    /// The adaptive-selection table shared by every system of this kernel
+    /// cost (the per-pair decision is a lookup, not three cost estimates),
+    /// or `None` to force the dense×dense primitive.
+    kinds: Option<Arc<KindTable>>,
+    /// What one application counts, fixed at assembly.
+    traffic: ApplyTraffic,
     edge_kernel: KE,
     tile_costs: TileCosts,
 }
@@ -184,7 +166,7 @@ where
         KV: BaseKernel<V>,
         KE: Clone,
     {
-        let tile = |g: &Graph<V, E>| PreparedGraph::new(g.clone(), config.xmv_mode);
+        let tile = |g: &Graph<V, E>| PreparedGraph::new(g.clone());
         MarginalizedKernelSolver::new(vertex_kernel, edge_kernel, *config)
             .assemble_prepared(&tile(g1), &tile(g2))
     }
@@ -214,30 +196,12 @@ where
         let tile_costs =
             TileCosts { label_bytes: cost.label_bytes, float_bytes: 4, kernel_flops: cost.flops };
 
-        let off_diagonal = match config.xmv_mode {
-            XmvMode::NaiveMaterialized => {
-                let data = DensePairData::new(g1, g2, &edge_kernel);
-                OffDiagonal::Naive(NaiveProduct::new(&data, &edge_kernel))
-            }
-            XmvMode::DenseOnTheFly(primitive) => {
-                OffDiagonal::Dense { data: DensePairData::new(g1, g2, &edge_kernel), primitive }
-            }
-            XmvMode::Octile => {
-                let (left, right) = (a.octiles(), b.octiles());
-                let layers = TileLayers::new(right.matrix.tiles());
-                let kinds = config.adaptive_tiles.then(|| KindTable::shared(cost.flops));
-                let dims = (g1.num_vertices(), g2.num_vertices());
-                let traffic = ApplyTraffic::octile(
-                    &left,
-                    &right,
-                    kinds.as_deref(),
-                    &tile_costs,
-                    dims,
-                    config,
-                );
-                OffDiagonal::Octile { left, right, layers, kinds, traffic }
-            }
-        };
+        let (left, right) = (a.octiles(), b.octiles());
+        let layers = TileLayers::new(right.matrix.tiles());
+        let kinds = config.adaptive_tiles.then(|| KindTable::shared(cost.flops));
+        let dims = (g1.num_vertices(), g2.num_vertices());
+        let traffic =
+            ApplyTraffic::octile(&left, &right, kinds.as_deref(), &tile_costs, dims, config);
 
         ProductSystem {
             n: g1.num_vertices(),
@@ -246,7 +210,11 @@ where
             vertex_product,
             start_product,
             stop_product,
-            off_diagonal,
+            left,
+            right,
+            layers,
+            kinds,
+            traffic,
             edge_kernel,
             tile_costs,
         }
@@ -303,7 +271,7 @@ where
     /// vector [`Scalar`]; the `f32`-stored tiles and kernel values are
     /// widened factor-wise at `f64`.
     ///
-    /// The octile form sweeps the second graph's tiles once per tile of the
+    /// The operator sweeps the second graph's tiles once per tile of the
     /// first, one layer at a time (layer ℓ is the ℓ-th tile of every tile
     /// row). Each outer tile is decoded once for its whole sweep. Within a
     /// layer, a run of tiles the table routes to the packed loop, up to 64
@@ -314,8 +282,7 @@ where
     /// scalar reference's tile-pair sweep: outer tile, inner tile in column
     /// order, outer nonzero, inner nonzero. The results are bit-identical to
     /// it. The sweep allocates nothing, and the application's traffic is
-    /// the ledger fixed at assembly, added once. The naive and dense forms
-    /// count their traffic as they apply.
+    /// the ledger fixed at assembly, added once.
     pub fn apply_off_diagonal<T: Scalar>(
         &self,
         x: &[T],
@@ -323,37 +290,29 @@ where
         counters: &mut TrafficCounters,
     ) {
         y.iter_mut().for_each(|v| *v = T::ZERO);
-        match &self.off_diagonal {
-            OffDiagonal::Naive(naive) => naive.apply(x, y, counters),
-            OffDiagonal::Dense { data, primitive } => {
-                primitive.apply(data, &self.edge_kernel, x, y, counters)
-            }
-            OffDiagonal::Octile { left, right, layers, kinds, traffic } => {
-                let ctx = PairContext {
-                    n: self.n,
-                    m: self.m,
-                    kernel: &self.edge_kernel,
-                    costs: &self.tile_costs,
-                };
-                let mut sweep = OuterSweep::new();
-                for (t1, p1) in left.matrix.tiles().iter().zip(&left.panels) {
-                    // the outer tile is loaded once and kept for the whole
-                    // sweep over the inner graph
-                    sweep.decode(t1, self.m);
-                    sweep_inner_layers(
-                        &mut sweep,
-                        PaneledTile { tile: t1, panels: p1 },
-                        (right.matrix.tiles(), &right.panels),
-                        layers,
-                        kinds.as_deref(),
-                        ctx,
-                        x,
-                        y,
-                    );
-                }
-                counters.accumulate(traffic.at::<T>());
-            }
+        let ctx = PairContext {
+            n: self.n,
+            m: self.m,
+            kernel: &self.edge_kernel,
+            costs: &self.tile_costs,
+        };
+        let mut sweep = OuterSweep::new();
+        for (t1, p1) in self.left.matrix.tiles().iter().zip(&self.left.panels) {
+            // the outer tile is loaded once and kept for the whole sweep over
+            // the inner graph
+            sweep.decode(t1, self.m);
+            sweep_inner_layers(
+                &mut sweep,
+                PaneledTile { tile: t1, panels: p1 },
+                (self.right.matrix.tiles(), &self.right.panels),
+                &self.layers,
+                self.kinds.as_deref(),
+                ctx,
+                x,
+                y,
+            );
         }
+        counters.accumulate(self.traffic.at::<T>());
     }
 }
 
@@ -454,26 +413,13 @@ mod tests {
 
     #[test]
     fn all_three_off_diagonal_modes_agree() {
+        // mgk-bench checks the naive and dense products against this one
         let x: Vec<f32> = (0..20).map(|k| 0.05 * k as f32 - 0.3).collect();
-        let mut results = Vec::new();
-        for mode in [
-            XmvMode::NaiveMaterialized,
-            XmvMode::DenseOnTheFly(XmvPrimitive::OCTILE),
-            XmvMode::Octile,
-        ] {
-            let config = SolverConfig { xmv_mode: mode, ..SolverConfig::default() };
-            let sys = assemble(&config);
-            let mut y = vec![0.0f32; 20];
-            let mut traffic = TrafficCounters::new();
-            sys.apply_off_diagonal(&x, &mut y, &mut traffic);
-            results.push(y);
-            assert!(traffic.flops > 0);
-        }
-        for r in &results[1..] {
-            for (a, b) in r.iter().zip(&results[0]) {
-                assert!((a - b).abs() < 1e-5, "{a} vs {b}");
-            }
-        }
+        let sys = assemble(&SolverConfig::default());
+        let mut y = vec![0.0f32; 20];
+        let mut traffic = TrafficCounters::new();
+        sys.apply_off_diagonal(&x, &mut y, &mut traffic);
+        assert!(traffic.flops > 0);
     }
 
     #[test]
@@ -513,11 +459,7 @@ mod tests {
     fn compact_storage_reduces_global_traffic() {
         let x = vec![0.5f32; 20];
         let run = |compact: bool| {
-            let config = SolverConfig {
-                xmv_mode: XmvMode::Octile,
-                compact_storage: compact,
-                ..SolverConfig::default()
-            };
+            let config = SolverConfig { compact_storage: compact, ..SolverConfig::default() };
             let sys = assemble(&config);
             let mut y = vec![0.0f32; 20];
             let mut traffic = TrafficCounters::new();
@@ -531,11 +473,7 @@ mod tests {
     fn block_sharing_reduces_global_traffic() {
         let x = vec![0.5f32; 20];
         let run = |sharing: usize| {
-            let config = SolverConfig {
-                xmv_mode: XmvMode::Octile,
-                block_sharing: sharing,
-                ..SolverConfig::default()
-            };
+            let config = SolverConfig { block_sharing: sharing, ..SolverConfig::default() };
             let sys = assemble(&config);
             let mut y = vec![0.0f32; 20];
             let mut traffic = TrafficCounters::new();

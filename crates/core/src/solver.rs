@@ -11,29 +11,15 @@ use mgk_telemetry::StageBreakdown;
 
 use crate::prepared::PreparedGraph;
 use crate::product::{ProductSystem, SystemOperator};
-use crate::xmv::XmvPrimitive;
-
-/// How the off-diagonal tensor-product operator is applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum XmvMode {
-    /// Materialize `L× = (A ⊗ A') ∘ (E κ⊗ E')` and re-read it every
-    /// iteration — the naive baseline of Section II-D.
-    NaiveMaterialized,
-    /// Regenerate the product on the fly from dense operands using one of
-    /// the Section III primitives.
-    DenseOnTheFly(XmvPrimitive),
-    /// Regenerate the product on the fly from the two-level sparse octile
-    /// representation (Section IV) — the production path.
-    Octile,
-}
 
 /// Configuration of the marginalized graph kernel solver.
 ///
-/// The default configuration is the paper's full production kernel: octile
-/// storage, PBR reordering, adaptive dense/sparse tile primitives, compact
+/// The off-diagonal operator is always the two-level sparse octile one of
+/// Section IV. The default configuration is the paper's full production
+/// kernel: PBR reordering, adaptive dense/sparse tile primitives, compact
 /// tile payloads and block-level tile sharing. The individual switches
-/// correspond to the ablation levels of Fig. 9 (see
-/// [`OptimizationLevel`](crate::OptimizationLevel)).
+/// correspond to the ablation levels of Fig. 9 above its `Dense` baseline
+/// (`mgk-bench`'s `OptimizationLevel`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverConfig {
     /// Convergence threshold and iteration budget of the PCG iteration —
@@ -50,12 +36,9 @@ pub struct SolverConfig {
     /// ([`Precision::from_env`]) so entire test suites can be re-run at
     /// f64 without modification; unset, it is `F32`.
     pub precision: Precision,
-    /// Off-diagonal operator realization.
-    pub xmv_mode: XmvMode,
     /// Vertex reordering applied to each graph before tiling.
     pub reorder: ReorderMethod,
-    /// Dynamically select dense/sparse tile primitives (Fig. 8). Only
-    /// meaningful in [`XmvMode::Octile`].
+    /// Dynamically select dense/sparse tile primitives (Fig. 8).
     pub adaptive_tiles: bool,
     /// Store tiles in compact (bitmap + packed payload) form rather than as
     /// dense 8×8 blocks. Only affects the traffic accounting.
@@ -75,7 +58,6 @@ impl Default for SolverConfig {
         SolverConfig {
             solve: SolveOptions { tolerance: 1e-6, max_iterations: 500 },
             precision: Precision::from_env(),
-            xmv_mode: XmvMode::Octile,
             reorder: ReorderMethod::Pbr,
             adaptive_tiles: true,
             compact_storage: true,
@@ -237,9 +219,7 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
     /// `kernel_prepared::<f32>(.., Precision::F64)` is the oracle's value at
     /// the serving type. Every solve starts from zero, so
     /// the result depends on the prepared pair, its orientation and the
-    /// precision alone. Both structures must come from
-    /// [`prepare_graph`](Self::prepare_graph) of a solver in this one's
-    /// [`XmvMode`].
+    /// precision alone.
     pub fn kernel_prepared<T, V, E>(
         &self,
         a: &PreparedGraph<V, E>,
@@ -344,16 +324,15 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
     }
 
     /// Build everything about one structure that no partner changes: the
-    /// [`prepare`](Self::prepare)d graph, its Laplacian degrees and, under
-    /// [`XmvMode::Octile`], its octile matrix. Do it once
-    /// per structure and hand the result to
+    /// [`prepare`](Self::prepare)d graph, its Laplacian degrees and its
+    /// octile matrix. Do it once per structure and hand the result to
     /// [`kernel_prepared`](Self::kernel_prepared) for every pair.
     pub fn prepare_graph<V, E>(&self, g: &Graph<V, E>) -> PreparedGraph<V, E>
     where
         V: Clone,
         E: Copy + Default,
     {
-        PreparedGraph::new(self.prepare(g).unwrap_or_else(|| g.clone()), self.config.xmv_mode)
+        PreparedGraph::new(self.prepare(g).unwrap_or_else(|| g.clone()))
     }
 
     /// Apply the configured per-graph preprocessing (stopping-probability
@@ -456,22 +435,15 @@ mod tests {
         let (g1, g2) = small_labeled_pair();
         let reference =
             dense_reference(&g1, &g2, &KroneckerDelta::new(0.5), &SquareExponential::new(1.0));
-        for mode in [
-            XmvMode::NaiveMaterialized,
-            XmvMode::DenseOnTheFly(XmvPrimitive::OCTILE),
-            XmvMode::Octile,
-        ] {
-            let solver = labeled_solver(SolverConfig {
-                xmv_mode: mode,
-                solve: SolveOptions { tolerance: 1e-9, ..SolveOptions::default() },
-                ..SolverConfig::default()
-            });
-            let result = solver.kernel(&g1, &g2).unwrap();
-            let rel = ((result.value as f64) - reference).abs() / reference.abs();
-            assert!(rel < 1e-4, "mode {mode:?}: {} vs reference {reference}", result.value);
-            assert!(result.converged);
-            assert!(result.iterations > 0);
-        }
+        let solver = labeled_solver(SolverConfig {
+            solve: SolveOptions { tolerance: 1e-9, ..SolveOptions::default() },
+            ..SolverConfig::default()
+        });
+        let result = solver.kernel(&g1, &g2).unwrap();
+        let rel = ((result.value as f64) - reference).abs() / reference.abs();
+        assert!(rel < 1e-4, "{} vs reference {reference}", result.value);
+        assert!(result.converged);
+        assert!(result.iterations > 0);
     }
 
     #[test]
@@ -744,29 +716,18 @@ mod tests {
         let g2 = generators::barabasi_albert(18, 3, &mut rng);
         let configs = [
             SolverConfig {
-                xmv_mode: XmvMode::DenseOnTheFly(XmvPrimitive::OCTILE),
-                reorder: ReorderMethod::Natural,
-                ..SolverConfig::default()
-            },
-            SolverConfig {
-                xmv_mode: XmvMode::Octile,
                 reorder: ReorderMethod::Natural,
                 adaptive_tiles: false,
                 ..SolverConfig::default()
             },
             SolverConfig {
-                xmv_mode: XmvMode::Octile,
                 reorder: ReorderMethod::Pbr,
                 adaptive_tiles: true,
                 compact_storage: true,
                 block_sharing: 8,
                 ..SolverConfig::default()
             },
-            SolverConfig {
-                xmv_mode: XmvMode::Octile,
-                reorder: ReorderMethod::Rcm,
-                ..SolverConfig::default()
-            },
+            SolverConfig { reorder: ReorderMethod::Rcm, ..SolverConfig::default() },
         ];
         let values: Vec<f32> = configs
             .iter()

@@ -12,7 +12,7 @@
 use mgk_core::octile_ops::{
     tile_pair_product_with_panels, KindTable, PairContext, PaneledTile, TileCosts, TilePanels,
 };
-use mgk_core::{ProductSystem, SolverConfig, SystemOperator, XmvMode};
+use mgk_core::{ProductSystem, SolverConfig, SystemOperator};
 use mgk_graph::{Graph, GraphBuilder, Unlabeled};
 use mgk_kernels::{BaseKernel, KroneckerDelta, SquareExponential, UnitKernel};
 use mgk_linalg::{LinearOperator, Scalar, TrafficCounters};
@@ -129,7 +129,6 @@ fn check_kernel<K: BaseKernel<f32> + Clone>(
     for compact_storage in [true, false] {
         for block_sharing in [1, 8] {
             let config = SolverConfig {
-                xmv_mode: XmvMode::Octile,
                 adaptive_tiles: true,
                 compact_storage,
                 block_sharing,

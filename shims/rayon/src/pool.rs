@@ -162,11 +162,6 @@ impl Pool {
         Pool { shared, workers }
     }
 
-    /// Number of persistent worker threads (excluding submitters).
-    pub fn num_workers(&self) -> usize {
-        self.workers
-    }
-
     /// Maximum useful parallelism of a region run on this pool: the workers
     /// plus the submitting thread.
     pub fn max_parallelism(&self) -> usize {
@@ -304,9 +299,9 @@ mod tests {
         }
         assert!(
             union.len() <= pool.max_parallelism(),
-            "{} distinct thread ids across 4 regions on a {}-worker pool",
+            "{} distinct thread ids across 4 regions on a pool of parallelism {}",
             union.len(),
-            pool.num_workers()
+            pool.max_parallelism()
         );
     }
 

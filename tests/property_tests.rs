@@ -8,7 +8,6 @@ use mgk::reorder::{is_permutation, nonempty_tiles_of_order, ReorderMethod};
 use mgk::solver::octile_ops::{
     tile_pair_product, tile_pair_product_scalar, KindTable, PairContext, TileCosts, TileProductKind,
 };
-use mgk::solver::{XmvMode, XmvPrimitive};
 use mgk::tile::{OctileMatrix, TILE_SIZE};
 use proptest::prelude::*;
 
@@ -116,29 +115,6 @@ proptest! {
         let permuted = g1.permute(&order);
         let after = solver.kernel(&permuted, &g2).unwrap().value as f64;
         prop_assert!((base - after).abs() <= 1e-3 * base.abs().max(1e-12));
-    }
-
-    #[test]
-    fn all_xmv_modes_agree_on_the_kernel_value(
-        g1 in arb_labeled_graph(10),
-        g2 in arb_labeled_graph(10),
-    ) {
-        let value = |mode: XmvMode| {
-            let solver = MarginalizedKernelSolver::new(
-                KroneckerDelta::new(0.5),
-                SquareExponential::new(1.0),
-                SolverConfig { xmv_mode: mode, ..SolverConfig::default() },
-            );
-            solver.kernel(&g1, &g2).unwrap().value as f64
-        };
-        let octile = value(XmvMode::Octile);
-        let naive = value(XmvMode::NaiveMaterialized);
-        let dense = value(XmvMode::DenseOnTheFly(XmvPrimitive::OCTILE));
-        let shared = value(XmvMode::DenseOnTheFly(XmvPrimitive::SharedTiling { t: 8, r: 4 }));
-        let reg = value(XmvMode::DenseOnTheFly(XmvPrimitive::RegisterBlocking { t: 8, r: 8 }));
-        for v in [naive, dense, shared, reg] {
-            prop_assert!((v - octile).abs() <= 1e-3 * octile.abs().max(1e-12), "{v} vs {octile}");
-        }
     }
 }
 
