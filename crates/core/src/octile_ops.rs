@@ -427,8 +427,10 @@ pub fn tile_pair_product_with_panels<T: Scalar, E: Copy + Default, K: BaseKernel
 /// weight at the vector precision and the label. Every run of the packed
 /// loop in the sweep reads it: sparse×sparse, and dense×sparse with the
 /// outer tile the sparser. `coefficients` holds one coefficient per nonzero
-/// of a run, so a run holds at most [`TILE_AREA`] nonzeros. It is written
-/// before it is read, so it is never re-zeroed.
+/// of a run, so a run holds at most [`TILE_AREA`] nonzeros. Only a sweep
+/// that forms its coefficients in place ([`Coefficients::Form`]) uses it: a
+/// sweep that records or replays a coefficient stream keeps them there. It
+/// is written before it is read, so it is never re-zeroed.
 pub(crate) struct OuterSweep<T, E> {
     entries: [(usize, usize, T, E); TILE_AREA],
     len: usize,
@@ -492,7 +494,7 @@ pub(crate) fn tile_pair_body<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
             weights: &t2.weights,
             labels: &t2.labels,
         };
-        packed_run(sweep, run, kernel, p, y);
+        packed_run(sweep, run, &mut Coefficients::Form, kernel, p, y);
     } else if kind == TileProductKind::DenseDense {
         dense_dense(s1, s2, (n, m), kernel, p, y);
     } else {
@@ -611,7 +613,7 @@ fn octile_pair_traffic(
 /// and dense×sparse with the first tile the sparser (the scalar reference
 /// calls the first tile "sparse" on ties, and so does this).
 #[inline]
-fn reads_packed(kind: TileProductKind, nnz1: usize, nnz2: usize) -> bool {
+pub(crate) fn reads_packed(kind: TileProductKind, nnz1: usize, nnz2: usize) -> bool {
     match kind {
         TileProductKind::SparseSparse => true,
         TileProductKind::DenseSparse => nnz1 <= nnz2,
@@ -629,6 +631,45 @@ struct PackedRun<'a, E> {
     labels: &'a [E],
 }
 
+/// Where [`packed_run`] takes the coefficients `(w₁·w₂)·κ(l₁, l₂)` of its
+/// terms from. None depends on the vector, so a sweep may record them once
+/// and replay them on every later sweep of the same system.
+pub(crate) enum Coefficients<'s, T> {
+    /// Form each in the sweep's scratch, per outer nonzero, and drop it once
+    /// its update loop has run: the paper's recompute-every-time design.
+    Form,
+    /// Form each and append it to a stream, in the order the sweep forms
+    /// them.
+    Record(&'s mut Vec<T>),
+    /// Read each from a stream recorded by a sweep of the same system: the
+    /// slice is the part not read yet.
+    Replay(&'s [T]),
+}
+
+/// One coefficient `(w₁·w₂)·κ(l₁, l₂)` at the vector precision, with the
+/// outer weight `w1` already widened: the one expression every coefficient
+/// of the packed loop comes from, whether formed in place or recorded.
+#[inline(always)]
+fn coefficient<T: Scalar, E, K: BaseKernel<E>>(w1: T, l1: &E, w2: f32, l2: &E, kernel: &K) -> T {
+    (w1 * T::from_f32(w2)) * T::from_f32(kernel.eval(l1, l2))
+}
+
+/// The packed loop's update: one term `coefficient · p` per nonzero of the
+/// run, added to `y` in the run's order, for one outer nonzero whose output
+/// and right-hand-side row offsets are `yrow1` and `prow1`.
+#[inline(always)]
+fn update_run<T: Scalar, E>(
+    coefficients: &[T],
+    (yrow1, prow1): (usize, usize),
+    run: &PackedRun<'_, E>,
+    p: &[T],
+    y: &mut [T],
+) {
+    for ((&c, &row), &col) in coefficients.iter().zip(run.rows).zip(run.cols) {
+        y[yrow1 + row as usize] += c * p[prow1 + col as usize];
+    }
+}
+
 /// The packed sparse×sparse loop: the paper's `nnz₁ · nnz₂` products of the
 /// sweep's outer tile with a run of inner nonzeros. It serves both the
 /// sparse×sparse primitive and the mixed primitive when the outer tile is
@@ -638,6 +679,15 @@ struct PackedRun<'a, E> {
 /// copy, the coefficients `(w₁·w₂)·κ(l₁, l₂)` are formed over the run's
 /// contiguous packed weights and labels, a loop that vectorizes. Then each
 /// inner nonzero adds one term `coefficient · p` to `y`, in the run's order.
+///
+/// `coefficients` says where the coefficients come from. Formed in place,
+/// they live in the sweep's scratch for one outer nonzero, as the paper's
+/// kernel regenerates every product-graph weight inside each XMV. Recorded,
+/// they are formed by the same expression and appended to a stream instead.
+/// Replayed, the coefficient loop is skipped and the update loop reads the
+/// stream, in the order the recording formed it. Each stored coefficient is
+/// the value the loop would form, read by the term it was formed for, so
+/// the three ways give the same bits.
 ///
 /// For one tile these are the terms of [`tile_pair_product_scalar`]'s
 /// sparse×sparse loop, in its order and association. They are also the terms
@@ -651,6 +701,7 @@ struct PackedRun<'a, E> {
 fn packed_run<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     sweep: &mut OuterSweep<T, E>,
     run: PackedRun<'_, E>,
+    coefficients: &mut Coefficients<'_, T>,
     kernel: &K,
     p: &[T],
     y: &mut [T],
@@ -662,16 +713,40 @@ fn packed_run<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
             && run.cols.len() == run.weights.len()
             && run.labels.len() == run.weights.len()
     );
-    if run.weights.is_empty() {
+    let width = run.weights.len();
+    if width == 0 {
         return;
     }
-    let coefficients = &mut sweep.coefficients[..run.weights.len()];
-    for &(yrow1, prow1, w1t, l1) in &sweep.entries[..sweep.len] {
-        for ((c, &w2), l2) in coefficients.iter_mut().zip(run.weights).zip(run.labels) {
-            *c = (w1t * T::from_f32(w2)) * T::from_f32(kernel.eval(&l1, l2));
+    let OuterSweep { entries, len, coefficients: scratch } = sweep;
+    let entries = &entries[..*len];
+    match coefficients {
+        Coefficients::Form => {
+            let scratch = &mut scratch[..width];
+            for &(yrow1, prow1, w1t, l1) in entries {
+                for ((c, &w2), l2) in scratch.iter_mut().zip(run.weights).zip(run.labels) {
+                    *c = coefficient(w1t, &l1, w2, l2, kernel);
+                }
+                update_run(scratch, (yrow1, prow1), &run, p, y);
+            }
         }
-        for ((&c, &row), &col) in coefficients.iter().zip(run.rows).zip(run.cols) {
-            y[yrow1 + row as usize] += c * p[prow1 + col as usize];
+        Coefficients::Record(stream) => {
+            for &(yrow1, prow1, w1t, l1) in entries {
+                let start = stream.len();
+                stream.extend(
+                    run.weights
+                        .iter()
+                        .zip(run.labels)
+                        .map(|(&w2, l2)| coefficient(w1t, &l1, w2, l2, kernel)),
+                );
+                update_run(&stream[start..], (yrow1, prow1), &run, p, y);
+            }
+        }
+        Coefficients::Replay(cursor) => {
+            let (recorded, rest) = cursor.split_at(entries.len() * width);
+            *cursor = rest;
+            for (&(yrow1, prow1, _, _), c) in entries.iter().zip(recorded.chunks_exact(width)) {
+                update_run(c, (yrow1, prow1), &run, p, y);
+            }
         }
     }
 }
@@ -762,7 +837,8 @@ impl<E: Copy> TileLayers<E> {
 /// before the tile that would take it past [`TILE_AREA`] nonzeros, so the
 /// sweep's coefficient scratch holds it. A tile routed to dense×dense or to
 /// `dense_rows_direct` ends the run and goes through [`tile_pair_body`].
-/// `kinds` is `None` to route every pair to dense×dense.
+/// `kinds` is `None` to route every pair to dense×dense. Every run forms,
+/// records or replays its coefficients as `coefficients` says.
 ///
 /// Output element `(i, i')` is written only by the inner tiles of tile row
 /// `I'`, and a layer holds at most one of them. So each element receives
@@ -775,6 +851,7 @@ pub(crate) fn sweep_inner_layers<T: Scalar, E: Copy + Default, K: BaseKernel<E>>
     inner: (&[Octile<E>], &[TilePanels<E>]),
     layers: &TileLayers<E>,
     kinds: Option<&KindTable>,
+    coefficients: &mut Coefficients<'_, T>,
     ctx: PairContext<'_, K>,
     p: &[T],
     y: &mut [T],
@@ -790,20 +867,20 @@ pub(crate) fn sweep_inner_layers<T: Scalar, E: Copy + Default, K: BaseKernel<E>>
             let kind = kinds.map_or(TileProductKind::DenseDense, |k| k.get(nnz1, nnz2));
             if reads_packed(kind, nnz1, nnz2) {
                 if end - run.start > TILE_AREA {
-                    packed_run(sweep, layers.run(run), ctx.kernel, p, y);
+                    packed_run(sweep, layers.run(run), coefficients, ctx.kernel, p, y);
                     run = start..end;
                 } else {
                     run.end = end;
                 }
             } else {
-                packed_run(sweep, layers.run(run), ctx.kernel, p, y);
+                packed_run(sweep, layers.run(run), coefficients, ctx.kernel, p, y);
                 run = end..end;
                 let k = layers.tiles[slot];
                 let s2 = PaneledTile { tile: &inner.0[k], panels: &inner.1[k] };
                 tile_pair_body(kind, sweep, s1, s2, ctx, p, y);
             }
         }
-        packed_run(sweep, layers.run(run), ctx.kernel, p, y);
+        packed_run(sweep, layers.run(run), coefficients, ctx.kernel, p, y);
     }
 }
 

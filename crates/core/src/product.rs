@@ -15,10 +15,11 @@
 //! [`mgk_linalg::LinearOperator`], and memory traffic flows through the
 //! `apply_counted` side of that surface: callers pass a
 //! [`TrafficCounters`] down and receive exact counts back, with no interior
-//! mutability on the system itself. Those counts are a per-apply ledger
-//! summed once at assembly from the tile pairs' closed forms, the storage
-//! and sharing configuration and the global terms; an application adds it
-//! once instead of re-deriving it per tile pair.
+//! mutability on the system itself (the operator's one cell is its
+//! coefficient stream). Those counts are a per-apply ledger summed once at
+//! assembly from the tile pairs' closed forms, the storage and sharing
+//! configuration and the global terms; an application adds it once instead
+//! of re-deriving it per tile pair.
 
 #![cfg_attr(
     not(test),
@@ -32,6 +33,7 @@
     )
 )]
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 use mgk_graph::Graph;
@@ -42,11 +44,20 @@ use mgk_linalg::{
 use mgk_tile::TILE_SIZE;
 
 use crate::octile_ops::{
-    sweep_inner_layers, tile_pair_traffic, KindTable, OuterSweep, PairContext, PaneledTile,
-    TileCosts, TileLayers, TileProductKind,
+    reads_packed, sweep_inner_layers, tile_pair_traffic, Coefficients, KindTable, OuterSweep,
+    PairContext, PaneledTile, TileCosts, TileLayers, TileProductKind,
 };
 use crate::prepared::{Octiles, PreparedGraph};
 use crate::solver::{MarginalizedKernelSolver, SolverConfig};
+
+/// The largest coefficient stream a [`SystemOperator`] keeps, in bytes at
+/// its vector precision. It covers every pair of the molecules the serving
+/// workloads solve, at `f32` and at `f64`: 35–60 KiB at `f32` for 48–80
+/// atoms, where replaying ran later applications about 1.3× faster. It
+/// excludes the streams of 96-vertex NWS×BA and BA×BA pairs (0.4–1.1 MiB at
+/// `f32`), where replaying gained 3–6 % for a buffer of megabytes per solve.
+/// The gate moves speed and memory only, never bits.
+const COEFFICIENT_STREAM_BYTES: u64 = 256 * 1024;
 
 /// The traffic one application of the octile operator counts. Every term
 /// depends on the pair's tiles, the table's picks, the storage and sharing
@@ -55,6 +66,10 @@ use crate::solver::{MarginalizedKernelSolver, SolverConfig};
 struct ApplyTraffic {
     at_f32: TrafficCounters,
     at_f64: TrafficCounters,
+    /// The coefficients one application's packed loop forms: `nnz₁·nnz₂`
+    /// summed over the tile pairs it routes there. The length of a
+    /// [`SystemOperator`]'s coefficient stream.
+    packed_terms: usize,
 }
 
 impl ApplyTraffic {
@@ -66,7 +81,7 @@ impl ApplyTraffic {
     /// block per tile pair and one write-back of `y`. Tile payloads and
     /// labels keep their stored (`f32`) sizes at every vector precision; only
     /// the right-hand-side reads inside a tile pair and the write-back follow
-    /// the vector width.
+    /// the vector width. The same loop counts the packed terms.
     fn octile<E: Copy + Default>(
         left: &Octiles<E>,
         right: &Octiles<E>,
@@ -86,13 +101,16 @@ impl ApplyTraffic {
         };
         let sharing = config.block_sharing.max(1) as u64;
         let (mut at_f32, mut at_f64) = (TrafficCounters::new(), TrafficCounters::new());
-        let mut global_loads = 0;
+        let (mut global_loads, mut packed_terms) = (0, 0);
         for t1 in left.matrix.tiles() {
             global_loads += tile_bytes(t1);
             for t2 in right.matrix.tiles() {
                 global_loads += tile_bytes(t2).div_ceil(sharing);
                 global_loads += (TILE_SIZE * TILE_SIZE) as u64 * fb;
                 let kind = kinds.map_or(TileProductKind::DenseDense, |k| k.get(t1.nnz(), t2.nnz()));
+                if reads_packed(kind, t1.nnz(), t2.nnz()) {
+                    packed_terms += t1.nnz() * t2.nnz();
+                }
                 at_f32.accumulate(&tile_pair_traffic(kind, t1, t2, (n, m), costs, f32::BYTES));
                 at_f64.accumulate(&tile_pair_traffic(kind, t1, t2, (n, m), costs, f64::BYTES));
             }
@@ -101,7 +119,7 @@ impl ApplyTraffic {
             ledger.global_load_bytes += global_loads;
             ledger.global_store_bytes += (n * m) as u64 * vb;
         }
-        ApplyTraffic { at_f32, at_f64 }
+        ApplyTraffic { at_f32, at_f64, packed_terms }
     }
 
     /// The ledger at the vector precision `T`.
@@ -283,12 +301,24 @@ where
     /// order, outer nonzero, inner nonzero. The results are bit-identical to
     /// it. The sweep allocates nothing, and the application's traffic is
     /// the ledger fixed at assembly, added once.
+    ///
+    /// Every call forms every coefficient `(w₁·w₂)·κ(l₁, l₂)` again, as the
+    /// paper's XMV does. [`SystemOperator`], which applies one system many
+    /// times, may instead record the packed loop's coefficients once and
+    /// replay them, to the same bits.
     pub fn apply_off_diagonal<T: Scalar>(
         &self,
         x: &[T],
         y: &mut [T],
         counters: &mut TrafficCounters,
     ) {
+        self.sweep(x, y, &mut Coefficients::Form);
+        counters.accumulate(self.traffic.at::<T>());
+    }
+
+    /// `y ← (A× ∘ E×) x`, the packed loop taking its coefficients as
+    /// `coefficients` says; counts nothing.
+    fn sweep<T: Scalar>(&self, x: &[T], y: &mut [T], coefficients: &mut Coefficients<'_, T>) {
         y.iter_mut().for_each(|v| *v = T::ZERO);
         let ctx = PairContext {
             n: self.n,
@@ -307,12 +337,12 @@ where
                 (self.right.matrix.tiles(), &self.right.panels),
                 &self.layers,
                 self.kinds.as_deref(),
+                coefficients,
                 ctx,
                 x,
                 y,
             );
         }
-        counters.accumulate(self.traffic.at::<T>());
     }
 }
 
@@ -320,14 +350,30 @@ where
 /// `D× V×⁻¹ − A× ∘ E×` for the conjugate gradient solver, at the vector
 /// [`Scalar`] precision `T` (defaulting to the `f32` serving precision).
 ///
-/// The off-diagonal part is [`ProductSystem::apply_off_diagonal`]; the
-/// diagonal is precomputed at precision `T` and fused into the same sweep.
-/// Traffic is threaded through
+/// The off-diagonal part is [`ProductSystem::apply_off_diagonal`]'s sweep;
+/// the diagonal is precomputed at precision `T` and fused into the same
+/// sweep. Traffic is threaded through
 /// [`apply_counted`](LinearOperator::apply_counted); the operator holds no
-/// counter state.
+/// counter state, and every application counts the ledger fixed at
+/// assembly.
+///
+/// The operator may keep a coefficient stream: every coefficient the packed
+/// loop forms, at precision `T`, in sweep order. It does when the stream
+/// fits in a fixed 256 KiB, as a molecule pair's does. Its first
+/// application then records the stream, sized exactly from the count taken
+/// at assembly, and every later one replays it and runs only the packed
+/// loop's update. This departs from the paper's kernel, which forms
+/// each coefficient again in every XMV because a GPU has no room for the
+/// product graph; a CPU solve applies one system a dozen times or more, and
+/// a stream of this size stays in L2. A stored coefficient is the product
+/// the loop would form, read back by the term it was formed for, so every
+/// application gives the same bits streamed or not.
 pub struct SystemOperator<'a, E, KE, T: Scalar = f32> {
     system: &'a ProductSystem<E, KE>,
     diagonal: Vec<T>,
+    /// The coefficient stream, filled by the first application; `None` when
+    /// it would not fit in [`COEFFICIENT_STREAM_BYTES`].
+    coefficients: Option<OnceCell<Vec<T>>>,
 }
 
 impl<'a, E, KE, T> SystemOperator<'a, E, KE, T>
@@ -338,7 +384,12 @@ where
 {
     /// Wrap an assembled product system.
     pub fn new(system: &'a ProductSystem<E, KE>) -> Self {
-        SystemOperator { system, diagonal: system.system_diagonal::<T>() }
+        let streams = system.traffic.packed_terms as u64 * T::BYTES <= COEFFICIENT_STREAM_BYTES;
+        SystemOperator {
+            system,
+            diagonal: system.system_diagonal::<T>(),
+            coefficients: streams.then(OnceCell::new),
+        }
     }
 }
 
@@ -357,7 +408,19 @@ where
     }
 
     fn apply_counted(&self, x: &[T], y: &mut [T], counters: &mut TrafficCounters) {
-        self.system.apply_off_diagonal(x, y, counters);
+        match &self.coefficients {
+            None => self.system.sweep(x, y, &mut Coefficients::Form),
+            Some(stream) => match stream.get() {
+                Some(recorded) => self.system.sweep(x, y, &mut Coefficients::Replay(recorded)),
+                None => {
+                    let mut recorded = Vec::with_capacity(self.system.traffic.packed_terms);
+                    self.system.sweep(x, y, &mut Coefficients::Record(&mut recorded));
+                    // empty until now, and the operator is not `Sync`
+                    let _ = stream.set(recorded);
+                }
+            },
+        }
+        counters.accumulate(self.system.traffic.at::<T>());
         for ((yi, &xi), &di) in y.iter_mut().zip(x).zip(&self.diagonal) {
             *yi = di * xi - *yi;
         }
@@ -481,6 +544,96 @@ mod tests {
             traffic.global_load_bytes
         };
         assert!(run(8) < run(1));
+    }
+
+    /// `g1` and `g2` in the solver's tiling order, assembled as it would.
+    fn assemble_prepared<V: Clone, E: Copy + Default, KV: BaseKernel<V>, KE: BaseKernel<E>>(
+        g1: &Graph<V, E>,
+        g2: &Graph<V, E>,
+        vertex_kernel: &KV,
+        edge_kernel: KE,
+    ) -> ProductSystem<E, KE> {
+        let config = SolverConfig::default();
+        let solver = MarginalizedKernelSolver::unlabeled(config);
+        let (a, b) = (solver.prepare_graph(g1), solver.prepare_graph(g2));
+        ProductSystem::from_prepared(&a, &b, vertex_kernel, edge_kernel, &config)
+    }
+
+    /// Apply `op` twice and return its stream's length and capacity after
+    /// each application, or `None` when it keeps no stream.
+    fn stream_after_two_applies<E, KE, T>(
+        op: &SystemOperator<'_, E, KE, T>,
+    ) -> Option<[(usize, usize); 2]>
+    where
+        T: Scalar,
+        E: Copy + Default,
+        KE: BaseKernel<E>,
+    {
+        let x = vec![T::from_f64(0.5); op.dim()];
+        let mut y = vec![T::ZERO; op.dim()];
+        let cell = op.coefficients.as_ref()?;
+        assert!(cell.get().is_none(), "the stream is filled by the first application");
+        let mut shapes = [(0, 0); 2];
+        for shape in &mut shapes {
+            op.apply(&x, &mut y);
+            let stream = cell.get()?;
+            *shape = (stream.len(), stream.capacity());
+        }
+        Some(shapes)
+    }
+
+    #[test]
+    fn a_molecule_pair_streams_exactly_its_packed_terms() {
+        use mgk_datasets::molecules::synthetic_molecule;
+        use mgk_kernels::KroneckerDelta;
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(37);
+        let (g1, g2) = (synthetic_molecule(48, &mut rng), synthetic_molecule(80, &mut rng));
+        let kernel = KroneckerDelta::new(0.5);
+        let sys = assemble_prepared(&g1, &g2, &kernel, kernel);
+        let terms = sys.traffic.packed_terms;
+        assert!(terms > 0, "a molecule pair routes tile pairs to the packed loop");
+        // recorded once at its exact size, then read, never regrown
+        let exact = Some([(terms, terms); 2]);
+        assert_eq!(stream_after_two_applies(&SystemOperator::<_, _, f32>::new(&sys)), exact);
+        assert_eq!(stream_after_two_applies(&SystemOperator::<_, _, f64>::new(&sys)), exact);
+    }
+
+    #[test]
+    fn an_nws_ba_pair_does_not_stream() {
+        use mgk_graph::generators::{barabasi_albert, newman_watts_strogatz};
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(37);
+        let nws = newman_watts_strogatz(96, 3, 0.1, &mut rng);
+        let ba = barabasi_albert(96, 6, &mut rng);
+        let sys = assemble_prepared(&nws, &ba, &UnitKernel, UnitKernel);
+        let bytes = sys.traffic.packed_terms as u64 * f32::BYTES;
+        assert!(bytes > COEFFICIENT_STREAM_BYTES, "{bytes} B of coefficients at f32");
+        assert!(SystemOperator::<_, _, f32>::new(&sys).coefficients.is_none());
+        assert!(SystemOperator::<_, _, f64>::new(&sys).coefficients.is_none());
+    }
+
+    #[test]
+    fn the_gate_reads_the_stream_at_the_vector_precision() {
+        use mgk_datasets::protein::synthetic_structure;
+        use mgk_graph::generators::newman_watts_strogatz;
+        use mgk_kernels::{KroneckerDelta, SquareExponential};
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(37);
+        let (a, b) = (synthetic_structure(48, &mut rng), synthetic_structure(48, &mut rng));
+        let edge_kernel = SquareExponential::new(1.0);
+        let sys = assemble_prepared(&a.graph, &b.graph, &KroneckerDelta::new(0.5), edge_kernel);
+        // the few tile pairs a protein pair routes to the packed loop
+        assert!(SystemOperator::<_, _, f64>::new(&sys).coefficients.is_some());
+
+        let nws = newman_watts_strogatz(96, 3, 0.1, &mut rng);
+        let other = newman_watts_strogatz(96, 3, 0.1, &mut rng);
+        let sys = assemble_prepared(&nws, &other, &UnitKernel, UnitKernel);
+        assert!(SystemOperator::<_, _, f32>::new(&sys).coefficients.is_some());
+        assert!(SystemOperator::<_, _, f64>::new(&sys).coefficients.is_none());
     }
 
     #[test]

@@ -6,6 +6,20 @@
 //! matrices involved are small (one per graph, not per pair), so the plain
 //! Jacobi rotation method in `f64` is accurate and fast enough.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
+use std::cmp::Ordering;
+
 /// Eigendecomposition of a symmetric matrix.
 #[derive(Debug, Clone)]
 pub struct SymmetricEigen {
@@ -87,7 +101,7 @@ pub fn symmetric_eigen(a: &[f64], n: usize) -> SymmetricEigen {
     // extract and sort
     let mut order: Vec<usize> = (0..n).collect();
     let eigvals: Vec<f64> = (0..n).map(|i| m[i * n + i]).collect();
-    order.sort_by(|&i, &j| eigvals[i].partial_cmp(&eigvals[j]).unwrap());
+    order.sort_by(|&i, &j| eigvals[i].partial_cmp(&eigvals[j]).unwrap_or(Ordering::Equal));
     let eigenvalues: Vec<f64> = order.iter().map(|&i| eigvals[i]).collect();
     let mut eigenvectors = vec![0.0f64; n * n];
     for (new_k, &old_k) in order.iter().enumerate() {
