@@ -50,13 +50,21 @@ use crate::octile_ops::{
 use crate::prepared::{Octiles, PreparedGraph};
 use crate::solver::{MarginalizedKernelSolver, SolverConfig};
 
-/// The largest coefficient stream a [`SystemOperator`] keeps, in bytes at
-/// its vector precision. It covers every pair of the molecules the serving
-/// workloads solve, at `f32` and at `f64`: 35–60 KiB at `f32` for 48–80
-/// atoms, where replaying ran later applications about 1.3× faster. It
-/// excludes the streams of 96-vertex NWS×BA and BA×BA pairs (0.4–1.1 MiB at
-/// `f32`), where replaying gained 3–6 % for a buffer of megabytes per solve.
-/// The gate moves speed and memory only, never bits.
+/// The largest product graph whose coefficients a [`SystemOperator`] keeps,
+/// in bytes at its vector precision: `nnz(A₁)·nnz(A₂)·T::BYTES`, although
+/// the stream holds only the packed loop's share of them. Timed in process
+/// at `f32`, one 2.1 GHz Xeon core, over the applications of one solve:
+/// replaying sped the solve of molecule pairs of 13–80 atoms (5–108 KiB)
+/// up 1.27–1.48×, and 80-atom pairs stream at `f64` too. Protein-48 pairs
+/// (1.5–2.2 MiB, of which 1–23 KiB packed) gained nothing (1.00×), since
+/// their dense tile pairs form in place either way. 96-vertex NWS×NWS,
+/// NWS×BA and BA×BA pairs (1.5–4.7 MiB, of which 0.17–1.5 MiB packed)
+/// gained 1.5–4 % per solve for a buffer of that size per solve. Streaming
+/// every pair instead, in six alternated pairs of 24 s benchmark runs of
+/// one binary, read `gram-sparse` (these graphs) 4.6 % faster but its peak
+/// memory 35 % higher (4.5 → 6.1 MiB), past the benchmark's 20 % bound, and
+/// `gram-dense` (protein-48) no different (−1.2 % throughput, +0.9 %
+/// memory). The gate moves speed and memory only, never bits.
 const COEFFICIENT_STREAM_BYTES: u64 = 256 * 1024;
 
 /// The traffic one application of the octile operator counts. Every term
@@ -316,6 +324,12 @@ where
         counters.accumulate(self.traffic.at::<T>());
     }
 
+    /// `nnz(A₁)·nnz(A₂)`: the nonzeros of `A×`, one coefficient each, over
+    /// every tile pair whichever loop it is routed to.
+    fn product_nnz(&self) -> u64 {
+        (self.left.matrix.num_nonzeros() * self.right.matrix.num_nonzeros()) as u64
+    }
+
     /// `y ← (A× ∘ E×) x`, the packed loop taking its coefficients as
     /// `coefficients` says; counts nothing.
     fn sweep<T: Scalar>(&self, x: &[T], y: &mut [T], coefficients: &mut Coefficients<'_, T>) {
@@ -358,21 +372,25 @@ where
 /// assembly.
 ///
 /// The operator may keep a coefficient stream: every coefficient the packed
-/// loop forms, at precision `T`, in sweep order. It does when the stream
-/// fits in a fixed 256 KiB, as a molecule pair's does. Its first
-/// application then records the stream, sized exactly from the count taken
-/// at assembly, and every later one replays it and runs only the packed
-/// loop's update. This departs from the paper's kernel, which forms
-/// each coefficient again in every XMV because a GPU has no room for the
-/// product graph; a CPU solve applies one system a dozen times or more, and
+/// loop forms, at precision `T`, in sweep order. It does when every
+/// coefficient of the product graph would fit in a fixed 256 KiB, as a
+/// serving-size molecule pair's do; a protein pair, most of whose tile
+/// pairs go to dense primitives, and a 96-vertex NWS or BA pair do not. Its
+/// first application then records the stream, sized exactly from the count
+/// of packed terms taken at assembly, and every later one replays it and
+/// runs only the packed loop's update. This departs from the paper's
+/// kernel, which forms each coefficient again in every XMV because a GPU
+/// has no room for the product graph; a CPU solve applies one system a dozen times or more, and
 /// a stream of this size stays in L2. A stored coefficient is the product
 /// the loop would form, read back by the term it was formed for, so every
-/// application gives the same bits streamed or not.
+/// application gives the same bits streamed or not. The stream is filled
+/// through a `OnceCell`, so the operator is not `Sync`: a solve applies its
+/// operator from the thread that runs it.
 pub struct SystemOperator<'a, E, KE, T: Scalar = f32> {
     system: &'a ProductSystem<E, KE>,
     diagonal: Vec<T>,
     /// The coefficient stream, filled by the first application; `None` when
-    /// it would not fit in [`COEFFICIENT_STREAM_BYTES`].
+    /// the product graph would not fit in [`COEFFICIENT_STREAM_BYTES`].
     coefficients: Option<OnceCell<Vec<T>>>,
 }
 
@@ -384,7 +402,7 @@ where
 {
     /// Wrap an assembled product system.
     pub fn new(system: &'a ProductSystem<E, KE>) -> Self {
-        let streams = system.traffic.packed_terms as u64 * T::BYTES <= COEFFICIENT_STREAM_BYTES;
+        let streams = system.product_nnz() * T::BYTES <= COEFFICIENT_STREAM_BYTES;
         SystemOperator {
             system,
             diagonal: system.system_diagonal::<T>(),
@@ -609,31 +627,42 @@ mod tests {
         let nws = newman_watts_strogatz(96, 3, 0.1, &mut rng);
         let ba = barabasi_albert(96, 6, &mut rng);
         let sys = assemble_prepared(&nws, &ba, &UnitKernel, UnitKernel);
-        let bytes = sys.traffic.packed_terms as u64 * f32::BYTES;
+        let bytes = sys.product_nnz() * f32::BYTES;
         assert!(bytes > COEFFICIENT_STREAM_BYTES, "{bytes} B of coefficients at f32");
         assert!(SystemOperator::<_, _, f32>::new(&sys).coefficients.is_none());
         assert!(SystemOperator::<_, _, f64>::new(&sys).coefficients.is_none());
     }
 
     #[test]
-    fn the_gate_reads_the_stream_at_the_vector_precision() {
+    fn the_gate_reads_the_whole_product_graph_at_the_vector_precision() {
+        use mgk_datasets::molecules::synthetic_molecule;
         use mgk_datasets::protein::synthetic_structure;
         use mgk_graph::generators::newman_watts_strogatz;
         use mgk_kernels::{KroneckerDelta, SquareExponential};
         use rand::{rngs::StdRng, SeedableRng};
 
         let mut rng = StdRng::seed_from_u64(37);
+        let kernel = KroneckerDelta::new(0.5);
+        let (a, b) = (synthetic_molecule(120, &mut rng), synthetic_molecule(80, &mut rng));
+        let sys = assemble_prepared(&a, &b, &kernel, kernel);
+        let bytes = sys.product_nnz() * f32::BYTES;
+        assert!((COEFFICIENT_STREAM_BYTES / 2..=COEFFICIENT_STREAM_BYTES).contains(&bytes));
+        assert!(SystemOperator::<_, _, f32>::new(&sys).coefficients.is_some());
+        assert!(SystemOperator::<_, _, f64>::new(&sys).coefficients.is_none());
+
+        // a protein pair routes only a few tile pairs to the packed loop, so
+        // its stream would be small, but its product graph is not
         let (a, b) = (synthetic_structure(48, &mut rng), synthetic_structure(48, &mut rng));
         let edge_kernel = SquareExponential::new(1.0);
-        let sys = assemble_prepared(&a.graph, &b.graph, &KroneckerDelta::new(0.5), edge_kernel);
-        // the few tile pairs a protein pair routes to the packed loop
-        assert!(SystemOperator::<_, _, f64>::new(&sys).coefficients.is_some());
+        let sys = assemble_prepared(&a.graph, &b.graph, &kernel, edge_kernel);
+        assert!(sys.traffic.packed_terms as u64 * f64::BYTES <= COEFFICIENT_STREAM_BYTES);
+        assert!(SystemOperator::<_, _, f32>::new(&sys).coefficients.is_none());
 
         let nws = newman_watts_strogatz(96, 3, 0.1, &mut rng);
         let other = newman_watts_strogatz(96, 3, 0.1, &mut rng);
         let sys = assemble_prepared(&nws, &other, &UnitKernel, UnitKernel);
-        assert!(SystemOperator::<_, _, f32>::new(&sys).coefficients.is_some());
-        assert!(SystemOperator::<_, _, f64>::new(&sys).coefficients.is_none());
+        assert!(sys.traffic.packed_terms as u64 * f32::BYTES <= COEFFICIENT_STREAM_BYTES);
+        assert!(SystemOperator::<_, _, f32>::new(&sys).coefficients.is_none());
     }
 
     #[test]

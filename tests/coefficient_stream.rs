@@ -1,21 +1,21 @@
 //! The system operator's coefficient stream changes no bit.
 //!
-//! A `SystemOperator` whose packed coefficients fit its stream records them
-//! on its first application and replays them on every later one. Each
-//! application must still produce exactly `diagonal[i]·x[i] − off[i]`, with
-//! `off` from `ProductSystem::apply_off_diagonal`, which forms every
-//! coefficient in place and which `tests/operator_sweep.rs` pins to the
-//! scalar reference. Each case builds one operator and applies it to three
-//! different vectors: the first application records, the other two replay.
-//! The corpus covers both sides of the gate:
+//! A `SystemOperator` whose product graph's coefficients fit its stream
+//! budget records the packed loop's coefficients on its first application
+//! and replays them on every later one. Each application must still produce
+//! exactly `diagonal[i]·x[i] − off[i]`, with `off` from
+//! `ProductSystem::apply_off_diagonal`, which forms every coefficient in
+//! place and which `tests/operator_sweep.rs` pins to the scalar reference.
+//! Each case builds one operator and applies it to three different vectors:
+//! the first application records, the other two replay. The corpus covers
+//! both sides of the gate:
 //! - molecules of 6–80 atoms after PBR, under the Kronecker delta, where the
-//!   stream is on;
+//!   stream is on, and a 120×80-atom pair, where it is on at `f32` and off
+//!   at `f64`;
 //! - 48-atom protein-like structures under the square-exponential edge
-//!   kernel, where it is on and most tile pairs still go to dense
-//!   primitives;
-//! - two 96-vertex NWS graphs under the unit kernel, where it is on at
-//!   `f32` and off at `f64`;
-//! - NWS×BA graphs of 96 vertices under the unit kernel, where it is off.
+//!   kernel, where it is off;
+//! - two 96-vertex NWS graphs, and NWS×BA graphs of 96 vertices, under the
+//!   unit kernel, where it is off.
 //!
 //! Every case runs at `f32` and at `f64`. One PCG solve of a molecule pair,
 //! at the precision `MGK_TEST_PRECISION` selects, is pinned to the same
@@ -116,10 +116,12 @@ fn streamed_molecule_applies_are_the_unstreamed_ones_bitwise() {
     }
     assert_pair(&graphs[0], &graphs[7], &kernel, &kernel, "molecules");
     assert_pair(&graphs[7], &graphs[7], &kernel, &kernel, "molecules");
+    let large = prepared(&molecules::synthetic_molecule(120, &mut StdRng::seed_from_u64(37)));
+    assert_pair(&large, &graphs[7], &kernel, &kernel, "molecules");
 }
 
 #[test]
-fn nws_applies_are_the_unstreamed_ones_bitwise_on_both_sides_of_the_gate() {
+fn nws_and_ba_applies_are_the_unstreamed_ones_bitwise() {
     let mut rng = StdRng::seed_from_u64(37);
     let nws = prepared(&generators::newman_watts_strogatz(96, 3, 0.1, &mut rng));
     let other = prepared(&generators::newman_watts_strogatz(96, 3, 0.1, &mut rng));
@@ -129,7 +131,7 @@ fn nws_applies_are_the_unstreamed_ones_bitwise_on_both_sides_of_the_gate() {
 }
 
 #[test]
-fn streamed_protein_applies_are_the_unstreamed_ones_bitwise() {
+fn protein_applies_are_the_unstreamed_ones_bitwise() {
     let mut rng = StdRng::seed_from_u64(37);
     let a = prepared(&protein::synthetic_structure(48, &mut rng).graph);
     let b = prepared(&protein::synthetic_structure(48, &mut rng).graph);
