@@ -1,5 +1,17 @@
 //! Incremental construction of [`Graph`] values with validation.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::graph::Graph;
 use crate::DEFAULT_STOPPING_PROBABILITY;
 
@@ -237,44 +249,28 @@ impl<V, E> GraphBuilder<V, E> {
             }
         }
 
-        // CSR assembly (counting sort by row)
+        // CSR assembly (counting sort by row): each edge enters both
+        // endpoints' rows as a (neighbor, weight, edge index) triple, each
+        // row is sorted by neighbor index for deterministic iteration, and
+        // the labels are read through the sorted edge indices
         let mut offsets = vec![0usize; n + 1];
         for i in 0..n {
             offsets[i + 1] = offsets[i] + degree[i];
         }
-        let total = offsets[n];
         let mut cursor = offsets.clone();
-        let mut neighbors = vec![0u32; total];
-        let mut weights = vec![0f32; total];
-        let mut edge_labels: Vec<Option<E>> = vec![None; total];
-        for (u, v, w, l) in self.edges {
-            let (u, v) = (u as usize, v as usize);
-            neighbors[cursor[u]] = v as u32;
-            weights[cursor[u]] = w;
-            edge_labels[cursor[u]] = Some(l.clone());
-            cursor[u] += 1;
-            neighbors[cursor[v]] = u as u32;
-            weights[cursor[v]] = w;
-            edge_labels[cursor[v]] = Some(l);
-            cursor[v] += 1;
+        let mut entries = vec![(0u32, 0f32, 0usize); offsets[n]];
+        for (k, &(u, v, w, _)) in self.edges.iter().enumerate() {
+            for (row, neighbor) in [(u, v), (v, u)] {
+                entries[cursor[row as usize]] = (neighbor, w, k);
+                cursor[row as usize] += 1;
+            }
         }
-        // sort each row by neighbor index for deterministic iteration
-        let mut perm: Vec<usize> = Vec::new();
-        for i in 0..n {
-            let lo = offsets[i];
-            let hi = offsets[i + 1];
-            perm.clear();
-            perm.extend(lo..hi);
-            perm.sort_by_key(|&k| neighbors[k]);
-            let sorted_nb: Vec<u32> = perm.iter().map(|&k| neighbors[k]).collect();
-            let sorted_w: Vec<f32> = perm.iter().map(|&k| weights[k]).collect();
-            let sorted_l: Vec<Option<E>> = perm.iter().map(|&k| edge_labels[k].clone()).collect();
-            neighbors[lo..hi].copy_from_slice(&sorted_nb);
-            weights[lo..hi].copy_from_slice(&sorted_w);
-            edge_labels[lo..hi].clone_from_slice(&sorted_l);
+        for row in offsets.windows(2) {
+            entries[row[0]..row[1]].sort_unstable_by_key(|&(neighbor, _, _)| neighbor);
         }
-
-        let edge_labels: Vec<E> = edge_labels.into_iter().map(|o| o.expect("filled")).collect();
+        let neighbors = entries.iter().map(|&(neighbor, _, _)| neighbor).collect();
+        let weights = entries.iter().map(|&(_, weight, _)| weight).collect();
+        let edge_labels = entries.iter().map(|&(_, _, k)| self.edges[k].3.clone()).collect();
 
         Ok(Graph::from_parts(
             self.vertex_labels,

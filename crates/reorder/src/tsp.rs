@@ -11,6 +11,18 @@
 //! which this construction reproduces (it is quadratic in the number of
 //! vertices).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use mgk_graph::Graph;
 use std::collections::HashSet;
 
@@ -49,14 +61,14 @@ pub fn tsp_order<V, E>(g: &Graph<V, E>) -> Vec<u32> {
     let mut used = vec![false; n];
     tour.push(start as u32);
     used[start] = true;
+    let mut last = start;
     for _ in 1..n {
-        let last = *tour.last().unwrap() as usize;
-        let next = (0..n)
-            .filter(|&v| !used[v])
-            .min_by_key(|&v| (dist(last, v), v))
-            .expect("unused vertex exists");
+        let Some(next) = (0..n).filter(|&v| !used[v]).min_by_key(|&v| (dist(last, v), v)) else {
+            break;
+        };
         used[next] = true;
         tour.push(next as u32);
+        last = next;
     }
 
     // 2-opt refinement on the path objective Σ dist(tour[i], tour[i+1])

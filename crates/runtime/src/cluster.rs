@@ -10,7 +10,9 @@
 //! it is deterministic across restarts, and both orientations of a pair
 //! land on the *same* shard — per-shard request coalescing and the
 //! symmetric-cache-answer guarantee survive sharding unchanged (duplicates
-//! of one pair can never split across shards).
+//! of one pair can never split across shards). The identity a client
+//! routes by travels with the command, so the owning shard groups,
+//! prepares and admits by it without hashing the graphs a second time.
 //!
 //! The producer side has no cluster types of its own — the cluster hands
 //! out the scheduler's handles, holding K command lanes instead of one:

@@ -147,9 +147,13 @@ pub struct BarrierReply {
     pub shard_epochs: Vec<u64>,
 }
 
+/// A structure on its way to a scheduler, with the identity its client
+/// routed it by — `None` from a one-lane client, which hashes nothing.
+type Routed<V, E> = (Graph<V, E>, Option<PairSide>);
+
 enum Command<V, E> {
-    Submit(Graph<V, E>),
-    SubmitAll(Vec<Graph<V, E>>),
+    Submit(Routed<V, E>),
+    SubmitAll(Vec<Routed<V, E>>),
     /// Answered with the scheduler's `(epoch, structures admitted)`.
     Barrier(mpsc::Sender<(u64, usize)>),
     // boxed: a request (two graphs + resolver + deadline) is several times
@@ -170,14 +174,16 @@ impl<V, E> Command<V, E> {
     }
 }
 
-/// One request-lane command: a pair to evaluate, the precision to solve it
-/// at, an optional deadline, and the typed resolver its answer goes to. The
+/// One request-lane command: a pair to evaluate, the raw identity of each
+/// side if the client hashed them to route, the precision to solve it at,
+/// an optional deadline, and the typed resolver its answer goes to. The
 /// intake stopwatch starts in the client's enqueue call, so queue wait and
 /// end-to-end latency are measured from the producer's perspective, channel
 /// time included.
 struct KernelRequest<V, E> {
     left: Graph<V, E>,
     right: Graph<V, E>,
+    sides: Option<(PairSide, PairSide)>,
     precision: Precision,
     deadline: Option<Instant>,
     resolver: KernelResolver,
@@ -281,13 +287,22 @@ impl<V, E> GramClient<V, E> {
         GramClient { lanes, hasher }
     }
 
-    /// The index of the scheduler a structure routes to. A client over one
-    /// scheduler answers 0 without hashing anything.
+    /// The index of the scheduler a structure routes to, by the content
+    /// identity this client hashes — the identity the structure then
+    /// travels with, so its scheduler does not hash it again. A client over
+    /// one scheduler answers 0 without hashing anything.
     pub fn shard_of(&self, structure: &Graph<V, E>) -> usize {
+        self.route(structure).0
+    }
+
+    /// The scheduler a structure routes to and the identity it was routed
+    /// by: `(0, None)` over one lane, where nothing is hashed.
+    fn route(&self, structure: &Graph<V, E>) -> (usize, Option<PairSide>) {
         if self.lanes.len() == 1 {
-            return 0;
+            return (0, None);
         }
-        shard_of_side(&PairSide::of(self.hasher, structure), self.lanes.len())
+        let side = PairSide::of(self.hasher, structure);
+        (shard_of_side(&side, self.lanes.len()), Some(side))
     }
 
     /// Enqueue a structure on its owning scheduler, blocking while that
@@ -310,7 +325,8 @@ impl<V, E> GramClient<V, E> {
         if structure.num_vertices() == 0 {
             return Err(SchedulerError::EmptyStructure);
         }
-        self.lanes[self.shard_of(&structure)].send(Command::Submit(structure), blocking)
+        let (shard, side) = self.route(&structure);
+        self.lanes[shard].send(Command::Submit((structure, side)), blocking)
     }
 
     /// Enqueue a whole collection, routed per structure and batched per
@@ -320,9 +336,10 @@ impl<V, E> GramClient<V, E> {
         &self,
         structures: impl IntoIterator<Item = Graph<V, E>>,
     ) -> Result<usize, SchedulerError> {
-        let mut per_lane: Vec<Vec<Graph<V, E>>> = self.lanes.iter().map(|_| Vec::new()).collect();
+        let mut per_lane: Vec<Vec<Routed<V, E>>> = self.lanes.iter().map(|_| Vec::new()).collect();
         for g in structures.into_iter().filter(|g| g.num_vertices() > 0) {
-            per_lane[self.shard_of(&g)].push(g);
+            let (shard, side) = self.route(&g);
+            per_lane[shard].push((g, side));
         }
         let mut enqueued = 0;
         for (lane, batch) in self.lanes.iter().zip(per_lane) {
@@ -406,15 +423,27 @@ impl<V, E, T: RequestScalar> KernelClient<V, E, T> {
     }
 
     /// The index of the scheduler a pair routes to — by normalized
-    /// [`PairKey`], so both orientations of a pair agree. A client over one
-    /// scheduler answers 0 without hashing anything.
+    /// [`PairKey`], so both orientations of a pair agree. The client hashes
+    /// both sides here, and a request carries those identities to its
+    /// scheduler, which groups and prepares by them without hashing again.
+    /// A client over one scheduler answers 0 without hashing anything.
     pub fn shard_of(&self, left: &Graph<V, E>, right: &Graph<V, E>) -> usize {
+        self.route(left, right).0
+    }
+
+    /// The scheduler a pair routes to and the raw identities of its sides
+    /// it was routed by: `(0, None)` over one lane, where nothing is hashed.
+    fn route(
+        &self,
+        left: &Graph<V, E>,
+        right: &Graph<V, E>,
+    ) -> (usize, Option<(PairSide, PairSide)>) {
         let GramClient { lanes, hasher } = &self.producer;
         if lanes.len() == 1 {
-            return 0;
+            return (0, None);
         }
-        let key = PairKey::new(PairSide::of(*hasher, left), PairSide::of(*hasher, right));
-        shard_of_key(&key, lanes.len())
+        let sides = (PairSide::of(*hasher, left), PairSide::of(*hasher, right));
+        (shard_of_key(&PairKey::new(sides.0, sides.1), lanes.len()), Some(sides))
     }
 
     /// Request the kernel value of one pair, blocking while the owning
@@ -472,17 +501,18 @@ impl<V, E, T: RequestScalar> KernelClient<V, E, T> {
         if left.num_vertices() == 0 || right.num_vertices() == 0 {
             return Err(SchedulerError::EmptyStructure);
         }
-        let lane = &self.producer.lanes[self.shard_of(&left, &right)];
+        let (shard, sides) = self.route(&left, &right);
         let (ticket, resolver) = ticket::<KernelResult<T>>();
         let request = KernelRequest {
             left,
             right,
+            sides,
             precision: T::PRECISION,
             deadline,
             resolver: T::wrap_resolver(resolver),
             intake: Stopwatch::start(),
         };
-        lane.send(Command::Request(Box::new(request)), blocking)?;
+        self.producer.lanes[shard].send(Command::Request(Box::new(request)), blocking)?;
         Ok(ticket)
     }
 }
@@ -746,10 +776,10 @@ where
             let mut requests: Vec<KernelRequest<V, E>> = Vec::new();
             for command in commands {
                 match command {
-                    Command::Submit(g) => self.admit(g),
-                    Command::SubmitAll(gs) => {
-                        for g in gs {
-                            self.admit(g);
+                    Command::Submit(routed) => self.admit(routed),
+                    Command::SubmitAll(batch) => {
+                        for routed in batch {
+                            self.admit(routed);
                         }
                     }
                     Command::Barrier(reply) => barriers.push(reply),
@@ -855,15 +885,19 @@ where
         arrival: usize,
         request: KernelRequest<V, E>,
     ) {
-        let KernelRequest { left, right, precision, deadline, resolver, intake } = request;
+        let KernelRequest { left, right, sides, precision, deadline, resolver, intake } = request;
         let ticket = LiveTicket { resolver, deadline, intake, queue_wait_ns: 0 };
         let expired = &self.service.metrics().requests_expired_in_queue;
         let Some(mut ticket) = self.still_wanted(ticket, expired) else { return };
         // the queue-wait stage ends here, where grouping admits the ticket
         ticket.queue_wait_ns = ticket.intake.elapsed_ns();
         self.service.metrics().stage_queue_wait.record(ticket.queue_wait_ns);
-        let hasher = self.service.content_hasher();
-        let sides = (PairSide::of(hasher, &left), PairSide::of(hasher, &right));
+        // a routing client hashed both sides already; only a one-lane
+        // request is identified here
+        let sides = sides.unwrap_or_else(|| {
+            let hasher = self.service.content_hasher();
+            (PairSide::of(hasher, &left), PairSide::of(hasher, &right))
+        });
         match groups.entry((sides, precision)) {
             Entry::Occupied(mut group) => {
                 self.service.metrics().requests_coalesced.inc();
@@ -894,8 +928,9 @@ where
         }
         // one preparation per group, shared by every coalesced ticket;
         // runs on the owning thread — it may mutate the reorder cache. The
-        // slot's sides are the identity of these very graphs, hashed when
-        // the group opened: nothing is hashed a second time
+        // slot's sides are the identity of these very graphs, computed by
+        // the routing client or, for a one-lane request, when the group
+        // opened: nothing is hashed a second time
         let prepared = self.service.prepare_keyed(sides, &group.left, &group.right);
         let landed = self.service.feed(wave, prepared, precision, precision, live);
         self.finish(landed);
@@ -939,16 +974,17 @@ where
         }
     }
 
-    /// Queue one structure into the service, flushing mid-batch if the
-    /// service's own pending bound fills up first.
-    fn admit(&mut self, g: Graph<V, E>) {
+    /// Queue one structure, with the identity its client routed it by,
+    /// into the service, flushing mid-batch if the service's own pending
+    /// bound fills up first.
+    fn admit(&mut self, (g, side): Routed<V, E>) {
         if self.service.num_pending() >= self.service.config().max_pending {
             // the service queue is smaller than the coalesced batch: flush what
             // is pending (publishing the intermediate epoch) so the submission
             // below cannot hit backpressure
             self.flush_and_publish();
         }
-        match self.service.submit(g) {
+        match self.service.submit_routed(g, side) {
             Ok(_) => {}
             Err(GramServiceError::Backpressure { .. }) => {
                 debug_assert!(false, "queue was flushed; backpressure is impossible here");

@@ -355,7 +355,10 @@ pub struct GramService<KV, KE, V, E> {
     /// source still holds the triangle clones it first, counted in
     /// [`ServiceStats::triangle_copies`]).
     values: Arc<Vec<f32>>,
-    pending: VecDeque<Graph<V, E>>,
+    /// Submitted structures, each with its raw content identity if the
+    /// producer already hashed it (a cluster client routes by it); `flush`
+    /// hashes the rest.
+    pending: VecDeque<(Graph<V, E>, Option<PairSide>)>,
     cache: PairCache,
     /// Prepared structures keyed by the *raw* structure's content
     /// identity, shared across batch admission and the request lane. The
@@ -535,6 +538,17 @@ where
     /// pending queue is at [`GramServiceConfig::max_pending`] — the caller
     /// decides whether to flush, retry later or shed load.
     pub fn submit(&mut self, structure: Graph<V, E>) -> Result<StructureId, GramServiceError> {
+        self.submit_routed(structure, None)
+    }
+
+    /// [`submit`](Self::submit) for a caller that may already hold the
+    /// structure's raw content identity — the scheduler, handed the one
+    /// its routing client hashed.
+    pub(crate) fn submit_routed(
+        &mut self,
+        structure: Graph<V, E>,
+        side: Option<PairSide>,
+    ) -> Result<StructureId, GramServiceError> {
         if structure.num_vertices() == 0 {
             return Err(GramServiceError::EmptyStructure);
         }
@@ -545,7 +559,7 @@ where
             });
         }
         let id = StructureId(self.members.len() + self.pending.len());
-        self.pending.push_back(structure);
+        self.pending.push_back((structure, side));
         Ok(id)
     }
 
@@ -582,13 +596,18 @@ where
         }
 
         // admit: prepare each structure once. The reorder cache (keyed by
-        // *raw* content identity) is scanned first, so only structures the
-        // service has never prepared pay for reordering, tiling and the
-        // prepared-form hash; the parallel preparation runs over the misses
-        // alone.
-        let incoming: Vec<Graph<V, E>> = self.pending.drain(..).collect();
+        // *raw* content identity, hashed here unless the producer routed by
+        // it) is scanned first, so only structures the service has never
+        // prepared pay for reordering, tiling and the prepared-form hash;
+        // the parallel preparation runs over the misses alone.
+        let (incoming, routed): (Vec<Graph<V, E>>, Vec<Option<PairSide>>) =
+            self.pending.drain(..).unzip();
         let prepare_watch = Stopwatch::start();
-        let keys: Vec<PairSide> = incoming.iter().map(|g| PairSide::of(self.hasher, g)).collect();
+        let keys: Vec<PairSide> = incoming
+            .iter()
+            .zip(routed)
+            .map(|(g, side)| side.unwrap_or_else(|| PairSide::of(self.hasher, g)))
+            .collect();
         let mut slots: Vec<Option<Arc<PreparedStructure<V, E>>>> =
             keys.iter().map(|&key| self.cached_structure(key)).collect();
         let missed: Vec<usize> = (0..slots.len()).filter(|&idx| slots[idx].is_none()).collect();
@@ -826,7 +845,8 @@ where
 
     /// [`prepare_pair`](Self::prepare_pair) for a caller that already holds
     /// the raw content identity of each side — the scheduler's request
-    /// drain, which hashed both graphs to group the request.
+    /// drain, which groups the request by the identities its routing
+    /// client hashed (or, on one lane, hashes them itself).
     pub(crate) fn prepare_keyed(
         &mut self,
         sides: (PairSide, PairSide),

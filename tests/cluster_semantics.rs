@@ -4,15 +4,18 @@
 //! shard count, coalesce duplicate tickets within — and never across —
 //! shards, propagate a shard panic through `join()` after every shard
 //! drained, and expose a merged cluster epoch that stays monotone (and
-//! equal to the sum of the shard epochs) under concurrent producers. Runs
-//! under `RUST_TEST_THREADS=1` too (every thread here is our own).
+//! equal to the sum of the shard epochs) under concurrent producers. A
+//! routed structure is content-hashed once, by the client that routes it.
+//! Runs under `RUST_TEST_THREADS=1` too (every thread here is our own).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mgk::prelude::*;
 use mgk::runtime::metrics::names;
 use mgk::runtime::{
-    graph_content_hash, shard_of_key, BarrierReply, GramCluster, PairKey, PairSide, WatchClosed,
+    graph_content_hash, shard_of_key, BarrierReply, GramCluster, PairKey, PairSide, ServiceStats,
+    WatchClosed,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -223,6 +226,52 @@ fn a_shard_panic_propagates_through_cluster_join() {
     assert!(propagated.is_err(), "the shard panic was swallowed by join()");
     // every shard was drained before the re-raise: all publishers are gone
     assert!(watch.is_closed(), "join() re-raised before draining every shard");
+}
+
+// Counts every hasher call, on client and shard threads alike: the
+// hash-count test below is its only user, so the count is its own.
+static HASH_CALLS: AtomicUsize = AtomicUsize::new(0);
+
+fn counting_hash(g: &Graph) -> u64 {
+    HASH_CALLS.fetch_add(1, Ordering::SeqCst);
+    graph_content_hash(g)
+}
+
+#[test]
+fn a_routed_structure_is_hashed_once_cluster_wide() {
+    let cluster: Cluster = GramCluster::spawn(
+        service().with_content_hasher(counting_hash),
+        ClusterConfig { shards: 2, scheduler: SchedulerConfig::default() },
+    );
+    let (producer, kernels) = (cluster.client(), cluster.kernel_client::<f32>());
+    let graphs = corpus(3, 419);
+    let calls = |work: &dyn Fn()| {
+        let before = HASH_CALLS.load(Ordering::SeqCst);
+        work();
+        HASH_CALLS.load(Ordering::SeqCst) - before
+    };
+    let ask = || {
+        kernels.request(graphs[0].clone(), graphs[1].clone()).unwrap().wait().unwrap();
+    };
+    let submit = || {
+        producer.submit(graphs[2].clone()).unwrap();
+        producer.flush().unwrap();
+    };
+
+    // the client hashes both raw sides to route; the owning shard groups
+    // and prepares by those identities, hashing only the prepared forms
+    assert_eq!(calls(&ask), 4, "two raw hashes and two prepared-form hashes");
+    assert_eq!(calls(&ask), 2, "a cached pair is hashed only to route");
+    assert_eq!(calls(&submit), 2, "one raw hash and one prepared-form hash");
+    assert_eq!(calls(&submit), 1, "a prepared structure is hashed only to route");
+
+    let services = cluster.join();
+    let total = |stat: fn(&ServiceStats) -> usize| -> usize {
+        services.iter().map(|svc| stat(&svc.stats())).sum()
+    };
+    assert_eq!(total(|s| s.request_solves), 1);
+    assert_eq!(total(|s| s.request_cache_answers), 1);
+    assert_eq!(total(|s| s.reorder_hits), 3, "the repeat request and the resubmission");
 }
 
 #[test]
