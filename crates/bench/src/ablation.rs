@@ -3,25 +3,151 @@
 //! Each level inherits everything from the previous one and enables one
 //! additional technique, in the same order the paper presents them:
 //!
-//! | level | adds |
-//! |---|---|
-//! | `Dense` | the dense on-the-fly tiling-blocking kernel (all tiles processed) |
-//! | `Sparse` | inter-tile sparsity: only non-empty octiles are streamed |
-//! | `Reorder` | PBR vertex reordering |
-//! | `Adaptive` | dynamic dense/sparse tile-primitive selection |
-//! | `Compact` | compact (bitmap + packed) tile storage |
-//! | `Block` | block-level octile sharing between warps |
-//! | `DynamicScheduling` | dynamic scheduling of graph pairs |
+//! | level | adds | runs |
+//! |---|---|---|
+//! | `Dense` | the dense on-the-fly tiling-blocking kernel (all tiles processed) | [`DenseSolver`], dense primitive |
+//! | `Sparse` | inter-tile sparsity: only non-empty octiles are streamed | [`DenseSolver`], [`OctileProduct`] |
+//! | `Reorder` | PBR vertex reordering | [`DenseSolver`], [`OctileProduct`] |
+//! | `Adaptive` | dynamic dense/sparse tile-primitive selection | [`DenseSolver`], [`OctileProduct`] |
+//! | `Compact` | compact (bitmap + packed) tile storage | [`DenseSolver`], [`OctileProduct`] |
+//! | `Block` | block-level octile sharing between warps | `GramEngine`, static scheduling |
+//! | `DynamicScheduling` | dynamic scheduling of graph pairs | `GramEngine`, dynamic scheduling |
+//!
+//! From `Block` on, a level's configuration is the serving one, so it runs
+//! the serving solver: its layered, streamed octile sweep. The levels below
+//! it route tile pairs or count traffic in a way the serving operator does
+//! not, so they run [`DenseSolver`]'s PCG driver with [`OctileProduct`], a
+//! plain loop over the tile pairs with the level's own routing and global
+//! traffic terms. It visits the tile pairs in the order the serving sweep
+//! is pinned to, with primitives bit-identical to the serving ones: every
+//! level gets the bits, the iteration count and the traffic it would get
+//! from the serving operator with that level's policy.
 
+use mgk_core::octile_ops::{
+    tile_pair_product_with_panels, KindTable, PairContext, PaneledTile, TileCosts, TilePanels,
+    TileProductKind,
+};
 use mgk_core::{
     GramConfig, GramEngine, GramResult, MarginalizedKernelSolver, Scheduling, SolverConfig,
 };
 use mgk_graph::Graph;
 use mgk_kernels::BaseKernel;
+use mgk_linalg::{Scalar, TrafficCounters};
 use mgk_reorder::ReorderMethod;
+use mgk_tile::{Octile, OctileMatrix, TILE_AREA};
 
 use crate::dense::{DenseSolver, DenseXmv};
 use crate::xmv::XmvPrimitive;
+
+/// The tile routing and the traffic policy of an octile operator: what
+/// `Adaptive`, `Compact` and `Block` turn on one at a time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OctileXmv {
+    /// Route each tile pair to the primitive `KindTable` picks (Fig. 8);
+    /// otherwise every pair goes to dense×dense.
+    pub adaptive: bool,
+    /// Count each tile as stored compactly, an 8-byte bitmap and its packed
+    /// nonzeros, rather than as a dense 8×8 block.
+    pub compact: bool,
+    /// The warps of a block that share each inner tile's load
+    /// (Section V-A); 1 is no sharing.
+    pub sharing: u64,
+}
+
+/// `A× ∘ E×` of one graph pair as a plain loop over its tile pairs: outer
+/// tiles in order and, for each, inner tiles in order, every pair through
+/// [`tile_pair_product_with_panels`] with the primitive `xmv` routes it to.
+/// That is the order the serving operator's layered sweep is pinned to, so
+/// at the serving policy (adaptive, compact, 8 warps) an application gives
+/// the serving operator's bits and counts its traffic.
+pub struct OctileProduct<E> {
+    n: usize,
+    m: usize,
+    left: OctileMatrix<E>,
+    left_panels: Vec<TilePanels<E>>,
+    right: OctileMatrix<E>,
+    right_panels: Vec<TilePanels<E>>,
+    /// The table of an adaptive policy; `None` routes every pair to
+    /// dense×dense.
+    kinds: Option<KindTable>,
+    costs: TileCosts,
+    /// The global loads of one application: each outer tile once, each
+    /// inner tile once per outer tile, shared across `sharing` warps, and
+    /// one right-hand-side block per tile pair.
+    global_loads: u64,
+}
+
+impl<E: Copy + Default> OctileProduct<E> {
+    /// Tile a pair of (prepared) graphs for `xmv`.
+    pub fn new<V, K: BaseKernel<E>>(
+        g1: &Graph<V, E>,
+        g2: &Graph<V, E>,
+        edge_kernel: &K,
+        xmv: OctileXmv,
+    ) -> Self {
+        let (left, right) = (OctileMatrix::from_graph(g1), OctileMatrix::from_graph(g2));
+        let cost = edge_kernel.cost();
+        let costs =
+            TileCosts { label_bytes: cost.label_bytes, float_bytes: 4, kernel_flops: cost.flops };
+        let (fb, eb) = (costs.float_bytes as u64, costs.label_bytes as u64);
+        let tile_bytes = |t: &Octile<E>| {
+            if xmv.compact {
+                8 + t.nnz() as u64 * (fb + eb)
+            } else {
+                TILE_AREA as u64 * (fb + eb)
+            }
+        };
+        let per_outer_tile: u64 = right
+            .tiles()
+            .iter()
+            .map(|t2| tile_bytes(t2).div_ceil(xmv.sharing.max(1)) + TILE_AREA as u64 * fb)
+            .sum();
+        let global_loads = left.tiles().iter().map(|t1| tile_bytes(t1) + per_outer_tile).sum();
+        OctileProduct {
+            n: g1.num_vertices(),
+            m: g2.num_vertices(),
+            left_panels: left.tiles().iter().map(TilePanels::new).collect(),
+            right_panels: right.tiles().iter().map(TilePanels::new).collect(),
+            left,
+            right,
+            kinds: xmv.adaptive.then(|| KindTable::new(cost.flops)),
+            costs,
+            global_loads,
+        }
+    }
+
+    /// `y += (A× ∘ E×) x`, adding the traffic of one application to
+    /// `counters`: every tile pair's closed form, the global loads and one
+    /// write-back of `y`.
+    pub fn apply<T: Scalar, K: BaseKernel<E>>(
+        &self,
+        edge_kernel: &K,
+        x: &[T],
+        y: &mut [T],
+        counters: &mut TrafficCounters,
+    ) {
+        let ctx = PairContext { n: self.n, m: self.m, kernel: edge_kernel, costs: &self.costs };
+        for (t1, p1) in self.left.tiles().iter().zip(&self.left_panels) {
+            for (t2, p2) in self.right.tiles().iter().zip(&self.right_panels) {
+                let kind = self
+                    .kinds
+                    .as_ref()
+                    .map_or(TileProductKind::DenseDense, |k| k.get(t1.nnz(), t2.nnz()));
+                tile_pair_product_with_panels(
+                    kind,
+                    PaneledTile { tile: t1, panels: p1 },
+                    PaneledTile { tile: t2, panels: p2 },
+                    ctx,
+                    x,
+                    y,
+                    counters,
+                );
+            }
+        }
+        counters.global_load_bytes += self.global_loads;
+        counters.global_store_bytes += (self.n * self.m) as u64 * T::BYTES;
+    }
+}
 
 /// One level of the incremental ablation of Fig. 9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -67,35 +193,33 @@ impl OptimizationLevel {
         }
     }
 
-    /// The dense on-the-fly primitive of the `Dense` level, or `None` from
-    /// `Sparse` on, where the solver's octile operator takes over.
-    pub fn dense_primitive(self) -> Option<XmvPrimitive> {
-        (self < OptimizationLevel::Sparse).then_some(XmvPrimitive::OCTILE)
+    /// How this level applies `A× ∘ E×` in [`DenseSolver`]: the dense
+    /// on-the-fly primitive at `Dense`, [`OctileProduct`] with this level's
+    /// policy from `Sparse` to `Compact`, or `None` from `Block` on, where
+    /// the serving solver's own operator takes over.
+    pub fn xmv(self) -> Option<DenseXmv> {
+        use OptimizationLevel::*;
+        match self {
+            Dense => Some(DenseXmv::OnTheFly(XmvPrimitive::OCTILE)),
+            Sparse | Reorder | Adaptive | Compact => Some(DenseXmv::Octile(OctileXmv {
+                adaptive: self >= Adaptive,
+                compact: self >= Compact,
+                sharing: 1,
+            })),
+            Block | DynamicScheduling => None,
+        }
     }
 
     /// The per-pair solver configuration of this level, inheriting
-    /// tolerance/iteration settings from `base`.
+    /// tolerance/iteration settings from `base`: it tiles the natural vertex
+    /// order below `Reorder` and the PBR order from it on.
     pub fn solver_config(self, base: &SolverConfig) -> SolverConfig {
-        let mut cfg = SolverConfig {
-            reorder: ReorderMethod::Natural,
-            adaptive_tiles: false,
-            compact_storage: false,
-            block_sharing: 1,
-            ..*base
+        let reorder = if self >= OptimizationLevel::Reorder {
+            ReorderMethod::Pbr
+        } else {
+            ReorderMethod::Natural
         };
-        if self >= OptimizationLevel::Reorder {
-            cfg.reorder = ReorderMethod::Pbr;
-        }
-        if self >= OptimizationLevel::Adaptive {
-            cfg.adaptive_tiles = true;
-        }
-        if self >= OptimizationLevel::Compact {
-            cfg.compact_storage = true;
-        }
-        if self >= OptimizationLevel::Block {
-            cfg.block_sharing = 8;
-        }
-        cfg
+        SolverConfig { reorder, ..*base }
     }
 
     /// The Gram-matrix scheduling policy of this level.
@@ -107,10 +231,10 @@ impl OptimizationLevel {
         }
     }
 
-    /// The normalized Gram matrix of `graphs` at this level. The `Dense`
-    /// level solves with its [`dense_primitive`](Self::dense_primitive)
-    /// through [`DenseSolver::gram`] (static scheduling); every other level
-    /// runs `GramEngine` with this level's configuration and scheduling.
+    /// The normalized Gram matrix of `graphs` at this level. Up to
+    /// `Compact` it solves with the level's [`xmv`](Self::xmv) through
+    /// [`DenseSolver::gram`] (static scheduling); from `Block` on it runs
+    /// `GramEngine` with this level's configuration and scheduling.
     pub fn gram<V, E, KV, KE>(
         self,
         graphs: &[Graph<V, E>],
@@ -125,11 +249,8 @@ impl OptimizationLevel {
         KE: BaseKernel<E> + Clone + Send + Sync,
     {
         let config = self.solver_config(base);
-        match self.dense_primitive() {
-            Some(primitive) => {
-                DenseSolver::new(vertex_kernel, edge_kernel, config, DenseXmv::OnTheFly(primitive))
-                    .gram(graphs)
-            }
+        match self.xmv() {
+            Some(xmv) => DenseSolver::new(vertex_kernel, edge_kernel, config, xmv).gram(graphs),
             None => GramEngine::new(
                 MarginalizedKernelSolver::new(vertex_kernel, edge_kernel, config),
                 GramConfig { scheduling: self.scheduling(), normalize: true },
@@ -145,33 +266,26 @@ mod tests {
 
     #[test]
     fn levels_are_cumulative() {
+        use OptimizationLevel::*;
         let base = SolverConfig::default();
-        let dense = OptimizationLevel::Dense.solver_config(&base);
-        assert!(OptimizationLevel::Dense.dense_primitive().is_some());
-        assert_eq!(dense.reorder, ReorderMethod::Natural);
+        for level in OptimizationLevel::ALL {
+            let expect = if level >= Reorder { ReorderMethod::Pbr } else { ReorderMethod::Natural };
+            assert_eq!(level.solver_config(&base).reorder, expect, "{}", level.label());
+        }
 
-        let sparse = OptimizationLevel::Sparse.solver_config(&base);
-        assert_eq!(OptimizationLevel::Sparse.dense_primitive(), None);
-        assert!(!sparse.adaptive_tiles);
+        assert_eq!(Dense.xmv(), Some(DenseXmv::OnTheFly(XmvPrimitive::OCTILE)));
+        let octile =
+            |adaptive, compact| Some(DenseXmv::Octile(OctileXmv { adaptive, compact, sharing: 1 }));
+        assert_eq!(Sparse.xmv(), octile(false, false));
+        assert_eq!(Reorder.xmv(), octile(false, false));
+        assert_eq!(Adaptive.xmv(), octile(true, false));
+        assert_eq!(Compact.xmv(), octile(true, true));
+        // block sharing is the serving operator's policy
+        assert_eq!(Block.xmv(), None);
+        assert_eq!(DynamicScheduling.xmv(), None);
 
-        let reorder = OptimizationLevel::Reorder.solver_config(&base);
-        assert_eq!(reorder.reorder, ReorderMethod::Pbr);
-
-        let adaptive = OptimizationLevel::Adaptive.solver_config(&base);
-        assert!(adaptive.adaptive_tiles);
-        assert!(!adaptive.compact_storage);
-
-        let compact = OptimizationLevel::Compact.solver_config(&base);
-        assert!(compact.compact_storage);
-        assert_eq!(compact.block_sharing, 1);
-
-        let block = OptimizationLevel::Block.solver_config(&base);
-        assert_eq!(block.block_sharing, 8);
-
-        let dyn_sched = OptimizationLevel::DynamicScheduling.solver_config(&base);
-        assert_eq!(dyn_sched.block_sharing, 8);
-        assert_eq!(OptimizationLevel::DynamicScheduling.scheduling(), Scheduling::Dynamic);
-        assert_eq!(OptimizationLevel::Block.scheduling(), Scheduling::Static);
+        assert_eq!(DynamicScheduling.scheduling(), Scheduling::Dynamic);
+        assert_eq!(Block.scheduling(), Scheduling::Static);
     }
 
     #[test]

@@ -13,9 +13,19 @@
 //! the improvement, block sharing matters most for the size-skewed
 //! DrugBank-like set, and dynamic scheduling adds a little on top.
 //!
-//! From +Adaptive on, the solver picks each tile pair's primitive by the CPU
-//! table (`KindTable`), not the paper's GPU model, so those rows project
-//! the traffic *counted* for CPU-routed work — mostly dense×dense on sparse
+//! +Block and +DynSched run the serving solver, its layered and streamed
+//! octile sweep, through `GramEngine`. Sparse to +Compact route tile pairs
+//! or count traffic in ways the serving operator does not, so they run the
+//! same PCG iteration over `mgk-bench`'s plain per-tile-pair loop
+//! (`OctileProduct`), which gives the serving sweep's bits at the serving
+//! policy. Their CPU-time column times that loop, which pays per tile pair
+//! what the serving sweep pays per run of tiles; their projections and
+//! iteration counts are what the serving operator would give with their
+//! policy.
+//!
+//! From +Adaptive on, each tile pair's primitive is picked by the CPU table
+//! (`KindTable`), not the paper's GPU model, so those rows project the
+//! traffic *counted* for CPU-routed work — mostly dense×dense on sparse
 //! graphs, counted as the GPU's full 64×64 block — onto the V100.
 
 use std::time::Instant;

@@ -1,12 +1,13 @@
-//! The dense baselines as whole solves: the system of Eq. (1) with its
+//! The baselines as whole solves: the system of Eq. (1) with its
 //! off-diagonal part `A× ∘ E×` applied by the naive materialized product
-//! (Section II-D) or by a dense on-the-fly primitive (Section III) in place
-//! of the octile operator the solver serves with.
+//! (Section II-D), by a dense on-the-fly primitive (Section III) or by the
+//! octile loop of a Fig. 9 level below the serving one ([`OctileProduct`])
+//! in place of the octile operator the solver serves with.
 //!
 //! Everything but that product comes from `mgk-core`: the graphs are
 //! prepared by [`MarginalizedKernelSolver::prepare`], and the diagonal, the
 //! preconditioner, the right-hand side and the start product are those of
-//! the assembled [`ProductSystem`]. A dense solve therefore runs the PCG
+//! the assembled [`ProductSystem`]. A baseline solve therefore runs the PCG
 //! iteration of [`MarginalizedKernelSolver`] on the same system and differs
 //! from the octile solve by rounding alone.
 
@@ -24,9 +25,10 @@ use mgk_linalg::{
     pcg_counted, DiagonalOperator, LinearOperator, Precision, Scalar, TrafficCounters,
 };
 
+use crate::ablation::{OctileProduct, OctileXmv};
 use crate::xmv::{DensePairData, NaiveProduct, XmvPrimitive};
 
-/// How a dense baseline applies `A× ∘ E×`.
+/// How a baseline applies `A× ∘ E×`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DenseXmv {
     /// Materialize `L× = (A ⊗ A') ∘ (E κ⊗ E')` and re-read it every
@@ -35,9 +37,12 @@ pub enum DenseXmv {
     /// Regenerate the product on the fly from dense operands with one of
     /// the Section III primitives.
     OnTheFly(XmvPrimitive),
+    /// Loop over the octile pairs with a Fig. 9 level's routing and traffic
+    /// policy.
+    Octile(OctileXmv),
 }
 
-/// `A× ∘ E×` of one graph pair in a dense realization.
+/// `A× ∘ E×` of one graph pair in a baseline realization.
 enum DenseOffDiagonal<E> {
     /// The materialized product matrix.
     Naive(NaiveProduct),
@@ -48,20 +53,27 @@ enum DenseOffDiagonal<E> {
         /// Which streaming strategy to use.
         primitive: XmvPrimitive,
     },
+    /// The tiled operands and their tile-pair loop.
+    Octile(Box<OctileProduct<E>>),
 }
 
 impl<E: Copy + Default> DenseOffDiagonal<E> {
-    /// Densify a pair of (prepared) graphs for `xmv`.
+    /// Densify or tile a pair of (prepared) graphs for `xmv`.
     fn new<V, K: BaseKernel<E>>(
         g1: &Graph<V, E>,
         g2: &Graph<V, E>,
         edge_kernel: &K,
         xmv: DenseXmv,
     ) -> Self {
-        let data = DensePairData::new(g1, g2, edge_kernel);
+        let dense = || DensePairData::new(g1, g2, edge_kernel);
         match xmv {
-            DenseXmv::Naive => DenseOffDiagonal::Naive(NaiveProduct::new(&data, edge_kernel)),
-            DenseXmv::OnTheFly(primitive) => DenseOffDiagonal::OnTheFly { data, primitive },
+            DenseXmv::Naive => DenseOffDiagonal::Naive(NaiveProduct::new(&dense(), edge_kernel)),
+            DenseXmv::OnTheFly(primitive) => {
+                DenseOffDiagonal::OnTheFly { data: dense(), primitive }
+            }
+            DenseXmv::Octile(octile) => {
+                DenseOffDiagonal::Octile(Box::new(OctileProduct::new(g1, g2, edge_kernel, octile)))
+            }
         }
     }
 
@@ -80,14 +92,15 @@ impl<E: Copy + Default> DenseOffDiagonal<E> {
             DenseOffDiagonal::OnTheFly { data, primitive } => {
                 primitive.apply(data, edge_kernel, x, y, counters)
             }
+            DenseOffDiagonal::Octile(octile) => octile.apply(edge_kernel, x, y, counters),
         }
     }
 }
 
-/// The full system operator `D× V×⁻¹ − A× ∘ E×` over a dense off-diagonal
-/// product, at the vector [`Scalar`] precision `T`: the counterpart of
-/// `mgk-core`'s `SystemOperator`, with the same fused diagonal sweep and the
-/// same accounting.
+/// The full system operator `D× V×⁻¹ − A× ∘ E×` over a baseline
+/// off-diagonal product, at the vector [`Scalar`] precision `T`: the
+/// counterpart of `mgk-core`'s `SystemOperator`, with the same fused
+/// diagonal sweep and the same accounting.
 struct DenseSystemOperator<'a, E, K, T> {
     off_diagonal: &'a DenseOffDiagonal<E>,
     edge_kernel: &'a K,
@@ -138,7 +151,7 @@ where
     }
 }
 
-/// A marginalized graph kernel solver whose off-diagonal product is a dense
+/// A marginalized graph kernel solver whose off-diagonal product is a
 /// baseline. Its results carry no nodal vector.
 #[derive(Debug, Clone)]
 pub struct DenseSolver<KV, KE> {
@@ -150,8 +163,7 @@ pub struct DenseSolver<KV, KE> {
 
 impl<KV, KE> DenseSolver<KV, KE> {
     /// Create a solver from vertex and edge base kernels, a solver
-    /// configuration (its octile-only switches have no effect here) and the
-    /// dense realization of `A× ∘ E×`.
+    /// configuration and the baseline realization of `A× ∘ E×`.
     pub fn new(vertex_kernel: KV, edge_kernel: KE, config: SolverConfig, xmv: DenseXmv) -> Self {
         DenseSolver { vertex_kernel, edge_kernel, config, xmv }
     }
@@ -315,6 +327,7 @@ impl<KV, KE> DenseSolver<KV, KE> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ablation::OptimizationLevel;
     use mgk_graph::{generators, GraphBuilder};
     use mgk_kernels::{KroneckerDelta, SquareExponential, UnitKernel};
     use mgk_linalg::{direct, kron_dense, kron_vec, kronecker, DenseMatrix, SolveOptions};
@@ -409,32 +422,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let g1 = generators::newman_watts_strogatz(24, 2, 0.15, &mut rng);
         let g2 = generators::barabasi_albert(18, 3, &mut rng);
-        let dense = DenseSolver::new(
-            UnitKernel,
-            UnitKernel,
-            SolverConfig { reorder: ReorderMethod::Natural, ..SolverConfig::default() },
-            DenseXmv::OnTheFly(XmvPrimitive::OCTILE),
-        )
-        .kernel(&g1, &g2)
-        .unwrap()
-        .value;
-        let configs = [
-            SolverConfig {
-                reorder: ReorderMethod::Natural,
-                adaptive_tiles: false,
-                ..SolverConfig::default()
-            },
-            SolverConfig {
-                reorder: ReorderMethod::Pbr,
-                adaptive_tiles: true,
-                compact_storage: true,
-                block_sharing: 8,
-                ..SolverConfig::default()
-            },
-            SolverConfig { reorder: ReorderMethod::Rcm, ..SolverConfig::default() },
-        ];
-        for c in configs {
-            let v = MarginalizedKernelSolver::unlabeled(c).kernel(&g1, &g2).unwrap().value;
+        let base = SolverConfig::default();
+        let value = |level: OptimizationLevel| {
+            let config = level.solver_config(&base);
+            match level.xmv() {
+                Some(xmv) => DenseSolver::new(UnitKernel, UnitKernel, config, xmv).kernel(&g1, &g2),
+                None => MarginalizedKernelSolver::unlabeled(config).kernel(&g1, &g2),
+            }
+            .unwrap()
+            .value
+        };
+        let dense = value(OptimizationLevel::Dense);
+        let rcm = SolverConfig { reorder: ReorderMethod::Rcm, ..base };
+        let rcm = MarginalizedKernelSolver::unlabeled(rcm).kernel(&g1, &g2).unwrap().value;
+        for v in OptimizationLevel::ALL[1..].iter().map(|&level| value(level)).chain([rcm]) {
             assert!((v - dense).abs() < 1e-4 * dense.abs(), "{v} vs {dense}");
         }
     }

@@ -69,19 +69,7 @@ fn traffic_counters_shrink_as_optimizations_are_enabled() {
     let kv = AtomKernel(KroneckerDelta::new(0.2));
     let ke = BondKernel(KroneckerDelta::new(0.4));
     let base = SolverConfig::default();
-    let traffic_for = |level: OptimizationLevel| {
-        let config = level.solver_config(&base);
-        match level.dense_primitive() {
-            Some(primitive) => {
-                DenseSolver::new(kv, ke, config, DenseXmv::OnTheFly(primitive)).gram(&mols).traffic
-            }
-            None => {
-                let solver = MarginalizedKernelSolver::new(kv, ke, config);
-                let engine = GramEngine::new(solver, GramConfig::default());
-                engine.compute(&mols).traffic
-            }
-        }
-    };
+    let traffic_for = |level: OptimizationLevel| level.gram(&mols, kv, ke, &base).traffic;
     let dense = traffic_for(OptimizationLevel::Dense);
     let sparse = traffic_for(OptimizationLevel::Sparse);
     let adaptive = traffic_for(OptimizationLevel::Adaptive);

@@ -837,8 +837,8 @@ impl<E: Copy> TileLayers<E> {
 /// before the tile that would take it past [`TILE_AREA`] nonzeros, so the
 /// sweep's coefficient scratch holds it. A tile routed to dense×dense or to
 /// `dense_rows_direct` ends the run and goes through [`tile_pair_body`].
-/// `kinds` is `None` to route every pair to dense×dense. Every run forms,
-/// records or replays its coefficients as `coefficients` says.
+/// Every run forms, records or replays its coefficients as `coefficients`
+/// says.
 ///
 /// Output element `(i, i')` is written only by the inner tiles of tile row
 /// `I'`, and a layer holds at most one of them. So each element receives
@@ -850,7 +850,7 @@ pub(crate) fn sweep_inner_layers<T: Scalar, E: Copy + Default, K: BaseKernel<E>>
     s1: PaneledTile<'_, E>,
     inner: (&[Octile<E>], &[TilePanels<E>]),
     layers: &TileLayers<E>,
-    kinds: Option<&KindTable>,
+    kinds: &KindTable,
     coefficients: &mut Coefficients<'_, T>,
     ctx: PairContext<'_, K>,
     p: &[T],
@@ -864,7 +864,7 @@ pub(crate) fn sweep_inner_layers<T: Scalar, E: Copy + Default, K: BaseKernel<E>>
         for slot in layer[0]..layer[1] {
             let (start, end) = (layers.offsets[slot], layers.offsets[slot + 1]);
             let nnz2 = end - start;
-            let kind = kinds.map_or(TileProductKind::DenseDense, |k| k.get(nnz1, nnz2));
+            let kind = kinds.get(nnz1, nnz2);
             if reads_packed(kind, nnz1, nnz2) {
                 if end - run.start > TILE_AREA {
                     packed_run(sweep, layers.run(run), coefficients, ctx.kernel, p, y);

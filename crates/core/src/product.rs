@@ -17,9 +17,9 @@
 //! [`TrafficCounters`] down and receive exact counts back, with no interior
 //! mutability on the system itself (the operator's one cell is its
 //! coefficient stream). Those counts are a per-apply ledger summed once at
-//! assembly from the tile pairs' closed forms, the storage and sharing
-//! configuration and the global terms; an application adds it once instead
-//! of re-deriving it per tile pair.
+//! assembly from the tile pairs' closed forms and the global terms of
+//! compact tile storage shared across a block's warps; an application adds
+//! it once instead of re-deriving it per tile pair.
 
 #![cfg_attr(
     not(test),
@@ -45,10 +45,10 @@ use mgk_tile::TILE_SIZE;
 
 use crate::octile_ops::{
     reads_packed, sweep_inner_layers, tile_pair_traffic, Coefficients, KindTable, OuterSweep,
-    PairContext, PaneledTile, TileCosts, TileLayers, TileProductKind,
+    PairContext, PaneledTile, TileCosts, TileLayers,
 };
 use crate::prepared::{Octiles, PreparedGraph};
-use crate::solver::{MarginalizedKernelSolver, SolverConfig};
+use crate::solver::SolverConfig;
 
 /// The largest product graph whose coefficients a [`SystemOperator`] keeps,
 /// in bytes at its vector precision: `nnz(A₁)·nnz(A₂)·T::BYTES`, although
@@ -67,10 +67,12 @@ use crate::solver::{MarginalizedKernelSolver, SolverConfig};
 /// memory). The gate moves speed and memory only, never bits.
 const COEFFICIENT_STREAM_BYTES: u64 = 256 * 1024;
 
+/// The warps of a block that share each inner tile's load (Section V-A).
+const BLOCK_SHARING: u64 = 8;
+
 /// The traffic one application of the octile operator counts. Every term
-/// depends on the pair's tiles, the table's picks, the storage and sharing
-/// configuration and the vector width, and none on the vector, so it is
-/// summed once at assembly, at both widths.
+/// depends on the pair's tiles, the table's picks and the vector width, and
+/// none on the vector, so it is summed once at assembly, at both widths.
 struct ApplyTraffic {
     at_f32: TrafficCounters,
     at_f64: TrafficCounters,
@@ -82,40 +84,33 @@ struct ApplyTraffic {
 
 impl ApplyTraffic {
     /// Sum, over every tile pair of the sweep, the closed form of the
-    /// primitive `kinds` routes it to (dense×dense without a table), plus the
-    /// operator's global terms: each outer tile loaded once per sweep, each
-    /// inner tile once per outer tile with the load shared across the
-    /// `block_sharing` warps of a block (Section V-A), one right-hand-side
-    /// block per tile pair and one write-back of `y`. Tile payloads and
-    /// labels keep their stored (`f32`) sizes at every vector precision; only
-    /// the right-hand-side reads inside a tile pair and the write-back follow
-    /// the vector width. The same loop counts the packed terms.
+    /// primitive `kinds` routes it to, plus the operator's global terms:
+    /// each outer tile loaded once per sweep, each inner tile once per outer
+    /// tile with the load shared across the [`BLOCK_SHARING`] warps of a
+    /// block, every tile in compact storage (an 8-byte bitmap and its packed
+    /// nonzeros), one right-hand-side block per tile pair and one write-back
+    /// of `y`. Tile payloads and labels keep their stored (`f32`) sizes at
+    /// every vector precision; only the right-hand-side reads inside a tile
+    /// pair and the write-back follow the vector width. The same loop counts
+    /// the packed terms.
     fn octile<E: Copy + Default>(
         left: &Octiles<E>,
         right: &Octiles<E>,
-        kinds: Option<&KindTable>,
+        kinds: &KindTable,
         costs: &TileCosts,
         (n, m): (usize, usize),
-        config: &SolverConfig,
     ) -> Self {
         let fb = costs.float_bytes as u64;
         let eb = costs.label_bytes as u64;
-        let tile_bytes = |t: &mgk_tile::Octile<E>| -> u64 {
-            if config.compact_storage {
-                8 + t.nnz() as u64 * (fb + eb)
-            } else {
-                (TILE_SIZE * TILE_SIZE) as u64 * (fb + eb)
-            }
-        };
-        let sharing = config.block_sharing.max(1) as u64;
+        let tile_bytes = |t: &mgk_tile::Octile<E>| 8 + t.nnz() as u64 * (fb + eb);
         let (mut at_f32, mut at_f64) = (TrafficCounters::new(), TrafficCounters::new());
         let (mut global_loads, mut packed_terms) = (0, 0);
         for t1 in left.matrix.tiles() {
             global_loads += tile_bytes(t1);
             for t2 in right.matrix.tiles() {
-                global_loads += tile_bytes(t2).div_ceil(sharing);
+                global_loads += tile_bytes(t2).div_ceil(BLOCK_SHARING);
                 global_loads += (TILE_SIZE * TILE_SIZE) as u64 * fb;
-                let kind = kinds.map_or(TileProductKind::DenseDense, |k| k.get(t1.nnz(), t2.nnz()));
+                let kind = kinds.get(t1.nnz(), t2.nnz());
                 if reads_packed(kind, t1.nnz(), t2.nnz()) {
                     packed_terms += t1.nnz() * t2.nnz();
                 }
@@ -162,9 +157,8 @@ pub struct ProductSystem<E, KE> {
     /// `right`'s tiles in layers, for the packed loop.
     layers: TileLayers<E>,
     /// The adaptive-selection table shared by every system of this kernel
-    /// cost (the per-pair decision is a lookup, not three cost estimates),
-    /// or `None` to force the dense×dense primitive.
-    kinds: Option<Arc<KindTable>>,
+    /// cost (the per-pair decision is a lookup, not three cost estimates).
+    kinds: Arc<KindTable>,
     /// What one application counts, fixed at assembly.
     traffic: ApplyTraffic,
     edge_kernel: KE,
@@ -176,25 +170,24 @@ where
     E: Copy + Default,
     KE: BaseKernel<E>,
 {
-    /// Assemble the system for a pair of graphs under a solver
-    /// configuration. The graphs are taken as already ordered: they are
-    /// tiled as they stand, whatever reordering the configuration names
-    /// (the solver's own entry points apply that first).
+    /// Assemble the system for a pair of graphs. The graphs are taken as
+    /// already ordered: they are tiled as they stand, whatever reordering
+    /// a solver configuration names (the solver's own entry points apply
+    /// that first). Assembly reads no field of the configuration, which the
+    /// signature keeps for its callers.
     pub fn assemble<V, KV>(
         g1: &Graph<V, E>,
         g2: &Graph<V, E>,
         vertex_kernel: &KV,
         edge_kernel: KE,
-        config: &SolverConfig,
+        _config: &SolverConfig,
     ) -> Self
     where
         V: Clone,
         KV: BaseKernel<V>,
-        KE: Clone,
     {
         let tile = |g: &Graph<V, E>| PreparedGraph::new(g.clone());
-        MarginalizedKernelSolver::new(vertex_kernel, edge_kernel, *config)
-            .assemble_prepared(&tile(g1), &tile(g2))
+        Self::from_prepared(&tile(g1), &tile(g2), vertex_kernel, edge_kernel)
     }
 
     /// Assemble the system of two prepared structures — the one assembly
@@ -204,7 +197,6 @@ where
         b: &PreparedGraph<V, E>,
         vertex_kernel: &KV,
         edge_kernel: KE,
-        config: &SolverConfig,
     ) -> Self
     where
         KV: BaseKernel<V>,
@@ -224,10 +216,9 @@ where
 
         let (left, right) = (a.octiles(), b.octiles());
         let layers = TileLayers::new(right.matrix.tiles());
-        let kinds = config.adaptive_tiles.then(|| KindTable::shared(cost.flops));
+        let kinds = KindTable::shared(cost.flops);
         let dims = (g1.num_vertices(), g2.num_vertices());
-        let traffic =
-            ApplyTraffic::octile(&left, &right, kinds.as_deref(), &tile_costs, dims, config);
+        let traffic = ApplyTraffic::octile(&left, &right, &kinds, &tile_costs, dims);
 
         ProductSystem {
             n: g1.num_vertices(),
@@ -350,7 +341,7 @@ where
                 PaneledTile { tile: t1, panels: p1 },
                 (self.right.matrix.tiles(), &self.right.panels),
                 &self.layers,
-                self.kinds.as_deref(),
+                &self.kinds,
                 coefficients,
                 ctx,
                 x,
@@ -456,7 +447,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::SolverConfig;
+    use crate::solver::MarginalizedKernelSolver;
     use mgk_graph::Graph;
     use mgk_kernels::UnitKernel;
     use mgk_linalg::LinearOperator;
@@ -467,14 +458,14 @@ mod tests {
         (g1, g2)
     }
 
-    fn assemble(config: &SolverConfig) -> ProductSystem<mgk_graph::Unlabeled, UnitKernel> {
+    fn assemble() -> ProductSystem<mgk_graph::Unlabeled, UnitKernel> {
         let (g1, g2) = unlabeled_pair();
-        ProductSystem::assemble(&g1, &g2, &UnitKernel, UnitKernel, config)
+        ProductSystem::assemble(&g1, &g2, &UnitKernel, UnitKernel, &SolverConfig::default())
     }
 
     #[test]
     fn diagonal_and_rhs_shapes() {
-        let sys = assemble(&SolverConfig::default());
+        let sys = assemble();
         assert_eq!(sys.dim(), 20);
         assert_eq!(sys.shape(), (5, 4));
         assert_eq!(sys.rhs::<f32>().len(), 20);
@@ -496,7 +487,7 @@ mod tests {
     fn all_three_off_diagonal_modes_agree() {
         // mgk-bench checks the naive and dense products against this one
         let x: Vec<f32> = (0..20).map(|k| 0.05 * k as f32 - 0.3).collect();
-        let sys = assemble(&SolverConfig::default());
+        let sys = assemble();
         let mut y = vec![0.0f32; 20];
         let mut traffic = TrafficCounters::new();
         sys.apply_off_diagonal(&x, &mut y, &mut traffic);
@@ -505,7 +496,7 @@ mod tests {
 
     #[test]
     fn system_operator_is_diagonal_minus_off_diagonal() {
-        let sys = assemble(&SolverConfig::default());
+        let sys = assemble();
         let op = SystemOperator::<_, _, f32>::new(&sys);
         assert_eq!(LinearOperator::<f32>::dim(&op), 20);
         let x = vec![1.0f32; 20];
@@ -520,7 +511,7 @@ mod tests {
 
     #[test]
     fn counted_apply_matches_plain_apply_and_reports_traffic() {
-        let sys = assemble(&SolverConfig::default());
+        let sys = assemble();
         let op = SystemOperator::new(&sys);
         let x: Vec<f32> = (0..20).map(|k| 0.1 * k as f32 - 1.0).collect();
         let plain = op.apply_alloc(&x);
@@ -536,34 +527,6 @@ mod tests {
         assert_eq!(traffic, once.scaled(2));
     }
 
-    #[test]
-    fn compact_storage_reduces_global_traffic() {
-        let x = vec![0.5f32; 20];
-        let run = |compact: bool| {
-            let config = SolverConfig { compact_storage: compact, ..SolverConfig::default() };
-            let sys = assemble(&config);
-            let mut y = vec![0.0f32; 20];
-            let mut traffic = TrafficCounters::new();
-            sys.apply_off_diagonal(&x, &mut y, &mut traffic);
-            traffic.global_load_bytes
-        };
-        assert!(run(true) < run(false));
-    }
-
-    #[test]
-    fn block_sharing_reduces_global_traffic() {
-        let x = vec![0.5f32; 20];
-        let run = |sharing: usize| {
-            let config = SolverConfig { block_sharing: sharing, ..SolverConfig::default() };
-            let sys = assemble(&config);
-            let mut y = vec![0.0f32; 20];
-            let mut traffic = TrafficCounters::new();
-            sys.apply_off_diagonal(&x, &mut y, &mut traffic);
-            traffic.global_load_bytes
-        };
-        assert!(run(8) < run(1));
-    }
-
     /// `g1` and `g2` in the solver's tiling order, assembled as it would.
     fn assemble_prepared<V: Clone, E: Copy + Default, KV: BaseKernel<V>, KE: BaseKernel<E>>(
         g1: &Graph<V, E>,
@@ -571,10 +534,9 @@ mod tests {
         vertex_kernel: &KV,
         edge_kernel: KE,
     ) -> ProductSystem<E, KE> {
-        let config = SolverConfig::default();
-        let solver = MarginalizedKernelSolver::unlabeled(config);
+        let solver = MarginalizedKernelSolver::unlabeled(SolverConfig::default());
         let (a, b) = (solver.prepare_graph(g1), solver.prepare_graph(g2));
-        ProductSystem::from_prepared(&a, &b, vertex_kernel, edge_kernel, &config)
+        ProductSystem::from_prepared(&a, &b, vertex_kernel, edge_kernel)
     }
 
     /// Apply `op` twice and return its stream's length and capacity after
@@ -669,7 +631,7 @@ mod tests {
     fn system_matrix_is_symmetric_positive_definite() {
         // build the dense system matrix column by column and check symmetry
         // and positive definiteness via Cholesky
-        let sys = assemble(&SolverConfig::default());
+        let sys = assemble();
         let op = SystemOperator::new(&sys);
         let nm = sys.dim();
         let mut mat = vec![0.0f64; nm * nm];

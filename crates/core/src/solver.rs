@@ -15,11 +15,9 @@ use crate::product::{ProductSystem, SystemOperator};
 /// Configuration of the marginalized graph kernel solver.
 ///
 /// The off-diagonal operator is always the two-level sparse octile one of
-/// Section IV. The default configuration is the paper's full production
-/// kernel: PBR reordering, adaptive dense/sparse tile primitives, compact
-/// tile payloads and block-level tile sharing. The individual switches
-/// correspond to the ablation levels of Fig. 9 above its `Dense` baseline
-/// (`mgk-bench`'s `OptimizationLevel`).
+/// Section IV, with adaptive dense/sparse tile primitives, compact tile
+/// payloads and block-level tile sharing. The default configuration adds
+/// PBR reordering: the paper's full production kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverConfig {
     /// Convergence threshold and iteration budget of the PCG iteration —
@@ -38,14 +36,6 @@ pub struct SolverConfig {
     pub precision: Precision,
     /// Vertex reordering applied to each graph before tiling.
     pub reorder: ReorderMethod,
-    /// Dynamically select dense/sparse tile primitives (Fig. 8).
-    pub adaptive_tiles: bool,
-    /// Store tiles in compact (bitmap + packed payload) form rather than as
-    /// dense 8×8 blocks. Only affects the traffic accounting.
-    pub compact_storage: bool,
-    /// Number of warps per block sharing octiles (Section V-A); 1 disables
-    /// sharing.
-    pub block_sharing: usize,
     /// Override the graphs' stopping probability with a uniform value.
     pub stopping_probability: Option<f32>,
     /// Also return the nodal similarity matrix (the solution vector
@@ -59,9 +49,6 @@ impl Default for SolverConfig {
             solve: SolveOptions { tolerance: 1e-6, max_iterations: 500 },
             precision: Precision::from_env(),
             reorder: ReorderMethod::Pbr,
-            adaptive_tiles: true,
-            compact_storage: true,
-            block_sharing: 8,
             stopping_probability: None,
             compute_nodal: false,
         }
@@ -262,13 +249,7 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
         KV: BaseKernel<V>,
         KE: BaseKernel<E> + Clone,
     {
-        ProductSystem::from_prepared(
-            a,
-            b,
-            &self.vertex_kernel,
-            self.edge_kernel.clone(),
-            &self.config,
-        )
+        ProductSystem::from_prepared(a, b, &self.vertex_kernel, self.edge_kernel.clone())
     }
 
     /// Run PCG on an assembled system at the [`Scalar`] instantiation `U`.
@@ -709,29 +690,21 @@ mod tests {
         }
     }
 
+    /// The solver configurations of Fig. 9's octile levels differ in their
+    /// reordering alone: `Sparse` tiles the natural order, `+Reorder` and
+    /// every level after it the PBR order. `mgk-bench`'s `dense.rs` checks
+    /// every level's own operator against the dense baseline.
     #[test]
     fn ablation_configurations_agree_on_the_kernel_value() {
         let mut rng = StdRng::seed_from_u64(5);
         let g1 = generators::newman_watts_strogatz(24, 2, 0.15, &mut rng);
         let g2 = generators::barabasi_albert(18, 3, &mut rng);
-        let configs = [
-            SolverConfig {
-                reorder: ReorderMethod::Natural,
-                adaptive_tiles: false,
-                ..SolverConfig::default()
-            },
-            SolverConfig {
-                reorder: ReorderMethod::Pbr,
-                adaptive_tiles: true,
-                compact_storage: true,
-                block_sharing: 8,
-                ..SolverConfig::default()
-            },
-            SolverConfig { reorder: ReorderMethod::Rcm, ..SolverConfig::default() },
-        ];
-        let values: Vec<f32> = configs
-            .iter()
-            .map(|c| MarginalizedKernelSolver::unlabeled(*c).kernel(&g1, &g2).unwrap().value)
+        let values: Vec<f32> = [ReorderMethod::Natural, ReorderMethod::Pbr, ReorderMethod::Rcm]
+            .into_iter()
+            .map(|reorder| {
+                let config = SolverConfig { reorder, ..SolverConfig::default() };
+                MarginalizedKernelSolver::unlabeled(config).kernel(&g1, &g2).unwrap().value
+            })
             .collect();
         for v in &values[1..] {
             assert!((v - values[0]).abs() < 1e-4 * values[0].abs(), "{v} vs {}", values[0]);

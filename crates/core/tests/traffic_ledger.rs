@@ -1,13 +1,13 @@
 //! One application of the octile system operator counts exactly the traffic
 //! the model attributes to it, field by field: every tile pair's closed form
 //! as `tile_pair_product_with_panels` counts it, the operator's global terms
-//! (each outer tile loaded once per sweep, each inner tile once per outer
-//! tile and shared across `block_sharing` warps, one right-hand-side block
-//! per tile pair, one write-back of `y`) and the fused diagonal sweep.
+//! (each tile stored compactly, each outer tile loaded once per sweep, each
+//! inner tile once per outer tile and shared across the 8 warps of a block,
+//! one right-hand-side block per tile pair, one write-back of `y`) and the
+//! fused diagonal sweep.
 //!
-//! The grid covers both precisions, compact and full tile storage, block
-//! sharing 1 and 8, three edge kernels, and random graphs of 13–29 vertices
-//! at edge probability 0.1–0.9.
+//! The grid covers both precisions, three edge kernels, and random graphs
+//! of 13–29 vertices at edge probability 0.1–0.9.
 
 use mgk_core::octile_ops::{
     tile_pair_product_with_panels, KindTable, PairContext, PaneledTile, TileCosts, TilePanels,
@@ -39,12 +39,14 @@ fn random_graph(rng: &mut StdRng, prob: f64) -> Graph<Unlabeled, f32> {
     b.build().unwrap()
 }
 
+/// Warps of a block sharing each inner tile's load.
+const BLOCK_SHARING: u64 = 8;
+
 /// The traffic of one application, summed from its parts.
 fn summed_parts<T: Scalar, K: BaseKernel<f32>>(
     g1: &Graph<Unlabeled, f32>,
     g2: &Graph<Unlabeled, f32>,
     kernel: &K,
-    config: &SolverConfig,
 ) -> TrafficCounters {
     let (n, m) = (g1.num_vertices(), g2.num_vertices());
     let (tiles1, tiles2) = (OctileMatrix::from_graph(g1), OctileMatrix::from_graph(g2));
@@ -53,14 +55,7 @@ fn summed_parts<T: Scalar, K: BaseKernel<f32>>(
         TileCosts { label_bytes: cost.label_bytes, float_bytes: 4, kernel_flops: cost.flops };
     let table = KindTable::new(cost.flops);
     let (fb, eb, vb) = (4u64, cost.label_bytes as u64, T::BYTES);
-    let tile_bytes = |t: &Octile<f32>| {
-        if config.compact_storage {
-            8 + t.nnz() as u64 * (fb + eb)
-        } else {
-            TILE_AREA as u64 * (fb + eb)
-        }
-    };
-    let sharing = config.block_sharing.max(1) as u64;
+    let tile_bytes = |t: &Octile<f32>| 8 + t.nnz() as u64 * (fb + eb);
     let nm = (n * m) as u64;
     let x = vec![T::ONE; n * m];
     let mut y = vec![T::ZERO; n * m];
@@ -72,7 +67,7 @@ fn summed_parts<T: Scalar, K: BaseKernel<f32>>(
         global.global_load_bytes += tile_bytes(t1);
         for t2 in tiles2.tiles() {
             let p2 = TilePanels::new(t2);
-            global.global_load_bytes += tile_bytes(t2).div_ceil(sharing);
+            global.global_load_bytes += tile_bytes(t2).div_ceil(BLOCK_SHARING);
             global.global_load_bytes += TILE_AREA as u64 * fb;
             tile_pair_product_with_panels(
                 table.get(t1.nnz(), t2.nnz()),
@@ -100,9 +95,9 @@ fn counted_apply<T: Scalar, K: BaseKernel<f32> + Clone>(
     g1: &Graph<Unlabeled, f32>,
     g2: &Graph<Unlabeled, f32>,
     kernel: &K,
-    config: &SolverConfig,
 ) -> TrafficCounters {
-    let system = ProductSystem::assemble(g1, g2, &UnitKernel, kernel.clone(), config);
+    let config = SolverConfig::default();
+    let system = ProductSystem::assemble(g1, g2, &UnitKernel, kernel.clone(), &config);
     let operator = SystemOperator::<_, _, T>::new(&system);
     let x: Vec<T> = (0..system.dim()).map(|k| T::from_f64(0.1 * (k % 7) as f64 - 0.3)).collect();
     let mut y = vec![T::ZERO; x.len()];
@@ -126,31 +121,17 @@ fn check_kernel<K: BaseKernel<f32> + Clone>(
     g1: &Graph<Unlabeled, f32>,
     g2: &Graph<Unlabeled, f32>,
 ) {
-    for compact_storage in [true, false] {
-        for block_sharing in [1, 8] {
-            let config = SolverConfig {
-                adaptive_tiles: true,
-                compact_storage,
-                block_sharing,
-                ..SolverConfig::default()
-            };
-            let case = format!(
-                "{name}, {}×{}, compact {compact_storage}, sharing {block_sharing}",
-                g1.num_vertices(),
-                g2.num_vertices()
-            );
-            assert_fields_equal(
-                &counted_apply::<f32, _>(g1, g2, kernel, &config),
-                &summed_parts::<f32, _>(g1, g2, kernel, &config),
-                &format!("f32, {case}"),
-            );
-            assert_fields_equal(
-                &counted_apply::<f64, _>(g1, g2, kernel, &config),
-                &summed_parts::<f64, _>(g1, g2, kernel, &config),
-                &format!("f64, {case}"),
-            );
-        }
-    }
+    let case = format!("{name}, {}×{}", g1.num_vertices(), g2.num_vertices());
+    assert_fields_equal(
+        &counted_apply::<f32, _>(g1, g2, kernel),
+        &summed_parts::<f32, _>(g1, g2, kernel),
+        &format!("f32, {case}"),
+    );
+    assert_fields_equal(
+        &counted_apply::<f64, _>(g1, g2, kernel),
+        &summed_parts::<f64, _>(g1, g2, kernel),
+        &format!("f64, {case}"),
+    );
 }
 
 #[test]

@@ -7,6 +7,18 @@
 //! format version is refused with [`StoreError::VersionSkew`] instead of
 //! being misread.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::path::Path;
 
 /// Version stamped into every WAL and snapshot header. Bump it whenever
@@ -232,12 +244,19 @@ impl<'a> Reader<'a> {
         self.take(1).map(|b| b[0])
     }
 
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (head, _) = self.buf.get(self.pos..)?.split_first_chunk::<N>()?;
+        self.pos += N;
+        Some(*head)
+    }
+
     pub(crate) fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
+        self.array().map(u32::from_le_bytes)
     }
 
     pub(crate) fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+        self.array().map(u64::from_le_bytes)
     }
 
     pub(crate) fn f32(&mut self) -> Option<f32> {

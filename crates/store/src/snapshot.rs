@@ -12,6 +12,18 @@
 //! half-written snapshot under a valid name — any file with a valid name
 //! is complete, and a checksum failure on one is genuine corruption.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -136,14 +148,15 @@ impl SnapshotFile {
     pub fn load(path: &Path) -> Result<StoreSnapshot, StoreError> {
         let bytes = std::fs::read(path)?;
         let header = MAGIC.len() + 4 + 8;
-        if bytes.len() < header {
+        let mut reader = Reader::new(&bytes);
+        let (Some(magic), Some(version), Some(checksum)) =
+            (reader.take(MAGIC.len()), reader.u32(), reader.u64())
+        else {
             return Err(StoreError::corrupt(path, 0, "snapshot shorter than its header"));
-        }
-        if &bytes[..MAGIC.len()] != MAGIC {
+        };
+        if magic != MAGIC {
             return Err(StoreError::corrupt(path, 0, "bad snapshot magic"));
         }
-        let version =
-            u32::from_le_bytes(bytes[MAGIC.len()..MAGIC.len() + 4].try_into().expect("4 bytes"));
         if version != FORMAT_VERSION {
             return Err(StoreError::VersionSkew {
                 file: path.display().to_string(),
@@ -151,8 +164,6 @@ impl SnapshotFile {
                 expected: FORMAT_VERSION,
             });
         }
-        let checksum =
-            u64::from_le_bytes(bytes[MAGIC.len() + 4..header].try_into().expect("8 bytes"));
         let payload = &bytes[header..];
         if fnv1a64(payload) != checksum {
             return Err(StoreError::corrupt(path, header as u64, "snapshot checksum mismatch"));
