@@ -10,11 +10,14 @@
 //! | `Reorder` | PBR vertex reordering | [`DenseSolver`], [`OctileProduct`] |
 //! | `Adaptive` | dynamic dense/sparse tile-primitive selection | [`DenseSolver`], [`OctileProduct`] |
 //! | `Compact` | compact (bitmap + packed) tile storage | [`DenseSolver`], [`OctileProduct`] |
-//! | `Block` | block-level octile sharing between warps | `GramEngine`, static scheduling |
-//! | `DynamicScheduling` | dynamic scheduling of graph pairs | `GramEngine`, dynamic scheduling |
+//! | `Block` | block-level octile sharing between warps | the serving solver, one chunk of pairs per thread |
+//! | `DynamicScheduling` | dynamic scheduling of graph pairs | `GramEngine` |
 //!
 //! From `Block` on, a level's configuration is the serving one, so it runs
-//! the serving solver: its layered, streamed octile sweep. The levels below
+//! the serving solver: its layered, streamed octile sweep. `Block` assigns
+//! the pairs to threads up front, one contiguous chunk each, and
+//! `DynamicScheduling` runs `GramEngine`, which hands them out one at a
+//! time; each pair is the same solve either way. The levels below
 //! it route tile pairs or count traffic in a way the serving operator does
 //! not, so they run [`DenseSolver`]'s PCG driver with [`OctileProduct`], a
 //! plain loop over the tile pairs with the level's own routing and global
@@ -23,20 +26,22 @@
 //! level gets the bits, the iteration count and the traffic it would get
 //! from the serving operator with that level's policy.
 
+use std::time::Instant;
+
+use rayon::prelude::*;
+
 use mgk_core::octile_ops::{
     tile_pair_product_with_panels, KindTable, PairContext, PaneledTile, TileCosts, TilePanels,
     TileProductKind,
 };
-use mgk_core::{
-    GramConfig, GramEngine, GramResult, MarginalizedKernelSolver, Scheduling, SolverConfig,
-};
+use mgk_core::{GramConfig, GramEngine, GramResult, MarginalizedKernelSolver, SolverConfig};
 use mgk_graph::Graph;
 use mgk_kernels::BaseKernel;
 use mgk_linalg::{Scalar, TrafficCounters};
 use mgk_reorder::ReorderMethod;
 use mgk_tile::{Octile, OctileMatrix, TILE_AREA};
 
-use crate::dense::{DenseSolver, DenseXmv};
+use crate::dense::{static_gram, DenseSolver, DenseXmv};
 use crate::xmv::XmvPrimitive;
 
 /// The tile routing and the traffic policy of an octile operator: what
@@ -222,19 +227,11 @@ impl OptimizationLevel {
         SolverConfig { reorder, ..*base }
     }
 
-    /// The Gram-matrix scheduling policy of this level.
-    pub fn scheduling(self) -> Scheduling {
-        if self >= OptimizationLevel::DynamicScheduling {
-            Scheduling::Dynamic
-        } else {
-            Scheduling::Static
-        }
-    }
-
     /// The normalized Gram matrix of `graphs` at this level. Up to
     /// `Compact` it solves with the level's [`xmv`](Self::xmv) through
-    /// [`DenseSolver::gram`] (static scheduling); from `Block` on it runs
-    /// `GramEngine` with this level's configuration and scheduling.
+    /// [`DenseSolver::gram`]; `Block` solves with the serving solver under
+    /// the same static assignment of pairs to threads; `DynamicScheduling`
+    /// runs `GramEngine`.
     pub fn gram<V, E, KV, KE>(
         self,
         graphs: &[Graph<V, E>],
@@ -249,20 +246,28 @@ impl OptimizationLevel {
         KE: BaseKernel<E> + Clone + Send + Sync,
     {
         let config = self.solver_config(base);
-        match self.xmv() {
-            Some(xmv) => DenseSolver::new(vertex_kernel, edge_kernel, config, xmv).gram(graphs),
-            None => GramEngine::new(
-                MarginalizedKernelSolver::new(vertex_kernel, edge_kernel, config),
-                GramConfig { scheduling: self.scheduling(), normalize: true },
-            )
-            .compute(graphs),
+        if let Some(xmv) = self.xmv() {
+            return DenseSolver::new(vertex_kernel, edge_kernel, config, xmv).gram(graphs);
         }
+        let solver = MarginalizedKernelSolver::new(vertex_kernel, edge_kernel, config);
+        if self == OptimizationLevel::DynamicScheduling {
+            return GramEngine::new(solver, GramConfig::default()).compute(graphs);
+        }
+        let prep_start = Instant::now();
+        let prepared: Vec<_> = graphs.par_iter().map(|g| solver.prepare_graph(g)).collect();
+        static_gram(&prepared, prep_start.elapsed(), |a, b| {
+            solver.kernel_prepared(a, b, config.precision)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AtomKernel, BondKernel};
+    use mgk_graph::generators;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn levels_are_cumulative() {
@@ -283,9 +288,47 @@ mod tests {
         // block sharing is the serving operator's policy
         assert_eq!(Block.xmv(), None);
         assert_eq!(DynamicScheduling.xmv(), None);
+    }
 
-        assert_eq!(DynamicScheduling.scheduling(), Scheduling::Dynamic);
-        assert_eq!(Block.scheduling(), Scheduling::Static);
+    /// `Block` and `DynamicScheduling` differ only in how the pairs are
+    /// assigned to threads: every pair is the same `kernel_prepared` call,
+    /// so the two give the same bits, iterations and traffic.
+    #[test]
+    fn static_and_dynamic_scheduling_agree() {
+        fn agree<V, E, KV, KE>(graphs: &[Graph<V, E>], vertex_kernel: KV, edge_kernel: KE)
+        where
+            V: Clone + Send + Sync,
+            E: Copy + Default + Send + Sync,
+            KV: BaseKernel<V> + Clone + Send + Sync,
+            KE: BaseKernel<E> + Clone + Send + Sync,
+        {
+            let base = SolverConfig::default();
+            let gram = |level: OptimizationLevel| {
+                level.gram(graphs, vertex_kernel.clone(), edge_kernel.clone(), &base)
+            };
+            let (static_, dynamic) =
+                (gram(OptimizationLevel::Block), gram(OptimizationLevel::DynamicScheduling));
+            assert_eq!(static_.failures, 0);
+            assert_eq!(dynamic.failures, 0);
+            let bits = |m: &[f32]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&static_.matrix), bits(&dynamic.matrix));
+            assert_eq!(static_.total_iterations, dynamic.total_iterations);
+            assert_eq!(static_.traffic, dynamic.traffic);
+        }
+
+        let mut rng = StdRng::seed_from_u64(17);
+        let graphs: Vec<Graph> = (0..5)
+            .map(|k| {
+                if k % 2 == 0 {
+                    generators::newman_watts_strogatz(12 + k, 2, 0.2, &mut rng)
+                } else {
+                    generators::barabasi_albert(10 + k, 2, &mut rng)
+                }
+            })
+            .collect();
+        agree(&graphs, mgk_kernels::UnitKernel, mgk_kernels::UnitKernel);
+        let mols = mgk_datasets::molecules::drugbank_like(6, 4, 30, &mut rng);
+        agree(&mols, AtomKernel::default(), BondKernel::default());
     }
 
     #[test]

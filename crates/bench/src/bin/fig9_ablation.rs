@@ -14,7 +14,9 @@
 //! DrugBank-like set, and dynamic scheduling adds a little on top.
 //!
 //! +Block and +DynSched run the serving solver, its layered and streamed
-//! octile sweep, through `GramEngine`. Sparse to +Compact route tile pairs
+//! octile sweep: +Block assigns the pairs to threads up front, one
+//! contiguous chunk each, and +DynSched runs `GramEngine`, which hands them
+//! out one at a time. Sparse to +Compact route tile pairs
 //! or count traffic in ways the serving operator does not, so they run the
 //! same PCG iteration over `mgk-bench`'s plain per-tile-pair loop
 //! (`OctileProduct`), which gives the serving sweep's bits at the serving

@@ -11,7 +11,7 @@
 //! iteration of [`MarginalizedKernelSolver`] on the same system and differs
 //! from the octile solve by rounding alone.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 
@@ -263,7 +263,7 @@ impl<KV, KE> DenseSolver<KV, KE> {
 
     /// The normalized Gram matrix of `graphs` over the pairs `GramEngine`
     /// solves (the upper triangle, each graph prepared once), handed to the
-    /// pool in one contiguous chunk per thread as `Scheduling::Static` does.
+    /// pool in one contiguous chunk per thread.
     pub fn gram<V, E>(&self, graphs: &[Graph<V, E>]) -> GramResult
     where
         V: Clone + Send + Sync,
@@ -273,54 +273,63 @@ impl<KV, KE> DenseSolver<KV, KE> {
     {
         let prep_start = Instant::now();
         let prepared: Vec<Graph<V, E>> = graphs.iter().map(|g| self.prepare(g)).collect();
-        let preprocessing = prep_start.elapsed();
+        static_gram(&prepared, prep_start.elapsed(), |a, b| self.kernel_prepared(a, b))
+    }
+}
 
-        let n = prepared.len();
-        let pairs: Vec<(usize, usize)> = (0..n).flat_map(|i| (i..n).map(move |j| (i, j))).collect();
-        let start = Instant::now();
-        let solve_pair =
-            |&(i, j): &(usize, usize)| (i, j, self.kernel_prepared(&prepared[i], &prepared[j]));
-        let threads = rayon::current_num_threads().max(1);
-        let chunk = pairs.len().div_ceil(threads).max(1);
-        let results: Vec<_> = pairs
-            .par_chunks(chunk)
-            .flat_map_iter(|chunk| chunk.iter().map(solve_pair).collect::<Vec<_>>())
-            .collect();
-        let elapsed = start.elapsed();
+/// The normalized Gram matrix of `prepared` graphs, each pair of the upper
+/// triangle solved by `solve`: the pairs are handed to the pool in one
+/// contiguous chunk per thread, assigned up front, which is the static
+/// scheduling Fig. 9 measures below `+DynSched`. The normalization divides
+/// in f64, as `GramEngine`'s does.
+pub(crate) fn static_gram<P, F>(prepared: &[P], preprocessing: Duration, solve: F) -> GramResult
+where
+    P: Sync,
+    F: Fn(&P, &P) -> Result<KernelResult, SolverError> + Sync,
+{
+    let n = prepared.len();
+    let pairs: Vec<(usize, usize)> = (0..n).flat_map(|i| (i..n).map(move |j| (i, j))).collect();
+    let start = Instant::now();
+    let solve_pair = |&(i, j): &(usize, usize)| (i, j, solve(&prepared[i], &prepared[j]));
+    let threads = rayon::current_num_threads().max(1);
+    let chunk = pairs.len().div_ceil(threads).max(1);
+    let results: Vec<_> = pairs
+        .par_chunks(chunk)
+        .flat_map_iter(|chunk| chunk.iter().map(solve_pair).collect::<Vec<_>>())
+        .collect();
+    let elapsed = start.elapsed();
 
-        let mut matrix = vec![f32::NAN; n * n];
-        let mut traffic = TrafficCounters::new();
-        let (mut total_iterations, mut failures) = (0, 0);
-        for (i, j, result) in results {
-            match result {
-                Ok(r) => {
-                    matrix[i * n + j] = r.value;
-                    matrix[j * n + i] = r.value;
-                    traffic.accumulate(&r.traffic);
-                    total_iterations += r.iterations;
-                }
-                Err(_) => failures += 1,
+    let mut matrix = vec![f32::NAN; n * n];
+    let mut traffic = TrafficCounters::new();
+    let (mut total_iterations, mut failures) = (0, 0);
+    for (i, j, result) in results {
+        match result {
+            Ok(r) => {
+                matrix[i * n + j] = r.value;
+                matrix[j * n + i] = r.value;
+                traffic.accumulate(&r.traffic);
+                total_iterations += r.iterations;
+            }
+            Err(_) => failures += 1,
+        }
+    }
+    let diag: Vec<f64> = (0..n).map(|i| matrix[i * n + i] as f64).collect();
+    for i in 0..n {
+        for j in 0..n {
+            let d = (diag[i] * diag[j]).sqrt();
+            if d > 0.0 {
+                matrix[i * n + j] = (matrix[i * n + j] as f64 / d) as f32;
             }
         }
-        let diag: Vec<f64> = (0..n).map(|i| matrix[i * n + i] as f64).collect();
-        for i in 0..n {
-            for j in 0..n {
-                let d = (diag[i] * diag[j]).sqrt();
-                if d > 0.0 {
-                    matrix[i * n + j] = (matrix[i * n + j] as f64 / d) as f32;
-                }
-            }
-        }
-        GramResult {
-            matrix,
-            num_graphs: n,
-            num_cols: n,
-            total_iterations,
-            traffic,
-            failures,
-            elapsed,
-            preprocessing,
-        }
+    }
+    GramResult {
+        matrix,
+        num_graphs: n,
+        total_iterations,
+        traffic,
+        failures,
+        elapsed,
+        preprocessing,
     }
 }
 

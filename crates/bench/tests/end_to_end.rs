@@ -25,8 +25,7 @@ fn dense_gram_matrix_matches_the_octile_one_on_labeled_molecules() {
         ke,
         SolverConfig { reorder: ReorderMethod::Pbr, ..SolverConfig::default() },
     );
-    let octile = GramEngine::new(solver, GramConfig { normalize: true, ..GramConfig::default() })
-        .compute(&mols);
+    let octile = GramEngine::new(solver, GramConfig { normalize: true }).compute(&mols);
     let dense = DenseSolver::new(
         kv,
         ke,

@@ -3,10 +3,23 @@
 //! Training a kernel-based model requires the full pairwise similarity
 //! matrix of a dataset — for `N` graphs that is `N (N + 1) / 2` independent
 //! linear-system solves, which the paper distributes over the GPU by
-//! assigning graph pairs to thread blocks. Here the pairs are distributed
-//! over CPU threads with rayon; the [`Scheduling`] policy mirrors the
-//! static-vs-dynamic work assignment the paper studies for size-skewed
-//! datasets (Section V-B, Fig. 9's `+DynSched` level).
+//! assigning graph pairs to thread blocks. Here the pairs are handed to CPU
+//! threads one at a time through rayon's work stealing, the CPU analogue of
+//! the paper's dynamic scheduling across thread blocks (Section V-B). The
+//! static assignment it is compared with in Fig. 9 is `mgk-bench`'s
+//! `+Block` level.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::time::{Duration, Instant};
 
@@ -14,23 +27,10 @@ use rayon::prelude::*;
 
 use mgk_graph::Graph;
 use mgk_kernels::BaseKernel;
-use mgk_linalg::{Precision, Scalar, TrafficCounters};
+use mgk_linalg::TrafficCounters;
 
 use crate::prepared::PreparedGraph;
-use crate::solver::{KernelResult, MarginalizedKernelSolver, SolverError};
-
-/// How graph pairs are assigned to worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduling {
-    /// Pairs are split into one contiguous chunk per thread up front. Cheap,
-    /// but a chunk holding the largest graphs straggles when the dataset
-    /// has a skewed size distribution.
-    Static,
-    /// Pairs are handed out one at a time through work stealing — the CPU
-    /// analogue of the paper's dynamic scheduling across thread blocks.
-    #[default]
-    Dynamic,
-}
+use crate::solver::MarginalizedKernelSolver;
 
 /// Configuration of the Gram-matrix engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,33 +38,22 @@ pub struct GramConfig {
     /// Normalize the matrix to unit self-similarity:
     /// `K̂_ij = K_ij / sqrt(K_ii K_jj)`.
     pub normalize: bool,
-    /// Work-distribution policy.
-    pub scheduling: Scheduling,
 }
 
 impl Default for GramConfig {
     fn default() -> Self {
-        GramConfig { normalize: true, scheduling: Scheduling::Dynamic }
+        GramConfig { normalize: true }
     }
 }
 
-/// Result of a Gram-matrix computation at one [`Scalar`] entry precision.
-///
-/// The default parameter keeps `GramResult` (no arguments) the `f32`
-/// serving result; [`GramEngine::compute_at`] threads the typed
-/// [`KernelResult<T>`](crate::KernelResult) through to a `T`-valued matrix
-/// for validation paths that must not round at the boundary.
+/// Result of a Gram-matrix computation.
 #[derive(Debug, Clone)]
-pub struct GramResult<T: Scalar = f32> {
-    /// Row-major kernel matrix, `N × N` or, from
-    /// [`GramEngine::compute_cross`], `rows × cols`. Entries of pairs that
-    /// failed to converge are `NaN`.
-    pub matrix: Vec<T>,
-    /// Number of graphs (of a cross matrix: the larger of its two sides).
+pub struct GramResult {
+    /// Row-major `N × N` kernel matrix. Entries of pairs that failed to
+    /// converge are `NaN`.
+    pub matrix: Vec<f32>,
+    /// Number of graphs `N`.
     pub num_graphs: usize,
-    /// Number of columns of `matrix`; `num_graphs` unless the matrix is a
-    /// cross matrix.
-    pub num_cols: usize,
     /// Total PCG iterations across all pairs.
     pub total_iterations: usize,
     /// Aggregate memory traffic of all solves (feeds the GPU cost model).
@@ -78,10 +67,10 @@ pub struct GramResult<T: Scalar = f32> {
     pub preprocessing: Duration,
 }
 
-impl<T: Scalar> GramResult<T> {
+impl GramResult {
     /// Access entry `(i, j)`.
-    pub fn get(&self, i: usize, j: usize) -> T {
-        self.matrix[i * self.num_cols + j]
+    pub fn get(&self, i: usize, j: usize) -> f32 {
+        self.matrix[i * self.num_graphs + j]
     }
 }
 
@@ -116,14 +105,9 @@ impl<KV, KE> GramEngine<KV, KE> {
         GramEngine { solver, config }
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &GramConfig {
-        &self.config
-    }
-
     /// Compute the symmetric pairwise kernel matrix of a dataset. Per-pair
-    /// solves go through the runtime [`Precision`] policy (F32 or F64),
-    /// narrowed to the f32 serving matrix.
+    /// solves go through the runtime [`Precision`](mgk_linalg::Precision)
+    /// policy (F32 or F64), narrowed to the f32 serving matrix.
     pub fn compute<V, E>(&self, graphs: &[Graph<V, E>]) -> GramResult
     where
         V: Clone + Send + Sync,
@@ -131,50 +115,24 @@ impl<KV, KE> GramEngine<KV, KE> {
         KV: BaseKernel<V> + Clone + Send + Sync,
         KE: BaseKernel<E> + Clone + Send + Sync,
     {
-        self.compute_with(graphs, self.solver.config().precision)
-    }
-
-    /// [`compute`](Self::compute) at a specific [`Scalar`] instantiation of
-    /// the solver surface: every pair solve runs at `T` and the matrix
-    /// entries stay at `T` end-to-end — `compute_at::<f64>` yields a Gram
-    /// matrix with no `f32` rounding at any boundary.
-    pub fn compute_at<T, V, E>(&self, graphs: &[Graph<V, E>]) -> GramResult<T>
-    where
-        T: Scalar,
-        V: Clone + Send + Sync,
-        E: Copy + Default + Send + Sync,
-        KV: BaseKernel<V> + Clone + Send + Sync,
-        KE: BaseKernel<E> + Clone + Send + Sync,
-    {
-        self.compute_with(graphs, T::PRECISION)
-    }
-
-    /// The symmetric sweep behind [`compute`](Self::compute) and
-    /// [`compute_at`](Self::compute_at), plus the normalization.
-    fn compute_with<T, V, E>(&self, graphs: &[Graph<V, E>], precision: Precision) -> GramResult<T>
-    where
-        T: Scalar,
-        V: Clone + Send + Sync,
-        E: Copy + Default + Send + Sync,
-        KV: BaseKernel<V> + Clone + Send + Sync,
-        KE: BaseKernel<E> + Clone + Send + Sync,
-    {
+        // the one-off preprocessing: reorder, re-weight and tile each graph
+        // once, whatever number of pairs it is in (the amortization argument
+        // of Section IV-A)
         let prep_start = Instant::now();
-        let prepared = self.prepare_all(graphs);
-        let mut result: GramResult<T> =
-            self.sweep(&prepared, &prepared, true, precision, prep_start.elapsed());
+        let prepared: Vec<PreparedGraph<V, E>> =
+            graphs.par_iter().map(|g| self.solver.prepare_graph(g)).collect();
+        let mut result = self.sweep(&prepared, prep_start.elapsed());
 
         if self.config.normalize {
-            // the normalization factors are computed in f64 at every entry
-            // precision (exact for both instantiations' diagonals)
+            // the normalization factors are computed in f64
             let n = graphs.len();
             let matrix = &mut result.matrix;
-            let diag: Vec<f64> = (0..n).map(|i| matrix[i * n + i].to_f64()).collect();
+            let diag: Vec<f64> = (0..n).map(|i| matrix[i * n + i] as f64).collect();
             for i in 0..n {
                 for j in 0..n {
                     let d = (diag[i] * diag[j]).sqrt();
                     if d > 0.0 {
-                        matrix[i * n + j] = T::from_f64(matrix[i * n + j].to_f64() / d);
+                        matrix[i * n + j] = (matrix[i * n + j] as f64 / d) as f32;
                     }
                 }
             }
@@ -182,85 +140,36 @@ impl<KV, KE> GramEngine<KV, KE> {
         result
     }
 
-    /// Compute the rectangular kernel matrix between two datasets (rows
-    /// indexed by `rows`, columns by `cols`) without normalization.
-    pub fn compute_cross<V, E>(&self, rows: &[Graph<V, E>], cols: &[Graph<V, E>]) -> GramResult
+    /// Solve every pair of the upper triangle, handed to the pool one pair
+    /// at a time, and mirror it into a row-major `N × N` matrix.
+    fn sweep<V, E>(&self, prepared: &[PreparedGraph<V, E>], preprocessing: Duration) -> GramResult
     where
-        V: Clone + Send + Sync,
-        E: Copy + Default + Send + Sync,
-        KV: BaseKernel<V> + Clone + Send + Sync,
-        KE: BaseKernel<E> + Clone + Send + Sync,
-    {
-        let prep_start = Instant::now();
-        let (rows, cols) = (self.prepare_all(rows), self.prepare_all(cols));
-        self.sweep(&rows, &cols, false, self.solver.config().precision, prep_start.elapsed())
-    }
-
-    /// The one-off preprocessing: reorder, re-weight and tile each graph
-    /// once, whatever number of pairs it is in (the amortization argument
-    /// of Section IV-A).
-    fn prepare_all<V, E>(&self, graphs: &[Graph<V, E>]) -> Vec<PreparedGraph<V, E>>
-    where
-        V: Clone + Send + Sync,
-        E: Copy + Default + Send + Sync,
-        KV: Sync,
-        KE: Sync,
-    {
-        graphs.par_iter().map(|g| self.solver.prepare_graph(g)).collect()
-    }
-
-    /// Solve every `(rows[i], cols[j])` pair — the upper triangle only, and
-    /// mirrored, when `symmetric` — into a row-major `rows × cols` matrix.
-    fn sweep<T, V, E>(
-        &self,
-        rows: &[PreparedGraph<V, E>],
-        cols: &[PreparedGraph<V, E>],
-        symmetric: bool,
-        precision: Precision,
-        preprocessing: Duration,
-    ) -> GramResult<T>
-    where
-        T: Scalar,
         V: Send + Sync,
         E: Copy + Default + Send + Sync,
         KV: BaseKernel<V> + Send + Sync,
         KE: BaseKernel<E> + Clone + Send + Sync,
     {
-        let (nr, nc) = (rows.len(), cols.len());
-        let mut matrix = vec![T::from_f32(f32::NAN); nr * nc];
-        let pairs: Vec<(usize, usize)> = (0..nr)
-            .flat_map(|i| (if symmetric { i } else { 0 }..nc).map(move |j| (i, j)))
-            .collect();
+        let n = prepared.len();
+        let precision = self.solver.config().precision;
+        let pairs: Vec<(usize, usize)> = (0..n).flat_map(|i| (i..n).map(move |j| (i, j))).collect();
 
         let start = Instant::now();
-        let solve_pair = |&(i, j): &(usize, usize)| {
-            (i, j, self.solver.kernel_prepared::<T, V, E>(&rows[i], &cols[j], precision))
-        };
-        let results: Vec<(usize, usize, Result<KernelResult<T>, SolverError>)> =
-            match self.config.scheduling {
-                Scheduling::Dynamic => pairs.par_iter().map(solve_pair).collect(),
-                Scheduling::Static => {
-                    // one contiguous chunk per thread, assigned up front
-                    let threads = rayon::current_num_threads().max(1);
-                    let chunk = pairs.len().div_ceil(threads).max(1);
-                    pairs
-                        .par_chunks(chunk)
-                        .flat_map_iter(|chunk| chunk.iter().map(solve_pair).collect::<Vec<_>>())
-                        .collect()
-                }
-            };
+        let results: Vec<_> = pairs
+            .par_iter()
+            .map(|&(i, j)| {
+                (i, j, self.solver.kernel_prepared(&prepared[i], &prepared[j], precision))
+            })
+            .collect();
         let elapsed = start.elapsed();
 
+        let mut matrix = vec![f32::NAN; n * n];
         let mut traffic = TrafficCounters::new();
-        let mut total_iterations = 0usize;
-        let mut failures = 0usize;
+        let (mut total_iterations, mut failures) = (0, 0);
         for (i, j, result) in results {
             match result {
                 Ok(r) => {
-                    matrix[i * nc + j] = r.value;
-                    if symmetric {
-                        matrix[j * nc + i] = r.value;
-                    }
+                    matrix[i * n + j] = r.value;
+                    matrix[j * n + i] = r.value;
                     traffic.accumulate(&r.traffic);
                     total_iterations += r.iterations;
                 }
@@ -269,8 +178,7 @@ impl<KV, KE> GramEngine<KV, KE> {
         }
         GramResult {
             matrix,
-            num_graphs: nr.max(nc),
-            num_cols: nc,
+            num_graphs: n,
             total_iterations,
             traffic,
             failures,
@@ -285,6 +193,7 @@ mod tests {
     use super::*;
     use crate::solver::{MarginalizedKernelSolver, SolverConfig};
     use mgk_graph::generators;
+    use mgk_linalg::Precision;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -325,7 +234,7 @@ mod tests {
     #[test]
     fn unnormalized_matrix_matches_individual_solves() {
         let graphs = small_dataset(4);
-        let cfg = GramConfig { normalize: false, ..GramConfig::default() };
+        let cfg = GramConfig { normalize: false };
         let result = engine(cfg).compute(&graphs);
         let solver = MarginalizedKernelSolver::unlabeled(SolverConfig::default());
         for i in 0..4 {
@@ -334,20 +243,6 @@ mod tests {
                 let rel = (result.get(i, j) - direct).abs() / direct.abs().max(1e-6);
                 assert!(rel < 1e-4, "({i},{j}): {} vs {direct}", result.get(i, j));
             }
-        }
-    }
-
-    #[test]
-    fn static_and_dynamic_scheduling_agree() {
-        let graphs = small_dataset(5);
-        let dynamic =
-            engine(GramConfig { scheduling: Scheduling::Dynamic, ..GramConfig::default() })
-                .compute(&graphs);
-        let static_ =
-            engine(GramConfig { scheduling: Scheduling::Static, ..GramConfig::default() })
-                .compute(&graphs);
-        for (a, b) in dynamic.matrix.iter().zip(&static_.matrix) {
-            assert!((a - b).abs() < 1e-5);
         }
     }
 
@@ -393,66 +288,21 @@ mod tests {
     }
 
     #[test]
-    fn compute_at_f64_agrees_with_the_serving_matrix_and_keeps_precision() {
+    fn an_f64_gram_agrees_with_the_serving_matrix() {
         let graphs = small_dataset(4);
         let serving = engine(GramConfig::default()).compute(&graphs);
-        let wide: GramResult<f64> = engine(GramConfig::default()).compute_at::<f64, _, _>(&graphs);
+        let config = SolverConfig { precision: Precision::F64, ..SolverConfig::default() };
+        let wide =
+            GramEngine::new(MarginalizedKernelSolver::unlabeled(config), GramConfig::default())
+                .compute(&graphs);
         assert_eq!(wide.num_graphs, 4);
         assert_eq!(wide.failures, 0);
         for i in 0..4 {
-            // unit diagonal survives at full precision
+            // unit diagonal: the normalization divides in f64
             assert!((wide.get(i, i) - 1.0).abs() < 1e-9);
             for j in 0..4 {
-                let (a, b) = (wide.get(i, j), serving.get(i, j) as f64);
+                let (a, b) = (wide.get(i, j) as f64, serving.get(i, j) as f64);
                 assert!((a - b).abs() < 1e-4, "entry ({i},{j}): f64 {a} vs f32 {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn cross_matrix_has_expected_shape() {
-        let graphs = small_dataset(5);
-        let result = engine(GramConfig::default()).compute_cross(&graphs[..2], &graphs[2..]);
-        assert_eq!(result.matrix.len(), 2 * 3);
-        assert!(result.matrix.iter().all(|v| v.is_finite() && *v > 0.0));
-    }
-
-    #[test]
-    fn cross_block_equals_the_unnormalized_gram_entries_bit_for_bit() {
-        // rows and columns are prepared once each and solved through the
-        // same prepared-pair routine as the symmetric sweep: same tiles,
-        // same order, same arithmetic
-        let graphs = small_dataset(5);
-        let engine = engine(GramConfig { normalize: false, ..GramConfig::default() });
-        let full = engine.compute(&graphs);
-        let cross = engine.compute_cross(&graphs[..2], &graphs[2..]);
-        assert_eq!(cross.failures, 0);
-        for i in 0..2 {
-            for j in 0..3 {
-                assert_eq!(
-                    cross.matrix[i * 3 + j].to_bits(),
-                    full.get(i, 2 + j).to_bits(),
-                    "cross entry ({i},{j})"
-                );
-            }
-        }
-        assert!(cross.preprocessing > Duration::ZERO, "rows and columns are prepared up front");
-    }
-
-    #[test]
-    fn tall_cross_matrix_is_the_transpose_of_the_wide_one() {
-        // `get` indexes by the column count, not by the larger side. The
-        // (a, b) and (b, a) solves sum in different orders, so the two
-        // agree to rounding, not bit for bit
-        let graphs = small_dataset(5);
-        let engine = engine(GramConfig::default());
-        let tall = engine.compute_cross(&graphs[..3], &graphs[3..]);
-        let wide = engine.compute_cross(&graphs[3..], &graphs[..3]);
-        assert_eq!((tall.num_cols, wide.num_cols), (2, 3));
-        for i in 0..3 {
-            for j in 0..2 {
-                let (t, w) = (tall.get(i, j), wide.get(j, i));
-                assert!((t - w).abs() <= 1e-5 * w.abs(), "entry ({i},{j}): {t} vs {w}");
             }
         }
     }

@@ -24,8 +24,8 @@
 //! * [`product`] — assembly of the tensor-product system (degree/vertex
 //!   kernel diagonals, right-hand side, octile operator).
 //! * [`solver`] — [`MarginalizedKernelSolver`], the per-pair PCG solver.
-//! * [`gram`] — [`GramEngine`], the parallel pairwise Gram-matrix engine
-//!   with static/dynamic scheduling (Section V).
+//! * [`gram`] — [`GramEngine`], the parallel pairwise Gram-matrix engine,
+//!   dynamically scheduled (Section V).
 //!
 //! The baselines the paper compares against — the naive materialized
 //! product of Section II-D, the dense on-the-fly primitives of Section III
@@ -40,7 +40,7 @@ pub mod prepared;
 pub mod product;
 pub mod solver;
 
-pub use gram::{GramConfig, GramEngine, GramResult, Scheduling};
+pub use gram::{GramConfig, GramEngine, GramResult};
 pub use mgk_telemetry::StageBreakdown;
 pub use prepared::PreparedGraph;
 pub use product::{ProductSystem, SystemOperator};

@@ -11,6 +11,18 @@
 //! A record whose payload is fully present but fails its checksum is
 //! *corruption*, not a torn write, and is refused with a typed error.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -150,14 +162,14 @@ impl WriteAheadLog {
 /// Replay a log image: header validation, then record iteration. See
 /// [`WalReplay`] for the tolerance contract.
 fn replay_bytes(path: &Path, bytes: &[u8]) -> Result<WalReplay, StoreError> {
-    if bytes.len() < HEADER_BYTES {
+    let mut reader = Reader::new(bytes);
+    let (Some(magic), Some(version)) = (reader.take(MAGIC.len()), reader.u32()) else {
         // the creation write itself was torn; nothing was ever recorded
         return Ok(WalReplay { records: Vec::new(), torn_tail: true, valid_bytes: 0 });
-    }
-    if &bytes[..MAGIC.len()] != MAGIC {
+    };
+    if magic != MAGIC {
         return Err(StoreError::corrupt(path, 0, "bad WAL magic"));
     }
-    let version = u32::from_le_bytes(bytes[MAGIC.len()..HEADER_BYTES].try_into().expect("4 bytes"));
     if version != FORMAT_VERSION {
         return Err(StoreError::VersionSkew {
             file: path.display().to_string(),
@@ -169,22 +181,17 @@ fn replay_bytes(path: &Path, bytes: &[u8]) -> Result<WalReplay, StoreError> {
     let mut records = Vec::new();
     let mut pos = HEADER_BYTES;
     let mut torn_tail = false;
-    while pos < bytes.len() {
+    while reader.remaining() > 0 {
         // frame header or payload running past the end of the file: the
         // final append was torn mid-write — skip it, but remember it
-        if bytes.len() - pos < FRAME_BYTES {
+        let (Some(len), Some(checksum)) = (reader.u32(), reader.u64()) else {
             torn_tail = true;
             break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let checksum =
-            u64::from_le_bytes(bytes[pos + 4..pos + FRAME_BYTES].try_into().expect("8 bytes"));
-        let payload_start = pos + FRAME_BYTES;
-        if bytes.len() - payload_start < len {
+        };
+        let Some(payload) = reader.take(len as usize) else {
             torn_tail = true;
             break;
-        }
-        let payload = &bytes[payload_start..payload_start + len];
+        };
         // the payload is fully present: a checksum mismatch here is real
         // corruption, not a torn write
         if fnv1a64(payload) != checksum {
@@ -200,7 +207,7 @@ fn replay_bytes(path: &Path, bytes: &[u8]) -> Result<WalReplay, StoreError> {
             Some(rec) if r.remaining() == 0 => records.push(rec),
             _ => return Err(StoreError::corrupt(path, pos as u64, "malformed record payload")),
         }
-        pos = payload_start + len;
+        pos += FRAME_BYTES + payload.len();
     }
     Ok(WalReplay { records, torn_tail, valid_bytes: pos as u64 })
 }

@@ -74,8 +74,7 @@ fn labeled_molecular_gram_matrix_is_consistent_across_solver_modes() {
         ke,
         SolverConfig { reorder: ReorderMethod::Pbr, ..SolverConfig::default() },
     );
-    let octile = GramEngine::new(solver, GramConfig { normalize: true, ..GramConfig::default() })
-        .compute(&mols);
+    let octile = GramEngine::new(solver, GramConfig { normalize: true }).compute(&mols);
     assert_eq!(octile.failures, 0);
     // normalized diagonal
     for i in 0..mols.len() {

@@ -38,7 +38,7 @@ fn requested_values_match_the_batch_engine() {
     // raw (unnormalized) batch reference over the same corpus
     let engine = GramEngine::new(
         MarginalizedKernelSolver::unlabeled(SolverConfig::default()),
-        GramConfig { normalize: false, ..GramConfig::default() },
+        GramConfig { normalize: false },
     );
     let batch = engine.compute(&graphs);
     assert_eq!(batch.failures, 0);
