@@ -5,8 +5,10 @@
 //! PDB datasets with its GPU solver and with the two existing CPU packages,
 //! observing 3–4 orders of magnitude of speedup. Neither package is
 //! available here; the comparison is against this crate's re-implementation
-//! of their algorithms (explicit dense solve and fixed-point iteration,
-//! both single-threaded), run on identical synthetic datasets.
+//! of their algorithms (explicit dense solve — a [`DenseSolver`] over the
+//! materialized product — and fixed-point iteration, both single-threaded),
+//! run on identical synthetic datasets. A baseline time counts only if
+//! every timed solve converged.
 //!
 //! Three numbers are reported per dataset: the present solver's measured
 //! CPU time (parallel, all optimizations), its projected V100 time (from
@@ -16,21 +18,25 @@
 
 use std::time::Instant;
 
-use mgk_baselines::{ExplicitSolver, FixedPointSolver};
+use mgk_bench::dense::{DenseSolver, DenseXmv};
 use mgk_bench::device::DeviceSpec;
+use mgk_bench::fixed_point::FixedPointSolver;
 use mgk_bench::project::estimate_time;
 use mgk_bench::{fmt_duration, scaled, AtomKernel, BondKernel, ElementKernel};
 use mgk_core::{GramConfig, GramEngine, MarginalizedKernelSolver, SolverConfig};
 use mgk_graph::Graph;
 use mgk_kernels::BaseKernel;
+use mgk_reorder::ReorderMethod;
 
 /// Time a baseline on a bounded number of pairs and extrapolate to the full
-/// upper-triangular sweep.
+/// upper-triangular sweep. `eval` solves one pair and says whether the
+/// solve converged; the third value is the number of timed solves that did
+/// not.
 fn baseline_time<V, E>(
     graphs: &[Graph<V, E>],
-    mut eval: impl FnMut(&Graph<V, E>, &Graph<V, E>),
+    mut eval: impl FnMut(&Graph<V, E>, &Graph<V, E>) -> bool,
     budget_pairs: usize,
-) -> (f64, bool)
+) -> (f64, bool, usize)
 where
     E: Copy + Default,
 {
@@ -38,13 +44,14 @@ where
     let total_pairs = n * (n + 1) / 2;
     let pairs: Vec<(usize, usize)> = (0..n).flat_map(|i| (i..n).map(move |j| (i, j))).collect();
     let sample = pairs.len().min(budget_pairs);
+    let mut failures = 0;
     let start = Instant::now();
     for &(i, j) in pairs.iter().take(sample) {
-        eval(&graphs[i], &graphs[j]);
+        failures += usize::from(!eval(&graphs[i], &graphs[j]));
     }
     let elapsed = start.elapsed().as_secs_f64();
     let extrapolated = elapsed * total_pairs as f64 / sample as f64;
-    (extrapolated, sample < pairs.len())
+    (extrapolated, sample < pairs.len(), failures)
 }
 
 fn compare_dataset<V, E, KV, KE>(name: &str, graphs: &[Graph<V, E>], kv: KV, ke: KE)
@@ -70,26 +77,23 @@ where
     let projected = estimate_time(&device, &result.traffic, 1.0).total_seconds;
     assert_eq!(result.failures, 0);
 
-    // GraKeL-style explicit solver, single-threaded
+    // GraKeL-style explicit solver: materialize L× once, then Jacobi-PCG,
+    // single-threaded, one pair per call
     let budget = scaled(12, 6);
-    let explicit = ExplicitSolver::new(kv.clone(), ke.clone());
-    let (grakel_time, grakel_extrapolated) = baseline_time(
-        graphs,
-        |a, b| {
-            std::hint::black_box(explicit.kernel(a, b));
-        },
-        budget,
+    let explicit = DenseSolver::new(
+        kv.clone(),
+        ke.clone(),
+        SolverConfig { reorder: ReorderMethod::Natural, ..SolverConfig::default() },
+        DenseXmv::Naive,
     );
+    let (grakel_time, grakel_extrapolated, grakel_failures) =
+        baseline_time(graphs, |a, b| std::hint::black_box(explicit.kernel(a, b)).is_ok(), budget);
 
     // GraphKernels-style fixed-point solver, single-threaded
     let fixed = FixedPointSolver::new(kv, ke);
-    let (gk_time, gk_extrapolated) = baseline_time(
-        graphs,
-        |a, b| {
-            std::hint::black_box(fixed.kernel(a, b).value);
-        },
-        budget,
-    );
+    let (gk_time, gk_extrapolated, gk_failures) =
+        baseline_time(graphs, |a, b| std::hint::black_box(fixed.kernel(a, b)).converged, budget);
+    let baseline_failures = grakel_failures + gk_failures;
 
     println!("{:<36} {:>14}", "present solver (CPU, all cores)", fmt_duration(present_cpu));
     println!("{:<36} {:>14}", "present solver (V100 projection)", fmt_duration(projected));
@@ -109,7 +113,9 @@ where
         gk_time / present_cpu,
         gk_time / projected,
     );
+    println!("{:<36} {:>14}", "baseline solves not converged", baseline_failures);
     println!("  (* extrapolated from the first {budget} pairs)\n");
+    assert_eq!(baseline_failures, 0, "a baseline time from a stalled iteration is no comparison");
 }
 
 fn main() {

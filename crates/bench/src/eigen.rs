@@ -1,4 +1,5 @@
-//! Symmetric eigendecomposition via the cyclic Jacobi method.
+//! Symmetric eigendecomposition via the cyclic Jacobi method, for
+//! [`crate::spectral`], its one caller.
 //!
 //! The spectral-decomposition solver for the unlabeled random-walk kernel
 //! (Section II-C of the paper, following Vishwanathan et al.) diagonalizes
@@ -22,7 +23,7 @@ use std::cmp::Ordering;
 
 /// Eigendecomposition of a symmetric matrix.
 #[derive(Debug, Clone)]
-pub struct SymmetricEigen {
+pub(crate) struct SymmetricEigen {
     /// Eigenvalues in ascending order.
     pub eigenvalues: Vec<f64>,
     /// Eigenvectors stored column-wise in a row-major `n × n` matrix:
@@ -36,7 +37,7 @@ pub struct SymmetricEigen {
 ///
 /// Panics if `a` is not square of size `n`. The input is symmetrized
 /// explicitly (`(A + Aᵀ)/2`) to be robust against round-off in the caller.
-pub fn symmetric_eigen(a: &[f64], n: usize) -> SymmetricEigen {
+pub(crate) fn symmetric_eigen(a: &[f64], n: usize) -> SymmetricEigen {
     assert_eq!(a.len(), n * n, "matrix must be n*n");
     // working copy, symmetrized
     let mut m = vec![0.0f64; n * n];

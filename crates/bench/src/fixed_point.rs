@@ -1,4 +1,5 @@
-//! GraphKernels-style fixed-point solver.
+//! GraphKernels-style fixed-point solver, the second CPU baseline of
+//! Fig. 10.
 //!
 //! Instead of solving the symmetric system of Eq. (14), this baseline
 //! iterates the defining recurrence of the marginalized kernel directly
@@ -14,19 +15,32 @@
 //! Eq. (4). This doubles as an algorithm-independent reference for the
 //! random-walk semantics of the kernel.
 //!
-//! Since the operator/solver surface became scalar-generic, the baseline
-//! owns **no iteration loop of its own**: the sweep matrix
-//! `M = P× ∘ E× · V×` is a [`LinearOperator<f64>`] (`WalkSweepOperator`)
-//! over the shared `f32` operands, and the recurrence is driven by the
-//! workspace-wide [`mgk_linalg::fixed_point_counted`] driver — the same
-//! operator surface the PCG solvers apply through, instantiated at the
-//! `f64` validation precision the monotone partial sums of Eq. (4)
-//! require.
+//! The sweep matrix `M = P× ∘ E× · V×` is a [`LinearOperator<f64>`]
+//! (`WalkSweepOperator`) over the naive primitive's materialized `f32`
+//! product ([`NaiveProduct`]), driven by this module's Richardson iteration
+//! at the `f64` validation precision the monotone partial sums of Eq. (4)
+//! require, single-threaded, like the package it stands in for.
 
-use crate::DenseSystem;
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use mgk_graph::Graph;
 use mgk_kernels::BaseKernel;
-use mgk_linalg::{fixed_point_counted, LinearOperator, SolveOptions, TrafficCounters};
+use mgk_linalg::kronecker::generalized_kron_vec;
+use mgk_linalg::{
+    kron_vec, ConvergenceInfo, LinearOperator, Scalar, SolveOptions, TrafficCounters,
+};
+
+use crate::xmv::{DensePairData, NaiveProduct};
 
 /// Result of a fixed-point evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,9 +53,50 @@ pub struct FixedPointResult {
     pub converged: bool,
 }
 
+/// The explicit operands of the recurrence for one graph pair: the
+/// materialized off-diagonal product `A× ∘ E×` and the four diagonal
+/// products, all stored in `f32`.
+struct WalkSystem {
+    /// `A× ∘ E×`, row-major `n·m × n·m`.
+    off_diagonal: NaiveProduct,
+    /// `d ⊗ d'`.
+    degree_product: Vec<f32>,
+    /// `v κ⊗ v'`.
+    vertex_product: Vec<f32>,
+    /// `p ⊗ p'`.
+    start_product: Vec<f32>,
+    /// `q ⊗ q'`.
+    stop_product: Vec<f32>,
+}
+
+impl WalkSystem {
+    /// Assemble the explicit operands of a graph pair.
+    fn assemble<V, E, KV, KE>(
+        g1: &Graph<V, E>,
+        g2: &Graph<V, E>,
+        vertex_kernel: &KV,
+        edge_kernel: &KE,
+    ) -> Self
+    where
+        E: Copy + Default,
+        KV: BaseKernel<V>,
+        KE: BaseKernel<E>,
+    {
+        WalkSystem {
+            off_diagonal: NaiveProduct::new(&DensePairData::new(g1, g2, edge_kernel), edge_kernel),
+            degree_product: kron_vec(&g1.laplacian_degrees(), &g2.laplacian_degrees()),
+            vertex_product: generalized_kron_vec(g1.vertex_labels(), g2.vertex_labels(), |a, b| {
+                vertex_kernel.eval(a, b)
+            }),
+            start_product: kron_vec(g1.start_probabilities(), g2.start_probabilities()),
+            stop_product: kron_vec(g1.stop_probabilities(), g2.stop_probabilities()),
+        }
+    }
+}
+
 /// The sweep matrix `M = D×⁻¹ (A× ∘ E×) V×` of the fixed-point recurrence,
 /// as a [`LinearOperator<f64>`] over the explicit `f32` operands of a
-/// [`DenseSystem`].
+/// [`WalkSystem`].
 ///
 /// One application is one dense random-walk sweep: weight the iterate by
 /// the vertex-kernel diagonal `V×`, stream the off-diagonal product matrix
@@ -49,20 +104,13 @@ pub struct FixedPointResult {
 /// arithmetic runs in `f64` over the widened `f32` operands — the
 /// instantiation of the workspace's mixed-precision contract that the
 /// truncated path-sum semantics (monotone partial sums) need.
-pub(crate) struct WalkSweepOperator<'a> {
-    sys: &'a DenseSystem,
-}
-
-impl<'a> WalkSweepOperator<'a> {
-    /// View the sweep matrix of an assembled dense system.
-    pub(crate) fn new(sys: &'a DenseSystem) -> Self {
-        WalkSweepOperator { sys }
-    }
+struct WalkSweepOperator<'a> {
+    sys: &'a WalkSystem,
 }
 
 impl LinearOperator<f64> for WalkSweepOperator<'_> {
     fn dim(&self) -> usize {
-        self.sys.dim
+        self.sys.off_diagonal.dim()
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
@@ -70,12 +118,13 @@ impl LinearOperator<f64> for WalkSweepOperator<'_> {
     }
 
     fn apply_counted(&self, x: &[f64], y: &mut [f64], counters: &mut TrafficCounters) {
-        let dim = self.sys.dim;
+        let dim = self.sys.off_diagonal.dim();
+        let matrix = self.sys.off_diagonal.matrix();
         // w = V× x (element-wise)
         let w: Vec<f64> =
             x.iter().zip(&self.sys.vertex_product).map(|(a, &b)| a * b as f64).collect();
         for (i, slot) in y.iter_mut().enumerate() {
-            let row = &self.sys.off_diagonal[i * dim..(i + 1) * dim];
+            let row = &matrix[i * dim..(i + 1) * dim];
             let mut acc = 0.0;
             for (&a, b) in row.iter().zip(&w) {
                 acc += a as f64 * b;
@@ -91,6 +140,72 @@ impl LinearOperator<f64> for WalkSweepOperator<'_> {
     }
 }
 
+/// Fixed-point (Richardson) iteration `x ← b + A·x` from `x = b`.
+///
+/// After `k` sweeps the iterate is the partial Neumann sum `Σ_{i≤k} Aⁱ b`,
+/// so for the marginalized-kernel recurrence the truncated iterate *is*
+/// the truncated path-sum of Eq. (4): the convergence certificate is the
+/// monotone partial sum, not a Krylov residual. Convergence is declared
+/// when the relative change of one sweep drops to `opts.tolerance`:
+/// `‖x_{k+1} − x_k‖ ≤ tolerance · max(‖x_{k+1}‖, ε)`. A `tolerance` of
+/// zero runs exactly `max_iterations` sweeps (a fixed truncation length).
+///
+/// Operator traffic flows through
+/// [`apply_counted`](LinearOperator::apply_counted); the driver's own
+/// vector work (the `b + A·x` add and the change/norm reductions) is
+/// attributed with the same per-element accounting as the CG recurrences.
+fn fixed_point_counted<T: Scalar, A: LinearOperator<T> + ?Sized>(
+    a: &A,
+    b: &[T],
+    opts: &SolveOptions,
+    counters: &mut TrafficCounters,
+) -> (Vec<T>, ConvergenceInfo) {
+    let n = b.len();
+    assert_eq!(a.dim(), n, "operator dimension must match right-hand side");
+    let nn = n as u64;
+
+    let mut x: Vec<T> = b.to_vec();
+    let mut ax = vec![T::ZERO; n];
+    let mut next = vec![T::ZERO; n];
+    let mut iterations = 0;
+    let mut converged = false;
+    let mut rel_change = 0.0f64;
+    while iterations < opts.max_iterations {
+        a.apply_counted(&x, &mut ax, counters);
+        for ((ni, &bi), &axi) in next.iter_mut().zip(b).zip(&ax) {
+            *ni = bi + axi;
+        }
+        iterations += 1;
+        // one add streaming b and A·x, plus the change/norm reductions
+        counters.count_vector_op_t::<T>(2 * nn, nn, nn);
+        counters.count_vector_op_t::<T>(2 * nn, 0, 5 * nn);
+        let diff = next
+            .iter()
+            .zip(&x)
+            .map(|(&a, &b)| {
+                let d = a.to_f64() - b.to_f64();
+                d * d
+            })
+            .sum::<f64>()
+            .sqrt();
+        let norm = next
+            .iter()
+            .map(|&a| {
+                let v = a.to_f64();
+                v * v
+            })
+            .sum::<f64>()
+            .sqrt();
+        std::mem::swap(&mut x, &mut next);
+        rel_change = diff / norm.max(1e-300);
+        if diff <= opts.tolerance * norm.max(1e-300) {
+            converged = true;
+            break;
+        }
+    }
+    (x, ConvergenceInfo { iterations, relative_residual: rel_change, converged })
+}
+
 /// Single-threaded fixed-point / power-iteration baseline in the style of
 /// the GraphKernels package.
 ///
@@ -100,10 +215,8 @@ impl LinearOperator<f64> for WalkSweepOperator<'_> {
 /// through the same [`TrafficCounters`] accounting as every other solver.
 /// Unlike the CG-based solvers it is not a Krylov method — the truncated
 /// path-sum semantics (Eq. 4) it certifies require exactly monotone
-/// partial sums — so it drives
-/// [`mgk_linalg::fixed_point_counted`], the Richardson-iteration side of
-/// the shared generic surface, with the sweep matrix as a
-/// [`LinearOperator<f64>`].
+/// partial sums — so it drives a Richardson iteration with the sweep
+/// matrix as a [`LinearOperator<f64>`].
 #[derive(Debug, Clone)]
 pub struct FixedPointSolver<KV, KE> {
     vertex_kernel: KV,
@@ -147,10 +260,10 @@ impl<KV, KE> FixedPointSolver<KV, KE> {
         KV: BaseKernel<V>,
         KE: BaseKernel<E>,
     {
-        let sys = DenseSystem::assemble(g1, g2, &self.vertex_kernel, &self.edge_kernel);
-        // r ← q× + M r from r = q×, on the shared fixed-point driver
+        let sys = WalkSystem::assemble(g1, g2, &self.vertex_kernel, &self.edge_kernel);
+        // r ← q× + M r from r = q×
         let b: Vec<f64> = sys.stop_product.iter().map(|&q| q as f64).collect();
-        let operator = WalkSweepOperator::new(&sys);
+        let operator = WalkSweepOperator { sys: &sys };
         let (r, info) = fixed_point_counted(&operator, &b, &self.options, counters);
         // K = p×ᵀ V× r
         let value = sys
@@ -188,6 +301,7 @@ mod tests {
     use mgk_core::{MarginalizedKernelSolver, SolverConfig};
     use mgk_graph::{Graph, GraphBuilder};
     use mgk_kernels::{KroneckerDelta, SquareExponential, UnitKernel};
+    use mgk_linalg::DiagonalOperator;
 
     /// Verbatim copy of the seed's bespoke fixed-point loop (the
     /// implementation this baseline had before it was rewritten onto the
@@ -200,8 +314,8 @@ mod tests {
         g1: &Graph<V, E>,
         g2: &Graph<V, E>,
     ) -> FixedPointResult {
-        let sys = DenseSystem::assemble(g1, g2, vertex_kernel, edge_kernel);
-        let dim = sys.dim;
+        let sys = WalkSystem::assemble(g1, g2, vertex_kernel, edge_kernel);
+        let dim = sys.off_diagonal.dim();
         let mut r: Vec<f64> = sys.stop_product.iter().map(|&q| q as f64).collect();
         let mut next = vec![0.0f64; dim];
         let mut iterations = 0;
@@ -210,7 +324,7 @@ mod tests {
             let w: Vec<f64> =
                 r.iter().zip(&sys.vertex_product).map(|(a, &b)| a * b as f64).collect();
             for (i, slot) in next.iter_mut().enumerate() {
-                let row = &sys.off_diagonal[i * dim..(i + 1) * dim];
+                let row = &sys.off_diagonal.matrix()[i * dim..(i + 1) * dim];
                 let mut acc = 0.0;
                 for (&a, b) in row.iter().zip(&w) {
                     acc += a as f64 * b;
@@ -366,5 +480,55 @@ mod tests {
         assert!(counters.flops > 0);
         assert!(counters.global_load_bytes > 0);
         assert!(counters.global_store_bytes > 0);
+    }
+
+    #[test]
+    fn fixed_point_converges_to_the_neumann_sum() {
+        // contraction A = 0.5·I: the fixed point of x = b + A x is 2b
+        let a = DiagonalOperator::new(vec![0.5f64; 4]);
+        let b = vec![1.0f64, 2.0, -1.0, 0.5];
+        let (x, info) = fixed_point_counted(
+            &a,
+            &b,
+            &SolveOptions { max_iterations: 500, tolerance: 1e-12 },
+            &mut TrafficCounters::new(),
+        );
+        assert!(info.converged);
+        for (xi, bi) in x.iter().zip(&b) {
+            assert!((xi - 2.0 * bi).abs() < 1e-9, "{xi} vs {}", 2.0 * bi);
+        }
+    }
+
+    #[test]
+    fn fixed_point_truncation_runs_exactly_the_budget() {
+        // tolerance 0 = fixed truncation length: k sweeps accumulate the
+        // partial Neumann sum Σ_{i<=k} A^i b
+        let a = DiagonalOperator::new(vec![0.5f64; 2]);
+        let b = vec![1.0f64, 1.0];
+        for k in [1usize, 3, 7] {
+            let (x, info) = fixed_point_counted(
+                &a,
+                &b,
+                &SolveOptions { max_iterations: k, tolerance: 0.0 },
+                &mut TrafficCounters::new(),
+            );
+            assert!(!info.converged);
+            assert_eq!(info.iterations, k);
+            let expect: f64 = (0..=k).map(|i| 0.5f64.powi(i as i32)).sum();
+            assert!((x[0] - expect).abs() < 1e-12, "k={k}: {} vs {expect}", x[0]);
+        }
+    }
+
+    #[test]
+    fn fixed_point_counts_operator_and_vector_traffic() {
+        let a = DiagonalOperator::new(vec![0.25f32; 8]);
+        let b = vec![1.0f32; 8];
+        let mut counters = TrafficCounters::new();
+        let (_, info) = fixed_point_counted(&a, &b, &SolveOptions::default(), &mut counters);
+        assert!(info.converged);
+        // per sweep: the diagonal apply (8 flops) plus 6n vector flops
+        let k = info.iterations as u64;
+        assert_eq!(counters.flops, k * (8 + 6 * 8));
+        assert!(counters.global_load_bytes > 0);
     }
 }

@@ -36,17 +36,25 @@
 //! naive materialized product of Section II-D and the dense on-the-fly
 //! primitives of Section III, with Table I's closed forms beside them
 //! ([`xmv`]); the same primitives as whole solves over the solver's
-//! assembled system ([`dense`]); and the incremental optimization levels of
-//! Fig. 9, whose `Dense` level is such a solve ([`ablation`]).
+//! assembled system ([`dense`]); the incremental optimization levels of
+//! Fig. 9, whose `Dense` level is such a solve ([`ablation`]); and the
+//! algorithms of the two CPU packages of Fig. 10, re-implemented because
+//! neither package is available here: GraKeL's explicit solve is a
+//! [`dense`] solve with the naive product, GraphKernels' is the fixed-point
+//! iteration of [`fixed_point`]. [`spectral`] is the spectral method of
+//! Section II-C for unlabeled graphs, an independent cross-check.
 
 #![forbid(unsafe_code)]
 
 pub mod ablation;
 pub mod dense;
 pub mod device;
+mod eigen;
+pub mod fixed_point;
 pub mod occupancy;
 pub mod project;
 pub mod roofline;
+pub mod spectral;
 pub mod warp_cycles;
 pub mod xmv;
 

@@ -20,8 +20,21 @@
 //! so the kernel becomes a double sum over the two spectra — no `nm × nm`
 //! object is ever formed.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use mgk_graph::Graph;
-use mgk_linalg::symmetric_eigen;
+
+use crate::eigen::{symmetric_eigen, SymmetricEigen};
 
 /// Spectral baseline for unlabeled graphs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -55,19 +68,18 @@ impl SpectralSolver {
         let e2 = symmetric_eigen(&normalized(&a2, &d2, m), m);
 
         // a_k = Σ_i U_ik · p_i / sqrt(d_i);  b_k = Σ_i U_ik · q_i · sqrt(d_i)
-        let project =
-            |e: &mgk_linalg::SymmetricEigen, d: &[f64], p: &[f64], q: &[f64], n: usize| {
-                let mut a = vec![0.0f64; n];
-                let mut b = vec![0.0f64; n];
-                for k in 0..n {
-                    for i in 0..n {
-                        let u = e.eigenvectors[i * n + k];
-                        a[k] += u * p[i] / d[i].sqrt();
-                        b[k] += u * q[i] * d[i].sqrt();
-                    }
+        let project = |e: &SymmetricEigen, d: &[f64], p: &[f64], q: &[f64], n: usize| {
+            let mut a = vec![0.0f64; n];
+            let mut b = vec![0.0f64; n];
+            for k in 0..n {
+                for i in 0..n {
+                    let u = e.eigenvectors[i * n + k];
+                    a[k] += u * p[i] / d[i].sqrt();
+                    b[k] += u * q[i] * d[i].sqrt();
                 }
-                (a, b)
-            };
+            }
+            (a, b)
+        };
         let (a_1, b_1) = project(&e1, &d1, &p1, &q1, n);
         let (a_2, b_2) = project(&e2, &d2, &p2, &q2, m);
 
@@ -83,12 +95,10 @@ impl SpectralSolver {
     }
 
     fn per_graph<V, E>(g: &Graph<V, E>) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
-        let n = g.num_vertices();
         let a: Vec<f64> = g.adjacency_dense().iter().map(|&x| x as f64).collect();
         let d: Vec<f64> = g.laplacian_degrees().iter().map(|&x| x as f64).collect();
         let p: Vec<f64> = g.start_probabilities().iter().map(|&x| x as f64).collect();
         let q: Vec<f64> = g.stop_probabilities().iter().map(|&x| x as f64).collect();
-        let _ = n;
         (a, d, p, q)
     }
 }
@@ -96,10 +106,11 @@ impl SpectralSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ExplicitSolver;
+    use crate::dense::{DenseSolver, DenseXmv};
     use mgk_core::{MarginalizedKernelSolver, SolverConfig};
     use mgk_graph::{generators, Graph};
     use mgk_kernels::UnitKernel;
+    use mgk_reorder::ReorderMethod;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -109,7 +120,15 @@ mod tests {
             Graph::from_edge_list(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)]);
         let g2 = Graph::from_edge_list(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         let spectral = SpectralSolver::new().kernel(&g1, &g2);
-        let explicit = ExplicitSolver::new(UnitKernel, UnitKernel).kernel(&g1, &g2);
+        let explicit = DenseSolver::new(
+            UnitKernel,
+            UnitKernel,
+            SolverConfig { reorder: ReorderMethod::Natural, ..SolverConfig::default() },
+            DenseXmv::Naive,
+        )
+        .kernel(&g1, &g2)
+        .unwrap()
+        .value_f64;
         assert!((spectral - explicit).abs() / explicit.abs() < 1e-6, "{spectral} vs {explicit}");
     }
 

@@ -374,7 +374,7 @@ impl NaiveProduct {
     }
 
     /// Direct read access to the materialized product matrix (row-major),
-    /// used by validation tests.
+    /// which the fixed-point baseline sweeps and validation tests read.
     pub fn matrix(&self) -> &[f32] {
         &self.l
     }

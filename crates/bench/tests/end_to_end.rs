@@ -1,8 +1,11 @@
 //! Cross-crate tests of the paper's comparison paths: the Fig. 9 ablation
-//! ladder and the dense baseline, end to end through Gram matrices.
+//! ladder and the dense baseline, end to end through Gram matrices, and the
+//! Fig. 10 CPU baselines against the core solver.
 
 use mgk_bench::ablation::OptimizationLevel;
 use mgk_bench::dense::{DenseSolver, DenseXmv};
+use mgk_bench::fixed_point::FixedPointSolver;
+use mgk_bench::spectral::SpectralSolver;
 use mgk_bench::xmv::XmvPrimitive;
 use mgk_bench::{AtomKernel, BondKernel};
 use mgk_core::{GramConfig, GramEngine, MarginalizedKernelSolver, SolverConfig};
@@ -86,4 +89,35 @@ fn traffic_counters_shrink_as_optimizations_are_enabled() {
     assert!(block.global_load_bytes < compact.global_load_bytes);
     // by the end of the ladder the traffic is far below the dense baseline
     assert!(block.global_load_bytes < dense.global_load_bytes);
+}
+
+#[test]
+fn solver_agrees_with_all_baselines_on_random_unlabeled_graphs() {
+    let mut rng = StdRng::seed_from_u64(123);
+    let solver = MarginalizedKernelSolver::unlabeled(SolverConfig::default());
+    let explicit = DenseSolver::new(
+        UnitKernel,
+        UnitKernel,
+        SolverConfig { reorder: ReorderMethod::Natural, ..SolverConfig::default() },
+        DenseXmv::Naive,
+    );
+    let fixed_point = FixedPointSolver::new(UnitKernel, UnitKernel);
+    let spectral = SpectralSolver::new();
+
+    for round in 0..4 {
+        let g1 = generators::newman_watts_strogatz(14 + round, 2, 0.2, &mut rng);
+        let g2 = generators::barabasi_albert(11 + round, 2, &mut rng);
+        let fast = solver.kernel(&g1, &g2).unwrap().value as f64;
+        let reference = explicit.kernel(&g1, &g2).unwrap().value_f64;
+        let fp = fixed_point.kernel(&g1, &g2);
+        let sp = spectral.kernel(&g1, &g2);
+        let check = |name: &str, value: f64| {
+            let rel = (value - reference).abs() / reference.abs();
+            assert!(rel < 1e-3, "{name} diverges in round {round}: {value} vs {reference}");
+        };
+        check("core solver", fast);
+        check("fixed point", fp.value);
+        check("spectral", sp);
+        assert!(fp.converged);
+    }
 }

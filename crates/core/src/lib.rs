@@ -29,8 +29,9 @@
 //!
 //! The baselines the paper compares against — the naive materialized
 //! product of Section II-D, the dense on-the-fly primitives of Section III
-//! with Table I's closed forms, and the optimization levels of Fig. 9 —
-//! live in `mgk-bench`, beside the report binaries that print them.
+//! with Table I's closed forms, the optimization levels of Fig. 9 and the
+//! CPU packages of Fig. 10 — live in `mgk-bench`, beside the report
+//! binaries that print them.
 
 #![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
 

@@ -1,10 +1,10 @@
-//! Preconditioned conjugate gradient and fixed-point iteration drivers,
-//! generic over the [`Scalar`] precision.
+//! Preconditioned conjugate gradient, generic over the [`Scalar`]
+//! precision.
 //!
 //! This is Algorithm 1 of the paper stripped of the graph-kernel-specific
 //! operator: the system matrix and the preconditioner are abstract
-//! [`LinearOperator`]s, so the same routine serves the explicit (baseline)
-//! solvers and the on-the-fly tensor-product solvers of `mgk-core` — and,
+//! [`LinearOperator`]s, so the same routine serves the dense baseline
+//! solvers of `mgk-bench` and the on-the-fly tensor-product solvers of `mgk-core` — and,
 //! through the [`Scalar`] axis, both the `f32` serving precision and the
 //! `f64` validation precision run the *identical* iteration structure
 //! (only the vector element type changes; the scalar recurrences always
@@ -48,8 +48,7 @@ impl Default for SolveOptions {
 pub struct ConvergenceInfo {
     /// Number of iterations performed.
     pub iterations: usize,
-    /// Final relative residual `‖r‖ / ‖b‖` (for [`fixed_point_counted`],
-    /// the relative change of the final sweep).
+    /// Final relative residual `‖r‖ / ‖b‖`.
     pub relative_residual: f64,
     /// Whether the tolerance was reached within the iteration budget.
     pub converged: bool,
@@ -74,7 +73,7 @@ pub fn pcg<T: Scalar, A: LinearOperator<T>, M: LinearOperator<T>>(
 /// the preconditioner adds its traffic to `counters` through
 /// [`LinearOperator::apply_counted`]. This is the single instrumented
 /// entry point shared by the on-the-fly solvers of `mgk-core` and the
-/// explicit baselines of `mgk-baselines`.
+/// dense baselines of `mgk-bench`.
 ///
 /// ```
 /// use mgk_linalg::{pcg_counted, DiagonalOperator, SolveOptions, TrafficCounters};
@@ -189,76 +188,6 @@ pub fn pcg_counted_warm_multi<T: Scalar, A: LinearOperator<T>, M: LinearOperator
     }
 
     (x, ConvergenceInfo { iterations, relative_residual: rel_res, converged })
-}
-
-/// Fixed-point (Richardson) iteration driver `x ← b + A·x`, the second
-/// iteration family of the shared operator surface.
-///
-/// Starting from `x = b`, every sweep applies `a` once and adds `b`; after
-/// `k` sweeps the iterate is the partial Neumann sum `Σ_{i≤k} Aⁱ b`, so for
-/// the marginalized-kernel recurrence (Eq. 9 / Appendix A) the truncated
-/// iterate *is* the truncated path-sum of Eq. (4) — which is why the
-/// GraphKernels-style baseline drives this function instead of [`pcg`]:
-/// its convergence certificate is the monotone partial sum, not a Krylov
-/// residual. Convergence is declared when the relative change of one sweep
-/// drops to `opts.tolerance`:
-/// `‖x_{k+1} − x_k‖ ≤ tolerance · max(‖x_{k+1}‖, ε)`. A `tolerance` of
-/// zero runs exactly `max_iterations` sweeps (a fixed truncation length).
-///
-/// Operator traffic flows through
-/// [`apply_counted`](LinearOperator::apply_counted); the driver's own
-/// vector work (the `b + A·x` add and the change/norm reductions) is
-/// attributed with the same per-element accounting as the CG recurrences.
-pub fn fixed_point_counted<T: Scalar, A: LinearOperator<T> + ?Sized>(
-    a: &A,
-    b: &[T],
-    opts: &SolveOptions,
-    counters: &mut TrafficCounters,
-) -> (Vec<T>, ConvergenceInfo) {
-    let n = b.len();
-    assert_eq!(a.dim(), n, "operator dimension must match right-hand side");
-    let nn = n as u64;
-
-    let mut x: Vec<T> = b.to_vec();
-    let mut ax = vec![T::ZERO; n];
-    let mut next = vec![T::ZERO; n];
-    let mut iterations = 0;
-    let mut converged = false;
-    let mut rel_change = 0.0f64;
-    while iterations < opts.max_iterations {
-        a.apply_counted(&x, &mut ax, counters);
-        for ((ni, &bi), &axi) in next.iter_mut().zip(b).zip(&ax) {
-            *ni = bi + axi;
-        }
-        iterations += 1;
-        // one add streaming b and A·x, plus the change/norm reductions
-        counters.count_vector_op_t::<T>(2 * nn, nn, nn);
-        counters.count_vector_op_t::<T>(2 * nn, 0, 5 * nn);
-        let diff = next
-            .iter()
-            .zip(&x)
-            .map(|(&a, &b)| {
-                let d = a.to_f64() - b.to_f64();
-                d * d
-            })
-            .sum::<f64>()
-            .sqrt();
-        let norm = next
-            .iter()
-            .map(|&a| {
-                let v = a.to_f64();
-                v * v
-            })
-            .sum::<f64>()
-            .sqrt();
-        std::mem::swap(&mut x, &mut next);
-        rel_change = diff / norm.max(1e-300);
-        if diff <= opts.tolerance * norm.max(1e-300) {
-            converged = true;
-            break;
-        }
-    }
-    (x, ConvergenceInfo { iterations, relative_residual: rel_change, converged })
 }
 
 #[cfg(test)]
@@ -551,55 +480,5 @@ mod tests {
             pcg(&op, &IdentityPrec, &b, &SolveOptions { max_iterations: 3 * n, tolerance: 1e-6 });
         assert!(info.converged);
         assert!(info.iterations <= 2 * n);
-    }
-
-    #[test]
-    fn fixed_point_converges_to_the_neumann_sum() {
-        // contraction A = 0.5·I: the fixed point of x = b + A x is 2b
-        let a = DiagonalOperator::new(vec![0.5f64; 4]);
-        let b = vec![1.0f64, 2.0, -1.0, 0.5];
-        let (x, info) = fixed_point_counted(
-            &a,
-            &b,
-            &SolveOptions { max_iterations: 500, tolerance: 1e-12 },
-            &mut TrafficCounters::new(),
-        );
-        assert!(info.converged);
-        for (xi, bi) in x.iter().zip(&b) {
-            assert!((xi - 2.0 * bi).abs() < 1e-9, "{xi} vs {}", 2.0 * bi);
-        }
-    }
-
-    #[test]
-    fn fixed_point_truncation_runs_exactly_the_budget() {
-        // tolerance 0 = fixed truncation length: k sweeps accumulate the
-        // partial Neumann sum Σ_{i<=k} A^i b
-        let a = DiagonalOperator::new(vec![0.5f64; 2]);
-        let b = vec![1.0f64, 1.0];
-        for k in [1usize, 3, 7] {
-            let (x, info) = fixed_point_counted(
-                &a,
-                &b,
-                &SolveOptions { max_iterations: k, tolerance: 0.0 },
-                &mut TrafficCounters::new(),
-            );
-            assert!(!info.converged);
-            assert_eq!(info.iterations, k);
-            let expect: f64 = (0..=k).map(|i| 0.5f64.powi(i as i32)).sum();
-            assert!((x[0] - expect).abs() < 1e-12, "k={k}: {} vs {expect}", x[0]);
-        }
-    }
-
-    #[test]
-    fn fixed_point_counts_operator_and_vector_traffic() {
-        let a = DiagonalOperator::new(vec![0.25f32; 8]);
-        let b = vec![1.0f32; 8];
-        let mut counters = crate::TrafficCounters::new();
-        let (_, info) = fixed_point_counted(&a, &b, &SolveOptions::default(), &mut counters);
-        assert!(info.converged);
-        // per sweep: the diagonal apply (8 flops) plus 6n vector flops
-        let k = info.iterations as u64;
-        assert_eq!(counters.flops, k * (8 + 6 * 8));
-        assert!(counters.global_load_bytes > 0);
     }
 }

@@ -107,15 +107,6 @@ pub fn lu_solve(a: &[f64], b: &[f64]) -> Option<Vec<f64>> {
     Some(x)
 }
 
-/// Solve `A x = b` where the inputs are single precision but the
-/// factorization runs in double precision. Convenience wrapper used by the
-/// baseline solvers and tests.
-pub fn lu_solve_f32(a: &[f32], b: &[f32]) -> Option<Vec<f32>> {
-    let a64: Vec<f64> = a.iter().map(|&x| x as f64).collect();
-    let b64: Vec<f64> = b.iter().map(|&x| x as f64).collect();
-    lu_solve(&a64, &b64).map(|x| x.into_iter().map(|v| v as f32).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,14 +166,5 @@ mod tests {
         for (p, q) in x1.iter().zip(&x2) {
             assert!((p - q).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn f32_wrapper_round_trips() {
-        let a = [3.0f32, 1.0, 1.0, 2.0];
-        let b = [9.0f32, 8.0];
-        let x = lu_solve_f32(&a, &b).unwrap();
-        assert!((3.0 * x[0] + x[1] - 9.0).abs() < 1e-4);
-        assert!((x[0] + 2.0 * x[1] - 8.0).abs() < 1e-4);
     }
 }

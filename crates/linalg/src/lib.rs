@@ -12,8 +12,7 @@
 //!
 //! Main entry points:
 //!
-//! * [`DenseMatrix`] — the storage format of the explicit baselines and of
-//!   the test oracles.
+//! * [`DenseMatrix`] — the storage format of the test oracles.
 //! * [`kronecker`] — standard and generalized (base-kernel) products that
 //!   appear in Eq. (1) of the paper.
 //! * [`Scalar`] / [`Precision`] — the precision axis of the solver surface.
@@ -22,8 +21,6 @@
 //!   materialize the tensor-product system; generic over [`Scalar`].
 //! * [`pcg`] / [`pcg_counted`] — preconditioned conjugate gradient,
 //!   Algorithm 1 of the paper, at either precision.
-//! * [`fixed_point_counted`] — the Richardson / truncated-path-sum
-//!   iteration driver sharing the same operator surface.
 //! * [`direct`] — dense `f64` Cholesky/LU used as ground truth in tests.
 
 #![forbid(unsafe_code)]
@@ -31,19 +28,15 @@
 pub mod cg;
 pub mod dense;
 pub mod direct;
-pub mod eigen;
 pub mod kronecker;
 pub mod operator;
 pub mod scalar;
 pub mod traffic;
 pub mod vecops;
 
-pub use cg::{
-    fixed_point_counted, pcg, pcg_counted, pcg_counted_warm_multi, ConvergenceInfo, SolveOptions,
-};
+pub use cg::{pcg, pcg_counted, pcg_counted_warm_multi, ConvergenceInfo, SolveOptions};
 pub use dense::DenseMatrix;
-pub use eigen::{symmetric_eigen, SymmetricEigen};
 pub use kronecker::{generalized_kron, kron_dense, kron_vec};
-pub use operator::{DenseOperator, DiagonalOperator, LinearOperator, ScaledSum};
+pub use operator::{DenseOperator, DiagonalOperator, LinearOperator};
 pub use scalar::{Precision, Scalar};
 pub use traffic::TrafficCounters;

@@ -140,56 +140,6 @@ impl<T: Scalar> LinearOperator<T> for DiagonalOperator<T> {
     }
 }
 
-/// The operator `alpha·A + beta·B` formed from two operators of the same
-/// dimension and vector precision. Used to express `D× V×⁻¹ − A× ∘ E×` as
-/// a sum of its diagonal and off-diagonal parts (the two arrows of
-/// Algorithm 1, lines 9–10).
-pub struct ScaledSum<A, B, T: Scalar = f32> {
-    /// Scale of the first operand.
-    pub alpha: T,
-    /// First operand.
-    pub a: A,
-    /// Scale of the second operand.
-    pub beta: T,
-    /// Second operand.
-    pub b: B,
-}
-
-impl<T: Scalar, A: LinearOperator<T>, B: LinearOperator<T>> ScaledSum<A, B, T> {
-    /// Construct `alpha·A + beta·B`, checking dimensions agree.
-    pub fn new(alpha: T, a: A, beta: T, b: B) -> Self {
-        assert_eq!(a.dim(), b.dim(), "operands must have equal dimension");
-        ScaledSum { alpha, a, beta, b }
-    }
-}
-
-impl<T: Scalar, A: LinearOperator<T>, B: LinearOperator<T>> LinearOperator<T>
-    for ScaledSum<A, B, T>
-{
-    fn dim(&self) -> usize {
-        self.a.dim()
-    }
-
-    fn apply(&self, x: &[T], y: &mut [T]) {
-        self.apply_counted(x, y, &mut TrafficCounters::new());
-    }
-
-    fn apply_counted(&self, x: &[T], y: &mut [T], counters: &mut TrafficCounters) {
-        self.a.apply_counted(x, y, counters);
-        let mut tmp = vec![T::ZERO; self.b.dim()];
-        self.b.apply_counted(x, &mut tmp, counters);
-        for (yi, &ti) in y.iter_mut().zip(&tmp) {
-            *yi = self.alpha * *yi + self.beta * ti;
-        }
-        // the axpby combination of the two partial results: read both,
-        // write y back
-        let n = LinearOperator::<T>::dim(self) as u64;
-        counters.flops += 3 * n;
-        counters.global_load_bytes += 2 * n * T::BYTES;
-        counters.global_store_bytes += n * T::BYTES;
-    }
-}
-
 impl<S: Scalar, T: LinearOperator<S> + ?Sized> LinearOperator<S> for &T {
     fn dim(&self) -> usize {
         (**self).dim()
@@ -245,15 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn scaled_sum_combines_operators() {
-        let a = DiagonalOperator::new(vec![1.0f32, 2.0]);
-        let b = DiagonalOperator::new(vec![10.0f32, 10.0]);
-        // 1*A - 0.5*B
-        let s = ScaledSum::new(1.0, a, -0.5, b);
-        assert_eq!(s.apply_alloc(&[1.0, 1.0]), vec![-4.0, -3.0]);
-    }
-
-    #[test]
     fn counted_apply_matches_plain_apply_and_counts() {
         let dense = DenseOperator(DenseMatrix::from_row_major(2, 2, vec![1., 2., 3., 4.]));
         let diag = DiagonalOperator::new(vec![2.0f32, 3.0]);
@@ -267,19 +208,6 @@ mod tests {
             assert!(counters.global_load_bytes > 0);
             assert!(counters.global_store_bytes > 0);
         }
-    }
-
-    #[test]
-    fn scaled_sum_threads_counters_through_both_operands() {
-        let a = DiagonalOperator::new(vec![1.0f32, 2.0]);
-        let b = DiagonalOperator::new(vec![3.0f32, 4.0]);
-        let s = ScaledSum::new(1.0, a, -1.0, b);
-        let mut counters = TrafficCounters::new();
-        let mut y = vec![0.0f32; 2];
-        s.apply_counted(&[1.0, 1.0], &mut y, &mut counters);
-        assert_eq!(y, vec![-2.0, -2.0]);
-        // two diagonal applications (2 flops each) plus the 3n axpby
-        assert_eq!(counters.flops, 2 + 2 + 6);
     }
 
     #[test]

@@ -90,35 +90,6 @@ pub fn xpby<T: Scalar>(x: &[T], beta: T, y: &mut [T]) {
     }
 }
 
-/// Element-wise product `z_i = x_i * y_i`.
-#[inline]
-pub fn elementwise_mul<T: Scalar>(x: &[T], y: &[T]) -> Vec<T> {
-    assert_eq!(x.len(), y.len(), "elementwise_mul: length mismatch");
-    x.iter().zip(y).map(|(&a, &b)| a * b).collect()
-}
-
-/// Element-wise division `z_i = x_i / y_i`.
-#[inline]
-pub fn elementwise_div<T: Scalar>(x: &[T], y: &[T]) -> Vec<T> {
-    assert_eq!(x.len(), y.len(), "elementwise_div: length mismatch");
-    x.iter().zip(y).map(|(&a, &b)| a / b).collect()
-}
-
-/// Maximum absolute difference between two vectors.
-#[inline]
-pub fn max_abs_diff<T: Scalar>(x: &[T], y: &[T]) -> f64 {
-    assert_eq!(x.len(), y.len(), "max_abs_diff: length mismatch");
-    x.iter().zip(y).map(|(&a, &b)| (a.to_f64() - b.to_f64()).abs()).fold(0.0, f64::max)
-}
-
-/// Relative L2 error `‖x − y‖ / max(‖y‖, ε)`.
-pub fn relative_error<T: Scalar>(x: &[T], y: &[T]) -> f64 {
-    assert_eq!(x.len(), y.len(), "relative_error: length mismatch");
-    let diff: f64 = x.iter().zip(y).map(|(&a, &b)| (a.to_f64() - b.to_f64()).powi(2)).sum();
-    let base = T::accum_to_f64(norm_sq(y)).max(1e-30);
-    (diff / base).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,23 +111,6 @@ mod tests {
         assert_eq!(y, [12.0, 24.0]);
         xpby(&x, 0.5, &mut y);
         assert_eq!(y, [7.0, 14.0]);
-    }
-
-    #[test]
-    fn elementwise_ops() {
-        let x = [2.0f32, 4.0];
-        let y = [3.0f32, 2.0];
-        assert_eq!(elementwise_mul(&x, &y), vec![6.0, 8.0]);
-        assert_eq!(elementwise_div(&x, &y), vec![2.0 / 3.0, 2.0]);
-    }
-
-    #[test]
-    fn error_metrics() {
-        let x = [1.0f32, 2.0, 3.0];
-        let y = [1.0f32, 2.5, 3.0];
-        assert!((max_abs_diff(&x, &y) - 0.5).abs() < 1e-6);
-        assert!(relative_error(&x, &x) < 1e-12);
-        assert!(relative_error(&x, &y) > 0.0);
     }
 
     #[test]

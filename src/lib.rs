@@ -7,9 +7,9 @@
 //!
 //! * [`graph`] — labeled weighted undirected graphs and random generators.
 //! * [`linalg`] — dense linear algebra, Kronecker products and the
-//!   (preconditioned) conjugate gradient and fixed-point solvers, generic
-//!   over the sealed `Scalar` precision axis (`f32` serving / `f64`
-//!   validation, selected at runtime through the `Precision` policy).
+//!   preconditioned conjugate gradient solver, generic over the sealed
+//!   `Scalar` precision axis (`f32` serving / `f64` validation, selected at
+//!   runtime through the `Precision` policy).
 //! * [`kernels`] — base vertex/edge micro-kernels (Kronecker delta, square
 //!   exponential, …) with cost metadata.
 //! * [`tile`] — the octile (8×8 tile, bitmap-compressed) sparse format.
@@ -18,8 +18,6 @@
 //! * [`solver`] — the core contribution: on-the-fly Kronecker-product
 //!   matrix-vector primitives, the PCG marginalized-graph-kernel solver and
 //!   the parallel Gram-matrix engine.
-//! * [`baselines`] — CPU reference solvers in the style of GraKeL and
-//!   GraphKernels.
 //! * [`datasets`] — synthetic stand-ins for the paper's PDB-3k and DrugBank
 //!   datasets, plus the small-world / scale-free ensembles.
 //! * [`runtime`] — the serving layer: the persistent worker pool every
@@ -62,7 +60,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use mgk_baselines as baselines;
 pub use mgk_core as solver;
 pub use mgk_datasets as datasets;
 pub use mgk_graph as graph;

@@ -1,10 +1,9 @@
 //! Cross-crate integration tests: datasets → reordering → solver → Gram
-//! engine → baselines.
+//! engine.
 
-use mgk::baselines::{ExplicitSolver, FixedPointSolver, SpectralSolver};
 use mgk::datasets::{molecules, protein};
-use mgk::graph::{generators, AtomLabel, BondLabel};
-use mgk::kernels::{BaseKernel, KernelCost, KroneckerDelta, SquareExponential, UnitKernel};
+use mgk::graph::{AtomLabel, BondLabel};
+use mgk::kernels::{BaseKernel, KernelCost, KroneckerDelta, SquareExponential};
 use mgk::prelude::*;
 use mgk::reorder::ReorderMethod;
 use mgk::solver::{GramConfig, GramEngine};
@@ -32,32 +31,6 @@ impl BaseKernel<BondLabel> for BondKernel {
     }
     fn cost(&self) -> KernelCost {
         KernelCost::new(1, 4)
-    }
-}
-
-#[test]
-fn solver_agrees_with_all_baselines_on_random_unlabeled_graphs() {
-    let mut rng = StdRng::seed_from_u64(123);
-    let solver = MarginalizedKernelSolver::unlabeled(SolverConfig::default());
-    let explicit = ExplicitSolver::new(UnitKernel, UnitKernel);
-    let fixed_point = FixedPointSolver::new(UnitKernel, UnitKernel);
-    let spectral = SpectralSolver::new();
-
-    for round in 0..4 {
-        let g1 = generators::newman_watts_strogatz(14 + round, 2, 0.2, &mut rng);
-        let g2 = generators::barabasi_albert(11 + round, 2, &mut rng);
-        let fast = solver.kernel(&g1, &g2).unwrap().value as f64;
-        let reference = explicit.kernel(&g1, &g2);
-        let fp = fixed_point.kernel(&g1, &g2);
-        let sp = spectral.kernel(&g1, &g2);
-        let check = |name: &str, value: f64| {
-            let rel = (value - reference).abs() / reference.abs();
-            assert!(rel < 1e-3, "{name} diverges in round {round}: {value} vs {reference}");
-        };
-        check("core solver", fast);
-        check("fixed point", fp.value);
-        check("spectral", sp);
-        assert!(fp.converged);
     }
 }
 

@@ -72,7 +72,6 @@ fn facade_modules_resolve() {
     let _ = mgk::tile::TILE_SIZE;
     let _ = mgk::reorder::ReorderMethod::default();
     let _ = mgk::solver::SolverConfig::default();
-    let _ = mgk::baselines::SpectralSolver::new();
     let _: Option<mgk::datasets::MoleculeGraph> = None;
     let _ = mgk::runtime::GramServiceConfig::default();
     let _ = mgk::store::FsyncPolicy::default();
