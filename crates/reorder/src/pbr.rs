@@ -18,21 +18,38 @@
 //!
 //! # Cost
 //!
-//! One CSR copy of the adjacency and one scratch serve the whole
-//! recursion: a sub-problem of `s` vertices re-indexes its induced
-//! subgraph into that scratch in `O(s + edges touched)` and allocates
-//! nothing. Greedy growth and each FM swap scan the sub-problem once, so a
-//! level costs `O(s²)` like the scans it replaces. The final pass keeps the
-//! connected-pair counts in a dense `⌈n/t⌉²` table and scores a candidate
-//! swap `(u, w)` in `O(deg w + touched parts)` from per-part neighbour
-//! histograms; `u`'s histogram is built once per `u`, not per candidate.
+//! Each phase does work in proportion to what can change its decisions.
+//! One CSR copy of the adjacency and one scratch serve the whole recursion:
+//! a sub-problem of `s` vertices and largest degree `Δ` re-indexes its
+//! induced subgraph into that scratch in `O(s + edges touched)`.
+//! - Greedy growth keeps the unassigned vertices in one `s`-bit bitset per
+//!   adhesion. Absorbing a vertex costs a word scan of the highest non-empty
+//!   bucket and one bucket move per edge it brings into the region.
+//! - FM keeps each side's unlocked vertices in one bitset per gain. Picking
+//!   a swap is a word scan per side; committing it moves each unlocked
+//!   neighbour of the pair by ±2 per edge to a moved vertex, without
+//!   rescanning that neighbour's edges.
+//! - The final pass keeps, per vertex, the parts its neighbours touch and
+//!   the part pairs it carries alone (two `⌈parts/64⌉`-word bitsets) and
+//!   its neighbours in its own part, and per part the parts it is connected
+//!   to. These change only when a swap is committed (0.2–7 times per graph
+//!   on the benchmark's families), and then only for the parts the swap
+//!   touched. A whole candidate part is skipped when none of its members
+//!   can empty a pair with `u`; a candidate swap is scored in a few word
+//!   operations, plus `O(deg u + deg w)` when both vertices are isolated in
+//!   their parts.
+//!
+//! Extra memory is `O(n·⌈parts/64⌉ + parts²)` for the final pass (the
+//! `parts²` is its table of connected-pair counts) and `O(Δ·⌈s/64⌉)` words
+//! of buckets for a sub-problem; no dense `n × parts` table is built.
 //!
 //! # Contract
 //!
 //! The order is a pure function of the graph's adjacency (in its stored
 //! neighbour order) and the config, and every tiling, tile-pair primitive
 //! and kernel value downstream follows from it, so `tests::orders_are_pinned`
-//! pins it bit for bit. The tie-breaks that fix it:
+//! and `crates/datasets/tests/pbr_orders.rs` pin it bit for bit. The
+//! tie-breaks that fix it:
 //! - the growth seed is the *first* vertex of minimum subset degree;
 //! - growth absorbs the vertex of largest `(adhesion, Reverse(index))`,
 //!   i.e. the lowest-indexed one among the most-adhesive;
@@ -43,19 +60,33 @@
 //!   ascending order and each part's slots in order, and commits the first
 //!   swap that lowers the objective.
 //!
+//! The buckets and the bitset score keep those decisions exactly:
+//! - the highest non-empty adhesion bucket holds the unassigned vertices
+//!   of maximal adhesion, so its lowest set bit is the lowest-indexed of
+//!   them;
+//! - a side's highest non-empty gain bucket holds its unlocked vertices of
+//!   maximal gain, so its highest set bit is the last of them. The ±2
+//!   updates sum to what a rescan returns, because a swap moves exactly
+//!   two vertices and each edge to one of them flips between cut and
+//!   uncut; the gains of locked vertices go stale but are not read again
+//!   in the pass;
+//! - the objective changes by the off-diagonal pairs a swap connects minus
+//!   those it empties, and `refine_tile_partition` derives both sets from
+//!   the summaries, pair by pair, from the same per-pair edge counts as
+//!   per-edge bookkeeping. In particular a swap of `u` (part `pu`) and `w`
+//!   (part `pw`) lowers the objective only if some pair loses its last
+//!   edge, which needs one of: (a) `u` carries alone a pair `(pu, p)`,
+//!   `p ∉ {pu, pw}`, and `w` has no neighbour in `p`; (b) the same with `u`
+//!   and `w` exchanged; (c) neither has a neighbour in its own part and they
+//!   are not adjacent, since `c[pu][pw] ≥ h_u[pw] + h_w[pu] − [u ~ w]`
+//!   leaves `(pu, pw)` at least `h_u[pu] + h_w[pw] + [u ~ w]` edges
+//!   (`h_v[p]`: `v`'s neighbours in part `p`; `c[p][q]`: the edges between
+//!   parts `p` and `q`). A part none of whose members can meet (a), (b) or
+//!   (c) with `u` is skipped whole. `tests::final_pass_never_filters_out_a_swap_that_lowers_the_objective`
+//!   checks the score and both filters against brute force on random
+//!   orders.
+//!
 //! For `n ≤ t` the order is the identity.
-
-#![cfg_attr(
-    not(test),
-    deny(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::panic,
-        clippy::unreachable,
-        clippy::todo,
-        clippy::unimplemented
-    )
-)]
 
 use mgk_graph::Graph;
 
@@ -86,8 +117,7 @@ pub fn pbr_order<V, E>(g: &Graph<V, E>, cfg: &PbrConfig) -> Vec<u32> {
     let csr = Csr::new(g);
     let mut order: Vec<u32> = (0..csr.len() as u32).collect();
     Bisection::new(&csr, cfg).bisect(&mut order);
-    refine_tile_partition(&csr, &mut order, cfg.tile_size, 5);
-    order
+    refine_tile_partition(&csr, order, cfg.tile_size, 5)
 }
 
 /// The graph's adjacency as compressed sparse rows, in its stored
@@ -119,149 +149,367 @@ impl Csr {
     }
 }
 
+fn set_bit(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
+}
+
+fn bit(bits: &[u64], i: usize) -> bool {
+    bits[i / 64] >> (i % 64) & 1 == 1
+}
+
+/// The number of set bits of `x` that `y` lacks, bits `p` and `q` left out.
+fn count_outside(x: &[u64], y: &[u64], p: usize, q: usize) -> u32 {
+    x.iter()
+        .zip(y)
+        .enumerate()
+        .map(|(i, (&x, &y))| {
+            let mut keep = !0u64;
+            for skip in [p, q] {
+                if i == skip / 64 {
+                    keep &= !(1 << (skip % 64));
+                }
+            }
+            (x & !y & keep).count_ones()
+        })
+        .sum()
+}
+
 /// Greedy partition-level refinement: swap vertices between parts whenever
-/// the swap reduces the number of connected part pairs. `order` is updated
-/// in place (the grouping of the order into consecutive `tile_size` chunks
-/// defines the partition; the order of vertices within a part and the order
-/// of the parts themselves do not affect the objective).
+/// the swap reduces the number of connected part pairs, and return the
+/// refined order (the grouping of the order into consecutive `tile_size`
+/// chunks defines the partition; the order of vertices within a part and
+/// the order of the parts themselves do not affect the objective).
 ///
 /// For each `u` (in index order, part `pu`) the candidates are the vertices
 /// `w` of each part `pw ≠ pu` holding a neighbour of `u`, parts ascending,
 /// slots in order; the first swap with a negative objective change is
-/// committed, and `u` waits for the next pass. Scoring a candidate costs
-/// `O(deg w + touched parts)` and allocates nothing:
-/// - `a[p]` counts `u`'s neighbours in part `p`, once per `u`; the `u–w`
-///   edge (a `Graph` has no duplicate edges or self loops, so at most
-///   one), which joins the same two parts after the swap, leaves `a[pw]`;
-/// - `b[p]` counts `w`'s neighbours in part `p`, skipping `u`;
-/// - with `d_p = b[p] − a[p]`, the swap moves the edge count of the pair
-///   `(pu, p)` by `d_p` and of `(pw, p)` by `−d_p` for `p ∉ {pu, pw}`, and
-///   of `(pu, pw)` by `d_pw − d_pu`; diagonal pairs never score.
+/// committed, and `u` waits for the next pass. The change is the number of
+/// off-diagonal pairs the swap connects minus the number it empties, both
+/// read from bitsets (see the module's contract), so a candidate that
+/// empties no pair is passed over after a few word operations. With `h_v[p]`
+/// the number of `v`'s neighbours in part `p` and `c[p][q]` the edges between
+/// parts, for `p ∉ {pu, pw}`:
+/// - the pair `(pu, p)` ends with `c[pu][p] − h_u[p] + h_w[p]` edges: it
+///   empties iff `u` carries it alone and `w` has no neighbour in `p`, and
+///   it connects iff `c[pu][p] = 0` and `w` has a neighbour in `p`;
+/// - `(pw, p)` likewise with `u` and `w` exchanged;
+/// - `(pu, pw)` is connected through `u`, and it empties iff neither vertex
+///   has a neighbour in its own part, they are not adjacent and
+///   `c[pu][pw] = h_u[pw] + h_w[pu]`.
 ///
-/// Those are exactly the per-pair net changes of moving every edge of `u`
-/// and `w` one at a time, and the objective change is the number of pairs
-/// that reach zero edges minus the number that leave it, so each decision
-/// and therefore the order are the same as with per-edge bookkeeping.
-fn refine_tile_partition(csr: &Csr, order: &mut [u32], tile_size: usize, passes: usize) {
-    let n = order.len();
-    if n <= tile_size {
-        return;
+/// Committing moves each edge of `u` and `w` (but the one between them,
+/// which joins the same two parts after the swap) from its old part pair to
+/// its new one.
+fn refine_tile_partition(csr: &Csr, order: Vec<u32>, tile_size: usize, passes: usize) -> Vec<u32> {
+    if order.len() <= tile_size {
+        return order;
     }
-    let num_parts = n.div_ceil(tile_size);
-    // position of each vertex in the order, and its part
-    let mut position = vec![0usize; n];
-    let mut part = vec![0usize; n];
-    for (pos, &v) in order.iter().enumerate() {
-        position[v as usize] = pos;
-        part[v as usize] = pos / tile_size;
-    }
-    // edge counts between part pairs, symmetric (the diagonal is unused)
-    let mut pair_count = vec![0i32; num_parts * num_parts];
-    for u in 0..n {
-        for &x in csr.neighbors(u) {
-            pair_count[part[u] * num_parts + part[x as usize]] += 1;
-        }
-    }
-
-    // per-part neighbour histograms of u and of the candidate w, and the
-    // parts each touches
-    let mut a = vec![0i32; num_parts];
-    let mut b = vec![0i32; num_parts];
-    let mut a_parts: Vec<usize> = Vec::new();
-    let mut b_parts: Vec<usize> = Vec::new();
-
+    let mut tiles = TilePartition::new(csr, order, tile_size);
     for _ in 0..passes {
         let mut improved = false;
-        for u in 0..n {
-            let pu = part[u];
-            a_parts.clear();
-            for &x in csr.neighbors(u) {
-                let px = part[x as usize];
-                if a[px] == 0 {
-                    a_parts.push(px);
-                }
-                a[px] += 1;
-            }
-            a_parts.sort_unstable();
-            'parts: for &pw in &a_parts {
-                if pw == pu {
-                    continue;
-                }
-                let start = pw * tile_size;
-                let end = (start + tile_size).min(n);
-                for slot in start..end {
-                    let w = order[slot] as usize;
-                    b_parts.clear();
-                    let mut uw = 0;
-                    for &x in csr.neighbors(w) {
-                        if x as usize == u {
-                            uw = 1;
-                            continue;
-                        }
-                        let px = part[x as usize];
-                        if b[px] == 0 {
-                            b_parts.push(px);
-                        }
-                        b[px] += 1;
-                    }
-                    a[pw] -= uw;
-
-                    let mut objective_delta = 0i32;
-                    let mut score = |p: usize, q: usize, d: i32| {
-                        let before = pair_count[p * num_parts + q];
-                        let after = before + d;
-                        debug_assert!(after >= 0, "negative pair count");
-                        objective_delta += i32::from(after > 0) - i32::from(before > 0);
-                    };
-                    let others = a_parts.iter().chain(b_parts.iter().filter(|&&p| a[p] == 0));
-                    for &p in others.clone() {
-                        if p != pu && p != pw {
-                            let d = b[p] - a[p];
-                            score(pu, p, d);
-                            score(pw, p, -d);
-                        }
-                    }
-                    let shared = (b[pw] - a[pw]) - (b[pu] - a[pu]);
-                    score(pu, pw, shared);
-
-                    if objective_delta < 0 {
-                        let mut apply = |p: usize, q: usize, d: i32| {
-                            pair_count[p * num_parts + q] += d;
-                            pair_count[q * num_parts + p] += d;
-                        };
-                        for &p in others {
-                            if p != pu && p != pw {
-                                let d = b[p] - a[p];
-                                apply(pu, p, d);
-                                apply(pw, p, -d);
-                            }
-                        }
-                        apply(pu, pw, shared);
-                        let (posu, posw) = (position[u], position[w]);
-                        order.swap(posu, posw);
-                        position.swap(u, w);
-                        part.swap(u, w);
-                        improved = true;
-                    }
-                    a[pw] += uw;
-                    for &p in &b_parts {
-                        b[p] = 0;
-                    }
-                    if objective_delta < 0 {
-                        // u has moved to part pw: both `pu` and its
-                        // histogram are now stale, so stop processing u
-                        // this pass (it can move again on the next pass)
-                        break 'parts;
-                    }
-                }
-            }
-            for &p in &a_parts {
-                a[p] = 0;
-            }
+        for u in 0..tiles.order.len() {
+            improved |= tiles.visit(u);
         }
         if !improved {
             break;
         }
+    }
+    tiles.order
+}
+
+/// The partition the final pass refines, with the per-vertex and per-part
+/// summaries its scoring reads. Part bitsets are `words` words long.
+struct TilePartition<'a> {
+    csr: &'a Csr,
+    tile_size: usize,
+    num_parts: usize,
+    words: usize,
+    order: Vec<u32>,
+    /// position of each vertex in the order, and its part
+    position: Vec<usize>,
+    part: Vec<usize>,
+    /// edge counts between part pairs, symmetric
+    pair_count: Vec<i32>,
+    /// per part, the parts it shares an edge with
+    connected: Vec<u64>,
+    /// per vertex, the parts holding one of its neighbours
+    touched: Vec<u64>,
+    /// per vertex `v` of part `q`, the parts `p ≠ q` whose every edge to
+    /// `q` ends at `v`
+    alone: Vec<u64>,
+    /// per vertex, its neighbours in its own part
+    own: Vec<u32>,
+    /// per part, the union of its members' `alone`
+    part_alone: Vec<u64>,
+    /// per part, its members with no neighbour in it
+    part_isolated: Vec<u32>,
+    /// per-part neighbour histogram of a vertex being refreshed
+    histogram: Vec<i32>,
+    /// the parts whose summaries a committed swap made stale
+    dirty: Vec<u64>,
+}
+
+impl<'a> TilePartition<'a> {
+    fn new(csr: &'a Csr, order: Vec<u32>, tile_size: usize) -> Self {
+        let n = order.len();
+        let num_parts = n.div_ceil(tile_size);
+        let words = num_parts.div_ceil(64);
+        let mut position = vec![0usize; n];
+        let mut part = vec![0usize; n];
+        for (pos, &v) in order.iter().enumerate() {
+            position[v as usize] = pos;
+            part[v as usize] = pos / tile_size;
+        }
+        let mut pair_count = vec![0i32; num_parts * num_parts];
+        for u in 0..n {
+            for &x in csr.neighbors(u) {
+                pair_count[part[u] * num_parts + part[x as usize]] += 1;
+            }
+        }
+        let mut tiles = TilePartition {
+            csr,
+            tile_size,
+            num_parts,
+            words,
+            order,
+            position,
+            part,
+            pair_count,
+            connected: vec![0; num_parts * words],
+            touched: vec![0; n * words],
+            alone: vec![0; n * words],
+            own: vec![0; n],
+            part_alone: vec![0; num_parts * words],
+            part_isolated: vec![0; num_parts],
+            histogram: vec![0; num_parts],
+            dirty: vec![!0; words],
+        };
+        tiles.refresh_dirty_parts();
+        tiles
+    }
+
+    fn touched(&self, v: usize) -> &[u64] {
+        &self.touched[v * self.words..(v + 1) * self.words]
+    }
+
+    fn alone(&self, v: usize) -> &[u64] {
+        &self.alone[v * self.words..(v + 1) * self.words]
+    }
+
+    /// Visit `u`: try its candidate swaps in order and commit the first that
+    /// lowers the objective. Returns whether one was committed.
+    fn visit(&mut self, u: usize) -> bool {
+        let pu = self.part[u];
+        for i in 0..self.words {
+            let mut word = self.touched[u * self.words + i];
+            while word != 0 {
+                let pw = i * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                if pw == pu || !self.part_may_empty(u, pw) {
+                    continue;
+                }
+                let start = pw * self.tile_size;
+                for slot in start..(start + self.tile_size).min(self.order.len()) {
+                    let w = self.order[slot] as usize;
+                    let emptied = self.emptied(u, w);
+                    if emptied > 0 && self.connected_by(u, w) < emptied {
+                        self.commit(u, w);
+                        return true;
+                    }
+                }
+            }
+        }
+        false
+    }
+
+    /// Whether swapping `u` with some member of part `pw` can empty a pair:
+    /// `u` must carry alone a pair other than `(pu, pw)`, or a member must
+    /// carry alone a pair to a part where `u` has no neighbour, or both
+    /// must be isolated in their parts.
+    fn part_may_empty(&self, u: usize, pw: usize) -> bool {
+        let (pu, words) = (self.part[u], self.words);
+        let alone_u: u32 = self.alone(u).iter().map(|w| w.count_ones()).sum();
+        alone_u > u32::from(bit(self.alone(u), pw))
+            || count_outside(
+                &self.part_alone[pw * words..(pw + 1) * words],
+                self.touched(u),
+                pu,
+                pw,
+            ) > 0
+            || (self.own[u] == 0 && self.part_isolated[pw] > 0)
+    }
+
+    /// The number of off-diagonal part pairs that swapping `u` with `w` of
+    /// another part leaves without an edge.
+    fn emptied(&self, u: usize, w: usize) -> u32 {
+        let (pu, pw) = (self.part[u], self.part[w]);
+        let mut emptied = count_outside(self.alone(u), self.touched(w), pu, pw)
+            + count_outside(self.alone(w), self.touched(u), pu, pw);
+        if self.own[u] == 0 && self.own[w] == 0 {
+            let (mut adjacent, mut w_in_pu) = (false, 0);
+            for &x in self.csr.neighbors(w) {
+                adjacent |= x as usize == u;
+                w_in_pu += i32::from(self.part[x as usize] == pu);
+            }
+            let u_in_pw =
+                self.csr.neighbors(u).iter().filter(|&&x| self.part[x as usize] == pw).count();
+            let shared = self.pair_count[pu * self.num_parts + pw];
+            emptied += u32::from(!adjacent && shared == u_in_pw as i32 + w_in_pu);
+        }
+        emptied
+    }
+
+    /// The number of off-diagonal part pairs without an edge that swapping
+    /// `u` with `w` of another part connects.
+    fn connected_by(&self, u: usize, w: usize) -> u32 {
+        let (pu, pw, words) = (self.part[u], self.part[w], self.words);
+        count_outside(self.touched(w), &self.connected[pu * words..(pu + 1) * words], pu, pw)
+            + count_outside(self.touched(u), &self.connected[pw * words..(pw + 1) * words], pu, pw)
+    }
+
+    /// Swap `u` and `w` and bring every summary the swap touched up to date.
+    fn commit(&mut self, u: usize, w: usize) {
+        let (pu, pw, np) = (self.part[u], self.part[w], self.num_parts);
+        // the summaries of the members of pu, pw and of every part holding
+        // a neighbour of u or w go stale
+        for i in 0..self.words {
+            self.dirty[i] = self.touched[u * self.words + i] | self.touched[w * self.words + i];
+        }
+        set_bit(&mut self.dirty, pu);
+        set_bit(&mut self.dirty, pw);
+        for (moved, other, from, to) in [(u, w, pu, pw), (w, u, pw, pu)] {
+            for &x in self.csr.neighbors(moved) {
+                if x as usize != other {
+                    let px = self.part[x as usize];
+                    self.pair_count[from * np + px] -= 1;
+                    self.pair_count[px * np + from] -= 1;
+                    self.pair_count[to * np + px] += 1;
+                    self.pair_count[px * np + to] += 1;
+                }
+            }
+        }
+        let (posu, posw) = (self.position[u], self.position[w]);
+        self.order.swap(posu, posw);
+        self.position.swap(u, w);
+        self.part.swap(u, w);
+        self.refresh_dirty_parts();
+    }
+
+    /// Recompute the summaries of the parts in `dirty` and of their members.
+    fn refresh_dirty_parts(&mut self) {
+        let (words, np) = (self.words, self.num_parts);
+        for i in 0..words {
+            let mut word = self.dirty[i];
+            while word != 0 {
+                let p = i * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                if p >= np {
+                    break;
+                }
+                let connected = &mut self.connected[p * words..(p + 1) * words];
+                connected.fill(0);
+                for (q, &count) in self.pair_count[p * np..(p + 1) * np].iter().enumerate() {
+                    if count > 0 {
+                        set_bit(connected, q);
+                    }
+                }
+                self.part_alone[p * words..(p + 1) * words].fill(0);
+                self.part_isolated[p] = 0;
+                let start = p * self.tile_size;
+                for slot in start..(start + self.tile_size).min(self.order.len()) {
+                    let v = self.order[slot] as usize;
+                    self.refresh_vertex(v);
+                    for j in 0..words {
+                        self.part_alone[p * words + j] |= self.alone[v * words + j];
+                    }
+                    self.part_isolated[p] += u32::from(self.own[v] == 0);
+                }
+            }
+        }
+    }
+
+    /// Recompute `v`'s touched parts, the pairs it carries alone and its
+    /// neighbours in its own part.
+    fn refresh_vertex(&mut self, v: usize) {
+        let (words, np, pv) = (self.words, self.num_parts, self.part[v]);
+        let touched = &mut self.touched[v * words..(v + 1) * words];
+        touched.fill(0);
+        for &x in self.csr.neighbors(v) {
+            let px = self.part[x as usize];
+            self.histogram[px] += 1;
+            set_bit(touched, px);
+        }
+        self.own[v] = self.histogram[pv] as u32;
+        let alone = &mut self.alone[v * words..(v + 1) * words];
+        alone.fill(0);
+        for (i, &word) in touched.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let p = i * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                if p != pv && self.pair_count[pv * np + p] == self.histogram[p] {
+                    set_bit(alone, p);
+                }
+                self.histogram[p] = 0;
+            }
+        }
+    }
+}
+
+/// Sub-problem vertices bucketed by a small non-negative level, one bitset
+/// per level, so the lowest or highest index on the highest non-empty level
+/// is a word scan away.
+#[derive(Default)]
+struct Buckets {
+    words: usize,
+    bits: Vec<u64>,
+    len: Vec<usize>,
+    /// no vertex sits above this level
+    top: usize,
+}
+
+impl Buckets {
+    /// Empty the buckets and shape them for `levels` levels over `n` vertices.
+    fn reset(&mut self, levels: usize, n: usize) {
+        self.words = n.div_ceil(64);
+        self.bits.clear();
+        self.bits.resize(levels * self.words, 0);
+        self.len.clear();
+        self.len.resize(levels, 0);
+        self.top = 0;
+    }
+
+    fn insert(&mut self, level: usize, v: usize) {
+        set_bit(&mut self.bits[level * self.words..], v);
+        self.len[level] += 1;
+        self.top = self.top.max(level);
+    }
+
+    fn remove(&mut self, level: usize, v: usize) {
+        self.bits[level * self.words + v / 64] &= !(1 << (v % 64));
+        self.len[level] -= 1;
+    }
+
+    /// The highest non-empty level's bitset, or `None` if every level is empty.
+    fn top_level(&mut self) -> Option<&[u64]> {
+        while self.len[self.top] == 0 {
+            self.top = self.top.checked_sub(1)?;
+        }
+        Some(&self.bits[self.top * self.words..(self.top + 1) * self.words])
+    }
+
+    /// The lowest index on the highest non-empty level.
+    fn first_of_top(&mut self) -> Option<usize> {
+        let level = self.top_level()?;
+        let (i, w) = level.iter().enumerate().find(|(_, &w)| w != 0)?;
+        Some(i * 64 + w.trailing_zeros() as usize)
+    }
+
+    /// The highest index on the highest non-empty level.
+    fn last_of_top(&mut self) -> Option<usize> {
+        let level = self.top_level()?;
+        let (i, w) = level.iter().enumerate().rev().find(|(_, &w)| w != 0)?;
+        Some(i * 64 + 63 - w.leading_zeros() as usize)
     }
 }
 
@@ -277,8 +525,13 @@ struct Bisection<'a> {
     sub_targets: Vec<u32>,
     in_left: Vec<bool>,
     adhesion: Vec<u32>,
+    /// unassigned vertices by adhesion, during growth
+    growth: Buckets,
     gain: Vec<i64>,
     locked: Vec<bool>,
+    /// each side's unlocked vertices by gain, during FM
+    left_gains: Buckets,
+    right_gains: Buckets,
     /// the right half while the left one is compacted in place
     spill: Vec<u32>,
 }
@@ -293,8 +546,11 @@ impl<'a> Bisection<'a> {
             sub_targets: Vec::new(),
             in_left: Vec::new(),
             adhesion: Vec::new(),
+            growth: Buckets::default(),
             gain: Vec::new(),
             locked: Vec::new(),
+            left_gains: Buckets::default(),
+            right_gains: Buckets::default(),
             spill: Vec::new(),
         }
     }
@@ -337,13 +593,16 @@ impl<'a> Bisection<'a> {
         self.sub_offsets.clear();
         self.sub_targets.clear();
         self.sub_offsets.push(0);
+        let mut max_degree = 0;
         for &v in verts.iter() {
+            let first = self.sub_targets.len();
             for &x in self.csr.neighbors(v as usize) {
                 let l = self.local[x as usize];
                 if l != u32::MAX {
                     self.sub_targets.push(l);
                 }
             }
+            max_degree = max_degree.max(self.sub_targets.len() - first);
             self.sub_offsets.push(self.sub_targets.len());
         }
         for &v in verts.iter() {
@@ -362,6 +621,10 @@ impl<'a> Bisection<'a> {
         // adhesion[v] = number of edges from v into the current left region
         self.adhesion.clear();
         self.adhesion.resize(n_sub, 0);
+        self.growth.reset(max_degree + 1, n_sub);
+        for v in 0..n_sub {
+            self.growth.insert(0, v);
+        }
         // seed: minimum subset-degree vertex (approximates a peripheral
         // vertex)
         let mut v =
@@ -372,31 +635,39 @@ impl<'a> Bisection<'a> {
             if taken > 0 {
                 // ties go to the lower local index; isolated or
                 // disconnected vertices (adhesion 0) are absorbed last
-                let Some(next) = (0..n_sub)
-                    .filter(|&u| !self.in_left[u])
-                    .max_by_key(|&u| (self.adhesion[u], std::cmp::Reverse(u)))
-                else {
+                let Some(next) = self.growth.first_of_top() else {
                     break;
                 };
                 v = next;
             }
+            self.growth.remove(self.adhesion[v] as usize, v);
             self.in_left[v] = true;
             for i in self.sub_offsets[v]..self.sub_offsets[v + 1] {
                 let l = self.sub_targets[i] as usize;
                 if !self.in_left[l] {
+                    self.growth.remove(self.adhesion[l] as usize, l);
                     self.adhesion[l] += 1;
+                    self.growth.insert(self.adhesion[l] as usize, l);
                 }
             }
         }
 
         // --- FM-style refinement with balance-preserving swaps -----------
-        // a swap of (l, r) changes the cut by -(gain_l + gain_r - 2·[l ~ r])
+        // a swap of (l, r) changes the cut by -(gain_l + gain_r - 2·[l ~ r]);
+        // a gain g sits on bucket level g + Δ
         let max_swaps = ((n_sub as f64 * self.cfg.max_swap_fraction) as usize).max(1);
+        let offset = max_degree as i64;
+        let level = |gain: i64| (gain + offset) as usize;
         for _pass in 0..self.cfg.refinement_passes {
+            self.left_gains.reset(2 * max_degree + 1, n_sub);
+            self.right_gains.reset(2 * max_degree + 1, n_sub);
             self.gain.clear();
             for v in 0..n_sub {
                 let g = self.gain_of(v);
                 self.gain.push(g);
+                let side =
+                    if self.in_left[v] { &mut self.left_gains } else { &mut self.right_gains };
+                side.insert(level(g), v);
             }
             self.locked.clear();
             self.locked.resize(n_sub, false);
@@ -404,17 +675,9 @@ impl<'a> Bisection<'a> {
 
             for _ in 0..max_swaps {
                 // the last unlocked vertex of maximal gain on each side
-                let (mut best_l, mut best_r): (Option<usize>, Option<usize>) = (None, None);
-                for v in 0..n_sub {
-                    if self.locked[v] {
-                        continue;
-                    }
-                    let best = if self.in_left[v] { &mut best_l } else { &mut best_r };
-                    if best.is_none_or(|b| self.gain[v] >= self.gain[b]) {
-                        *best = Some(v);
-                    }
-                }
-                let (Some(l), Some(r)) = (best_l, best_r) else {
+                let (Some(l), Some(r)) =
+                    (self.left_gains.last_of_top(), self.right_gains.last_of_top())
+                else {
                     break;
                 };
                 let adjacent = self.sub_neighbors(l).contains(&(r as u32));
@@ -422,18 +685,30 @@ impl<'a> Bisection<'a> {
                 if swap_gain <= 0 {
                     break;
                 }
+                self.left_gains.remove(level(self.gain[l]), l);
+                self.right_gains.remove(level(self.gain[r]), r);
                 self.in_left[l] = false;
                 self.in_left[r] = true;
                 self.locked[l] = true;
                 self.locked[r] = true;
                 improved = true;
-                // recompute the unlocked neighbours' gains (cheap: deg)
-                for moved in [l, r] {
+                // each edge from an unlocked vertex to a moved one flips
+                // between cut (+1) and uncut (−1)
+                for (moved, was_left) in [(l, true), (r, false)] {
                     for i in self.sub_offsets[moved]..self.sub_offsets[moved + 1] {
                         let u = self.sub_targets[i] as usize;
-                        if !self.locked[u] {
-                            self.gain[u] = self.gain_of(u);
+                        if self.locked[u] {
+                            continue;
                         }
+                        let delta = if self.in_left[u] == was_left { 2 } else { -2 };
+                        let side = if self.in_left[u] {
+                            &mut self.left_gains
+                        } else {
+                            &mut self.right_gains
+                        };
+                        side.remove(level(self.gain[u]), u);
+                        self.gain[u] += delta;
+                        side.insert(level(self.gain[u]), u);
                     }
                 }
             }
@@ -653,6 +928,99 @@ mod tests {
             0x47f0_e3b6_00ce_78c4, // nws, t = 4
         ];
         assert_eq!(hashes, pinned);
+    }
+
+    /// The connected off-diagonal part pairs of `order`, counted from scratch.
+    fn connected_pairs(csr: &Csr, order: &[u32], tile_size: usize) -> usize {
+        let mut part = vec![0; order.len()];
+        for (pos, &v) in order.iter().enumerate() {
+            part[v as usize] = pos / tile_size;
+        }
+        let parts = order.len().div_ceil(tile_size);
+        let mut connected = vec![false; parts * parts];
+        for u in 0..csr.len() {
+            for &x in csr.neighbors(u) {
+                let (p, q) = (part[u], part[x as usize]);
+                connected[p * parts + q] |= p < q;
+            }
+        }
+        connected.iter().filter(|&&c| c).count()
+    }
+
+    #[test]
+    fn final_pass_never_filters_out_a_swap_that_lowers_the_objective() {
+        // Random graphs under random orders, not only bisection outputs. At
+        // each state, every candidate the final pass visits is brute-forced:
+        // a swap that lowers the objective must pass both filters, and the
+        // bitset score must equal the brute-force change for every
+        // candidate. Then the first improving swap is committed through the
+        // pass's own update, whose summaries must match a fresh build, and
+        // the next state is checked.
+        use rand::seq::SliceRandom;
+        let mut rng = StdRng::seed_from_u64(43);
+        let mut graphs = Vec::new();
+        for n in [20, 45, 70] {
+            graphs.push(generators::erdos_renyi(n, 4.0 / n as f64, &mut rng));
+            graphs.push(generators::barabasi_albert(n, 3, &mut rng));
+            graphs.push(generators::newman_watts_strogatz(n, 2, 0.3, &mut rng));
+        }
+        let mut improving_swaps = 0;
+        for g in &graphs {
+            let csr = Csr::new(g);
+            let n = csr.len();
+            for tile_size in [1, 3, 8] {
+                let mut order: Vec<u32> = (0..n as u32).collect();
+                order.shuffle(&mut rng);
+                let mut tiles = TilePartition::new(&csr, order, tile_size);
+                for _ in 0..12 {
+                    let before = connected_pairs(&csr, &tiles.order, tile_size);
+                    let mut first_improving = None;
+                    for u in 0..n {
+                        let pu = tiles.position[u] / tile_size;
+                        let mut parts: Vec<usize> = csr
+                            .neighbors(u)
+                            .iter()
+                            .map(|&x| tiles.position[x as usize] / tile_size)
+                            .filter(|&p| p != pu)
+                            .collect();
+                        parts.sort_unstable();
+                        parts.dedup();
+                        for pw in parts {
+                            let start = pw * tile_size;
+                            for slot in start..(start + tile_size).min(n) {
+                                let w = tiles.order[slot] as usize;
+                                let mut swapped = tiles.order.clone();
+                                swapped.swap(tiles.position[u], slot);
+                                let change = connected_pairs(&csr, &swapped, tile_size) as i32
+                                    - before as i32;
+                                let (emptied, connected) =
+                                    (tiles.emptied(u, w), tiles.connected_by(u, w));
+                                assert_eq!(connected as i32 - emptied as i32, change);
+                                if change < 0 {
+                                    assert!(tiles.part_may_empty(u, pw) && emptied > 0);
+                                    first_improving.get_or_insert((u, w));
+                                }
+                            }
+                        }
+                    }
+                    let Some((u, w)) = first_improving else {
+                        break;
+                    };
+                    tiles.commit(u, w);
+                    improving_swaps += 1;
+                    let fresh = TilePartition::new(&csr, tiles.order.clone(), tile_size);
+                    assert_eq!(tiles.part, fresh.part);
+                    assert_eq!(tiles.pair_count, fresh.pair_count);
+                    assert_eq!(tiles.connected, fresh.connected);
+                    assert_eq!(tiles.touched, fresh.touched);
+                    assert_eq!(tiles.alone, fresh.alone);
+                    assert_eq!(tiles.own, fresh.own);
+                    assert_eq!(tiles.part_alone, fresh.part_alone);
+                    assert_eq!(tiles.part_isolated, fresh.part_isolated);
+                }
+            }
+        }
+        assert!(improving_swaps > 50, "only {improving_swaps} improving swaps exercised");
     }
 
     #[test]

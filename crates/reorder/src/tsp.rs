@@ -11,18 +11,6 @@
 //! which this construction reproduces (it is quadratic in the number of
 //! vertices).
 
-#![cfg_attr(
-    not(test),
-    deny(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::panic,
-        clippy::unreachable,
-        clippy::todo,
-        clippy::unimplemented
-    )
-)]
-
 use mgk_graph::Graph;
 use std::collections::HashSet;
 
