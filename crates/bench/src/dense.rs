@@ -11,6 +11,7 @@
 //! iteration of [`MarginalizedKernelSolver`] on the same system and differs
 //! from the octile solve by rounding alone.
 
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
@@ -169,11 +170,12 @@ impl<KV, KE> DenseSolver<KV, KE> {
     }
 
     /// Apply the configured per-graph preprocessing, as
-    /// [`MarginalizedKernelSolver::prepare`] does.
-    fn prepare<V: Clone, E: Copy + Default>(&self, g: &Graph<V, E>) -> Graph<V, E> {
+    /// [`MarginalizedKernelSolver::prepare`] does, borrowing `g` when there
+    /// is nothing to apply.
+    fn prepare<'g, V: Clone, E: Copy + Default>(&self, g: &'g Graph<V, E>) -> Cow<'g, Graph<V, E>> {
         MarginalizedKernelSolver::new(&self.vertex_kernel, &self.edge_kernel, self.config)
             .prepare(g)
-            .unwrap_or_else(|| g.clone())
+            .map_or(Cow::Borrowed(g), Cow::Owned)
     }
 
     /// Evaluate the kernel between two graphs at the configured precision.
@@ -272,7 +274,7 @@ impl<KV, KE> DenseSolver<KV, KE> {
         KE: BaseKernel<E> + Clone + Sync,
     {
         let prep_start = Instant::now();
-        let prepared: Vec<Graph<V, E>> = graphs.iter().map(|g| self.prepare(g)).collect();
+        let prepared: Vec<Cow<Graph<V, E>>> = graphs.iter().map(|g| self.prepare(g)).collect();
         static_gram(&prepared, prep_start.elapsed(), |a, b| self.kernel_prepared(a, b))
     }
 }
