@@ -459,43 +459,46 @@ impl<'a> TilePartition<'a> {
 /// Sub-problem vertices bucketed by a small non-negative level, one bitset
 /// per level, so the lowest or highest index on the highest non-empty level
 /// is a word scan away.
-#[derive(Default)]
 struct Buckets {
     words: usize,
     bits: Vec<u64>,
-    len: Vec<usize>,
     /// no vertex sits above this level
     top: usize,
 }
 
 impl Buckets {
+    /// Buckets with room for `levels` levels over `n` vertices.
+    fn with_capacity(levels: usize, n: usize) -> Self {
+        Buckets { words: 0, bits: Vec::with_capacity(levels * n.div_ceil(64)), top: 0 }
+    }
+
     /// Empty the buckets and shape them for `levels` levels over `n` vertices.
     fn reset(&mut self, levels: usize, n: usize) {
         self.words = n.div_ceil(64);
         self.bits.clear();
         self.bits.resize(levels * self.words, 0);
-        self.len.clear();
-        self.len.resize(levels, 0);
         self.top = 0;
     }
 
     fn insert(&mut self, level: usize, v: usize) {
         set_bit(&mut self.bits[level * self.words..], v);
-        self.len[level] += 1;
         self.top = self.top.max(level);
     }
 
     fn remove(&mut self, level: usize, v: usize) {
         self.bits[level * self.words + v / 64] &= !(1 << (v % 64));
-        self.len[level] -= 1;
+    }
+
+    fn level(&self, level: usize) -> &[u64] {
+        &self.bits[level * self.words..(level + 1) * self.words]
     }
 
     /// The highest non-empty level's bitset, or `None` if every level is empty.
     fn top_level(&mut self) -> Option<&[u64]> {
-        while self.len[self.top] == 0 {
+        while self.level(self.top).iter().all(|&w| w == 0) {
             self.top = self.top.checked_sub(1)?;
         }
-        Some(&self.bits[self.top * self.words..(self.top + 1) * self.words])
+        Some(self.level(self.top))
     }
 
     /// The lowest index on the highest non-empty level.
@@ -513,8 +516,9 @@ impl Buckets {
     }
 }
 
-/// Recursive bisection over one scratch. Each sub-problem is a contiguous
-/// range of the order, split in place into its left and right halves.
+/// Recursive bisection over one scratch, sized for the whole graph, the
+/// largest sub-problem. Each sub-problem is a contiguous range of the
+/// order, split in place into its left and right halves.
 struct Bisection<'a> {
     csr: &'a Csr,
     cfg: &'a PbrConfig,
@@ -525,33 +529,34 @@ struct Bisection<'a> {
     sub_targets: Vec<u32>,
     in_left: Vec<bool>,
     adhesion: Vec<u32>,
-    /// unassigned vertices by adhesion, during growth
-    growth: Buckets,
     gain: Vec<i64>,
     locked: Vec<bool>,
-    /// each side's unlocked vertices by gain, during FM
-    left_gains: Buckets,
-    right_gains: Buckets,
+    /// the unassigned vertices by adhesion during growth, then the left
+    /// side's unlocked vertices by gain during FM
+    left: Buckets,
+    /// the right side's unlocked vertices by gain during FM
+    right: Buckets,
     /// the right half while the left one is compacted in place
     spill: Vec<u32>,
 }
 
 impl<'a> Bisection<'a> {
     fn new(csr: &'a Csr, cfg: &'a PbrConfig) -> Self {
+        let n = csr.len();
+        let max_degree = (0..n).map(|v| csr.neighbors(v).len()).max().unwrap_or(0);
         Bisection {
             csr,
             cfg,
-            local: vec![u32::MAX; csr.len()],
-            sub_offsets: Vec::new(),
-            sub_targets: Vec::new(),
-            in_left: Vec::new(),
-            adhesion: Vec::new(),
-            growth: Buckets::default(),
-            gain: Vec::new(),
-            locked: Vec::new(),
-            left_gains: Buckets::default(),
-            right_gains: Buckets::default(),
-            spill: Vec::new(),
+            local: vec![u32::MAX; n],
+            sub_offsets: Vec::with_capacity(n + 1),
+            sub_targets: Vec::with_capacity(csr.targets.len()),
+            in_left: Vec::with_capacity(n),
+            adhesion: Vec::with_capacity(n),
+            gain: Vec::with_capacity(n),
+            locked: Vec::with_capacity(n),
+            left: Buckets::with_capacity(2 * max_degree + 1, n),
+            right: Buckets::with_capacity(2 * max_degree + 1, n),
+            spill: Vec::with_capacity(n),
         }
     }
 
@@ -621,9 +626,9 @@ impl<'a> Bisection<'a> {
         // adhesion[v] = number of edges from v into the current left region
         self.adhesion.clear();
         self.adhesion.resize(n_sub, 0);
-        self.growth.reset(max_degree + 1, n_sub);
+        self.left.reset(max_degree + 1, n_sub);
         for v in 0..n_sub {
-            self.growth.insert(0, v);
+            self.left.insert(0, v);
         }
         // seed: minimum subset-degree vertex (approximates a peripheral
         // vertex)
@@ -635,19 +640,19 @@ impl<'a> Bisection<'a> {
             if taken > 0 {
                 // ties go to the lower local index; isolated or
                 // disconnected vertices (adhesion 0) are absorbed last
-                let Some(next) = self.growth.first_of_top() else {
+                let Some(next) = self.left.first_of_top() else {
                     break;
                 };
                 v = next;
             }
-            self.growth.remove(self.adhesion[v] as usize, v);
+            self.left.remove(self.adhesion[v] as usize, v);
             self.in_left[v] = true;
             for i in self.sub_offsets[v]..self.sub_offsets[v + 1] {
                 let l = self.sub_targets[i] as usize;
                 if !self.in_left[l] {
-                    self.growth.remove(self.adhesion[l] as usize, l);
+                    self.left.remove(self.adhesion[l] as usize, l);
                     self.adhesion[l] += 1;
-                    self.growth.insert(self.adhesion[l] as usize, l);
+                    self.left.insert(self.adhesion[l] as usize, l);
                 }
             }
         }
@@ -659,14 +664,13 @@ impl<'a> Bisection<'a> {
         let offset = max_degree as i64;
         let level = |gain: i64| (gain + offset) as usize;
         for _pass in 0..self.cfg.refinement_passes {
-            self.left_gains.reset(2 * max_degree + 1, n_sub);
-            self.right_gains.reset(2 * max_degree + 1, n_sub);
+            self.left.reset(2 * max_degree + 1, n_sub);
+            self.right.reset(2 * max_degree + 1, n_sub);
             self.gain.clear();
             for v in 0..n_sub {
                 let g = self.gain_of(v);
                 self.gain.push(g);
-                let side =
-                    if self.in_left[v] { &mut self.left_gains } else { &mut self.right_gains };
+                let side = if self.in_left[v] { &mut self.left } else { &mut self.right };
                 side.insert(level(g), v);
             }
             self.locked.clear();
@@ -675,9 +679,7 @@ impl<'a> Bisection<'a> {
 
             for _ in 0..max_swaps {
                 // the last unlocked vertex of maximal gain on each side
-                let (Some(l), Some(r)) =
-                    (self.left_gains.last_of_top(), self.right_gains.last_of_top())
-                else {
+                let (Some(l), Some(r)) = (self.left.last_of_top(), self.right.last_of_top()) else {
                     break;
                 };
                 let adjacent = self.sub_neighbors(l).contains(&(r as u32));
@@ -685,8 +687,8 @@ impl<'a> Bisection<'a> {
                 if swap_gain <= 0 {
                     break;
                 }
-                self.left_gains.remove(level(self.gain[l]), l);
-                self.right_gains.remove(level(self.gain[r]), r);
+                self.left.remove(level(self.gain[l]), l);
+                self.right.remove(level(self.gain[r]), r);
                 self.in_left[l] = false;
                 self.in_left[r] = true;
                 self.locked[l] = true;
@@ -701,11 +703,7 @@ impl<'a> Bisection<'a> {
                             continue;
                         }
                         let delta = if self.in_left[u] == was_left { 2 } else { -2 };
-                        let side = if self.in_left[u] {
-                            &mut self.left_gains
-                        } else {
-                            &mut self.right_gains
-                        };
+                        let side = if self.in_left[u] { &mut self.left } else { &mut self.right };
                         side.remove(level(self.gain[u]), u);
                         self.gain[u] += delta;
                         side.insert(level(self.gain[u]), u);
