@@ -153,25 +153,29 @@ fn set_bit(bits: &mut [u64], i: usize) {
     bits[i / 64] |= 1 << (i % 64);
 }
 
-fn bit(bits: &[u64], i: usize) -> bool {
-    bits[i / 64] >> (i % 64) & 1 == 1
+
+/// All bits but bit `p`, over word `i` of a bitset.
+fn keep(i: usize, p: usize) -> u64 {
+    if i == p / 64 {
+        !(1 << (p % 64))
+    } else {
+        !0
+    }
+}
+
+/// The words of `x & !y`, bits `p` and `q` cleared.
+fn outside<'b>(
+    x: &'b [u64],
+    y: &'b [u64],
+    p: usize,
+    q: usize,
+) -> impl Iterator<Item = u64> + Clone + 'b {
+    x.iter().zip(y).enumerate().map(move |(i, (&x, &y))| x & !y & keep(i, p) & keep(i, q))
 }
 
 /// The number of set bits of `x` that `y` lacks, bits `p` and `q` left out.
 fn count_outside(x: &[u64], y: &[u64], p: usize, q: usize) -> u32 {
-    x.iter()
-        .zip(y)
-        .enumerate()
-        .map(|(i, (&x, &y))| {
-            let mut keep = !0u64;
-            for skip in [p, q] {
-                if i == skip / 64 {
-                    keep &= !(1 << (skip % 64));
-                }
-            }
-            (x & !y & keep).count_ones()
-        })
-        .sum()
+    outside(x, y, p, q).map(u64::count_ones).sum()
 }
 
 /// Greedy partition-level refinement: swap vertices between parts whenever
@@ -328,14 +332,9 @@ impl<'a> TilePartition<'a> {
     /// must be isolated in their parts.
     fn part_may_empty(&self, u: usize, pw: usize) -> bool {
         let (pu, words) = (self.part[u], self.words);
-        let alone_u: u32 = self.alone(u).iter().map(|w| w.count_ones()).sum();
-        alone_u > u32::from(bit(self.alone(u), pw))
-            || count_outside(
-                &self.part_alone[pw * words..(pw + 1) * words],
-                self.touched(u),
-                pu,
-                pw,
-            ) > 0
+        self.alone(u).iter().enumerate().any(|(i, &a)| a & keep(i, pw) != 0)
+            || outside(&self.part_alone[pw * words..(pw + 1) * words], self.touched(u), pu, pw)
+                .any(|m| m != 0)
             || (self.own[u] == 0 && self.part_isolated[pw] > 0)
     }
 
@@ -343,8 +342,16 @@ impl<'a> TilePartition<'a> {
     /// another part leaves without an edge.
     fn emptied(&self, u: usize, w: usize) -> u32 {
         let (pu, pw) = (self.part[u], self.part[w]);
-        let mut emptied = count_outside(self.alone(u), self.touched(w), pu, pw)
-            + count_outside(self.alone(w), self.touched(u), pu, pw);
+        let carried = outside(self.alone(u), self.touched(w), pu, pw).chain(outside(
+            self.alone(w),
+            self.touched(u),
+            pu,
+            pw,
+        ));
+        let mut emptied = 0;
+        if carried.clone().any(|m| m != 0) {
+            emptied = carried.map(u64::count_ones).sum();
+        }
         if self.own[u] == 0 && self.own[w] == 0 {
             let (mut adjacent, mut w_in_pu) = (false, 0);
             for &x in self.csr.neighbors(w) {
