@@ -153,7 +153,6 @@ fn set_bit(bits: &mut [u64], i: usize) {
     bits[i / 64] |= 1 << (i % 64);
 }
 
-
 /// All bits but bit `p`, over word `i` of a bitset.
 fn keep(i: usize, p: usize) -> u64 {
     if i == p / 64 {
