@@ -19,9 +19,10 @@
 //! # Cost
 //!
 //! Each phase does work in proportion to what can change its decisions.
-//! One CSR copy of the adjacency and one scratch serve the whole recursion:
-//! a sub-problem of `s` vertices and largest degree `Δ` re-indexes its
-//! induced subgraph into that scratch in `O(s + edges touched)`.
+//! One CSR copy of the adjacency and one scratch, sized once for the whole
+//! graph, serve the whole recursion: a sub-problem of `s` vertices
+//! re-indexes its induced subgraph into that scratch in
+//! `O(s + edges touched)`.
 //! - Greedy growth keeps the unassigned vertices in one `s`-bit bitset per
 //!   adhesion. Absorbing a vertex costs a word scan of the highest non-empty
 //!   bucket and one bucket move per edge it brings into the region.
@@ -40,8 +41,8 @@
 //!   their parts.
 //!
 //! Extra memory is `O(n·⌈parts/64⌉ + parts²)` for the final pass (the
-//! `parts²` is its table of connected-pair counts) and `O(Δ·⌈s/64⌉)` words
-//! of buckets for a sub-problem; no dense `n × parts` table is built.
+//! `parts²` is its table of connected-pair counts) and `O(Δ·⌈n/64⌉)` words
+//! of buckets, `Δ` the largest degree; no dense `n × parts` table is built.
 //!
 //! # Contract
 //!
