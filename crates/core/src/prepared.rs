@@ -27,11 +27,14 @@ use mgk_tile::OctileMatrix;
 use crate::octile_ops::TilePanels;
 
 /// An immutable structure ready to be paired with any other: the prepared
-/// (stopping-probability-overridden, reordered) graph, its Laplacian
-/// degrees and its octile matrix.
+/// (stopping-probability-overridden, reordered) graph, the reordering that
+/// produced it, its Laplacian degrees and its octile matrix.
 #[derive(Debug)]
 pub struct PreparedGraph<V, E> {
     graph: Graph<V, E>,
+    /// The order `prepare` applied: prepared vertex `k` is input vertex
+    /// `order[k]`. `None` when the input order was kept.
+    order: Option<Vec<u32>>,
     degrees: Vec<f32>,
     /// `Arc`-shared with the product systems of the pairs this structure is
     /// in, which therefore own their operands without copying a tile.
@@ -46,16 +49,23 @@ pub(crate) struct Octiles<E> {
 }
 
 impl<V, E: Copy + Default> PreparedGraph<V, E> {
-    /// Tile an already prepared (ordered) graph.
-    pub(crate) fn new(graph: Graph<V, E>) -> Self {
+    /// Tile an already prepared graph, `order` being the reordering
+    /// applied to the input (`None` if none was).
+    pub(crate) fn new(graph: Graph<V, E>, order: Option<Vec<u32>>) -> Self {
         let matrix = Arc::new(OctileMatrix::from_graph(&graph));
-        PreparedGraph { degrees: graph.laplacian_degrees(), graph, matrix }
+        PreparedGraph { degrees: graph.laplacian_degrees(), graph, order, matrix }
     }
 
     /// The prepared graph, in the vertex order every solve over this
-    /// structure uses (nodal vectors are laid out in it).
+    /// structure iterates in. Nodal vectors are not laid out in it: the
+    /// solver returns them in the input graph's order.
     pub fn graph(&self) -> &Graph<V, E> {
         &self.graph
+    }
+
+    /// The input vertex that prepared vertex `k` stands for.
+    pub(crate) fn input_vertex(&self, k: usize) -> usize {
+        self.order.as_ref().map_or(k, |order| order[k] as usize)
     }
 
     pub(crate) fn degrees(&self) -> &[f32] {

@@ -186,7 +186,7 @@ where
         V: Clone,
         KV: BaseKernel<V>,
     {
-        let tile = |g: &Graph<V, E>| PreparedGraph::new(g.clone());
+        let tile = |g: &Graph<V, E>| PreparedGraph::new(g.clone(), None);
         Self::from_prepared(&tile(g1), &tile(g2), vertex_kernel, edge_kernel)
     }
 

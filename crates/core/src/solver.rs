@@ -39,7 +39,8 @@ pub struct SolverConfig {
     /// Override the graphs' stopping probability with a uniform value.
     pub stopping_probability: Option<f32>,
     /// Also return the nodal similarity matrix (the solution vector
-    /// reshaped to `n × m`).
+    /// reshaped to `n × m`), indexed by the input graphs' vertices whatever
+    /// [`reorder`](Self::reorder) is.
     pub compute_nodal: bool,
 }
 
@@ -84,7 +85,10 @@ pub struct KernelResult<T: Scalar = f32> {
     /// iterations (feeds the GPU cost model).
     pub traffic: TrafficCounters,
     /// Nodal similarities (row-major `n × m`) at this result's precision,
-    /// present when [`SolverConfig::compute_nodal`] is set.
+    /// present when [`SolverConfig::compute_nodal`] is set: entry
+    /// `i · m + j` belongs to vertex `i` of the first input graph and vertex
+    /// `j` of the second, in the order the caller gave them, not the
+    /// reordered one the solve ran in.
     pub nodal: Option<Vec<T>>,
     /// Where this result's wall-clock went, stage by stage. The solver
     /// itself leaves this zeroed; the serving pipeline stamps queue wait,
@@ -229,11 +233,11 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
         match precision {
             Precision::F32 => {
                 let run = self.iterate::<f32, E, KE>(&system, &mut traffic);
-                self.finish(&system, run, traffic)
+                self.finish(&system, (a, b), run, traffic)
             }
             Precision::F64 => {
                 let run = self.iterate::<f64, E, KE>(&system, &mut traffic);
-                self.finish(&system, run, traffic)
+                self.finish(&system, (a, b), run, traffic)
             }
         }
     }
@@ -270,15 +274,17 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
     }
 
     /// Turn a finished iteration (solution at `U`) into the result carried
-    /// at `T`: `K = p×ᵀ x` is contracted in `f64` whatever `U` and `T` are.
-    fn finish<U: Scalar, T: Scalar, E, KE2>(
+    /// at `T`: `K = p×ᵀ x` is contracted in `f64` whatever `U` and `T` are,
+    /// over the prepared order, and the nodal vector is scattered back to
+    /// the input order of `a` and `b`.
+    fn finish<U: Scalar, T: Scalar, V, E: Copy + Default, KE2>(
         &self,
         system: &ProductSystem<E, KE2>,
+        (a, b): (&PreparedGraph<V, E>, &PreparedGraph<V, E>),
         (x, info): (Vec<U>, ConvergenceInfo),
         traffic: TrafficCounters,
     ) -> Result<KernelResult<T>, SolverError>
     where
-        E: Copy + Default,
         KE2: BaseKernel<E>,
     {
         if !info.converged {
@@ -296,10 +302,7 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
             converged: info.converged,
             relative_residual: info.relative_residual,
             traffic,
-            nodal: self
-                .config
-                .compute_nodal
-                .then(|| x.iter().map(|&xi| T::from_f64(xi.to_f64())).collect()),
+            nodal: self.config.compute_nodal.then(|| in_input_order(&x, a, b)),
             stages: StageBreakdown::default(),
         })
     }
@@ -313,7 +316,8 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
         V: Clone,
         E: Copy + Default,
     {
-        PreparedGraph::new(self.prepare(g).unwrap_or_else(|| g.clone()))
+        let (prepared, order) = self.prepare_ordered(g);
+        PreparedGraph::new(prepared.unwrap_or_else(|| g.clone()), order)
     }
 
     /// Apply the configured per-graph preprocessing (stopping-probability
@@ -324,17 +328,46 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
         V: Clone,
         E: Copy + Default,
     {
-        let mut out: Option<Graph<V, E>> = None;
-        if let Some(q) = self.config.stopping_probability {
-            out = Some(g.clone().with_uniform_stopping_probability(q));
-        }
-        if self.config.reorder != ReorderMethod::Natural {
-            let base = out.as_ref().unwrap_or(g);
-            let order = self.config.reorder.compute_order(base, None);
-            out = Some(base.permute(&order));
-        }
-        out
+        self.prepare_ordered(g).0
     }
+
+    /// [`prepare`](Self::prepare), also returning the vertex order the
+    /// reordering applied (`None` under [`ReorderMethod::Natural`]).
+    fn prepare_ordered<V, E>(&self, g: &Graph<V, E>) -> (Option<Graph<V, E>>, Option<Vec<u32>>)
+    where
+        V: Clone,
+        E: Copy + Default,
+    {
+        let stopped = self
+            .config
+            .stopping_probability
+            .map(|q| g.clone().with_uniform_stopping_probability(q));
+        if self.config.reorder == ReorderMethod::Natural {
+            return (stopped, None);
+        }
+        let base = stopped.as_ref().unwrap_or(g);
+        let order = self.config.reorder.compute_order(base, None);
+        (Some(base.permute(&order)), Some(order))
+    }
+}
+
+/// The solution `x` of the system of `a` and `b`, row-major over their
+/// prepared orders, carried at `T` and laid out by their input orders:
+/// entry `i · m + j` belongs to input vertex `i` of `a` and `j` of `b`.
+fn in_input_order<U: Scalar, T: Scalar, V, E: Copy + Default>(
+    x: &[U],
+    a: &PreparedGraph<V, E>,
+    b: &PreparedGraph<V, E>,
+) -> Vec<T> {
+    let m = b.graph().num_vertices();
+    let mut nodal = vec![T::from_f64(0.0); x.len()];
+    for (p, row) in x.chunks_exact(m).enumerate() {
+        let i = a.input_vertex(p);
+        for (q, &xi) in row.iter().enumerate() {
+            nodal[i * m + b.input_vertex(q)] = T::from_f64(xi.to_f64());
+        }
+    }
+    nodal
 }
 
 #[cfg(test)]
@@ -667,6 +700,37 @@ mod tests {
         assert!((contracted as f32 - result.value).abs() < 1e-4 * result.value.abs());
         // all nodal similarities are positive for positive base kernels
         assert!(nodal.iter().all(|&x| x > 0.0));
+    }
+
+    #[test]
+    fn nodal_vectors_are_in_the_input_order_under_every_reordering() {
+        use mgk_datasets::molecules::synthetic_molecule;
+        let mut rng = StdRng::seed_from_u64(7);
+        let (g1, g2) = (synthetic_molecule(23, &mut rng), synthetic_molecule(17, &mut rng));
+        let nodal = |reorder| {
+            let config = SolverConfig {
+                precision: Precision::F64,
+                solve: SolveOptions { tolerance: 1e-12, max_iterations: 5000 },
+                reorder,
+                compute_nodal: true,
+                ..SolverConfig::default()
+            };
+            let solver = MarginalizedKernelSolver::new(
+                KroneckerDelta::new(0.3),
+                KroneckerDelta::new(0.3),
+                config,
+            );
+            solver.kernel_at::<f64, _, _>(&g1, &g2).unwrap().nodal.expect("compute_nodal is set")
+        };
+        let natural = nodal(ReorderMethod::Natural);
+        let largest = natural.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for reorder in [ReorderMethod::Pbr, ReorderMethod::Rcm] {
+            let reordered = nodal(reorder);
+            assert_eq!(reordered.len(), 23 * 17);
+            let worst =
+                natural.iter().zip(&reordered).fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+            assert!(worst <= 1e-9 * largest, "{reorder:?}: off by {worst:e} of {largest:e}");
+        }
     }
 
     #[test]

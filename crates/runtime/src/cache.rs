@@ -1,10 +1,9 @@
 //! The LRU-bounded pair-entry cache of the streaming Gram service.
 //!
 //! Every converged pair solve yields a kernel value; keeping it turns a
-//! resubmitted structure into a pure lookup. (Converged nodal solution
-//! vectors are retained separately, in the smaller [`NodalCache`] — one
-//! per pair here would pin megabytes most lookups never read.) The cache
-//! is bounded — at capacity the least-recently-used entry
+//! resubmitted structure into a pure lookup. Nodal solution vectors are
+//! not kept: one per pair would pin megabytes most lookups never read. The
+//! cache is bounded — at capacity the least-recently-used entry
 //! is evicted — so a long-running service holds memory constant no matter
 //! how many structures stream through.
 //!
@@ -158,7 +157,7 @@ impl<K: Copy + Eq + Hash> Recency<K> {
 }
 
 /// An LRU-bounded map: the one get/insert/evict behind every bounded cache
-/// of the service ([`PairCache`], [`ReorderCache`], [`NodalCache`]).
+/// of the service ([`PairCache`], [`ReorderCache`]).
 ///
 /// Recency is tracked with a tick-ordered queue with lazy deletion
 /// (`Recency`); both lookup refresh and eviction at capacity are O(1)
@@ -243,21 +242,6 @@ pub type PairCache = LruMap<PairKey, CachedEntry>;
 /// evicted entry lives on as long as a member or an in-flight request holds
 /// it.
 pub type ReorderCache<T> = LruMap<PairSide, T>;
-
-/// Converged nodal solution vectors by [`OrderedSides`], so an `f32` cache
-/// answer can carry its vector. Orientation matters: the nodal vector of
-/// `(a, b)` is the transpose-permutation of `(b, a)`'s, and transposing on
-/// the fly would cost more than a miss — the mirrored orientation simply
-/// misses.
-pub type NodalCache = LruMap<OrderedSides, SharedNodal>;
-
-/// An *ordered* (orientation-sensitive) pair of structure identities — the
-/// key space of the [`NodalCache`].
-pub type OrderedSides = (PairSide, PairSide);
-
-/// A nodal solution vector as the [`NodalCache`] holds it: `Arc`-shared, so
-/// a cache answer hands it out without copying.
-pub type SharedNodal = std::sync::Arc<Vec<f32>>;
 
 #[cfg(test)]
 mod tests {
@@ -417,37 +401,6 @@ mod tests {
         c.insert(side(1), 10);
         assert!(c.is_empty());
         assert_eq!(c.get(side(1)), None);
-    }
-
-    #[test]
-    fn nodal_cache_is_orientation_sensitive() {
-        let mut c = NodalCache::new(4);
-        let forward = (side(1), side(2));
-        let mirrored = (side(2), side(1));
-        c.insert(forward, std::sync::Arc::new(vec![1.0, 2.0]));
-        assert!(c.get(mirrored).is_none(), "mirrored orientation must miss, not transpose");
-        assert_eq!(c.get(forward).unwrap().as_slice(), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn nodal_cache_evicts_least_recently_used_at_capacity() {
-        let mut c = NodalCache::new(2);
-        c.insert((side(1), side(1)), std::sync::Arc::new(vec![1.0]));
-        c.insert((side(2), side(2)), std::sync::Arc::new(vec![2.0]));
-        assert!(c.get((side(1), side(1))).is_some()); // refresh 1: LRU is now 2
-        c.insert((side(3), side(3)), std::sync::Arc::new(vec![3.0]));
-        assert_eq!(c.len(), 2, "capacity bound violated");
-        assert!(c.get((side(2), side(2))).is_none(), "2 was the LRU entry");
-        assert!(c.get((side(1), side(1))).is_some());
-        assert!(c.get((side(3), side(3))).is_some());
-    }
-
-    #[test]
-    fn nodal_cache_with_zero_capacity_stores_nothing() {
-        let mut c = NodalCache::new(0);
-        c.insert((side(1), side(2)), std::sync::Arc::new(vec![1.0]));
-        assert!(c.is_empty());
-        assert!(c.get((side(1), side(2))).is_none());
     }
 
     #[test]

@@ -37,7 +37,10 @@
 //!   solve, already-solved pairs are answered from the [`PairCache`]
 //!   without touching the solve lane, and expired or dropped tickets are
 //!   skipped before their solve starts — tickets can never hang
-//!   ([`RequestError::Closed`] on shutdown).
+//!   ([`RequestError::Closed`] on shutdown). The service solves with the
+//!   solver it was given: a ticket carries a nodal vector only from a fresh
+//!   solve by a solver that sets `compute_nodal`, never from the cache,
+//!   which keeps values.
 //! * **[`GramCluster`]** — the sharded serving plane: K schedulers behind
 //!   a content-hash router. Structures route by their own content
 //!   identity, request pairs by normalized [`PairKey`] (both orientations
@@ -107,7 +110,7 @@ pub mod service;
 pub mod ticket;
 pub mod watch;
 
-pub use cache::{CachedEntry, NodalCache, PairCache, PairKey, PairSide, ReorderCache};
+pub use cache::{CachedEntry, PairCache, PairKey, PairSide, ReorderCache};
 pub use cluster::{
     shard_of_key, shard_of_side, ClusterConfig, ClusterKernelClient, ClusterSnapshot,
     ClusterTelemetry, ClusterWatch, GramCluster,

@@ -49,10 +49,6 @@ pub mod names {
     pub const REORDER_MISSES: &str = "mgk_reorder_misses_total";
     /// Snapshots materialized by the watch (counter).
     pub const SNAPSHOT_BUILDS: &str = "mgk_snapshot_builds_total";
-    /// Nodal side-cache hits (counter).
-    pub const NODAL_HITS: &str = "mgk_nodal_cache_hits_total";
-    /// Nodal side-cache misses (counter).
-    pub const NODAL_MISSES: &str = "mgk_nodal_cache_misses_total";
     /// Records appended to the write-ahead log (counter).
     pub const STORE_APPENDS: &str = "mgk_store_appends_total";
     /// Bytes appended to the write-ahead log (counter).
@@ -120,10 +116,6 @@ pub struct RuntimeMetrics {
     pub reorder_misses: Counter,
     /// Snapshots materialized by the watch.
     pub snapshot_builds: Counter,
-    /// Nodal side-cache hits.
-    pub nodal_hits: Counter,
-    /// Nodal side-cache misses.
-    pub nodal_misses: Counter,
     /// WAL records appended by the attached store.
     pub store_appends: Counter,
     /// WAL bytes appended by the attached store.
@@ -183,8 +175,6 @@ impl RuntimeMetrics {
             reorder_hits: registry.counter(names::REORDER_HITS),
             reorder_misses: registry.counter(names::REORDER_MISSES),
             snapshot_builds: registry.counter(names::SNAPSHOT_BUILDS),
-            nodal_hits: registry.counter(names::NODAL_HITS),
-            nodal_misses: registry.counter(names::NODAL_MISSES),
             store_appends: registry.counter(names::STORE_APPENDS),
             store_bytes: registry.counter(names::STORE_BYTES),
             store_fsyncs: registry.counter(names::STORE_FSYNCS),

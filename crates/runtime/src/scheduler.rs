@@ -79,7 +79,7 @@ use mgk_kernels::BaseKernel;
 use mgk_linalg::{Precision, Scalar, TrafficCounters};
 use mgk_telemetry::{Counter, Gauge, MetricsRegistry, Stopwatch};
 
-use crate::cache::{CachedEntry, PairKey, PairSide, SharedNodal};
+use crate::cache::{CachedEntry, PairKey, PairSide};
 use crate::cluster::{shard_of_key, shard_of_side};
 use crate::hash::ContentHash;
 use crate::service::{Answer, Claim, GramService, GramServiceError, Landed, Wave};
@@ -388,8 +388,9 @@ impl<V, E> GramClient<V, E> {
 /// producer backpressure applies uniformly.
 ///
 /// `T` is the *carrier*: `KernelClient<_, _, f64>` tickets carry
-/// [`KernelResult<f64>`] — f64 values *and* nodal vectors — end-to-end.
-/// Requests are solved at the carrier's own [`Precision`].
+/// [`KernelResult<f64>`] — f64 values, and f64 nodal vectors when the
+/// service's solver computes them — end-to-end. Requests are solved at the
+/// carrier's own [`Precision`].
 ///
 /// Request-lane guarantees (see the module docs for the mechanism):
 ///
@@ -600,7 +601,8 @@ where
     /// A typed request client carrying its answers at `T` (cheap; clone
     /// freely across threads). `kernel_client::<f32>()` serves the paper's
     /// f32 arithmetic; `kernel_client::<f64>()` resolves tickets to
-    /// [`KernelResult<f64>`] with f64 nodal vectors end-to-end.
+    /// [`KernelResult<f64>`] end-to-end (with f64 nodal vectors on fresh
+    /// solves, when the service's solver computes them).
     pub fn kernel_client<T: RequestScalar>(&self) -> KernelClient<V, E, T> {
         KernelClient::over(self.client())
     }
@@ -666,7 +668,7 @@ impl LiveTicket {
     }
 
     /// Wake the ticket: the one place an answer takes the ticket's type.
-    fn resolve(self, answer: &Result<Shared, RequestError>) {
+    fn resolve(self, answer: &Result<KernelResult<f64>, RequestError>) {
         match self.resolver {
             KernelResolver::F32(r) => r.resolve(make::<f32>(answer, self.queue_wait_ns)),
             KernelResolver::F64(r) => r.resolve(make::<f64>(answer, self.queue_wait_ns)),
@@ -682,14 +684,6 @@ struct RequestGroup<V, E> {
     left: Graph<V, E>,
     right: Graph<V, E>,
     tickets: Vec<LiveTicket>,
-}
-
-/// What every ticket of a group is woken from: the group's answer as a
-/// wave carries one, and — for a cache replay the side-cache could upgrade —
-/// the retained `f32` nodal vector a ticket copies out in its place.
-struct Shared {
-    result: KernelResult<f64>,
-    replayed_nodal: Option<SharedNodal>,
 }
 
 /// The receiving half of the command channel, with the gauge its senders
@@ -827,12 +821,12 @@ where
         // *raw* content identity so duplicates share the per-pair
         // preprocessing (reordering) as well as the solve — preparation
         // runs once per group, below, not once per ticket. The key is the
-        // ORDERED side pair, not the normalized PairKey: a solved request's
-        // nodal vector is laid out in the request's orientation (row-major
-        // n_left × n_right), so (A, B) and (B, A) must not share one solve
-        // result — the second orientation resolves from the symmetric
-        // cache entry the first one inserts (value only, no transposed
-        // vector)
+        // ORDERED side pair, not the normalized PairKey: when the solver
+        // computes nodal vectors, a solved request's vector is laid out in
+        // the request's orientation (row-major n_left × n_right), so (A, B)
+        // and (B, A) must not share one solve result — the second
+        // orientation resolves from the symmetric cache entry the first one
+        // inserts (value only, no transposed vector)
         let mut groups: HashMap<Slot, RequestGroup<V, E>> = HashMap::new();
         // a span, not a stopwatch: the content hashers grouping calls into
         // can panic (tests rely on it), and the drain stage must stay
@@ -940,19 +934,11 @@ where
     /// arrival order, replay its cache entry or pass its folded solve on,
     /// and wake every coalesced ticket from it.
     fn finish(&mut self, landed: Landed<V, E, Vec<LiveTicket>>) {
-        for Claim { pair, precision, payload: tickets, answer } in landed {
+        for Claim { pair, payload: tickets, answer, .. } in landed {
             let shared = match answer {
                 Answer::Cached(entry) => {
                     self.service.metrics().request_cache_answers.inc();
-                    // a value-only replay, upgraded with the pair's nodal
-                    // vector when the side-cache still holds this
-                    // orientation — for f32 requests only: a narrowed vector
-                    // must not answer a request that was promised f64
-                    // accuracy
-                    let replayed_nodal = (precision == Precision::F32)
-                        .then(|| self.service.cached_nodal(&pair))
-                        .flatten();
-                    Ok(Shared { result: replay_entry(&entry, pair.prepare_ns()), replayed_nodal })
+                    Ok(replay_entry(&entry, pair.prepare_ns()))
                 }
                 // the entry was tagged with the precision the solve ran at,
                 // so an f64 one answers later f32 and f64 requests alike
@@ -960,9 +946,7 @@ where
                     if result.is_ok() {
                         self.service.metrics().request_solves.inc();
                     }
-                    result
-                        .map(|result| Shared { result, replayed_nodal: None })
-                        .map_err(RequestError::Solver)
+                    result.map_err(RequestError::Solver)
                 }
             };
             // each ticket's end-to-end latency is recorded at the moment of
@@ -1036,18 +1020,14 @@ fn replay_entry(entry: &CachedEntry, prepare_ns: u64) -> KernelResult<f64> {
 
 /// The typed answer one ticket wakes with: its group's shared one narrowed
 /// with the `from_f64` the solver itself would have used to carry it at
-/// `T` (a replayed side-cache vector is copied out of its `f32`s directly),
-/// and stamped with the ticket's own queue wait — coalesced tickets share
-/// the solve, not the wait.
+/// `T`, and stamped with the ticket's own queue wait — coalesced tickets
+/// share the solve, not the wait.
 fn make<T: Scalar>(
-    answer: &Result<Shared, RequestError>,
+    answer: &Result<KernelResult<f64>, RequestError>,
     queue_wait_ns: u64,
 ) -> Result<KernelResult<T>, RequestError> {
-    let Shared { result, replayed_nodal } = answer.as_ref().map_err(Clone::clone)?;
-    let nodal = match replayed_nodal {
-        Some(narrow) => Some(narrow.iter().map(|&v| T::from_f32(v)).collect()),
-        None => result.nodal.as_ref().map(|wide| wide.iter().map(|&v| T::from_f64(v)).collect()),
-    };
+    let result = answer.as_ref().map_err(Clone::clone)?;
+    let nodal = result.nodal.as_ref().map(|wide| wide.iter().map(|&v| T::from_f64(v)).collect());
     Ok(KernelResult {
         value: T::from_f64(result.value_f64),
         value_f64: result.value_f64,
@@ -1085,15 +1065,21 @@ mod tests {
         (0..n).map(|k| generators::newman_watts_strogatz(10 + k % 4, 2, 0.2, &mut rng)).collect()
     }
 
-    fn service(
-        config: GramServiceConfig,
-    ) -> GramService<
+    type UnlabeledService = GramService<
         mgk_kernels::UnitKernel,
         mgk_kernels::UnitKernel,
         mgk_graph::Unlabeled,
         mgk_graph::Unlabeled,
-    > {
+    >;
+
+    fn service(config: GramServiceConfig) -> UnlabeledService {
         GramService::new(MarginalizedKernelSolver::unlabeled(SolverConfig::default()), config)
+    }
+
+    /// [`service`] over a solver that computes nodal vectors.
+    fn nodal_service(config: GramServiceConfig) -> UnlabeledService {
+        let nodal = SolverConfig { compute_nodal: true, ..SolverConfig::default() };
+        GramService::new(MarginalizedKernelSolver::unlabeled(nodal), config)
     }
 
     fn spawn_default() -> UnlabeledScheduler {
@@ -1290,7 +1276,10 @@ mod tests {
 
     #[test]
     fn requests_resolve_with_correct_values_and_cache_answers() {
-        let scheduler = spawn_default();
+        let scheduler = GramScheduler::spawn(
+            nodal_service(GramServiceConfig::default()),
+            SchedulerConfig::default(),
+        );
         let kernels = scheduler.kernel_client::<f32>();
         let graphs = dataset(2, 101);
         let direct = MarginalizedKernelSolver::unlabeled(SolverConfig::default())
@@ -1308,21 +1297,14 @@ mod tests {
             direct.value
         );
 
-        // the same pair again: answered from the cache, no second solve —
-        // and the nodal side-cache upgrades the value replay with the
-        // vector the first solve retained for this exact orientation
+        // the same pair again: answered from the cache, no second solve
         let again = kernels.request(graphs[0].clone(), graphs[1].clone()).unwrap();
         let second = again.wait().unwrap();
         assert_eq!(second.value, first.value);
-        assert_eq!(
-            second.nodal, first.nodal,
-            "a same-orientation cache answer carries the retained nodal vector"
-        );
 
         let svc = scheduler.join();
         assert_eq!(svc.stats().request_solves, 1);
         assert_eq!(svc.stats().request_cache_answers, 1);
-        assert_eq!(svc.stats().nodal_hits, 1, "the replayed vector came from the side-cache");
     }
 
     #[test]
@@ -1370,7 +1352,8 @@ mod tests {
     #[test]
     fn mixed_precisions_for_one_pair_group_apart_and_share_the_cache() {
         let gate = REQUEST_GATE.lock().unwrap();
-        let svc = service(GramServiceConfig::default()).with_content_hasher(request_gated_hash);
+        let svc =
+            nodal_service(GramServiceConfig::default()).with_content_hasher(request_gated_hash);
         let scheduler = GramScheduler::spawn(svc, SchedulerConfig::default());
         let producers = scheduler.client();
         let single = scheduler.kernel_client::<f32>();
@@ -1426,22 +1409,20 @@ mod tests {
         assert_same_solve(&exact, &cold_f64);
         let cold_ac = solver.kernel_prepared::<f64, _, _>(&pa, &pc, Precision::F64).unwrap();
         assert_same_solve(&other, &cold_ac);
-        // cache replays: an f64 solve's entry, with a vector only in the
-        // solved orientation (the side-cache's narrowed one)
-        let replay_f32 = |solved: &KernelResult<f64>, nodal: bool| KernelResult {
+        // cache replays: an f64 solve's entry, value only
+        let replay_f32 = |solved: &KernelResult<f64>| KernelResult {
             value: solved.value_f64 as f32,
             value_f64: solved.value_f64,
             iterations: solved.iterations,
             converged: true,
             relative_residual: solved.relative_residual,
             traffic: TrafficCounters::new(),
-            nodal: nodal
-                .then(|| solved.nodal.as_ref().unwrap().iter().map(|&v| v as f32).collect()),
+            nodal: None,
             stages: StageBreakdown::default(),
         };
-        assert_same_solve(&replayed, &replay_f32(&cold_ac, true));
-        assert_same_solve(&late, &replay_f32(&cold_f64, true));
-        assert_same_solve(&mirrored, &replay_f32(&cold_f64, false));
+        assert_same_solve(&replayed, &replay_f32(&cold_ac));
+        assert_same_solve(&late, &replay_f32(&cold_f64));
+        assert_same_solve(&mirrored, &replay_f32(&cold_f64));
 
         let svc = scheduler.join();
         assert_eq!(svc.stats().requests_coalesced, 1, "precisions never coalesce with each other");
@@ -1451,7 +1432,6 @@ mod tests {
             3,
             "the (A,C) f32 group, the late f32 and its mirror"
         );
-        assert_eq!((svc.stats().nodal_hits, svc.stats().nodal_misses), (2, 1));
     }
 
     fn bits<T: Scalar>(values: &[T]) -> Vec<u64> {
@@ -1473,7 +1453,8 @@ mod tests {
     #[test]
     fn opposite_orientations_never_share_a_transposed_nodal_vector() {
         let gate = REQUEST_GATE.lock().unwrap();
-        let svc = service(GramServiceConfig::default()).with_content_hasher(request_gated_hash);
+        let svc =
+            nodal_service(GramServiceConfig::default()).with_content_hasher(request_gated_hash);
         let scheduler = GramScheduler::spawn(svc, SchedulerConfig::default());
         let producers = scheduler.client();
         let kernels = scheduler.kernel_client::<f32>();
@@ -1507,10 +1488,55 @@ mod tests {
         assert_eq!(svc.stats().request_solves, 1);
         assert_eq!(svc.stats().request_cache_answers, 1);
         assert_eq!(svc.stats().requests_coalesced, 0, "orientations must not coalesce");
-        // the nodal side-cache is orientation-sensitive too: the mirrored
-        // replay probed it and missed
-        assert_eq!(svc.stats().nodal_hits, 0);
-        assert_eq!(svc.stats().nodal_misses, 1);
+    }
+
+    #[test]
+    fn tickets_carry_nodal_vectors_only_from_fresh_solves_of_a_nodal_solver() {
+        let graphs = dataset(4, 197);
+        let (a, b, c) = (&graphs[0], &graphs[1], &graphs[2]);
+
+        // a default solver computes none: a fresh solve, a coalesced burst
+        // and a cache answer all come back without a vector
+        let gate = REQUEST_GATE.lock().unwrap();
+        let svc = service(GramServiceConfig::default()).with_content_hasher(request_gated_hash);
+        let scheduler = GramScheduler::spawn(svc, SchedulerConfig::default());
+        let kernels = scheduler.kernel_client::<f32>();
+        // park the scheduler so the fresh request and the burst land in one
+        // drain
+        scheduler.client().submit(graphs[3].clone()).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        let fresh = kernels.request(a.clone(), b.clone()).unwrap();
+        let burst: Vec<_> =
+            (0..3).map(|_| kernels.request(a.clone(), c.clone()).unwrap()).collect();
+        drop(gate);
+        assert_eq!(fresh.wait().unwrap().nodal, None);
+        for ticket in &burst {
+            assert_eq!(ticket.wait().unwrap().nodal, None);
+        }
+        let cached = kernels.request(a.clone(), b.clone()).unwrap().wait().unwrap();
+        assert_eq!(cached.nodal, None);
+        let svc = scheduler.join();
+        assert_eq!(svc.stats().request_solves, 2);
+        assert_eq!(svc.stats().requests_coalesced, 2);
+        assert_eq!(svc.stats().request_cache_answers, 1);
+
+        // a solver that computes them: a fresh f32 ticket carries the front
+        // door's vector, bit for bit
+        let solver = MarginalizedKernelSolver::unlabeled(SolverConfig {
+            precision: Precision::F32,
+            compute_nodal: true,
+            ..SolverConfig::default()
+        });
+        let scheduler = GramScheduler::spawn(
+            GramService::new(solver.clone(), GramServiceConfig::default()),
+            SchedulerConfig::default(),
+        );
+        let ticket = scheduler.kernel_client::<f32>().request(a.clone(), b.clone()).unwrap();
+        let ticket = ticket.wait().unwrap();
+        scheduler.join();
+        let front_door = solver.kernel(a, b).unwrap();
+        assert!(front_door.nodal.is_some());
+        assert_same_solve(&ticket, &front_door);
     }
 
     #[test]
@@ -1521,7 +1547,7 @@ mod tests {
         // (in its own orientation) when it could not
         for (cache_capacity, solves, cache_answers) in [(4096, 1, 1), (0, 2, 0)] {
             let gate = REQUEST_GATE.lock().unwrap();
-            let svc = service(GramServiceConfig { cache_capacity, ..Default::default() })
+            let svc = nodal_service(GramServiceConfig { cache_capacity, ..Default::default() })
                 .with_content_hasher(request_gated_hash);
             let scheduler = GramScheduler::spawn(svc, SchedulerConfig::default());
             let producers = scheduler.client();
@@ -1745,7 +1771,10 @@ mod tests {
 
     #[test]
     fn typed_f64_requests_resolve_with_f64_nodal_vectors() {
-        let scheduler = spawn_default();
+        let scheduler = GramScheduler::spawn(
+            nodal_service(GramServiceConfig::default()),
+            SchedulerConfig::default(),
+        );
         let kernels = scheduler.kernel_client::<f64>();
         let graphs = dataset(2, 137);
         let ticket = kernels.request(graphs[0].clone(), graphs[1].clone()).unwrap();

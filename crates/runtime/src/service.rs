@@ -16,7 +16,10 @@
 //!   seen turns its pairs into lookups in an LRU-bounded [`PairCache`].
 //! * **Cold solves.** Every pair solve is the paper's preconditioned CG
 //!   from zero, so a value depends on the prepared pair, its orientation
-//!   and the precision — never on what the service solved before it.
+//!   and the precision — never on what the service solved before it. The
+//!   solver runs as the caller configured it: a fresh solve carries a nodal
+//!   vector only if it sets `compute_nodal`, and the cache keeps values
+//!   alone.
 //! * **Batched scheduling with backpressure.** Submissions queue up to
 //!   [`GramServiceConfig::max_pending`]; past that, [`GramService::submit`]
 //!   reports [`GramServiceError::Backpressure`] so producers can throttle.
@@ -61,15 +64,13 @@ use std::sync::Arc;
 
 use rayon::prelude::*;
 
-use mgk_core::{KernelResult, MarginalizedKernelSolver, PreparedGraph, SolverConfig, SolverError};
+use mgk_core::{KernelResult, MarginalizedKernelSolver, PreparedGraph, SolverError};
 use mgk_graph::Graph;
 use mgk_kernels::BaseKernel;
 use mgk_linalg::{Precision, Scalar};
 use mgk_telemetry::{MetricsRegistry, Stopwatch};
 
-use crate::cache::{
-    CachedEntry, NodalCache, PairCache, PairKey, PairSide, ReorderCache, SharedNodal,
-};
+use crate::cache::{CachedEntry, PairCache, PairKey, PairSide, ReorderCache};
 use crate::hash::{graph_content_hash, ContentHash};
 use crate::metrics::RuntimeMetrics;
 use crate::persist::{
@@ -99,12 +100,6 @@ pub struct GramServiceConfig {
     /// (or a member, or an in-flight request) holds it; 0 disables the
     /// cache, and every encounter then prepares afresh.
     pub reorder_cache_capacity: usize,
-    /// Capacity of the nodal side-cache: converged per-vertex-pair solution
-    /// vectors retained per *ordered* pair identity, so an `f32` cache
-    /// answer can carry its nodal vector instead of forcing a re-solve on
-    /// callers that need it. 0 disables the side-cache (cache answers then
-    /// carry values only, as before).
-    pub nodal_cache_capacity: usize,
 }
 
 impl Default for GramServiceConfig {
@@ -115,7 +110,6 @@ impl Default for GramServiceConfig {
             batch_size: 256,
             cache_capacity: 4096,
             reorder_cache_capacity: 512,
-            nodal_cache_capacity: 128,
         }
     }
 }
@@ -217,13 +211,6 @@ pub struct ServiceStats {
     /// Structures whose preparation actually ran because no cached
     /// prepared form existed. A disabled cache counts in neither bucket.
     pub reorder_misses: usize,
-    /// `f32` cache answers whose nodal vector was served from the nodal
-    /// side-cache.
-    pub nodal_hits: usize,
-    /// `f32` cache answers that wanted a nodal vector but found none
-    /// retained (evicted, mirrored orientation, or never solved on this
-    /// instance).
-    pub nodal_misses: usize,
     /// Records appended to the attached store's write-ahead log.
     pub store_appends: usize,
     /// Bytes appended to the attached store's write-ahead log.
@@ -342,9 +329,8 @@ struct PreparedStructure<V, E> {
 /// (solver, configuration, content hasher), not from a copy of its state.
 #[derive(Debug)]
 pub struct GramService<KV, KE, V, E> {
-    /// The user's solver with nodal vectors switched on (they feed the
-    /// nodal side-cache): prepares each structure once, solves every
-    /// prepared pair.
+    /// The caller's solver, as given: prepares each structure once, solves
+    /// every prepared pair.
     solver: MarginalizedKernelSolver<KV, KE>,
     config: GramServiceConfig,
     members: Vec<Arc<PreparedStructure<V, E>>>,
@@ -375,10 +361,6 @@ pub struct GramService<KV, KE, V, E> {
     /// Monotone snapshot version: bumped by every flush that admits at
     /// least one structure.
     version: u64,
-    /// Converged nodal vectors per *ordered* pair identity, so `f32` cache
-    /// answers can carry their solution vector (bounded; see
-    /// [`GramServiceConfig::nodal_cache_capacity`]).
-    nodal: NodalCache,
     /// The attached durability plane, if any: WAL + snapshots under one
     /// store directory. `None` means a purely in-memory service (the
     /// default). Dropped (detached) on the first store I/O error — serving
@@ -409,12 +391,10 @@ where
     /// no-op.
     pub fn new(solver: MarginalizedKernelSolver<KV, KE>, mut config: GramServiceConfig) -> Self {
         config.max_pending = config.max_pending.max(1);
-        let solver = solver.with_config(SolverConfig { compute_nodal: true, ..*solver.config() });
         GramService {
             solver,
             cache: PairCache::new(config.cache_capacity),
             reorder: ReorderCache::new(config.reorder_cache_capacity),
-            nodal: NodalCache::new(config.nodal_cache_capacity),
             config,
             members: Vec::new(),
             values: Arc::new(Vec::new()),
@@ -489,8 +469,6 @@ where
             requests_cancelled: m.requests_cancelled.value() as usize,
             reorder_hits: m.reorder_hits.value() as usize,
             reorder_misses: m.reorder_misses.value() as usize,
-            nodal_hits: m.nodal_hits.value() as usize,
-            nodal_misses: m.nodal_misses.value() as usize,
             store_appends: m.store_appends.value() as usize,
             store_bytes: m.store_bytes.value() as usize,
             store_fsyncs: m.store_fsyncs.value() as usize,
@@ -767,19 +745,17 @@ where
     }
 
     /// Everything a converged solve leaves behind, on either lane: the
-    /// iteration and traffic counters, the pair-cache entry (persisted
-    /// first) and the nodal side-cache vector (in solve orientation).
-    /// `precision` is the tag the cache entry is stored under.
+    /// iteration and traffic counters and the pair-cache entry (persisted
+    /// first). `precision` is the tag the cache entry is stored under.
     fn write_back<T: Scalar>(
         &mut self,
         pair: &PreparedPair<V, E>,
         r: &KernelResult<T>,
         precision: Precision,
     ) {
-        let (left, right) = (&pair.left, &pair.right);
         self.metrics.total_iterations.add(r.iterations as u64);
         r.traffic.export_to(&self.metrics.traffic);
-        let key = PairKey::new(left.side, right.side);
+        let key = pair.key();
         let entry = CachedEntry {
             value: r.value.to_f32(),
             value_f64: r.value_f64,
@@ -789,10 +765,6 @@ where
         };
         self.persist_pair(key, &entry);
         self.cache.insert(key, entry);
-        if let Some(nodal) = r.nodal.as_ref().filter(|_| self.config.nodal_cache_capacity > 0) {
-            let narrowed = nodal.iter().map(|&v| v.to_f32()).collect();
-            self.nodal.insert((left.side, right.side), Arc::new(narrowed));
-        }
     }
 
     /// Materialize the current Gram matrix (flushing any pending
@@ -1024,28 +996,6 @@ where
         self.recovered.take()
     }
 
-    /// The nodal side-cache lookup behind `f32` cache answers: the vector
-    /// the *ordered* pair solved with, if still retained. Counts hits and
-    /// misses; the mirrored orientation misses by design (its vector would
-    /// need a transpose permutation — costlier than the miss). The vector
-    /// comes back shared; whoever wakes a ticket with it copies it out once,
-    /// at that ticket's type.
-    pub(crate) fn cached_nodal(&mut self, pair: &PreparedPair<V, E>) -> Option<SharedNodal> {
-        if self.config.nodal_cache_capacity == 0 {
-            return None;
-        }
-        match self.nodal.get((pair.left.side, pair.right.side)) {
-            Some(nodal) => {
-                self.metrics.nodal_hits.inc();
-                Some(Arc::clone(nodal))
-            }
-            None => {
-                self.metrics.nodal_misses.inc();
-                None
-            }
-        }
-    }
-
     /// Append one solved pair to the WAL (no-op without a store). A store
     /// I/O error detaches the store — serving continues, durability stops —
     /// rather than poisoning the solve path.
@@ -1261,7 +1211,7 @@ fn tri_index(i: usize, j: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgk_core::{GramConfig, GramEngine};
+    use mgk_core::{GramConfig, GramEngine, SolverConfig};
     use mgk_graph::generators;
     use mgk_reorder::ReorderMethod;
     use rand::rngs::StdRng;
@@ -1612,7 +1562,9 @@ mod tests {
     #[test]
     fn service_requests_solve_cache_and_gate_precision() {
         let graphs = dataset(2, 311);
-        let mut svc = service(GramServiceConfig::default());
+        let config = SolverConfig { compute_nodal: true, ..SolverConfig::default() };
+        let solver = MarginalizedKernelSolver::unlabeled(config);
+        let mut svc = GramService::new(solver, GramServiceConfig::default());
         let pair = svc.prepare_pair(&graphs[0], &graphs[1]);
         assert!(svc.cached_answer(pair.key(), Precision::F32).is_none(), "cold cache");
 

@@ -21,10 +21,15 @@ fn main() {
 
     // The scheduler owns the service on a background thread. The flush
     // lane (GramClient) admits structures; the request lane (KernelClient)
-    // answers per-pair questions on the same thread.
+    // answers per-pair questions on the same thread. The solver also
+    // computes nodal vectors, so fresh solves carry one (cache answers
+    // never do).
     let scheduler = GramScheduler::spawn(
         GramService::new(
-            MarginalizedKernelSolver::unlabeled(SolverConfig::default()),
+            MarginalizedKernelSolver::unlabeled(SolverConfig {
+                compute_nodal: true,
+                ..SolverConfig::default()
+            }),
             GramServiceConfig::default(),
         ),
         SchedulerConfig::default(),
@@ -72,7 +77,8 @@ fn main() {
         Err(e) => println!("deadline request expired: {e}"),
     }
 
-    // Typed f64 requests carry full-precision values and nodal vectors.
+    // Typed f64 requests carry full-precision values, and a fresh solve by a
+    // nodal-computing solver an f64 nodal vector.
     let wide = scheduler.kernel_client::<f64>();
     let result = wide.request(probe, corpus[3].clone()).unwrap().wait().unwrap();
     let nodal = result.nodal.as_ref().map(Vec::len).unwrap_or(0);

@@ -97,6 +97,7 @@ fn f64_requests_agree_with_the_dense_direct_solver_to_1e10() {
     let solver = MarginalizedKernelSolver::unlabeled(SolverConfig {
         reorder: mgk::reorder::ReorderMethod::Natural,
         solve: SolveOptions { tolerance: 1e-13, max_iterations: 5000 },
+        compute_nodal: true,
         ..SolverConfig::default()
     });
     let scheduler = GramScheduler::spawn(
