@@ -21,13 +21,11 @@
 //! * [`TelemetrySnapshot`] — point-in-time capture with two renderers:
 //!   Prometheus text exposition and the flat JSON shape the bench harness
 //!   stamps.
-//! * [`TelemetryReporter`] — periodic scrape-and-callback thread.
 
 #![forbid(unsafe_code)]
 
 mod metrics;
 mod registry;
-mod report;
 mod span;
 
 pub use metrics::{
@@ -35,7 +33,6 @@ pub use metrics::{
     InflightGuard, TrafficTotals, HISTOGRAM_BUCKETS,
 };
 pub use registry::{MetricKey, MetricSample, MetricValue, MetricsRegistry, TelemetrySnapshot};
-pub use report::TelemetryReporter;
 pub use span::{Span, StageBreakdown, Stopwatch};
 
 #[cfg(test)]
@@ -251,16 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn adopted_counters_show_up_in_snapshots() {
-        let registry = MetricsRegistry::new();
-        let external = Counter::new();
-        external.add(5);
-        registry.adopt_counter("adopted_total", &external);
-        external.add(2);
-        assert_eq!(registry.snapshot().counter("adopted_total"), Some(7));
-    }
-
-    #[test]
     fn traffic_totals_maintain_the_intensity_ratio() {
         let t = TrafficTotals::new(Counter::new(), Counter::new(), Gauge::new());
         t.record(100, 400);
@@ -309,38 +296,6 @@ mod tests {
         assert!(json.contains("\"count\": 4"));
         assert!(json.contains("\"p50_ns\": 512"));
         assert!(json.contains("\"p99_ns\": 512"));
-    }
-
-    #[test]
-    fn reporter_delivers_snapshots_and_a_final_capture_on_stop() {
-        let registry = Arc::new(MetricsRegistry::new());
-        registry.counter("ticks_total").inc();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let reporter =
-            TelemetryReporter::spawn(Arc::clone(&registry), Duration::from_millis(5), move |s| {
-                let _ = tx.send(s);
-            });
-        let first = rx.recv_timeout(Duration::from_secs(5)).expect("periodic snapshot arrives");
-        assert_eq!(first.counter("ticks_total"), Some(1));
-        registry.counter("ticks_total").add(10);
-        reporter.stop();
-        // the stop edge flushed one final snapshot carrying the tail
-        let last = std::iter::from_fn(|| rx.try_recv().ok()).last().expect("final snapshot");
-        assert_eq!(last.counter("ticks_total"), Some(11));
-    }
-
-    #[test]
-    fn a_panicking_hook_does_not_panic_the_reporter_owner() {
-        let registry = Arc::new(MetricsRegistry::new());
-        let (tx, rx) = std::sync::mpsc::channel();
-        let reporter = TelemetryReporter::spawn(registry, Duration::from_millis(5), move |_| {
-            let _ = tx.send(());
-            panic!("hook failed");
-        });
-        rx.recv_timeout(Duration::from_secs(5)).expect("the hook ran");
-        // the hook ran under the signal lock, which its panic poisons;
-        // shutdown takes that lock
-        drop(reporter);
     }
 
     #[test]

@@ -122,16 +122,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Register an *existing* counter handle under `name`, so a cell that
-    /// predates the registry (e.g. a snapshot-build counter owned by a
-    /// watch channel) shows up in snapshots. Panics if the name is taken.
-    pub fn adopt_counter(&self, name: &str, counter: &Counter) {
-        let key = MetricKey::new(name, None);
-        let mut shard = self.shard(&key).lock().expect("registry shard poisoned");
-        let previous = shard.insert(key.clone(), Metric::Counter(counter.clone()));
-        assert!(previous.is_none(), "metric `{}` registered twice", key.render());
-    }
-
     /// Get or register an unlabeled gauge.
     pub fn gauge(&self, name: &str) -> Gauge {
         match self.get_or_insert(MetricKey::new(name, None), Metric::Gauge(Gauge::new())) {

@@ -1,18 +1,14 @@
 //! The telemetry plane in action: drive the serving stack, scrape its
 //! metrics registry, and print Prometheus-text exposition plus the
-//! per-ticket stage breakdown every answered request carries. A
-//! `TelemetryReporter` delivers periodic snapshots in the background, the
-//! way a scrape loop or log shipper would consume them.
+//! per-ticket stage breakdown every answered request carries. A scrape
+//! loop or log shipper would take the same pull, `telemetry().snapshot()`,
+//! on its own schedule.
 //!
 //! Run with:
 //!
 //! ```text
 //! cargo run --release --example telemetry_report
 //! ```
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
 
 use mgk::prelude::*;
 use mgk::runtime::metrics::names;
@@ -29,20 +25,6 @@ fn main() {
             GramServiceConfig::default(),
         ),
         SchedulerConfig::default(),
-    );
-
-    // A periodic reporter against the scheduler's registry — the pull
-    // surface a Prometheus scrape loop would hit. Here it just counts
-    // deliveries; each snapshot is a consistent point-in-time capture.
-    let deliveries = Arc::new(AtomicUsize::new(0));
-    let seen = Arc::clone(&deliveries);
-    let reporter = TelemetryReporter::spawn(
-        scheduler.telemetry(),
-        Duration::from_millis(50),
-        move |snapshot: TelemetrySnapshot| {
-            seen.fetch_add(1, Ordering::Relaxed);
-            let _ = snapshot.counter(names::REQUEST_SOLVES);
-        },
     );
 
     // Drive both lanes: admit the corpus, then answer per-pair requests.
@@ -78,8 +60,6 @@ fn main() {
     println!("=== JSON ===");
     println!("{}", snapshot.render_json());
 
-    reporter.stop();
-    println!("\nreporter delivered {} periodic snapshots", deliveries.load(Ordering::Relaxed));
     if let Some(intensity) = snapshot.gauge(names::ARITHMETIC_INTENSITY) {
         println!("live arithmetic intensity: {intensity:.4} flops/byte");
     }

@@ -86,7 +86,5 @@ pub mod prelude {
         RuntimeMetrics, SchedulerConfig, SnapshotWatch, Ticket,
     };
     pub use mgk_store::{FsyncPolicy, StoreError};
-    pub use mgk_telemetry::{
-        MetricsRegistry, StageBreakdown, TelemetryReporter, TelemetrySnapshot,
-    };
+    pub use mgk_telemetry::{MetricsRegistry, StageBreakdown, TelemetrySnapshot};
 }
