@@ -22,7 +22,7 @@
 //!   queue applies backpressure to producers.
 //! * **[`GramScheduler`]** — the service on a dedicated background thread:
 //!   producers submit through a cheap [`GramClient`] over a bounded
-//!   command channel (microsecond submissions, blocking-or-try
+//!   command channel (microsecond submissions, blocking
 //!   backpressure), consumers follow a versioned [`SnapshotWatch`] whose
 //!   epoch bumps once per completed flush — publication is lazy *and*
 //!   O(1) ([`SnapshotSource`] `Arc`-shares the triangle copy-on-write), so
@@ -128,10 +128,7 @@ pub use service::{
     SnapshotSource, StructureId,
 };
 pub use ticket::{RequestError, Ticket};
-pub use watch::{
-    snapshot_channel, snapshot_channel_counted, SnapshotPublisher, SnapshotWatch,
-    VersionedSnapshot, WatchClosed,
-};
+pub use watch::{SnapshotWatch, VersionedSnapshot, WatchClosed};
 
 /// Acquire `mutex` whether or not a previous holder panicked.
 ///

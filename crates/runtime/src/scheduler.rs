@@ -12,10 +12,9 @@
 //!   with pair jobs while producers run ahead.
 //! * Producers hold a cheap, cloneable [`GramClient`] over a **bounded
 //!   command channel**. [`submit`](GramClient::submit) blocks only when the
-//!   channel is full (backpressure as flow control) and
-//!   [`try_submit`](GramClient::try_submit) surfaces
-//!   [`SchedulerError::Backpressure`] instead — a blocking-or-try choice at
-//!   the channel, not an error the caller must retry around. It is the
+//!   channel is full: backpressure is flow control, which throttles a
+//!   producer to the solver's pace, not an error it must retry around. It
+//!   is the
 //!   **one producer handle**: a [`GramCluster`](crate::GramCluster) hands
 //!   out the same type over K channels, and a client only ever *sends* —
 //!   the watch and the metrics registry are handed out by the owner that
@@ -68,7 +67,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -90,8 +89,9 @@ use crate::watch::{snapshot_channel_counted, SnapshotPublisher, SnapshotWatch};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
     /// Capacity of the bounded command channel between producers and the
-    /// scheduler thread. A full channel blocks [`GramClient::submit`] and
-    /// fails [`GramClient::try_submit`] with backpressure.
+    /// scheduler thread. A full channel blocks every send on it
+    /// ([`GramClient::submit`], [`KernelClient::request`], …) until the
+    /// scheduler drains a command.
     pub channel_capacity: usize,
 }
 
@@ -101,17 +101,12 @@ impl Default for SchedulerConfig {
     }
 }
 
-/// Errors reported by [`GramClient`] operations.
+/// Errors reported by [`GramClient`] and [`KernelClient`] operations. A
+/// full command channel is not one of them: the send blocks instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerError {
     /// The submitted structure has no vertices.
     EmptyStructure,
-    /// The command channel is full ([`GramClient::try_submit`] only);
-    /// block in [`GramClient::submit`] instead, or shed load.
-    Backpressure {
-        /// The configured channel capacity.
-        capacity: usize,
-    },
     /// The scheduler thread is gone (shut down or panicked).
     Closed,
 }
@@ -121,9 +116,6 @@ impl std::fmt::Display for SchedulerError {
         match self {
             SchedulerError::EmptyStructure => {
                 write!(f, "cannot admit a structure with no vertices")
-            }
-            SchedulerError::Backpressure { capacity } => {
-                write!(f, "command channel full (capacity {capacity}); block or shed load")
             }
             SchedulerError::Closed => write!(f, "scheduler is shut down"),
         }
@@ -228,32 +220,24 @@ impl RequestScalar for f64 {
 #[derive(Debug)]
 pub(crate) struct Lane<V, E> {
     tx: SyncSender<Command<V, E>>,
-    capacity: usize,
     queue_depth: Gauge,
 }
 
 impl<V, E> Clone for Lane<V, E> {
     fn clone(&self) -> Self {
-        Lane { tx: self.tx.clone(), capacity: self.capacity, queue_depth: self.queue_depth.clone() }
+        Lane { tx: self.tx.clone(), queue_depth: self.queue_depth.clone() }
     }
 }
 
 impl<V, E> Lane<V, E> {
-    /// Enqueue `command`. A full channel blocks a `blocking` send (flow
-    /// control) and fails the other with [`SchedulerError::Backpressure`].
-    fn send(&self, command: Command<V, E>, blocking: bool) -> Result<(), SchedulerError> {
+    /// Enqueue `command`, blocking while the channel is full (flow
+    /// control).
+    fn send(&self, command: Command<V, E>) -> Result<(), SchedulerError> {
         // raised before the send so a scraper never observes a queued
         // command the gauge has not counted; unwound if the send fails
         let units = command.queue_units();
         self.queue_depth.add(units);
-        let sent = if blocking {
-            self.tx.send(command).map_err(|_| SchedulerError::Closed)
-        } else {
-            self.tx.try_send(command).map_err(|e| match e {
-                TrySendError::Full(_) => SchedulerError::Backpressure { capacity: self.capacity },
-                TrySendError::Disconnected(_) => SchedulerError::Closed,
-            })
-        };
+        let sent = self.tx.send(command).map_err(|_| SchedulerError::Closed);
         if sent.is_err() {
             self.queue_depth.add(-units);
         }
@@ -312,21 +296,11 @@ impl<V, E> GramClient<V, E> {
     /// scheduler thread. Blocking on a full channel is the flow-control
     /// path: a producer outrunning the solver is throttled to its pace.
     pub fn submit(&self, structure: Graph<V, E>) -> Result<(), SchedulerError> {
-        self.enqueue(structure, true)
-    }
-
-    /// Enqueue a structure without blocking; a full channel reports
-    /// [`SchedulerError::Backpressure`] so the producer can shed load.
-    pub fn try_submit(&self, structure: Graph<V, E>) -> Result<(), SchedulerError> {
-        self.enqueue(structure, false)
-    }
-
-    fn enqueue(&self, structure: Graph<V, E>, blocking: bool) -> Result<(), SchedulerError> {
         if structure.num_vertices() == 0 {
             return Err(SchedulerError::EmptyStructure);
         }
         let (shard, side) = self.route(&structure);
-        self.lanes[shard].send(Command::Submit((structure, side)), blocking)
+        self.lanes[shard].send(Command::Submit((structure, side)))
     }
 
     /// Enqueue a whole collection, routed per structure and batched per
@@ -345,7 +319,7 @@ impl<V, E> GramClient<V, E> {
         for (lane, batch) in self.lanes.iter().zip(per_lane) {
             if !batch.is_empty() {
                 enqueued += batch.len();
-                lane.send(Command::SubmitAll(batch), true)?;
+                lane.send(Command::SubmitAll(batch))?;
             }
         }
         Ok(enqueued)
@@ -365,7 +339,7 @@ impl<V, E> GramClient<V, E> {
         };
         for lane in &self.lanes {
             let (reply_tx, reply_rx) = mpsc::channel();
-            lane.send(Command::Barrier(reply_tx), true)?;
+            lane.send(Command::Barrier(reply_tx))?;
             let (epoch, num_structures) = reply_rx.recv().map_err(|_| SchedulerError::Closed)?;
             merged.epoch += epoch;
             merged.num_structures += num_structures;
@@ -455,7 +429,7 @@ impl<V, E, T: RequestScalar> KernelClient<V, E, T> {
         left: Graph<V, E>,
         right: Graph<V, E>,
     ) -> Result<Ticket<KernelResult<T>>, SchedulerError> {
-        self.enqueue(left, right, None, true)
+        self.enqueue(left, right, None)
     }
 
     /// [`request`](Self::request) with a deadline: if the solve has not
@@ -468,18 +442,7 @@ impl<V, E, T: RequestScalar> KernelClient<V, E, T> {
         right: Graph<V, E>,
         budget: Duration,
     ) -> Result<Ticket<KernelResult<T>>, SchedulerError> {
-        self.enqueue(left, right, Instant::now().checked_add(budget), true)
-    }
-
-    /// [`request`](Self::request) without blocking: a full command channel
-    /// reports [`SchedulerError::Backpressure`] so the caller can shed
-    /// load.
-    pub fn try_request(
-        &self,
-        left: Graph<V, E>,
-        right: Graph<V, E>,
-    ) -> Result<Ticket<KernelResult<T>>, SchedulerError> {
-        self.enqueue(left, right, None, false)
+        self.enqueue(left, right, Instant::now().checked_add(budget))
     }
 
     /// Request a whole batch of pairs in submission order. Duplicate pairs
@@ -497,7 +460,6 @@ impl<V, E, T: RequestScalar> KernelClient<V, E, T> {
         left: Graph<V, E>,
         right: Graph<V, E>,
         deadline: Option<Instant>,
-        blocking: bool,
     ) -> Result<Ticket<KernelResult<T>>, SchedulerError> {
         if left.num_vertices() == 0 || right.num_vertices() == 0 {
             return Err(SchedulerError::EmptyStructure);
@@ -513,7 +475,7 @@ impl<V, E, T: RequestScalar> KernelClient<V, E, T> {
             resolver: T::wrap_resolver(resolver),
             intake: Stopwatch::start(),
         };
-        self.producer.lanes[shard].send(Command::Request(Box::new(request)), blocking)?;
+        self.producer.lanes[shard].send(Command::Request(Box::new(request)))?;
         Ok(ticket)
     }
 }
@@ -569,7 +531,7 @@ where
                 Worker { service, publisher: &publisher }.run(&inbox.rx, capacity)
             })
             .expect("spawning the scheduler thread");
-        let client = GramClient::new(vec![Lane { tx, capacity, queue_depth }], hasher);
+        let client = GramClient::new(vec![Lane { tx, queue_depth }], hasher);
         GramScheduler { client, watch, registry, handle }
     }
 
@@ -635,7 +597,7 @@ where
     pub fn join(self) -> GramService<KV, KE, V, E> {
         // best-effort: the thread may already be gone (e.g. after a panic),
         // in which case the join below reports it
-        let _ = self.lane().send(Command::Shutdown, true);
+        let _ = self.lane().send(Command::Shutdown);
         drop(self.client);
         match self.handle.join() {
             Ok(service) => service,
@@ -1165,56 +1127,12 @@ mod tests {
         assert_eq!(watch.wait_newer(v2.epoch).unwrap_err(), crate::watch::WatchClosed);
     }
 
-    // Gate shared with `gated_hash` so the backpressure test can hold the
-    // scheduler thread inside a flush deterministically.
-    static GATE: Mutex<()> = Mutex::new(());
-
-    fn gated_hash(g: &Graph) -> u64 {
-        let _held = GATE.lock().unwrap();
-        graph_content_hash(g)
-    }
-
-    #[test]
-    fn try_submit_reports_backpressure_when_the_channel_fills() {
-        let gate = GATE.lock().unwrap();
-        let svc = service(GramServiceConfig::default()).with_content_hasher(gated_hash);
-        let scheduler = GramScheduler::spawn(svc, SchedulerConfig { channel_capacity: 1 });
-        let client = scheduler.client();
-        let g = dataset(1, 19).pop().unwrap();
-
-        // the scheduler picks up early submissions and then blocks on the
-        // gate inside its flush; with a 1-slot channel the producer sees
-        // backpressure after at most a handful of accepted submissions
-        client.submit(g.clone()).unwrap();
-        let mut accepted = 1;
-        let mut saw_backpressure = false;
-        for _ in 0..200 {
-            match client.try_submit(g.clone()) {
-                Ok(()) => accepted += 1,
-                Err(SchedulerError::Backpressure { capacity: 1 }) => {
-                    saw_backpressure = true;
-                    break;
-                }
-                Err(other) => panic!("unexpected error: {other}"),
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert!(saw_backpressure, "a full 1-slot channel must report backpressure");
-
-        // release the solver; every accepted submission must be admitted
-        drop(gate);
-        let reply = client.flush().unwrap();
-        assert_eq!(reply.num_structures, accepted);
-        scheduler.join();
-    }
-
     #[test]
     fn empty_structures_are_rejected_client_side() {
         let scheduler = spawn_default();
         let client = scheduler.client();
         let empty: Graph = Graph::from_edge_list(0, &[]);
         assert_eq!(client.submit(empty.clone()), Err(SchedulerError::EmptyStructure));
-        assert_eq!(client.try_submit(empty.clone()), Err(SchedulerError::EmptyStructure));
         assert_eq!(client.submit_all(vec![empty]), Ok(0));
         assert_eq!(client.flush().unwrap().num_structures, 0);
         scheduler.join();
@@ -1317,7 +1235,7 @@ mod tests {
             kernels.request(empty.clone(), g.clone()),
             Err(SchedulerError::EmptyStructure)
         ));
-        assert!(matches!(kernels.try_request(g, empty), Err(SchedulerError::EmptyStructure)));
+        assert!(matches!(kernels.request(g, empty), Err(SchedulerError::EmptyStructure)));
         scheduler.join();
     }
 
@@ -1909,7 +1827,7 @@ mod tests {
         // one batch: a submission whose flush waits on the second gate, and
         // the shutdown
         client.submit(path(8)).unwrap();
-        scheduler.lane().send(Command::Shutdown, true).unwrap();
+        scheduler.lane().send(Command::Shutdown).unwrap();
         drop(handoff);
         // the worker lowers the gauge as it drains that batch; from then on
         // it receives nothing more — it is on its way out, through the flush

@@ -262,9 +262,10 @@ pub struct SnapshotSource {
 }
 
 impl SnapshotSource {
-    /// A source materializing an already-built matrix (test/bench helper
-    /// for feeding a watch without a service).
-    pub fn from_triangle(triangle: Vec<f32>, num_graphs: usize, normalize: bool) -> Self {
+    /// A source materializing an already-built triangle: the store's
+    /// recovered matrix in [`attach_store`](GramService::attach_store),
+    /// and a watch's tests.
+    pub(crate) fn from_triangle(triangle: Vec<f32>, num_graphs: usize, normalize: bool) -> Self {
         assert_eq!(
             triangle.len(),
             num_graphs * (num_graphs + 1) / 2,
@@ -496,17 +497,6 @@ where
     /// versions.
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// Cache hit/size observability for monitoring.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Number of retained prepared structures (bounded by
-    /// [`GramServiceConfig::reorder_cache_capacity`]).
-    pub fn reorder_cache_len(&self) -> usize {
-        self.reorder.len()
     }
 
     /// Queue a structure for admission.
@@ -781,7 +771,7 @@ where
     /// [`ServiceStats::triangle_copies`]). Pending submissions are *not*
     /// flushed; the scheduler captures a source right after its flush, and
     /// the watch materializes it on first demand.
-    pub fn snapshot_source(&self) -> SnapshotSource {
+    pub(crate) fn snapshot_source(&self) -> SnapshotSource {
         SnapshotSource {
             triangle: Arc::clone(&self.values),
             num_graphs: self.members.len(),
@@ -906,7 +896,7 @@ where
     /// same pure function a cluster router must use so pair routing agrees
     /// with every shard's own identity computation (and stays stable
     /// across restarts).
-    pub fn content_hasher(&self) -> fn(&Graph<V, E>) -> u64 {
+    pub(crate) fn content_hasher(&self) -> fn(&Graph<V, E>) -> u64 {
         self.hasher
     }
 
@@ -1476,7 +1466,7 @@ mod tests {
             svc.submit(g.clone()).unwrap();
         }
         svc.flush();
-        assert!(svc.cache_len() <= 5);
+        assert!(svc.cache.len() <= 5);
     }
 
     #[test]
@@ -1619,7 +1609,7 @@ mod tests {
         svc.flush();
         let pair = svc.prepare_pair(&graphs[0], &graphs[2]);
         solve_request::<f32>(&mut svc, &pair).unwrap();
-        assert!(svc.num_structures() > 0 && svc.cache_len() > 0);
+        assert!(svc.num_structures() > 0 && !svc.cache.is_empty());
 
         let sibling = svc.sibling();
         assert_eq!(sibling.config(), svc.config(), "the clamped configuration");
@@ -1628,7 +1618,7 @@ mod tests {
         assert_eq!(hashed, marker(&graphs[0]), "the prototype's hasher, not the default");
         assert_ne!(hashed, graph_content_hash(&graphs[0]));
         assert_eq!((sibling.num_structures(), sibling.num_pending(), sibling.version()), (0, 0, 0));
-        assert_eq!((sibling.cache_len(), sibling.reorder_cache_len()), (0, 0));
+        assert_eq!((sibling.cache.len(), sibling.reorder.len()), (0, 0));
         assert!(!sibling.store_attached());
         assert!(!Arc::ptr_eq(&sibling.telemetry(), &svc.telemetry()));
         assert_eq!(sibling.stats(), ServiceStats::default());
@@ -1761,9 +1751,9 @@ mod tests {
         }
         svc.flush();
         assert!(
-            svc.reorder_cache_len() <= 2,
+            svc.reorder.len() <= 2,
             "reorder cache exceeded its bound: {}",
-            svc.reorder_cache_len()
+            svc.reorder.len()
         );
         assert_eq!(svc.stats().reorder_misses, 5);
 
@@ -1771,7 +1761,7 @@ mod tests {
         svc.submit(graphs[0].clone()).unwrap();
         svc.flush();
         assert_eq!(svc.stats().reorder_misses, 6, "an evicted structure must miss");
-        assert!(svc.reorder_cache_len() <= 2);
+        assert!(svc.reorder.len() <= 2);
     }
 
     #[test]
@@ -1790,7 +1780,7 @@ mod tests {
         }
         svc.flush();
         assert_eq!(svc.stats().reorder_misses, 4, "one flush scans before it prepares");
-        assert_eq!(svc.reorder_cache_len(), 2);
+        assert_eq!(svc.reorder.len(), 2);
         for g in &graphs {
             svc.submit(g.clone()).unwrap();
         }

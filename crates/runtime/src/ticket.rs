@@ -136,12 +136,12 @@ pub struct TicketResolver<R> {
 impl<R> TicketResolver<R> {
     /// Whether the consumer dropped its ticket (the request is cancelled
     /// and its solve can be skipped).
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.cell.cancelled.load(Ordering::Acquire)
     }
 
     /// Resolve the ticket, waking every waiter.
-    pub fn resolve(mut self, result: Result<R, RequestError>) {
+    pub(crate) fn resolve(mut self, result: Result<R, RequestError>) {
         self.resolved = true;
         let mut state = lock(&self.cell.state);
         debug_assert!(state.is_none(), "a ticket resolves exactly once");
@@ -163,7 +163,7 @@ impl<R> Drop for TicketResolver<R> {
 }
 
 /// Create a connected ticket/resolver pair.
-pub fn ticket<R>() -> (Ticket<R>, TicketResolver<R>) {
+pub(crate) fn ticket<R>() -> (Ticket<R>, TicketResolver<R>) {
     let cell = Arc::new(TicketCell {
         state: Mutex::new(None),
         ready: Condvar::new(),

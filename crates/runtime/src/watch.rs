@@ -1,6 +1,6 @@
 //! Versioned snapshot watch: the consumer side of the background scheduler.
 //!
-//! A [`SnapshotPublisher`] / [`SnapshotWatch`] pair shares one slot holding
+//! A publisher / [`SnapshotWatch`] pair shares one slot holding
 //! the latest published snapshot *source* together with its epoch (the
 //! service's snapshot [`version`](crate::GramService::version)). The
 //! scheduler publishes once per completed flush — but publication is
@@ -150,24 +150,17 @@ pub struct SnapshotWatch {
 /// Producer handle of a snapshot watch. Not cloneable: one publisher per
 /// watch, and dropping it closes the watch.
 #[derive(Debug)]
-pub struct SnapshotPublisher {
+pub(crate) struct SnapshotPublisher {
     shared: Arc<Shared>,
 }
 
 /// Create a connected publisher/watch pair. The watch starts at epoch 0
 /// with no snapshot; the first [`publish`](SnapshotPublisher::publish)
-/// makes one visible. The build counter is a detached telemetry cell; use
-/// [`snapshot_channel_counted`] to share one that a registry already
-/// holds.
-pub fn snapshot_channel() -> (SnapshotPublisher, SnapshotWatch) {
-    snapshot_channel_counted(Counter::new())
-}
-
-/// [`snapshot_channel`] with a caller-provided build counter — the
-/// scheduler passes its registry's `mgk_snapshot_builds_total` cell here,
-/// so [`SnapshotWatch::snapshot_builds`] and the scraped registry read the
+/// makes one visible. The scheduler passes its registry's
+/// `mgk_snapshot_builds_total` cell as `builds`, so
+/// [`SnapshotWatch::snapshot_builds`] and the scraped registry read the
 /// same number.
-pub fn snapshot_channel_counted(builds: Counter) -> (SnapshotPublisher, SnapshotWatch) {
+pub(crate) fn snapshot_channel_counted(builds: Counter) -> (SnapshotPublisher, SnapshotWatch) {
     let shared = Arc::new(Shared {
         slot: Mutex::new(Slot { epoch: 0, published: None, closed: false }),
         newer: Condvar::new(),
@@ -238,7 +231,7 @@ impl SnapshotWatch {
     /// watch waits on its shards round-robin through this, so progress on
     /// *any* shard is observed within one timeout slice. A timeout too
     /// large for the clock to represent is no deadline.
-    pub fn wait_newer_timeout(
+    pub(crate) fn wait_newer_timeout(
         &self,
         epoch: u64,
         timeout: Duration,
@@ -305,7 +298,7 @@ impl SnapshotPublisher {
     /// to observe the epoch builds it. Epochs must be monotonically
     /// non-decreasing; a republication at the current epoch replaces the
     /// source without waking `wait_newer` callers already past it.
-    pub fn publish(&self, epoch: u64, source: SnapshotSource) {
+    pub(crate) fn publish(&self, epoch: u64, source: SnapshotSource) {
         let mut slot = lock(&self.shared.slot);
         debug_assert!(epoch >= slot.epoch, "epochs must not go backwards");
         slot.epoch = epoch;
@@ -325,7 +318,7 @@ impl SnapshotPublisher {
     /// consumer mid-build holds the source lock until its build lands, and
     /// a `wait_newer`/`latest` that races the retirement simply waits for
     /// (or polls until) the successor epoch the flush is about to publish.
-    pub fn retire_unobserved(&self) {
+    pub(crate) fn retire_unobserved(&self) {
         let published = {
             let slot = lock(&self.shared.slot);
             slot.published.as_ref().map(Arc::clone)
@@ -342,7 +335,7 @@ impl SnapshotPublisher {
     /// Close the watch: every current and future waiter observes
     /// [`WatchClosed`] (after consuming any snapshot still newer than its
     /// request). Called automatically on drop.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         let mut slot = lock(&self.shared.slot);
         slot.closed = true;
         drop(slot);
@@ -359,6 +352,10 @@ impl Drop for SnapshotPublisher {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn snapshot_channel() -> (SnapshotPublisher, SnapshotWatch) {
+        snapshot_channel_counted(Counter::new())
+    }
 
     fn source(n: usize) -> SnapshotSource {
         SnapshotSource::from_triangle(vec![1.0; n * (n + 1) / 2], n, false)
