@@ -62,29 +62,6 @@ impl<E: Copy> Octile<E> {
         out
     }
 
-    /// Expand the packed weights into a dense *column-major* 8×8 block
-    /// (`out[c * 8 + r]`), so that one tile row of the transposed panel is
-    /// the set of partners a fixed local column multiplies against. The
-    /// bitmap-driven kernels in `mgk-core` walk these panels with
-    /// fixed-8-lane inner loops.
-    pub fn expand_weights_transposed(&self) -> [f32; TILE_AREA] {
-        let mut out = [0.0f32; TILE_AREA];
-        for (k, pos) in BitIter::new(self.mask).enumerate() {
-            out[(pos % TILE_SIZE) * TILE_SIZE + pos / TILE_SIZE] = self.weights[k];
-        }
-        out
-    }
-
-    /// Expand the packed labels into a dense *column-major* 8×8 block
-    /// (`out[c * 8 + r]`), with `fill` in the empty positions.
-    pub fn expand_labels_transposed(&self, fill: E) -> [E; TILE_AREA] {
-        let mut out = [fill; TILE_AREA];
-        for (k, pos) in BitIter::new(self.mask).enumerate() {
-            out[(pos % TILE_SIZE) * TILE_SIZE + pos / TILE_SIZE] = self.labels[k];
-        }
-        out
-    }
-
     /// Per-row nonzero masks: byte `r` holds the 8 column-occupancy bits of
     /// local row `r` (the row-major bitmap is little-endian in rows).
     #[inline]
@@ -98,16 +75,6 @@ impl<E: Copy> Octile<E> {
         BitIter::new(self.mask).enumerate().map(move |(k, pos)| {
             (pos / TILE_SIZE, pos % TILE_SIZE, self.weights[k], self.labels[k])
         })
-    }
-
-    /// Weight at local position `(r, c)` or 0 if empty.
-    pub fn weight_at(&self, r: usize, c: usize) -> f32 {
-        let bit = r * TILE_SIZE + c;
-        if self.mask & (1u64 << bit) == 0 {
-            return 0.0;
-        }
-        let rank = (self.mask & ((1u64 << bit) - 1)).count_ones() as usize;
-        self.weights[rank]
     }
 }
 
@@ -194,7 +161,7 @@ impl<E: Copy + Default> OctileMatrix<E> {
 
     /// Number of tiles along one side (`⌈n / 8⌉`).
     #[inline]
-    pub fn tiles_per_side(&self) -> usize {
+    pub(crate) fn tiles_per_side(&self) -> usize {
         self.tiles_per_side
     }
 
@@ -237,14 +204,6 @@ impl<E: Copy + Default> OctileMatrix<E> {
             }
         }
         out
-    }
-
-    /// Fraction of the `⌈n/8⌉²` possible tiles that are non-empty.
-    pub fn fill_fraction(&self) -> f64 {
-        if self.tiles_per_side == 0 {
-            return 0.0;
-        }
-        self.num_tiles() as f64 / (self.tiles_per_side * self.tiles_per_side) as f64
     }
 }
 
@@ -306,7 +265,6 @@ mod tests {
             assert_eq!(dense.iter().filter(|&&w| w != 0.0).count(), t.nnz());
             for (r, c, w, _) in t.iter() {
                 assert_eq!(dense[r * TILE_SIZE + c], w);
-                assert_eq!(t.weight_at(r, c), w);
             }
         }
     }
@@ -319,24 +277,6 @@ mod tests {
         let labels = t.expand_labels(-1.0);
         let empties = labels.iter().filter(|&&l| l == -1.0).count();
         assert_eq!(empties, TILE_AREA - t.nnz());
-    }
-
-    #[test]
-    fn transposed_expansions_match_row_major_expansions() {
-        let g = labeled_path(10);
-        let m = OctileMatrix::from_graph(&g);
-        for t in m.tiles() {
-            let w = t.expand_weights();
-            let wt = t.expand_weights_transposed();
-            let l = t.expand_labels(-7.0);
-            let lt = t.expand_labels_transposed(-7.0);
-            for r in 0..TILE_SIZE {
-                for c in 0..TILE_SIZE {
-                    assert_eq!(wt[c * TILE_SIZE + r], w[r * TILE_SIZE + c]);
-                    assert_eq!(lt[c * TILE_SIZE + r], l[r * TILE_SIZE + c]);
-                }
-            }
-        }
     }
 
     #[test]
@@ -360,15 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn weight_at_empty_position_is_zero() {
-        let g = labeled_path(8);
-        let m = OctileMatrix::from_graph(&g);
-        let t = m.tile(0, 0).unwrap();
-        assert_eq!(t.weight_at(0, 5), 0.0);
-        assert_eq!(t.weight_at(0, 1), 1.0);
-    }
-
-    #[test]
     fn symmetry_of_tiles() {
         let g = labeled_path(24);
         let m = OctileMatrix::from_graph(&g);
@@ -389,17 +320,15 @@ mod tests {
         let m = OctileMatrix::from_graph(&g);
         assert_eq!(m.num_tiles(), 0);
         assert_eq!(m.num_nonzeros(), 0);
-        assert_eq!(m.fill_fraction(), 0.0);
     }
 
     #[test]
-    fn fill_fraction_of_complete_graph_is_one() {
+    fn complete_graph_fills_every_tile() {
         let edges: Vec<(u32, u32)> =
             (0..16u32).flat_map(|i| ((i + 1)..16).map(move |j| (i, j))).collect();
         let g = Graph::from_edge_list(16, &edges);
         let m = OctileMatrix::from_graph(&g.map_labels(|_| Unlabeled, |_| 0.0f32));
         assert_eq!(m.tiles_per_side(), 2);
         assert_eq!(m.num_tiles(), 4);
-        assert!((m.fill_fraction() - 1.0).abs() < 1e-12);
     }
 }

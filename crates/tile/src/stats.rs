@@ -31,7 +31,7 @@ impl TileDensityStats {
 
     /// Compute the statistics from a tile list and the tile-grid side
     /// length.
-    pub fn from_tiles<E: Copy>(tiles: &[Octile<E>], tiles_per_side: usize) -> Self {
+    fn from_tiles<E: Copy>(tiles: &[Octile<E>], tiles_per_side: usize) -> Self {
         let nonempty_tiles = tiles.len();
         let possible_tiles = tiles_per_side * tiles_per_side;
         let nonzeros: usize = tiles.iter().map(|t| t.nnz()).sum();
