@@ -67,14 +67,8 @@ impl DeviceSpec {
 
     /// Peak single-precision throughput in GFLOP/s assuming every
     /// instruction is a fused multiply-add (2 FLOPs per lane per clock).
-    pub fn peak_sp_gflops(&self) -> f64 {
+    pub(crate) fn peak_sp_gflops(&self) -> f64 {
         self.num_sms as f64 * self.fp32_lanes_per_sm as f64 * 2.0 * self.clock_ghz
-    }
-
-    /// Peak single-precision throughput when no FMA pairing is possible
-    /// (the "No FMA" roof of Fig. 3).
-    pub fn peak_sp_gflops_no_fma(&self) -> f64 {
-        self.peak_sp_gflops() / 2.0
     }
 
     /// Peak throughput per SM in GFLOP/s (the y-axis of Figs. 3 and 5).
@@ -83,7 +77,7 @@ impl DeviceSpec {
     }
 
     /// Aggregate shared-memory bandwidth in GB/s.
-    pub fn shared_bandwidth_gbs(&self) -> f64 {
+    pub(crate) fn shared_bandwidth_gbs(&self) -> f64 {
         self.num_sms as f64 * self.shared_bytes_per_clock_per_sm * self.clock_ghz
     }
 
@@ -107,7 +101,6 @@ mod tests {
         let d = DeviceSpec::volta_v100();
         // ~15.7 TFLOP/s single precision
         assert!((d.peak_sp_gflops() - 15_667.2).abs() < 1.0);
-        assert!((d.peak_sp_gflops_no_fma() - 7_833.6).abs() < 1.0);
         // ~196 GFLOP/s per SM — the "Peak SP" roof of Fig. 3
         assert!((d.peak_sp_gflops_per_sm() - 195.84).abs() < 0.1);
         // the paper quotes >10^4 GB/s of aggregate shared bandwidth

@@ -249,7 +249,7 @@ impl<KV, KE> FixedPointSolver<KV, KE> {
     /// [`kernel`](Self::kernel) with memory-traffic accounting: the sweep
     /// operator and the driver's vector recurrences add to `counters`
     /// through the same instrumented surface as every other solver.
-    pub fn kernel_counted<V, E>(
+    fn kernel_counted<V, E>(
         &self,
         g1: &Graph<V, E>,
         g2: &Graph<V, E>,
@@ -274,24 +274,6 @@ impl<KV, KE> FixedPointSolver<KV, KE> {
             .map(|((&p, &v), &ri)| p as f64 * v as f64 * ri)
             .sum();
         FixedPointResult { value, iterations: info.iterations, converged: info.converged }
-    }
-
-    /// Evaluate the kernel truncated at a fixed maximum walk length — the
-    /// explicit path-sum of Eq. (4) up to `max_length` steps.
-    pub fn truncated_kernel<V, E>(
-        &self,
-        g1: &Graph<V, E>,
-        g2: &Graph<V, E>,
-        max_length: usize,
-    ) -> f64
-    where
-        E: Copy + Default,
-        KV: BaseKernel<V> + Clone,
-        KE: BaseKernel<E> + Clone,
-    {
-        let mut solver = self.clone();
-        solver.options = SolveOptions { max_iterations: max_length, tolerance: 0.0 };
-        solver.kernel(g1, g2).value
     }
 }
 
@@ -437,37 +419,6 @@ mod tests {
             .unwrap()
             .value as f64;
         assert!((result.value - fast).abs() / fast.abs() < 1e-4, "{} vs {fast}", result.value);
-    }
-
-    #[test]
-    fn truncated_walk_sum_is_monotone_and_converges_to_fixed_point() {
-        let g1 = Graph::from_edge_list(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        let g2 = Graph::from_edge_list(4, &[(0, 1), (1, 2), (2, 3)]);
-        let baseline = FixedPointSolver::new(UnitKernel, UnitKernel);
-        let full = baseline.kernel(&g1, &g2).value;
-        let mut previous = 0.0;
-        for len in [1usize, 2, 4, 8, 16, 64, 256, 1024] {
-            let truncated = baseline.truncated_kernel(&g1, &g2, len);
-            assert!(truncated >= previous - 1e-12, "walk sum should be monotone in length");
-            assert!(truncated <= full + 1e-9);
-            previous = truncated;
-        }
-        assert!((previous - full).abs() / full < 1e-6, "{previous} vs {full}");
-    }
-
-    #[test]
-    fn longer_walks_matter_more_for_small_stopping_probability() {
-        // with a small stopping probability the walk continues longer, so
-        // truncating at length 2 misses more of the kernel mass
-        let g1 = Graph::from_edge_list(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
-        let g2 = g1.clone();
-        let baseline = FixedPointSolver::new(UnitKernel, UnitKernel);
-        let fraction = |q: f32| {
-            let a = g1.clone().with_uniform_stopping_probability(q);
-            let b = g2.clone().with_uniform_stopping_probability(q);
-            baseline.truncated_kernel(&a, &b, 2) / baseline.kernel(&a, &b).value
-        };
-        assert!(fraction(0.5) > fraction(0.05));
     }
 
     #[test]

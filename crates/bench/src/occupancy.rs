@@ -22,7 +22,7 @@ pub struct OccupancyLimits {
 
 /// Hardware ceiling on registers per thread before the compiler spills to
 /// local memory (255 on Volta/Pascal).
-pub const MAX_REGISTERS_PER_THREAD: usize = 255;
+const MAX_REGISTERS_PER_THREAD: usize = 255;
 
 /// Fraction of the maximum resident warps per SM that a kernel with the
 /// given resource usage can sustain, in `(0, 1]`. Returns 0 when the block

@@ -48,7 +48,7 @@ impl RooflineModel {
 
     /// Attainable per-SM performance for a kernel limited by shared memory
     /// only: `min(peak, AI × BW_shared_per_SM)`.
-    pub fn attainable_shared(&self, ai_shared: f64) -> f64 {
+    fn attainable_shared(&self, ai_shared: f64) -> f64 {
         if ai_shared.is_infinite() {
             return self.device.peak_sp_gflops_per_sm();
         }
