@@ -1,5 +1,4 @@
-//! The synthetic graph ensembles of Section VI-A and the dense
-//! micro-benchmark workload of Fig. 5, in batch and streaming form.
+//! The synthetic graph ensembles of Section VI-A.
 
 use mgk_graph::{generators, Graph, Unlabeled};
 use rand::Rng;
@@ -21,15 +20,11 @@ enum EnsembleKind {
     },
 }
 
-/// An endless stream of ensemble graphs, generated lazily.
-///
-/// This is the producer side of a streaming workload: a
-/// `GramService`-style consumer pulls structures one at a time (applying
-/// its own backpressure) instead of materializing the whole dataset up
-/// front the way [`small_world`] / [`scale_free`] do. The stream is
-/// deterministic given its RNG.
+/// An endless stream of ensemble graphs, generated lazily and
+/// deterministically from its RNG; [`small_world`] and [`scale_free`] take
+/// a prefix of it.
 #[derive(Debug)]
-pub struct EnsembleStream<R> {
+struct EnsembleStream<R> {
     rng: R,
     nodes: usize,
     kind: EnsembleKind,
@@ -38,13 +33,13 @@ pub struct EnsembleStream<R> {
 impl<R: Rng> EnsembleStream<R> {
     /// Stream of the paper's small-world ensemble graphs (`nodes` vertices,
     /// neighborhood `k`, shortcut probability `p`).
-    pub fn small_world(nodes: usize, k: usize, p: f64, rng: R) -> Self {
+    fn small_world(nodes: usize, k: usize, p: f64, rng: R) -> Self {
         EnsembleStream { rng, nodes, kind: EnsembleKind::SmallWorld { k, p } }
     }
 
     /// Stream of the paper's scale-free ensemble graphs (`nodes` vertices,
     /// attachment `m`).
-    pub fn scale_free(nodes: usize, m: usize, rng: R) -> Self {
+    fn scale_free(nodes: usize, m: usize, rng: R) -> Self {
         EnsembleStream { rng, nodes, kind: EnsembleKind::ScaleFree { m } }
     }
 }
@@ -74,21 +69,6 @@ pub fn small_world<R: Rng + ?Sized>(count: usize, rng: &mut R) -> Vec<Graph<Unla
 /// nodes and attachment `m = 6`.
 pub fn scale_free<R: Rng + ?Sized>(count: usize, rng: &mut R) -> Vec<Graph<Unlabeled, Unlabeled>> {
     EnsembleStream::scale_free(96, 6, rng).take(count).collect()
-}
-
-/// The Fig. 5 micro-benchmark workload: pairs of fully connected graphs
-/// with `nodes` vertices and uniformly random edge labels (the paper uses
-/// 5120 pairs of 72-node graphs).
-pub fn fig5_dense_pairs<R: Rng + ?Sized>(
-    pairs: usize,
-    nodes: usize,
-    rng: &mut R,
-) -> Vec<(Graph<Unlabeled, f32>, Graph<Unlabeled, f32>)> {
-    (0..pairs)
-        .map(|_| {
-            (generators::complete_labeled(nodes, rng), generators::complete_labeled(nodes, rng))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -142,17 +122,6 @@ mod tests {
         assert!(stream.next().is_some());
         for g in &many {
             assert_eq!(g.num_vertices(), 32);
-        }
-    }
-
-    #[test]
-    fn dense_pairs_are_complete_graphs() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let pairs = fig5_dense_pairs(2, 24, &mut rng);
-        assert_eq!(pairs.len(), 2);
-        for (a, b) in &pairs {
-            assert_eq!(a.num_edges(), 24 * 23 / 2);
-            assert_eq!(b.num_edges(), 24 * 23 / 2);
         }
     }
 }

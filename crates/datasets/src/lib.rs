@@ -22,6 +22,6 @@ pub mod ensembles;
 pub mod molecules;
 pub mod protein;
 
-pub use ensembles::{fig5_dense_pairs, scale_free, small_world};
+pub use ensembles::{scale_free, small_world};
 pub use molecules::{drugbank_like, MoleculeGraph};
 pub use protein::{pdb_like, ProteinStructure};

@@ -24,7 +24,7 @@ pub struct ProteinStructure {
 }
 
 /// Distance cutoff (Å) of the spatial adjacency rule.
-pub const CONTACT_CUTOFF: f32 = 3.5;
+const CONTACT_CUTOFF: f32 = 3.5;
 
 /// Generate one protein-like structure with approximately `num_atoms`
 /// heavy atoms.
