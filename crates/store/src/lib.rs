@@ -10,12 +10,12 @@
 //! same property that lets a cluster route pairs deterministically makes
 //! them naturally durable. This crate persists them:
 //!
-//! * **[`WriteAheadLog`]** — append-only, checksummed, length-prefixed
-//!   records ([`WalRecord`]): solved pair entries ([`StoredEntry`]) and
+//! * **The write-ahead log** — append-only, checksummed, length-prefixed
+//!   records: solved pair entries ([`StoredEntry`]) and
 //!   epoch marks. Appends are one `write` syscall per record; the
 //!   [`FsyncPolicy`] decides when the OS is forced to make them durable
 //!   (every record, every flush boundary, or never).
-//! * **[`SnapshotFile`]** — a point-in-time capture of the service state
+//! * **Snapshot files** — a point-in-time capture of the service state
 //!   worth keeping across restarts ([`StoreSnapshot`]): the epoch, the
 //!   Gram triangle with its member identities, and every live cache entry.
 //!   Snapshots are written to a temporary file and renamed into place, so
@@ -72,7 +72,6 @@ mod temp;
 mod wal;
 
 pub use format::{StoreError, StoredEntry, StoredKey, StoredSide, FORMAT_VERSION};
-pub use snapshot::{SnapshotFile, StoreSnapshot};
+pub use snapshot::StoreSnapshot;
 pub use store::{Appended, FsyncPolicy, PairStore, Recovery};
 pub use temp::TempDir;
-pub use wal::{WalRecord, WalReplay, WriteAheadLog};

@@ -106,12 +106,12 @@ impl StoreSnapshot {
 }
 
 /// Reading and (atomically) writing snapshot files in a store directory.
-pub struct SnapshotFile;
+pub(crate) struct SnapshotFile;
 
 impl SnapshotFile {
     /// The on-disk name a snapshot of `epoch` gets. Zero-padded so the
     /// lexicographic order of names is the numeric order of epochs.
-    pub fn name_for(epoch: u64) -> String {
+    pub(crate) fn name_for(epoch: u64) -> String {
         format!("{PREFIX}{epoch:020}{SUFFIX}")
     }
 
@@ -123,7 +123,7 @@ impl SnapshotFile {
     /// Write `snapshot` into `dir`: assemble, checksum, write to a temp
     /// name, fsync, then rename into place and fsync the directory. A
     /// crash at any point leaves either no snapshot or a complete one.
-    pub fn write(dir: &Path, snapshot: &StoreSnapshot) -> Result<PathBuf, StoreError> {
+    pub(crate) fn write(dir: &Path, snapshot: &StoreSnapshot) -> Result<PathBuf, StoreError> {
         let payload = snapshot.encode();
         let mut bytes = Vec::with_capacity(MAGIC.len() + 4 + 8 + payload.len());
         bytes.extend_from_slice(MAGIC);
@@ -145,7 +145,7 @@ impl SnapshotFile {
     }
 
     /// Load one snapshot file, validating magic, version, and checksum.
-    pub fn load(path: &Path) -> Result<StoreSnapshot, StoreError> {
+    pub(crate) fn load(path: &Path) -> Result<StoreSnapshot, StoreError> {
         let bytes = std::fs::read(path)?;
         let header = MAGIC.len() + 4 + 8;
         let mut reader = Reader::new(&bytes);
@@ -175,7 +175,7 @@ impl SnapshotFile {
     /// Find and load the newest snapshot in `dir` (highest epoch), if any.
     /// Leftover `.tmp` files from a crash mid-write are ignored — only an
     /// atomically renamed snapshot counts.
-    pub fn load_newest(dir: &Path) -> Result<Option<StoreSnapshot>, StoreError> {
+    pub(crate) fn load_newest(dir: &Path) -> Result<Option<StoreSnapshot>, StoreError> {
         match Self::newest_name(dir)? {
             Some(name) => Self::load(&dir.join(name)).map(Some),
             None => Ok(None),
@@ -197,7 +197,7 @@ impl SnapshotFile {
 
     /// Remove every snapshot older than `keep_epoch`. Returns how many
     /// files were pruned.
-    pub fn prune_older_than(dir: &Path, keep_epoch: u64) -> Result<usize, StoreError> {
+    pub(crate) fn prune_older_than(dir: &Path, keep_epoch: u64) -> Result<usize, StoreError> {
         let mut pruned = 0;
         for entry in std::fs::read_dir(dir)? {
             let entry = entry?;

@@ -156,9 +156,12 @@ impl PairStore {
         Ok(())
     }
 
-    /// A second handle to the log file for a caller-owned sync thread —
-    /// see [`WriteAheadLog::sync_handle`]. Callers that sync through such
-    /// a handle should not also call [`flush_boundary`](Self::flush_boundary).
+    /// A second handle to the log file for a caller-owned sync thread.
+    /// Both handles share one open file description, so `sync_data` on
+    /// the clone flushes everything appended through the store — the
+    /// caller can group-commit boundaries off its hot thread. Callers that
+    /// sync through such a handle should not also call
+    /// [`flush_boundary`](Self::flush_boundary).
     pub fn sync_handle(&self) -> Result<std::fs::File, StoreError> {
         self.wal.sync_handle()
     }

@@ -25,7 +25,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::format::{fnv1a64, Reader, StoreError, StoredEntry, FORMAT_VERSION};
 
@@ -39,7 +39,7 @@ const KIND_EPOCH: u8 = 1;
 
 /// One log record.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WalRecord {
+pub(crate) enum WalRecord {
     /// A solved pair entry, appended from the service's fold path.
     Pair(StoredEntry),
     /// An epoch boundary: the service version after an admitting flush.
@@ -67,7 +67,7 @@ impl WalRecord {
 /// whether the final record was torn, and how many bytes of the file were
 /// valid (the truncation point appends resume from).
 #[derive(Debug)]
-pub struct WalReplay {
+pub(crate) struct WalReplay {
     /// Every complete, checksum-valid record, oldest first.
     pub records: Vec<WalRecord>,
     /// The file ended mid-record — a crash tore the final append. The
@@ -79,8 +79,7 @@ pub struct WalReplay {
 
 /// An open write-ahead log. See the module docs for the format.
 #[derive(Debug)]
-pub struct WriteAheadLog {
-    path: PathBuf,
+pub(crate) struct WriteAheadLog {
     file: File,
 }
 
@@ -90,7 +89,7 @@ impl WriteAheadLog {
     /// A torn final record is truncated away so subsequent appends start
     /// from the last complete record; checksum corruption and format
     /// version skew are refused with the matching [`StoreError`].
-    pub fn open(path: &Path) -> Result<(Self, WalReplay), StoreError> {
+    pub(crate) fn open(path: &Path) -> Result<(Self, WalReplay), StoreError> {
         let mut file =
             OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
         let mut bytes = Vec::new();
@@ -112,13 +111,13 @@ impl WriteAheadLog {
             replay
         };
         file.seek(SeekFrom::End(0))?;
-        Ok((WriteAheadLog { path: path.to_path_buf(), file }, replay))
+        Ok((WriteAheadLog { file }, replay))
     }
 
     /// Append one record: a single `write` of the assembled frame.
     /// Returns the bytes written. Durability is the caller's policy —
     /// pair with [`sync`](Self::sync).
-    pub fn append(&mut self, record: &WalRecord) -> Result<usize, StoreError> {
+    pub(crate) fn append(&mut self, record: &WalRecord) -> Result<usize, StoreError> {
         let mut payload = Vec::with_capacity(StoredEntry::BYTES + 1);
         record.encode_payload(&mut payload);
         let mut frame = Vec::with_capacity(FRAME_BYTES + payload.len());
@@ -130,7 +129,7 @@ impl WriteAheadLog {
     }
 
     /// Force everything appended so far onto stable storage.
-    pub fn sync(&mut self) -> Result<(), StoreError> {
+    pub(crate) fn sync(&mut self) -> Result<(), StoreError> {
         self.file.sync_data()?;
         Ok(())
     }
@@ -139,23 +138,18 @@ impl WriteAheadLog {
     /// Both handles share one open file description, so `sync_data` on
     /// the clone flushes everything appended through this one — the
     /// caller can group-commit boundaries off its hot thread.
-    pub fn sync_handle(&self) -> Result<File, StoreError> {
+    pub(crate) fn sync_handle(&self) -> Result<File, StoreError> {
         Ok(self.file.try_clone()?)
     }
 
     /// Truncate the log back to an empty header — called after a snapshot
     /// has captured everything the log recorded. The truncation is synced:
     /// a crash right after must not resurrect pre-snapshot records.
-    pub fn reset(&mut self) -> Result<(), StoreError> {
+    pub(crate) fn reset(&mut self) -> Result<(), StoreError> {
         self.file.set_len(HEADER_BYTES as u64)?;
         self.file.seek(SeekFrom::End(0))?;
         self.file.sync_data()?;
         Ok(())
-    }
-
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
