@@ -8,11 +8,12 @@
 //!   recursive bisection with Fiduccia–Mattheyses refinement, targeting the
 //!   non-empty-tile objective directly. The paper finds this the most
 //!   effective method across all datasets.
-//! * [`rcm::rcm_order`] — Reverse Cuthill–McKee bandwidth reduction.
-//! * [`sfc::morton_order`] / [`sfc::hilbert_order`] — space-filling curve
-//!   orders for graphs whose vertices carry a 3D embedding.
-//! * [`tsp::tsp_order`] — a travelling-salesman heuristic over row-pattern
-//!   similarity (nearest neighbour construction + 2-opt refinement).
+//! * [`ReorderMethod::Rcm`] — Reverse Cuthill–McKee bandwidth reduction.
+//! * [`ReorderMethod::Morton`] / [`ReorderMethod::Hilbert`] — space-filling
+//!   curve orders for graphs whose vertices carry a 3D embedding.
+//! * [`ReorderMethod::Tsp`] — a travelling-salesman heuristic over
+//!   row-pattern similarity (nearest neighbour construction + 2-opt
+//!   refinement).
 //!
 //! All orderings are returned in the same convention used by
 //! [`mgk_graph::Graph::permute`]: `order[k]` is the original index of the
@@ -33,15 +34,15 @@
 
 pub mod objective;
 pub mod pbr;
-pub mod rcm;
-pub mod sfc;
-pub mod tsp;
+mod rcm;
+mod sfc;
+mod tsp;
 
 pub use objective::{count_nonempty_tiles, nonempty_tiles_of_order};
 pub use pbr::{pbr_order, PbrConfig};
-pub use rcm::rcm_order;
-pub use sfc::{hilbert_order, morton_order};
-pub use tsp::tsp_order;
+use rcm::rcm_order;
+use sfc::{hilbert_order, morton_order};
+use tsp::tsp_order;
 
 use mgk_graph::Graph;
 
