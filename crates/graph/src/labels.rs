@@ -21,7 +21,6 @@ pub struct Unlabeled;
 pub struct Element(pub u8);
 
 impl Element {
-    pub const HYDROGEN: Element = Element(1);
     pub const CARBON: Element = Element(6);
     pub const NITROGEN: Element = Element(7);
     pub const OXYGEN: Element = Element(8);
@@ -106,7 +105,7 @@ mod tests {
     fn element_symbols_and_valence() {
         assert_eq!(Element::CARBON.symbol(), "C");
         assert_eq!(Element::CARBON.max_valence(), 4);
-        assert_eq!(Element::HYDROGEN.max_valence(), 1);
+        assert_eq!(Element(1).max_valence(), 1);
         assert_eq!(Element::OXYGEN.symbol(), "O");
         assert_eq!(Element(92).symbol(), "X");
     }

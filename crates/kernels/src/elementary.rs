@@ -138,11 +138,6 @@ impl SquareExponential {
         assert!(length_scale > 0.0 && length_scale.is_finite(), "length scale must be positive");
         SquareExponential { inv_two_ell_sq: 0.5 / (length_scale * length_scale), length_scale }
     }
-
-    /// The length scale `ℓ`.
-    pub fn length_scale(&self) -> f32 {
-        self.length_scale
-    }
 }
 
 impl BaseKernel<f32> for SquareExponential {
