@@ -75,7 +75,7 @@ impl DenseMatrix {
     /// single-precision matvec and the `f64` one applies the exact stored
     /// matrix. This is the single loop behind both the inherent `f32`
     /// method and the `DenseOperator` trait impls.
-    pub fn matvec_t<T: crate::Scalar>(&self, x: &[T], y: &mut [T]) {
+    pub(crate) fn matvec_t<T: crate::Scalar>(&self, x: &[T], y: &mut [T]) {
         assert_eq!(x.len(), self.cols, "matvec: x length must equal cols");
         assert_eq!(y.len(), self.rows, "matvec: y length must equal rows");
         if self.cols == 0 {

@@ -32,7 +32,7 @@ pub mod kronecker;
 pub mod operator;
 pub mod scalar;
 pub mod traffic;
-pub mod vecops;
+mod vecops;
 
 pub use cg::{pcg, pcg_counted, pcg_counted_warm_multi, ConvergenceInfo, SolveOptions};
 pub use dense::DenseMatrix;

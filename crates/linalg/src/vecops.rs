@@ -66,12 +66,6 @@ pub fn norm_sq<T: Scalar>(x: &[T]) -> T::Accum {
     lane_dot(x, x)
 }
 
-/// Euclidean norm `‖x‖`.
-#[inline]
-pub fn norm<T: Scalar>(x: &[T]) -> f64 {
-    T::accum_to_f64(norm_sq(x)).sqrt()
-}
-
 /// `y ← y + alpha * x`.
 #[inline]
 pub fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
@@ -100,7 +94,6 @@ mod tests {
         let y = [4.0f32, -5.0, 6.0];
         assert!((dot(&x, &y) - 12.0).abs() < 1e-12);
         assert!((norm_sq(&x) - 14.0).abs() < 1e-12);
-        assert!((norm(&x) - 14.0f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]
