@@ -1750,11 +1750,7 @@ mod tests {
             svc.submit(g.clone()).unwrap();
         }
         svc.flush();
-        assert!(
-            svc.reorder.len() <= 2,
-            "reorder cache exceeded its bound: {}",
-            svc.reorder.len()
-        );
+        assert!(svc.reorder.len() <= 2, "reorder cache exceeded its bound: {}", svc.reorder.len());
         assert_eq!(svc.stats().reorder_misses, 5);
 
         // the earliest structure was evicted: resubmitting it re-prepares
