@@ -16,7 +16,7 @@
 #![forbid(unsafe_code)]
 
 use rand::rngs::StdRng;
-use rand::{Rng as _, SampleRange, SampleStandard, SeedableRng};
+use rand::{Rng as _, SampleRange, SeedableRng};
 
 pub mod collection;
 
@@ -330,37 +330,10 @@ impl<S: Strategy> Strategy for VecStrategy<S> {
     }
 }
 
-/// Strategy for any [`SampleStandard`] type over its full "standard" range
-/// (floats uniform in `[0, 1)`).
-pub fn any<T: SampleStandard>() -> AnyStrategy<T> {
-    AnyStrategy(std::marker::PhantomData)
-}
-
-/// See [`any`].
-pub struct AnyStrategy<T>(std::marker::PhantomData<T>);
-
-impl<T: SampleStandard> Strategy for AnyStrategy<T> {
-    type Value = T;
-    fn generate(&self, runner: &mut TestRunner) -> T {
-        T::sample_standard(runner.rng())
-    }
-}
-
-pub mod test_runner {
-    //! Compatibility module mirroring `proptest::test_runner`.
-    pub use crate::{ProptestConfig as Config, TestRunner};
-}
-
-pub mod strategy {
-    //! Compatibility module mirroring `proptest::strategy`.
-    pub use crate::{BoxedStrategy, Just, Strategy};
-}
-
 pub mod prelude {
     //! Glob-import surface mirroring `proptest::prelude`.
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_assert_ne, proptest, BoxedStrategy, Just,
-        ProptestConfig, Strategy,
+        prop_assert, prop_assert_eq, proptest, BoxedStrategy, Just, ProptestConfig, Strategy,
     };
 }
 
@@ -374,12 +347,6 @@ macro_rules! prop_assert {
 #[macro_export]
 macro_rules! prop_assert_eq {
     ($($tt:tt)*) => { assert_eq!($($tt)*) };
-}
-
-/// Assert inequality inside a `proptest!` body.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($($tt:tt)*) => { assert_ne!($($tt)*) };
 }
 
 /// Define property tests.
@@ -481,7 +448,6 @@ mod tests {
             prop_assert!(x < 100);
             prop_assert!(a < 10 && b < 10);
             prop_assert_eq!(x, x);
-            prop_assert_ne!(x, x + 1);
         }
     }
 }
