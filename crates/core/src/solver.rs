@@ -375,9 +375,51 @@ mod tests {
     use super::*;
     use mgk_graph::{generators, GraphBuilder};
     use mgk_kernels::{KroneckerDelta, SquareExponential};
-    use mgk_linalg::{direct, kron_dense, kron_vec, kronecker, DenseMatrix};
+    use mgk_linalg::{direct, kron_vec, kronecker};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The reference system of Eq. (1) in full f64, each `f32` operand
+    /// widened *before* multiplying — the same construction the generic
+    /// operator surface uses at `T = f64`, so the two describe the
+    /// identical matrix.
+    fn widened_reference_system<V: Clone, E: Copy + Default>(
+        g1: &Graph<V, E>,
+        g2: &Graph<V, E>,
+        kv: &impl BaseKernel<V>,
+        ke: &impl BaseKernel<E>,
+    ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let (n, m) = (g1.num_vertices(), g2.num_vertices());
+        let a1 = g1.adjacency_dense();
+        let a2 = g2.adjacency_dense();
+        let e1 = g1.edge_labels_dense(E::default());
+        let e2 = g2.edge_labels_dense(E::default());
+        let dx = kron_vec(&g1.laplacian_degrees(), &g2.laplacian_degrees());
+        let vx = kronecker::generalized_kron_vec(g1.vertex_labels(), g2.vertex_labels(), |a, b| {
+            kv.eval(a, b)
+        });
+        let qx = kron_vec(g1.stop_probabilities(), g2.stop_probabilities());
+        let px = kron_vec(g1.start_probabilities(), g2.start_probabilities());
+        let nm = n * m;
+        let mut mat = vec![0.0f64; nm * nm];
+        for i in 0..n {
+            for ip in 0..m {
+                let row = i * m + ip;
+                for j in 0..n {
+                    for jp in 0..m {
+                        let w = a1[i * n + j] as f64
+                            * a2[ip * m + jp] as f64
+                            * ke.eval(&e1[i * n + j], &e2[ip * m + jp]) as f64;
+                        mat[row * nm + j * m + jp] = -w;
+                    }
+                }
+                mat[row * nm + row] += dx[row] as f64 / vx[row] as f64;
+            }
+        }
+        let rhs: Vec<f64> = dx.iter().zip(&qx).map(|(&d, &q)| d as f64 * q as f64).collect();
+        let px64: Vec<f64> = px.iter().map(|&p| p as f64).collect();
+        (mat, rhs, px64)
+    }
 
     /// Ground truth via an explicit dense solve of Eq. (1) in f64.
     fn dense_reference<V: Clone, E: Copy + Default>(
@@ -386,31 +428,9 @@ mod tests {
         kv: &impl BaseKernel<V>,
         ke: &impl BaseKernel<E>,
     ) -> f64 {
-        let (n, m) = (g1.num_vertices(), g2.num_vertices());
-        let a1 = DenseMatrix::from_row_major(n, n, g1.adjacency_dense());
-        let a2 = DenseMatrix::from_row_major(m, m, g2.adjacency_dense());
-        let ax = kron_dense(&a1, &a2);
-        let e1 = g1.edge_labels_dense(E::default());
-        let e2 = g2.edge_labels_dense(E::default());
-        let ex = kronecker::generalized_kron(&e1, (n, n), &e2, (m, m), |a, b| ke.eval(a, b));
-        let dx = kron_vec(&g1.laplacian_degrees(), &g2.laplacian_degrees());
-        let vx = kronecker::generalized_kron_vec(g1.vertex_labels(), g2.vertex_labels(), |a, b| {
-            kv.eval(a, b)
-        });
-        let qx = kron_vec(g1.stop_probabilities(), g2.stop_probabilities());
-        let px = kron_vec(g1.start_probabilities(), g2.start_probabilities());
-        let nm = n * m;
-        // system matrix: diag(dx/vx) - Ax .* Ex
-        let mut mat = vec![0.0f64; nm * nm];
-        for i in 0..nm {
-            for j in 0..nm {
-                mat[i * nm + j] = -(ax[(i, j)] as f64) * (ex[(i, j)] as f64);
-            }
-            mat[i * nm + i] += dx[i] as f64 / vx[i] as f64;
-        }
-        let rhs: Vec<f64> = dx.iter().zip(&qx).map(|(&d, &q)| d as f64 * q as f64).collect();
+        let (mat, rhs, px) = widened_reference_system(g1, g2, kv, ke);
         let x = direct::lu_solve(&mat, &rhs).expect("reference system solvable");
-        px.iter().zip(&x).map(|(&p, &xi)| p as f64 * xi).sum()
+        px.iter().zip(&x).map(|(p, xi)| p * xi).sum()
     }
 
     fn small_labeled_pair() -> (Graph<u8, f32>, Graph<u8, f32>) {
@@ -509,48 +529,6 @@ mod tests {
                 assert!(kij > 0.0);
             }
         }
-    }
-
-    /// The reference system of Eq. (1) in full f64, each `f32` operand
-    /// widened *before* multiplying — the same construction the generic
-    /// operator surface uses at `T = f64`, so the two describe the
-    /// identical matrix.
-    fn widened_reference_system<V: Clone, E: Copy + Default>(
-        g1: &Graph<V, E>,
-        g2: &Graph<V, E>,
-        kv: &impl BaseKernel<V>,
-        ke: &impl BaseKernel<E>,
-    ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let (n, m) = (g1.num_vertices(), g2.num_vertices());
-        let a1 = g1.adjacency_dense();
-        let a2 = g2.adjacency_dense();
-        let e1 = g1.edge_labels_dense(E::default());
-        let e2 = g2.edge_labels_dense(E::default());
-        let dx = kron_vec(&g1.laplacian_degrees(), &g2.laplacian_degrees());
-        let vx = kronecker::generalized_kron_vec(g1.vertex_labels(), g2.vertex_labels(), |a, b| {
-            kv.eval(a, b)
-        });
-        let qx = kron_vec(g1.stop_probabilities(), g2.stop_probabilities());
-        let px = kron_vec(g1.start_probabilities(), g2.start_probabilities());
-        let nm = n * m;
-        let mut mat = vec![0.0f64; nm * nm];
-        for i in 0..n {
-            for ip in 0..m {
-                let row = i * m + ip;
-                for j in 0..n {
-                    for jp in 0..m {
-                        let w = a1[i * n + j] as f64
-                            * a2[ip * m + jp] as f64
-                            * ke.eval(&e1[i * n + j], &e2[ip * m + jp]) as f64;
-                        mat[row * nm + j * m + jp] = -w;
-                    }
-                }
-                mat[row * nm + row] += dx[row] as f64 / vx[row] as f64;
-            }
-        }
-        let rhs: Vec<f64> = dx.iter().zip(&qx).map(|(&d, &q)| d as f64 * q as f64).collect();
-        let px64: Vec<f64> = px.iter().map(|&p| p as f64).collect();
-        (mat, rhs, px64)
     }
 
     #[test]
