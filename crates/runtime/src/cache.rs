@@ -103,7 +103,7 @@ impl CachedEntry {
     /// Whether this entry can answer a request at `wanted` without losing
     /// accuracy: `f32` requests accept any entry, `f64` requests only
     /// entries whose solve ran at `f64`.
-    pub fn answers(&self, wanted: Precision) -> bool {
+    pub(crate) fn answers(&self, wanted: Precision) -> bool {
         wanted == Precision::F32 || self.precision == Precision::F64
     }
 }

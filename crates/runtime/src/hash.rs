@@ -26,7 +26,7 @@ impl Fnv1a {
     }
 
     /// Absorb a byte slice.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(Self::PRIME);

@@ -25,7 +25,7 @@
 //!   command channel (microsecond submissions, blocking
 //!   backpressure), consumers follow a versioned [`SnapshotWatch`] whose
 //!   epoch bumps once per completed flush — publication is lazy *and*
-//!   O(1) ([`SnapshotSource`] `Arc`-shares the triangle copy-on-write), so
+//!   O(1) (a captured source `Arc`-shares the triangle copy-on-write), so
 //!   the O(n²) dense snapshot is built on the first observation of an
 //!   epoch and never for unwatched ones — and
 //!   [`join`](GramScheduler::join) drains gracefully while propagating
@@ -57,8 +57,8 @@
 //!   [`GramCluster::spawn_durable`], one store directory per shard):
 //!   every solved pair is appended to a checksummed write-ahead log off
 //!   the solve path, epoch-boundary snapshots capture the Arc-shared
-//!   triangle plus the full pair cache through the O(1) copy-on-write
-//!   [`SnapshotSource`], and a restart replays snapshot + WAL tail back
+//!   triangle plus the full pair cache through the same O(1)
+//!   copy-on-write capture, and a restart replays snapshot + WAL tail back
 //!   into the [`PairCache`] so warm requests answer without re-solving.
 //!   A torn final record (crash mid-append) is tolerated and counted;
 //!   checksum mismatches and format-version skew refuse recovery with a
@@ -125,7 +125,7 @@ pub use scheduler::{
 };
 pub use service::{
     GramService, GramServiceConfig, GramServiceError, GramSnapshot, PreparedPair, ServiceStats,
-    SnapshotSource, StructureId,
+    StructureId,
 };
 pub use ticket::{RequestError, Ticket};
 pub use watch::{SnapshotWatch, VersionedSnapshot, WatchClosed};

@@ -176,7 +176,7 @@ pub struct ServiceStats {
     /// the residual risk of a collision with *equal* counts) monitorable.
     pub hash_collisions: usize,
     /// Copy-on-write clones of the `N(N+1)/2` triangle: a flush landed
-    /// while a captured [`SnapshotSource`] still shared it. Capture itself
+    /// while a captured snapshot source still shared it. Capture itself
     /// is O(1) (an `Arc` clone), so this counts the only remaining O(n²)
     /// publication cost.
     pub triangle_copies: usize,
@@ -251,7 +251,7 @@ impl GramSnapshot {
 /// lets the snapshot watch build on first demand, so flushes that nobody
 /// observes pay neither a copy nor a dense build.
 #[derive(Debug, Clone)]
-pub struct SnapshotSource {
+pub(crate) struct SnapshotSource {
     /// Lower-triangular raw kernel values, entry `(i, j)` with `j <= i` at
     /// `i (i + 1) / 2 + j`; shared copy-on-write with the service.
     triangle: Arc<Vec<f32>>,
@@ -272,11 +272,6 @@ impl SnapshotSource {
             "triangle length must match num_graphs"
         );
         SnapshotSource { triangle: Arc::new(triangle), num_graphs, normalize }
-    }
-
-    /// Number of admitted structures of the snapshot this source builds.
-    pub fn num_graphs(&self) -> usize {
-        self.num_graphs
     }
 
     /// Materialize the dense symmetric (optionally normalized) snapshot —
@@ -724,7 +719,7 @@ where
     /// so a closing wave fans it out across the worker pool; the
     /// single-writer half is the fold
     /// ([`fold_request_solve`](Self::fold_request_solve) outside a wave).
-    pub fn solve_pair<T: Scalar>(
+    pub(crate) fn solve_pair<T: Scalar>(
         &self,
         pair: &PreparedPair<V, E>,
         precision: Precision,
@@ -843,7 +838,8 @@ where
         self.cache.get(key).filter(|entry| entry.answers(wanted)).cloned()
     }
 
-    /// [`solve_pair`](Self::solve_pair) at the precision of the carrier:
+    /// Cold solve of one prepared pair at the precision of the carrier —
+    /// the pure half of a solve, as a closing wave runs it:
     /// `solve_prepared::<f32>` is the serving solve, `solve_prepared::<f64>`
     /// the oracle's.
     pub fn solve_prepared<T: Scalar>(&self, pair: &PreparedPair<V, E>) -> RequestSolve<T> {
@@ -1088,7 +1084,7 @@ where
 }
 
 /// The raw outcome of the pure half of a solve
-/// ([`GramService::solve_pair`]), before its stateful fold. Opaque by
+/// ([`GramService::solve_prepared`]), before its stateful fold. Opaque by
 /// design: worker threads produce it, the owning thread consumes it.
 #[derive(Debug)]
 pub struct RequestSolve<T: Scalar> {

@@ -4,7 +4,7 @@
 //! the latest published snapshot *source* together with its epoch (the
 //! service's snapshot [`version`](crate::GramService::version)). The
 //! scheduler publishes once per completed flush — but publication is
-//! **lazy**: what is published is a [`SnapshotSource`] (a triangle of raw
+//! **lazy**: what is published is a snapshot source (a triangle of raw
 //! values, cheap to capture), and the O(n²) dense materialization runs on
 //! the *first* [`latest`](SnapshotWatch::latest) /
 //! [`wait_newer`](SnapshotWatch::wait_newer) that observes the epoch. Once
