@@ -47,11 +47,6 @@ impl KroneckerDelta {
         );
         KroneckerDelta { baseline }
     }
-
-    /// The mismatch value.
-    pub fn baseline(&self) -> f32 {
-        self.baseline
-    }
 }
 
 impl<L: PartialEq + Sync + ?Sized> BaseKernel<L> for KroneckerDelta {
@@ -170,7 +165,6 @@ mod tests {
         assert_eq!(k.eval(&7u32, &8u32), 0.25);
         // symmetry
         assert_eq!(k.eval(&1u32, &2u32), k.eval(&2u32, &1u32));
-        assert_eq!(k.baseline(), 0.25);
     }
 
     #[test]
