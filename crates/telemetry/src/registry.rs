@@ -38,7 +38,7 @@ impl MetricKey {
     }
 
     /// Render as `name` or `name{key="value",...}`.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         if self.labels.is_empty() {
             self.name.clone()
         } else {
