@@ -4,7 +4,7 @@
 //! the vertices of each graph so that its nonzeros aggregate into as few
 //! 8×8 tiles as possible. Four families of heuristics are compared:
 //!
-//! * [`pbr::pbr_order`] — the paper's partition-based reordering (PBR):
+//! * [`pbr_order`] — the paper's partition-based reordering (PBR):
 //!   recursive bisection with Fiduccia–Mattheyses refinement, targeting the
 //!   non-empty-tile objective directly. The paper finds this the most
 //!   effective method across all datasets.
@@ -32,8 +32,8 @@
     )
 )]
 
-pub mod objective;
-pub mod pbr;
+mod objective;
+mod pbr;
 mod rcm;
 mod sfc;
 mod tsp;
