@@ -11,9 +11,8 @@
 //! * [`ReorderMethod::Rcm`] — Reverse Cuthill–McKee bandwidth reduction.
 //! * [`ReorderMethod::Morton`] / [`ReorderMethod::Hilbert`] — space-filling
 //!   curve orders for graphs whose vertices carry a 3D embedding.
-//! * [`ReorderMethod::Tsp`] — a travelling-salesman heuristic over
-//!   row-pattern similarity (nearest neighbour construction + 2-opt
-//!   refinement).
+//! * [`ReorderMethod::Tsp`] — a travelling-salesman heuristic over row
+//!   similarity (nearest neighbour construction + 2-opt refinement).
 //!
 //! All orderings are returned in the same convention used by
 //! [`mgk_graph::Graph::permute`]: `order[k]` is the original index of the

@@ -28,7 +28,7 @@
 //! The job holds a `*const (dyn Fn(usize) + Sync)` whose lifetime has been
 //! erased. The invariant making this sound: the closure is only invoked
 //! between a successful index claim (`next.fetch_add < count`) and the
-//! matching `done.fetch_add`, and `Pool::run_indexed` does not return
+//! matching `done.fetch_add`, and [`Pool::run_indexed`] does not return
 //! until `done == count`. The borrow therefore outlives every call. Workers
 //! holding a stale `Arc<Job>` after completion observe `next >= count` and
 //! never touch the pointer again.
@@ -149,7 +149,7 @@ impl Pool {
 
     /// Build a pool with `workers` persistent worker threads (0 is allowed:
     /// every region then runs on the submitting thread alone).
-    fn new(workers: usize) -> Pool {
+    pub fn new(workers: usize) -> Pool {
         let shared =
             Arc::new(Shared { queue: Mutex::new(VecDeque::new()), work_available: Condvar::new() });
         for id in 0..workers {
@@ -173,7 +173,7 @@ impl Pool {
     /// The calling thread always participates, and the call returns only
     /// after every index has completed. Panics in `body` are collected and
     /// re-raised on the calling thread after the region drains.
-    pub(crate) fn run_indexed(&self, count: usize, body: &(dyn Fn(usize) + Sync)) {
+    pub fn run_indexed(&self, count: usize, body: &(dyn Fn(usize) + Sync)) {
         if count == 0 {
             return;
         }
