@@ -39,9 +39,6 @@ mod tsp;
 
 pub use objective::{count_nonempty_tiles, nonempty_tiles_of_order};
 pub use pbr::{pbr_order, PbrConfig};
-use rcm::rcm_order;
-use sfc::{hilbert_order, morton_order};
-use tsp::tsp_order;
 
 use mgk_graph::Graph;
 
@@ -73,17 +70,17 @@ impl ReorderMethod {
         let n = g.num_vertices();
         match self {
             ReorderMethod::Natural => (0..n as u32).collect(),
-            ReorderMethod::Rcm => rcm_order(g),
+            ReorderMethod::Rcm => rcm::rcm_order(g),
             ReorderMethod::Pbr => pbr_order(g, &PbrConfig::default()),
             ReorderMethod::Morton => match coords {
-                Some(c) => morton_order(c),
-                None => rcm_order(g),
+                Some(c) => sfc::morton_order(c),
+                None => rcm::rcm_order(g),
             },
             ReorderMethod::Hilbert => match coords {
-                Some(c) => hilbert_order(c),
-                None => rcm_order(g),
+                Some(c) => sfc::hilbert_order(c),
+                None => rcm::rcm_order(g),
             },
-            ReorderMethod::Tsp => tsp_order(g),
+            ReorderMethod::Tsp => tsp::tsp_order(g),
         }
     }
 
