@@ -13,13 +13,12 @@
 //! * Producers hold a cheap, cloneable [`GramClient`] over a **bounded
 //!   command channel**. [`submit`](GramClient::submit) blocks only when the
 //!   channel is full: backpressure is flow control, which throttles a
-//!   producer to the solver's pace, not an error it must retry around. It
-//!   is the
-//!   **one producer handle**: a [`GramCluster`](crate::GramCluster) hands
-//!   out the same type over K channels, and a client only ever *sends* —
-//!   the watch and the metrics registry are handed out by the owner that
-//!   spawned the thread ([`GramScheduler::watch`] /
-//!   [`GramScheduler::telemetry`]).
+//!   producer to the solver's pace, not an error it must retry around.
+//!   It is the **one producer handle**: a
+//!   [`GramCluster`](crate::GramCluster) hands out the same type over K
+//!   channels, and a client only ever *sends* — the watch and the metrics
+//!   registry are handed out by the owner that spawned the thread
+//!   ([`GramScheduler::watch`] / [`GramScheduler::telemetry`]).
 //! * Consumers hold a [`SnapshotWatch`]: every completed flush publishes
 //!   the new snapshot under a bumped epoch (the service's
 //!   [`version`](GramService::version)), `wait_newer` blocks until a
