@@ -32,13 +32,13 @@
 //! vector, so the octile operator sums the forms of every tile pair once, at
 //! assembly, into a per-apply ledger, and each application adds that ledger
 //! once; the standalone entries count their own pair's form per call. For
-//! dense×dense it counts the full
-//! 64×64 block a warp evaluates — `4096·x` FLOPs — while the CPU body skips
-//! the first tile's empty slots and executes at most `64·nnz₁` kernel
-//! evaluations. Wherever the CPU table sends a tile pair to dense×dense, the
-//! FLOP counters (`mgk_traffic_flops_total`, the intensity gauge, and any
-//! roofline fraction built on them) count the GPU's work, several times
-//! what the CPU does.
+//! dense×dense it counts the full 64×64 block a warp evaluates — `4096·x`
+//! FLOPs — while the CPU body walks only the first tile's nonzeros, decoded
+//! once per sweep, and executes at most `64·nnz₁` kernel evaluations.
+//! Wherever the CPU table sends a tile pair to dense×dense, the FLOP counters
+//! (`mgk_traffic_flops_total`, the intensity gauge, and any roofline
+//! fraction built on them) count the GPU's work, several times what the CPU
+//! does.
 //! The forms stay as they are: they are the V100 projection's inputs, and
 //! their totals are pinned to [`tile_pair_product_scalar`].
 //!
@@ -143,8 +143,9 @@ fn cheapest(cost: impl Fn(TileProductKind) -> f64) -> TileProductKind {
 // on one 2.0 GHz Xeon core (family 6 model 143). That bin refits them.
 // Outside x = 3–11 they extrapolate. `SPARSE_SPARSE_NS` was fit later than
 // the other two, alone, to the quietest of six grids (the one whose
-// dense×dense fit reproduced `DENSE_DENSE_NS`); with it the table picks
-// within 10 % of the fastest primitive in 94–96 % of cells.
+// dense×dense fit reproduced `DENSE_DENSE_NS`); with it, against the
+// dense×dense body these constants were fit to, the table picked within 10 %
+// of the fastest primitive in 94–96 % of cells.
 //
 // The grid times the standalone entry, one tile pair per call. The octile
 // operator runs the packed loop over runs of several inner tiles, so it pays
@@ -152,6 +153,15 @@ fn cheapest(cost: impl Fn(TileProductKind) -> f64) -> TileProductKind {
 // operator these constants overstate what a sparse×sparse tile pair costs.
 // They stay fit to the standalone loop on purpose. A refit moves the
 // routing, and with it the summation order and the answers.
+//
+// `DENSE_DENSE_NS` was fit to a dense×dense body that scanned all 64 slots
+// of the outer tile. The body now walks the outer tile's decoded nonzeros,
+// which made the operator's sweep 0.71–0.80× as long on NWS and BA pairs of
+// 96 vertices and left protein-48 pairs flat (0.92–1.01×; in process, one
+// pinned Xeon core, bits asserted equal), so the constants overstate what a
+// dense×dense pair costs: on the grid the table's pick is now within 10 % of
+// the fastest in 82 % of cells. They are kept until the routing is refit,
+// since a refit moves answers.
 
 /// [`dense_dense`]: one 64-evaluation block per nonzero of the first tile,
 /// flat in `nnz₂`: `a + nnz₁·(b + c·x)`.
@@ -248,12 +258,15 @@ pub struct TileCosts {
     pub kernel_flops: usize,
 }
 
-/// Precomputed bitmap-derived views of one octile, read by the dense×dense
-/// and dense-rows kernels: dense row-major and transposed (column-major)
-/// expansions of the payload, and the row-major position of each packed
-/// nonzero. The packed sparse×sparse loop reads no panel: the operator's
-/// sweep hands it the inner tiles' packed nonzeros through `TileLayers`,
-/// and the standalone entry decodes the inner tile's mask.
+/// Precomputed bitmap-derived views of one octile, read when the tile is
+/// the dense operand of a pair: dense×dense reads the inner tile's
+/// transposed (column-major) weights and labels, dense-rows the dense tile's
+/// row-major weights and the row-major position of each packed nonzero. A
+/// dense×dense pair reads no panel of its outer tile: it walks that tile's
+/// nonzeros, decoded once per sweep. The packed sparse×sparse loop reads no
+/// panel: the operator's sweep hands it the inner tiles' packed nonzeros
+/// through `TileLayers`, and the standalone entry decodes the inner tile's
+/// mask.
 ///
 /// Building the panels costs `O(nnz)` per tile; an operator sweeping all
 /// tile pairs of a graph pair builds them once per tile and amortizes the
@@ -265,9 +278,7 @@ pub struct TilePanels<E> {
     pub weights: [f32; TILE_AREA],
     /// Transposed dense weights (`w[c * 8 + r]`).
     pub weights_t: [f32; TILE_AREA],
-    /// Row-major dense labels, `E::default()` in the empty slots.
-    pub labels: [E; TILE_AREA],
-    /// Transposed dense labels.
+    /// Transposed dense labels, `E::default()` in the empty slots.
     pub labels_t: [E; TILE_AREA],
     /// Row-major position of the `k`-th packed nonzero.
     pub pos: [u8; TILE_AREA],
@@ -281,7 +292,6 @@ impl<E: Copy + Default> TilePanels<E> {
         let mut panels = TilePanels {
             weights: [0.0; TILE_AREA],
             weights_t: [0.0; TILE_AREA],
-            labels: [E::default(); TILE_AREA],
             labels_t: [E::default(); TILE_AREA],
             pos: [0; TILE_AREA],
             nnz: 0,
@@ -294,7 +304,6 @@ impl<E: Copy + Default> TilePanels<E> {
             debug_assert!(rm < TILE_AREA && tr < TILE_AREA && k < TILE_AREA);
             panels.weights[rm] = w;
             panels.weights_t[tr] = w;
-            panels.labels[rm] = l;
             panels.labels_t[tr] = l;
             panels.pos[k] = rm as u8;
             panels.nnz = k + 1;
@@ -382,15 +391,20 @@ impl<K> Copy for PairContext<'_, K> {}
 /// the pair's closed-form traffic into `counters`.
 ///
 /// Sparse×sparse, and dense×sparse with the first tile the sparser, form
-/// exactly the reference's terms from the packed tiles. Dense×dense and the
-/// other dense×sparse orientation sweep panel rows branchlessly, and every
-/// term they insert at an empty slot is an exact `±0.0` — base kernels
-/// return finite values in `[0, 1]` by contract. So each output element
-/// accumulates the same nonzero terms in the same order, at the same
-/// associativity, as [`tile_pair_product_scalar`]: the results are bitwise
-/// identical at `f32` and `f64`. Traffic is attributed
-/// through per-pair closed forms (the private `octile_pair_traffic`), which
-/// match the scalar reference's totals exactly.
+/// exactly the reference's terms from the packed tiles. Dense×dense walks
+/// the first tile's decoded nonzeros and sweeps the second tile's panel
+/// rows branchlessly; the other dense×sparse orientation sweeps the dense
+/// tile's panel rows branchlessly. Every term either inserts at an empty
+/// slot is an exact `±0.0` — base kernels return finite values in `[0, 1]`
+/// by contract — and dense×dense leaves out the reference's `+0.0` update
+/// of each output row the first tile has no nonzero in, which changes no
+/// `y` that never held `−0.0` (the operator's does not: it starts at `+0.0`
+/// and only sums). So each output element accumulates the same nonzero
+/// terms in the same order, at the same associativity, as
+/// [`tile_pair_product_scalar`]: the results are bitwise identical at `f32`
+/// and `f64`. Traffic is attributed through per-pair closed forms (the
+/// private `octile_pair_traffic`), which match the scalar reference's totals
+/// exactly.
 ///
 /// The octile operator does not call this entry. It decodes each outer tile
 /// once per sweep instead of once per pair, runs the packed loop over runs
@@ -422,15 +436,17 @@ pub fn tile_pair_product_with_panels<T: Scalar, E: Copy + Default, K: BaseKernel
 /// The per-sweep state of a tile-pair sweep over one outer tile: the outer
 /// tile decoded once, and one coefficient scratch.
 ///
-/// Per packed nonzero `(i, j)` of the outer tile, `entries` holds the output
-/// row offset `(row₁+i)·m`, the right-hand-side row offset `(col₁+j)·m`, the
-/// weight at the vector precision and the label. Every run of the packed
-/// loop in the sweep reads it: sparse×sparse, and dense×sparse with the
-/// outer tile the sparser. `coefficients` holds one coefficient per nonzero
-/// of a run, so a run holds at most [`TILE_AREA`] nonzeros. Only a sweep
-/// that forms its coefficients in place ([`Coefficients::Form`]) uses it: a
-/// sweep that records or replays a coefficient stream keeps them there. It
-/// is written before it is read, so it is never re-zeroed.
+/// Per packed nonzero `(i, j)` of the outer tile, in row-major order,
+/// `entries` holds the output row offset `(row₁+i)·m`, the right-hand-side
+/// row offset `(col₁+j)·m`, the weight at the vector precision and the
+/// label. Every run of the packed loop in the sweep reads it (sparse×sparse,
+/// and dense×sparse with the outer tile the sparser), and so does every
+/// dense×dense pair, a block of `y` per run of entries with one output row.
+/// `coefficients` holds one coefficient per nonzero of a run, so a run holds
+/// at most [`TILE_AREA`] nonzeros. Only a sweep that forms its coefficients
+/// in place ([`Coefficients::Form`]) uses it: a sweep that records or
+/// replays a coefficient stream keeps them there. It is written before it is
+/// read, so it is never re-zeroed.
 pub(crate) struct OuterSweep<T, E> {
     entries: [(usize, usize, T, E); TILE_AREA],
     len: usize,
@@ -459,9 +475,10 @@ impl<T: Scalar, E: Copy + Default> OuterSweep<T, E> {
 
 /// One tile pair's product, with the first tile already decoded into
 /// `sweep`: the body [`tile_pair_product_with_panels`] runs, and the one the
-/// octile operator's sweep runs for the pairs it routes to a dense form. A
-/// pair routed to the packed loop is a run of one tile here, its mask
-/// decoded on the stack.
+/// octile operator's sweep runs for the pairs it routes to a dense form.
+/// Dense×dense reads the first tile from `sweep`, dense-rows from its
+/// panels. A pair routed to the packed loop is a run of one tile here, its
+/// mask decoded on the stack.
 #[inline]
 pub(crate) fn tile_pair_body<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     kind: TileProductKind,
@@ -496,7 +513,7 @@ pub(crate) fn tile_pair_body<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
         };
         packed_run(sweep, run, &mut Coefficients::Form, kernel, p, y);
     } else if kind == TileProductKind::DenseDense {
-        dense_dense(s1, s2, (n, m), kernel, p, y);
+        dense_dense(sweep, s2, m, kernel, p, y);
     } else {
         dense_rows_direct(t2, s1, (n, m), kernel, p, y);
     }
@@ -962,47 +979,48 @@ fn dense_rows_direct<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     }
 }
 
-/// Register-blocked dense×dense kernel: both payloads expanded to panels,
-/// the second tile transposed so the inner 8-lane loop runs over its local
-/// rows (`ip`) — contiguous in the accumulator block and in `y`. Rows of
-/// the first tile with zero weight are skipped (they contribute only zero
-/// terms); all other terms accumulate per output in the same `(j, jp)`
-/// order as the scalar reference.
+/// Register-blocked dense×dense kernel: the outer tile read from the sweep's
+/// decoded nonzeros, the inner tile from its transposed panels, so the inner
+/// 8-lane loop runs over the inner tile's local rows (`ip`) — contiguous in
+/// the accumulator block and in `y`.
+///
+/// The decoded nonzeros are row-major, so those of one output row are a run
+/// of consecutive entries. Each run accumulates one 8-lane block in the
+/// scalar reference's `(j, jp)` order and adds it into `y` once. A stored
+/// zero weight is skipped, as the reference skips it (`GraphBuilder` accepts
+/// weight 0). The inner tile's empty slots add exact `±0.0` terms to a block
+/// that starts at `+0.0`, which change no sum.
+///
+/// A row of the outer tile with no nonzero adds nothing to `y`, where the
+/// reference adds its all-`+0.0` block. That leaves the same bits: `y`
+/// starts at `+0.0` and only ever sums, and a sum from `+0.0` never reaches
+/// `−0.0`, so `y` holds no `−0.0` that adding `+0.0` would turn into `+0.0`.
 ///
 /// `#[inline(always)]` so that `dense_dense_blocked_avx2` is a second
 /// instantiation of this one body rather than a call to the portable one.
 #[inline(always)]
 fn dense_dense_blocked<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
-    s1: PaneledTile<'_, E>,
-    s2: PaneledTile<'_, E>,
-    (n, m): (usize, usize),
+    outer: &OuterSweep<T, E>,
+    inner: PaneledTile<'_, E>,
+    m: usize,
     kernel: &K,
     p: &[T],
     y: &mut [T],
 ) {
-    let (t1, panels1) = (s1.tile, s1.panels);
-    let (t2, panels2) = (s2.tile, s2.panels);
     debug_assert_eq!(p.len(), y.len(), "p and y are both length n*m");
-    let (row1, col1) = (t1.row as usize * TILE_SIZE, t1.col as usize * TILE_SIZE);
+    let t2 = inner.tile;
     let (row2, col2) = (t2.row as usize * TILE_SIZE, t2.col as usize * TILE_SIZE);
-    let imax = TILE_SIZE.min(n.saturating_sub(row1));
-    let jmax = TILE_SIZE.min(n.saturating_sub(col1));
     let ipmax = TILE_SIZE.min(m.saturating_sub(row2));
     let jpmax = TILE_SIZE.min(m.saturating_sub(col2));
-    let w1 = &panels1.weights;
-    let l1 = &panels1.labels;
-    let w2t = &panels2.weights_t;
-    let l2t = &panels2.labels_t;
-    for i in 0..imax {
+    let w2t = &inner.panels.weights_t;
+    let l2t = &inner.panels.labels_t;
+    for row in outer.entries[..outer.len].chunk_by(|a, b| a.0 == b.0) {
         let mut acc = [T::ZERO; TILE_SIZE];
-        for j in 0..jmax {
-            let a1 = w1[i * TILE_SIZE + j];
-            if a1 == 0.0 {
+        for &(_, prow1, a1t, l1e) in row {
+            if a1t == T::ZERO {
                 continue;
             }
-            let a1t = T::from_f32(a1);
-            let l1e = l1[i * TILE_SIZE + j];
-            let pbase = (col1 + j) * m + col2;
+            let pbase = prow1 + col2;
             for jp in 0..jpmax {
                 let ps = p[pbase + jp];
                 let base = jp * TILE_SIZE;
@@ -1013,8 +1031,9 @@ fn dense_dense_blocked<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
                 }
             }
         }
-        for (ip, &a) in acc.iter().enumerate().take(ipmax) {
-            y[(row1 + i) * m + row2 + ip] += a;
+        let yrow = row[0].0 + row2;
+        for (out, &a) in y[yrow..yrow + ipmax].iter_mut().zip(&acc) {
+            *out += a;
         }
     }
 }
@@ -1024,9 +1043,9 @@ fn dense_dense_blocked<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
 #[inline]
 #[allow(unsafe_code)]
 fn dense_dense<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
-    s1: PaneledTile<'_, E>,
-    s2: PaneledTile<'_, E>,
-    dims: (usize, usize),
+    outer: &OuterSweep<T, E>,
+    inner: PaneledTile<'_, E>,
+    m: usize,
     kernel: &K,
     p: &[T],
     y: &mut [T],
@@ -1035,10 +1054,10 @@ fn dense_dense<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     if std::is_x86_feature_detected!("avx2") {
         // SAFETY: the `avx2` target feature requires only that the CPU has
         // it, which the detection on the line above established.
-        unsafe { dense_dense_blocked_avx2(s1, s2, dims, kernel, p, y) };
+        unsafe { dense_dense_blocked_avx2(outer, inner, m, kernel, p, y) };
         return;
     }
-    dense_dense_blocked(s1, s2, dims, kernel, p, y);
+    dense_dense_blocked(outer, inner, m, kernel, p, y);
 }
 
 /// [`dense_dense_blocked`] compiled with AVX2 enabled: the 8 lanes of the
@@ -1050,14 +1069,14 @@ fn dense_dense<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn dense_dense_blocked_avx2<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
-    s1: PaneledTile<'_, E>,
-    s2: PaneledTile<'_, E>,
-    dims: (usize, usize),
+    outer: &OuterSweep<T, E>,
+    inner: PaneledTile<'_, E>,
+    m: usize,
     kernel: &K,
     p: &[T],
     y: &mut [T],
 ) {
-    dense_dense_blocked(s1, s2, dims, kernel, p, y);
+    dense_dense_blocked(outer, inner, m, kernel, p, y);
 }
 
 /// The retained scalar reference implementation of the tile-pair product —
@@ -1451,14 +1470,14 @@ mod tests {
         let t2 = OctileMatrix::from_graph(g2);
         let mut y_portable = vec![T::ZERO; n * m];
         let mut y_dispatched = y_portable.clone();
+        let mut outer = OuterSweep::new();
         for a in t1.tiles() {
-            let pa = TilePanels::new(a);
+            outer.decode(a, m);
             for b in t2.tiles() {
                 let pb = TilePanels::new(b);
-                let s1 = PaneledTile { tile: a, panels: &pa };
                 let s2 = PaneledTile { tile: b, panels: &pb };
-                dense_dense_blocked(s1, s2, (n, m), kernel, p, &mut y_portable);
-                dense_dense(s1, s2, (n, m), kernel, p, &mut y_dispatched);
+                dense_dense_blocked(&outer, s2, m, kernel, p, &mut y_portable);
+                dense_dense(&outer, s2, m, kernel, p, &mut y_dispatched);
             }
         }
         for kind in [
@@ -1493,11 +1512,39 @@ mod tests {
             b.build().unwrap()
         };
         assert_eq!(OctileMatrix::from_graph(&empty_row).tiles()[0].row_masks()[3], 0);
-        // edge tiles: neither 19, 13, 25, 9 nor 12 is a multiple of 8
+        // the corners of the walk over an outer tile's decoded nonzeros:
+        // tile (0, 0) stores the 0.0-weight edge (5, 6) between two nonzeros
+        // of row 5, tile (0, 1) holds vertex 7's edges to 8, 11 and 14, all
+        // in its last row, and tile (2, 0) holds only the edge (17, 7), at
+        // column 7 of its row 1
+        let corners = {
+            let mut b: GraphBuilder<Unlabeled, f32> = GraphBuilder::new();
+            for _ in 0..20 {
+                b.add_vertex(Unlabeled);
+            }
+            for (u, v) in [(0, 1), (1, 2), (2, 3), (4, 5), (8, 9), (9, 10), (12, 13), (16, 18)] {
+                b.add_edge(u, v, 0.6 + u as f32 * 0.1, u as f32 * 0.3).unwrap();
+            }
+            b.add_edge(5, 6, 0.0, 0.4).unwrap();
+            b.add_edge(5, 7, 0.9, 0.7).unwrap();
+            for v in [8, 11, 14, 17] {
+                b.add_edge(7, v, 1.1, v as f32 * 0.2).unwrap();
+            }
+            b.build().unwrap()
+        };
+        let corner_tiles = OctileMatrix::from_graph(&corners);
+        let tile =
+            |row, col| corner_tiles.tiles().iter().find(|t| (t.row, t.col) == (row, col)).unwrap();
+        assert!(tile(0, 0).weights.contains(&0.0));
+        assert_eq!(tile(0, 1).row_masks()[..TILE_SIZE - 1], [0; TILE_SIZE - 1]);
+        assert_eq!(tile(2, 0).mask, 1 << (TILE_SIZE + 7));
+        // edge tiles: neither 19, 13, 25, 9, 12 nor 20 is a multiple of 8
         let pairs = [
             (small_graph(1, 19, &[(0, 10), (3, 15)]), small_graph(2, 13, &[(1, 9)])),
             (small_graph(3, 25, &[(0, 20), (5, 17), (2, 11)]), small_graph(4, 9, &[])),
             (empty_row, small_graph(5, 13, &[(2, 7)])),
+            (corners.clone(), small_graph(6, 13, &[(2, 9)])),
+            (small_graph(7, 12, &[(1, 10)]), corners),
         ];
         for (g1, g2) in &pairs {
             let nm = g1.num_vertices() * g2.num_vertices();
