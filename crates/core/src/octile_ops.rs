@@ -52,8 +52,9 @@
 //! `mgk_kernels::SquareExponential` evaluates its exponential as an inlined
 //! polynomial, and why both sparse-operand primitives evaluate the kernel
 //! over contiguous *packed* labels: the packed sparse×sparse loop then makes
-//! one scalar update per packed nonzero, and dense-rows scatters the values
-//! into a panel. The octile operator hands the packed loop many inner tiles
+//! one scalar update per packed nonzero, and dense-rows one register chain
+//! per row of the outer tile's decoded nonzeros, reading the values in
+//! place. The octile operator hands the packed loop many inner tiles
 //! at once. It groups the inner graph's tiles into layers, where layer ℓ is
 //! the ℓ-th tile of every tile row. A run of a layer's packed tiles, up to
 //! 64 nonzeros, then costs one kernel-evaluation loop per outer nonzero,
@@ -171,8 +172,9 @@ const DENSE_DENSE_NS: [f64; 3] = [92.8, -14.19, 6.043];
 /// `d + nnz₁·(e + f·x·nnz₂)`.
 const SPARSE_SPARSE_NS: [f64; 3] = [17.3, 3.97, 0.3516];
 /// [`dense_rows_direct`]: per nonzero of the second tile, one kernel
-/// evaluation per nonzero of the first and a 64-term serial chain:
-/// `g + nnz₂·(h + i·x·nnz₁)`.
+/// evaluation per nonzero of the first and a serial chain per row of the
+/// first: `g + nnz₂·(h + i·x·nnz₁)`. Fit to a body that chained all 64 slots
+/// of the first tile from its row-major panel.
 const DENSE_ROWS_NS: [f64; 3] = [36.7, 57.65, 0.1402];
 
 /// What `kind` costs on a tile pair, by the closed forms above.
@@ -258,55 +260,36 @@ pub struct TileCosts {
     pub kernel_flops: usize,
 }
 
-/// Precomputed bitmap-derived views of one octile, read when the tile is
-/// the dense operand of a pair: dense×dense reads the inner tile's
-/// transposed (column-major) weights and labels, dense-rows the dense tile's
-/// row-major weights and the row-major position of each packed nonzero. A
-/// dense×dense pair reads no panel of its outer tile: it walks that tile's
-/// nonzeros, decoded once per sweep. The packed sparse×sparse loop reads no
-/// panel: the operator's sweep hands it the inner tiles' packed nonzeros
-/// through `TileLayers`, and the standalone entry decodes the inner tile's
-/// mask.
+/// The transposed (column-major) weights and labels of one inner tile: what
+/// a dense×dense pair reads of its inner tile, 512 B with `f32` labels. No
+/// primitive reads a panel of its outer tile: dense×dense and dense-rows
+/// walk that tile's nonzeros, decoded once per sweep. The packed
+/// sparse×sparse loop reads no panel either: the operator's sweep hands it
+/// the inner tiles' packed nonzeros through `TileLayers`, and the standalone
+/// entry decodes the inner tile's mask.
 ///
 /// Building the panels costs `O(nnz)` per tile; an operator sweeping all
-/// tile pairs of a graph pair builds them once per tile and amortizes the
-/// cost across the whole sweep (see `ProductSystem`). The standalone
-/// [`tile_pair_product`] entry builds them per call.
+/// tile pairs of a graph pair builds them once per inner tile and amortizes
+/// the cost across the whole sweep (see `ProductSystem`). The standalone
+/// [`tile_pair_product`] entry builds the second tile's per call.
 #[derive(Debug, Clone)]
 pub struct TilePanels<E> {
-    /// Row-major dense weights (`w[r * 8 + c]`), zero in the empty slots.
-    pub weights: [f32; TILE_AREA],
-    /// Transposed dense weights (`w[c * 8 + r]`).
+    /// Transposed dense weights (`w[c * 8 + r]`), zero in the empty slots.
     pub weights_t: [f32; TILE_AREA],
     /// Transposed dense labels, `E::default()` in the empty slots.
     pub labels_t: [E; TILE_AREA],
-    /// Row-major position of the `k`-th packed nonzero.
-    pub pos: [u8; TILE_AREA],
-    /// Number of nonzeros (valid prefix length of `pos`).
-    pub nnz: usize,
 }
 
 impl<E: Copy + Default> TilePanels<E> {
-    /// Expand one octile's bitmap and packed payload into dense panels.
+    /// Expand one octile's bitmap and packed payload into transposed panels.
     pub fn new(tile: &Octile<E>) -> Self {
-        let mut panels = TilePanels {
-            weights: [0.0; TILE_AREA],
-            weights_t: [0.0; TILE_AREA],
-            labels_t: [E::default(); TILE_AREA],
-            pos: [0; TILE_AREA],
-            nnz: 0,
-        };
-        for (k, (r, c, w, l)) in tile.iter().enumerate() {
-            let rm = r * TILE_SIZE + c;
+        let mut panels =
+            TilePanels { weights_t: [0.0; TILE_AREA], labels_t: [E::default(); TILE_AREA] };
+        for (r, c, w, l) in tile.iter() {
+            // the bitmap iterator yields r, c < TILE_SIZE
             let tr = c * TILE_SIZE + r;
-            // the bitmap iterator yields r, c < TILE_SIZE and at most
-            // TILE_AREA entries
-            debug_assert!(rm < TILE_AREA && tr < TILE_AREA && k < TILE_AREA);
-            panels.weights[rm] = w;
             panels.weights_t[tr] = w;
             panels.labels_t[tr] = l;
-            panels.pos[k] = rm as u8;
-            panels.nnz = k + 1;
         }
         panels
     }
@@ -322,7 +305,7 @@ impl<E: Copy + Default> TilePanels<E> {
 /// through [`Scalar::from_f32`] before multiplying, so the `f64`
 /// instantiation forms the exact product of the stored operands.
 ///
-/// This entry expands both tiles' [`TilePanels`] per call and dispatches to
+/// This entry expands the second tile's [`TilePanels`] per call and runs
 /// the bitmap-driven kernels of [`tile_pair_product_with_panels`]; the
 /// results are bit-for-bit identical to [`tile_pair_product_scalar`] at
 /// every precision.
@@ -339,23 +322,15 @@ pub fn tile_pair_product<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     y: &mut [T],
     counters: &mut TrafficCounters,
 ) {
-    let panels1 = TilePanels::new(t1);
     let panels2 = TilePanels::new(t2);
-    tile_pair_product_with_panels(
-        kind,
-        PaneledTile { tile: t1, panels: &panels1 },
-        PaneledTile { tile: t2, panels: &panels2 },
-        PairContext { n, m, kernel, costs },
-        p,
-        y,
-        counters,
-    );
+    let s2 = PaneledTile { tile: t2, panels: &panels2 };
+    standalone_tile_pair(kind, t1, s2, PairContext { n, m, kernel, costs }, p, y, counters);
 }
 
 /// One octile plus its precomputed [`TilePanels`] — the unit the
 /// panel-amortized entry point consumes. The operator builds the panels
-/// once per tile at assembly and pairs them back up here for every tile
-/// pair of the sweep.
+/// once per inner tile at assembly and pairs them back up here for every
+/// tile pair of the sweep.
 #[derive(Clone, Copy)]
 pub struct PaneledTile<'a, E> {
     /// The packed tile.
@@ -387,20 +362,24 @@ impl<K> Clone for PairContext<'_, K> {
 
 impl<K> Copy for PairContext<'_, K> {}
 
-/// Bitmap-driven tile-pair product over precomputed [`TilePanels`], counting
-/// the pair's closed-form traffic into `counters`.
+/// Bitmap-driven tile-pair product over the second tile's precomputed
+/// [`TilePanels`], counting the pair's closed-form traffic into `counters`.
+/// The first tile's panels are not read: every primitive walks that tile's
+/// nonzeros, decoded once per call.
 ///
 /// Sparse×sparse, and dense×sparse with the first tile the sparser, form
 /// exactly the reference's terms from the packed tiles. Dense×dense walks
 /// the first tile's decoded nonzeros and sweeps the second tile's panel
-/// rows branchlessly; the other dense×sparse orientation sweeps the dense
-/// tile's panel rows branchlessly. Every term either inserts at an empty
-/// slot is an exact `±0.0` — base kernels return finite values in `[0, 1]`
-/// by contract — and dense×dense leaves out the reference's `+0.0` update
-/// of each output row the first tile has no nonzero in, which changes no
-/// `y` that never held `−0.0` (the operator's does not: it starts at `+0.0`
-/// and only sums). So each output element accumulates the same nonzero
-/// terms in the same order, at the same associativity, as
+/// rows branchlessly; the other dense×sparse orientation walks the first
+/// tile's decoded nonzeros against each nonzero of the second. Every term
+/// either inserts where the reference has none — dense×dense at an empty
+/// slot of the second tile, dense-rows at a stored zero weight of the
+/// first — is an exact `±0.0` (base kernels return finite values in
+/// `[0, 1]` by contract), and dense×dense leaves out the reference's `+0.0`
+/// update of each output row the first tile has no nonzero in. Neither
+/// changes a `y` that never held `−0.0` (the operator's does not: it starts
+/// at `+0.0` and only sums). So each output element accumulates the same
+/// nonzero terms in the same order, at the same associativity, as
 /// [`tile_pair_product_scalar`]: the results are bitwise identical at `f32`
 /// and `f64`. Traffic is attributed through per-pair closed forms (the
 /// private `octile_pair_traffic`), which match the scalar reference's totals
@@ -420,17 +399,24 @@ pub fn tile_pair_product_with_panels<T: Scalar, E: Copy + Default, K: BaseKernel
     y: &mut [T],
     counters: &mut TrafficCounters,
 ) {
-    counters.accumulate(&tile_pair_traffic(
-        kind,
-        s1.tile,
-        s2.tile,
-        (ctx.n, ctx.m),
-        ctx.costs,
-        T::BYTES,
-    ));
+    standalone_tile_pair(kind, s1.tile, s2, ctx, p, y, counters);
+}
+
+/// The body of both standalone entries: count the pair's closed form,
+/// decode `t1` and run the pair.
+fn standalone_tile_pair<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
+    kind: TileProductKind,
+    t1: &Octile<E>,
+    s2: PaneledTile<'_, E>,
+    ctx: PairContext<'_, K>,
+    p: &[T],
+    y: &mut [T],
+    counters: &mut TrafficCounters,
+) {
+    counters.accumulate(&tile_pair_traffic(kind, t1, s2.tile, (ctx.n, ctx.m), ctx.costs, T::BYTES));
     let mut sweep = OuterSweep::new();
-    sweep.decode(s1.tile, ctx.m);
-    tile_pair_body(kind, &mut sweep, s1, s2, ctx, p, y);
+    sweep.decode(t1, ctx.m);
+    tile_pair_body(kind, &mut sweep, t1, s2, ctx, p, y);
 }
 
 /// The per-sweep state of a tile-pair sweep over one outer tile: the outer
@@ -440,8 +426,10 @@ pub fn tile_pair_product_with_panels<T: Scalar, E: Copy + Default, K: BaseKernel
 /// `entries` holds the output row offset `(row₁+i)·m`, the right-hand-side
 /// row offset `(col₁+j)·m`, the weight at the vector precision and the
 /// label. Every run of the packed loop in the sweep reads it (sparse×sparse,
-/// and dense×sparse with the outer tile the sparser), and so does every
-/// dense×dense pair, a block of `y` per run of entries with one output row.
+/// and dense×sparse with the outer tile the sparser), and so does every pair
+/// routed to a dense form: dense×dense adds a block of `y` per run of
+/// entries with one output row, and dense-rows one register chain per such
+/// run and inner nonzero.
 /// `coefficients` holds one coefficient per nonzero of a run, so a run holds
 /// at most [`TILE_AREA`] nonzeros. Only a sweep that forms its coefficients
 /// in place ([`Coefficients::Form`]) uses it: a sweep that records or
@@ -473,17 +461,18 @@ impl<T: Scalar, E: Copy + Default> OuterSweep<T, E> {
     }
 }
 
-/// One tile pair's product, with the first tile already decoded into
+/// One tile pair's product, with the first tile `t1` already decoded into
 /// `sweep`: the body [`tile_pair_product_with_panels`] runs, and the one the
 /// octile operator's sweep runs for the pairs it routes to a dense form.
-/// Dense×dense reads the first tile from `sweep`, dense-rows from its
-/// panels. A pair routed to the packed loop is a run of one tile here, its
-/// mask decoded on the stack.
+/// Both dense forms read the first tile from `sweep`, dense-rows its packed
+/// labels too; only dense×dense reads the second tile's panels. A pair
+/// routed to the packed loop is a run of one tile here, its mask decoded on
+/// the stack.
 #[inline]
 pub(crate) fn tile_pair_body<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     kind: TileProductKind,
     sweep: &mut OuterSweep<T, E>,
-    s1: PaneledTile<'_, E>,
+    t1: &Octile<E>,
     s2: PaneledTile<'_, E>,
     ctx: PairContext<'_, K>,
     p: &[T],
@@ -492,9 +481,9 @@ pub(crate) fn tile_pair_body<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     let PairContext { n, m, kernel, .. } = ctx;
     debug_assert_eq!(p.len(), n * m);
     debug_assert_eq!(y.len(), n * m);
-    debug_assert_eq!(sweep.len, s1.tile.nnz(), "the sweep holds the first tile");
+    debug_assert_eq!(sweep.len, t1.nnz(), "the sweep holds the first tile");
     let t2 = s2.tile;
-    if reads_packed(kind, s1.tile.nnz(), t2.nnz()) {
+    if reads_packed(kind, t1.nnz(), t2.nnz()) {
         const SIDE: u32 = TILE_SIZE as u32;
         let (row2, col2) = (t2.row * SIDE, t2.col * SIDE);
         let nnz2 = t2.nnz();
@@ -515,7 +504,7 @@ pub(crate) fn tile_pair_body<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     } else if kind == TileProductKind::DenseDense {
         dense_dense(sweep, s2, m, kernel, p, y);
     } else {
-        dense_rows_direct(t2, s1, (n, m), kernel, p, y);
+        dense_rows_direct(sweep, &t1.labels, t2, kernel, p, y);
     }
 }
 
@@ -864,7 +853,7 @@ impl<E: Copy> TileLayers<E> {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sweep_inner_layers<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     sweep: &mut OuterSweep<T, E>,
-    s1: PaneledTile<'_, E>,
+    t1: &Octile<E>,
     inner: (&[Octile<E>], &[TilePanels<E>]),
     layers: &TileLayers<E>,
     kinds: &KindTable,
@@ -873,7 +862,7 @@ pub(crate) fn sweep_inner_layers<T: Scalar, E: Copy + Default, K: BaseKernel<E>>
     p: &[T],
     y: &mut [T],
 ) {
-    let nnz1 = s1.tile.nnz();
+    let nnz1 = t1.nnz();
     debug_assert_eq!(sweep.len, nnz1, "the sweep holds the outer tile");
     for layer in layers.layers.windows(2) {
         let first = layers.offsets[layer[0]];
@@ -894,85 +883,59 @@ pub(crate) fn sweep_inner_layers<T: Scalar, E: Copy + Default, K: BaseKernel<E>>
                 run = end..end;
                 let k = layers.tiles[slot];
                 let s2 = PaneledTile { tile: &inner.0[k], panels: &inner.1[k] };
-                tile_pair_body(kind, sweep, s1, s2, ctx, p, y);
+                tile_pair_body(kind, sweep, t1, s2, ctx, p, y);
             }
         }
         packed_run(sweep, layers.run(run), coefficients, ctx.kernel, p, y);
     }
 }
 
-/// Evaluate the base kernel between one sparse-operand `label` and each of
-/// the dense tile's packed `labels`, and put the values in their panel slots
-/// `pos`. The evaluation runs over the contiguous packed labels first, where
-/// it vectorizes — through the scatter it cannot — and the values are
-/// scattered after. `packed` is the caller's per-tile-pair scratch: written
-/// before it is read, so never re-zeroed (doing so per sparse nonzero read
-/// −11 % on `gram-sparse`).
-#[inline(always)]
-fn fill_kernel_panel<E, K: BaseKernel<E>>(
-    kernel: &K,
-    label: &E,
-    labels: &[E],
-    pos: &[u8],
-    packed: &mut [f32; TILE_AREA],
-    panel: &mut [f32; TILE_AREA],
-) {
-    debug_assert!(labels.len() == pos.len() && labels.len() <= TILE_AREA);
-    let packed = &mut packed[..labels.len()];
-    for (value, other) in packed.iter_mut().zip(labels) {
-        *value = kernel.eval(label, other);
-    }
-    for (&slot, &value) in pos.iter().zip(packed.iter()) {
-        panel[slot as usize] = value;
-    }
-}
-
-/// Mixed primitive when the *second* tile is the sparser operand: the
-/// outputs for one sparse nonzero vary over the dense tile's rows with
-/// stride `m`, so lanes cannot stay contiguous in `y`. Instead each output
-/// element is accumulated in a register over a branchless sweep of one
-/// dense panel row, with the kernel evaluations scattered into a row-major
-/// panel first.
+/// Mixed primitive when the *second* tile is the sparser operand, with the
+/// first (outer) tile decoded into `outer` and its packed labels `labels`.
+/// The outputs for one sparse nonzero vary over the outer tile's rows with
+/// stride `m`, so lanes cannot stay contiguous in `y`. Instead, per nonzero
+/// of the inner tile `sp`, the kernel is evaluated over the outer tile's
+/// contiguous packed labels, a loop that vectorizes, and each run of decoded
+/// entries that share one output row accumulates its terms in a register
+/// chain that starts from `y`.
+///
+/// These are the terms of [`tile_pair_product_scalar`]'s sparse-second
+/// dense×sparse loop, in its row-major order, as `((w_s·w_d)·κ)·p`, and a
+/// register chain is the same addition sequence as the reference's repeated
+/// `y[yi] += …`. An empty slot or an empty row of the outer tile adds
+/// nothing there or here. A stored zero weight, which the reference skips,
+/// adds an exact `±0.0` here, which changes no `y` that never held `−0.0`
+/// (as for dense×dense's empty slots); testing for it cost 15–25 % of this
+/// loop at the populations the table routes here. So the bits are the
+/// reference's.
 fn dense_rows_direct<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
+    outer: &OuterSweep<T, E>,
+    labels: &[E],
     sp: &Octile<E>,
-    dense: PaneledTile<'_, E>,
-    (n, m): (usize, usize),
     kernel: &K,
     p: &[T],
     y: &mut [T],
 ) {
-    let (dn, dn_panels) = (dense.tile, dense.panels);
     debug_assert_eq!(p.len(), y.len(), "p and y are both length n*m");
-    debug_assert!(dn_panels.nnz <= TILE_AREA);
+    let entries = &outer.entries[..outer.len];
+    debug_assert_eq!(labels.len(), entries.len(), "the sweep holds the outer tile");
     let (srow, scol) = (sp.row as usize * TILE_SIZE, sp.col as usize * TILE_SIZE);
-    let (drow, dcol) = (dn.row as usize * TILE_SIZE, dn.col as usize * TILE_SIZE);
-    let dimax = TILE_SIZE.min(n.saturating_sub(drow));
-    let djmax = TILE_SIZE.min(n.saturating_sub(dcol));
-    let dw = &dn_panels.weights;
-    let nnzd = dn_panels.nnz;
-    let mut kev = [0.0f32; TILE_AREA];
-    let mut packed = [0.0f32; TILE_AREA];
+    let mut values = [0.0f32; TILE_AREA];
+    let values = &mut values[..entries.len()];
     for (si, sj, sw, sl) in sp.iter() {
-        fill_kernel_panel(
-            kernel,
-            &sl,
-            &dn.labels[..nnzd],
-            &dn_panels.pos[..nnzd],
-            &mut packed,
-            &mut kev,
-        );
+        for (value, other) in values.iter_mut().zip(labels) {
+            *value = kernel.eval(&sl, other);
+        }
         let swt = T::from_f32(sw);
-        let gip = srow + si;
-        let gjp = scol + sj;
-        for di in 0..dimax {
-            let yi = (drow + di) * m + gip;
-            let base = di * TILE_SIZE;
-            // a register chain over the row is the same addition sequence
-            // as the reference's repeated `y[yi] += …`
+        let (gip, gjp) = (srow + si, scol + sj);
+        let mut rest = &values[..];
+        for row in entries.chunk_by(|a, b| a.0 == b.0) {
+            let (row_values, tail) = rest.split_at(row.len());
+            rest = tail;
+            let yi = row[0].0 + gip;
             let mut acc = y[yi];
-            for dj in 0..djmax {
-                acc += ((swt * T::from_f32(dw[base + dj])) * T::from_f32(kev[base + dj]))
-                    * p[(dcol + dj) * m + gjp];
+            for (&(_, prow1, wdt, _), &value) in row.iter().zip(row_values) {
+                acc += ((swt * wdt) * T::from_f32(value)) * p[prow1 + gjp];
             }
             y[yi] = acc;
         }
@@ -1456,9 +1419,9 @@ mod tests {
 
     /// Sweep every tile pair of `g1 × g2` through the portable dense×dense
     /// body and through the dispatcher — the AVX2 instantiation where the CPU
-    /// has it — each called directly, then all three primitives (so the
-    /// packed kernel fill and the packed sparse×sparse loop) through the
-    /// public entry, and compare each bit for bit with the scalar reference.
+    /// has it — each called directly, then all three primitives (so
+    /// dense-rows and the packed sparse×sparse loop) through the public
+    /// entry, and compare each bit for bit with the scalar reference.
     fn instantiations_and_fills_agree<T: Scalar, K: BaseKernel<f32> + Copy>(
         g1: &Graph<Unlabeled, f32>,
         g2: &Graph<Unlabeled, f32>,
@@ -1514,9 +1477,9 @@ mod tests {
         assert_eq!(OctileMatrix::from_graph(&empty_row).tiles()[0].row_masks()[3], 0);
         // the corners of the walk over an outer tile's decoded nonzeros:
         // tile (0, 0) stores the 0.0-weight edge (5, 6) between two nonzeros
-        // of row 5, tile (0, 1) holds vertex 7's edges to 8, 11 and 14, all
-        // in its last row, and tile (2, 0) holds only the edge (17, 7), at
-        // column 7 of its row 1
+        // of row 5 and the edge (5, 7) in column 7, tile (0, 1) holds vertex
+        // 7's edges to 8, 11 and 14, all in its last row, and tile (2, 0)
+        // holds only the edge (17, 7), at column 7 of its row 1
         let corners = {
             let mut b: GraphBuilder<Unlabeled, f32> = GraphBuilder::new();
             for _ in 0..20 {
@@ -1535,15 +1498,23 @@ mod tests {
         let corner_tiles = OctileMatrix::from_graph(&corners);
         let tile =
             |row, col| corner_tiles.tiles().iter().find(|t| (t.row, t.col) == (row, col)).unwrap();
+        const COLUMN_7: u64 = 0x8080_8080_8080_8080;
         assert!(tile(0, 0).weights.contains(&0.0));
+        assert_ne!(tile(0, 0).mask & COLUMN_7, 0);
         assert_eq!(tile(0, 1).row_masks()[..TILE_SIZE - 1], [0; TILE_SIZE - 1]);
         assert_eq!(tile(2, 0).mask, 1 << (TILE_SIZE + 7));
+        // forced dense×sparse runs dense-rows on tiles (0, 0) and (0, 1) as
+        // outer tiles: the partner below has a sparser tile than either
+        let partner = small_graph(6, 13, &[(2, 9)]);
+        let partner_tiles = OctileMatrix::from_graph(&partner);
+        let sparsest = partner_tiles.tiles().iter().map(Octile::nnz).min().unwrap();
+        assert!(tile(0, 0).nnz() > sparsest && tile(0, 1).nnz() > sparsest);
         // edge tiles: neither 19, 13, 25, 9, 12 nor 20 is a multiple of 8
         let pairs = [
             (small_graph(1, 19, &[(0, 10), (3, 15)]), small_graph(2, 13, &[(1, 9)])),
             (small_graph(3, 25, &[(0, 20), (5, 17), (2, 11)]), small_graph(4, 9, &[])),
             (empty_row, small_graph(5, 13, &[(2, 7)])),
-            (corners.clone(), small_graph(6, 13, &[(2, 9)])),
+            (corners.clone(), partner),
             (small_graph(7, 12, &[(1, 10)]), corners),
         ];
         for (g1, g2) in &pairs {

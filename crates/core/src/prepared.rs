@@ -24,11 +24,10 @@ use std::sync::Arc;
 use mgk_graph::Graph;
 use mgk_tile::OctileMatrix;
 
-use crate::octile_ops::TilePanels;
-
 /// An immutable structure ready to be paired with any other: the prepared
 /// (stopping-probability-overridden, reordered) graph, the reordering that
-/// produced it, its Laplacian degrees and its octile matrix.
+/// produced it, its Laplacian degrees and its octile matrix. It holds no
+/// panel: a system expands its inner operand's, and only those.
 #[derive(Debug)]
 pub struct PreparedGraph<V, E> {
     graph: Graph<V, E>,
@@ -39,13 +38,6 @@ pub struct PreparedGraph<V, E> {
     /// `Arc`-shared with the product systems of the pairs this structure is
     /// in, which therefore own their operands without copying a tile.
     matrix: Arc<OctileMatrix<E>>,
-}
-
-/// One operand of the octile operator: a structure's shared octile matrix
-/// and its tiles' expanded panels, parallel to `matrix.tiles()`.
-pub(crate) struct Octiles<E> {
-    pub(crate) matrix: Arc<OctileMatrix<E>>,
-    pub(crate) panels: Vec<TilePanels<E>>,
 }
 
 impl<V, E: Copy + Default> PreparedGraph<V, E> {
@@ -72,14 +64,9 @@ impl<V, E: Copy + Default> PreparedGraph<V, E> {
         &self.degrees
     }
 
-    /// This structure as an operand of one system's octile operator. The
-    /// panels are expanded here, per system, and live as long as it does: at
-    /// 840 B a tile (`f32` labels) they are several times the rest of the
-    /// structure — too much to hold for as long as a serving cache holds the
-    /// structure — and expanding them is the cheapest step of an assembly.
-    pub(crate) fn octiles(&self) -> Octiles<E> {
-        let matrix = Arc::clone(&self.matrix);
-        let panels = matrix.tiles().iter().map(TilePanels::new).collect();
-        Octiles { matrix, panels }
+    /// The octile matrix, shared with a system that takes this structure as
+    /// an operand.
+    pub(crate) fn matrix(&self) -> Arc<OctileMatrix<E>> {
+        Arc::clone(&self.matrix)
     }
 }

@@ -41,13 +41,13 @@ use mgk_kernels::BaseKernel;
 use mgk_linalg::{
     kron_vec, kronecker::generalized_kron_vec, LinearOperator, Scalar, TrafficCounters,
 };
-use mgk_tile::TILE_SIZE;
+use mgk_tile::{OctileMatrix, TILE_SIZE};
 
 use crate::octile_ops::{
     reads_packed, sweep_inner_layers, tile_pair_traffic, Coefficients, KindTable, OuterSweep,
-    PairContext, PaneledTile, TileCosts, TileLayers,
+    PairContext, TileCosts, TileLayers, TilePanels,
 };
-use crate::prepared::{Octiles, PreparedGraph};
+use crate::prepared::PreparedGraph;
 use crate::solver::SolverConfig;
 
 /// The largest product graph whose coefficients a [`SystemOperator`] keeps,
@@ -94,8 +94,8 @@ impl ApplyTraffic {
     /// pair and the write-back follow the vector width. The same loop counts
     /// the packed terms.
     fn octile<E: Copy + Default>(
-        left: &Octiles<E>,
-        right: &Octiles<E>,
+        left: &OctileMatrix<E>,
+        right: &OctileMatrix<E>,
         kinds: &KindTable,
         costs: &TileCosts,
         (n, m): (usize, usize),
@@ -105,9 +105,9 @@ impl ApplyTraffic {
         let tile_bytes = |t: &mgk_tile::Octile<E>| 8 + t.nnz() as u64 * (fb + eb);
         let (mut at_f32, mut at_f64) = (TrafficCounters::new(), TrafficCounters::new());
         let (mut global_loads, mut packed_terms) = (0, 0);
-        for t1 in left.matrix.tiles() {
+        for t1 in left.tiles() {
             global_loads += tile_bytes(t1);
-            for t2 in right.matrix.tiles() {
+            for t2 in right.tiles() {
                 global_loads += tile_bytes(t2).div_ceil(BLOCK_SHARING);
                 global_loads += (TILE_SIZE * TILE_SIZE) as u64 * fb;
                 let kind = kinds.get(t1.nnz(), t2.nnz());
@@ -149,13 +149,18 @@ pub struct ProductSystem<E, KE> {
     stop_product: Vec<f32>,
     /// The outer and inner operands of `A× ∘ E×`, the two-level sparse
     /// octile operator of Section IV: the octile matrices the two
-    /// [`PreparedGraph`]s were built with once. Their panels and the inner
-    /// operand's layer index are built per system, so every CG iteration's
-    /// tile-pair sweep reuses them.
-    left: Octiles<E>,
-    right: Octiles<E>,
-    /// `right`'s tiles in layers, for the packed loop.
+    /// [`PreparedGraph`]s were built with once, shared, not copied.
+    left: Arc<OctileMatrix<E>>,
+    right: Arc<OctileMatrix<E>>,
+    /// `right`'s tiles in layers, for the packed loop: built per system, as
+    /// is `panels`, so every CG iteration's tile-pair sweep reuses them.
     layers: TileLayers<E>,
+    /// `right`'s transposed panels, parallel to its tiles, for dense×dense.
+    /// At 512 B a tile (`f32` labels) they are several times the rest of
+    /// the structure, too much to hold for as long as a serving cache holds
+    /// it, and expanding them is the cheapest step of an assembly. The outer
+    /// operand has none: every primitive reads it decoded.
+    panels: Vec<TilePanels<E>>,
     /// The adaptive-selection table shared by every system of this kernel
     /// cost (the per-pair decision is a lookup, not three cost estimates).
     kinds: Arc<KindTable>,
@@ -214,8 +219,9 @@ where
         let tile_costs =
             TileCosts { label_bytes: cost.label_bytes, float_bytes: 4, kernel_flops: cost.flops };
 
-        let (left, right) = (a.octiles(), b.octiles());
-        let layers = TileLayers::new(right.matrix.tiles());
+        let (left, right) = (a.matrix(), b.matrix());
+        let layers = TileLayers::new(right.tiles());
+        let panels = right.tiles().iter().map(TilePanels::new).collect();
         let kinds = KindTable::shared(cost.flops);
         let dims = (g1.num_vertices(), g2.num_vertices());
         let traffic = ApplyTraffic::octile(&left, &right, &kinds, &tile_costs, dims);
@@ -230,6 +236,7 @@ where
             left,
             right,
             layers,
+            panels,
             kinds,
             traffic,
             edge_kernel,
@@ -318,7 +325,7 @@ where
     /// `nnz(A₁)·nnz(A₂)`: the nonzeros of `A×`, one coefficient each, over
     /// every tile pair whichever loop it is routed to.
     fn product_nnz(&self) -> u64 {
-        (self.left.matrix.num_nonzeros() * self.right.matrix.num_nonzeros()) as u64
+        (self.left.num_nonzeros() * self.right.num_nonzeros()) as u64
     }
 
     /// `y ← (A× ∘ E×) x`, the packed loop taking its coefficients as
@@ -332,14 +339,14 @@ where
             costs: &self.tile_costs,
         };
         let mut sweep = OuterSweep::new();
-        for (t1, p1) in self.left.matrix.tiles().iter().zip(&self.left.panels) {
+        for t1 in self.left.tiles() {
             // the outer tile is loaded once and kept for the whole sweep over
             // the inner graph
             sweep.decode(t1, self.m);
             sweep_inner_layers(
                 &mut sweep,
-                PaneledTile { tile: t1, panels: p1 },
-                (self.right.matrix.tiles(), &self.right.panels),
+                t1,
+                (self.right.tiles(), &self.panels),
                 &self.layers,
                 &self.kinds,
                 coefficients,
@@ -484,8 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn all_three_off_diagonal_modes_agree() {
-        // mgk-bench checks the naive and dense products against this one
+    fn off_diagonal_apply_counts_flops() {
         let x: Vec<f32> = (0..20).map(|k| 0.05 * k as f32 - 0.3).collect();
         let sys = assemble();
         let mut y = vec![0.0f32; 20];
