@@ -9,7 +9,7 @@
 
 use mgk_bench::bench_rng;
 use mgk_datasets::protein::synthetic_structure;
-use mgk_reorder::{nonempty_tiles_of_order, ReorderMethod};
+use mgk_reorder::{hilbert_order, nonempty_tiles_of_order, ReorderMethod};
 
 fn main() {
     let mut rng = bench_rng();
@@ -24,19 +24,16 @@ fn main() {
         "structure", "atoms", "contacts", "natural", "RCM", "PBR", "Hilbert"
     );
     for (name, s) in [("2ONW-like (small)", &small), ("1AY3-like (large)", &large)] {
-        let tiles = |method: ReorderMethod| {
-            let order = method.compute_order(&s.graph, Some(&s.coordinates));
-            nonempty_tiles_of_order(&s.graph, &order, 8)
-        };
+        let tiles = |order: Vec<u32>| nonempty_tiles_of_order(&s.graph, &order, 8);
         println!(
             "{:<18} {:>8} {:>10} {:>8} {:>8} {:>8} {:>8}",
             name,
             s.graph.num_vertices(),
             s.graph.num_edges(),
-            tiles(ReorderMethod::Natural),
-            tiles(ReorderMethod::Rcm),
-            tiles(ReorderMethod::Pbr),
-            tiles(ReorderMethod::Hilbert),
+            tiles(ReorderMethod::Natural.compute_order(&s.graph)),
+            tiles(ReorderMethod::Rcm.compute_order(&s.graph)),
+            tiles(ReorderMethod::Pbr.compute_order(&s.graph)),
+            tiles(hilbert_order(&s.coordinates)),
         );
     }
 

@@ -11,15 +11,12 @@ use mgk_tile::{OctileMatrix, TileDensityStats};
 
 fn dataset_stats<V: Clone, E: Copy + Default>(
     graphs: &[Graph<V, E>],
-    coords: Option<&[Vec<[f32; 3]>]>,
     method: ReorderMethod,
 ) -> TileDensityStats {
     let per_graph: Vec<TileDensityStats> = graphs
         .iter()
-        .enumerate()
-        .map(|(i, g)| {
-            let order = method.compute_order(g, coords.map(|c| c[i].as_slice()));
-            let permuted = g.permute(&order);
+        .map(|g| {
+            let permuted = g.permute(&method.compute_order(g));
             TileDensityStats::of(&OctileMatrix::from_graph(&permuted.map_labels(|_| (), |e| *e)))
         })
         .collect();
@@ -41,7 +38,6 @@ fn main() {
     let per_set = scaled(24, 4);
     let data = benchmark_datasets(per_set);
     let protein_graphs: Vec<_> = data.protein.iter().map(|s| s.graph.clone()).collect();
-    let protein_coords: Vec<_> = data.protein.iter().map(|s| s.coordinates.clone()).collect();
 
     println!(
         "Fig. 7 — octile occupancy across datasets ({per_set} graphs per dataset), tile size 8\n"
@@ -68,12 +64,10 @@ fn main() {
         println!();
     };
 
-    report("Protein crystal structure", &|m| {
-        dataset_stats(&protein_graphs, Some(&protein_coords), m)
-    });
-    report("DrugBank-like molecules", &|m| dataset_stats(&data.drugbank, None, m));
-    report("Newman-Watts-Strogatz", &|m| dataset_stats(&data.small_world, None, m));
-    report("Barabási-Albert", &|m| dataset_stats(&data.scale_free, None, m));
+    report("Protein crystal structure", &|m| dataset_stats(&protein_graphs, m));
+    report("DrugBank-like molecules", &|m| dataset_stats(&data.drugbank, m));
+    report("Newman-Watts-Strogatz", &|m| dataset_stats(&data.small_world, m));
+    report("Barabási-Albert", &|m| dataset_stats(&data.scale_free, m));
 
     println!("Paper reference (non-empty tiles, natural/RCM/PBR):");
     println!("  protein 36%/37%/27%   DrugBank 50%/43%/43%   NWS 51%/57%/41%   BA 97%/93%/74%");

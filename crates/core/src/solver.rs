@@ -346,7 +346,7 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
             return (stopped, None);
         }
         let base = stopped.as_ref().unwrap_or(g);
-        let order = self.config.reorder.compute_order(base, None);
+        let order = self.config.reorder.compute_order(base);
         (Some(base.permute(&order)), Some(order))
     }
 }

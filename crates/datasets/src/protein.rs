@@ -13,7 +13,8 @@ use mgk_graph::{generators, Element, Graph};
 use rand::Rng;
 
 /// One synthetic protein structure: the labeled graph plus the raw atom
-/// coordinates (used by the space-filling-curve reorderings).
+/// coordinates (`fig6_reorder_examples` and the `protein_contact_maps`
+/// example order them with `mgk_reorder::hilbert_order`).
 #[derive(Debug, Clone)]
 pub struct ProteinStructure {
     /// Spatial-adjacency graph: elements on vertices, interatomic distances

@@ -77,7 +77,7 @@ fn ensemble_orders_are_pinned() {
         hash_orders(&geometric, &cfg),
     ];
     for tile_size in [1, 3, 5, 16] {
-        hashes.push(hash_orders(&ba, &PbrConfig { tile_size, ..cfg }));
+        hashes.push(hash_orders(&ba, &PbrConfig { tile_size }));
     }
     let pinned: [u64; 8] = [
         0x6e7a_4532_aa01_f815, // NWS-96

@@ -159,8 +159,8 @@ pub fn erdos_renyi<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph<Unla
 /// the Euclidean distance — the same adjacency rule the paper applies to 3D
 /// protein structures (Section VI-B).
 ///
-/// Returns the graph together with the generated coordinates (used by the
-/// space-filling-curve reorderings).
+/// Returns the graph together with the generated coordinates, which
+/// `mgk_reorder::hilbert_order` can order along a Hilbert curve.
 pub fn random_geometric<R: Rng + ?Sized>(
     n: usize,
     radius: f32,

@@ -2,17 +2,19 @@
 //!
 //! Section IV-A of the paper exploits inter-tile sparsity by renumbering
 //! the vertices of each graph so that its nonzeros aggregate into as few
-//! 8×8 tiles as possible. Four families of heuristics are compared:
+//! 8×8 tiles as possible. [`ReorderMethod`] holds the orders a solver can
+//! run from the graph alone:
 //!
 //! * [`pbr_order`] — the paper's partition-based reordering (PBR):
 //!   recursive bisection with Fiduccia–Mattheyses refinement, targeting the
 //!   non-empty-tile objective directly. The paper finds this the most
 //!   effective method across all datasets.
-//! * [`ReorderMethod::Rcm`] — Reverse Cuthill–McKee bandwidth reduction.
-//! * [`ReorderMethod::Morton`] / [`ReorderMethod::Hilbert`] — space-filling
-//!   curve orders for graphs whose vertices carry a 3D embedding.
-//! * [`ReorderMethod::Tsp`] — a travelling-salesman heuristic over row
-//!   similarity (nearest neighbour construction + 2-opt refinement).
+//! * [`ReorderMethod::Rcm`] — Reverse Cuthill–McKee bandwidth reduction,
+//!   the paper's baseline.
+//!
+//! [`hilbert_order`] orders vertices that carry a 3D embedding along a
+//! Hilbert curve; it reads coordinates, not the graph, so only the report
+//! bins and examples that hold coordinates call it.
 //!
 //! All orderings are returned in the same convention used by
 //! [`mgk_graph::Graph::permute`]: `order[k]` is the original index of the
@@ -35,10 +37,10 @@ mod objective;
 mod pbr;
 mod rcm;
 mod sfc;
-mod tsp;
 
 pub use objective::{count_nonempty_tiles, nonempty_tiles_of_order};
 pub use pbr::{pbr_order, PbrConfig};
+pub use sfc::hilbert_order;
 
 use mgk_graph::Graph;
 
@@ -52,35 +54,15 @@ pub enum ReorderMethod {
     Rcm,
     /// Partition-based reordering (the paper's contribution).
     Pbr,
-    /// Morton (Z-order) curve over a 3D embedding; falls back to RCM when
-    /// no coordinates are available.
-    Morton,
-    /// Hilbert curve over a 3D embedding; falls back to RCM when no
-    /// coordinates are available.
-    Hilbert,
-    /// Travelling-salesman heuristic over adjacency-row similarity.
-    Tsp,
 }
 
 impl ReorderMethod {
-    /// Compute the vertex order for `g` under this method. `coords`
-    /// supplies an optional 3D embedding used by the space-filling-curve
-    /// methods.
-    pub fn compute_order<V, E>(self, g: &Graph<V, E>, coords: Option<&[[f32; 3]]>) -> Vec<u32> {
-        let n = g.num_vertices();
+    /// Compute the vertex order for `g` under this method.
+    pub fn compute_order<V, E>(self, g: &Graph<V, E>) -> Vec<u32> {
         match self {
-            ReorderMethod::Natural => (0..n as u32).collect(),
+            ReorderMethod::Natural => (0..g.num_vertices() as u32).collect(),
             ReorderMethod::Rcm => rcm::rcm_order(g),
             ReorderMethod::Pbr => pbr_order(g, &PbrConfig::default()),
-            ReorderMethod::Morton => match coords {
-                Some(c) => sfc::morton_order(c),
-                None => rcm::rcm_order(g),
-            },
-            ReorderMethod::Hilbert => match coords {
-                Some(c) => sfc::hilbert_order(c),
-                None => rcm::rcm_order(g),
-            },
-            ReorderMethod::Tsp => tsp::tsp_order(g),
         }
     }
 
@@ -90,15 +72,12 @@ impl ReorderMethod {
             ReorderMethod::Natural => "natural",
             ReorderMethod::Rcm => "RCM",
             ReorderMethod::Pbr => "PBR",
-            ReorderMethod::Morton => "Morton",
-            ReorderMethod::Hilbert => "Hilbert",
-            ReorderMethod::Tsp => "TSP",
         }
     }
 }
 
-/// Check that `order` is a permutation of `0..n`. Used by tests and debug
-/// assertions throughout the crate.
+/// Check that `order` is a permutation of `0..n`. Only tests call it: this
+/// crate's, and the workspace's property tests.
 pub fn is_permutation(order: &[u32], n: usize) -> bool {
     if order.len() != n {
         return false;
@@ -122,7 +101,7 @@ mod tests {
     #[test]
     fn natural_order_is_identity() {
         let g = Graph::from_edge_list(5, &[(0, 1), (3, 4)]);
-        let order = ReorderMethod::Natural.compute_order(&g, None);
+        let order = ReorderMethod::Natural.compute_order(&g);
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
     }
 
@@ -132,26 +111,10 @@ mod tests {
             20,
             &[(0, 5), (5, 10), (10, 15), (15, 19), (1, 2), (2, 3), (7, 8), (12, 13), (0, 19)],
         );
-        let coords: Vec<[f32; 3]> = (0..20).map(|i| [i as f32, (i % 3) as f32, 0.0]).collect();
-        for m in [
-            ReorderMethod::Natural,
-            ReorderMethod::Rcm,
-            ReorderMethod::Pbr,
-            ReorderMethod::Morton,
-            ReorderMethod::Hilbert,
-            ReorderMethod::Tsp,
-        ] {
-            let order = m.compute_order(&g, Some(&coords));
+        for m in [ReorderMethod::Natural, ReorderMethod::Rcm, ReorderMethod::Pbr] {
+            let order = m.compute_order(&g);
             assert!(is_permutation(&order, 20), "{} did not return a permutation", m.name());
         }
-    }
-
-    #[test]
-    fn sfc_methods_fall_back_without_coordinates() {
-        let g = Graph::from_edge_list(10, &[(0, 1), (1, 2), (8, 9)]);
-        let morton = ReorderMethod::Morton.compute_order(&g, None);
-        let rcm = ReorderMethod::Rcm.compute_order(&g, None);
-        assert_eq!(morton, rcm);
     }
 
     #[test]

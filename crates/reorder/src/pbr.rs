@@ -91,24 +91,29 @@
 
 use mgk_graph::Graph;
 
-/// Tuning parameters of the PBR algorithm.
+/// Number of FM refinement passes per bisection. The paper's partitioner
+/// uses boundary FM with a tight balance constraint; a handful of passes is
+/// enough for the graph sizes at hand.
+const REFINEMENT_PASSES: usize = 6;
+
+/// Upper bound on the number of swaps attempted per FM pass, as a multiple
+/// of the subset size.
+const MAX_SWAP_FRACTION: f64 = 0.5;
+
+/// Number of passes of the final partition-level refinement.
+const FINAL_PASSES: usize = 5;
+
+/// Parameters of the PBR algorithm.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PbrConfig {
     /// Tile size `t`; parts of the implied partition have exactly this many
     /// vertices (the last one possibly fewer). The paper uses 8.
     pub tile_size: usize,
-    /// Number of refinement passes per bisection. The paper's partitioner
-    /// uses boundary FM with a tight balance constraint; a handful of
-    /// passes is enough for the graph sizes at hand.
-    pub refinement_passes: usize,
-    /// Upper bound on the number of swaps attempted per pass, as a multiple
-    /// of the subset size.
-    pub max_swap_fraction: f64,
 }
 
 impl Default for PbrConfig {
     fn default() -> Self {
-        PbrConfig { tile_size: 8, refinement_passes: 6, max_swap_fraction: 0.5 }
+        PbrConfig { tile_size: 8 }
     }
 }
 
@@ -117,8 +122,8 @@ pub fn pbr_order<V, E>(g: &Graph<V, E>, cfg: &PbrConfig) -> Vec<u32> {
     assert!(cfg.tile_size >= 1, "tile size must be at least 1");
     let csr = Csr::new(g);
     let mut order: Vec<u32> = (0..csr.len() as u32).collect();
-    Bisection::new(&csr, cfg).bisect(&mut order);
-    refine_tile_partition(&csr, order, cfg.tile_size, 5)
+    Bisection::new(&csr, cfg.tile_size).bisect(&mut order);
+    refine_tile_partition(&csr, order, cfg.tile_size)
 }
 
 /// The graph's adjacency as compressed sparse rows, in its stored
@@ -204,12 +209,12 @@ fn count_outside(x: &[u64], y: &[u64], p: usize, q: usize) -> u32 {
 /// Committing moves each edge of `u` and `w` (but the one between them,
 /// which joins the same two parts after the swap) from its old part pair to
 /// its new one.
-fn refine_tile_partition(csr: &Csr, order: Vec<u32>, tile_size: usize, passes: usize) -> Vec<u32> {
+fn refine_tile_partition(csr: &Csr, order: Vec<u32>, tile_size: usize) -> Vec<u32> {
     if order.len() <= tile_size {
         return order;
     }
     let mut tiles = TilePartition::new(csr, order, tile_size);
-    for _ in 0..passes {
+    for _ in 0..FINAL_PASSES {
         let mut improved = false;
         for u in 0..tiles.order.len() {
             improved |= tiles.visit(u);
@@ -528,7 +533,7 @@ impl Buckets {
 /// order, split in place into its left and right halves.
 struct Bisection<'a> {
     csr: &'a Csr,
-    cfg: &'a PbrConfig,
+    tile_size: usize,
     /// global vertex -> index in the current sub-problem, `u32::MAX` outside
     local: Vec<u32>,
     /// the sub-problem's induced subgraph as CSR over local indices
@@ -548,12 +553,12 @@ struct Bisection<'a> {
 }
 
 impl<'a> Bisection<'a> {
-    fn new(csr: &'a Csr, cfg: &'a PbrConfig) -> Self {
+    fn new(csr: &'a Csr, tile_size: usize) -> Self {
         let n = csr.len();
         let max_degree = (0..n).map(|v| csr.neighbors(v).len()).max().unwrap_or(0);
         Bisection {
             csr,
-            cfg,
+            tile_size,
             local: vec![u32::MAX; n],
             sub_offsets: Vec::with_capacity(n + 1),
             sub_targets: Vec::with_capacity(csr.targets.len()),
@@ -568,7 +573,7 @@ impl<'a> Bisection<'a> {
     }
 
     fn bisect(&mut self, verts: &mut [u32]) {
-        let t = self.cfg.tile_size;
+        let t = self.tile_size;
         if verts.len() <= t {
             return;
         }
@@ -667,10 +672,10 @@ impl<'a> Bisection<'a> {
         // --- FM-style refinement with balance-preserving swaps -----------
         // a swap of (l, r) changes the cut by -(gain_l + gain_r - 2·[l ~ r]);
         // a gain g sits on bucket level g + Δ
-        let max_swaps = ((n_sub as f64 * self.cfg.max_swap_fraction) as usize).max(1);
+        let max_swaps = ((n_sub as f64 * MAX_SWAP_FRACTION) as usize).max(1);
         let offset = max_degree as i64;
         let level = |gain: i64| (gain + offset) as usize;
-        for _pass in 0..self.cfg.refinement_passes {
+        for _pass in 0..REFINEMENT_PASSES {
             self.left.reset(2 * max_degree + 1, n_sub);
             self.right.reset(2 * max_degree + 1, n_sub);
             self.gain.clear();
@@ -915,7 +920,7 @@ mod tests {
         hashes.push(fnv1a(&pbr_order(&Graph::from_edge_list(16, &cliques), &cfg)));
         let odd = generators::barabasi_albert(45, 3, &mut rng);
         hashes.push(fnv1a(&pbr_order(&odd, &cfg)));
-        let small_tiles = PbrConfig { tile_size: 4, ..cfg };
+        let small_tiles = PbrConfig { tile_size: 4 };
         let g = generators::newman_watts_strogatz(50, 2, 0.2, &mut rng);
         hashes.push(fnv1a(&pbr_order(&g, &small_tiles)));
         let pinned: [u64; 12] = [
@@ -1032,7 +1037,7 @@ mod tests {
     fn custom_tile_size_is_respected() {
         let mut rng = StdRng::seed_from_u64(3);
         let g = generators::barabasi_albert(40, 3, &mut rng);
-        let cfg = PbrConfig { tile_size: 4, ..PbrConfig::default() };
+        let cfg = PbrConfig { tile_size: 4 };
         let order = pbr_order(&g, &cfg);
         assert!(is_permutation(&order, 40));
     }

@@ -1,34 +1,28 @@
-//! Space-filling-curve orders for graphs embedded in 3D Euclidean space
-//! (the Morton/Hilbert option of Section IV-A, reference \[12\]).
+//! The Hilbert-curve order for vertices embedded in 3D Euclidean space
+//! (the space-filling-curve option of Section IV-A, reference \[12\]).
 //!
 //! When vertices carry coordinates (e.g. atoms of a 3D molecular
 //! structure), ordering them along a space-filling curve places spatially
 //! close vertices — which are exactly the ones connected by the spatial
 //! adjacency rule — next to each other, concentrating nonzeros near the
-//! diagonal of the adjacency matrix.
+//! diagonal of the adjacency matrix. The order reads the coordinates, not
+//! the graph, so it is a free function rather than a [`crate::ReorderMethod`]:
+//! a solver holds no coordinates.
 
 /// Number of bits used per coordinate when quantizing positions onto the
 /// curve (10 bits × 3 axes = 30-bit keys).
 const BITS: u32 = 10;
 
-/// Order vertices along the Morton (Z-order) curve of their 3D coordinates.
-pub fn morton_order(coords: &[[f32; 3]]) -> Vec<u32> {
-    order_by_key(coords, morton_key)
-}
-
-/// Order vertices along the Hilbert curve of their 3D coordinates.
+/// Order vertices along the Hilbert curve of their 3D coordinates, in the
+/// convention of [`mgk_graph::Graph::permute`].
 ///
 /// Uses the axes-to-transpose algorithm (Skilling, 2004) to convert the
 /// quantized coordinates into a Hilbert index.
 pub fn hilbert_order(coords: &[[f32; 3]]) -> Vec<u32> {
-    order_by_key(coords, hilbert_key)
-}
-
-fn order_by_key(coords: &[[f32; 3]], key: impl Fn([u32; 3]) -> u128) -> Vec<u32> {
     let quantized = quantize(coords);
     let mut idx: Vec<u32> = (0..coords.len() as u32).collect();
     // sort by curve key, breaking ties by original index for determinism
-    idx.sort_by_key(|&i| (key(quantized[i as usize]), i));
+    idx.sort_by_key(|&i| (hilbert_key(quantized[i as usize]), i));
     idx
 }
 
@@ -62,18 +56,6 @@ fn quantize(coords: &[[f32; 3]]) -> Vec<[u32; 3]> {
             })
         })
         .collect()
-}
-
-/// Interleave the bits of the three quantized coordinates (Morton code).
-fn morton_key(q: [u32; 3]) -> u128 {
-    let mut key: u128 = 0;
-    for bit in 0..BITS {
-        for (axis, &v) in q.iter().enumerate() {
-            let b = ((v >> bit) & 1) as u128;
-            key |= b << (3 * bit + axis as u32);
-        }
-    }
-    key
 }
 
 /// Hilbert curve key via the transpose representation (Skilling's
@@ -118,10 +100,9 @@ fn hilbert_key(q: [u32; 3]) -> u128 {
     // axis `a` contributes to position `(BITS-1-b)*3 + a` from the top
     let mut key: u128 = 0;
     for bit in (0..BITS).rev() {
-        for (axis, &v) in x.iter().enumerate() {
+        for &v in &x {
             let b = ((v >> bit) & 1) as u128;
             key = (key << 1) | b;
-            let _ = axis;
         }
     }
     key
@@ -147,19 +128,11 @@ mod tests {
     #[test]
     fn orders_are_permutations() {
         let pts = grid_points(3);
-        assert!(is_permutation(&morton_order(&pts), 27));
         assert!(is_permutation(&hilbert_order(&pts), 27));
-    }
-
-    #[test]
-    fn collinear_points_are_ordered_along_the_line_by_morton() {
-        // with y = z = 0 the Morton key reduces to the x bits, so the order
-        // must be monotone in x. (The 3D Hilbert curve leaves and re-enters
-        // the axis, so the same is deliberately not asserted for it.)
-        let pts: Vec<[f32; 3]> = (0..10).map(|i| [i as f32, 0.0, 0.0]).collect();
-        let m = morton_order(&pts);
-        assert_eq!(m, (0..10u32).collect::<Vec<_>>());
-        assert!(is_permutation(&hilbert_order(&pts), 10));
+        // collinear points: the 3D Hilbert curve leaves and re-enters the
+        // axis, so only the permutation is asserted
+        let line: Vec<[f32; 3]> = (0..10).map(|i| [i as f32, 0.0, 0.0]).collect();
+        assert!(is_permutation(&hilbert_order(&line), 10));
     }
 
     #[test]
@@ -182,7 +155,6 @@ mod tests {
     #[test]
     fn identical_points_keep_index_order() {
         let pts = vec![[1.0, 1.0, 1.0]; 5];
-        assert_eq!(morton_order(&pts), vec![0, 1, 2, 3, 4]);
         assert_eq!(hilbert_order(&pts), vec![0, 1, 2, 3, 4]);
     }
 
@@ -205,19 +177,14 @@ mod tests {
         let mut scrambled: Vec<u32> = (0..64).collect();
         scrambled.sort_by_key(|&i| (i * 37) % 64);
         let t_scrambled = travel(&scrambled);
-        let t_morton = travel(&morton_order(&pts));
         let t_hilbert = travel(&hilbert_order(&pts));
-        assert!(t_morton < t_scrambled, "morton {t_morton} vs scrambled {t_scrambled}");
         assert!(t_hilbert < t_scrambled, "hilbert {t_hilbert} vs scrambled {t_scrambled}");
         // the Hilbert curve never jumps: each step is a unit move on the grid
         assert!((t_hilbert - 63.0).abs() < 1e-3, "hilbert travel should be 63, got {t_hilbert}");
-        // Morton has jumps, so Hilbert should not be worse
-        assert!(t_hilbert <= t_morton + 1e-3);
     }
 
     #[test]
     fn empty_input() {
-        assert!(morton_order(&[]).is_empty());
         assert!(hilbert_order(&[]).is_empty());
     }
 }

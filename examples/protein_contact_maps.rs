@@ -17,7 +17,7 @@
 use mgk::datasets::protein;
 use mgk::kernels::{KroneckerDelta, SquareExponential};
 use mgk::prelude::*;
-use mgk::reorder::ReorderMethod;
+use mgk::reorder::{hilbert_order, nonempty_tiles_of_order, ReorderMethod};
 use mgk::tile::{OctileMatrix, TileDensityStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,22 +34,19 @@ fn main() {
     println!("\nnon-empty 8×8 tiles under different vertex orders:");
     println!("{:>6} {:>10} {:>10} {:>10} {:>10}", "id", "natural", "RCM", "PBR", "Hilbert");
     for (i, s) in structures.iter().enumerate() {
-        let count = |method: ReorderMethod| {
-            let order = method.compute_order(&s.graph, Some(&s.coordinates));
-            mgk::reorder::nonempty_tiles_of_order(&s.graph, &order, 8)
-        };
+        let count = |order: Vec<u32>| nonempty_tiles_of_order(&s.graph, &order, 8);
         println!(
             "{:>6} {:>10} {:>10} {:>10} {:>10}",
             i,
-            count(ReorderMethod::Natural),
-            count(ReorderMethod::Rcm),
-            count(ReorderMethod::Pbr),
-            count(ReorderMethod::Hilbert),
+            count(ReorderMethod::Natural.compute_order(&s.graph)),
+            count(ReorderMethod::Rcm.compute_order(&s.graph)),
+            count(ReorderMethod::Pbr.compute_order(&s.graph)),
+            count(hilbert_order(&s.coordinates)),
         );
     }
 
     // tile density of the first structure under PBR
-    let order = ReorderMethod::Pbr.compute_order(&structures[0].graph, None);
+    let order = ReorderMethod::Pbr.compute_order(&structures[0].graph);
     let reordered = structures[0].graph.permute(&order);
     let stats = TileDensityStats::of(&OctileMatrix::from_graph(&reordered));
     println!(

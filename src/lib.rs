@@ -13,8 +13,9 @@
 //! * [`kernels`] — base vertex/edge micro-kernels (Kronecker delta, square
 //!   exponential, …) with cost metadata.
 //! * [`tile`] — the octile (8×8 tile, bitmap-compressed) sparse format.
-//! * [`reorder`] — RCM, partition-based (PBR), space-filling-curve and TSP
-//!   node reorderings that minimize the number of non-empty octiles.
+//! * [`reorder`] — partition-based (PBR) and RCM node reorderings that
+//!   minimize the number of non-empty octiles, and a Hilbert-curve order
+//!   over 3D coordinates.
 //! * [`solver`] — the core contribution: on-the-fly Kronecker-product
 //!   matrix-vector primitives, the PCG marginalized-graph-kernel solver and
 //!   the parallel Gram-matrix engine.

@@ -133,13 +133,13 @@ fn reordering_never_changes_kernel_values_only_tile_counts() {
         solver.kernel(g1, g2).unwrap().value
     };
     let natural = value_with(ReorderMethod::Natural);
-    for method in [ReorderMethod::Rcm, ReorderMethod::Pbr, ReorderMethod::Tsp] {
+    for method in [ReorderMethod::Rcm, ReorderMethod::Pbr] {
         let v = value_with(method);
         assert!((v - natural).abs() < 1e-4 * natural.abs(), "{method:?}: {v} vs {natural}");
     }
     // but the tile counts do change (that is the whole point of reordering)
     let natural_tiles = mgk::reorder::count_nonempty_tiles(g1, 8);
-    let pbr_order = ReorderMethod::Pbr.compute_order(g1, None);
+    let pbr_order = ReorderMethod::Pbr.compute_order(g1);
     let pbr_tiles = mgk::reorder::nonempty_tiles_of_order(g1, &pbr_order, 8);
     assert!(pbr_tiles <= natural_tiles);
 }
