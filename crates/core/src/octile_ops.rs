@@ -10,9 +10,12 @@
 //! for every pair of nonzeros `(i, j) ∈ tile₁`, `(i', j') ∈ tile₂`. Three
 //! primitives cover the density spectrum:
 //!
-//! * [`TileProductKind::DenseDense`] — both tiles expanded to dense 8×8
-//!   blocks; all 64×64 products are evaluated (fast, regular, but wasteful
-//!   on near-empty tiles).
+//! * [`TileProductKind::DenseDense`] — the first tile's nonzeros against
+//!   the second tile expanded to a dense 8×8 block: per nonzero of the
+//!   first, all 64 slots of the second are evaluated, an empty one as an
+//!   exact zero (fast, regular, but wasteful on a near-empty second tile).
+//!   The GPU kernel it models expands both tiles and evaluates all 64×64
+//!   products, and the traffic forms below count that.
 //! * [`TileProductKind::DenseSparse`] — the sparser tile is iterated via
 //!   its occupancy bitmap, the denser one as a dense block.
 //! * [`TileProductKind::SparseSparse`] — both tiles iterated via their
@@ -62,20 +65,41 @@
 //! elements: a bounds check per lane keeps a loop scalar whatever the
 //! kernel is.
 //!
-//! The dense×dense primitive additionally has an AVX2 instantiation, chosen
-//! at run time by `is_x86_feature_detected!("avx2")`. It is the *same source
-//! body* compiled under `#[target_feature(enable = "avx2")]`, without FMA —
-//! Rust never contracts `a * b + c` on its own — so each lane executes the
-//! same IEEE-754 multiplies and adds and the two instantiations are
-//! bit-identical to each other and to [`tile_pair_product_scalar`]
-//! (asserted by a unit test that calls each directly). There is nothing to
-//! configure; elsewhere the portable instantiation is the only one.
+//! The dense×dense primitive has three instantiations of *one source body*,
+//! none with FMA. Rust never contracts `a * b + c` on its own, and a fused
+//! multiply-add rounds once where the reference rounds twice, so each lane
+//! of every instantiation executes the same IEEE-754 multiplies and adds,
+//! and all three are bit-identical to each other and to
+//! [`tile_pair_product_scalar`] (asserted by a unit test that calls each
+//! directly):
+//!
+//! * the portable one, one inner column (8 lanes) a step;
+//! * an AVX2 one, the same body compiled under
+//!   `#[target_feature(enable = "avx2")]` and chosen per call by
+//!   `is_x86_feature_detected!("avx2")`;
+//! * an AVX-512 one, inside the whole octile sweep compiled under
+//!   `#[target_feature(enable = "avx512f")]`: it evaluates the kernel over
+//!   two inner columns (16 lanes) a step, then adds their terms into the
+//!   8-lane block column by column, so every lane's sum keeps its order.
+//!
+//! A `ProductSystem` picks the AVX-512 sweep once, at assembly, where the
+//! CPU has AVX-512F and the edge kernel costs at least 8 FLOPs by its
+//! `KernelCost`: the square exponential (11), not the unit kernel (3) or the
+//! Kronecker delta (4). The wider vector halves the instructions of the
+//! kernel evaluation, which is a lane's work only when the kernel is
+//! costly; a cheap kernel gains nothing from the width, and intermittent
+//! 512-bit code costs clock. There is nothing to configure; elsewhere the
+//! portable instantiation is the only one.
 //!
 //! Measured by the benchmark's traced `gram-dense` run (square-exponential
 //! edge kernel, one pinned 2.1 GHz Xeon core, seed 1, medians of five
 //! alternated pairs), libm `expf` → the inlined polynomial, ns per tile
 //! pair: dense×dense 10022 → 2458, dense×sparse 5967 → 3292;
-//! `product.apply_gflops` 3.7 → 13.6.
+//! `product.apply_gflops` 3.7 → 13.6. The AVX-512 sweep, against the AVX2
+//! dense×dense on one pinned Sapphire Rapids core (family 6 model 143):
+//! `product.apply_us` 734 → 582 on the traced `gram-dense` run (seed 1),
+//! and its `pairs_per_s` 147.9 → 201.6 in the median of ten alternated
+//! 24 s runs (seed 5), higher in all ten.
 
 #![cfg_attr(
     not(test),
@@ -100,7 +124,9 @@ use mgk_tile::{Octile, TILE_AREA, TILE_SIZE};
 /// Which tile-pair primitive to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TileProductKind {
-    /// Expand both tiles and evaluate all 64×64 products.
+    /// Walk the first tile's nonzeros against the second tile expanded to
+    /// a dense block (on the GPU, both expanded and all 64×64 products
+    /// evaluated).
     DenseDense,
     /// Keep the first tile dense and iterate the second tile's nonzeros.
     DenseSparse,
@@ -416,7 +442,7 @@ fn standalone_tile_pair<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     counters.accumulate(&tile_pair_traffic(kind, t1, s2.tile, (ctx.n, ctx.m), ctx.costs, T::BYTES));
     let mut sweep = OuterSweep::new();
     sweep.decode(t1, ctx.m);
-    tile_pair_body(kind, &mut sweep, t1, s2, ctx, p, y);
+    tile_pair_body::<false, _, _, _>(kind, &mut sweep, t1, s2, ctx, p, y);
 }
 
 /// The per-sweep state of a tile-pair sweep over one outer tile: the outer
@@ -435,14 +461,14 @@ fn standalone_tile_pair<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
 /// in place ([`Coefficients::Form`]) uses it: a sweep that records or
 /// replays a coefficient stream keeps them there. It is written before it is
 /// read, so it is never re-zeroed.
-pub(crate) struct OuterSweep<T, E> {
+struct OuterSweep<T, E> {
     entries: [(usize, usize, T, E); TILE_AREA],
     len: usize,
     coefficients: [T; TILE_AREA],
 }
 
 impl<T: Scalar, E: Copy + Default> OuterSweep<T, E> {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         OuterSweep {
             entries: [(0, 0, T::ZERO, E::default()); TILE_AREA],
             len: 0,
@@ -452,7 +478,7 @@ impl<T: Scalar, E: Copy + Default> OuterSweep<T, E> {
 
     /// Decode `tile` as the outer tile of a sweep over a second graph of
     /// `m` vertices.
-    pub(crate) fn decode(&mut self, tile: &Octile<E>, m: usize) {
+    fn decode(&mut self, tile: &Octile<E>, m: usize) {
         let (row, col) = (tile.row as usize * TILE_SIZE, tile.col as usize * TILE_SIZE);
         for (slot, (i, j, w, l)) in self.entries.iter_mut().zip(tile.iter()) {
             *slot = ((row + i) * m, (col + j) * m, T::from_f32(w), l);
@@ -467,9 +493,11 @@ impl<T: Scalar, E: Copy + Default> OuterSweep<T, E> {
 /// Both dense forms read the first tile from `sweep`, dense-rows its packed
 /// labels too; only dense×dense reads the second tile's panels. A pair
 /// routed to the packed loop is a run of one tile here, its mask decoded on
-/// the stack.
-#[inline]
-pub(crate) fn tile_pair_body<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
+/// the stack. `WIDE` runs dense×dense two inner columns a step, inlined
+/// (the AVX-512 sweep); otherwise it goes through the per-call dispatch of
+/// `dense_dense`.
+#[inline(always)]
+fn tile_pair_body<const WIDE: bool, T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     kind: TileProductKind,
     sweep: &mut OuterSweep<T, E>,
     t1: &Octile<E>,
@@ -502,7 +530,11 @@ pub(crate) fn tile_pair_body<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
         };
         packed_run(sweep, run, &mut Coefficients::Form, kernel, p, y);
     } else if kind == TileProductKind::DenseDense {
-        dense_dense(sweep, s2, m, kernel, p, y);
+        if WIDE {
+            dense_dense_blocked::<2, _, _, _>(sweep, s2, m, kernel, p, y);
+        } else {
+            dense_dense(sweep, s2, m, kernel, p, y);
+        }
     } else {
         dense_rows_direct(sweep, &t1.labels, t2, kernel, p, y);
     }
@@ -704,6 +736,7 @@ fn update_run<T: Scalar, E>(
 /// changes no element's order either. Its tiles lie in distinct tile rows,
 /// so each output element meets the nonzeros of one tile of the run only,
 /// in that tile's order.
+#[inline(always)]
 fn packed_run<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     sweep: &mut OuterSweep<T, E>,
     run: PackedRun<'_, E>,
@@ -835,8 +868,10 @@ impl<E: Copy> TileLayers<E> {
     }
 }
 
-/// The product of one outer tile, decoded into `sweep`, with every tile of
-/// the inner operand: the octile operator's sweep, one layer at a time.
+/// The octile operator's sweep: the product of every outer tile with every
+/// tile of the inner operand, added into `y`. Each outer tile is decoded
+/// once, into one [`OuterSweep`] kept for its whole sweep over the inner
+/// operand, which goes one layer at a time.
 ///
 /// Within a layer, consecutive tiles that `kinds` routes to the packed loop
 /// form a run, and each run costs one [`packed_run`] call. A run ends
@@ -848,12 +883,16 @@ impl<E: Copy> TileLayers<E> {
 ///
 /// Output element `(i, i')` is written only by the inner tiles of tile row
 /// `I'`, and a layer holds at most one of them. So each element receives
-/// its terms as the reference sweep adds them: inner tiles in column order,
-/// then outer nonzeros, then inner nonzeros.
+/// its terms as the reference sweep adds them: outer tiles in order, inner
+/// tiles in column order, then outer nonzeros, then inner nonzeros.
+///
+/// The body of both instantiations of [`octile_sweep`], which differ only
+/// in `WIDE` (see [`tile_pair_body`]) and in the target features the body,
+/// inlined, is compiled under.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn sweep_inner_layers<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
-    sweep: &mut OuterSweep<T, E>,
-    t1: &Octile<E>,
+#[inline(always)]
+fn sweep_inner_layers<const WIDE: bool, T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
+    outer: &[Octile<E>],
     inner: (&[Octile<E>], &[TilePanels<E>]),
     layers: &TileLayers<E>,
     kinds: &KindTable,
@@ -862,32 +901,107 @@ pub(crate) fn sweep_inner_layers<T: Scalar, E: Copy + Default, K: BaseKernel<E>>
     p: &[T],
     y: &mut [T],
 ) {
-    let nnz1 = t1.nnz();
-    debug_assert_eq!(sweep.len, nnz1, "the sweep holds the outer tile");
-    for layer in layers.layers.windows(2) {
-        let first = layers.offsets[layer[0]];
-        let mut run = first..first;
-        for slot in layer[0]..layer[1] {
-            let (start, end) = (layers.offsets[slot], layers.offsets[slot + 1]);
-            let nnz2 = end - start;
-            let kind = kinds.get(nnz1, nnz2);
-            if reads_packed(kind, nnz1, nnz2) {
-                if end - run.start > TILE_AREA {
-                    packed_run(sweep, layers.run(run), coefficients, ctx.kernel, p, y);
-                    run = start..end;
+    let mut sweep = OuterSweep::new();
+    for t1 in outer {
+        sweep.decode(t1, ctx.m);
+        let nnz1 = t1.nnz();
+        for layer in layers.layers.windows(2) {
+            let first = layers.offsets[layer[0]];
+            let mut run = first..first;
+            for slot in layer[0]..layer[1] {
+                let (start, end) = (layers.offsets[slot], layers.offsets[slot + 1]);
+                let nnz2 = end - start;
+                let kind = kinds.get(nnz1, nnz2);
+                if reads_packed(kind, nnz1, nnz2) {
+                    if end - run.start > TILE_AREA {
+                        packed_run(&mut sweep, layers.run(run), coefficients, ctx.kernel, p, y);
+                        run = start..end;
+                    } else {
+                        run.end = end;
+                    }
                 } else {
-                    run.end = end;
+                    packed_run(&mut sweep, layers.run(run), coefficients, ctx.kernel, p, y);
+                    run = end..end;
+                    let k = layers.tiles[slot];
+                    let s2 = PaneledTile { tile: &inner.0[k], panels: &inner.1[k] };
+                    tile_pair_body::<WIDE, _, _, _>(kind, &mut sweep, t1, s2, ctx, p, y);
                 }
-            } else {
-                packed_run(sweep, layers.run(run), coefficients, ctx.kernel, p, y);
-                run = end..end;
-                let k = layers.tiles[slot];
-                let s2 = PaneledTile { tile: &inner.0[k], panels: &inner.1[k] };
-                tile_pair_body(kind, sweep, t1, s2, ctx, p, y);
             }
+            packed_run(&mut sweep, layers.run(run), coefficients, ctx.kernel, p, y);
         }
-        packed_run(sweep, layers.run(run), coefficients, ctx.kernel, p, y);
     }
+}
+
+/// Proof that the CPU has AVX-512F: made only by [`Avx512::detect`], and
+/// what [`octile_sweep`] asks for to run 16 lanes wide.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Avx512(());
+
+impl Avx512 {
+    /// `Some` exactly when the CPU has AVX-512F.
+    pub(crate) fn detect() -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx512f") {
+            return Some(Avx512(()));
+        }
+        None
+    }
+}
+
+/// The octile operator's sweep of the outer operand's tiles `outer` against
+/// the inner operand's tiles and panels `inner`, indexed by `layers` (see
+/// [`sweep_inner_layers`]).
+///
+/// With `wide` it runs `octile_sweep_avx512`: every primitive compiled with
+/// AVX-512F enabled, and dense×dense two inner columns (16 lanes) a step.
+/// Otherwise dense×dense runs 8 lanes wide, through the per-call dispatch
+/// of `dense_dense`. Either way every element of `y` receives the same
+/// terms, formed by the same IEEE-754 multiplies and added in the same
+/// order, so the two give the same bits.
+#[allow(clippy::too_many_arguments, unsafe_code)]
+pub(crate) fn octile_sweep<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
+    wide: Option<Avx512>,
+    outer: &[Octile<E>],
+    inner: (&[Octile<E>], &[TilePanels<E>]),
+    layers: &TileLayers<E>,
+    kinds: &KindTable,
+    coefficients: &mut Coefficients<'_, T>,
+    ctx: PairContext<'_, K>,
+    p: &[T],
+    y: &mut [T],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if wide.is_some() {
+        // SAFETY: the `avx512f` target feature requires only that the CPU
+        // has it, and an `Avx512` exists only where `Avx512::detect` found it.
+        unsafe { octile_sweep_avx512(outer, inner, layers, kinds, coefficients, ctx, p, y) };
+        return;
+    }
+    // off x86-64 there is no AVX-512 sweep, and `detect` makes no `Avx512`
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = wide;
+    sweep_inner_layers::<false, _, _, _>(outer, inner, layers, kinds, coefficients, ctx, p, y);
+}
+
+/// [`sweep_inner_layers`] compiled with AVX-512F enabled, dense×dense at
+/// two inner columns a step, with no per-call detection. FMA is not used:
+/// Rust never contracts `a * b + c` on its own, so each lane executes the
+/// same multiplies and adds as in the 8-lane sweep. Explicit arguments
+/// rather than a closure, as for `dense_dense_blocked_avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+fn octile_sweep_avx512<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
+    outer: &[Octile<E>],
+    inner: (&[Octile<E>], &[TilePanels<E>]),
+    layers: &TileLayers<E>,
+    kinds: &KindTable,
+    coefficients: &mut Coefficients<'_, T>,
+    ctx: PairContext<'_, K>,
+    p: &[T],
+    y: &mut [T],
+) {
+    sweep_inner_layers::<true, _, _, _>(outer, inner, layers, kinds, coefficients, ctx, p, y);
 }
 
 /// Mixed primitive when the *second* tile is the sparser operand, with the
@@ -908,6 +1022,7 @@ pub(crate) fn sweep_inner_layers<T: Scalar, E: Copy + Default, K: BaseKernel<E>>
 /// (as for dense×dense's empty slots); testing for it cost 15–25 % of this
 /// loop at the populations the table routes here. So the bits are the
 /// reference's.
+#[inline(always)]
 fn dense_rows_direct<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     outer: &OuterSweep<T, E>,
     labels: &[E],
@@ -959,10 +1074,20 @@ fn dense_rows_direct<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
 /// starts at `+0.0` and only ever sums, and a sum from `+0.0` never reaches
 /// `−0.0`, so `y` holds no `−0.0` that adding `+0.0` would turn into `+0.0`.
 ///
-/// `#[inline(always)]` so that `dense_dense_blocked_avx2` is a second
-/// instantiation of this one body rather than a call to the portable one.
+/// A step covers `COLS` inner columns (`jp`), one or two: `COLS·8` lanes
+/// evaluate the kernel over the panel's contiguous column-major slice, then
+/// the columns' terms are added into the 8-lane block one column at a time,
+/// in `jp` order. So every lane adds the same terms in the same order
+/// whatever `COLS` is; only how many kernel evaluations share one vector
+/// changes. With an odd number of columns in range (an edge tile), the last
+/// one takes a one-column step.
+///
+/// `#[inline(always)]` so that each caller — the portable and AVX2
+/// instantiations at `COLS = 1`, the AVX-512 sweep at `COLS = 2` — compiles
+/// this one body under its own target features rather than calling a
+/// portable copy.
 #[inline(always)]
-fn dense_dense_blocked<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
+fn dense_dense_blocked<const COLS: usize, T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     outer: &OuterSweep<T, E>,
     inner: PaneledTile<'_, E>,
     m: usize,
@@ -975,28 +1100,59 @@ fn dense_dense_blocked<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     let (row2, col2) = (t2.row as usize * TILE_SIZE, t2.col as usize * TILE_SIZE);
     let ipmax = TILE_SIZE.min(m.saturating_sub(row2));
     let jpmax = TILE_SIZE.min(m.saturating_sub(col2));
-    let w2t = &inner.panels.weights_t;
-    let l2t = &inner.panels.labels_t;
+    let paired = jpmax - jpmax % COLS;
+    let step = COLS * TILE_SIZE;
+    let (w2t, w2_last) = inner.panels.weights_t[..jpmax * TILE_SIZE].split_at(paired * TILE_SIZE);
+    let (l2t, l2_last) = inner.panels.labels_t[..jpmax * TILE_SIZE].split_at(paired * TILE_SIZE);
     for row in outer.entries[..outer.len].chunk_by(|a, b| a.0 == b.0) {
         let mut acc = [T::ZERO; TILE_SIZE];
         for &(_, prow1, a1t, l1e) in row {
             if a1t == T::ZERO {
                 continue;
             }
-            let pbase = prow1 + col2;
-            for jp in 0..jpmax {
-                let ps = p[pbase + jp];
-                let base = jp * TILE_SIZE;
-                for (ip, a) in acc.iter_mut().enumerate() {
-                    *a += ((a1t * T::from_f32(w2t[base + ip]))
-                        * T::from_f32(kernel.eval(&l1e, &l2t[base + ip])))
-                        * ps;
-                }
+            let (ps, p_last) = p[prow1 + col2..prow1 + col2 + jpmax].split_at(paired);
+            for ((w2, l2), ps) in
+                w2t.chunks_exact(step).zip(l2t.chunks_exact(step)).zip(ps.chunks_exact(COLS))
+            {
+                dense_dense_step::<COLS, _, _, _>(&mut acc, (a1t, &l1e), (w2, l2), ps, kernel);
+            }
+            if !p_last.is_empty() {
+                dense_dense_step::<1, _, _, _>(
+                    &mut acc,
+                    (a1t, &l1e),
+                    (w2_last, l2_last),
+                    p_last,
+                    kernel,
+                );
             }
         }
         let yrow = row[0].0 + row2;
         for (out, &a) in y[yrow..yrow + ipmax].iter_mut().zip(&acc) {
             *out += a;
+        }
+    }
+}
+
+/// One step of [`dense_dense_blocked`] for one outer nonzero `(a1t, l1)`:
+/// the coefficients `(a1t·w2)·κ(l1, l2)` of `COLS` inner columns, formed
+/// over `COLS·8` contiguous panel slots, then per column `c` the terms
+/// `coefficient · ps[c]` added into `acc`, column by column.
+#[inline(always)]
+fn dense_dense_step<const COLS: usize, T: Scalar, E, K: BaseKernel<E>>(
+    acc: &mut [T; TILE_SIZE],
+    (a1t, l1): (T, &E),
+    (w2, l2): (&[f32], &[E]),
+    ps: &[T],
+    kernel: &K,
+) {
+    let mut coefficients = [T::ZERO; 2 * TILE_SIZE];
+    let coefficients = &mut coefficients[..COLS * TILE_SIZE];
+    for ((c, &w), l) in coefficients.iter_mut().zip(&w2[..COLS * TILE_SIZE]).zip(l2) {
+        *c = (a1t * T::from_f32(w)) * T::from_f32(kernel.eval(l1, l));
+    }
+    for (column, &pc) in coefficients.chunks_exact(TILE_SIZE).zip(&ps[..COLS]) {
+        for (a, &c) in acc.iter_mut().zip(column) {
+            *a += c * pc;
         }
     }
 }
@@ -1020,7 +1176,7 @@ fn dense_dense<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
         unsafe { dense_dense_blocked_avx2(outer, inner, m, kernel, p, y) };
         return;
     }
-    dense_dense_blocked(outer, inner, m, kernel, p, y);
+    dense_dense_blocked::<1, _, _, _>(outer, inner, m, kernel, p, y);
 }
 
 /// [`dense_dense_blocked`] compiled with AVX2 enabled: the 8 lanes of the
@@ -1039,7 +1195,7 @@ fn dense_dense_blocked_avx2<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     p: &[T],
     y: &mut [T],
 ) {
-    dense_dense_blocked(outer, inner, m, kernel, p, y);
+    dense_dense_blocked::<1, _, _, _>(outer, inner, m, kernel, p, y);
 }
 
 /// The retained scalar reference implementation of the tile-pair product —
@@ -1418,10 +1574,13 @@ mod tests {
     }
 
     /// Sweep every tile pair of `g1 × g2` through the portable dense×dense
-    /// body and through the dispatcher — the AVX2 instantiation where the CPU
-    /// has it — each called directly, then all three primitives (so
-    /// dense-rows and the packed sparse×sparse loop) through the public
-    /// entry, and compare each bit for bit with the scalar reference.
+    /// body at one and at two inner columns a step and through the
+    /// dispatcher — the AVX2 instantiation where the CPU has it — each called
+    /// directly, then all three primitives (so dense-rows and the packed
+    /// sparse×sparse loop) through the public entry and through the
+    /// operator's sweep with every tile pair forced to that primitive, 8
+    /// lanes wide and, where the CPU has AVX-512F, 16, and compare each bit
+    /// for bit with the scalar reference.
     fn instantiations_and_fills_agree<T: Scalar, K: BaseKernel<f32> + Copy>(
         g1: &Graph<Unlabeled, f32>,
         g2: &Graph<Unlabeled, f32>,
@@ -1431,18 +1590,23 @@ mod tests {
         let (n, m) = (g1.num_vertices(), g2.num_vertices());
         let t1 = OctileMatrix::from_graph(g1);
         let t2 = OctileMatrix::from_graph(g2);
+        let panels: Vec<_> = t2.tiles().iter().map(TilePanels::new).collect();
         let mut y_portable = vec![T::ZERO; n * m];
+        let mut y_paired = y_portable.clone();
         let mut y_dispatched = y_portable.clone();
         let mut outer = OuterSweep::new();
         for a in t1.tiles() {
             outer.decode(a, m);
-            for b in t2.tiles() {
-                let pb = TilePanels::new(b);
-                let s2 = PaneledTile { tile: b, panels: &pb };
-                dense_dense_blocked(&outer, s2, m, kernel, p, &mut y_portable);
+            for (b, pb) in t2.tiles().iter().zip(&panels) {
+                let s2 = PaneledTile { tile: b, panels: pb };
+                dense_dense_blocked::<1, _, _, _>(&outer, s2, m, kernel, p, &mut y_portable);
+                dense_dense_blocked::<2, _, _, _>(&outer, s2, m, kernel, p, &mut y_paired);
                 dense_dense(&outer, s2, m, kernel, p, &mut y_dispatched);
             }
         }
+        let layers = TileLayers::new(t2.tiles());
+        let costs = costs();
+        let ctx = PairContext { n, m, kernel, costs: &costs };
         for kind in [
             TileProductKind::DenseDense,
             TileProductKind::DenseSparse,
@@ -1453,7 +1617,17 @@ mod tests {
             assert!(bitwise_equal(&y_new, &y_ref), "{} differs from the reference", kind.name());
             if kind == TileProductKind::DenseDense {
                 assert!(bitwise_equal(&y_portable, &y_ref), "portable body differs");
+                assert!(bitwise_equal(&y_paired, &y_ref), "two-column body differs");
                 assert!(bitwise_equal(&y_dispatched, &y_ref), "dispatched body differs");
+            }
+            let forced = KindTable { kinds: [[kind; TILE_AREA + 1]; TILE_AREA + 1] };
+            for wide in [None, Avx512::detect()] {
+                let mut y = vec![T::ZERO; n * m];
+                let inner = (t2.tiles(), &panels[..]);
+                let form = &mut Coefficients::Form;
+                octile_sweep(wide, t1.tiles(), inner, &layers, &forced, form, ctx, p, &mut y);
+                let width = if wide.is_some() { 16 } else { 8 };
+                assert!(bitwise_equal(&y, &y_ref), "{}, {width}-lane sweep differs", kind.name());
             }
         }
     }
@@ -1509,13 +1683,21 @@ mod tests {
         let partner_tiles = OctileMatrix::from_graph(&partner);
         let sparsest = partner_tiles.tiles().iter().map(Octile::nnz).min().unwrap();
         assert!(tile(0, 0).nnz() > sparsest && tile(0, 1).nnz() > sparsest);
-        // edge tiles: neither 19, 13, 25, 9, 12 nor 20 is a multiple of 8
+        // edge tiles: neither 19, 13, 25, 9, 12 nor 20 is a multiple of 8,
+        // and 13 and 9 leave an inner edge tile 5 and 1 columns, so the
+        // two-column step ends on a one-column step; the 0.0 weight is an
+        // outer nonzero in the fourth pair and an inner one in the fifth;
+        // the last pair is dense enough that inner rows hold nonzeros in
+        // both columns of a two-column step, so the order in which the step
+        // adds its columns shows in the bits
+        let mut rng = StdRng::seed_from_u64(50);
         let pairs = [
             (small_graph(1, 19, &[(0, 10), (3, 15)]), small_graph(2, 13, &[(1, 9)])),
             (small_graph(3, 25, &[(0, 20), (5, 17), (2, 11)]), small_graph(4, 9, &[])),
             (empty_row, small_graph(5, 13, &[(2, 7)])),
             (corners.clone(), partner),
             (small_graph(7, 12, &[(1, 10)]), corners),
+            (random_graph(&mut rng, 0.6), random_graph(&mut rng, 0.6)),
         ];
         for (g1, g2) in &pairs {
             let nm = g1.num_vertices() * g2.num_vertices();
@@ -1536,6 +1718,9 @@ mod tests {
         let avx2 = false;
         if !avx2 {
             println!("avx2 not detected, instantiation skipped");
+        }
+        if Avx512::detect().is_none() {
+            println!("avx512f not detected, 16-lane sweep skipped");
         }
     }
 

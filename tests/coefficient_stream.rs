@@ -13,7 +13,9 @@
 //!   stream is on, and a 120×80-atom pair, where it is on at `f32` and off
 //!   at `f64`;
 //! - 48-atom protein-like structures under the square-exponential edge
-//!   kernel, where it is off;
+//!   kernel, where it is off, and a 12×20-atom pair, where it is on: on a
+//!   CPU with AVX-512F a square-exponential system sweeps 16 lanes wide, so
+//!   there the stream is recorded and replayed inside that sweep;
 //! - two 96-vertex NWS graphs, and NWS×BA graphs of 96 vertices, under the
 //!   unit kernel, where it is off.
 //!
@@ -26,7 +28,9 @@ use mgk::graph::generators;
 use mgk::graph::Graph;
 use mgk::linalg::{pcg, DiagonalOperator, LinearOperator, Precision};
 use mgk::prelude::*;
+use mgk::solver::octile_ops::{KindTable, TileProductKind};
 use mgk::solver::{ProductSystem, SystemOperator};
+use mgk::tile::OctileMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -137,6 +141,30 @@ fn protein_applies_are_the_unstreamed_ones_bitwise() {
     let b = prepared(&protein::synthetic_structure(48, &mut rng).graph);
     let edge_kernel = SquareExponential::new(1.0);
     assert_pair(&a, &b, &KroneckerDelta::new(0.5), &edge_kernel, "protein");
+}
+
+#[test]
+fn small_protein_applies_are_the_unstreamed_ones_bitwise() {
+    let mut rng = StdRng::seed_from_u64(37);
+    let a = prepared(&protein::synthetic_structure(12, &mut rng).graph);
+    let b = prepared(&protein::synthetic_structure(20, &mut rng).graph);
+    let edge_kernel = SquareExponential::new(1.0);
+    let (tiles_a, tiles_b) = (OctileMatrix::from_graph(&a), OctileMatrix::from_graph(&b));
+    // the stream's budget, 256 KiB at the vector precision, admits the pair
+    // at f64, and so at f32
+    let bytes = tiles_a.num_nonzeros() * tiles_b.num_nonzeros() * 8;
+    assert!(bytes <= 256 * 1024, "{bytes} B of coefficients at f64");
+    // and the pair's tile pairs go both to dense×dense, the 16-lane step,
+    // and to the packed loop, whose coefficients stream
+    let table = KindTable::new(edge_kernel.cost().flops);
+    let kinds: Vec<_> = tiles_a
+        .tiles()
+        .iter()
+        .flat_map(|t1| tiles_b.tiles().iter().map(|t2| table.get(t1.nnz(), t2.nnz())))
+        .collect();
+    assert!(kinds.contains(&TileProductKind::DenseDense));
+    assert!(kinds.contains(&TileProductKind::SparseSparse));
+    assert_pair(&a, &b, &KroneckerDelta::new(0.5), &edge_kernel, "small protein");
 }
 
 /// One PCG solve over the streamed operator and one over the unstreamed,
