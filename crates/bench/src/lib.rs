@@ -17,6 +17,7 @@
 //! | Fig. 9 (incremental optimization ablation) | `fig9_ablation` |
 //! | Fig. 10 (comparison with GraKeL/GraphKernels-style CPU baselines) | `fig10_package_comparison` |
 //! | Table II (PCG convergence per dataset, f32 vs f64 precision) | `table2_convergence` |
+//! | the answer ledger (kernel value bits on a fixed corpus) | `answer_ledger` |
 //!
 //! The CPU in this environment obviously cannot hit the absolute numbers of
 //! a V100; each binary therefore reports both the measured CPU time of this
@@ -47,6 +48,7 @@
 #![forbid(unsafe_code)]
 
 pub mod ablation;
+pub mod answer_ledger;
 pub mod dense;
 pub mod device;
 mod eigen;

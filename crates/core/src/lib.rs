@@ -41,6 +41,15 @@ pub mod prepared;
 pub mod product;
 pub mod solver;
 
+/// The version of the solver's arithmetic: which bits `K(G, G')` takes.
+///
+/// Two builds with one version return the same bits for the same pair,
+/// precision and configuration. A change that can move an answer bit (a
+/// summation order, a routing constant, an operator, a preconditioner)
+/// bumps it, regenerates `crates/bench/expected/answer_ledger.txt` and
+/// records the new ledger's digest in `answer_ledger.history` beside it.
+pub const ARITHMETIC_VERSION: u32 = 1;
+
 pub use gram::{GramConfig, GramEngine, GramResult};
 pub use mgk_telemetry::StageBreakdown;
 pub use prepared::PreparedGraph;
