@@ -61,7 +61,7 @@ pub mod warp_cycles;
 pub mod xmv;
 
 use mgk_graph::{AtomLabel, BondLabel, Element, Graph, Unlabeled};
-use mgk_kernels::{BaseKernel, KernelCost, KroneckerDelta, SquareExponential};
+use mgk_kernels::{BaseKernel, KroneckerDelta, SquareExponential};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -102,11 +102,11 @@ impl Default for AtomKernel {
 }
 
 impl BaseKernel<AtomLabel> for AtomKernel {
+    const LABEL_BYTES: usize = 4;
+    const FLOPS: usize = 4;
+
     fn eval(&self, a: &AtomLabel, b: &AtomLabel) -> f32 {
         self.0.eval(&a.element, &b.element)
-    }
-    fn cost(&self) -> KernelCost {
-        KernelCost::new(4, 4)
     }
 }
 
@@ -121,11 +121,11 @@ impl Default for BondKernel {
 }
 
 impl BaseKernel<BondLabel> for BondKernel {
+    const LABEL_BYTES: usize = 1;
+    const FLOPS: usize = 4;
+
     fn eval(&self, a: &BondLabel, b: &BondLabel) -> f32 {
         self.0.eval(&a.order, &b.order)
-    }
-    fn cost(&self) -> KernelCost {
-        KernelCost::new(1, 4)
     }
 }
 
@@ -140,11 +140,11 @@ impl Default for ElementKernel {
 }
 
 impl BaseKernel<Element> for ElementKernel {
+    const LABEL_BYTES: usize = 4;
+    const FLOPS: usize = 4;
+
     fn eval(&self, a: &Element, b: &Element) -> f32 {
         self.0.eval(a, b)
-    }
-    fn cost(&self) -> KernelCost {
-        KernelCost::new(4, 4)
     }
 }
 

@@ -932,6 +932,20 @@ fn sweep_inner_layers<const WIDE: bool, T: Scalar, E: Copy + Default, K: BaseKer
     }
 }
 
+/// The least edge-kernel cost, in [`BaseKernel::FLOPS`], at which a system
+/// runs the AVX-512 sweep: the square exponential (11) does, the unit
+/// kernel (3) and the Kronecker delta (4) do not. The 16-lane dense×dense
+/// step halves the instructions of the kernel evaluation, which is a lane's
+/// work only when the kernel is costly; a cheap kernel gains nothing from
+/// the width, and intermittent 512-bit code costs clock. In alternated 24 s
+/// benchmark runs on one pinned Sapphire Rapids core, the wide sweep took
+/// `gram-dense` (square exponential) from 147.9 to 201.6 pairs/s, while
+/// every system wide, this gate removed, took `gram-small-mol` (Kronecker
+/// delta) from 19.2k to 16.6k pairs/s and `gram-sparse` (unit kernel) from
+/// 89.6 to 83.9. The gate is a constant of the kernel's type, so
+/// `octile_sweep_avx512` is compiled only for kernels that pass it.
+const WIDE_KERNEL_FLOPS: usize = 8;
+
 /// Proof that the CPU has AVX-512F: made only by [`Avx512::detect`], and
 /// what [`octile_sweep`] asks for to run 16 lanes wide.
 #[derive(Debug, Clone, Copy)]
@@ -946,16 +960,24 @@ impl Avx512 {
         }
         None
     }
+
+    /// [`detect`](Self::detect) for a system whose edge kernel is `K`:
+    /// `None` too when `K` costs under [`WIDE_KERNEL_FLOPS`].
+    pub(crate) fn for_kernel<E, K: BaseKernel<E>>() -> Option<Self> {
+        Self::detect().filter(|_| K::FLOPS >= WIDE_KERNEL_FLOPS)
+    }
 }
 
 /// The octile operator's sweep of the outer operand's tiles `outer` against
 /// the inner operand's tiles and panels `inner`, indexed by `layers` (see
 /// [`sweep_inner_layers`]).
 ///
-/// With `wide` it runs `octile_sweep_avx512`: every primitive compiled with
-/// AVX-512F enabled, and dense×dense two inner columns (16 lanes) a step.
-/// Otherwise dense×dense runs 8 lanes wide, through the per-call dispatch
-/// of `dense_dense`. Either way every element of `y` receives the same
+/// With `wide`, for a kernel of [`WIDE_KERNEL_FLOPS`] or more, it runs
+/// `octile_sweep_avx512`: every primitive compiled with AVX-512F enabled,
+/// and dense×dense two inner columns (16 lanes) a step. Otherwise
+/// dense×dense runs 8 lanes wide, through the per-call dispatch of
+/// `dense_dense`; a cheaper kernel ignores `wide`, and the wide sweep is
+/// not compiled for it. Either way every element of `y` receives the same
 /// terms, formed by the same IEEE-754 multiplies and added in the same
 /// order, so the two give the same bits.
 #[allow(clippy::too_many_arguments, unsafe_code)]
@@ -971,7 +993,7 @@ pub(crate) fn octile_sweep<T: Scalar, E: Copy + Default, K: BaseKernel<E>>(
     y: &mut [T],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if wide.is_some() {
+    if const { K::FLOPS >= WIDE_KERNEL_FLOPS } && wide.is_some() {
         // SAFETY: the `avx512f` target feature requires only that the CPU
         // has it, and an `Avx512` exists only where `Avx512::detect` found it.
         unsafe { octile_sweep_avx512(outer, inner, layers, kinds, coefficients, ctx, p, y) };

@@ -70,19 +70,6 @@ const COEFFICIENT_STREAM_BYTES: u64 = 256 * 1024;
 /// The warps of a block that share each inner tile's load (Section V-A).
 const BLOCK_SHARING: u64 = 8;
 
-/// The least edge-kernel cost, in `KernelCost::flops`, at which a system
-/// runs the AVX-512 sweep: the square exponential (11) does, the unit
-/// kernel (3) and the Kronecker delta (4) do not. The 16-lane dense×dense
-/// step halves the instructions of the kernel evaluation, which is a lane's
-/// work only when the kernel is costly; a cheap kernel gains nothing from
-/// the width, and intermittent 512-bit code costs clock. In alternated 24 s
-/// benchmark runs on one pinned Sapphire Rapids core, the wide sweep took
-/// `gram-dense` (square exponential) from 147.9 to 201.6 pairs/s, while
-/// every system wide, this gate removed, took `gram-small-mol` (Kronecker
-/// delta) from 19.2k to 16.6k pairs/s and `gram-sparse` (unit kernel) from
-/// 89.6 to 83.9.
-const WIDE_KERNEL_FLOPS: usize = 8;
-
 /// The traffic one application of the octile operator counts. Every term
 /// depends on the pair's tiles, the table's picks and the vector width, and
 /// none on the vector, so it is summed once at assembly, at both widths.
@@ -180,7 +167,8 @@ pub struct ProductSystem<E, KE> {
     /// What one application counts, fixed at assembly.
     traffic: ApplyTraffic,
     /// Where the sweep runs under AVX-512, dense×dense 16 lanes wide: on a
-    /// CPU that has it, for an edge kernel of [`WIDE_KERNEL_FLOPS`] or more.
+    /// CPU that has it, for an edge kernel costly enough
+    /// ([`Avx512::for_kernel`]).
     wide: Option<Avx512>,
     edge_kernel: KE,
     tile_costs: TileCosts,
@@ -255,7 +243,7 @@ where
             panels,
             kinds,
             traffic,
-            wide: Avx512::detect().filter(|_| cost.flops >= WIDE_KERNEL_FLOPS),
+            wide: Avx512::for_kernel::<E, KE>(),
             edge_kernel,
             tile_costs,
         }

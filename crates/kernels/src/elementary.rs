@@ -17,13 +17,13 @@ use crate::BaseKernel;
 pub struct UnitKernel;
 
 impl<L: ?Sized + Sync> BaseKernel<L> for UnitKernel {
+    const LABEL_BYTES: usize = KernelCost::UNLABELED.label_bytes;
+    const FLOPS: usize = KernelCost::UNLABELED.flops;
+    const CONSTANT: bool = true;
+
     #[inline]
     fn eval(&self, _a: &L, _b: &L) -> f32 {
         1.0
-    }
-
-    fn cost(&self) -> KernelCost {
-        KernelCost::UNLABELED
     }
 }
 
@@ -50,6 +50,11 @@ impl KroneckerDelta {
 }
 
 impl<L: PartialEq + Sync + ?Sized> BaseKernel<L> for KroneckerDelta {
+    // one comparison + select, 4-byte categorical label, plus the 3-FLOP
+    // multiply-accumulate of the product term
+    const LABEL_BYTES: usize = 4;
+    const FLOPS: usize = 4;
+
     #[inline]
     fn eval(&self, a: &L, b: &L) -> f32 {
         if a == b {
@@ -57,12 +62,6 @@ impl<L: PartialEq + Sync + ?Sized> BaseKernel<L> for KroneckerDelta {
         } else {
             self.baseline
         }
-    }
-
-    fn cost(&self) -> KernelCost {
-        // one comparison + select, 4-byte categorical label, plus the
-        // 3-FLOP multiply-accumulate of the product term
-        KernelCost::new(4, 4)
     }
 }
 
@@ -136,14 +135,13 @@ impl SquareExponential {
 }
 
 impl BaseKernel<f32> for SquareExponential {
+    const LABEL_BYTES: usize = 4;
+    const FLOPS: usize = 3 + 8;
+
     #[inline]
     fn eval(&self, a: &f32, b: &f32) -> f32 {
         let d = a - b;
         exp_nonpositive(-d * d * self.inv_two_ell_sq)
-    }
-
-    fn cost(&self) -> KernelCost {
-        KernelCost::new(4, 3 + 8)
     }
 }
 

@@ -13,7 +13,7 @@
 
 use mgk::datasets::molecules;
 use mgk::graph::{AtomLabel, BondLabel};
-use mgk::kernels::{BaseKernel, KernelCost, KroneckerDelta};
+use mgk::kernels::{BaseKernel, KroneckerDelta};
 use mgk::prelude::*;
 use mgk::solver::{GramConfig, GramEngine};
 use rand::rngs::StdRng;
@@ -40,13 +40,13 @@ impl AtomKernel {
 }
 
 impl BaseKernel<AtomLabel> for AtomKernel {
+    const LABEL_BYTES: usize = 4;
+    const FLOPS: usize = 8;
+
     fn eval(&self, a: &AtomLabel, b: &AtomLabel) -> f32 {
         self.element.eval(&a.element, &b.element)
             * self.charge.eval(&a.charge, &b.charge)
             * self.hybridization.eval(&a.hybridization, &b.hybridization)
-    }
-    fn cost(&self) -> KernelCost {
-        KernelCost::new(4, 8)
     }
 }
 
@@ -64,11 +64,11 @@ impl BondKernel {
 }
 
 impl BaseKernel<BondLabel> for BondKernel {
+    const LABEL_BYTES: usize = 2;
+    const FLOPS: usize = 6;
+
     fn eval(&self, a: &BondLabel, b: &BondLabel) -> f32 {
         self.order.eval(&a.order, &b.order) * self.conjugated.eval(&a.conjugated, &b.conjugated)
-    }
-    fn cost(&self) -> KernelCost {
-        KernelCost::new(2, 6)
     }
 }
 

@@ -3,7 +3,7 @@
 
 use mgk::datasets::{molecules, protein};
 use mgk::graph::{AtomLabel, BondLabel};
-use mgk::kernels::{BaseKernel, KernelCost, KroneckerDelta, SquareExponential};
+use mgk::kernels::{BaseKernel, KroneckerDelta, SquareExponential};
 use mgk::prelude::*;
 use mgk::reorder::ReorderMethod;
 use mgk::solver::{GramConfig, GramEngine};
@@ -14,11 +14,11 @@ use rand::SeedableRng;
 struct AtomKernel(KroneckerDelta);
 
 impl BaseKernel<AtomLabel> for AtomKernel {
+    const LABEL_BYTES: usize = 4;
+    const FLOPS: usize = 4;
+
     fn eval(&self, a: &AtomLabel, b: &AtomLabel) -> f32 {
         self.0.eval(&a.element, &b.element)
-    }
-    fn cost(&self) -> KernelCost {
-        KernelCost::new(4, 4)
     }
 }
 
@@ -26,11 +26,11 @@ impl BaseKernel<AtomLabel> for AtomKernel {
 struct BondKernel(KroneckerDelta);
 
 impl BaseKernel<BondLabel> for BondKernel {
+    const LABEL_BYTES: usize = 1;
+    const FLOPS: usize = 4;
+
     fn eval(&self, a: &BondLabel, b: &BondLabel) -> f32 {
         self.0.eval(&a.order, &b.order)
-    }
-    fn cost(&self) -> KernelCost {
-        KernelCost::new(1, 4)
     }
 }
 
