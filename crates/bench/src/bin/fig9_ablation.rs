@@ -14,7 +14,10 @@
 //! DrugBank-like set, and dynamic scheduling adds a little on top.
 //!
 //! +Block and +DynSched run the serving solver, its layered and streamed
-//! octile sweep: +Block assigns the pairs to threads up front, one
+//! octile sweep; on the unlabeled sets the edge kernel is
+//! `OctileUnitKernel`, the unit kernel not declared constant, so the
+//! solver keeps the paper's octile operator there rather than factoring
+//! the system as it serves unit-kernel pairs: +Block assigns the pairs to threads up front, one
 //! contiguous chunk each, and +DynSched runs `GramEngine`, which hands them
 //! out one at a time. Sparse to +Compact route tile pairs
 //! or count traffic in ways the serving operator does not, so they run the
@@ -37,6 +40,7 @@ use mgk_bench::device::DeviceSpec;
 use mgk_bench::project::estimate_time;
 use mgk_bench::{
     bench_scale, distance_kernel, fmt_duration, scaled, AtomKernel, BondKernel, ElementKernel,
+    OctileUnitKernel,
 };
 use mgk_core::SolverConfig;
 use mgk_graph::Graph;
@@ -112,14 +116,9 @@ fn main() {
         "Small world (NWS 96, k=3, p=0.1)",
         &small_world,
         mgk_kernels::UnitKernel,
-        mgk_kernels::UnitKernel,
+        OctileUnitKernel,
     );
-    run_dataset(
-        "Scale-free (BA 96, m=6)",
-        &scale_free,
-        mgk_kernels::UnitKernel,
-        mgk_kernels::UnitKernel,
-    );
+    run_dataset("Scale-free (BA 96, m=6)", &scale_free, mgk_kernels::UnitKernel, OctileUnitKernel);
     let protein_graphs: Vec<_> = protein.iter().map(|s| s.graph.clone()).collect();
     run_dataset(
         "Protein-like (PDB stand-in)",

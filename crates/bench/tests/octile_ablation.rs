@@ -9,16 +9,21 @@
 //! coefficients are checked, at `f32` and at `f64`, over molecule, NWS and
 //! BA pairs and a pair of complete graphs the table routes wholly to
 //! dense×dense. The policies of the lower levels move only the global
-//! traffic terms.
+//! traffic terms. And the unit kernel Fig. 9's unlabeled sets run under,
+//! `OctileUnitKernel`, keeps the serving solver on that operator: its
+//! served solve is `pcg_counted` over `SystemOperator`, bit for bit.
 
 use mgk_bench::ablation::{OctileProduct, OctileXmv};
+use mgk_bench::OctileUnitKernel;
 use mgk_core::octile_ops::{KindTable, TileProductKind};
 use mgk_core::{MarginalizedKernelSolver, ProductSystem, SolverConfig, SystemOperator};
 use mgk_datasets::molecules::synthetic_molecule;
 use mgk_graph::generators::{barabasi_albert, complete_labeled, newman_watts_strogatz};
 use mgk_graph::Graph;
 use mgk_kernels::{BaseKernel, KroneckerDelta, SquareExponential, UnitKernel};
-use mgk_linalg::{LinearOperator, Scalar, TrafficCounters};
+use mgk_linalg::{
+    pcg_counted, DiagonalOperator, LinearOperator, Precision, Scalar, TrafficCounters,
+};
 use mgk_tile::OctileMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -158,4 +163,50 @@ fn compact_storage_reduces_global_traffic() {
 fn block_sharing_reduces_global_traffic() {
     let at = |sharing| global_loads(OctileXmv { sharing, ..PRODUCTION });
     assert!(at(8) < at(1));
+}
+
+/// The served solve of `g1 × g2` under `OctileUnitKernel` against PCG run
+/// explicitly over the octile operator of the prepared pair, at `T`: the
+/// same value bits, iterations and traffic.
+fn assert_served_solve_is_the_octile_pcg<T: Scalar>(g1: &Graph, g2: &Graph, case: &str) {
+    let config = SolverConfig { precision: T::PRECISION, ..SolverConfig::default() };
+    let solver = MarginalizedKernelSolver::new(UnitKernel, OctileUnitKernel, config);
+    let (a, b) = (solver.prepare_graph(g1), solver.prepare_graph(g2));
+    let served = solver.kernel_prepared::<T, _, _>(&a, &b, T::PRECISION).unwrap();
+
+    let system =
+        ProductSystem::assemble(a.graph(), b.graph(), &UnitKernel, OctileUnitKernel, &config);
+    let operator = SystemOperator::<_, _, T>::new(&system);
+    let preconditioner = DiagonalOperator::new(system.preconditioner_diagonal::<T>());
+    let mut traffic = TrafficCounters::new();
+    let (x, info) =
+        pcg_counted(&operator, &preconditioner, &system.rhs::<T>(), &config.solve, &mut traffic);
+    let value: f64 =
+        system.start_product().iter().zip(&x).map(|(&p, x)| p as f64 * x.to_f64()).sum();
+
+    assert!(info.converged, "{case}");
+    assert_eq!(served.value_f64.to_bits(), value.to_bits(), "{case}");
+    assert_eq!(served.iterations, info.iterations, "{case}");
+    assert_eq!(served.traffic, traffic, "{case}");
+}
+
+#[test]
+fn the_octile_unit_kernel_serves_the_octile_operator_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(22);
+    let nws = newman_watts_strogatz(40, 3, 0.1, &mut rng);
+    let ba = barabasi_albert(32, 6, &mut rng);
+    let odd = newman_watts_strogatz(21, 3, 0.1, &mut rng);
+    for (g1, g2, case) in [(&nws, &ba, "NWS×BA"), (&nws, &odd, "NWS×NWS-21")] {
+        assert_served_solve_is_the_octile_pcg::<f32>(g1, g2, case);
+        assert_served_solve_is_the_octile_pcg::<f64>(g1, g2, case);
+    }
+    // the unit kernel itself is served factored: other bits, same value
+    let solver = MarginalizedKernelSolver::unlabeled(SolverConfig {
+        precision: Precision::F32,
+        ..SolverConfig::default()
+    });
+    let octile = MarginalizedKernelSolver::new(UnitKernel, OctileUnitKernel, *solver.config());
+    let (factored, swept) = (solver.kernel(&nws, &ba).unwrap(), octile.kernel(&nws, &ba).unwrap());
+    assert_ne!(factored.value_f64.to_bits(), swept.value_f64.to_bits());
+    assert!((factored.value_f64 - swept.value_f64).abs() <= 1e-4 * swept.value_f64);
 }

@@ -35,6 +35,7 @@
 
 #![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
 
+mod factored;
 pub mod gram;
 pub mod octile_ops;
 pub mod prepared;
@@ -48,7 +49,7 @@ pub mod solver;
 /// summation order, a routing constant, an operator, a preconditioner)
 /// bumps it, regenerates `crates/bench/expected/answer_ledger.txt` and
 /// records the new ledger's digest in `answer_ledger.history` beside it.
-pub const ARITHMETIC_VERSION: u32 = 1;
+pub const ARITHMETIC_VERSION: u32 = 2;
 
 pub use gram::{GramConfig, GramEngine, GramResult};
 pub use mgk_telemetry::StageBreakdown;

@@ -135,8 +135,13 @@ impl ApplyTraffic {
     }
 }
 
-/// The assembled tensor-product system for one graph pair.
-pub struct ProductSystem<E, KE> {
+/// Everything of a pair's system but `A× ∘ E×`: the Kronecker products of
+/// the two graphs' per-vertex data, from which the diagonal `D× V×⁻¹`, its
+/// Jacobi preconditioner, the right-hand side `D× q×` and the contraction
+/// `p×` are formed. Both off-diagonal operators, the octile one of a
+/// [`ProductSystem`] and the factored one of a constant edge kernel, solve
+/// over it.
+pub(crate) struct PairDiagonals {
     n: usize,
     m: usize,
     /// `d ⊗ d'`.
@@ -147,6 +152,76 @@ pub struct ProductSystem<E, KE> {
     start_product: Vec<f32>,
     /// `q ⊗ q'`.
     stop_product: Vec<f32>,
+}
+
+impl PairDiagonals {
+    /// The products of two prepared structures' per-vertex data.
+    pub(crate) fn new<V, E, KV>(
+        a: &PreparedGraph<V, E>,
+        b: &PreparedGraph<V, E>,
+        vertex_kernel: &KV,
+    ) -> Self
+    where
+        E: Copy + Default,
+        KV: BaseKernel<V>,
+    {
+        let (g1, g2) = (a.graph(), b.graph());
+        PairDiagonals {
+            n: g1.num_vertices(),
+            m: g2.num_vertices(),
+            degree_product: kron_vec(a.degrees(), b.degrees()),
+            vertex_product: generalized_kron_vec(g1.vertex_labels(), g2.vertex_labels(), |u, v| {
+                vertex_kernel.eval(u, v)
+            }),
+            start_product: kron_vec(g1.start_probabilities(), g2.start_probabilities()),
+            stop_product: kron_vec(g1.stop_probabilities(), g2.stop_probabilities()),
+        }
+    }
+
+    /// Number of vertices of the two graphs.
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        (self.n, self.m)
+    }
+
+    /// The right-hand side `D× q×` of Eq. (1), at any [`Scalar`]
+    /// precision: the `f32`-stored factors are widened individually before
+    /// multiplying, so the `f64` instantiation forms the exact products.
+    pub(crate) fn rhs<T: Scalar>(&self) -> Vec<T> {
+        self.degree_product
+            .iter()
+            .zip(&self.stop_product)
+            .map(|(&d, &q)| T::from_f32(d) * T::from_f32(q))
+            .collect()
+    }
+
+    /// The diagonal of the system matrix, `D× V×⁻¹`.
+    pub(crate) fn system_diagonal<T: Scalar>(&self) -> Vec<T> {
+        self.degree_product
+            .iter()
+            .zip(&self.vertex_product)
+            .map(|(&d, &v)| T::from_f32(d) / T::from_f32(v))
+            .collect()
+    }
+
+    /// The Jacobi preconditioner `M⁻¹ = V× D×⁻¹` used on line 14 of
+    /// Algorithm 1.
+    pub(crate) fn preconditioner_diagonal<T: Scalar>(&self) -> Vec<T> {
+        self.degree_product
+            .iter()
+            .zip(&self.vertex_product)
+            .map(|(&d, &v)| T::from_f32(v) / T::from_f32(d))
+            .collect()
+    }
+
+    /// The starting-probability product `p ⊗ p'`.
+    pub(crate) fn start_product(&self) -> &[f32] {
+        &self.start_product
+    }
+}
+
+/// The assembled tensor-product system for one graph pair.
+pub struct ProductSystem<E, KE> {
+    diagonals: PairDiagonals,
     /// The outer and inner operands of `A× ∘ E×`, the two-level sparse
     /// octile operator of Section IV: the octile matrices the two
     /// [`PreparedGraph`]s were built with once, shared, not copied.
@@ -210,15 +285,7 @@ where
     where
         KV: BaseKernel<V>,
     {
-        let (g1, g2) = (a.graph(), b.graph());
-        let degree_product = kron_vec(a.degrees(), b.degrees());
-        let vertex_product =
-            generalized_kron_vec(g1.vertex_labels(), g2.vertex_labels(), |u, v| {
-                vertex_kernel.eval(u, v)
-            });
-        let start_product = kron_vec(g1.start_probabilities(), g2.start_probabilities());
-        let stop_product = kron_vec(g1.stop_probabilities(), g2.stop_probabilities());
-
+        let diagonals = PairDiagonals::new(a, b, vertex_kernel);
         let cost = edge_kernel.cost();
         let tile_costs =
             TileCosts { label_bytes: cost.label_bytes, float_bytes: 4, kernel_flops: cost.flops };
@@ -227,16 +294,10 @@ where
         let layers = TileLayers::new(right.tiles());
         let panels = right.tiles().iter().map(TilePanels::new).collect();
         let kinds = KindTable::shared(cost.flops);
-        let dims = (g1.num_vertices(), g2.num_vertices());
-        let traffic = ApplyTraffic::octile(&left, &right, &kinds, &tile_costs, dims);
+        let traffic = ApplyTraffic::octile(&left, &right, &kinds, &tile_costs, diagonals.shape());
 
         ProductSystem {
-            n: g1.num_vertices(),
-            m: g2.num_vertices(),
-            degree_product,
-            vertex_product,
-            start_product,
-            stop_product,
+            diagonals,
             left,
             right,
             layers,
@@ -251,48 +312,43 @@ where
 
     /// Dimension of the product system, `n · m`.
     pub fn dim(&self) -> usize {
-        self.n * self.m
+        let (n, m) = self.shape();
+        n * m
     }
 
     /// Number of vertices of the two graphs.
     pub fn shape(&self) -> (usize, usize) {
-        (self.n, self.m)
+        self.diagonals.shape()
+    }
+
+    /// The system's diagonal data, which the solver reads through this
+    /// system's operator or the factored one alike.
+    pub(crate) fn diagonals(&self) -> &PairDiagonals {
+        &self.diagonals
     }
 
     /// The right-hand side `D× q×` of Eq. (1), at any [`Scalar`]
     /// precision: the `f32`-stored factors are widened individually before
     /// multiplying, so the `f64` instantiation forms the exact products.
     pub fn rhs<T: Scalar>(&self) -> Vec<T> {
-        self.degree_product
-            .iter()
-            .zip(&self.stop_product)
-            .map(|(&d, &q)| T::from_f32(d) * T::from_f32(q))
-            .collect()
+        self.diagonals.rhs()
     }
 
     /// The diagonal of the system matrix, `D× V×⁻¹`.
     pub fn system_diagonal<T: Scalar>(&self) -> Vec<T> {
-        self.degree_product
-            .iter()
-            .zip(&self.vertex_product)
-            .map(|(&d, &v)| T::from_f32(d) / T::from_f32(v))
-            .collect()
+        self.diagonals.system_diagonal()
     }
 
     /// The Jacobi preconditioner `M⁻¹ = V× D×⁻¹` used on line 14 of
     /// Algorithm 1.
     pub fn preconditioner_diagonal<T: Scalar>(&self) -> Vec<T> {
-        self.degree_product
-            .iter()
-            .zip(&self.vertex_product)
-            .map(|(&d, &v)| T::from_f32(v) / T::from_f32(d))
-            .collect()
+        self.diagonals.preconditioner_diagonal()
     }
 
     /// The starting-probability product `p ⊗ p'` used to contract the
     /// solution into the kernel value.
     pub fn start_product(&self) -> &[f32] {
-        &self.start_product
+        self.diagonals.start_product()
     }
 
     /// Apply the off-diagonal operator: `y ← (A× ∘ E×) x`, adding the
@@ -340,12 +396,8 @@ where
     /// `coefficients` says; counts nothing.
     fn sweep<T: Scalar>(&self, x: &[T], y: &mut [T], coefficients: &mut Coefficients<'_, T>) {
         y.iter_mut().for_each(|v| *v = T::ZERO);
-        let ctx = PairContext {
-            n: self.n,
-            m: self.m,
-            kernel: &self.edge_kernel,
-            costs: &self.tile_costs,
-        };
+        let (n, m) = self.shape();
+        let ctx = PairContext { n, m, kernel: &self.edge_kernel, costs: &self.tile_costs };
         let (outer, inner) = (self.left.tiles(), (self.right.tiles(), &self.panels[..]));
         let (layers, kinds) = (&self.layers, &self.kinds);
         octile_sweep(self.wide, outer, inner, layers, kinds, coefficients, ctx, x, y);

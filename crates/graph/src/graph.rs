@@ -105,6 +105,14 @@ impl<V, E> Graph<V, E> {
         })
     }
 
+    /// Vertex `i`'s row of the CSR adjacency: its neighbors and the weights
+    /// of the edges to them, both in storage order.
+    #[inline]
+    pub fn adjacency_row(&self, i: usize) -> (&[u32], &[f32]) {
+        let (lo, hi) = (self.offsets[i], self.offsets[i + 1]);
+        (&self.neighbors[lo..hi], &self.weights[lo..hi])
+    }
+
     /// Iterate over every undirected edge once, as `(i, j, weight, label)`
     /// with `i < j`.
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32, f32, &E)> + '_ {
