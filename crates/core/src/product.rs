@@ -7,9 +7,14 @@
 //! * `A× ∘ E×` is the weight/edge-kernel product handled by the on-the-fly
 //!   XMV primitives.
 //!
-//! [`ProductSystem`] owns the diagonal data, the right-hand side
-//! `D× q×` and the two-level sparse octile operator over the octile
-//! matrices its two [`PreparedGraph`]s were built with once.
+//! The diagonal data, from which the diagonal, its Jacobi preconditioner,
+//! the right-hand side `D× q×` and the contraction `p×` are formed, is one
+//! `PairDiagonals`, whichever operator solves the pair. [`ProductSystem`]
+//! owns it and the two-level sparse octile operator over the octile
+//! matrices its two [`PreparedGraph`]s were built with once. A pair under a
+//! constant edge kernel that the solver factors as `A₁·X·A₂ᵀ` (the crate's
+//! `factored` module) builds no `ProductSystem`: it needs the diagonal data
+//! alone.
 //!
 //! [`SystemOperator`] views the full `D× V×⁻¹ − A× ∘ E×` as a
 //! [`mgk_linalg::LinearOperator`], and memory traffic flows through the

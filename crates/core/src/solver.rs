@@ -1,4 +1,10 @@
 //! The per-pair marginalized graph kernel solver (Algorithm 1).
+//!
+//! [`MarginalizedKernelSolver::kernel_prepared`] solves one prepared pair
+//! with Jacobi-preconditioned CG over one of two off-diagonal operators,
+//! picked by the pair's content: the factored `A₁·X·A₂ᵀ` of a constant edge
+//! kernel, where that costs no more multiply-adds than the octile sweep,
+//! and the two-level sparse octile operator of Section IV everywhere else.
 
 use mgk_graph::Graph;
 use mgk_kernels::{BaseKernel, UnitKernel};
@@ -14,10 +20,14 @@ use crate::product::{PairDiagonals, ProductSystem, SystemOperator};
 
 /// Configuration of the marginalized graph kernel solver.
 ///
-/// The off-diagonal operator is always the two-level sparse octile one of
-/// Section IV, with adaptive dense/sparse tile primitives, compact tile
-/// payloads and block-level tile sharing. The default configuration adds
-/// PBR reordering: the paper's full production kernel.
+/// The configuration does not choose the off-diagonal operator; the pair
+/// does. It is the two-level sparse octile one of Section IV, with adaptive
+/// dense/sparse tile primitives, compact tile payloads and block-level tile
+/// sharing, except under an edge kernel that is
+/// [`CONSTANT`](BaseKernel::CONSTANT), where a pair whose factored product
+/// `A₁·X·A₂ᵀ` costs no more multiply-adds than the octile sweep is solved
+/// with that. The default configuration adds PBR reordering: the paper's
+/// full production kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverConfig {
     /// Convergence threshold and iteration budget of the PCG iteration —
@@ -205,8 +215,11 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
     /// when a structure meets more than one partner (a Gram matrix, a
     /// serving cache): neither structure is reordered or tiled again here.
     ///
-    /// The solve runs at `precision` (PCG at the `f32` or `f64`
-    /// instantiation) and the result is carried at `T`:
+    /// The off-diagonal operator is the factored `A₁·X·A₂ᵀ` when the edge
+    /// kernel is [`CONSTANT`](BaseKernel::CONSTANT) and
+    /// `nnz₁·m + n·nnz₂ ≤ nnz₁·nnz₂`, and the octile operator
+    /// ([`SystemOperator`]) otherwise. The solve runs at `precision` (PCG at
+    /// the `f32` or `f64` instantiation) and the result is carried at `T`:
     /// `kernel_prepared::<f32>(.., Precision::F64)` is the oracle's value at
     /// the serving type. Every solve starts from zero, so
     /// the result depends on the prepared pair, its orientation and the
