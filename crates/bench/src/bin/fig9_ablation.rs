@@ -40,11 +40,10 @@ use mgk_bench::device::DeviceSpec;
 use mgk_bench::project::estimate_time;
 use mgk_bench::{
     bench_scale, distance_kernel, fmt_duration, scaled, AtomKernel, BondKernel, ElementKernel,
-    OctileUnitKernel,
 };
 use mgk_core::SolverConfig;
 use mgk_graph::Graph;
-use mgk_kernels::BaseKernel;
+use mgk_kernels::{BaseKernel, OctileUnitKernel, UnitKernel};
 
 fn run_dataset<V, E, KV, KE>(name: &str, graphs: &[Graph<V, E>], vertex_kernel: KV, edge_kernel: KE)
 where
@@ -112,13 +111,8 @@ fn main() {
     let protein = mgk_datasets::pdb_like(real_count, 40, 110, &mut rng);
     let drugbank = mgk_datasets::drugbank_like(real_count, 4, 120, &mut rng);
 
-    run_dataset(
-        "Small world (NWS 96, k=3, p=0.1)",
-        &small_world,
-        mgk_kernels::UnitKernel,
-        OctileUnitKernel,
-    );
-    run_dataset("Scale-free (BA 96, m=6)", &scale_free, mgk_kernels::UnitKernel, OctileUnitKernel);
+    run_dataset("Small world (NWS 96, k=3, p=0.1)", &small_world, UnitKernel, OctileUnitKernel);
+    run_dataset("Scale-free (BA 96, m=6)", &scale_free, UnitKernel, OctileUnitKernel);
     let protein_graphs: Vec<_> = protein.iter().map(|s| s.graph.clone()).collect();
     run_dataset(
         "Protein-like (PDB stand-in)",

@@ -61,7 +61,7 @@ pub mod warp_cycles;
 pub mod xmv;
 
 use mgk_graph::{AtomLabel, BondLabel, Element, Graph, Unlabeled};
-use mgk_kernels::{BaseKernel, KernelCost, KroneckerDelta, SquareExponential};
+use mgk_kernels::{BaseKernel, KroneckerDelta, SquareExponential};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -145,26 +145,6 @@ impl BaseKernel<Element> for ElementKernel {
 
     fn eval(&self, a: &Element, b: &Element) -> f32 {
         self.0.eval(a, b)
-    }
-}
-
-/// The unit kernel as the paper's XMV treats it: `1` for every label pair,
-/// at the unlabeled cost, but not declared
-/// [`CONSTANT`](BaseKernel::CONSTANT). The serving solver factors the
-/// system of a constant edge kernel (`A₁·X·A₂ᵀ`) instead of sweeping its
-/// octiles; Fig. 9's levels take this kernel on their unlabeled sets, so
-/// `+Block` and `+DynSched` still run, time and count the paper's octile
-/// operator, and their projections stay those of the octile XMV.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OctileUnitKernel;
-
-impl<L: ?Sized + Sync> BaseKernel<L> for OctileUnitKernel {
-    const LABEL_BYTES: usize = KernelCost::UNLABELED.label_bytes;
-    const FLOPS: usize = KernelCost::UNLABELED.flops;
-
-    #[inline]
-    fn eval(&self, _a: &L, _b: &L) -> f32 {
-        1.0
     }
 }
 

@@ -6,21 +6,20 @@
 //! plus the fused diagonal sweep counts the traffic `SystemOperator` counts
 //! per apply, field by field. Both the recording
 //! and the replaying application of an operator that streams its
-//! coefficients are checked, at `f32` and at `f64`, over molecule, NWS and
-//! BA pairs and a pair of complete graphs the table routes wholly to
-//! dense×dense. The policies of the lower levels move only the global
+//! coefficients are checked, at `f32` and at `f64`, over molecule pairs,
+//! NWS and BA pairs under `OctileUnitKernel` and a pair of complete graphs
+//! the table routes wholly to dense×dense. The policies of the lower levels move only the global
 //! traffic terms. And the unit kernel Fig. 9's unlabeled sets run under,
 //! `OctileUnitKernel`, keeps the serving solver on that operator: its
 //! served solve is `pcg_counted` over `SystemOperator`, bit for bit.
 
 use mgk_bench::ablation::{OctileProduct, OctileXmv};
-use mgk_bench::OctileUnitKernel;
 use mgk_core::octile_ops::{KindTable, TileProductKind};
 use mgk_core::{MarginalizedKernelSolver, ProductSystem, SolverConfig, SystemOperator};
 use mgk_datasets::molecules::synthetic_molecule;
 use mgk_graph::generators::{barabasi_albert, complete_labeled, newman_watts_strogatz};
 use mgk_graph::Graph;
-use mgk_kernels::{BaseKernel, KroneckerDelta, SquareExponential, UnitKernel};
+use mgk_kernels::{BaseKernel, KroneckerDelta, OctileUnitKernel, SquareExponential, UnitKernel};
 use mgk_linalg::{
     pcg_counted, DiagonalOperator, LinearOperator, Precision, Scalar, TrafficCounters,
 };
@@ -120,7 +119,7 @@ fn the_loop_at_the_serving_policy_is_the_system_operator_on_nws_and_ba() {
     for (g1, g2, case) in
         [(&nws, &ba, "NWS×BA"), (&ba, &nws, "BA×NWS"), (&nws, &small_ba, "NWS×BA-40")]
     {
-        assert_loop_is_the_operator(g1, g2, &UnitKernel, &UnitKernel, case);
+        assert_loop_is_the_operator(g1, g2, &UnitKernel, &OctileUnitKernel, case);
     }
 }
 

@@ -1,4 +1,4 @@
-//! The factored operator of a constant edge kernel.
+//! The factored operands of a constant edge kernel.
 //!
 //! Under an edge kernel that is `1` for every label pair
 //! ([`BaseKernel::CONSTANT`]), `A× ∘ E×` is the weighted Kronecker product
@@ -8,12 +8,11 @@
 //! Schraudolph, Kondor and Borgwardt, "Graph Kernels", JMLR 11, 2010). One
 //! application then costs `nnz₁·m + n·nnz₂` multiply-adds, two sparse×dense
 //! products over the graphs' CSR rows, where the octile sweep pays one term
-//! per pair of nonzeros, `nnz₁·nnz₂`. [`MarginalizedKernelSolver`] takes
-//! this operator for a pair whenever its edge kernel is constant and
-//! [`factored_is_cheaper`] says so; every other pair, and every kernel that
-//! is not constant, keeps the octile operator of the paper.
+//! per pair of nonzeros, `nnz₁·nnz₂`. A [`ProductSystem`] whose edge kernel
+//! is constant holds these operands in place of octile ones; every kernel
+//! that is not constant keeps the octile operator of the paper.
 //!
-//! [`MarginalizedKernelSolver`]: crate::MarginalizedKernelSolver
+//! [`ProductSystem`]: crate::ProductSystem
 
 #![cfg_attr(
     not(test),
@@ -27,104 +26,100 @@
     )
 )]
 
-use std::cell::RefCell;
-
 use mgk_graph::Graph;
 #[cfg(doc)]
 use mgk_kernels::BaseKernel;
-use mgk_linalg::{LinearOperator, Scalar, TrafficCounters};
+use mgk_linalg::{Scalar, TrafficCounters};
 
-use crate::product::PairDiagonals;
-
-/// Whether the factored product is no dearer than the octile sweep for the
-/// pair `g1 × g2`: `nnz₁·m + n·nnz₂ ≤ nnz₁·nnz₂`, each side the
-/// multiply-adds of one application, with no fitted constant. Over unweighted
-/// graphs it reads `1/d̄₁ + 1/d̄₂ ≤ 1` in the mean degrees `d̄`, so NWS and BA
-/// pairs (degrees 6–12) go factored, and trees, paths and stars (degree
-/// under 2) and their pairs with rings stay on the octile sweep, where they
-/// solved no slower. A rule on the two structures alone: the host and its
-/// load never choose the arithmetic.
-pub(crate) fn factored_is_cheaper<V, E>(g1: &Graph<V, E>, g2: &Graph<V, E>) -> bool {
-    let (n, m) = (g1.num_vertices() as u64, g2.num_vertices() as u64);
-    let (nnz1, nnz2) = (g1.num_adjacency_entries() as u64, g2.num_adjacency_entries() as u64);
-    nnz1 * m + n * nnz2 <= nnz1 * nnz2
+/// A graph's weighted adjacency in CSR form, without its labels: the rows
+/// [`Graph::adjacency_row`] gives, in storage order.
+struct Adjacency {
+    /// Row offsets, length `n + 1`.
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+    weights: Vec<f32>,
 }
 
-/// `y = D× V×⁻¹·x − A₁·X·A₂ᵀ` for a constant edge kernel, at the vector
-/// [`Scalar`] precision `T`, `X` being `x` as a row-major `n × m` matrix.
-///
-/// Row `i` of the product is formed in one pass: `z = Σₖ w₁(i, k)·X[k, :]`,
-/// row axpys over `A₁`'s row `i` in storage order into an `m`-element
-/// scratch, then `y[i, j] = d[i, j]·x[i, j] − Σₗ w₂(j, l)·z[l]`, a gather
-/// over `A₂`'s row `j` in storage order, with the diagonal fused. Each
-/// element therefore adds its terms in a fixed order, with separate IEEE-754
-/// multiplies and adds (no FMA), so every application gives the same bits;
-/// the `f32`-stored weights are widened before multiplying at `f64`, as in
-/// the octile operator. The summation order is not the octile sweep's, so
-/// the bits differ from it, within rounding.
-///
-/// Each application counts its executed ledger: `2(nnz₁·m + n·nnz₂)` FLOPs
-/// and the diagonal pass's `2·n·m`; the loads of `X`'s rows by the axpys,
-/// of each CSR entry (4-byte index and 4-byte weight: `A₁` once, `A₂` once
-/// per row of `X`), of `x` and the diagonal; one store of `y`. It evaluates
-/// no kernel. The scratch sits in a `RefCell`, so the operator is not
-/// `Sync`: a solve applies its operator from the thread that runs it.
-pub(crate) struct FactoredOperator<'a, V, E, T: Scalar> {
-    left: &'a Graph<V, E>,
-    right: &'a Graph<V, E>,
-    diagonal: Vec<T>,
-    /// One row of `A₁·X`.
-    scratch: RefCell<Vec<T>>,
-    /// What one application counts.
-    ledger: TrafficCounters,
+impl Adjacency {
+    fn of<V, E>(g: &Graph<V, E>) -> Self {
+        let entries = g.num_adjacency_entries();
+        let mut offsets = Vec::with_capacity(g.num_vertices() + 1);
+        let (mut targets, mut weights) = (Vec::with_capacity(entries), Vec::with_capacity(entries));
+        offsets.push(0);
+        for i in 0..g.num_vertices() {
+            let (row_targets, row_weights) = g.adjacency_row(i);
+            targets.extend_from_slice(row_targets);
+            weights.extend_from_slice(row_weights);
+            offsets.push(targets.len());
+        }
+        Adjacency { offsets, targets, weights }
+    }
+
+    fn row(&self, i: usize) -> (&[u32], &[f32]) {
+        let (lo, hi) = (self.offsets[i], self.offsets[i + 1]);
+        (&self.targets[lo..hi], &self.weights[lo..hi])
+    }
+
+    fn vertices(&self) -> usize {
+        self.offsets.len() - 1
+    }
 }
 
-impl<'a, V, E, T: Scalar> FactoredOperator<'a, V, E, T> {
-    /// The operator of the pair `left × right`, whose diagonal data is
-    /// `diagonals`.
-    pub(crate) fn new(
-        left: &'a Graph<V, E>,
-        right: &'a Graph<V, E>,
-        diagonals: &PairDiagonals,
-    ) -> Self {
-        let (n, m) = (left.num_vertices() as u64, right.num_vertices() as u64);
-        let (nnz1, nnz2) =
-            (left.num_adjacency_entries() as u64, right.num_adjacency_entries() as u64);
+/// The operands of `A₁·X·A₂ᵀ`: the two graphs' weighted adjacencies.
+pub(crate) struct Factors {
+    left: Adjacency,
+    right: Adjacency,
+}
+
+impl Factors {
+    /// The factors of the pair `g1 × g2`, taken in the order they stand.
+    pub(crate) fn new<V, E>(g1: &Graph<V, E>, g2: &Graph<V, E>) -> Self {
+        Factors { left: Adjacency::of(g1), right: Adjacency::of(g2) }
+    }
+
+    /// `nnz₁` and `nnz₂`.
+    pub(crate) fn nonzeros(&self) -> (usize, usize) {
+        (self.left.targets.len(), self.right.targets.len())
+    }
+
+    /// What one application counts at a vector element of `vector_bytes`:
+    /// `2(nnz₁·m + n·nnz₂)` FLOPs; the loads of `X`'s rows by the axpys and
+    /// of each CSR entry (4-byte index and 4-byte weight: `A₁` once, `A₂`
+    /// once per row of `X`); one store of `y`. It evaluates no kernel.
+    pub(crate) fn traffic(&self, vector_bytes: u64) -> TrafficCounters {
+        let (n, m) = (self.left.vertices() as u64, self.right.vertices() as u64);
+        let (nnz1, nnz2) = self.nonzeros();
+        let (nnz1, nnz2) = (nnz1 as u64, nnz2 as u64);
         let entry_bytes = (std::mem::size_of::<u32>() + std::mem::size_of::<f32>()) as u64;
-        let ledger = TrafficCounters {
-            flops: 2 * (nnz1 * m + n * nnz2) + 2 * n * m,
-            global_load_bytes: nnz1 * (m * T::BYTES + entry_bytes)
-                + n * nnz2 * entry_bytes
-                + 2 * n * m * T::BYTES,
-            global_store_bytes: n * m * T::BYTES,
+        TrafficCounters {
+            flops: 2 * (nnz1 * m + n * nnz2),
+            global_load_bytes: nnz1 * (m * vector_bytes + entry_bytes) + n * nnz2 * entry_bytes,
+            global_store_bytes: n * m * vector_bytes,
             ..TrafficCounters::new()
-        };
-        FactoredOperator {
-            left,
-            right,
-            diagonal: diagonals.system_diagonal(),
-            scratch: RefCell::new(vec![T::ZERO; m as usize]),
-            ledger,
         }
     }
-}
 
-impl<V, E, T: Scalar> LinearOperator<T> for FactoredOperator<'_, V, E, T> {
-    fn dim(&self) -> usize {
-        self.diagonal.len()
-    }
-
-    fn apply(&self, x: &[T], y: &mut [T]) {
-        self.apply_counted(x, y, &mut TrafficCounters::new());
-    }
-
-    fn apply_counted(&self, x: &[T], y: &mut [T], counters: &mut TrafficCounters) {
-        let m = self.right.num_vertices();
-        let mut z = self.scratch.borrow_mut();
-        let rows = y.chunks_exact_mut(m).zip(x.chunks_exact(m)).zip(self.diagonal.chunks_exact(m));
-        for (i, ((y_row, x_row), d_row)) in rows.enumerate() {
+    /// `y ← A₁·X·A₂ᵀ`, `X` being `x` as a row-major `n × m` matrix, at the
+    /// vector [`Scalar`] precision `T`.
+    ///
+    /// Row `i` of the product is formed in one pass: `z = Σₖ w₁(i, k)·X[k, :]`,
+    /// row axpys over `A₁`'s row `i` in storage order into an `m`-element
+    /// row, then `y[i, j] = Σₗ w₂(j, l)·z[l]`, a gather over `A₂`'s row `j`
+    /// in storage order. Each element therefore adds its terms in a fixed
+    /// order, with separate IEEE-754 multiplies and adds (no FMA), so every
+    /// application gives the same bits; the `f32`-stored weights are widened
+    /// before multiplying at `f64`, as in the octile operator. The
+    /// summation order is not the octile sweep's, so the bits differ from
+    /// it, within rounding. The row `z` is the one allocation.
+    pub(crate) fn apply<T: Scalar>(&self, x: &[T], y: &mut [T]) {
+        let m = self.right.vertices();
+        if m == 0 {
+            return;
+        }
+        let mut z = vec![T::ZERO; m];
+        for (i, y_row) in y.chunks_exact_mut(m).enumerate() {
             z.fill(T::ZERO);
-            let (targets, weights) = self.left.adjacency_row(i);
+            let (targets, weights) = self.left.row(i);
             for (&k, &w) in targets.iter().zip(weights) {
                 let w = T::from_f32(w);
                 let x_k = &x[k as usize * m..][..m];
@@ -132,35 +127,37 @@ impl<V, E, T: Scalar> LinearOperator<T> for FactoredOperator<'_, V, E, T> {
                     *zl += w * xl;
                 }
             }
-            for (j, ((yj, &xj), &dj)) in y_row.iter_mut().zip(x_row).zip(d_row).enumerate() {
-                let (targets, weights) = self.right.adjacency_row(j);
+            for (j, yj) in y_row.iter_mut().enumerate() {
+                let (targets, weights) = self.right.row(j);
                 let mut off = T::ZERO;
                 for (&l, &w) in targets.iter().zip(weights) {
                     off += T::from_f32(w) * z[l as usize];
                 }
-                *yj = dj * xj - off;
+                *yj = off;
             }
         }
-        counters.accumulate(&self.ledger);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::{MarginalizedKernelSolver, PreparedGraph, SolverConfig};
+    use crate::{MarginalizedKernelSolver, ProductSystem, SolverConfig, SystemOperator};
     use mgk_datasets::molecules::synthetic_molecule;
     use mgk_graph::generators::{barabasi_albert, complete_labeled, newman_watts_strogatz};
-    use mgk_graph::{GraphBuilder, Unlabeled};
-    use mgk_kernels::{BaseKernel, KroneckerDelta, SquareExponential, UnitKernel};
-    use mgk_linalg::{pcg_counted, DiagonalOperator, Precision};
+    use mgk_graph::{Graph, GraphBuilder, Unlabeled};
+    use mgk_kernels::{
+        BaseKernel, KroneckerDelta, OctileUnitKernel, SquareExponential, UnitKernel,
+    };
+    use mgk_linalg::{
+        pcg_counted, DiagonalOperator, LinearOperator, Precision, Scalar, TrafficCounters,
+    };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     /// The factored product in its summation order, one element at a time
-    /// and over the graphs' edge iterators: `y[i, j] = d·x − Σₗ w₂(j, l)·z`
-    /// with `z = Σₖ w₁(i, k)·x[k, l]`, both sums from zero in storage order.
-    fn reference<T: Scalar, V, E>(g1: &Graph<V, E>, g2: &Graph<V, E>, d: &[T], x: &[T]) -> Vec<T> {
+    /// and over the graphs' edge iterators: `Σₗ w₂(j, l)·z` with
+    /// `z = Σₖ w₁(i, k)·x[k, l]`, both sums from zero in storage order.
+    fn reference<T: Scalar, V, E>(g1: &Graph<V, E>, g2: &Graph<V, E>, x: &[T]) -> Vec<T> {
         let (n, m) = (g1.num_vertices(), g2.num_vertices());
         let mut y = vec![T::ZERO; n * m];
         for i in 0..n {
@@ -174,7 +171,7 @@ mod tests {
                     }
                     off += T::from_f32(e2.weight) * z;
                 }
-                y[i * m + j] = d[i * m + j] * x[i * m + j] - off;
+                y[i * m + j] = off;
             }
         }
         y
@@ -224,43 +221,47 @@ mod tests {
         ]
     }
 
-    fn prepared(g: &Graph) -> PreparedGraph<Unlabeled, Unlabeled> {
-        PreparedGraph::new(g.clone(), None)
-    }
-
-    /// Two applications of the operator against the reference, bit for bit,
-    /// and the ledger each counts.
-    fn assert_operator_is_the_reference<T: Scalar>(g1: &Graph, g2: &Graph, case: &str) {
-        let diagonals = PairDiagonals::new(&prepared(g1), &prepared(g2), &UnitKernel);
-        let operator = FactoredOperator::<_, _, T>::new(g1, g2, &diagonals);
-        let d = diagonals.system_diagonal::<T>();
-        let (n, m) = diagonals.shape();
+    /// Two applications of a unit-kernel system's operators against the
+    /// reference, bit for bit: the off-diagonal product alone, and the
+    /// system operator's `d·x − off`; and the ledger each application counts.
+    fn assert_system_is_the_reference<T: Scalar>(g1: &Graph, g2: &Graph, case: &str) {
+        let config = SolverConfig::default();
+        let system = ProductSystem::assemble(g1, g2, &UnitKernel, UnitKernel, &config);
+        let operator = SystemOperator::<_, _, T>::new(&system);
+        let d = system.system_diagonal::<T>();
+        let (n, m) = system.shape();
         let (nnz1, nnz2) = (g1.num_adjacency_entries(), g2.num_adjacency_entries());
         let x: Vec<T> = (0..n * m).map(|k| T::from_f64(0.1 * (k % 7) as f64 - 0.25)).collect();
-        let expected = reference(g1, g2, &d, &x);
-        let mut counts = TrafficCounters::new();
+        let off = reference(g1, g2, &x);
+        let full: Vec<T> = d.iter().zip(&x).zip(&off).map(|((&d, &x), &o)| d * x - o).collect();
+        let (mut off_counts, mut counts) = (TrafficCounters::new(), TrafficCounters::new());
         for application in ["first", "second"] {
             let mut y = vec![T::from_f64(7.0); n * m];
+            system.apply_off_diagonal(&x, &mut y, &mut off_counts);
+            assert!(bitwise_equal(&y, &off), "{case} off-diagonal at {}, {application}", T::NAME);
+            let mut y = vec![T::from_f64(7.0); n * m];
             operator.apply_counted(&x, &mut y, &mut counts);
-            assert!(bitwise_equal(&y, &expected), "{case} at {}, {application}", T::NAME);
+            assert!(bitwise_equal(&y, &full), "{case} at {}, {application}", T::NAME);
         }
-        let flops = 2 * (nnz1 * m + n * nnz2) + 2 * n * m;
-        assert_eq!(counts.flops, 2 * flops as u64, "{case}");
+        let flops = (2 * (nnz1 * m + n * nnz2)) as u64;
+        assert_eq!(off_counts.flops, 2 * flops, "{case}");
+        assert_eq!(counts.flops, 2 * (flops + 2 * (n * m) as u64), "{case}");
         assert_eq!(counts.kernel_evaluations, 0, "{case}");
     }
 
     #[test]
-    fn the_operator_is_the_factored_reference_bit_for_bit() {
+    fn a_unit_kernel_system_is_the_factored_reference_bit_for_bit() {
         for (g1, g2, case) in pairs() {
-            assert_operator_is_the_reference::<f32>(&g1, &g2, case);
-            assert_operator_is_the_reference::<f64>(&g1, &g2, case);
+            assert_system_is_the_reference::<f32>(&g1, &g2, case);
+            assert_system_is_the_reference::<f64>(&g1, &g2, case);
         }
     }
 
-    /// The solver's answer for a pair it factors is PCG over this operator,
-    /// bit for bit, at both precisions.
+    /// The solver's answer for a unit-kernel pair is PCG over the system
+    /// operator of the pair's `ProductSystem`, bit for bit, at both
+    /// precisions: the public assembly replays what the solver runs.
     #[test]
-    fn the_served_solve_runs_the_factored_operator() {
+    fn the_served_solve_is_pcg_over_the_assembled_system() {
         fn check<T: Scalar>(g1: &Graph, g2: &Graph, case: &str) {
             let config = SolverConfig {
                 reorder: mgk_reorder::ReorderMethod::Natural,
@@ -269,26 +270,20 @@ mod tests {
             };
             let solver = MarginalizedKernelSolver::unlabeled(config);
             let served = solver.kernel_at::<T, _, _>(g1, g2).unwrap();
-            let diagonals = PairDiagonals::new(&prepared(g1), &prepared(g2), &UnitKernel);
-            let operator = FactoredOperator::<_, _, T>::new(g1, g2, &diagonals);
-            let preconditioner = DiagonalOperator::new(diagonals.preconditioner_diagonal::<T>());
-            let rhs = diagonals.rhs::<T>();
+            let system = ProductSystem::assemble(g1, g2, &UnitKernel, UnitKernel, &config);
+            let operator = SystemOperator::<_, _, T>::new(&system);
+            let preconditioner = DiagonalOperator::new(system.preconditioner_diagonal::<T>());
+            let rhs = system.rhs::<T>();
             let mut traffic = TrafficCounters::new();
             let (x, info) =
                 pcg_counted(&operator, &preconditioner, &rhs, &config.solve, &mut traffic);
             let value: f64 =
-                diagonals.start_product().iter().zip(&x).map(|(&p, x)| p as f64 * x.to_f64()).sum();
+                system.start_product().iter().zip(&x).map(|(&p, x)| p as f64 * x.to_f64()).sum();
             assert_eq!(served.value_f64.to_bits(), value.to_bits(), "{case} at {}", T::NAME);
             assert_eq!(served.iterations, info.iterations, "{case}");
             assert_eq!(served.traffic, traffic, "{case}");
         }
-        // a 1-vertex graph has no edge: it takes the factored operator only
-        // against another edgeless graph
-        let factored: Vec<_> =
-            pairs().into_iter().filter(|(g1, g2, _)| factored_is_cheaper(g1, g2)).collect();
-        let cases: Vec<_> = factored.iter().map(|(_, _, case)| *case).collect();
-        assert_eq!(cases, ["NWS-96 × BA-96", "13 × 21", "1 × 1"]);
-        for (g1, g2, case) in factored {
+        for (g1, g2, case) in pairs() {
             check::<f32>(&g1, &g2, case);
             check::<f64>(&g1, &g2, case);
         }
@@ -313,32 +308,44 @@ mod tests {
     }
 
     #[test]
-    fn only_a_constant_edge_kernel_on_a_pair_the_rule_prefers_is_factored() {
+    fn every_pair_of_a_constant_edge_kernel_and_no_other_is_factored() {
         let mut rng = StdRng::seed_from_u64(52);
         let (nws, other) = (
             newman_watts_strogatz(96, 3, 0.1, &mut rng),
             newman_watts_strogatz(40, 3, 0.1, &mut rng),
         );
-        assert!(served_factored(&nws, &other, UnitKernel, UnitKernel));
-        // a ring and a path: 2·r·p + r·2(p − 1) > 2r·2(p − 1)
         let ring =
             Graph::from_edge_list(12, &(0..12).map(|i| (i, (i + 1) % 12)).collect::<Vec<_>>());
         let path = Graph::from_edge_list(9, &(1..9).map(|i| (i - 1, i)).collect::<Vec<_>>());
-        assert!(!factored_is_cheaper(&ring, &path));
-        assert!(!served_factored(&ring, &path, UnitKernel, UnitKernel));
-        // the Kronecker delta is 1 on every unlabeled pair, but says not so
-        let delta = KroneckerDelta::new(0.5);
-        assert!(factored_is_cheaper(&nws, &other));
-        assert!(!served_factored(&nws, &other, UnitKernel, delta));
-        // dense labeled graphs the rule prefers, under each kernel
+        for (g1, g2) in [(&nws, &other), (&ring, &path)] {
+            assert!(served_factored(g1, g2, UnitKernel, UnitKernel));
+            // the Kronecker delta is 1 on every unlabeled pair, but says not
+            // so, and the octile unit kernel is the unit kernel saying not so
+            assert!(!served_factored(g1, g2, UnitKernel, KroneckerDelta::new(0.5)));
+            assert!(!served_factored(g1, g2, UnitKernel, OctileUnitKernel));
+        }
+        // dense labeled graphs, under each kernel
         let (a, b) = (complete_labeled(12, &mut rng), complete_labeled(9, &mut rng));
-        assert!(factored_is_cheaper(&a, &b));
         assert!(!served_factored(&a, &b, UnitKernel, SquareExponential::new(1.0)));
-        assert!(!served_factored(&a, &b, UnitKernel, delta));
+        assert!(!served_factored(&a, &b, UnitKernel, KroneckerDelta::new(0.5)));
         assert!(served_factored(&a, &b, UnitKernel, UnitKernel));
-        // and molecules, of mean degree about 2, under the unit kernel too
+        // and molecules, under the unit kernel too
         let (m1, m2) = (synthetic_molecule(30, &mut rng), synthetic_molecule(23, &mut rng));
-        assert!(!factored_is_cheaper(&m1, &m2));
-        assert!(!served_factored(&m1, &m2, UnitKernel, UnitKernel));
+        assert!(served_factored(&m1, &m2, UnitKernel, UnitKernel));
+        assert!(!served_factored(&m1, &m2, UnitKernel, OctileUnitKernel));
+    }
+
+    /// An empty operand leaves nothing to apply.
+    #[test]
+    fn an_empty_graph_has_an_empty_product() {
+        let (empty, path) = (Graph::from_edge_list(0, &[]), Graph::from_edge_list(3, &[(0, 1)]));
+        for (g1, g2) in [(&empty, &path), (&path, &empty)] {
+            let system =
+                ProductSystem::assemble(g1, g2, &UnitKernel, UnitKernel, &SolverConfig::default());
+            assert_eq!(
+                SystemOperator::<_, _, f32>::new(&system).apply_alloc(&[]),
+                Vec::<f32>::new()
+            );
+        }
     }
 }

@@ -12,8 +12,8 @@
 //! operator on the fly while streaming the two graphs by 8×8 tiles
 //! ("octiles"), exploits inter- and intra-tile sparsity, and solves the
 //! system with a diagonally preconditioned conjugate gradient iteration
-//! (Algorithm 1). Under a constant edge kernel the operator factors as
-//! `A₁·X·A₂ᵀ`, and the solver applies it that way where that is cheaper.
+//! (Algorithm 1). Under a constant edge kernel (the unit kernel) the
+//! operator factors as `A₁·X·A₂ᵀ`, and the solver applies it that way.
 //!
 //! Crate layout, mirroring the paper's sections:
 //!
@@ -23,9 +23,10 @@
 //! * [`prepared`] — [`PreparedGraph`], everything about one structure that
 //!   is built once and shared by every pair it is in (octile storage).
 //! * [`product`] — assembly of the tensor-product system (degree/vertex
-//!   kernel diagonals, right-hand side, octile operator).
-//! * `factored` — the operator `A₁·X·A₂ᵀ` of a constant edge kernel, which
-//!   the solver takes instead of the octile one where it is cheaper.
+//!   kernel diagonals, right-hand side, and the octile or factored
+//!   off-diagonal operator).
+//! * `factored` — the operands of `A₁·X·A₂ᵀ`, which a system under a
+//!   constant edge kernel holds in place of octile ones.
 //! * [`solver`] — [`MarginalizedKernelSolver`], the per-pair PCG solver.
 //! * [`gram`] — [`GramEngine`], the parallel pairwise Gram-matrix engine,
 //!   dynamically scheduled (Section V).

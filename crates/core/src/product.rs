@@ -7,24 +7,26 @@
 //! * `A× ∘ E×` is the weight/edge-kernel product handled by the on-the-fly
 //!   XMV primitives.
 //!
-//! The diagonal data, from which the diagonal, its Jacobi preconditioner,
-//! the right-hand side `D× q×` and the contraction `p×` are formed, is one
-//! `PairDiagonals`, whichever operator solves the pair. [`ProductSystem`]
-//! owns it and the two-level sparse octile operator over the octile
-//! matrices its two [`PreparedGraph`]s were built with once. A pair under a
-//! constant edge kernel that the solver factors as `A₁·X·A₂ᵀ` (the crate's
-//! `factored` module) builds no `ProductSystem`: it needs the diagonal data
-//! alone.
+//! [`ProductSystem`] owns the diagonal data, the right-hand side `D× q×`
+//! and the operands of `A× ∘ E×`, in one of two forms that the edge
+//! kernel's type picks at compile time. Under a
+//! [`CONSTANT`](BaseKernel::CONSTANT) kernel the product is the weighted
+//! Kronecker product `A₁ ⊗ A₂`, applied as `A₁·X·A₂ᵀ` over the two graphs'
+//! CSR rows (the crate's `factored` module); under every other kernel it is
+//! the two-level sparse octile operator of Section IV, over the octile
+//! matrices its two [`PreparedGraph`]s were built with once. A factored
+//! system builds none of the octile operator's per-pair state.
 //!
 //! [`SystemOperator`] views the full `D× V×⁻¹ − A× ∘ E×` as a
 //! [`mgk_linalg::LinearOperator`], and memory traffic flows through the
 //! `apply_counted` side of that surface: callers pass a
 //! [`TrafficCounters`] down and receive exact counts back, with no interior
 //! mutability on the system itself (the operator's one cell is its
-//! coefficient stream). Those counts are a per-apply ledger summed once at
-//! assembly from the tile pairs' closed forms and the global terms of
-//! compact tile storage shared across a block's warps; an application adds
-//! it once instead of re-deriving it per tile pair.
+//! coefficient stream). Those counts are a per-apply ledger fixed at
+//! assembly: for the octile operator, the sum of the tile pairs' closed
+//! forms and the global terms of compact tile storage shared across a
+//! block's warps; for the factored one, its two sparse×dense products. An
+//! application adds it once instead of re-deriving it per tile pair.
 
 #![cfg_attr(
     not(test),
@@ -48,6 +50,7 @@ use mgk_linalg::{
 };
 use mgk_tile::{OctileMatrix, TILE_SIZE};
 
+use crate::factored::Factors;
 use crate::octile_ops::{
     octile_sweep, reads_packed, tile_pair_traffic, Avx512, Coefficients, KindTable, PairContext,
     TileCosts, TileLayers, TilePanels,
@@ -75,9 +78,10 @@ const COEFFICIENT_STREAM_BYTES: u64 = 256 * 1024;
 /// The warps of a block that share each inner tile's load (Section V-A).
 const BLOCK_SHARING: u64 = 8;
 
-/// The traffic one application of the octile operator counts. Every term
-/// depends on the pair's tiles, the table's picks and the vector width, and
-/// none on the vector, so it is summed once at assembly, at both widths.
+/// The traffic one application of the off-diagonal operator counts. Every
+/// term depends on the pair's operands (for the octile operator, its tiles
+/// and the table's picks) and the vector width, and none on the vector, so
+/// it is summed once at assembly, at both widths.
 struct ApplyTraffic {
     at_f32: TrafficCounters,
     at_f64: TrafficCounters,
@@ -130,6 +134,15 @@ impl ApplyTraffic {
         ApplyTraffic { at_f32, at_f64, packed_terms }
     }
 
+    /// The ledger of the factored operator, which forms no coefficient.
+    fn factored(factors: &Factors) -> Self {
+        ApplyTraffic {
+            at_f32: factors.traffic(f32::BYTES),
+            at_f64: factors.traffic(f64::BYTES),
+            packed_terms: 0,
+        }
+    }
+
     /// The ledger at the vector precision `T`.
     fn at<T: Scalar>(&self) -> &TrafficCounters {
         if T::BYTES == f64::BYTES {
@@ -140,13 +153,8 @@ impl ApplyTraffic {
     }
 }
 
-/// Everything of a pair's system but `A× ∘ E×`: the Kronecker products of
-/// the two graphs' per-vertex data, from which the diagonal `D× V×⁻¹`, its
-/// Jacobi preconditioner, the right-hand side `D× q×` and the contraction
-/// `p×` are formed. Both off-diagonal operators, the octile one of a
-/// [`ProductSystem`] and the factored one of a constant edge kernel, solve
-/// over it.
-pub(crate) struct PairDiagonals {
+/// The assembled tensor-product system for one graph pair.
+pub struct ProductSystem<E, KE> {
     n: usize,
     m: usize,
     /// `d ⊗ d'`.
@@ -157,79 +165,25 @@ pub(crate) struct PairDiagonals {
     start_product: Vec<f32>,
     /// `q ⊗ q'`.
     stop_product: Vec<f32>,
+    /// The operands of `A× ∘ E×`, in the form the edge kernel picks.
+    operands: Operands<E>,
+    /// What one application counts, fixed at assembly.
+    traffic: ApplyTraffic,
+    edge_kernel: KE,
 }
 
-impl PairDiagonals {
-    /// The products of two prepared structures' per-vertex data.
-    pub(crate) fn new<V, E, KV>(
-        a: &PreparedGraph<V, E>,
-        b: &PreparedGraph<V, E>,
-        vertex_kernel: &KV,
-    ) -> Self
-    where
-        E: Copy + Default,
-        KV: BaseKernel<V>,
-    {
-        let (g1, g2) = (a.graph(), b.graph());
-        PairDiagonals {
-            n: g1.num_vertices(),
-            m: g2.num_vertices(),
-            degree_product: kron_vec(a.degrees(), b.degrees()),
-            vertex_product: generalized_kron_vec(g1.vertex_labels(), g2.vertex_labels(), |u, v| {
-                vertex_kernel.eval(u, v)
-            }),
-            start_product: kron_vec(g1.start_probabilities(), g2.start_probabilities()),
-            stop_product: kron_vec(g1.stop_probabilities(), g2.stop_probabilities()),
-        }
-    }
-
-    /// Number of vertices of the two graphs.
-    pub(crate) fn shape(&self) -> (usize, usize) {
-        (self.n, self.m)
-    }
-
-    /// The right-hand side `D× q×` of Eq. (1), at any [`Scalar`]
-    /// precision: the `f32`-stored factors are widened individually before
-    /// multiplying, so the `f64` instantiation forms the exact products.
-    pub(crate) fn rhs<T: Scalar>(&self) -> Vec<T> {
-        self.degree_product
-            .iter()
-            .zip(&self.stop_product)
-            .map(|(&d, &q)| T::from_f32(d) * T::from_f32(q))
-            .collect()
-    }
-
-    /// The diagonal of the system matrix, `D× V×⁻¹`.
-    pub(crate) fn system_diagonal<T: Scalar>(&self) -> Vec<T> {
-        self.degree_product
-            .iter()
-            .zip(&self.vertex_product)
-            .map(|(&d, &v)| T::from_f32(d) / T::from_f32(v))
-            .collect()
-    }
-
-    /// The Jacobi preconditioner `M⁻¹ = V× D×⁻¹` used on line 14 of
-    /// Algorithm 1.
-    pub(crate) fn preconditioner_diagonal<T: Scalar>(&self) -> Vec<T> {
-        self.degree_product
-            .iter()
-            .zip(&self.vertex_product)
-            .map(|(&d, &v)| T::from_f32(v) / T::from_f32(d))
-            .collect()
-    }
-
-    /// The starting-probability product `p ⊗ p'`.
-    pub(crate) fn start_product(&self) -> &[f32] {
-        &self.start_product
-    }
+/// The operands of `A× ∘ E×`: factored for a
+/// [`CONSTANT`](BaseKernel::CONSTANT) edge kernel, octile for every other.
+enum Operands<E> {
+    Octile(OctileOperands<E>),
+    Factored(Factors),
 }
 
-/// The assembled tensor-product system for one graph pair.
-pub struct ProductSystem<E, KE> {
-    diagonals: PairDiagonals,
-    /// The outer and inner operands of `A× ∘ E×`, the two-level sparse
-    /// octile operator of Section IV: the octile matrices the two
-    /// [`PreparedGraph`]s were built with once, shared, not copied.
+/// The outer and inner operands of the two-level sparse octile operator of
+/// Section IV, and what its sweep reads beside them.
+struct OctileOperands<E> {
+    /// The octile matrices the two [`PreparedGraph`]s were built with once,
+    /// shared, not copied.
     left: Arc<OctileMatrix<E>>,
     right: Arc<OctileMatrix<E>>,
     /// `right`'s tiles in layers, for the packed loop: built per system, as
@@ -244,13 +198,10 @@ pub struct ProductSystem<E, KE> {
     /// The adaptive-selection table shared by every system of this kernel
     /// cost (the per-pair decision is a lookup, not three cost estimates).
     kinds: Arc<KindTable>,
-    /// What one application counts, fixed at assembly.
-    traffic: ApplyTraffic,
-    /// Where the sweep runs under AVX-512, dense×dense 16 lanes wide: on a
-    /// CPU that has it, for an edge kernel costly enough
-    /// ([`Avx512::for_kernel`]).
+    /// Whether the CPU has AVX-512F. The sweep runs 16 lanes wide with it
+    /// only for an edge kernel costly enough; that gate is a constant of
+    /// the kernel's type, read inside `octile_sweep`.
     wide: Option<Avx512>,
-    edge_kernel: KE,
     tile_costs: TileCosts,
 }
 
@@ -290,70 +241,94 @@ where
     where
         KV: BaseKernel<V>,
     {
-        let diagonals = PairDiagonals::new(a, b, vertex_kernel);
-        let cost = edge_kernel.cost();
-        let tile_costs =
-            TileCosts { label_bytes: cost.label_bytes, float_bytes: 4, kernel_flops: cost.flops };
+        let (g1, g2) = (a.graph(), b.graph());
+        let (n, m) = (g1.num_vertices(), g2.num_vertices());
+        let degree_product = kron_vec(a.degrees(), b.degrees());
+        let vertex_product =
+            generalized_kron_vec(g1.vertex_labels(), g2.vertex_labels(), |u, v| {
+                vertex_kernel.eval(u, v)
+            });
+        let start_product = kron_vec(g1.start_probabilities(), g2.start_probabilities());
+        let stop_product = kron_vec(g1.stop_probabilities(), g2.stop_probabilities());
 
-        let (left, right) = (a.matrix(), b.matrix());
-        let layers = TileLayers::new(right.tiles());
-        let panels = right.tiles().iter().map(TilePanels::new).collect();
-        let kinds = KindTable::shared(cost.flops);
-        let traffic = ApplyTraffic::octile(&left, &right, &kinds, &tile_costs, diagonals.shape());
+        let (operands, traffic) = if KE::CONSTANT {
+            let factors = Factors::new(g1, g2);
+            let traffic = ApplyTraffic::factored(&factors);
+            (Operands::Factored(factors), traffic)
+        } else {
+            let cost = edge_kernel.cost();
+            let tile_costs = TileCosts {
+                label_bytes: cost.label_bytes,
+                float_bytes: 4,
+                kernel_flops: cost.flops,
+            };
+            let (left, right) = (a.matrix(), b.matrix());
+            let layers = TileLayers::new(right.tiles());
+            let panels = right.tiles().iter().map(TilePanels::new).collect();
+            let kinds = KindTable::shared(cost.flops);
+            let traffic = ApplyTraffic::octile(&left, &right, &kinds, &tile_costs, (n, m));
+            let wide = Avx512::detect();
+            let octile = OctileOperands { left, right, layers, panels, kinds, wide, tile_costs };
+            (Operands::Octile(octile), traffic)
+        };
 
         ProductSystem {
-            diagonals,
-            left,
-            right,
-            layers,
-            panels,
-            kinds,
+            n,
+            m,
+            degree_product,
+            vertex_product,
+            start_product,
+            stop_product,
+            operands,
             traffic,
-            wide: Avx512::for_kernel::<E, KE>(),
             edge_kernel,
-            tile_costs,
         }
     }
 
     /// Dimension of the product system, `n · m`.
     pub fn dim(&self) -> usize {
-        let (n, m) = self.shape();
-        n * m
+        self.n * self.m
     }
 
     /// Number of vertices of the two graphs.
     pub fn shape(&self) -> (usize, usize) {
-        self.diagonals.shape()
-    }
-
-    /// The system's diagonal data, which the solver reads through this
-    /// system's operator or the factored one alike.
-    pub(crate) fn diagonals(&self) -> &PairDiagonals {
-        &self.diagonals
+        (self.n, self.m)
     }
 
     /// The right-hand side `D× q×` of Eq. (1), at any [`Scalar`]
     /// precision: the `f32`-stored factors are widened individually before
     /// multiplying, so the `f64` instantiation forms the exact products.
     pub fn rhs<T: Scalar>(&self) -> Vec<T> {
-        self.diagonals.rhs()
+        self.degree_product
+            .iter()
+            .zip(&self.stop_product)
+            .map(|(&d, &q)| T::from_f32(d) * T::from_f32(q))
+            .collect()
     }
 
     /// The diagonal of the system matrix, `D× V×⁻¹`.
     pub fn system_diagonal<T: Scalar>(&self) -> Vec<T> {
-        self.diagonals.system_diagonal()
+        self.degree_product
+            .iter()
+            .zip(&self.vertex_product)
+            .map(|(&d, &v)| T::from_f32(d) / T::from_f32(v))
+            .collect()
     }
 
     /// The Jacobi preconditioner `M⁻¹ = V× D×⁻¹` used on line 14 of
     /// Algorithm 1.
     pub fn preconditioner_diagonal<T: Scalar>(&self) -> Vec<T> {
-        self.diagonals.preconditioner_diagonal()
+        self.degree_product
+            .iter()
+            .zip(&self.vertex_product)
+            .map(|(&d, &v)| T::from_f32(v) / T::from_f32(d))
+            .collect()
     }
 
     /// The starting-probability product `p ⊗ p'` used to contract the
     /// solution into the kernel value.
     pub fn start_product(&self) -> &[f32] {
-        self.diagonals.start_product()
+        &self.start_product
     }
 
     /// Apply the off-diagonal operator: `y ← (A× ∘ E×) x`, adding the
@@ -361,9 +336,15 @@ where
     /// vector [`Scalar`]; the `f32`-stored tiles and kernel values are
     /// widened factor-wise at `f64`.
     ///
-    /// The operator sweeps the second graph's tiles once per tile of the
-    /// first, one layer at a time (layer ℓ is the ℓ-th tile of every tile
-    /// row). Each outer tile is decoded once for its whole sweep. Within a
+    /// Under a [`CONSTANT`](BaseKernel::CONSTANT) edge kernel the product is
+    /// `A₁·X·A₂ᵀ`, formed row by row over the graphs' CSR rows: each element
+    /// of `y` adds its terms in a fixed order, so every application gives
+    /// the same bits, and they differ from the octile sweep's within
+    /// rounding. It evaluates no kernel and allocates one row of `m`.
+    ///
+    /// Under every other kernel the octile operator sweeps the second
+    /// graph's tiles once per tile of the first, one layer at a time (layer
+    /// ℓ is the ℓ-th tile of every tile row). Each outer tile is decoded once for its whole sweep. Within a
     /// layer, a run of tiles the table routes to the packed loop, up to 64
     /// nonzeros, costs one coefficient loop and one update loop per outer
     /// nonzero, not one of each per tile pair. Every other tile goes through
@@ -373,14 +354,14 @@ where
     /// order, outer nonzero, inner nonzero. The results are bit-identical to
     /// it. The sweep allocates nothing, and the application's traffic is
     /// the ledger fixed at assembly, added once. On a CPU with AVX-512F, a
-    /// system whose edge kernel costs 8 FLOPs or more (`KernelCost::flops`)
-    /// runs the sweep compiled for it, dense×dense 16 lanes wide, to the
-    /// same bits.
+    /// system whose edge kernel costs 8 FLOPs or more
+    /// ([`BaseKernel::FLOPS`]) runs the sweep compiled for it, dense×dense
+    /// 16 lanes wide, to the same bits.
     ///
-    /// Every call forms every coefficient `(w₁·w₂)·κ(l₁, l₂)` again, as the
-    /// paper's XMV does. [`SystemOperator`], which applies one system many
-    /// times, may instead record the packed loop's coefficients once and
-    /// replay them, to the same bits.
+    /// Every octile call forms every coefficient `(w₁·w₂)·κ(l₁, l₂)` again,
+    /// as the paper's XMV does. [`SystemOperator`], which applies one system
+    /// many times, may instead record the packed loop's coefficients once
+    /// and replay them, to the same bits.
     pub fn apply_off_diagonal<T: Scalar>(
         &self,
         x: &[T],
@@ -394,18 +375,33 @@ where
     /// `nnz(A₁)·nnz(A₂)`: the nonzeros of `A×`, one coefficient each, over
     /// every tile pair whichever loop it is routed to.
     fn product_nnz(&self) -> u64 {
-        (self.left.num_nonzeros() * self.right.num_nonzeros()) as u64
+        let (nnz1, nnz2) = match &self.operands {
+            Operands::Octile(o) => (o.left.num_nonzeros(), o.right.num_nonzeros()),
+            Operands::Factored(factors) => factors.nonzeros(),
+        };
+        (nnz1 * nnz2) as u64
     }
 
-    /// `y ← (A× ∘ E×) x`, the packed loop taking its coefficients as
-    /// `coefficients` says; counts nothing.
+    /// `y ← (A× ∘ E×) x`, the octile packed loop taking its coefficients as
+    /// `coefficients` says (the factored product forms none); counts
+    /// nothing.
     fn sweep<T: Scalar>(&self, x: &[T], y: &mut [T], coefficients: &mut Coefficients<'_, T>) {
+        let o = match &self.operands {
+            Operands::Factored(factors) => return factors.apply(x, y),
+            Operands::Octile(o) => o,
+        };
         y.iter_mut().for_each(|v| *v = T::ZERO);
-        let (n, m) = self.shape();
-        let ctx = PairContext { n, m, kernel: &self.edge_kernel, costs: &self.tile_costs };
-        let (outer, inner) = (self.left.tiles(), (self.right.tiles(), &self.panels[..]));
-        let (layers, kinds) = (&self.layers, &self.kinds);
-        octile_sweep(self.wide, outer, inner, layers, kinds, coefficients, ctx, x, y);
+        let ctx =
+            PairContext { n: self.n, m: self.m, kernel: &self.edge_kernel, costs: &o.tile_costs };
+        let (outer, inner) = (o.left.tiles(), (o.right.tiles(), &o.panels[..]));
+        octile_sweep(o.wide, outer, inner, &o.layers, &o.kinds, coefficients, ctx, x, y);
+    }
+
+    /// Whether a system of this edge kernel runs the AVX-512 sweep here.
+    #[cfg(test)]
+    fn sweeps_wide(&self) -> bool {
+        let wide = matches!(&self.operands, Operands::Octile(o) if o.wide.is_some());
+        wide && crate::octile_ops::sweeps_wide::<E, KE>()
     }
 }
 
@@ -413,15 +409,16 @@ where
 /// `D× V×⁻¹ − A× ∘ E×` for the conjugate gradient solver, at the vector
 /// [`Scalar`] precision `T` (defaulting to the `f32` serving precision).
 ///
-/// The off-diagonal part is [`ProductSystem::apply_off_diagonal`]'s sweep;
-/// the diagonal is precomputed at precision `T` and fused into the same
-/// sweep. Traffic is threaded through
+/// The off-diagonal part is [`ProductSystem::apply_off_diagonal`]'s
+/// product, octile or factored as the system's edge kernel picks; the
+/// diagonal is precomputed at precision `T` and fused into the same sweep.
+/// Traffic is threaded through
 /// [`apply_counted`](LinearOperator::apply_counted); the operator holds no
 /// counter state, and every application counts the ledger fixed at
 /// assembly.
 ///
-/// The operator may keep a coefficient stream: every coefficient the packed
-/// loop forms, at precision `T`, in sweep order. It does when every
+/// An octile operator may keep a coefficient stream: every coefficient the
+/// packed loop forms, at precision `T`, in sweep order. It does when every
 /// coefficient of the product graph would fit in a fixed 256 KiB, as a
 /// serving-size molecule pair's do; a protein pair, most of whose tile
 /// pairs go to dense primitives, and a 96-vertex NWS or BA pair do not. Its
@@ -438,8 +435,9 @@ where
 pub struct SystemOperator<'a, E, KE, T: Scalar = f32> {
     system: &'a ProductSystem<E, KE>,
     diagonal: Vec<T>,
-    /// The coefficient stream, filled by the first application; `None` when
-    /// the product graph would not fit in [`COEFFICIENT_STREAM_BYTES`].
+    /// The coefficient stream, filled by the first application; `None` for
+    /// a factored system, and when the product graph would not fit in
+    /// [`COEFFICIENT_STREAM_BYTES`].
     coefficients: Option<OnceCell<Vec<T>>>,
 }
 
@@ -451,7 +449,8 @@ where
 {
     /// Wrap an assembled product system.
     pub fn new(system: &'a ProductSystem<E, KE>) -> Self {
-        let streams = system.product_nnz() * T::BYTES <= COEFFICIENT_STREAM_BYTES;
+        let octile = matches!(system.operands, Operands::Octile(_));
+        let streams = octile && system.product_nnz() * T::BYTES <= COEFFICIENT_STREAM_BYTES;
         SystemOperator {
             system,
             diagonal: system.system_diagonal::<T>(),
@@ -687,7 +686,7 @@ mod tests {
     #[test]
     fn only_a_costly_edge_kernel_sweeps_wide_and_only_where_the_cpu_has_avx512f() {
         use mgk_datasets::protein::synthetic_structure;
-        use mgk_kernels::{KroneckerDelta, SquareExponential};
+        use mgk_kernels::{KroneckerDelta, OctileUnitKernel, SquareExponential};
         use rand::{rngs::StdRng, SeedableRng};
 
         #[cfg(target_arch = "x86_64")]
@@ -699,10 +698,11 @@ mod tests {
         let (a, b) = (&a.graph, &b.graph);
         let delta = KroneckerDelta::new(0.5);
         let se = SquareExponential::new(1.0);
-        assert_eq!(assemble_prepared(a, b, &delta, se).wide.is_some(), avx512f);
-        assert!(assemble_prepared(a, b, &delta, delta).wide.is_none());
-        assert!(assemble_prepared(a, b, &delta, UnitKernel).wide.is_none());
-        assert!(assemble().wide.is_none());
+        assert_eq!(assemble_prepared(a, b, &delta, se).sweeps_wide(), avx512f);
+        assert!(!assemble_prepared(a, b, &delta, delta).sweeps_wide());
+        assert!(!assemble_prepared(a, b, &delta, OctileUnitKernel).sweeps_wide());
+        assert!(!assemble_prepared(a, b, &delta, UnitKernel).sweeps_wide());
+        assert!(!assemble().sweeps_wide());
     }
 
     #[test]

@@ -1,33 +1,32 @@
 //! The per-pair marginalized graph kernel solver (Algorithm 1).
 //!
 //! [`MarginalizedKernelSolver::kernel_prepared`] solves one prepared pair
-//! with Jacobi-preconditioned CG over one of two off-diagonal operators,
-//! picked by the pair's content: the factored `A₁·X·A₂ᵀ` of a constant edge
-//! kernel, where that costs no more multiply-adds than the octile sweep,
-//! and the two-level sparse octile operator of Section IV everywhere else.
+//! with Jacobi-preconditioned CG over the pair's [`ProductSystem`], whose
+//! off-diagonal operator the edge kernel's type picks: the factored
+//! `A₁·X·A₂ᵀ` under a [`CONSTANT`](BaseKernel::CONSTANT) kernel, the
+//! two-level sparse octile operator of Section IV under every other.
 
 use mgk_graph::Graph;
 use mgk_kernels::{BaseKernel, UnitKernel};
 use mgk_linalg::{
-    pcg_counted, DiagonalOperator, LinearOperator, Precision, Scalar, SolveOptions, TrafficCounters,
+    pcg_counted, ConvergenceInfo, DiagonalOperator, Precision, Scalar, SolveOptions,
+    TrafficCounters,
 };
 use mgk_reorder::ReorderMethod;
 use mgk_telemetry::StageBreakdown;
 
-use crate::factored::{factored_is_cheaper, FactoredOperator};
 use crate::prepared::PreparedGraph;
-use crate::product::{PairDiagonals, ProductSystem, SystemOperator};
+use crate::product::{ProductSystem, SystemOperator};
 
 /// Configuration of the marginalized graph kernel solver.
 ///
-/// The configuration does not choose the off-diagonal operator; the pair
-/// does. It is the two-level sparse octile one of Section IV, with adaptive
-/// dense/sparse tile primitives, compact tile payloads and block-level tile
-/// sharing, except under an edge kernel that is
-/// [`CONSTANT`](BaseKernel::CONSTANT), where a pair whose factored product
-/// `A₁·X·A₂ᵀ` costs no more multiply-adds than the octile sweep is solved
-/// with that. The default configuration adds PBR reordering: the paper's
-/// full production kernel.
+/// The configuration does not choose the off-diagonal operator; the edge
+/// kernel does. Under a kernel that is not
+/// [`CONSTANT`](BaseKernel::CONSTANT) it is the two-level sparse octile one
+/// of Section IV, with adaptive dense/sparse tile primitives, compact tile
+/// payloads and block-level tile sharing; under a constant one (the unit
+/// kernel) it is the factored product `A₁·X·A₂ᵀ`. The default
+/// configuration adds PBR reordering: the paper's full production kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverConfig {
     /// Convergence threshold and iteration budget of the PCG iteration —
@@ -215,10 +214,12 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
     /// when a structure meets more than one partner (a Gram matrix, a
     /// serving cache): neither structure is reordered or tiled again here.
     ///
-    /// The off-diagonal operator is the factored `A₁·X·A₂ᵀ` when the edge
-    /// kernel is [`CONSTANT`](BaseKernel::CONSTANT) and
-    /// `nnz₁·m + n·nnz₂ ≤ nnz₁·nnz₂`, and the octile operator
-    /// ([`SystemOperator`]) otherwise. The solve runs at `precision` (PCG at
+    /// The off-diagonal operator is the one the pair's [`ProductSystem`]
+    /// holds: the factored `A₁·X·A₂ᵀ` when the edge kernel is
+    /// [`CONSTANT`](BaseKernel::CONSTANT), which then builds none of the
+    /// octile operator's per-pair state, and the octile operator otherwise;
+    /// [`SystemOperator`] over [`ProductSystem::assemble`] of the prepared
+    /// graphs replays it bit for bit. The solve runs at `precision` (PCG at
     /// the `f32` or `f64` instantiation) and the result is carried at `T`:
     /// `kernel_prepared::<f32>(.., Precision::F64)` is the oracle's value at
     /// the serving type. Every solve starts from zero, so
@@ -239,39 +240,19 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
         if a.graph().num_vertices() == 0 || b.graph().num_vertices() == 0 {
             return Err(SolverError::EmptyGraph);
         }
+        let system = self.assemble_prepared(a, b);
+        // traffic flows through the instrumented LinearOperator surface:
+        // every operator and preconditioner application adds to `traffic`
+        let mut traffic = TrafficCounters::new();
         match precision {
-            Precision::F32 => self.solve_pair::<f32, T, V, E>(a, b),
-            Precision::F64 => self.solve_pair::<f64, T, V, E>(a, b),
-        }
-    }
-
-    /// Solve the pair at the [`Scalar`] instantiation `U` through the
-    /// operator its content selects: the factored `A₁·X·A₂ᵀ` where the edge
-    /// kernel is constant and the factored product is no dearer than the
-    /// octile sweep, which then builds none of the sweep's per-pair state;
-    /// the octile operator otherwise. The branch on the kernel is resolved
-    /// at compile time, so a kernel that is not constant compiles no
-    /// factored path.
-    fn solve_pair<U, T, V, E>(
-        &self,
-        a: &PreparedGraph<V, E>,
-        b: &PreparedGraph<V, E>,
-    ) -> Result<KernelResult<T>, SolverError>
-    where
-        U: Scalar,
-        T: Scalar,
-        E: Copy + Default,
-        KV: BaseKernel<V>,
-        KE: BaseKernel<E> + Clone,
-    {
-        if const { KE::CONSTANT } && factored_is_cheaper(a.graph(), b.graph()) {
-            let diagonals = PairDiagonals::new(a, b, &self.vertex_kernel);
-            let operator = FactoredOperator::<V, E, U>::new(a.graph(), b.graph(), &diagonals);
-            self.solve(&diagonals, &operator, (a, b))
-        } else {
-            let system = self.assemble_prepared(a, b);
-            let operator = SystemOperator::<E, KE, U>::new(&system);
-            self.solve(system.diagonals(), &operator, (a, b))
+            Precision::F32 => {
+                let run = self.iterate::<f32, E, KE>(&system, &mut traffic);
+                self.finish(&system, (a, b), run, traffic)
+            }
+            Precision::F64 => {
+                let run = self.iterate::<f64, E, KE>(&system, &mut traffic);
+                self.finish(&system, (a, b), run, traffic)
+            }
         }
     }
 
@@ -289,24 +270,37 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
         ProductSystem::from_prepared(a, b, &self.vertex_kernel, self.edge_kernel.clone())
     }
 
-    /// Run PCG on the system `diagonals` and `operator` make, at the
-    /// [`Scalar`] instantiation `U`, and turn the solution into the result
-    /// carried at `T`: `K = p×ᵀ x` is contracted in `f64` whatever `U` and
-    /// `T` are, over the prepared order, and the nodal vector is scattered
-    /// back to the input order of `a` and `b`.
-    fn solve<U: Scalar, T: Scalar, V, E: Copy + Default>(
+    /// Run PCG on an assembled system at the [`Scalar`] instantiation `U`.
+    fn iterate<U, E, KE2>(
         &self,
-        diagonals: &PairDiagonals,
-        operator: &impl LinearOperator<U>,
+        system: &ProductSystem<E, KE2>,
+        traffic: &mut TrafficCounters,
+    ) -> (Vec<U>, ConvergenceInfo)
+    where
+        U: Scalar,
+        E: Copy + Default,
+        KE2: BaseKernel<E>,
+    {
+        let rhs = system.rhs::<U>();
+        let operator = SystemOperator::<E, KE2, U>::new(system);
+        let preconditioner = DiagonalOperator::new(system.preconditioner_diagonal::<U>());
+        pcg_counted(&operator, &preconditioner, &rhs, &self.config.solve, traffic)
+    }
+
+    /// Turn a finished iteration (solution at `U`) into the result carried
+    /// at `T`: `K = p×ᵀ x` is contracted in `f64` whatever `U` and `T` are,
+    /// over the prepared order, and the nodal vector is scattered back to
+    /// the input order of `a` and `b`.
+    fn finish<U: Scalar, T: Scalar, V, E: Copy + Default, KE2>(
+        &self,
+        system: &ProductSystem<E, KE2>,
         (a, b): (&PreparedGraph<V, E>, &PreparedGraph<V, E>),
-    ) -> Result<KernelResult<T>, SolverError> {
-        let rhs = diagonals.rhs::<U>();
-        let preconditioner = DiagonalOperator::new(diagonals.preconditioner_diagonal::<U>());
-        // traffic flows through the instrumented LinearOperator surface:
-        // every operator and preconditioner application adds to `traffic`
-        let mut traffic = TrafficCounters::new();
-        let (x, info) =
-            pcg_counted(operator, &preconditioner, &rhs, &self.config.solve, &mut traffic);
+        (x, info): (Vec<U>, ConvergenceInfo),
+        traffic: TrafficCounters,
+    ) -> Result<KernelResult<T>, SolverError>
+    where
+        KE2: BaseKernel<E>,
+    {
         if !info.converged {
             return Err(SolverError::DidNotConverge {
                 iterations: info.iterations,
@@ -314,7 +308,7 @@ impl<KV, KE> MarginalizedKernelSolver<KV, KE> {
             });
         }
         let value_f64: f64 =
-            diagonals.start_product().iter().zip(&x).map(|(&p, &xi)| p as f64 * xi.to_f64()).sum();
+            system.start_product().iter().zip(&x).map(|(&p, &xi)| p as f64 * xi.to_f64()).sum();
         Ok(KernelResult {
             value: T::from_f64(value_f64),
             value_f64,
@@ -393,8 +387,8 @@ fn in_input_order<U: Scalar, T: Scalar, V, E: Copy + Default>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgk_graph::{generators, GraphBuilder};
-    use mgk_kernels::{KroneckerDelta, SquareExponential};
+    use mgk_graph::{generators, GraphBuilder, Unlabeled};
+    use mgk_kernels::{KroneckerDelta, OctileUnitKernel, SquareExponential};
     use mgk_linalg::{direct, kron_vec, kronecker};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -603,31 +597,39 @@ mod tests {
         assert!(rel_value <= 1e-10, "value {} vs direct {value_direct}", result.value_f64);
     }
 
+    /// Both operators at unit weights, the factored one (`UnitKernel`) and
+    /// the octile one (`OctileUnitKernel`), solve an NWS×BA pair at `f64` to
+    /// within 1e-10 of the dense direct solver.
     #[test]
-    fn a_factored_f64_solve_matches_the_dense_direct_solver_to_1e10() {
+    fn both_unit_weight_operators_match_the_dense_direct_solver_to_1e10_at_f64() {
+        fn check<KE: BaseKernel<Unlabeled> + Clone>(g1: &Graph, g2: &Graph, edge_kernel: KE) {
+            let config = SolverConfig {
+                precision: Precision::F64,
+                compute_nodal: true,
+                solve: SolveOptions { tolerance: 1e-13, max_iterations: 5000 },
+                ..SolverConfig::default()
+            };
+            let solver = MarginalizedKernelSolver::new(UnitKernel, edge_kernel, config);
+            let result = solver.kernel_at::<f64, _, _>(g1, g2).unwrap();
+            let factored = result.traffic.kernel_evaluations == 0;
+            assert_eq!(factored, KE::CONSTANT, "the operator the kernel picks");
+
+            let (mat, b, px) = widened_reference_system(g1, g2, &UnitKernel, &UnitKernel);
+            let x_direct = direct::lu_solve(&mat, &b).expect("reference system solvable");
+            let nodal = result.nodal.as_ref().expect("compute_nodal was requested");
+            let err_sq: f64 = nodal.iter().zip(&x_direct).map(|(a, b)| (a - b) * (a - b)).sum();
+            let norm_sq: f64 = x_direct.iter().map(|v| v * v).sum();
+            let nodal_error = (err_sq / norm_sq).sqrt();
+            assert!(nodal_error <= 1e-10, "factored {factored}: nodal error {nodal_error:e}");
+            let value_direct: f64 = px.iter().zip(&x_direct).map(|(p, x)| p * x).sum();
+            let rel_value = (result.value - value_direct).abs() / value_direct.abs();
+            assert!(rel_value <= 1e-10, "factored {factored}: value {}", result.value);
+        }
         let mut rng = StdRng::seed_from_u64(22);
         let g1 = generators::newman_watts_strogatz(20, 3, 0.2, &mut rng);
         let g2 = generators::barabasi_albert(17, 3, &mut rng);
-        assert!(crate::factored::factored_is_cheaper(&g1, &g2));
-        let config = SolverConfig {
-            precision: Precision::F64,
-            compute_nodal: true,
-            solve: SolveOptions { tolerance: 1e-13, max_iterations: 5000 },
-            ..SolverConfig::default()
-        };
-        let solver = MarginalizedKernelSolver::unlabeled(config);
-        let result = solver.kernel_at::<f64, _, _>(&g1, &g2).unwrap();
-        assert_eq!(result.traffic.kernel_evaluations, 0, "the pair is solved factored");
-
-        let (mat, b, px) = widened_reference_system(&g1, &g2, &UnitKernel, &UnitKernel);
-        let x_direct = direct::lu_solve(&mat, &b).expect("reference system solvable");
-        let nodal = result.nodal.as_ref().expect("compute_nodal was requested");
-        let err_sq: f64 = nodal.iter().zip(&x_direct).map(|(a, b)| (a - b) * (a - b)).sum();
-        let norm_sq: f64 = x_direct.iter().map(|v| v * v).sum();
-        assert!((err_sq / norm_sq).sqrt() <= 1e-10, "nodal error {:e}", (err_sq / norm_sq).sqrt());
-        let value_direct: f64 = px.iter().zip(&x_direct).map(|(p, x)| p * x).sum();
-        let rel_value = (result.value - value_direct).abs() / value_direct.abs();
-        assert!(rel_value <= 1e-10, "value {} vs direct {value_direct}", result.value);
+        check(&g1, &g2, UnitKernel);
+        check(&g1, &g2, OctileUnitKernel);
     }
 
     #[test]

@@ -27,6 +27,25 @@ impl<L: ?Sized + Sync> BaseKernel<L> for UnitKernel {
     }
 }
 
+/// The unit kernel, `1` for every label pair at the unlabeled cost, but not
+/// declared [`CONSTANT`](BaseKernel::CONSTANT). A solver that factors the
+/// product system of a constant kernel treats this one as it treats any
+/// labeled kernel, so under it `mgk-core` runs the paper's two-level octile
+/// operator on unlabeled graphs: Fig. 9's levels, and the tests that pin
+/// that operator under unit weights, take it as their edge kernel.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OctileUnitKernel;
+
+impl<L: ?Sized + Sync> BaseKernel<L> for OctileUnitKernel {
+    const LABEL_BYTES: usize = KernelCost::UNLABELED.label_bytes;
+    const FLOPS: usize = KernelCost::UNLABELED.flops;
+
+    #[inline]
+    fn eval(&self, _a: &L, _b: &L) -> f32 {
+        1.0
+    }
+}
+
 /// Kronecker delta kernel for categorical labels: returns 1 when the labels
 /// are equal and `baseline` otherwise.
 ///

@@ -21,7 +21,7 @@ pub mod cost;
 pub mod elementary;
 
 pub use cost::KernelCost;
-pub use elementary::{KroneckerDelta, SquareExponential, UnitKernel};
+pub use elementary::{KroneckerDelta, OctileUnitKernel, SquareExponential, UnitKernel};
 
 /// A positive-definite base kernel over a label type `L`.
 ///

@@ -9,6 +9,13 @@
 //! [`Precision`] tag ↔ its stable one-byte encoding. Keeping the mapping
 //! here (and nowhere else) means in-memory refactors cannot silently
 //! change the on-disk format.
+//!
+//! A record does not carry the solver's `mgk_core::ARITHMETIC_VERSION`.
+//! Entries written by a build of another version are recovered and served
+//! as written, so after an upgrade that moves answer bits (version 2
+//! factors unit-kernel pairs) a pair recovered from the store answers with
+//! the old bits while a cold solve of the same pair gets the new ones; the
+//! two agree within the solver's tolerance, not bit for bit.
 
 #![cfg_attr(
     not(test),

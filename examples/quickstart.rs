@@ -24,7 +24,9 @@ fn main() {
 
     // The default configuration is the paper's full production solver:
     // octile storage, PBR reordering, adaptive tile primitives, compact
-    // payloads and block-level sharing.
+    // payloads and block-level sharing. Under the unit edge kernel of an
+    // unlabeled solver the product system factors, so these pairs are
+    // solved as A₁·X·A₂ᵀ; a labeled edge kernel runs the octile operator.
     let solver = MarginalizedKernelSolver::unlabeled(SolverConfig::default());
 
     // Pairwise kernel evaluation with normalization K̂ᵢⱼ = Kᵢⱼ/√(KᵢᵢKⱼⱼ).

@@ -6,17 +6,20 @@
 //! routed by the operator's own `KindTable`. The corpus covers what the
 //! serving workloads tile into:
 //! - molecules of 6–80 atoms after PBR, under the Kronecker delta;
-//! - NWS×BA graphs of 96 vertices, under the unit kernel;
+//! - NWS×BA graphs of 96 vertices, under unit weights;
 //! - protein-like structures of 48 atoms under the square-exponential edge
 //!   kernel, where the tiles one outer tile meets at the same position in
 //!   their tile rows go to packed and to dense primitives alike;
 //! - random graphs with partial edge tiles and tile rows of several tiles.
 //!
-//! Every case runs at `f32` and at `f64`.
+//! Every case runs at `f32` and at `f64`. Unit weights run under
+//! `OctileUnitKernel`: the unit kernel itself is constant, and a system of a
+//! constant kernel holds the factored operator, not the octile one.
 
 use mgk::datasets::{molecules, protein};
 use mgk::graph::generators;
 use mgk::graph::{Graph, GraphBuilder, Unlabeled};
+use mgk::kernels::OctileUnitKernel;
 use mgk::prelude::*;
 use mgk::solver::octile_ops::{
     tile_pair_product_scalar, KindTable, PairContext, TileCosts, TileProductKind,
@@ -162,7 +165,7 @@ fn nws_ba_sweep_is_the_reference_bitwise() {
     let mut rng = StdRng::seed_from_u64(34);
     let nws = prepared(&generators::newman_watts_strogatz(96, 3, 0.1, &mut rng));
     let ba = prepared(&generators::barabasi_albert(96, 6, &mut rng));
-    assert_sweep_is_the_reference(&nws, &ba, &UnitKernel, &UnitKernel, "NWS×BA");
+    assert_sweep_is_the_reference(&nws, &ba, &UnitKernel, &OctileUnitKernel, "NWS×BA");
 }
 
 #[test]
@@ -213,7 +216,7 @@ fn random_graph_sweeps_are_the_reference_bitwise() {
     );
     let (se, kd) = (SquareExponential::new(0.8), KroneckerDelta::new(0.25));
     for pair in graphs.windows(2) {
-        assert_sweep_is_the_reference(&pair[0], &pair[1], &UnitKernel, &UnitKernel, "unit");
+        assert_sweep_is_the_reference(&pair[0], &pair[1], &UnitKernel, &OctileUnitKernel, "unit");
         assert_sweep_is_the_reference(&pair[0], &pair[1], &UnitKernel, &kd, "delta");
         assert_sweep_is_the_reference(&pair[0], &pair[1], &UnitKernel, &se, "square-exponential");
     }
